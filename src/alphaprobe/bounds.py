@@ -21,7 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fidelity import alpha_fidelity_curve, default_alpha_grid
+from .fidelity import (
+    DPI_ALPHA_MIN,
+    _check_alpha_grid,
+    alpha_fidelity_curve,
+    default_alpha_grid,
+)
 from .linalg import DensityMatrix
 
 BOUND_ORDERS = ("forward", "reversed")
@@ -62,14 +67,12 @@ def _check_order(order: str) -> str:
     return order
 
 
-def _check_bound_alpha(alpha: float) -> float:
-    a = float(alpha)
-    if not 0.5 <= a < 1.0:
-        raise ValueError(
-            f"width bounds require alpha in [0.5, 1), got {alpha}; the inequality "
-            "is not guaranteed outside this range"
+def _check_control_shift(record: ProbingRecord) -> None:
+    if record.delta_mu == 0.0:
+        raise DegenerateControlError(
+            "control shift is zero: the inequality only yields the trivial "
+            "condition sigma >= 0"
         )
-    return a
 
 
 def fraction_curve(record: ProbingRecord, alphas, order: str = "forward") -> np.ndarray:
@@ -114,30 +117,22 @@ def _bounds_from_fractions(
     return out
 
 
-def _require_usable(record: ProbingRecord, alpha: float) -> float:
-    a = _check_bound_alpha(alpha)
-    if record.delta_mu == 0.0:
-        raise DegenerateControlError(
-            "control shift is zero: the inequality only yields the trivial "
-            "condition sigma >= 0"
-        )
-    return a
+def _family_bound(record: ProbingRecord, alpha: float, order: str) -> float | None:
+    a = _check_alpha_grid([alpha], DPI_ALPHA_MIN)
+    _check_control_shift(record)
+    f = fraction_curve(record, a, order)
+    b = _bounds_from_fractions(f, a, record.delta_mu)[0]
+    return None if math.isnan(b) else float(b)
 
 
 def bound_b1(record: ProbingRecord, alpha: float) -> float | None:
     """Family-B1 width bound at one alpha; None when uninformative."""
-    a = _require_usable(record, alpha)
-    f = fraction(record, a, "forward")
-    b = _bounds_from_fractions(np.array([f]), np.array([a]), record.delta_mu)[0]
-    return None if math.isnan(b) else float(b)
+    return _family_bound(record, alpha, "forward")
 
 
 def bound_b2(record: ProbingRecord, alpha: float) -> float | None:
     """Family-B2 width bound at one alpha; None when uninformative."""
-    a = _require_usable(record, alpha)
-    f = fraction(record, a, "reversed")
-    b = _bounds_from_fractions(np.array([f]), np.array([a]), record.delta_mu)[0]
-    return None if math.isnan(b) else float(b)
+    return _family_bound(record, alpha, "reversed")
 
 
 @dataclass(frozen=True)
@@ -173,18 +168,10 @@ class BoundCurve:
 
 def tightest_bound(record: ProbingRecord, alpha_grid=None) -> BoundCurve:
     """Evaluate both families over the grid and locate the minimum bound."""
-    if record.delta_mu == 0.0:
-        raise DegenerateControlError(
-            "control shift is zero: the inequality only yields the trivial "
-            "condition sigma >= 0"
-        )
-    alphas = default_alpha_grid() if alpha_grid is None else np.asarray(alpha_grid, float)
-    if alphas.ndim != 1 or alphas.size == 0:
-        raise ValueError("alpha grid must be a nonempty 1-d array")
-    if alphas.min() < 0.5 or alphas.max() >= 1.0:
-        raise ValueError(
-            f"bound grid must lie in [0.5, 1), got [{alphas.min()}, {alphas.max()}]"
-        )
+    _check_control_shift(record)
+    alphas = _check_alpha_grid(
+        default_alpha_grid() if alpha_grid is None else alpha_grid, DPI_ALPHA_MIN
+    )
     f1 = fraction_curve(record, alphas, "forward")
     f2 = fraction_curve(record, alphas, "reversed")
     b1 = _bounds_from_fractions(f1, alphas, record.delta_mu)
@@ -213,7 +200,7 @@ def ratio_lower_bound(record: ProbingRecord, alpha: float) -> float | None:
     Uses the better (larger) of the two families; None when neither fraction
     is informative.
     """
-    a = _check_bound_alpha(alpha)
+    a = float(_check_alpha_grid([alpha], DPI_ALPHA_MIN)[0])
     candidates = [
         _dual_from_fraction(fraction(record, a, order), a) for order in BOUND_ORDERS
     ]

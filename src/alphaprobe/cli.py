@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -22,20 +23,28 @@ from .bounds import (
     tightest_bound,
     write_bound_curve_csv,
 )
-from .fidelity import alpha_fidelity_curve
+from .fidelity import DPI_ALPHA_MIN, _check_alpha_grid, alpha_fidelity_curve, alpha_range
 from .linalg import DensityMatrix, matrix_from_json, save_matrix
 from .scenario import (
     SCHEMA_VERSION,
     ConfigError,
     GoldenCheckError,
+    _number,
     _provenance,
     _write_summary,
+    load_json,
     load_scenario,
     reproduce_fig4,
     run_scenario,
     sweep_thickness,
 )
-from .tomography import TomographySettings, reconstruct, rng_stream, simulate_counts
+from .tomography import (
+    TomographySettings,
+    ZeroCountsError,
+    reconstruct,
+    rng_stream,
+    simulate_counts,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,36 +52,25 @@ EXIT_GOLDEN = 3
 EXIT_NO_INFORMATION = 4
 
 
-def _load_json(path, what: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
-
-
 def _load_state(path) -> DensityMatrix:
     try:
-        return DensityMatrix(matrix_from_json(_load_json(path, "state")))
+        return DensityMatrix(matrix_from_json(load_json(path, "state")))
     except ValueError as exc:
         raise ConfigError(f"state {path}: {exc}") from exc
 
 
-def _alpha_grid(args) -> np.ndarray:
-    if getattr(args, "alpha", None) is not None:
-        if not 0.0 < args.alpha < 1.0:
-            raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
-        return np.array([args.alpha])
-    if not 0.0 < args.alpha_start < args.alpha_stop < 1.0:
-        raise ConfigError(
-            f"alpha grid must satisfy 0 < start < stop < 1, got "
-            f"[{args.alpha_start}, {args.alpha_stop}]"
-        )
-    if args.alpha_count < 1:
-        raise ConfigError(f"--alpha-count must be positive, got {args.alpha_count}")
-    return np.linspace(args.alpha_start, args.alpha_stop, args.alpha_count)
+def _alpha_grid(args, lower: float) -> np.ndarray:
+    single = getattr(args, "alpha", None) is not None
+    try:
+        with warnings.catch_warnings():
+            # the fidelity curve repeats this check, with its alpha < 0.5 warning
+            warnings.simplefilter("ignore")
+            if single:
+                return _check_alpha_grid([args.alpha], lower)
+            return alpha_range(args.alpha_start, args.alpha_stop, args.alpha_count, lower)
+    except ValueError as exc:
+        flags = "--alpha" if single else "--alpha-start/--alpha-stop/--alpha-count"
+        raise ConfigError(f"{flags}: {exc}") from exc
 
 
 def _add_alpha_args(parser: argparse.ArgumentParser, single: bool = False) -> None:
@@ -88,7 +86,7 @@ def _add_alpha_args(parser: argparse.ArgumentParser, single: bool = False) -> No
 def cmd_afid(args) -> int:
     rho1 = _load_state(args.rho1)
     rho2 = _load_state(args.rho2)
-    grid = _alpha_grid(args)
+    grid = _alpha_grid(args, lower=0.0)
     values = alpha_fidelity_curve(rho1, rho2, grid)
     rows = [["alpha", "fidelity"]] + [
         [f"{a:.12e}", f"{f:.12e}"] for a, f in zip(grid, values)
@@ -104,14 +102,14 @@ def cmd_afid(args) -> int:
 
 
 def _load_record(path) -> ProbingRecord:
-    payload = _load_json(path, "record")
+    payload = load_json(path, "record")
     try:
         return ProbingRecord(
             rho1=DensityMatrix(matrix_from_json(payload["rho1"])),
             rho2=DensityMatrix(matrix_from_json(payload["rho2"])),
             phi1_rho1=DensityMatrix(matrix_from_json(payload["phi1_rho1"])),
             phi2_rho2=DensityMatrix(matrix_from_json(payload["phi2_rho2"])),
-            delta_mu=float(payload["delta_mu_hz"]),
+            delta_mu=_number(payload["delta_mu_hz"], "delta_mu_hz"),
         )
     except KeyError as exc:
         raise ConfigError(f"record {path} is missing field {exc}") from exc
@@ -121,9 +119,7 @@ def _load_record(path) -> ProbingRecord:
 
 def cmd_bound(args) -> int:
     record = _load_record(args.record)
-    grid = _alpha_grid(args)
-    if grid.min() < 0.5:
-        raise ConfigError(f"bound grid must start at or above 0.5, got {grid.min()}")
+    grid = _alpha_grid(args, lower=DPI_ALPHA_MIN)
     curve = tightest_bound(record, grid)
     os.makedirs(args.out, exist_ok=True)
     curve_path = os.path.join(args.out, "bound_curve.csv")
@@ -171,10 +167,13 @@ def cmd_tomography(args) -> int:
             integration_time=args.time, count_rate=args.rate, seed=args.seed
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"--time/--rate/--seed: {exc}") from exc
     stream = rng_stream(settings.seed, (0, 0))
     counts = simulate_counts(state, settings, stream)
-    estimate = reconstruct(counts, settings.bases)
+    try:
+        estimate = reconstruct(counts, settings.bases)
+    except ZeroCountsError as exc:
+        raise ConfigError(f"--time is too short for --rate: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     counts_path = os.path.join(args.out, "counts.json")
     with open(counts_path, "w", encoding="utf-8") as fh:
@@ -269,10 +268,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DegenerateControlError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
+    except (ConfigError, DegenerateControlError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GoldenCheckError as exc:

@@ -27,45 +27,41 @@ def default_alpha_grid(n: int = 500) -> np.ndarray:
     return np.linspace(0.5, 0.9999, n)
 
 
-def check_alpha(alpha: float) -> float:
-    """Validate a single order parameter: must lie strictly inside (0, 1)."""
-    a = float(alpha)
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"alpha must lie in the open interval (0, 1), got {alpha}")
-    if a < DPI_ALPHA_MIN:
-        warnings.warn(
-            f"alpha = {a} is below 0.5: the data-processing inequality is not "
-            "guaranteed in this range",
-            stacklevel=3,
-        )
-    return a
+def _check_alpha_grid(alphas, lower: float = 0.0) -> np.ndarray:
+    """Validate a grid of order parameters; the one home of the alpha rules.
 
-
-def _check_alpha_grid(alphas) -> np.ndarray:
+    Every alpha must lie in (0, 1) and at or above `lower`: 0 for fidelities,
+    where values below 1/2 are accepted but flagged, and 1/2 for width
+    bounds, which need the data-processing inequality.
+    """
     a = np.asarray(alphas, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("alpha grid must be a nonempty 1-d array")
-    if a.min() <= 0.0 or a.max() >= 1.0:
-        raise ValueError(
-            f"alpha grid must lie strictly inside (0, 1), got range "
-            f"[{a.min()}, {a.max()}]"
-        )
+    if not (a.min() > 0.0 and a.min() >= lower and a.max() < 1.0):
+        interval = f"[{lower}, 1)" if lower > 0.0 else "(0, 1)"
+        got = a[0] if a.size == 1 else f"[{a.min()}, {a.max()}]"
+        raise ValueError(f"alpha must lie in {interval}, got {got}")
     if a.min() < DPI_ALPHA_MIN:
         warnings.warn(
-            "alpha grid extends below 0.5: the data-processing inequality is "
-            "not guaranteed there",
+            f"alpha = {a.min()} is below 0.5: the data-processing inequality is "
+            "not guaranteed in this range",
             stacklevel=3,
         )
     return a
 
 
-def _clamp_fidelity(raw: float) -> float:
-    if raw > 1.0 + CLAMP_EXCESS:
-        warnings.warn(
-            f"alpha-fidelity exceeded 1 by {raw - 1.0:.3e}; clamping to 1",
-            stacklevel=3,
-        )
-    return min(max(raw, 0.0), 1.0)
+def check_alpha(alpha: float) -> float:
+    """Validate a single order parameter: must lie strictly inside (0, 1)."""
+    return float(_check_alpha_grid([alpha])[0])
+
+
+def alpha_range(start: float, stop: float, count: int, lower: float = 0.0) -> np.ndarray:
+    """`count` evenly spaced orders from start to stop, validated like any grid."""
+    if count < 2:
+        raise ValueError(f"count must be at least 2, got {count}")
+    if not start < stop:
+        raise ValueError(f"start must lie below stop, got [{start}, {stop}]")
+    return _check_alpha_grid(np.linspace(start, stop, count), lower)
 
 
 def _floor_spectrum(w: np.ndarray) -> np.ndarray:
@@ -79,7 +75,7 @@ def alpha_fidelity(rho1: MatrixLike, rho2: MatrixLike, alpha: float) -> float:
     eigenvalues of rho2 are handled as exact zeros, so pure rho2 reduces to
     <phi|rho1|phi>^alpha.
     """
-    return float(alpha_fidelity_curve(rho1, rho2, [check_alpha(alpha)])[0])
+    return float(alpha_fidelity_curve(rho1, rho2, [alpha])[0])
 
 
 def alpha_fidelity_curve(rho1: MatrixLike, rho2: MatrixLike, alphas) -> np.ndarray:
@@ -106,7 +102,13 @@ def alpha_fidelity_curve(rho1: MatrixLike, rho2: MatrixLike, alphas) -> np.ndarr
     sandwich = (sandwich + np.conj(np.swapaxes(sandwich, 1, 2))) / 2
     ws = _floor_spectrum(np.linalg.eigvalsh(sandwich))
     raw = np.sum(ws ** grid[:, None], axis=1)
-    return np.array([_clamp_fidelity(float(r)) for r in raw])
+    excess = raw.max() - 1.0
+    if excess > CLAMP_EXCESS:
+        warnings.warn(
+            f"alpha-fidelity exceeded 1 by up to {excess:.3e}; clamping to 1",
+            stacklevel=2,
+        )
+    return np.clip(raw, 0.0, 1.0)
 
 
 def renyi_divergence(rho1: MatrixLike, rho2: MatrixLike, alpha: float) -> float:
@@ -115,11 +117,10 @@ def renyi_divergence(rho1: MatrixLike, rho2: MatrixLike, alpha: float) -> float:
     Returns +inf for orthogonal states (F_alpha = 0). Satisfies
     exp((alpha - 1) * S_alpha) = F_alpha by construction.
     """
-    a = check_alpha(alpha)
-    f = alpha_fidelity(rho1, rho2, a)
+    f = alpha_fidelity(rho1, rho2, alpha)
     if f == 0.0:
         return math.inf
-    return math.log(f) / (a - 1.0)
+    return math.log(f) / (float(alpha) - 1.0)
 
 
 def dpi_margin(

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -28,8 +29,14 @@ from .bounds import (
     tightest_bound,
     write_bound_curve_csv,
 )
-from .channel import QUARTZ_BIREFRINGENCE, WavePlate, WavePlateStack, apply_channel
-from .fidelity import default_alpha_grid
+from .channel import (
+    QUARTZ_BIREFRINGENCE,
+    WavePlate,
+    WavePlateStack,
+    _check_qubit,
+    apply_channel,
+)
+from .fidelity import DPI_ALPHA_MIN, alpha_range, default_alpha_grid
 from .linalg import DensityMatrix, matrix_from_json
 from .reference import (
     REFERENCE_RHO_1,
@@ -37,14 +44,12 @@ from .reference import (
     REFERENCE_SIGMA_HZ,
     reference_record,
 )
-from .spectra import GaussianSpectrum, discretize_pair
+from .spectra import GaussianSpectrum, _check_grid_shape, discretize_pair
 from .tomography import (
     TomographySettings,
-    born_probabilities,
+    ZeroCountsError,
     monte_carlo_bounds,
-    reconstruct,
-    rng_stream,
-    sample_counts,
+    replica_record,
 )
 
 SCHEMA_VERSION = "probe-scenario/1"
@@ -67,20 +72,61 @@ class GoldenCheckError(RuntimeError):
     """A reproduction run disagrees with the published demonstration values."""
 
 
+def load_json(path, what: str):
+    """Read a JSON document; unreadable or malformed files are ConfigErrors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # also bad UTF-8 and over-long integer literals
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def _require(payload: dict, key: str, path: str):
     if key not in payload:
         raise ConfigError(f"{path}.{key} is required")
     return payload[key]
 
 
+_REQUIRED = object()
+
+
+def _field(payload: dict, key: str, path: str, default=_REQUIRED) -> tuple:
+    """(value, field path) of payload[key], for the typed readers below."""
+    value = _require(payload, key, path) if default is _REQUIRED else payload.get(key, default)
+    return value, f"{path}.{key}"
+
+
+# Typed readers: a raw JSON value and its field path in, a ConfigError naming the
+# path out. No value is converted between JSON types; ranges stay in domain types.
+def _number(value, path: str) -> float:
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # also rejects nan, infinities and integers too large for a float
+    if not (real and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _positive(value, path: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path} must be a number, got {value!r}") from None
-    if not (math.isfinite(x) and x > 0.0):
-        raise ConfigError(f"{path} must be positive and finite, got {value!r}")
+    x = _number(value, path)
+    if x <= 0.0:
+        raise ConfigError(f"{path} must be positive, got {value!r}")
     return x
+
+
+def _integer(value, path: str, minimum: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{path} must be at least {minimum}, got {value}")
+    return value
+
+
+def _boolean(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path} must be true or false, got {value!r}")
+    return value
 
 
 def _parse_spectrum(payload, path: str) -> GaussianSpectrum:
@@ -88,16 +134,13 @@ def _parse_spectrum(payload, path: str) -> GaussianSpectrum:
         raise ConfigError(f"{path} must be an object")
     if "mu_hz" in payload or "sigma_hz" in payload:
         return GaussianSpectrum(
-            mu=_positive(_require(payload, "mu_hz", path), f"{path}.mu_hz"),
-            sigma=_positive(_require(payload, "sigma_hz", path), f"{path}.sigma_hz"),
+            mu=_positive(*_field(payload, "mu_hz", path)),
+            sigma=_positive(*_field(payload, "sigma_hz", path)),
         )
     if "center_wavelength_nm" in payload or "width_nm" in payload:
         return GaussianSpectrum.from_wavelength(
-            center_nm=_positive(
-                _require(payload, "center_wavelength_nm", path),
-                f"{path}.center_wavelength_nm",
-            ),
-            width_nm=_positive(_require(payload, "width_nm", path), f"{path}.width_nm"),
+            center_nm=_positive(*_field(payload, "center_wavelength_nm", path)),
+            width_nm=_positive(*_field(payload, "width_nm", path)),
         )
     raise ConfigError(
         f"{path} needs either mu_hz/sigma_hz or center_wavelength_nm/width_nm"
@@ -109,7 +152,7 @@ def _parse_probe(payload, path: str) -> DensityMatrix:
         return DensityMatrix(PLUS_STATE)
     if isinstance(payload, dict):
         try:
-            return DensityMatrix(matrix_from_json(payload))
+            return DensityMatrix(_check_qubit(matrix_from_json(payload)))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path} must be \"plus\" or a matrix object, got {payload!r}")
@@ -122,7 +165,7 @@ def _parse_stack(payload, path: str) -> WavePlateStack:
     plates_cfg = _require(payload, "plates", path)
     if not isinstance(plates_cfg, list) or not plates_cfg:
         raise ConfigError(f"{path}.plates must be a nonempty list")
-    birefringence = float(payload.get("birefringence", QUARTZ_BIREFRINGENCE))
+    birefringence = _number(*_field(payload, "birefringence", path, QUARTZ_BIREFRINGENCE))
     needs_seed = any(
         isinstance(p, dict) and p.get("orientation_deg") == "random" for p in plates_cfg
     )
@@ -132,27 +175,18 @@ def _parse_stack(payload, path: str) -> WavePlateStack:
             raise ConfigError(
                 f"{path}.orientation_seed is required when any orientation is \"random\""
             )
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(int(payload["orientation_seed"])))
-        )
+        seed = _integer(*_field(payload, "orientation_seed", path), minimum=0)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     plates = []
     for i, plate_cfg in enumerate(plates_cfg):
         ppath = f"{path}.plates[{i}]"
         if not isinstance(plate_cfg, dict):
             raise ConfigError(f"{ppath} must be an object")
-        thickness_mm = _positive(
-            _require(plate_cfg, "thickness_mm", ppath), f"{ppath}.thickness_mm"
-        )
-        orientation = plate_cfg.get("orientation_deg", 0.0)
-        if orientation == "random":
+        thickness_mm = _positive(*_field(plate_cfg, "thickness_mm", ppath))
+        if plate_cfg.get("orientation_deg") == "random":
             theta = float(rng.uniform(0.0, 180.0))
         else:
-            try:
-                theta = float(orientation)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{ppath}.orientation_deg must be a number or \"random\""
-                ) from None
+            theta = _number(*_field(plate_cfg, "orientation_deg", ppath, 0.0))
         plates.append(
             WavePlate(thickness=thickness_mm * 1e-3, orientation=math.radians(theta))
         )
@@ -160,6 +194,14 @@ def _parse_stack(payload, path: str) -> WavePlateStack:
         return WavePlateStack(plates=tuple(plates), birefringence=birefringence)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _sweep_stack(
+    thickness_mm: float, orientation_deg: float, birefringence: float
+) -> WavePlateStack:
+    """The one-plate stack a thickness sweep evaluates at thickness_mm."""
+    plate = WavePlate(thickness=thickness_mm * 1e-3, orientation=math.radians(orientation_deg))
+    return WavePlateStack(plates=(plate,), birefringence=birefringence)
 
 
 @dataclass(frozen=True)
@@ -230,23 +272,23 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
     grid_cfg = payload.get("grid", {})
     if not isinstance(grid_cfg, dict):
         raise ConfigError("config.grid must be an object")
-    span = float(grid_cfg.get("span_sigmas", 8.0))
-    points = int(grid_cfg.get("points", 3001))
+    span = _number(*_field(grid_cfg, "span_sigmas", "config.grid", 8.0))
+    points = _integer(*_field(grid_cfg, "points", "config.grid", 3001))
+    try:
+        _check_grid_shape(span, points)
+    except ValueError as exc:
+        raise ConfigError(f"config.grid: {exc}") from exc
 
     alpha_cfg = payload.get("alpha_grid", {})
     if not isinstance(alpha_cfg, dict):
         raise ConfigError("config.alpha_grid must be an object")
-    a_start = float(alpha_cfg.get("start", 0.5))
-    a_stop = float(alpha_cfg.get("stop", 0.9999))
-    a_count = int(alpha_cfg.get("count", 500))
-    if not (0.5 <= a_start < a_stop < 1.0):
-        raise ConfigError(
-            f"config.alpha_grid must satisfy 0.5 <= start < stop < 1, got "
-            f"[{a_start}, {a_stop}]"
-        )
-    if a_count < 2:
-        raise ConfigError(f"config.alpha_grid.count must be at least 2, got {a_count}")
-    alpha_grid = np.linspace(a_start, a_stop, a_count)
+    a_start = _number(*_field(alpha_cfg, "start", "config.alpha_grid", 0.5))
+    a_stop = _number(*_field(alpha_cfg, "stop", "config.alpha_grid", 0.9999))
+    a_count = _integer(*_field(alpha_cfg, "count", "config.alpha_grid", 500))
+    try:
+        alpha_grid = alpha_range(a_start, a_stop, a_count, DPI_ALPHA_MIN)
+    except ValueError as exc:
+        raise ConfigError(f"config.alpha_grid: {exc}") from exc
 
     tomo_cfg = payload.get("tomography", "exact-states")
     tomography = None
@@ -256,23 +298,14 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
             raise ConfigError(
                 "config.tomography must be \"exact-states\" or a settings object"
             )
+        integration_time = _positive(*_field(tomo_cfg, "integration_time_s", "tomography"))
+        count_rate = _positive(*_field(tomo_cfg, "count_rate_hz", "tomography"))
+        seed = _integer(*_field(tomo_cfg, "seed", "tomography"))
         try:
-            tomography = TomographySettings(
-                integration_time=_positive(
-                    _require(tomo_cfg, "integration_time_s", "tomography"),
-                    "tomography.integration_time_s",
-                ),
-                count_rate=_positive(
-                    _require(tomo_cfg, "count_rate_hz", "tomography"),
-                    "tomography.count_rate_hz",
-                ),
-                seed=int(_require(tomo_cfg, "seed", "tomography")),
-            )
+            tomography = TomographySettings(integration_time, count_rate, seed)
         except ValueError as exc:
             raise ConfigError(f"config.tomography: {exc}") from exc
-        replicas = int(tomo_cfg.get("replicas", 1))
-        if replicas < 1:
-            raise ConfigError(f"tomography.replicas must be at least 1, got {replicas}")
+        replicas = _integer(*_field(tomo_cfg, "replicas", "tomography", 1), minimum=1)
 
     sweep_cfg = payload.get("sweep")
     sweep_thicknesses = None
@@ -287,10 +320,15 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
         sweep_thicknesses = tuple(
             _positive(t, f"sweep.thicknesses_mm[{i}]") for i, t in enumerate(thick)
         )
-        sweep_orientation = float(sweep_cfg.get("orientation_deg", 0.0))
-        sweep_birefringence = float(
-            sweep_cfg.get("birefringence", QUARTZ_BIREFRINGENCE)
+        sweep_orientation = _number(*_field(sweep_cfg, "orientation_deg", "sweep", 0.0))
+        sweep_birefringence = _number(
+            *_field(sweep_cfg, "birefringence", "sweep", QUARTZ_BIREFRINGENCE)
         )
+        try:
+            for t in sweep_thicknesses:
+                _sweep_stack(t, sweep_orientation, sweep_birefringence)
+        except ValueError as exc:
+            raise ConfigError(f"config.sweep: {exc}") from exc
         if use_reference:
             raise ConfigError(
                 "sweep scenarios simulate the coupling per thickness; coupling must "
@@ -307,7 +345,7 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
         alpha_grid=alpha_grid,
         tomography=tomography,
         replicas=replicas,
-        require_bound=bool(payload.get("require_bound", False)),
+        require_bound=_boolean(*_field(payload, "require_bound", "config", False)),
         sweep_thicknesses_mm=sweep_thicknesses,
         sweep_orientation_deg=sweep_orientation,
         sweep_birefringence=sweep_birefringence,
@@ -316,14 +354,7 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_scenario(payload)
+    return parse_scenario(load_json(path, "config"))
 
 
 @dataclass(frozen=True)
@@ -371,17 +402,20 @@ def _stack_echo(stack: WavePlateStack) -> dict:
 
 def _evolve(config: ScenarioConfig, stack: WavePlateStack) -> ProbingRecord:
     s1, s2 = config.spectra
-    g1, g2 = discretize_pair(
-        s1, s2, span_sigmas=config.grid_span_sigmas, n=config.grid_points
-    )
     rho1, rho2 = config.probes
-    return ProbingRecord(
-        rho1=rho1,
-        rho2=rho2,
-        phi1_rho1=apply_channel(stack, s1, rho1, g1),
-        phi2_rho2=apply_channel(stack, s2, rho2, g2),
-        delta_mu=abs(s1.mu - s2.mu),
-    )
+    try:
+        g1, g2 = discretize_pair(
+            s1, s2, span_sigmas=config.grid_span_sigmas, n=config.grid_points
+        )
+        return ProbingRecord(
+            rho1=rho1,
+            rho2=rho2,
+            phi1_rho1=apply_channel(stack, s1, rho1, g1),
+            phi2_rho2=apply_channel(stack, s2, rho2, g2),
+            delta_mu=abs(s1.mu - s2.mu),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"coupling simulation stage: {exc}") from exc
 
 
 def _truth_sigma(config: ScenarioConfig) -> float | None:
@@ -408,10 +442,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
         truth = reference_record()
         resolved["coupling"] = REFERENCE_LITERAL
     else:
-        try:
-            truth = _evolve(config, config.stack)
-        except ValueError as exc:
-            raise ConfigError(f"coupling simulation stage: {exc}") from exc
+        truth = _evolve(config, config.stack)
         resolved["coupling"] = _stack_echo(config.stack)
     resolved["delta_mu_hz"] = truth.delta_mu
 
@@ -420,18 +451,21 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     if config.tomography is None:
         record = truth
     else:
-        if config.replicas >= 2:
-            mc = monte_carlo_bounds(
-                truth,
-                config.tomography,
-                config.replicas,
-                alpha_grid=config.alpha_grid,
-            )
-            mc_block = mc.to_json()
-            if sigma_truth is not None:
-                mc_block["mean_b_inf_over_sigma"] = mc.mean_b_inf / sigma_truth
-        # replica 0 is the single experiment the curve artifact describes
-        record = _record_from_replica(truth, config)
+        try:
+            if config.replicas >= 2:
+                mc = monte_carlo_bounds(
+                    truth,
+                    config.tomography,
+                    config.replicas,
+                    alpha_grid=config.alpha_grid,
+                )
+                mc_block = mc.to_json()
+                if sigma_truth is not None:
+                    mc_block["mean_b_inf_over_sigma"] = mc.mean_b_inf / sigma_truth
+            # replica 0 is the single experiment the curve artifact describes
+            record = replica_record(truth, config.tomography, 0)
+        except ZeroCountsError as exc:
+            raise ConfigError(f"tomography.integration_time_s too short: {exc}") from exc
     try:
         curve = tightest_bound(record, config.alpha_grid)
     except DegenerateControlError as exc:
@@ -464,25 +498,6 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     summary_path = os.path.join(out_dir, "summary.json")
     _write_summary(summary, summary_path)
     return RunReport(summary=summary, files=(curve_path, summary_path))
-
-
-def _record_from_replica(truth: ProbingRecord, config: ScenarioConfig) -> ProbingRecord:
-    """Replica 0's reconstructed record (the representative single experiment)."""
-    settings = config.tomography
-    estimates = []
-    for state_idx, state in enumerate(
-        (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
-    ):
-        probs = {b.name: born_probabilities(state, b) for b in settings.bases}
-        stream = rng_stream(settings.seed, (0, state_idx))
-        estimates.append(reconstruct(sample_counts(probs, settings, stream), settings.bases))
-    return ProbingRecord(
-        rho1=estimates[0],
-        rho2=estimates[1],
-        phi1_rho1=estimates[2],
-        phi2_rho2=estimates[3],
-        delta_mu=truth.delta_mu,
-    )
 
 
 def reproduce_fig4(out_dir: str = ".") -> RunReport:
@@ -559,14 +574,8 @@ def sweep_thickness(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
 
     rows = []
     for thickness_mm in config.sweep_thicknesses_mm:
-        stack = WavePlateStack(
-            plates=(
-                WavePlate(
-                    thickness=thickness_mm * 1e-3,
-                    orientation=math.radians(config.sweep_orientation_deg),
-                ),
-            ),
-            birefringence=config.sweep_birefringence,
+        stack = _sweep_stack(
+            thickness_mm, config.sweep_orientation_deg, config.sweep_birefringence
         )
         record = _evolve(config, stack)
         curve = tightest_bound(record, config.alpha_grid)

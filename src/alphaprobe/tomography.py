@@ -21,6 +21,10 @@ from .linalg import DensityMatrix, as_matrix, project_to_state
 _SQ2 = 1.0 / math.sqrt(2.0)
 
 
+class ZeroCountsError(ValueError):
+    """A basis collected no counts, so its asymmetry is undefined."""
+
+
 @dataclass(frozen=True)
 class MeasurementBasis:
     """Projective qubit basis given by its two outcome kets."""
@@ -195,11 +199,32 @@ def reconstruct(
         n_plus, n_minus = counts.counts[basis.name]
         total = n_plus + n_minus
         if total == 0:
-            raise ValueError(
+            raise ZeroCountsError(
                 f"basis {basis.name!r} collected zero counts; asymmetry is undefined"
             )
         estimate += ((n_plus - n_minus) / total) * basis.observable
     return project_to_state(estimate / 2.0)
+
+
+def replica_record(
+    truth: ProbingRecord, settings: TomographySettings, replica: int, noiseless: bool = False
+) -> ProbingRecord:
+    """Replica `replica` of the four-state tomography, reconstructed.
+
+    State k of the record is sampled from the stream with spawn key
+    (replica, k); noiseless replicas use the rounded expected counts.
+    """
+    estimates = []
+    for state_idx, state in enumerate(
+        (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
+    ):
+        if noiseless:
+            counts = expected_counts(state, settings)
+        else:
+            stream = rng_stream(settings.seed, (replica, state_idx))
+            counts = simulate_counts(state, settings, stream)
+        estimates.append(reconstruct(counts, settings.bases))
+    return ProbingRecord(*estimates, delta_mu=truth.delta_mu)
 
 
 @dataclass(frozen=True)
@@ -253,28 +278,9 @@ def monte_carlo_bounds(
     if sorted(order) != list(range(replicas)):
         raise ValueError("replica_order must be a permutation of range(replicas)")
 
-    truth_states = (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
-    probs = [
-        {b.name: born_probabilities(s, b) for b in settings.bases} for s in truth_states
-    ]
-
     results: dict[int, float | None] = {}
     for replica in order:
-        estimates = []
-        for state_idx, state_probs in enumerate(probs):
-            if noiseless:
-                counts = expected_counts(truth_states[state_idx], settings)
-            else:
-                stream = rng_stream(settings.seed, (replica, state_idx))
-                counts = sample_counts(state_probs, settings, stream)
-            estimates.append(reconstruct(counts, settings.bases))
-        record = ProbingRecord(
-            rho1=estimates[0],
-            rho2=estimates[1],
-            phi1_rho1=estimates[2],
-            phi2_rho2=estimates[3],
-            delta_mu=truth.delta_mu,
-        )
+        record = replica_record(truth, settings, replica, noiseless)
         curve = tightest_bound(record, alpha_grid)
         results[replica] = None if curve.optimum is None else curve.optimum.value
 

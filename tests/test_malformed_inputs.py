@@ -1,0 +1,125 @@
+"""Every malformed input exits 2 and names the offending field on stderr.
+
+One row per case: the CLI arguments (built from a config or state file in a
+temporary directory), and the field path the error message must contain.
+"""
+import json
+
+import numpy as np
+import pytest
+
+from alphaprobe.cli import EXIT_CONFIG, main
+from alphaprobe.linalg import matrix_to_json
+from alphaprobe.reference import REFERENCE_DELTA_MU_HZ, REFERENCE_EVOLVED_1, REFERENCE_SIGMA_HZ
+from alphaprobe.scenario import SCHEMA_VERSION
+
+
+def base_config():
+    return {
+        "schema": SCHEMA_VERSION,
+        "spectra": {
+            "first": {"mu_hz": 3.7e14, "sigma_hz": REFERENCE_SIGMA_HZ},
+            "second": {
+                "mu_hz": 3.7e14 + REFERENCE_DELTA_MU_HZ,
+                "sigma_hz": REFERENCE_SIGMA_HZ,
+            },
+        },
+        "probes": {"rho1": "plus", "rho2": "plus"},
+        "coupling": {"plates": [{"thickness_mm": 5.0, "orientation_deg": 0.0}]},
+        "alpha_grid": {"start": 0.5, "stop": 0.9999, "count": 20},
+        "grid": {"span_sigmas": 8.0, "points": 101},
+    }
+
+
+def sweep_config():
+    cfg = base_config()
+    cfg["sweep"] = {"thicknesses_mm": [2.0, 5.0]}
+    return cfg
+
+
+def tomography_config(**settings):
+    cfg = base_config()
+    cfg["tomography"] = {
+        "integration_time_s": 60.0,
+        "count_rate_hz": 200.0,
+        "seed": 3,
+        **settings,
+    }
+    return cfg
+
+
+def edited(cfg, path, value):
+    """cfg with the value at a dotted path (list items as integers) replaced."""
+    keys = [int(k) if k.isdigit() else k for k in path.split(".")]
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return cfg
+
+
+QUTRIT = matrix_to_json(np.eye(3) / 3)
+
+
+def random_orientation_config(seed):
+    cfg = base_config()
+    cfg["coupling"]["plates"][0]["orientation_deg"] = "random"
+    cfg["coupling"]["orientation_seed"] = seed
+    return cfg
+
+
+# (case id, subcommand, config or None, extra arguments, expected field path)
+CASES = [
+    ("birefringence-string", "simulate",
+     edited(base_config(), "coupling.birefringence", "abc"), [],
+     "coupling.birefringence"),
+    ("span-string", "simulate", edited(base_config(), "grid.span_sigmas", "x"), [],
+     "grid.span_sigmas"),
+    ("alpha-count-string", "simulate", edited(base_config(), "alpha_grid.count", "x"), [],
+     "alpha_grid.count"),
+    ("replicas-string", "simulate", tomography_config(replicas="x"), [],
+     "tomography.replicas"),
+    ("orientation-seed-string", "simulate", random_orientation_config("x"), [],
+     "orientation_seed"),
+    ("sweep-orientation-string", "sweep",
+     edited(sweep_config(), "sweep.orientation_deg", "x"), [], "sweep.orientation_deg"),
+    ("sweep-qutrit-probe", "sweep", edited(sweep_config(), "probes.rho1", QUTRIT), [],
+     "probes.rho1"),
+    ("sweep-even-grid", "sweep", edited(sweep_config(), "grid.points", 100), [],
+     "config.grid"),
+    ("sweep-zero-birefringence", "sweep",
+     edited(sweep_config(), "sweep.birefringence", 0.0), [], "config.sweep"),
+    ("zero-count-basis", "simulate",
+     tomography_config(integration_time_s=0.001, count_rate_hz=1.0), [],
+     "tomography.integration_time_s"),
+    ("zero-count-tomography", "tomography", None,
+     ["--time", "0.001", "--rate", "1", "--seed", "7"], "--time"),
+    ("fractional-seed", "simulate", tomography_config(seed=1.5), [], "tomography.seed"),
+    ("require-bound-string", "simulate", dict(base_config(), require_bound="no"), [],
+     "require_bound"),
+    ("alpha-start-bool", "simulate", edited(base_config(), "alpha_grid.start", True), [],
+     "alpha_grid.start"),
+    ("alpha-count-one", "afid", None, ["--alpha-count", "1"], "--alpha-count"),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand, config, extra, field", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+)
+def test_malformed_input_exits_2_naming_the_field(
+    tmp_path, capsys, subcommand, config, extra, field
+):
+    out = str(tmp_path / "out")
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(matrix_to_json(REFERENCE_EVOLVED_1)), encoding="utf-8")
+    if subcommand in ("simulate", "sweep"):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = [subcommand, "--config", str(path), "--out", out]
+    elif subcommand == "tomography":
+        argv = ["tomography", "--state", str(state), "--out", out]
+    else:
+        argv = ["afid", "--rho1", str(state), "--rho2", str(state)]
+    code = main(argv + extra)
+    assert code == EXIT_CONFIG
+    assert field in capsys.readouterr().err
