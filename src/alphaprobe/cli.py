@@ -26,12 +26,10 @@ from .bounds import (
 from .fidelity import DPI_ALPHA_MIN, _check_alpha_grid, alpha_fidelity_curve, alpha_range
 from .linalg import DensityMatrix, matrix_from_json, save_matrix
 from .scenario import (
-    SCHEMA_VERSION,
     ConfigError,
     GoldenCheckError,
     _number,
-    _provenance,
-    _write_summary,
+    _write_report,
     load_json,
     load_scenario,
     reproduce_fig4,
@@ -52,11 +50,11 @@ EXIT_GOLDEN = 3
 EXIT_NO_INFORMATION = 4
 
 
-def _load_state(path) -> DensityMatrix:
+def _load_state(path, flag: str) -> DensityMatrix:
     try:
         return DensityMatrix(matrix_from_json(load_json(path, "state")))
     except ValueError as exc:
-        raise ConfigError(f"state {path}: {exc}") from exc
+        raise ConfigError(f"{flag} state {path}: {exc}") from exc
 
 
 def _alpha_grid(args, lower: float) -> np.ndarray:
@@ -84,8 +82,10 @@ def _add_alpha_args(parser: argparse.ArgumentParser, single: bool = False) -> No
 
 
 def cmd_afid(args) -> int:
-    rho1 = _load_state(args.rho1)
-    rho2 = _load_state(args.rho2)
+    rho1 = _load_state(args.rho1, "--rho1")
+    rho2 = _load_state(args.rho2, "--rho2")
+    if rho1.dim != rho2.dim:
+        raise ConfigError(f"--rho1/--rho2: states of dimension {rho1.dim} and {rho2.dim}")
     grid = _alpha_grid(args, lower=0.0)
     values = alpha_fidelity_curve(rho1, rho2, grid)
     rows = [["alpha", "fidelity"]] + [
@@ -104,13 +104,11 @@ def cmd_afid(args) -> int:
 def _load_record(path) -> ProbingRecord:
     payload = load_json(path, "record")
     try:
-        return ProbingRecord(
-            rho1=DensityMatrix(matrix_from_json(payload["rho1"])),
-            rho2=DensityMatrix(matrix_from_json(payload["rho2"])),
-            phi1_rho1=DensityMatrix(matrix_from_json(payload["phi1_rho1"])),
-            phi2_rho2=DensityMatrix(matrix_from_json(payload["phi2_rho2"])),
-            delta_mu=_number(payload["delta_mu_hz"], "delta_mu_hz"),
-        )
+        states = [
+            DensityMatrix(matrix_from_json(payload[key]))
+            for key in ("rho1", "rho2", "phi1_rho1", "phi2_rho2")
+        ]
+        return ProbingRecord(*states, delta_mu=_number(payload["delta_mu_hz"], "delta_mu_hz"))
     except KeyError as exc:
         raise ConfigError(f"record {path} is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -124,16 +122,9 @@ def cmd_bound(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     curve_path = os.path.join(args.out, "bound_curve.csv")
     write_bound_curve_csv(curve, curve_path)
-    results = bound_summary(curve)
-    summary = {
-        "schema": SCHEMA_VERSION,
-        "config": {"record": os.path.abspath(args.record)},
-        "resolved": {"delta_mu_hz": record.delta_mu},
-        "results": results,
-        "provenance": _provenance(None),
-        "files": ["bound_curve.csv", "summary.json"],
-    }
-    _write_summary(summary, os.path.join(args.out, "summary.json"))
+    config = {"record": os.path.abspath(args.record)}
+    resolved = {"delta_mu_hz": record.delta_mu}
+    _write_report(args.out, config, resolved, bound_summary(curve), None, (curve_path,))
     if curve.optimum is None:
         print("no_information: every grid point has fidelity fraction >= 1")
         if args.require_bound:
@@ -161,7 +152,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tomography(args) -> int:
-    state = _load_state(args.state)
+    state = _load_state(args.state, "--state")
     try:
         settings = TomographySettings(
             integration_time=args.time, count_rate=args.rate, seed=args.seed

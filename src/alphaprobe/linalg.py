@@ -8,6 +8,7 @@ EIG_FLOOR are treated as exact zeros when taking fractional matrix powers.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Union
 
 import numpy as np
@@ -143,10 +144,6 @@ class DensityMatrix:
     def to_json(self) -> dict:
         return matrix_to_json(self._mat)
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "DensityMatrix":
-        return cls(matrix_from_json(payload))
-
 
 MatrixLike = Union[DensityMatrix, np.ndarray]
 
@@ -189,24 +186,34 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def is_json_number(value) -> bool:
+    """True for a finite JSON number; bools, strings and containers are not."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # also rejects nan, infinities and integers too large for a float
+    return real and abs(value) <= sys.float_info.max
+
+
+def _json_rows(rows, key: str, dim: int) -> np.ndarray:
+    square = isinstance(rows, list) and len(rows) == dim and all(
+        isinstance(row, list) and len(row) == dim for row in rows
+    )
+    if not square:
+        raise ValueError(f"matrix payload shape mismatch: {key} is not {dim} rows of {dim}")
+    bad = [x for row in rows for x in row if not is_json_number(x)]
+    if bad:
+        raise ValueError(f"matrix {key} entries must be finite numbers, got {bad[0]!r}")
+    return np.array(rows, dtype=float)
+
+
 def matrix_from_json(payload: dict) -> np.ndarray:
-    """Inverse of matrix_to_json, with shape validation."""
+    """Inverse of matrix_to_json; entries and dim are never converted from other types."""
     try:
-        dim = int(payload["dim"])
-        re = np.asarray(payload["re"], dtype=float)
-        im = np.asarray(payload["im"], dtype=float)
+        dim, re, im = payload["dim"], payload["re"], payload["im"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"matrix payload missing field: {exc}") from exc
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ValueError(
-            f"matrix payload shape mismatch: dim={dim}, re {re.shape}, im {im.shape}"
-        )
-    return re + 1j * im
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValueError(f"matrix dim must be an integer, got {dim!r}")
+    return _json_rows(re, "re", dim) + 1j * _json_rows(im, "im", dim)
 
 
 def save_matrix(path, m) -> None:

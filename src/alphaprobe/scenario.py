@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import os
-import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -37,14 +36,14 @@ from .channel import (
     apply_channel,
 )
 from .fidelity import DPI_ALPHA_MIN, alpha_range, default_alpha_grid
-from .linalg import DensityMatrix, matrix_from_json
+from .linalg import DensityMatrix, is_json_number, matrix_from_json
 from .reference import (
     REFERENCE_RHO_1,
     REFERENCE_RHO_2,
     REFERENCE_SIGMA_HZ,
     reference_record,
 )
-from .spectra import GaussianSpectrum, _check_grid_shape, discretize_pair
+from .spectra import GaussianSpectrum, _check_grid_shape
 from .tomography import (
     TomographySettings,
     ZeroCountsError,
@@ -101,9 +100,7 @@ def _field(payload: dict, key: str, path: str, default=_REQUIRED) -> tuple:
 # Typed readers: a raw JSON value and its field path in, a ConfigError naming the
 # path out. No value is converted between JSON types; ranges stay in domain types.
 def _number(value, path: str) -> float:
-    real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    # also rejects nan, infinities and integers too large for a float
-    if not (real and abs(value) <= sys.float_info.max):
+    if not is_json_number(value):
         raise ConfigError(f"{path} must be a finite number, got {value!r}")
     return float(value)
 
@@ -206,13 +203,11 @@ def _sweep_stack(
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Parsed scenario: physics, readout, grids, and the raw config echo."""
+    """Parsed scenario: physics, readout, alpha grid, and the raw config echo."""
 
     spectra: tuple[GaussianSpectrum, GaussianSpectrum] | None
     probes: tuple[DensityMatrix, DensityMatrix] | None
     stack: WavePlateStack | None  # None means the bundled reference record
-    grid_span_sigmas: float
-    grid_points: int
     alpha_grid: np.ndarray
     tomography: TomographySettings | None  # None means exact states
     replicas: int
@@ -269,6 +264,7 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
                 f"config.probes must be {REFERENCE_LITERAL!r} or an object"
             )
 
+    # schema 1 documents a quadrature grid; it is still checked, but the channel is exact
     grid_cfg = payload.get("grid", {})
     if not isinstance(grid_cfg, dict):
         raise ConfigError("config.grid must be an object")
@@ -340,8 +336,6 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
         spectra=spectra,
         probes=probes,
         stack=stack,
-        grid_span_sigmas=span,
-        grid_points=points,
         alpha_grid=alpha_grid,
         tomography=tomography,
         replicas=replicas,
@@ -366,25 +360,31 @@ class RunReport:
 
     @property
     def summary_path(self) -> str:
-        for f in self.files:
-            if f.endswith("summary.json"):
-                return f
-        raise LookupError("run emitted no summary.json")
+        return self.files[-1]  # _write_report lists summary.json last
 
 
-def _provenance(seed: int | None) -> dict:
-    return {
-        "package": f"alphaprobe {__version__}",
-        "numpy": np.__version__,
-        "seed": seed,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
+def _write_report(
+    out_dir: str, config, resolved: dict, results: dict, seed: int | None, artifacts
+) -> RunReport:
+    """Write summary.json beside a run's artifact paths and report all of them."""
+    summary = {
+        "schema": SCHEMA_VERSION,
+        "config": config,
+        "resolved": resolved,
+        "results": results,
+        "provenance": {
+            "package": f"alphaprobe {__version__}",
+            "numpy": np.__version__,
+            "seed": seed,
+            "generated_at": datetime.now(timezone.utc).isoformat(),
+        },
+        "files": [os.path.basename(p) for p in artifacts] + ["summary.json"],
     }
-
-
-def _write_summary(summary: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    summary_path = os.path.join(out_dir, "summary.json")
+    with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return RunReport(summary=summary, files=(*artifacts, summary_path))
 
 
 def _stack_echo(stack: WavePlateStack) -> dict:
@@ -404,14 +404,11 @@ def _evolve(config: ScenarioConfig, stack: WavePlateStack) -> ProbingRecord:
     s1, s2 = config.spectra
     rho1, rho2 = config.probes
     try:
-        g1, g2 = discretize_pair(
-            s1, s2, span_sigmas=config.grid_span_sigmas, n=config.grid_points
-        )
         return ProbingRecord(
             rho1=rho1,
             rho2=rho2,
-            phi1_rho1=apply_channel(stack, s1, rho1, g1),
-            phi2_rho2=apply_channel(stack, s2, rho2, g2),
+            phi1_rho1=apply_channel(stack, s1, rho1),
+            phi2_rho2=apply_channel(stack, s2, rho2),
             delta_mu=abs(s1.mu - s2.mu),
         )
     except ValueError as exc:
@@ -485,19 +482,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     if sigma_truth is not None:
         results["sigma_truth_hz"] = sigma_truth
 
-    summary = {
-        "schema": SCHEMA_VERSION,
-        "config": config.echo,
-        "resolved": resolved,
-        "results": results,
-        "provenance": _provenance(
-            None if config.tomography is None else config.tomography.seed
-        ),
-        "files": ["bound_curve.csv", "summary.json"],
-    }
-    summary_path = os.path.join(out_dir, "summary.json")
-    _write_summary(summary, summary_path)
-    return RunReport(summary=summary, files=(curve_path, summary_path))
+    seed = None if config.tomography is None else config.tomography.seed
+    return _write_report(out_dir, config.echo, resolved, results, seed, (curve_path,))
 
 
 def reproduce_fig4(out_dir: str = ".") -> RunReport:
@@ -548,17 +534,10 @@ def reproduce_fig4(out_dir: str = ".") -> RunReport:
     results["published_b2_half_over_sigma"] = GOLDEN_B2_HALF_OVER_SIGMA
     results["published_b2_top_over_sigma"] = GOLDEN_B2_TOP_OVER_SIGMA
     results["sigma_truth_hz"] = REFERENCE_SIGMA_HZ
-    summary = {
-        "schema": SCHEMA_VERSION,
-        "config": {"coupling": REFERENCE_LITERAL},
-        "resolved": {"delta_mu_hz": record.delta_mu},
-        "results": results,
-        "provenance": _provenance(None),
-        "files": ["fig4_bounds.csv", "fig4_fractions.csv", "summary.json"],
-    }
-    summary_path = os.path.join(out_dir, "summary.json")
-    _write_summary(summary, summary_path)
-    return RunReport(summary=summary, files=(bounds_path, fractions_path, summary_path))
+    config = {"coupling": REFERENCE_LITERAL}
+    resolved = {"delta_mu_hz": record.delta_mu}
+    artifacts = (bounds_path, fractions_path)
+    return _write_report(out_dir, config, resolved, results, None, artifacts)
 
 
 def sweep_thickness(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
@@ -616,17 +595,9 @@ def sweep_thickness(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
                 ]
             )
 
-    summary = {
-        "schema": SCHEMA_VERSION,
-        "config": config.echo,
-        "resolved": {
-            "orientation_deg": config.sweep_orientation_deg,
-            "birefringence": config.sweep_birefringence,
-        },
-        "results": {"thicknesses": rows, "sigma_truth_hz": sigma_truth},
-        "provenance": _provenance(None),
-        "files": ["sweep.csv", "summary.json"],
+    resolved = {
+        "orientation_deg": config.sweep_orientation_deg,
+        "birefringence": config.sweep_birefringence,
     }
-    summary_path = os.path.join(out_dir, "summary.json")
-    _write_summary(summary, summary_path)
-    return RunReport(summary=summary, files=(sweep_path, summary_path))
+    results = {"thicknesses": rows, "sigma_truth_hz": sigma_truth}
+    return _write_report(out_dir, config.echo, resolved, results, None, (sweep_path,))

@@ -76,15 +76,16 @@ def gaussian_alpha_fidelity(
     return math.exp(-(1.0 - a) * a * dmu * dmu / (2.0 * s1.sigma**2))
 
 
-def kappa(spectrum: GaussianSpectrum, tau: float) -> complex:
-    """Characteristic function of the line at delay tau (s).
+def kappa(spectrum: GaussianSpectrum, tau):
+    """Characteristic function of the line at delay tau (s), scalar or array.
 
     kappa(tau) = exp(2 pi i tau mu - (2 pi tau sigma)^2 / 2). A delay channel
     multiplies the probe's upper off-diagonal by conj(kappa).
     """
-    phase = 2.0 * math.pi * tau * spectrum.mu
-    damp = (2.0 * math.pi * tau * spectrum.sigma) ** 2 / 2.0
-    return complex(math.exp(-damp) * math.cos(phase), math.exp(-damp) * math.sin(phase))
+    t = np.asarray(tau, dtype=float)
+    phase = 2.0 * math.pi * t * spectrum.mu
+    damp = (2.0 * math.pi * t * spectrum.sigma) ** 2 / 2.0
+    return np.exp(-damp) * (np.cos(phase) + 1j * np.sin(phase))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from alphaprobe.channel import (
+    MAX_PLATES,
     ORACLE_MAX_ENV,
     QUARTZ_BIREFRINGENCE,
     WavePlate,
@@ -20,6 +21,7 @@ from alphaprobe.spectra import (
     classical_alpha_fidelity,
     discretize,
     discretize_pair,
+    gaussian_alpha_fidelity,
     kappa,
 )
 from support import rand_state
@@ -198,3 +200,57 @@ class TestChannelPairInequality:
             xi = classical_alpha_fidelity(g1, g2, a)
             margin = alpha_fidelity(e1, e2, a) - alpha_fidelity(r1, r2, a) * xi
             assert margin >= -1e-9
+
+
+class TestClosedForm:
+    def test_matches_shared_grid_quadrature(self):
+        # unequal widths included: each line is checked on the pair's shared grid
+        rng = np.random.default_rng(109)
+        worst = 0.0
+        for _ in range(200):
+            sigma1, sigma2 = rng.uniform(2e11, 1e12, size=2)
+            s1 = GaussianSpectrum(mu=3.7e14, sigma=float(sigma1))
+            s2 = GaussianSpectrum(
+                mu=3.7e14 + float(rng.uniform(0.3, 3.0)) * sigma1, sigma=float(sigma2)
+            )
+            g1, g2 = discretize_pair(s1, s2)
+            stack = rand_stack(rng, int(rng.integers(1, 6)))
+            rho = rand_state(rng, 2)
+            for spectrum, grid in ((s1, g1), (s2, g2)):
+                exact = apply_channel(stack, spectrum, rho)
+                quad = apply_channel(stack, spectrum, rho, grid=grid)
+                worst = max(worst, np.abs(exact.matrix - quad.matrix).max())
+        assert worst <= 1e-12
+
+    def test_aligned_stack_dephases_by_kappa(self):
+        for thicknesses in ((5e-3,), (2e-3, 3e-3), (1e-3, 4e-3, 2.5e-3)):
+            stack = WavePlateStack(plates=tuple(WavePlate(x, 0.0) for x in thicknesses))
+            k = kappa(SPECTRUM, stack.delays().sum())
+            out = apply_channel(stack, SPECTRUM, PLUS).matrix
+            assert abs(out[1, 0] - 0.5 * k) <= 1e-14
+            assert abs(out[0, 1] - 0.5 * np.conj(k)) <= 1e-14
+
+    def test_margin_nonnegative_against_closed_form_line_fidelity(self):
+        rng = np.random.default_rng(113)
+        for i in range(100):
+            sigma = float(rng.uniform(2e11, 1e12))
+            s1 = GaussianSpectrum(mu=3.7e14, sigma=sigma)
+            s2 = GaussianSpectrum(mu=3.7e14 + float(rng.uniform(0.3, 3.0)) * sigma, sigma=sigma)
+            stack = rand_stack(rng, int(rng.integers(1, 6)))
+            r1, r2 = (PLUS, PLUS) if i % 2 else (rand_state(rng, 2), rand_state(rng, 2))
+            e1 = apply_channel(stack, s1, r1)
+            e2 = apply_channel(stack, s2, r2)
+            a = float(rng.uniform(0.5, 0.9999))
+            xi = gaussian_alpha_fidelity(s1, s2, a)
+            margin = alpha_fidelity(e1, e2, a) - alpha_fidelity(r1, r2, a) * xi
+            assert margin >= -1e-12
+
+    def test_plate_limit(self):
+        rng = np.random.default_rng(127)
+        stack = rand_stack(rng, MAX_PLATES)
+        grid = discretize(SPECTRUM, span_sigmas=8.0, n=3001)
+        exact = apply_channel(stack, SPECTRUM, PLUS)
+        quad = apply_channel(stack, SPECTRUM, PLUS, grid=grid)
+        assert np.abs(exact.matrix - quad.matrix).max() <= 1e-12
+        with pytest.raises(ValueError, match=f"at most {MAX_PLATES} plates"):
+            apply_channel(rand_stack(rng, MAX_PLATES + 1), SPECTRUM, PLUS)

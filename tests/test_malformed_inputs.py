@@ -2,6 +2,8 @@
 
 One row per case: the CLI arguments (built from a config or state file in a
 temporary directory), and the field path the error message must contain.
+Malformed state and record files have their own table, keyed by the flag or
+file the message must name.
 """
 import json
 
@@ -10,7 +12,12 @@ import pytest
 
 from alphaprobe.cli import EXIT_CONFIG, main
 from alphaprobe.linalg import matrix_to_json
-from alphaprobe.reference import REFERENCE_DELTA_MU_HZ, REFERENCE_EVOLVED_1, REFERENCE_SIGMA_HZ
+from alphaprobe.reference import (
+    REFERENCE_DELTA_MU_HZ,
+    REFERENCE_EVOLVED_1,
+    REFERENCE_SIGMA_HZ,
+    reference_record,
+)
 from alphaprobe.scenario import SCHEMA_VERSION
 
 
@@ -61,6 +68,29 @@ def edited(cfg, path, value):
 QUTRIT = matrix_to_json(np.eye(3) / 3)
 
 
+def stringified(payload, part, row, col):
+    """A matrix payload with one entry of its re or im rows as a numeric string."""
+    payload[part][row][col] = repr(payload[part][row][col])
+    return payload
+
+
+# the plus state with every real part given as a numeric string
+STRING_PLUS = {"dim": 2, "re": [["0.5", "0.5"], ["0.5", "0.5"]], "im": [[0, 0], [0, 0]]}
+
+
+def reference_record_json():
+    record = reference_record()
+    payload = {key: getattr(record, key).to_json()
+               for key in ("rho1", "rho2", "phi1_rho1", "phi2_rho2")}
+    payload["delta_mu_hz"] = record.delta_mu
+    return payload
+
+
+def nine_plate_config():
+    plates = [{"thickness_mm": 1.0 + i, "orientation_deg": 20.0 * i} for i in range(9)]
+    return edited(base_config(), "coupling.plates", plates)
+
+
 def random_orientation_config(seed):
     cfg = base_config()
     cfg["coupling"]["plates"][0]["orientation_deg"] = "random"
@@ -100,6 +130,9 @@ CASES = [
     ("alpha-start-bool", "simulate", edited(base_config(), "alpha_grid.start", True), [],
      "alpha_grid.start"),
     ("alpha-count-one", "afid", None, ["--alpha-count", "1"], "--alpha-count"),
+    ("probe-string-entries", "simulate", edited(base_config(), "probes.rho1", STRING_PLUS),
+     [], "probes.rho1"),
+    ("nine-plates", "simulate", nine_plate_config(), [], "coupling"),
 ]
 
 
@@ -123,3 +156,32 @@ def test_malformed_input_exits_2_naming_the_field(
     code = main(argv + extra)
     assert code == EXIT_CONFIG
     assert field in capsys.readouterr().err
+
+
+# (case id, subcommand, malformed file payload, flag or file name in the message)
+FILE_CASES = [
+    ("afid-dimension-mismatch", "afid", QUTRIT, "--rho1/--rho2"),
+    ("afid-string-entry", "afid",
+     stringified(matrix_to_json(REFERENCE_EVOLVED_1), "re", 0, 0), "--rho2"),
+    ("afid-fractional-dim", "afid", dict(matrix_to_json(np.eye(2) / 2), dim=2.7), "--rho2"),
+    ("bound-string-entry", "bound",
+     dict(reference_record_json(),
+          phi1_rho1=stringified(reference_record().phi1_rho1.to_json(), "im", 0, 1)),
+     "record.json"),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand, payload, name", [c[1:] for c in FILE_CASES], ids=[c[0] for c in FILE_CASES]
+)
+def test_malformed_file_exits_2_naming_it(tmp_path, capsys, subcommand, payload, name):
+    bad = tmp_path / ("record.json" if subcommand == "bound" else "rho2.json")
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    if subcommand == "bound":
+        argv = ["bound", "--record", str(bad), "--out", str(tmp_path / "out")]
+    else:
+        state = tmp_path / "rho1.json"
+        state.write_text(json.dumps(matrix_to_json(REFERENCE_EVOLVED_1)), encoding="utf-8")
+        argv = ["afid", "--rho1", str(state), "--rho2", str(bad)]
+    assert main(argv) == EXIT_CONFIG
+    assert name in capsys.readouterr().err

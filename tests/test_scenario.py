@@ -53,8 +53,6 @@ class TestParse:
         assert cfg.probes[0].dim == 2
         assert cfg.tomography is None
         assert cfg.replicas == 1
-        assert cfg.grid_span_sigmas == 8.0
-        assert cfg.grid_points == 3001
         assert cfg.alpha_grid.size == 500
         assert cfg.alpha_grid[0] == 0.5
         assert cfg.alpha_grid[-1] == 0.9999
@@ -249,6 +247,12 @@ class TestRunScenario:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 500
         assert all(r["valid1"] == "true" and r["valid2"] == "true" for r in rows)
+
+    def test_eight_plate_stack_runs(self, tmp_path):
+        plates = [{"thickness_mm": 1.0 + i, "orientation_deg": 20.0 * i} for i in range(8)]
+        cfg = parse_scenario(sim_config(coupling={"plates": plates}))
+        report = run_scenario(cfg, out_dir=str(tmp_path))
+        assert len(report.summary["resolved"]["coupling"]["plates"]) == 8
 
     def test_reference_coupling_run(self, tmp_path):
         cfg = parse_scenario({"schema": SCHEMA_VERSION, "coupling": REFERENCE_LITERAL})
