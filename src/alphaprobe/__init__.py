@@ -48,14 +48,11 @@ from .linalg import (
     DensityMatrix,
     NotHermitianError,
     NotPositiveError,
-    StateRepairError,
     eig_hermitian,
     hermitian_defect,
-    mat_pow_psd,
     matrix_from_json,
     matrix_to_json,
     partial_trace_env,
-    project_to_state,
 )
 from .reference import (
     REFERENCE_DELTA_MU_HZ,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, as_matrix, partial_trace_env
+from .linalg import DensityMatrix, check_qubit, partial_trace_env
 from .spectra import LIGHT_SPEED, FrequencyGrid, GaussianSpectrum, discretize, kappa
 
 QUARTZ_BIREFRINGENCE = 0.00925  # quartz near 810 nm
@@ -105,13 +105,6 @@ def jones_at_frequency(stack: WavePlateStack, omega: float) -> np.ndarray:
     return jones_at_frequencies(stack, [float(omega)])[0]
 
 
-def _check_qubit(rho) -> np.ndarray:
-    a = as_matrix(rho)
-    if a.shape != (2, 2):
-        raise ValueError(f"polarization probe must be a qubit, got shape {a.shape}")
-    return a
-
-
 def _delay_expansion(stack: WavePlateStack) -> tuple[np.ndarray, np.ndarray]:
     """Terms (A_s, s.tau) of V(omega) = sum_s A_s e^{2 pi i omega s.tau}."""
     if len(stack.plates) > MAX_PLATES:
@@ -140,7 +133,7 @@ def apply_channel(
     gives the quadrature sum_k w_k V(omega_k) rho V(omega_k)^dagger instead,
     the reference the exact channel is tested against.
     """
-    a = _check_qubit(rho)
+    a = check_qubit(rho)
     if grid is None:
         terms, delays = _delay_expansion(stack)
         weights = kappa(spectrum, delays[:, None] - delays[None, :])
@@ -171,7 +164,7 @@ def apply_channel_oracle(
         raise ValueError(
             f"oracle environment capped at {ORACLE_MAX_ENV} points, got {n_env}"
         )
-    a = _check_qubit(rho)
+    a = check_qubit(rho)
     grid = discretize(spectrum, n=n_env)
     v = jones_at_frequencies(stack, grid.points)
     n = grid.size

@@ -23,8 +23,16 @@ from .bounds import (
     tightest_bound,
     write_bound_curve_csv,
 )
-from .fidelity import DPI_ALPHA_MIN, _check_alpha_grid, alpha_fidelity_curve, alpha_range
-from .linalg import DensityMatrix, matrix_from_json, save_matrix
+from .fidelity import (
+    ALPHA_COUNT,
+    ALPHA_START,
+    ALPHA_STOP,
+    DPI_ALPHA_MIN,
+    _check_alpha_grid,
+    alpha_fidelity_curve,
+    alpha_range,
+)
+from .linalg import DensityMatrix, check_qubit, matrix_from_json, save_matrix
 from .scenario import (
     ConfigError,
     GoldenCheckError,
@@ -50,9 +58,10 @@ EXIT_GOLDEN = 3
 EXIT_NO_INFORMATION = 4
 
 
-def _load_state(path, flag: str) -> DensityMatrix:
+def _load_state(path, flag: str, qubit: bool = False) -> DensityMatrix:
     try:
-        return DensityMatrix(matrix_from_json(load_json(path, "state")))
+        matrix = matrix_from_json(load_json(path, "state"))
+        return DensityMatrix(check_qubit(matrix) if qubit else matrix)
     except ValueError as exc:
         raise ConfigError(f"{flag} state {path}: {exc}") from exc
 
@@ -76,9 +85,9 @@ def _add_alpha_args(parser: argparse.ArgumentParser, single: bool = False) -> No
         parser.add_argument(
             "--alpha", type=float, default=None, help="single order parameter"
         )
-    parser.add_argument("--alpha-start", type=float, default=0.5)
-    parser.add_argument("--alpha-stop", type=float, default=0.9999)
-    parser.add_argument("--alpha-count", type=int, default=500)
+    parser.add_argument("--alpha-start", type=float, default=ALPHA_START)
+    parser.add_argument("--alpha-stop", type=float, default=ALPHA_STOP)
+    parser.add_argument("--alpha-count", type=int, default=ALPHA_COUNT)
 
 
 def cmd_afid(args) -> int:
@@ -152,7 +161,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tomography(args) -> int:
-    state = _load_state(args.state, "--state")
+    state = _load_state(args.state, "--state", qubit=True)
     try:
         settings = TomographySettings(
             integration_time=args.time, count_rate=args.rate, seed=args.seed

@@ -21,10 +21,17 @@ from .linalg import EIG_FLOOR, MatrixLike, as_matrix, eig_hermitian
 CLAMP_EXCESS = 1e-9
 DPI_ALPHA_MIN = 0.5
 
+# the default alpha grid of the library, the CLI and scenario configs
+ALPHA_START = 0.5
+ALPHA_STOP = 0.9999
+ALPHA_COUNT = 500
+# every order costs a few 2x2 blocks per curve; larger grids are rejected before allocating
+MAX_ALPHA_COUNT = 100_000
 
-def default_alpha_grid(n: int = 500) -> np.ndarray:
+
+def default_alpha_grid() -> np.ndarray:
     """Default evaluation grid, dense up to (but excluding) alpha = 1."""
-    return np.linspace(0.5, 0.9999, n)
+    return np.linspace(ALPHA_START, ALPHA_STOP, ALPHA_COUNT)
 
 
 def _check_alpha_grid(alphas, lower: float = 0.0) -> np.ndarray:
@@ -57,8 +64,8 @@ def check_alpha(alpha: float) -> float:
 
 def alpha_range(start: float, stop: float, count: int, lower: float = 0.0) -> np.ndarray:
     """`count` evenly spaced orders from start to stop, validated like any grid."""
-    if count < 2:
-        raise ValueError(f"count must be at least 2, got {count}")
+    if not 2 <= count <= MAX_ALPHA_COUNT:
+        raise ValueError(f"count must lie in [2, {MAX_ALPHA_COUNT}], got {count}")
     if not start < stop:
         raise ValueError(f"start must lie below stop, got [{start}, {stop}]")
     return _check_alpha_grid(np.linspace(start, stop, count), lower)

@@ -28,10 +28,6 @@ class NotPositiveError(ValueError):
     """Input matrix has an eigenvalue below the positivity tolerance."""
 
 
-class StateRepairError(ValueError):
-    """Matrix cannot be repaired into a state (no positive part left)."""
-
-
 def hermitian_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation |m - m^dagger|."""
     m = np.asarray(m)
@@ -62,25 +58,6 @@ def eig_hermitian(m, atol: float = HERMITICITY_ATOL) -> tuple[np.ndarray, np.nda
     return w, v
 
 
-def mat_pow_psd(m, p: float, atol: float = PSD_ATOL) -> np.ndarray:
-    """Fractional power m^p of a positive semidefinite matrix.
-
-    Eigenvalues below EIG_FLOOR are treated as exact zeros (0^p := 0, including
-    p = 0, so m^0 is the projector onto the support). Eigenvalues below -atol
-    raise NotPositiveError.
-    """
-    if p < 0:
-        raise ValueError(f"power must be nonnegative, got {p}")
-    w, v = eig_hermitian(m)
-    if w.min() < -atol:
-        raise NotPositiveError(
-            f"matrix is not positive semidefinite: min eigenvalue {w.min():.3e} < -{atol:.1e}"
-        )
-    w = np.where(w < EIG_FLOOR, 0.0, w)
-    wp = np.where(w == 0.0, 0.0, w ** p)
-    return (v * wp) @ v.conj().T
-
-
 def partial_trace_env(joint, dim_probe: int, dim_env: int) -> np.ndarray:
     """Trace out the environment of a probe (x) environment operator.
 
@@ -100,8 +77,7 @@ class DensityMatrix:
     """Validated density matrix: Hermitian, positive semidefinite, unit trace.
 
     Wraps a read-only complex array. Construction raises if any invariant is
-    violated beyond the module tolerances; use project_to_state to repair a
-    noisy estimate first.
+    violated beyond the module tolerances.
     """
 
     __slots__ = ("_mat",)
@@ -155,25 +131,12 @@ def as_matrix(m: MatrixLike) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
-def project_to_state(m) -> DensityMatrix:
-    """Repair an approximate state into a valid DensityMatrix.
-
-    Hermitizes via (m + m^dagger)/2, clips negative eigenvalues to zero, and
-    renormalizes the trace. Raises StateRepairError if nothing positive
-    survives the clip. Inputs are expected to be nearly Hermitian already
-    (tomographic estimates are built from Hermitian observables).
-    """
-    a = _as_square(m, "state estimate")
-    a = (a + a.conj().T) / 2
-    w, v = np.linalg.eigh(a)
-    w = np.clip(w, 0.0, None)
-    total = float(w.sum())
-    if total <= 0.0:
-        raise StateRepairError(
-            "state estimate has no positive spectral part; cannot renormalize"
-        )
-    w = w / total
-    return DensityMatrix((v * w) @ v.conj().T)
+def check_qubit(m: MatrixLike) -> np.ndarray:
+    """The 2x2 array of a qubit operator; any other shape is a ValueError."""
+    a = as_matrix(m)
+    if a.shape != (2, 2):
+        raise ValueError(f"expected a qubit (2x2) state, got shape {a.shape}")
+    return a
 
 
 def matrix_to_json(m) -> dict:

@@ -28,15 +28,16 @@ from .bounds import (
     tightest_bound,
     write_bound_curve_csv,
 )
-from .channel import (
-    QUARTZ_BIREFRINGENCE,
-    WavePlate,
-    WavePlateStack,
-    _check_qubit,
-    apply_channel,
+from .channel import QUARTZ_BIREFRINGENCE, WavePlate, WavePlateStack, apply_channel
+from .fidelity import (
+    ALPHA_COUNT,
+    ALPHA_START,
+    ALPHA_STOP,
+    DPI_ALPHA_MIN,
+    alpha_range,
+    default_alpha_grid,
 )
-from .fidelity import DPI_ALPHA_MIN, alpha_range, default_alpha_grid
-from .linalg import DensityMatrix, is_json_number, matrix_from_json
+from .linalg import DensityMatrix, check_qubit, is_json_number, matrix_from_json
 from .reference import (
     REFERENCE_RHO_1,
     REFERENCE_RHO_2,
@@ -45,6 +46,7 @@ from .reference import (
 )
 from .spectra import GaussianSpectrum, _check_grid_shape
 from .tomography import (
+    MAX_REPLICAS,
     TomographySettings,
     ZeroCountsError,
     monte_carlo_bounds,
@@ -112,11 +114,13 @@ def _positive(value, path: str) -> float:
     return x
 
 
-def _integer(value, path: str, minimum: int | None = None) -> int:
+def _integer(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{path} must be at most {maximum}, got {value}")
     return value
 
 
@@ -149,7 +153,7 @@ def _parse_probe(payload, path: str) -> DensityMatrix:
         return DensityMatrix(PLUS_STATE)
     if isinstance(payload, dict):
         try:
-            return DensityMatrix(_check_qubit(matrix_from_json(payload)))
+            return DensityMatrix(check_qubit(matrix_from_json(payload)))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path} must be \"plus\" or a matrix object, got {payload!r}")
@@ -278,9 +282,9 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
     alpha_cfg = payload.get("alpha_grid", {})
     if not isinstance(alpha_cfg, dict):
         raise ConfigError("config.alpha_grid must be an object")
-    a_start = _number(*_field(alpha_cfg, "start", "config.alpha_grid", 0.5))
-    a_stop = _number(*_field(alpha_cfg, "stop", "config.alpha_grid", 0.9999))
-    a_count = _integer(*_field(alpha_cfg, "count", "config.alpha_grid", 500))
+    a_start = _number(*_field(alpha_cfg, "start", "config.alpha_grid", ALPHA_START))
+    a_stop = _number(*_field(alpha_cfg, "stop", "config.alpha_grid", ALPHA_STOP))
+    a_count = _integer(*_field(alpha_cfg, "count", "config.alpha_grid", ALPHA_COUNT))
     try:
         alpha_grid = alpha_range(a_start, a_stop, a_count, DPI_ALPHA_MIN)
     except ValueError as exc:
@@ -301,7 +305,9 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
             tomography = TomographySettings(integration_time, count_rate, seed)
         except ValueError as exc:
             raise ConfigError(f"config.tomography: {exc}") from exc
-        replicas = _integer(*_field(tomo_cfg, "replicas", "tomography", 1), minimum=1)
+        replicas = _integer(
+            *_field(tomo_cfg, "replicas", "tomography", 1), minimum=1, maximum=MAX_REPLICAS
+        )
 
     sweep_cfg = payload.get("sweep")
     sweep_thicknesses = None

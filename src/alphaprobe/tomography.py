@@ -3,8 +3,8 @@
 Measurement model: each of three mutually unbiased polarization bases is
 integrated for a fixed time at a fixed pair-detection rate; the two outcome
 counts are independent Poisson draws with means rate * time * p_outcome.
-Linear inversion of the count asymmetries gives a Bloch-vector estimate that
-is repaired into a physical state. Monte-Carlo replicas repeat the full
+Linear inversion of the count asymmetries gives a Bloch vector r, repaired
+into a physical state as r / max(1, |r|). Monte-Carlo replicas repeat the full
 four-state tomography with independent counter-derived streams and propagate
 each replica through the bound pipeline.
 """
@@ -16,9 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import NoInformationError, ProbingRecord, tightest_bound
-from .linalg import DensityMatrix, as_matrix, project_to_state
+from .linalg import DensityMatrix, check_qubit
 
 _SQ2 = 1.0 / math.sqrt(2.0)
+
+# the replica loop holds one result per replica; larger runs are rejected up front
+MAX_REPLICAS = 100_000
 
 
 class ZeroCountsError(ValueError):
@@ -27,31 +30,17 @@ class ZeroCountsError(ValueError):
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """Projective qubit basis given by its two outcome kets."""
+    """Projective qubit basis given by its two orthonormal outcome kets."""
 
     name: str
-    plus: np.ndarray
-    minus: np.ndarray
-
-    def __post_init__(self) -> None:
-        plus = np.asarray(self.plus, dtype=complex).reshape(2)
-        minus = np.asarray(self.minus, dtype=complex).reshape(2)
-        for label, ket in (("plus", plus), ("minus", minus)):
-            norm = np.linalg.norm(ket)
-            if abs(norm - 1.0) > 1e-12:
-                raise ValueError(f"{self.name}/{label} ket is not normalized: |k| = {norm}")
-        overlap = abs(np.vdot(plus, minus))
-        if overlap > 1e-12:
-            raise ValueError(f"{self.name} outcome kets are not orthogonal: {overlap:.3e}")
-        plus.setflags(write=False)
-        minus.setflags(write=False)
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
+    plus: tuple[complex, complex]
+    minus: tuple[complex, complex]
 
     @property
     def observable(self) -> np.ndarray:
         """Traceless +/-1 observable P_plus - P_minus."""
-        return np.outer(self.plus, self.plus.conj()) - np.outer(self.minus, self.minus.conj())
+        plus, minus = np.asarray(self.plus), np.asarray(self.minus)
+        return np.outer(plus, plus.conj()) - np.outer(minus, minus.conj())
 
 
 HV_BASIS = MeasurementBasis("hv", (1.0, 0.0), (0.0, 1.0))
@@ -68,7 +57,7 @@ class TomographySettings:
     integration_time: float  # s
     count_rate: float  # detected pairs per second
     seed: int
-    bases: tuple[MeasurementBasis, ...] = MUB_BASES
+    bases = MUB_BASES  # fixed, not a field: the Pauli triple linear inversion assumes
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.integration_time) and self.integration_time > 0.0):
@@ -79,24 +68,6 @@ class TomographySettings:
             raise ValueError(f"count rate must be positive, got {self.count_rate}")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        bases = tuple(self.bases)
-        if len(bases) != 3:
-            raise ValueError(f"tomography needs exactly 3 bases, got {len(bases)}")
-        names = {b.name for b in bases}
-        if len(names) != 3:
-            raise ValueError("basis names must be distinct")
-        # linear inversion assumes the observables form an orthogonal Bloch triple
-        obs = [b.observable for b in bases]
-        for i in range(3):
-            for j in range(i, 3):
-                want = 2.0 if i == j else 0.0
-                got = float(np.trace(obs[i] @ obs[j]).real)
-                if abs(got - want) > 1e-9:
-                    raise ValueError(
-                        f"bases {bases[i].name}/{bases[j].name} are not Bloch-orthogonal: "
-                        f"tr(P_i P_j) = {got}"
-                    )
-        object.__setattr__(self, "bases", bases)
 
     @property
     def expected_pairs(self) -> float:
@@ -124,18 +95,12 @@ class CountRecord:
     def to_json(self) -> dict:
         return {name: list(pair) for name, pair in self.counts.items()}
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "CountRecord":
-        return cls({name: (int(p[0]), int(p[1])) for name, p in payload.items()})
-
 
 def born_probabilities(rho, basis: MeasurementBasis) -> tuple[float, float]:
     """Outcome probabilities (p_plus, p_minus) of the basis on a qubit state."""
-    a = as_matrix(rho)
-    if a.shape != (2, 2):
-        raise ValueError(f"tomography acts on qubits, got shape {a.shape}")
-    p_plus = float(np.real(basis.plus.conj() @ a @ basis.plus))
-    p_minus = float(np.real(basis.minus.conj() @ a @ basis.minus))
+    a = check_qubit(rho)
+    p_plus = float(np.real(np.conj(basis.plus) @ a @ basis.plus))
+    p_minus = float(np.real(np.conj(basis.minus) @ a @ basis.minus))
     # clip floating-point residue; the pair sums to tr(rho) = 1
     return (min(max(p_plus, 0.0), 1.0), min(max(p_minus, 0.0), 1.0))
 
@@ -189,10 +154,12 @@ def reconstruct(
 ) -> DensityMatrix:
     """Linear-inversion estimate from count asymmetries, repaired to a state.
 
-    rho_hat = (I + sum_k <P_k> P_k) / 2 with <P_k> = (n_plus - n_minus) / N_k,
-    then projected onto the physical set (Hermitize, clip, renormalize).
+    rho_hat = (I + sum_k r_k P_k) / 2 with r_k = (n_plus - n_minus) / N_k over the
+    Pauli triple `bases`. For a qubit, clipping the negative eigenvalue of an
+    estimate outside the Bloch ball and renormalizing is exactly r -> r / |r|.
     """
-    estimate = np.eye(2, dtype=complex)
+    bloch = np.zeros((2, 2), dtype=complex)  # sum_k r_k P_k
+    norm2 = 0.0
     for basis in bases:
         if basis.name not in counts.counts:
             raise ValueError(f"count record is missing basis {basis.name!r}")
@@ -202,27 +169,25 @@ def reconstruct(
             raise ZeroCountsError(
                 f"basis {basis.name!r} collected zero counts; asymmetry is undefined"
             )
-        estimate += ((n_plus - n_minus) / total) * basis.observable
-    return project_to_state(estimate / 2.0)
+        r_k = (n_plus - n_minus) / total
+        norm2 += r_k * r_k
+        bloch += r_k * basis.observable
+    return DensityMatrix((np.eye(2) + bloch / max(1.0, math.sqrt(norm2))) / 2.0)
 
 
 def replica_record(
-    truth: ProbingRecord, settings: TomographySettings, replica: int, noiseless: bool = False
+    truth: ProbingRecord, settings: TomographySettings, replica: int
 ) -> ProbingRecord:
     """Replica `replica` of the four-state tomography, reconstructed.
 
-    State k of the record is sampled from the stream with spawn key
-    (replica, k); noiseless replicas use the rounded expected counts.
+    State k of the record is sampled from the stream with spawn key (replica, k).
     """
     estimates = []
     for state_idx, state in enumerate(
         (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
     ):
-        if noiseless:
-            counts = expected_counts(state, settings)
-        else:
-            stream = rng_stream(settings.seed, (replica, state_idx))
-            counts = simulate_counts(state, settings, stream)
+        stream = rng_stream(settings.seed, (replica, state_idx))
+        counts = simulate_counts(state, settings, stream)
         estimates.append(reconstruct(counts, settings.bases))
     return ProbingRecord(*estimates, delta_mu=truth.delta_mu)
 
@@ -257,7 +222,6 @@ def monte_carlo_bounds(
     settings: TomographySettings,
     replicas: int,
     alpha_grid=None,
-    noiseless: bool = False,
     replica_order=None,
 ) -> MonteCarloReport:
     """Propagate tomography shot noise through the bound pipeline.
@@ -268,10 +232,10 @@ def monte_carlo_bounds(
     (e.g. for chunked execution); results are aggregated order-independently,
     so any permutation yields the identical report.
     """
-    if int(replicas) != replicas or replicas < 2:
+    if int(replicas) != replicas or not 2 <= replicas <= MAX_REPLICAS:
         raise ValueError(
-            f"aggregation needs at least 2 replicas, got {replicas}; use a single "
-            "reconstruction directly for one-shot runs"
+            f"aggregation needs at least 2 and at most {MAX_REPLICAS} replicas, got "
+            f"{replicas}; use a single reconstruction directly for one-shot runs"
         )
     replicas = int(replicas)
     order = list(range(replicas)) if replica_order is None else [int(r) for r in replica_order]
@@ -280,7 +244,7 @@ def monte_carlo_bounds(
 
     results: dict[int, float | None] = {}
     for replica in order:
-        record = replica_record(truth, settings, replica, noiseless)
+        record = replica_record(truth, settings, replica)
         curve = tightest_bound(record, alpha_grid)
         results[replica] = None if curve.optimum is None else curve.optimum.value
 

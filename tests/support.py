@@ -2,8 +2,9 @@
 
 Oracles deliberately take different numerical routes than the package:
 scipy's Schur-based fractional matrix power and 'evr'-driver eigensolver
-cross-check the eigh-based fidelity, and the partial trace is redone with
-explicit index loops.
+cross-check the eigh-based fidelity, the partial trace is redone with
+explicit index loops, and the general-dimension eigendecomposition repair
+checks tomography's closed Bloch-form repair.
 """
 from __future__ import annotations
 
@@ -47,6 +48,22 @@ def oracle_alpha_fidelity(rho1: np.ndarray, rho2: np.ndarray, alpha: float) -> f
     w = sla.eigh(sandwich, eigvals_only=True, driver="evr")
     w = np.clip(w.real, 0.0, None)
     return float(np.sum(w**alpha))
+
+
+def project_to_state(m: np.ndarray) -> np.ndarray:
+    """Repair an approximate state: Hermitize, clip negative eigenvalues, renormalize.
+
+    Raises ValueError if nothing positive survives the clip.
+    """
+    a = np.asarray(m, dtype=complex)
+    a = (a + a.conj().T) / 2
+    w, v = np.linalg.eigh(a)
+    w = np.clip(w, 0.0, None)
+    total = float(w.sum())
+    if total <= 0.0:
+        raise ValueError("state estimate has no positive spectral part; cannot renormalize")
+    w = w / total
+    return (v * w) @ v.conj().T
 
 
 def naive_partial_trace(joint: np.ndarray, dim_probe: int, dim_env: int) -> np.ndarray:

@@ -5,16 +5,13 @@ from alphaprobe.linalg import (
     DensityMatrix,
     NotHermitianError,
     NotPositiveError,
-    StateRepairError,
     eig_hermitian,
     hermitian_defect,
-    mat_pow_psd,
     matrix_from_json,
     matrix_to_json,
     partial_trace_env,
-    project_to_state,
 )
-from support import rand_state, rand_unitary
+from support import project_to_state, rand_state, rand_unitary
 
 
 def rand_hermitian(rng, dim):
@@ -53,56 +50,18 @@ class TestEigHermitian:
             eig_hermitian(np.zeros((2, 3)))
 
 
-class TestMatPowPsd:
-    def test_identity_exponent(self):
-        rng = np.random.default_rng(3)
-        m = rand_state(rng, 3)
-        assert np.abs(mat_pow_psd(m, 1.0) - m).max() <= 1e-12
-
-    def test_analytic_square_root(self):
-        out = mat_pow_psd(np.diag([4.0, 9.0]), 0.5)
-        assert np.allclose(out, np.diag([2.0, 3.0]))
-
-    def test_projector_fixed_point(self):
-        v = np.array([1.0, 1j]) / np.sqrt(2)
-        proj = np.outer(v, v.conj())
-        for p in (0.3, 1.7):
-            assert np.abs(mat_pow_psd(proj, p) - proj).max() <= 1e-12
-
-    def test_power_on_support_for_p_zero(self):
-        # 0^0 := 0 on the null space, so m^0 is the support projector
-        v = np.array([1.0, 1j]) / np.sqrt(2)
-        proj = np.outer(v, v.conj())
-        assert np.abs(mat_pow_psd(0.5 * proj, 0.0) - proj).max() <= 1e-12
-
-    def test_semigroup_on_support(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            m = rand_state(rng, 3)
-            a, b = rng.uniform(0.1, 2.0, size=2)
-            lhs = mat_pow_psd(mat_pow_psd(m, a), b)
-            rhs = mat_pow_psd(m, a * b)
-            assert np.abs(lhs - rhs).max() <= 1e-9
-
-    def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(NotPositiveError, match="positive semidefinite"):
-            mat_pow_psd(np.diag([1.0, -0.5]), 0.5)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            mat_pow_psd(np.eye(2), -1.0)
-
-
 class TestProjectToState:
+    """The eigendecomposition repair in support.py, the oracle of tomography.reconstruct."""
+
     def test_fixed_point(self):
         rng = np.random.default_rng(5)
         rho = rand_state(rng, 3)
         out = project_to_state(rho)
-        assert np.abs(out.matrix - rho).max() <= 1e-12
+        assert np.abs(out - rho).max() <= 1e-12
 
     def test_clip_then_normalize(self):
         out = project_to_state(np.diag([1.1, -0.1]))
-        assert np.allclose(out.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+        assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_clip_matches_grid_search_oracle(self):
         # nearest diagonal state by brute force over diag(p, 1-p)
@@ -111,21 +70,21 @@ class TestProjectToState:
         dists = (1.1 - ps) ** 2 + (-0.1 - (1.0 - ps)) ** 2
         best = ps[np.argmin(dists)]
         out = project_to_state(target)
-        assert abs(out.matrix[0, 0].real - best) <= 1e-4
+        assert abs(out[0, 0].real - best) <= 1e-4
 
     def test_pure_rescaling(self):
         out = project_to_state(np.diag([0.6, 0.6]))
-        assert np.allclose(out.matrix, np.diag([0.5, 0.5]))
+        assert np.allclose(out, np.diag([0.5, 0.5]))
 
     def test_idempotent(self):
         rng = np.random.default_rng(9)
         m = rand_hermitian(rng, 4)
         once = project_to_state(m)
-        twice = project_to_state(once.matrix)
-        assert np.abs(once.matrix - twice.matrix).max() <= 1e-12
+        twice = project_to_state(once)
+        assert np.abs(once - twice).max() <= 1e-12
 
     def test_all_clipped_rejected(self):
-        with pytest.raises(StateRepairError, match="no positive"):
+        with pytest.raises(ValueError, match="no positive"):
             project_to_state(-np.eye(2))
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from alphaprobe.cli import EXIT_CONFIG, main
+from alphaprobe.fidelity import MAX_ALPHA_COUNT
 from alphaprobe.linalg import matrix_to_json
 from alphaprobe.reference import (
     REFERENCE_DELTA_MU_HZ,
@@ -19,6 +20,7 @@ from alphaprobe.reference import (
     reference_record,
 )
 from alphaprobe.scenario import SCHEMA_VERSION
+from alphaprobe.tomography import MAX_REPLICAS
 
 
 def base_config():
@@ -133,6 +135,13 @@ CASES = [
     ("probe-string-entries", "simulate", edited(base_config(), "probes.rho1", STRING_PLUS),
      [], "probes.rho1"),
     ("nine-plates", "simulate", nine_plate_config(), [], "coupling"),
+    ("alpha-count-over-max", "simulate",
+     edited(base_config(), "alpha_grid.count", MAX_ALPHA_COUNT + 1), [],
+     "config.alpha_grid: count"),
+    ("alpha-count-flag-over-max", "afid", None, ["--alpha-count", str(MAX_ALPHA_COUNT + 1)],
+     "--alpha-count"),
+    ("replicas-over-max", "simulate", tomography_config(replicas=MAX_REPLICAS + 1), [],
+     "tomography.replicas"),
 ]
 
 
@@ -168,6 +177,7 @@ FILE_CASES = [
      dict(reference_record_json(),
           phi1_rho1=stringified(reference_record().phi1_rho1.to_json(), "im", 0, 1)),
      "record.json"),
+    ("tomography-qutrit", "tomography", QUTRIT, "--state"),
 ]
 
 
@@ -177,8 +187,12 @@ FILE_CASES = [
 def test_malformed_file_exits_2_naming_it(tmp_path, capsys, subcommand, payload, name):
     bad = tmp_path / ("record.json" if subcommand == "bound" else "rho2.json")
     bad.write_text(json.dumps(payload), encoding="utf-8")
+    out = str(tmp_path / "out")
     if subcommand == "bound":
-        argv = ["bound", "--record", str(bad), "--out", str(tmp_path / "out")]
+        argv = ["bound", "--record", str(bad), "--out", out]
+    elif subcommand == "tomography":
+        argv = ["tomography", "--state", str(bad), "--time", "60", "--rate", "200",
+                "--seed", "7", "--out", out]
     else:
         state = tmp_path / "rho1.json"
         state.write_text(json.dumps(matrix_to_json(REFERENCE_EVOLVED_1)), encoding="utf-8")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,9 +17,9 @@ from alphaprobe.tomography import (
     CIRC_BASIS,
     DIAG_BASIS,
     HV_BASIS,
+    MAX_REPLICAS,
     MUB_BASES,
     CountRecord,
-    MeasurementBasis,
     MonteCarloReport,
     TomographySettings,
     born_probabilities,
@@ -29,7 +30,7 @@ from alphaprobe.tomography import (
     sample_counts,
     simulate_counts,
 )
-from support import rand_state, trace_distance
+from support import project_to_state, rand_state, trace_distance
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -61,12 +62,6 @@ class TestBases:
                     for k2 in (b2.plus, b2.minus):
                         assert abs(np.vdot(k1, k2)) ** 2 == pytest.approx(0.5, abs=1e-12)
 
-    def test_kets_validated(self):
-        with pytest.raises(ValueError, match="normalized"):
-            MeasurementBasis("bad", (1.0, 1.0), (0.0, 1.0))
-        with pytest.raises(ValueError, match="orthogonal"):
-            MeasurementBasis("bad", (1.0, 0.0), (1 / math.sqrt(2), 1 / math.sqrt(2)))
-
 
 class TestSettings:
     def test_parameter_validation(self):
@@ -80,17 +75,10 @@ class TestSettings:
             TomographySettings(integration_time=1.0, count_rate=1.0, seed=1.5)
 
     def test_basis_triple_validation(self):
-        with pytest.raises(ValueError, match="exactly 3"):
-            TomographySettings(1.0, 1.0, 0, bases=(HV_BASIS, DIAG_BASIS))
-        with pytest.raises(ValueError, match="distinct"):
+        # the triple is the fixed Pauli triple, not a setting a caller can replace
+        assert settings().bases is MUB_BASES
+        with pytest.raises(TypeError, match="bases"):
             TomographySettings(1.0, 1.0, 0, bases=(HV_BASIS, DIAG_BASIS, DIAG_BASIS))
-        tilted = MeasurementBasis(
-            "tilted",
-            (math.cos(math.pi / 8), math.sin(math.pi / 8)),
-            (-math.sin(math.pi / 8), math.cos(math.pi / 8)),
-        )
-        with pytest.raises(ValueError, match="Bloch-orthogonal"):
-            TomographySettings(1.0, 1.0, 0, bases=(HV_BASIS, DIAG_BASIS, tilted))
 
     def test_expected_pairs(self):
         assert settings(time=60.0, rate=200.0).expected_pairs == pytest.approx(12000.0)
@@ -162,8 +150,10 @@ class TestCounts:
             CountRecord({"hv": (1.5, 2)})
 
     def test_count_record_json_round_trip(self):
+        # the counts.json layout: basis name -> [n_plus, n_minus]
         record = CountRecord({"hv": (3, 4), "diag": (5, 6), "circ": (7, 8)})
-        assert CountRecord.from_json(record.to_json()).counts == record.counts
+        payload = json.loads(json.dumps(record.to_json()))
+        assert CountRecord({k: tuple(v) for k, v in payload.items()}).counts == record.counts
 
 
 class TestReconstruct:
@@ -189,6 +179,29 @@ class TestReconstruct:
         evals = np.linalg.eigvalsh(est.matrix)
         assert evals.min() >= -1e-12
         assert np.trace(est.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_eigh_oracle(self):
+        # random records reach |r| > 1 often; the fixed ones add |r| = 1 and r = 0
+        rng = np.random.default_rng(131)
+        records = [CountRecord({b.name: tuple(rng.integers(0, 1000, size=2) + (1, 0))
+                                for b in MUB_BASES}) for _ in range(300)]
+        records.append(CountRecord({"hv": (1000, 0), "diag": (500, 500), "circ": (7, 7)}))
+        records.append(CountRecord({"hv": (0, 40), "diag": (30, 0), "circ": (0, 40)}))
+        records.append(CountRecord({b.name: (1000, 1000) for b in MUB_BASES}))
+        # the oracle's own trace-one qubit case (|r| = 1 after the Born clip), and
+        # near-pure states whose rounded expected counts can leave the ball
+        truths = [np.diag([1.1, -0.1])]
+        truths += [0.999 * rand_state(rng, 2, rank=1) + 0.001 * MIXED for _ in range(100)]
+        records += [expected_counts(m, settings(rate=37.0)) for m in truths]
+        outside = 0
+        for record in records:
+            r = [(n_plus - n_minus) / (n_plus + n_minus)
+                 for n_plus, n_minus in (record.counts[b.name] for b in MUB_BASES)]
+            outside += math.hypot(*r) > 1.0
+            estimate = (np.eye(2) + sum(r_k * b.observable for r_k, b in zip(r, MUB_BASES))) / 2
+            got = reconstruct(record).matrix
+            assert np.abs(got - project_to_state(estimate)).max() <= 1e-14
+        assert 50 <= outside <= len(records) - 50
 
     def test_zero_count_basis_rejected(self):
         record = CountRecord({"hv": (10, 10), "diag": (0, 0), "circ": (10, 10)})
@@ -233,15 +246,19 @@ def exact_truth_record():
 
 class TestMonteCarlo:
     def test_noiseless_replicas_collapse(self):
+        # a noise-free replica reconstructs the rounded expected counts
         truth = exact_truth_record()
-        report = monte_carlo_bounds(
-            truth, settings(time=60.0, rate=200.0), 4, SMALL_GRID, noiseless=True
-        )
-        assert report.std_b_inf == 0.0
-        assert report.no_info_fraction == 0.0
-        assert len(set(report.values)) == 1
+        cfg = settings(time=60.0, rate=200.0)
+        states = (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
+        records = [
+            ProbingRecord(*(reconstruct(expected_counts(s, cfg)) for s in states),
+                          delta_mu=truth.delta_mu)
+            for _ in range(2)
+        ]
+        values = [tightest_bound(record, SMALL_GRID).optimum.value for record in records]
+        assert values[0] == values[1]
         exact = tightest_bound(truth, SMALL_GRID).optimum.value
-        assert report.mean_b_inf == pytest.approx(exact, rel=1e-2)
+        assert values[0] == pytest.approx(exact, rel=1e-2)
 
     def test_shot_noise_run_is_deterministic(self):
         truth = exact_truth_record()
@@ -284,6 +301,8 @@ class TestMonteCarlo:
         truth = exact_truth_record()
         with pytest.raises(ValueError, match="at least 2"):
             monte_carlo_bounds(truth, settings(), 1, SMALL_GRID)
+        with pytest.raises(ValueError, match=f"at most {MAX_REPLICAS}"):
+            monte_carlo_bounds(truth, settings(), MAX_REPLICAS + 1, SMALL_GRID)
 
     def test_replica_order_validated(self):
         truth = exact_truth_record()
