@@ -75,6 +75,27 @@ def _floor_spectrum(w: np.ndarray) -> np.ndarray:
     return np.where(w < EIG_FLOOR, 0.0, w)
 
 
+def _qubit_sandwich_eigvals(sandwich: np.ndarray, wp: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack of 2x2 sandwiches S = rho2^w rho1 rho2^w.
+
+    With a = S00, c = S11, b = S01 the large root (a + c + sqrt((a - c)^2 + 4|b|^2)) / 2
+    adds terms of one sign. The small root is det S / lambda_+, where
+    det S = det(rho2^w)^2 det(rho1) comes from the spectral powers `wp` of rho2
+    instead of the entries of S, so it keeps its relative precision when both
+    states are near pure.
+    """
+    a = sandwich[:, 0, 0].real
+    c = sandwich[:, 1, 1].real
+    b = sandwich[:, 0, 1]
+    hi = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4.0 * (b.real**2 + b.imag**2)))
+    # the sandwich is Hermitized, so its determinant is that of rho1's Hermitian part
+    off = 0.5 * (a1[0, 1] + np.conj(a1[1, 0]))
+    det1 = a1[0, 0].real * a1[1, 1].real - (off.real**2 + off.imag**2)
+    det = (wp[:, 0] * wp[:, 1]) ** 2 * det1
+    lo = np.divide(det, hi, out=np.zeros_like(hi), where=hi > 0.0)
+    return np.stack((lo, hi), axis=1)
+
+
 def alpha_fidelity(rho1: MatrixLike, rho2: MatrixLike, alpha: float) -> float:
     """F_alpha(rho1, rho2), clamped into [0, 1].
 
@@ -89,7 +110,8 @@ def alpha_fidelity_curve(rho1: MatrixLike, rho2: MatrixLike, alphas) -> np.ndarr
     """F_alpha(rho1, rho2) evaluated over a grid of alpha values.
 
     One eigendecomposition of rho2 is shared across the grid; each alpha then
-    costs a single Hermitian eigenvalue solve of the sandwiched product.
+    costs the eigenvalues of the sandwiched product, in closed form for qubits
+    and by a Hermitian eigenvalue solve in higher dimensions.
     """
     a1 = as_matrix(rho1)
     a2 = as_matrix(rho2)
@@ -107,7 +129,11 @@ def alpha_fidelity_curve(rho1: MatrixLike, rho2: MatrixLike, alphas) -> np.ndarr
     half = np.einsum("ab,mb,cb->mac", v2, wp, v2.conj())
     sandwich = half @ a1 @ half
     sandwich = (sandwich + np.conj(np.swapaxes(sandwich, 1, 2))) / 2
-    ws = _floor_spectrum(np.linalg.eigvalsh(sandwich))
+    if a1.shape == (2, 2):
+        ws = _qubit_sandwich_eigvals(sandwich, wp, a1)
+    else:
+        ws = np.linalg.eigvalsh(sandwich)
+    ws = _floor_spectrum(ws)
     raw = np.sum(ws ** grid[:, None], axis=1)
     excess = raw.max() - 1.0
     if excess > CLAMP_EXCESS:

@@ -451,26 +451,29 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
 
     sigma_truth = _truth_sigma(config)
     mc_block = None
-    if config.tomography is None:
-        record = truth
-    else:
-        try:
-            if config.replicas >= 2:
-                mc = monte_carlo_bounds(
-                    truth,
-                    config.tomography,
-                    config.replicas,
-                    alpha_grid=config.alpha_grid,
-                )
-                mc_block = mc.to_json()
-                if sigma_truth is not None:
-                    mc_block["mean_b_inf_over_sigma"] = mc.mean_b_inf / sigma_truth
-            # replica 0 is the single experiment the curve artifact describes
-            record = replica_record(truth, config.tomography, 0)
-        except ZeroCountsError as exc:
-            raise ConfigError(f"tomography.integration_time_s too short: {exc}") from exc
+    # replica 0 is the single experiment the curve artifact describes; with
+    # replicas >= 2 its curve comes out of the Monte-Carlo pass
     try:
-        curve = tightest_bound(record, config.alpha_grid)
+        if config.tomography is not None and config.replicas >= 2:
+            mc = monte_carlo_bounds(
+                truth,
+                config.tomography,
+                config.replicas,
+                alpha_grid=config.alpha_grid,
+            )
+            mc_block = mc.to_json()
+            if sigma_truth is not None:
+                mc_block["mean_b_inf_over_sigma"] = mc.mean_b_inf / sigma_truth
+            curve = mc.curve0
+        else:
+            record = (
+                truth
+                if config.tomography is None
+                else replica_record(truth, config.tomography, 0)
+            )
+            curve = tightest_bound(record, config.alpha_grid)
+    except ZeroCountsError as exc:
+        raise ConfigError(f"tomography.integration_time_s too short: {exc}") from exc
     except DegenerateControlError as exc:
         raise DegenerateControlError(f"bound stage: {exc}") from exc
 

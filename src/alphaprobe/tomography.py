@@ -11,11 +11,13 @@ each replica through the bound pipeline.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .bounds import NoInformationError, ProbingRecord, tightest_bound
+from .bounds import BoundCurve, NoInformationError, ProbingRecord, tightest_bound
 from .linalg import DensityMatrix, check_qubit
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -36,11 +38,13 @@ class MeasurementBasis:
     plus: tuple[complex, complex]
     minus: tuple[complex, complex]
 
-    @property
+    @cached_property
     def observable(self) -> np.ndarray:
-        """Traceless +/-1 observable P_plus - P_minus."""
+        """Traceless +/-1 observable P_plus - P_minus, built once per basis."""
         plus, minus = np.asarray(self.plus), np.asarray(self.minus)
-        return np.outer(plus, plus.conj()) - np.outer(minus, minus.conj())
+        obs = np.outer(plus, plus.conj()) - np.outer(minus, minus.conj())
+        obs.setflags(write=False)
+        return obs
 
 
 HV_BASIS = MeasurementBasis("hv", (1.0, 0.0), (0.0, 1.0))
@@ -76,20 +80,26 @@ class TomographySettings:
 
 @dataclass(frozen=True)
 class CountRecord:
-    """Outcome counts per basis: name -> (n_plus, n_minus)."""
+    """Outcome counts per basis: name -> (n_plus, n_minus).
+
+    Names must be strings and counts nonnegative integers (NumPy integers
+    included, booleans not); nothing else is converted.
+    """
 
     counts: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         clean: dict[str, tuple[int, int]] = {}
         for name, pair in self.counts.items():
+            if not isinstance(name, str):
+                raise ValueError(f"basis names must be strings, got {name!r}")
             n_plus, n_minus = pair
             for n in (n_plus, n_minus):
-                if int(n) != n or n < 0:
+                if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
                     raise ValueError(
                         f"counts must be nonnegative integers, got {pair} in {name!r}"
                     )
-            clean[str(name)] = (int(n_plus), int(n_minus))
+            clean[name] = (int(n_plus), int(n_minus))
         object.__setattr__(self, "counts", clean)
 
     def to_json(self) -> dict:
@@ -175,6 +185,32 @@ def reconstruct(
     return DensityMatrix((np.eye(2) + bloch / max(1.0, math.sqrt(norm2))) / 2.0)
 
 
+def _truth_probabilities(
+    truth: ProbingRecord, settings: TomographySettings
+) -> list[dict[str, tuple[float, float]]]:
+    """Born probabilities of the record's four states, in record order."""
+    return [
+        {b.name: born_probabilities(state, b) for b in settings.bases}
+        for state in (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
+    ]
+
+
+def _replica(
+    probabilities: list[dict[str, tuple[float, float]]],
+    settings: TomographySettings,
+    replica: int,
+    delta_mu: float,
+) -> ProbingRecord:
+    estimates = [
+        reconstruct(
+            sample_counts(probs, settings, rng_stream(settings.seed, (replica, state_idx))),
+            settings.bases,
+        )
+        for state_idx, probs in enumerate(probabilities)
+    ]
+    return ProbingRecord(*estimates, delta_mu=delta_mu)
+
+
 def replica_record(
     truth: ProbingRecord, settings: TomographySettings, replica: int
 ) -> ProbingRecord:
@@ -182,14 +218,7 @@ def replica_record(
 
     State k of the record is sampled from the stream with spawn key (replica, k).
     """
-    estimates = []
-    for state_idx, state in enumerate(
-        (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
-    ):
-        stream = rng_stream(settings.seed, (replica, state_idx))
-        counts = simulate_counts(state, settings, stream)
-        estimates.append(reconstruct(counts, settings.bases))
-    return ProbingRecord(*estimates, delta_mu=truth.delta_mu)
+    return _replica(_truth_probabilities(truth, settings), settings, replica, truth.delta_mu)
 
 
 @dataclass(frozen=True)
@@ -197,7 +226,9 @@ class MonteCarloReport:
     """Aggregated bound statistics over tomography replicas.
 
     values holds one entry per replica in replica order; None marks a replica
-    whose reconstructed record was uninformative at every grid point.
+    whose reconstructed record was uninformative at every grid point. curve0
+    is replica 0's bound curve, the single experiment a run's curve artifact
+    describes; it is left out of equality and of the JSON summary.
     """
 
     mean_b_inf: float
@@ -206,6 +237,7 @@ class MonteCarloReport:
     replicas: int
     seed: int
     values: tuple[float | None, ...]
+    curve0: BoundCurve | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -228,7 +260,8 @@ def monte_carlo_bounds(
 
     Each replica redoes the four-state tomography with its own streams
     (spawn keys (replica, state_index)) and reports the tightest bound of the
-    reconstructed record. replica_order may permute the evaluation order
+    reconstructed record; the truth states' Born probabilities are computed
+    once for all replicas. replica_order may permute the evaluation order
     (e.g. for chunked execution); results are aggregated order-independently,
     so any permutation yields the identical report.
     """
@@ -242,11 +275,15 @@ def monte_carlo_bounds(
     if sorted(order) != list(range(replicas)):
         raise ValueError("replica_order must be a permutation of range(replicas)")
 
+    probabilities = _truth_probabilities(truth, settings)
     results: dict[int, float | None] = {}
+    curve0 = None
     for replica in order:
-        record = replica_record(truth, settings, replica)
+        record = _replica(probabilities, settings, replica, truth.delta_mu)
         curve = tightest_bound(record, alpha_grid)
         results[replica] = None if curve.optimum is None else curve.optimum.value
+        if replica == 0:
+            curve0 = curve
 
     # order-independent aggregation: replica index order, compensated sums
     values = tuple(results[r] for r in range(replicas))
@@ -269,4 +306,5 @@ def monte_carlo_bounds(
         replicas=replicas,
         seed=settings.seed,
         values=values,
+        curve0=curve0,
     )

@@ -2,14 +2,19 @@
 
 Oracles deliberately take different numerical routes than the package:
 scipy's Schur-based fractional matrix power and 'evr'-driver eigensolver
-cross-check the eigh-based fidelity, the partial trace is redone with
-explicit index loops, and the general-dimension eigendecomposition repair
-checks tomography's closed Bloch-form repair.
+cross-check the eigh-based fidelity, the batched `eigvalsh` route and a
+50-digit mpmath evaluation check the closed-form qubit sandwich eigenvalues,
+the partial trace is redone with explicit index loops, and the
+general-dimension eigendecomposition repair checks tomography's closed
+Bloch-form repair.
 """
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import scipy.linalg as sla
+
+from alphaprobe.linalg import EIG_FLOOR
 
 
 def rand_state(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
@@ -48,6 +53,57 @@ def oracle_alpha_fidelity(rho1: np.ndarray, rho2: np.ndarray, alpha: float) -> f
     w = sla.eigh(sandwich, eigvals_only=True, driver="evr")
     w = np.clip(w.real, 0.0, None)
     return float(np.sum(w**alpha))
+
+
+def eigvalsh_alpha_fidelity_curve(rho1: np.ndarray, rho2: np.ndarray, alphas) -> np.ndarray:
+    """The general-dimension route: the same sandwich, eigenvalues by `eigvalsh`.
+
+    Mirrors the package's floors (spectral values below EIG_FLOOR are zeros)
+    and its clip into [0, 1], without the clamp warning.
+    """
+    grid = np.asarray(alphas, dtype=float)
+    a2 = np.asarray(rho2, dtype=complex)
+    w2, v2 = np.linalg.eigh((a2 + a2.conj().T) / 2)
+    w2 = np.where(w2 < EIG_FLOOR, 0.0, w2)
+    powers = (1.0 - grid) / (2.0 * grid)
+    wp = np.where(w2[None, :] == 0.0, 0.0, w2[None, :] ** powers[:, None])
+    half = np.einsum("ab,mb,cb->mac", v2, wp, v2.conj())
+    sandwich = half @ np.asarray(rho1, dtype=complex) @ half
+    sandwich = (sandwich + np.conj(np.swapaxes(sandwich, 1, 2))) / 2
+    ws = np.linalg.eigvalsh(sandwich)
+    ws = np.where(ws < EIG_FLOOR, 0.0, ws)
+    return np.clip(np.sum(ws ** grid[:, None], axis=1), 0.0, 1.0)
+
+
+def _mp_eig2(m) -> tuple:
+    """Eigenvalues (low, high) of a 2x2 Hermitian mpmath matrix."""
+    a, c, b = mpmath.re(m[0, 0]), mpmath.re(m[1, 1]), m[0, 1]
+    d = mpmath.sqrt((a - c) ** 2 + 4 * abs(b) ** 2)
+    return (a + c - d) / 2, (a + c + d) / 2
+
+
+def mp_qubit_alpha_fidelity(rho1: np.ndarray, rho2: np.ndarray, alpha: float) -> float:
+    """F_alpha of two qubit matrices in 50-digit arithmetic, taking their entries as exact.
+
+    rho2^w is the Lagrange form f(l-) P- + f(l+) P+ of the 2x2 matrix function.
+    Spectral values below EIG_FLOOR count as zeros, as in the package, so the
+    reference differs from the float routes only by their rounding.
+    """
+    with mpmath.workdps(50):
+        m1 = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in rho1])
+        m2 = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in rho2])
+        a = mpmath.mpf(float(alpha))
+        p = (1 - a) / (2 * a)
+        lo, hi = _mp_eig2(m2)
+        eye = mpmath.eye(2)
+        f_lo, f_hi = (0 if x < EIG_FLOOR else x**p for x in (lo, hi))
+        if hi - lo < mpmath.mpf(10) ** -40:
+            half = f_hi * eye
+        else:
+            half = (f_hi * (m2 - lo * eye) - f_lo * (m2 - hi * eye)) / (hi - lo)
+        s = half * m1 * half
+        s = (s + s.H) / 2
+        return float(sum(0 if x < EIG_FLOOR else x**a for x in _mp_eig2(s)))
 
 
 def project_to_state(m: np.ndarray) -> np.ndarray:

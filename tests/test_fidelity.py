@@ -18,7 +18,15 @@ from alphaprobe.reference import (
     reference_record,
 )
 from alphaprobe.spectra import GaussianSpectrum, gaussian_alpha_fidelity
-from support import apply_kraus, oracle_alpha_fidelity, rand_kraus, rand_state, rand_unitary
+from support import (
+    apply_kraus,
+    eigvalsh_alpha_fidelity_curve,
+    mp_qubit_alpha_fidelity,
+    oracle_alpha_fidelity,
+    rand_kraus,
+    rand_state,
+    rand_unitary,
+)
 
 ALPHAS = (0.5, 0.62, 0.75, 0.9, 0.9999)
 
@@ -137,6 +145,64 @@ class TestAlphaFidelity:
         assert grid[0] == 0.5
         assert grid[-1] == 0.9999
         assert np.all(np.diff(grid) > 0)
+
+
+def qubit_with_small_eigenvalue(rng: np.random.Generator, small: float) -> np.ndarray:
+    u = rand_unitary(rng, 2)
+    return (u * np.array([1.0 - small, small])) @ u.conj().T
+
+
+class TestQubitClosedForm:
+    """The closed-form 2x2 sandwich eigenvalues against the eigvalsh route and mpmath."""
+
+    NEAR_PURE_GRID = np.array([0.5, 0.5001, 0.55, 0.7, 0.9, 0.99, 0.9999])
+
+    def test_matches_eigvalsh_route_when_well_conditioned(self):
+        rng = np.random.default_rng(89)
+        grid = default_alpha_grid()
+        worst = 0.0
+        for _ in range(200):
+            r1 = qubit_with_small_eigenvalue(rng, rng.uniform(1e-3, 0.5))
+            r2 = qubit_with_small_eigenvalue(rng, rng.uniform(1e-3, 0.5))
+            got = alpha_fidelity_curve(r1, r2, grid)
+            want = eigvalsh_alpha_fidelity_curve(r1, r2, grid)
+            worst = max(worst, float(np.max(np.abs(got - want))))
+        assert worst <= 1e-12
+
+    def test_near_pure_pairs_no_less_accurate_than_eigvalsh(self):
+        # A pair's error is its worst over the grid. Both routes share rho2's
+        # eigendecomposition, whose rounding dominates the error of some pairs,
+        # so the two errors may differ there by a few ulp of F <= 1.
+        rng = np.random.default_rng(97)
+        grid = self.NEAR_PURE_GRID
+        eps = np.finfo(float).eps
+        smalls = (0.0, 1e-13, 1e-10, 1e-6)
+        both_mixed = {"new": 0.0, "old": 0.0}
+        for s1 in smalls:
+            for s2 in smalls:
+                for _ in range(4):
+                    r1 = qubit_with_small_eigenvalue(rng, s1)
+                    r2 = qubit_with_small_eigenvalue(rng, s2)
+                    want = np.array([mp_qubit_alpha_fidelity(r1, r2, a) for a in grid])
+                    err_new = np.max(np.abs(alpha_fidelity_curve(r1, r2, grid) - want))
+                    err_old = np.max(np.abs(eigvalsh_alpha_fidelity_curve(r1, r2, grid) - want))
+                    assert err_new <= err_old + 8 * eps, (s1, s2)
+                    if s1 == s2 == 1e-6:
+                        both_mixed["new"] += err_new
+                        both_mixed["old"] += err_old
+        # where the sandwich's small eigenvalue dominates, the closed form is tighter
+        assert both_mixed["new"] < both_mixed["old"]
+
+    def test_rank_one_rho2_reduces_to_expectation(self):
+        rng = np.random.default_rng(101)
+        grid = default_alpha_grid()
+        for _ in range(20):
+            rho = rand_state(rng, 2)
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            v /= np.linalg.norm(v)
+            want = (v.conj() @ rho @ v).real ** grid
+            got = alpha_fidelity_curve(rho, np.outer(v, v.conj()), grid)
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestRenyiDivergence:

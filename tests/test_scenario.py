@@ -291,6 +291,16 @@ class TestRunScenario:
         # curve artifact is replica 0, close to but distinct from the truth
         assert results["b_inf_hz"] == pytest.approx(mc["mean_b_inf_hz"], rel=0.3)
 
+    def test_curve_artifact_is_replica_zero_at_any_replica_count(self, tmp_path):
+        # with replicas >= 2 replica 0's curve comes out of the Monte-Carlo pass
+        tomo = {"integration_time_s": 60.0, "count_rate_hz": 200.0, "seed": 12345}
+        grid = {"start": 0.5, "stop": 0.9999, "count": 60}
+        for replicas in (1, 3):
+            cfg = sim_config(alpha_grid=grid, tomography=dict(tomo, replicas=replicas))
+            run_scenario(parse_scenario(cfg), out_dir=str(tmp_path / str(replicas)))
+        single = (tmp_path / "1" / "bound_curve.csv").read_bytes()
+        assert (tmp_path / "3" / "bound_curve.csv").read_bytes() == single
+
     def test_single_replica_run_has_no_monte_carlo_block(self, tmp_path):
         cfg = sim_config(
             alpha_grid={"start": 0.5, "stop": 0.9999, "count": 60},

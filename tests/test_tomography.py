@@ -11,6 +11,7 @@ from alphaprobe.reference import (
     REFERENCE_DELTA_MU_HZ,
     REFERENCE_EVOLVED_1,
     REFERENCE_SIGMA_HZ,
+    reference_record,
 )
 from alphaprobe.spectra import GaussianSpectrum, discretize_pair
 from alphaprobe.tomography import (
@@ -149,6 +150,27 @@ class TestCounts:
         with pytest.raises(ValueError, match="nonnegative"):
             CountRecord({"hv": (1.5, 2)})
 
+    @pytest.mark.parametrize(
+        "counts, match",
+        [
+            ({"hv": (3.0, 4)}, "nonnegative integers"),
+            ({"hv": (3, np.float64(4.0))}, "nonnegative integers"),
+            ({"hv": (True, 4)}, "nonnegative integers"),
+            ({"hv": (3, np.bool_(False))}, "nonnegative integers"),
+            ({5: (1, 2)}, "strings"),
+            ({b"hv": (1, 2)}, "strings"),
+        ],
+        ids=["float", "numpy-float", "bool", "numpy-bool", "int-name", "bytes-name"],
+    )
+    def test_count_record_converts_nothing(self, counts, match):
+        with pytest.raises(ValueError, match=match):
+            CountRecord(counts)
+
+    def test_count_record_accepts_numpy_integers(self):
+        record = CountRecord({"hv": (np.int64(3), np.uint16(4))})
+        assert record.counts == {"hv": (3, 4)}
+        assert all(type(n) is int for n in record.counts["hv"])
+
     def test_count_record_json_round_trip(self):
         # the counts.json layout: basis name -> [n_plus, n_minus]
         record = CountRecord({"hv": (3, 4), "diag": (5, 6), "circ": (7, 8)})
@@ -285,6 +307,35 @@ class TestMonteCarlo:
         assert len(report.values) == 20
         assert report.mean_b_inf == pytest.approx(exact, rel=0.15)
         assert 0.0 < report.std_b_inf < 0.2 * exact
+
+    def test_every_draw_matches_a_replica_rebuilt_stream_by_stream(self):
+        # the Monte-Carlo loop computes the truth's Born probabilities once;
+        # each value must still be the bound of the record sampled per
+        # (replica, state) stream from freshly computed probabilities
+        truth = reference_record()
+        states = (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
+        for seed in (5, 601, 2**31 - 1):
+            cfg = settings(time=60.0, rate=200.0, seed=seed)
+            report = monte_carlo_bounds(truth, cfg, 20)
+            for replica in range(20):
+                estimates = [
+                    reconstruct(
+                        sample_counts(
+                            {b.name: born_probabilities(state, b) for b in cfg.bases},
+                            cfg,
+                            rng_stream(seed, (replica, k)),
+                        ),
+                        cfg.bases,
+                    )
+                    for k, state in enumerate(states)
+                ]
+                curve = tightest_bound(ProbingRecord(*estimates, delta_mu=truth.delta_mu))
+                want = None if curve.optimum is None else curve.optimum.value
+                assert report.values[replica] == want
+                if replica == 0:
+                    assert report.curve0.optimum == curve.optimum
+                    np.testing.assert_array_equal(report.curve0.b1, curve.b1)
+                    np.testing.assert_array_equal(report.curve0.b2, curve.b2)
 
     def test_erased_probes_raise_no_information(self):
         truth = ProbingRecord(
