@@ -33,9 +33,7 @@ from .channel import (
     WavePlate,
     WavePlateStack,
     apply_channel,
-    apply_channel_oracle,
     jones_at_frequencies,
-    jones_at_frequency,
 )
 from .fidelity import (
     alpha_fidelity,
@@ -52,7 +50,6 @@ from .linalg import (
     hermitian_defect,
     matrix_from_json,
     matrix_to_json,
-    partial_trace_env,
 )
 from .reference import (
     REFERENCE_DELTA_MU_HZ,
@@ -75,8 +72,6 @@ from .spectra import (
     FrequencyGrid,
     GaussianSpectrum,
     UnequalWidthsError,
-    classical_alpha_fidelity,
-    discretize,
     discretize_pair,
     gaussian_alpha_fidelity,
     kappa,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,24 +189,19 @@ def tightest_bound(record: ProbingRecord, alpha_grid=None) -> BoundCurve:
     return BoundCurve(alphas=alphas, b1=b1, b2=b2, optimum=optimum)
 
 
-def _dual_from_fraction(f: float, alpha: float) -> float | None:
-    if f >= 1.0:
-        return None
-    return math.sqrt(2.0 * math.log(f) / (alpha * (alpha - 1.0)))
-
-
 def ratio_lower_bound(record: ProbingRecord, alpha: float) -> float | None:
     """Lower bound on dmu / sigma at one alpha (independent of both scales).
 
-    Uses the better (larger) of the two families; None when neither fraction
-    is informative.
+    The inverse of the width bound at unit shift, taking the better (smaller)
+    of the two families' bounds; None when neither fraction is informative,
+    +inf when a fraction is 0 (the width bound's limit 0).
     """
-    a = float(_check_alpha_grid([alpha], DPI_ALPHA_MIN)[0])
-    candidates = [
-        _dual_from_fraction(fraction(record, a, order), a) for order in BOUND_ORDERS
-    ]
-    present = [c for c in candidates if c is not None]
-    return max(present) if present else None
+    a = _check_alpha_grid([alpha], DPI_ALPHA_MIN)
+    unit = [_bounds_from_fractions(fraction_curve(record, a, o), a, 1.0) for o in BOUND_ORDERS]
+    best = float(np.fmin(*unit)[0])  # fmin skips a NaN (uninformative) family
+    if math.isnan(best):
+        return None
+    return math.inf if best == 0.0 else 1.0 / best
 
 
 def lower_bound_delta_mu(
@@ -239,20 +235,31 @@ def bound_summary(curve: BoundCurve, sigma_reference: float | None = None) -> di
     return summary
 
 
+def _cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "" if math.isnan(value) else f"{value:.12e}"
+    return "" if value is None else value
+
+
+def write_csv(target, header, rows) -> None:
+    """Write a header and rows to a path or an open text stream.
+
+    Cells: floats as .12e, None and NaN as empty cells, bools as true/false,
+    anything else (strings) unchanged. Pass plain Python values (`.tolist()`).
+    """
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            write_csv(fh, header, rows)
+        return
+    writer = csv.writer(target)
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+
+
 def write_bound_curve_csv(curve: BoundCurve, path) -> None:
     """CSV export: alpha,b1_hz,b2_hz,valid1,valid2 (empty cells where invalid)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "b1_hz", "b2_hz", "valid1", "valid2"])
-        for i in range(curve.alphas.size):
-            v1 = not math.isnan(curve.b1[i])
-            v2 = not math.isnan(curve.b2[i])
-            writer.writerow(
-                [
-                    f"{curve.alphas[i]:.12e}",
-                    f"{curve.b1[i]:.12e}" if v1 else "",
-                    f"{curve.b2[i]:.12e}" if v2 else "",
-                    "true" if v1 else "false",
-                    "true" if v2 else "false",
-                ]
-            )
+    header = ["alpha", "b1_hz", "b2_hz", "valid1", "valid2"]
+    columns = (curve.alphas, curve.b1, curve.b2, curve.valid1, curve.valid2)
+    write_csv(path, header, zip(*(c.tolist() for c in columns)))

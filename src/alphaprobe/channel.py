@@ -23,12 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, check_qubit, partial_trace_env
-from .spectra import LIGHT_SPEED, FrequencyGrid, GaussianSpectrum, discretize, kappa
+from .linalg import DensityMatrix, check_qubit
+from .spectra import LIGHT_SPEED, FrequencyGrid, GaussianSpectrum, kappa
 
 QUARTZ_BIREFRINGENCE = 0.00925  # quartz near 810 nm
-
-ORACLE_MAX_ENV = 256
 
 # the closed form sums 4^k terms; beyond 8 plates it is slower than quadrature
 MAX_PLATES = 8
@@ -100,11 +98,6 @@ def jones_at_frequencies(stack: WavePlateStack, omegas) -> np.ndarray:
     return out
 
 
-def jones_at_frequency(stack: WavePlateStack, omega: float) -> np.ndarray:
-    """Stack Jones unitary at a single frequency, shape (2, 2)."""
-    return jones_at_frequencies(stack, [float(omega)])[0]
-
-
 def _delay_expansion(stack: WavePlateStack) -> tuple[np.ndarray, np.ndarray]:
     """Terms (A_s, s.tau) of V(omega) = sum_s A_s e^{2 pi i omega s.tau}."""
     if len(stack.plates) > MAX_PLATES:
@@ -143,36 +136,4 @@ def apply_channel(
     else:
         v = jones_at_frequencies(stack, grid.points)
         out = np.einsum("n,nab,bc,ndc->ad", grid.weights, v, a, v.conj())
-    return DensityMatrix((out + out.conj().T) / 2)
-
-
-def apply_channel_oracle(
-    stack: WavePlateStack,
-    spectrum: GaussianSpectrum,
-    rho,
-    n_env: int,
-) -> DensityMatrix:
-    """Brute-force reference channel via an explicit joint unitary.
-
-    Embeds the environment as an n_env-point frequency pointer (the default
-    discretization of the spectrum at that size), applies the controlled
-    Jones unitary U = sum_k V(omega_k) (x) |k><k| to rho (x) diag(w), and
-    traces the pointer out. Exponentially sized, so n_env is capped; use
-    apply_channel for production work.
-    """
-    if n_env > ORACLE_MAX_ENV:
-        raise ValueError(
-            f"oracle environment capped at {ORACLE_MAX_ENV} points, got {n_env}"
-        )
-    a = check_qubit(rho)
-    grid = discretize(spectrum, n=n_env)
-    v = jones_at_frequencies(stack, grid.points)
-    n = grid.size
-    u = np.zeros((2 * n, 2 * n), dtype=complex)
-    for k in range(n):
-        rows = np.ix_((k, n + k), (k, n + k))
-        u[rows] = v[k]
-    joint = np.kron(a, np.diag(grid.weights.astype(complex)))
-    evolved = u @ joint @ u.conj().T
-    out = partial_trace_env(evolved, 2, n)
     return DensityMatrix((out + out.conj().T) / 2)

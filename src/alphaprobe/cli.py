@@ -7,7 +7,6 @@ carried no width information.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -22,6 +21,7 @@ from .bounds import (
     bound_summary,
     tightest_bound,
     write_bound_curve_csv,
+    write_csv,
 )
 from .fidelity import (
     ALPHA_COUNT,
@@ -96,17 +96,10 @@ def cmd_afid(args) -> int:
     if rho1.dim != rho2.dim:
         raise ConfigError(f"--rho1/--rho2: states of dimension {rho1.dim} and {rho2.dim}")
     grid = _alpha_grid(args, lower=0.0)
-    values = alpha_fidelity_curve(rho1, rho2, grid)
-    rows = [["alpha", "fidelity"]] + [
-        [f"{a:.12e}", f"{f:.12e}"] for a, f in zip(grid, values)
-    ]
+    rows = zip(grid.tolist(), alpha_fidelity_curve(rho1, rho2, grid).tolist())
+    write_csv(args.csv or sys.stdout, ["alpha", "fidelity"], rows)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerows(rows)
         print(f"wrote {args.csv}")
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerows(rows)
     return EXIT_OK
 
 

@@ -58,21 +58,6 @@ def eig_hermitian(m, atol: float = HERMITICITY_ATOL) -> tuple[np.ndarray, np.nda
     return w, v
 
 
-def partial_trace_env(joint, dim_probe: int, dim_env: int) -> np.ndarray:
-    """Trace out the environment of a probe (x) environment operator.
-
-    The joint index is probe-major: row index = p * dim_env + e.
-    """
-    a = _as_square(joint, "joint operator")
-    d = dim_probe * dim_env
-    if a.shape[0] != d:
-        raise ValueError(
-            f"joint operator has dimension {a.shape[0]}, expected "
-            f"{dim_probe} * {dim_env} = {d}"
-        )
-    return np.einsum("peqe->pq", a.reshape(dim_probe, dim_env, dim_probe, dim_env))
-
-
 class DensityMatrix:
     """Validated density matrix: Hermitian, positive semidefinite, unit trace.
 

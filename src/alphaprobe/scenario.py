@@ -9,7 +9,6 @@ except for the generated_at timestamp.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -27,6 +26,7 @@ from .bounds import (
     fraction_curve,
     tightest_bound,
     write_bound_curve_csv,
+    write_csv,
 )
 from .channel import QUARTZ_BIREFRINGENCE, WavePlate, WavePlateStack, apply_channel
 from .fidelity import (
@@ -50,7 +50,6 @@ from .tomography import (
     TomographySettings,
     ZeroCountsError,
     monte_carlo_bounds,
-    replica_record,
 )
 
 SCHEMA_VERSION = "probe-scenario/1"
@@ -432,9 +431,10 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     """Evolve, read out, bound, and write bound_curve.csv plus summary.json.
 
     With tomography settings the record fed to the bound curve is replica 0's
-    reconstruction and the summary carries Monte-Carlo statistics over all
-    replicas. Raises NoInformationError when require_bound is set and no grid
-    point of the (replica-0) record is informative.
+    reconstruction and, for replicas >= 2, the summary carries Monte-Carlo
+    statistics over all replicas (null mean and std when none is informative).
+    Raises NoInformationError only when require_bound is set and no grid point
+    of the (replica-0) record is informative.
     """
     os.makedirs(out_dir, exist_ok=True)
     if config.sweep_thicknesses_mm is not None:
@@ -451,27 +451,20 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
 
     sigma_truth = _truth_sigma(config)
     mc_block = None
-    # replica 0 is the single experiment the curve artifact describes; with
-    # replicas >= 2 its curve comes out of the Monte-Carlo pass
+    # replica 0 is the single experiment the curve artifact describes; it comes
+    # out of the Monte-Carlo pass, which also serves a single replica
     try:
-        if config.tomography is not None and config.replicas >= 2:
-            mc = monte_carlo_bounds(
-                truth,
-                config.tomography,
-                config.replicas,
-                alpha_grid=config.alpha_grid,
-            )
-            mc_block = mc.to_json()
-            if sigma_truth is not None:
-                mc_block["mean_b_inf_over_sigma"] = mc.mean_b_inf / sigma_truth
-            curve = mc.curve0
+        if config.tomography is None:
+            curve = tightest_bound(truth, config.alpha_grid)
         else:
-            record = (
-                truth
-                if config.tomography is None
-                else replica_record(truth, config.tomography, 0)
+            mc = monte_carlo_bounds(
+                truth, config.tomography, config.replicas, alpha_grid=config.alpha_grid
             )
-            curve = tightest_bound(record, config.alpha_grid)
+            curve = mc.curve0
+            if config.replicas >= 2:
+                mc_block = mc.to_json()
+                if sigma_truth is not None and mc.mean_b_inf is not None:
+                    mc_block["mean_b_inf_over_sigma"] = mc.mean_b_inf / sigma_truth
     except ZeroCountsError as exc:
         raise ConfigError(f"tomography.integration_time_s too short: {exc}") from exc
     except DegenerateControlError as exc:
@@ -531,11 +524,8 @@ def reproduce_fig4(out_dir: str = ".") -> RunReport:
     bounds_path = os.path.join(out_dir, "fig4_bounds.csv")
     write_bound_curve_csv(curve, bounds_path)
     fractions_path = os.path.join(out_dir, "fig4_fractions.csv")
-    with open(fractions_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "fraction_forward", "fraction_reversed"])
-        for a, ff, fr in zip(alphas, f_fwd, f_rev):
-            writer.writerow([f"{a:.12e}", f"{ff:.12e}", f"{fr:.12e}"])
+    header = ["alpha", "fraction_forward", "fraction_reversed"]
+    write_csv(fractions_path, header, zip(alphas.tolist(), f_fwd.tolist(), f_rev.tolist()))
 
     results = bound_summary(curve, sigma_reference=REFERENCE_SIGMA_HZ)
     results["b2_half_over_sigma"] = float(b2_half)
@@ -577,32 +567,10 @@ def sweep_thickness(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
         )
 
     sweep_path = os.path.join(out_dir, "sweep.csv")
-    with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "thickness_mm",
-                "b_inf_hz",
-                "b_inf_over_sigma",
-                "alpha_star",
-                "family",
-                "no_information",
-            ]
-        )
-        for r in rows:
-            informative = not r["no_information"]
-            writer.writerow(
-                [
-                    f"{r['thickness_mm']:.12e}",
-                    f"{r['b_inf_hz']:.12e}" if informative else "",
-                    f"{r['b_inf_over_sigma']:.12e}"
-                    if informative and "b_inf_over_sigma" in r
-                    else "",
-                    f"{r['alpha_star']:.12e}" if informative else "",
-                    r["family"] if informative else "",
-                    "true" if r["no_information"] else "false",
-                ]
-            )
+    columns = [
+        "thickness_mm", "b_inf_hz", "b_inf_over_sigma", "alpha_star", "family", "no_information"
+    ]
+    write_csv(sweep_path, columns, ([r.get(c) for c in columns] for r in rows))
 
     resolved = {
         "orientation_deg": config.sweep_orientation_deg,

@@ -1,4 +1,4 @@
-"""Gaussian frequency spectra, their discretizations, and classical fidelities.
+"""Gaussian frequency spectra, their decoherence factor, and a shared grid.
 
 An environment spectrum is modeled as a Gaussian line |g(omega)|^2 with center
 mu and width sigma (both in Hz). For two lines of equal width the classical
@@ -6,8 +6,8 @@ alpha-fidelity has the closed form
 
     F_alpha(xi1, xi2) = exp(-(1 - alpha) * alpha * dmu^2 / (2 sigma^2)),
 
-which is what the analytic width bounds invert. Unequal widths fall back to
-the discretized classical fidelity on a shared frequency grid.
+which is what the analytic width bounds invert. The shared frequency grid of
+two lines remains as the quadrature reference for the exact channel.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ LIGHT_SPEED = 299_792_458.0  # m/s
 
 
 class UnequalWidthsError(ValueError):
-    """Closed form requires equal widths; use the discretized classical route."""
+    """Closed form requires equal widths; compare the lines on a shared grid instead."""
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,7 @@ def gaussian_alpha_fidelity(
     if not math.isclose(s1.sigma, s2.sigma, rel_tol=1e-12, abs_tol=0.0):
         raise UnequalWidthsError(
             f"closed form needs equal widths, got {s1.sigma} vs {s2.sigma} Hz; "
-            "discretize both spectra on a shared grid and use "
-            "classical_alpha_fidelity instead"
+            "compare the lines on a shared discretized grid instead"
         )
     dmu = s1.mu - s2.mu
     return math.exp(-(1.0 - a) * a * dmu * dmu / (2.0 * s1.sigma**2))
@@ -128,19 +127,6 @@ def _check_grid_shape(span_sigmas: float, n: int) -> None:
         raise ValueError(f"grid size must be odd and at least 3, got {n}")
 
 
-def discretize(
-    spectrum: GaussianSpectrum, span_sigmas: float = 6.0, n: int = 2001
-) -> FrequencyGrid:
-    """Sample the line on a symmetric grid of n points within +/- span_sigmas."""
-    _check_grid_shape(span_sigmas, n)
-    pts = np.linspace(
-        spectrum.mu - span_sigmas * spectrum.sigma,
-        spectrum.mu + span_sigmas * spectrum.sigma,
-        n,
-    )
-    return FrequencyGrid(points=pts, weights=spectrum.density(pts))
-
-
 def discretize_pair(
     s1: GaussianSpectrum,
     s2: GaussianSpectrum,
@@ -163,15 +149,3 @@ def discretize_pair(
         FrequencyGrid(points=pts, weights=s1.density(pts)),
         FrequencyGrid(points=pts, weights=s2.density(pts)),
     )
-
-
-def classical_alpha_fidelity(g1: FrequencyGrid, g2: FrequencyGrid, alpha: float) -> float:
-    """Discretized classical alpha-fidelity sum_k w1_k^alpha * w2_k^(1-alpha).
-
-    Both grids must share identical points: matching sizes with different
-    supports would silently compare unrelated frequency bins.
-    """
-    a = check_alpha(alpha)
-    if g1.size != g2.size or not np.array_equal(g1.points, g2.points):
-        raise ValueError("grids must share identical frequency points")
-    return float(np.sum(g1.weights**a * g2.weights ** (1.0 - a)))

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bounds import BoundCurve, NoInformationError, ProbingRecord, tightest_bound
+from .bounds import BoundCurve, ProbingRecord, tightest_bound
 from .linalg import DensityMatrix, check_qubit
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -185,54 +185,19 @@ def reconstruct(
     return DensityMatrix((np.eye(2) + bloch / max(1.0, math.sqrt(norm2))) / 2.0)
 
 
-def _truth_probabilities(
-    truth: ProbingRecord, settings: TomographySettings
-) -> list[dict[str, tuple[float, float]]]:
-    """Born probabilities of the record's four states, in record order."""
-    return [
-        {b.name: born_probabilities(state, b) for b in settings.bases}
-        for state in (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
-    ]
-
-
-def _replica(
-    probabilities: list[dict[str, tuple[float, float]]],
-    settings: TomographySettings,
-    replica: int,
-    delta_mu: float,
-) -> ProbingRecord:
-    estimates = [
-        reconstruct(
-            sample_counts(probs, settings, rng_stream(settings.seed, (replica, state_idx))),
-            settings.bases,
-        )
-        for state_idx, probs in enumerate(probabilities)
-    ]
-    return ProbingRecord(*estimates, delta_mu=delta_mu)
-
-
-def replica_record(
-    truth: ProbingRecord, settings: TomographySettings, replica: int
-) -> ProbingRecord:
-    """Replica `replica` of the four-state tomography, reconstructed.
-
-    State k of the record is sampled from the stream with spawn key (replica, k).
-    """
-    return _replica(_truth_probabilities(truth, settings), settings, replica, truth.delta_mu)
-
-
 @dataclass(frozen=True)
 class MonteCarloReport:
     """Aggregated bound statistics over tomography replicas.
 
     values holds one entry per replica in replica order; None marks a replica
-    whose reconstructed record was uninformative at every grid point. curve0
-    is replica 0's bound curve, the single experiment a run's curve artifact
-    describes; it is left out of equality and of the JSON summary.
+    whose reconstructed record was uninformative at every grid point. When
+    every replica is, mean_b_inf and std_b_inf are None. curve0 is replica
+    0's bound curve, the single experiment a run's curve artifact describes;
+    it is left out of equality and of the JSON summary.
     """
 
-    mean_b_inf: float
-    std_b_inf: float
+    mean_b_inf: float | None
+    std_b_inf: float | None
     no_info_fraction: float
     replicas: int
     seed: int
@@ -265,22 +230,28 @@ def monte_carlo_bounds(
     (e.g. for chunked execution); results are aggregated order-independently,
     so any permutation yields the identical report.
     """
-    if int(replicas) != replicas or not 2 <= replicas <= MAX_REPLICAS:
+    if int(replicas) != replicas or not 1 <= replicas <= MAX_REPLICAS:
         raise ValueError(
-            f"aggregation needs at least 2 and at most {MAX_REPLICAS} replicas, got "
-            f"{replicas}; use a single reconstruction directly for one-shot runs"
+            f"replicas must be at least 1 and at most {MAX_REPLICAS}, got {replicas}"
         )
     replicas = int(replicas)
     order = list(range(replicas)) if replica_order is None else [int(r) for r in replica_order]
     if sorted(order) != list(range(replicas)):
         raise ValueError("replica_order must be a permutation of range(replicas)")
 
-    probabilities = _truth_probabilities(truth, settings)
+    probabilities = [
+        {b.name: born_probabilities(state, b) for b in settings.bases}
+        for state in (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
+    ]
     results: dict[int, float | None] = {}
     curve0 = None
     for replica in order:
-        record = _replica(probabilities, settings, replica, truth.delta_mu)
-        curve = tightest_bound(record, alpha_grid)
+        # state k of the replica is sampled from the stream with spawn key (replica, k)
+        estimates = [
+            reconstruct(sample_counts(p, settings, rng_stream(settings.seed, (replica, k))))
+            for k, p in enumerate(probabilities)
+        ]
+        curve = tightest_bound(ProbingRecord(*estimates, delta_mu=truth.delta_mu), alpha_grid)
         results[replica] = None if curve.optimum is None else curve.optimum.value
         if replica == 0:
             curve0 = curve
@@ -288,21 +259,15 @@ def monte_carlo_bounds(
     # order-independent aggregation: replica index order, compensated sums
     values = tuple(results[r] for r in range(replicas))
     informative = [v for v in values if v is not None]
-    misses = replicas - len(informative)
-    if not informative:
-        raise NoInformationError(
-            f"all {replicas} replicas were uninformative (no_info_fraction = 1.0)"
-        )
-    mean = math.fsum(informative) / len(informative)
-    if len(informative) > 1:
-        var = math.fsum((v - mean) ** 2 for v in informative) / (len(informative) - 1)
-        std = math.sqrt(var)
-    else:
-        std = 0.0
+    mean = std = None
+    if informative:
+        mean = math.fsum(informative) / len(informative)
+        dof = max(len(informative) - 1, 1)  # one informative replica has std 0
+        std = math.sqrt(math.fsum((v - mean) ** 2 for v in informative) / dof)
     return MonteCarloReport(
         mean_b_inf=mean,
         std_b_inf=std,
-        no_info_fraction=misses / replicas,
+        no_info_fraction=(replicas - len(informative)) / replicas,
         replicas=replicas,
         seed=settings.seed,
         values=values,

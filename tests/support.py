@@ -6,7 +6,9 @@ cross-check the eigh-based fidelity, the batched `eigvalsh` route and a
 50-digit mpmath evaluation check the closed-form qubit sandwich eigenvalues,
 the partial trace is redone with explicit index loops, and the
 general-dimension eigendecomposition repair checks tomography's closed
-Bloch-form repair.
+Bloch-form repair. The frequency-quadrature references for the exact channel
+and the closed-form line fidelity live here too: a single-line grid, the
+discretized classical fidelity, and a brute-force joint-unitary channel.
 """
 from __future__ import annotations
 
@@ -14,7 +16,12 @@ import mpmath
 import numpy as np
 import scipy.linalg as sla
 
-from alphaprobe.linalg import EIG_FLOOR
+from alphaprobe.channel import WavePlateStack, jones_at_frequencies
+from alphaprobe.fidelity import check_alpha
+from alphaprobe.linalg import EIG_FLOOR, DensityMatrix, check_qubit
+from alphaprobe.spectra import FrequencyGrid, GaussianSpectrum, _check_grid_shape
+
+ORACLE_MAX_ENV = 256
 
 
 def rand_state(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
@@ -134,3 +141,79 @@ def naive_partial_trace(joint: np.ndarray, dim_probe: int, dim_env: int) -> np.n
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     w = np.linalg.eigvalsh(np.asarray(a, complex) - np.asarray(b, complex))
     return 0.5 * float(np.sum(np.abs(w)))
+
+
+def partial_trace_env(joint, dim_probe: int, dim_env: int) -> np.ndarray:
+    """Trace out the environment of a probe (x) environment operator.
+
+    The joint index is probe-major: row index = p * dim_env + e.
+    """
+    a = np.asarray(joint, dtype=complex)
+    d = dim_probe * dim_env
+    if a.shape != (d, d):
+        raise ValueError(
+            f"joint operator has dimension {a.shape}, expected "
+            f"{dim_probe} * {dim_env} = {d}"
+        )
+    return np.einsum("peqe->pq", a.reshape(dim_probe, dim_env, dim_probe, dim_env))
+
+
+def jones_at_frequency(stack: WavePlateStack, omega: float) -> np.ndarray:
+    """Stack Jones unitary at a single frequency, shape (2, 2)."""
+    return jones_at_frequencies(stack, [float(omega)])[0]
+
+
+def discretize(
+    spectrum: GaussianSpectrum, span_sigmas: float = 6.0, n: int = 2001
+) -> FrequencyGrid:
+    """Sample the line on a symmetric grid of n points within +/- span_sigmas."""
+    _check_grid_shape(span_sigmas, n)
+    pts = np.linspace(
+        spectrum.mu - span_sigmas * spectrum.sigma,
+        spectrum.mu + span_sigmas * spectrum.sigma,
+        n,
+    )
+    return FrequencyGrid(points=pts, weights=spectrum.density(pts))
+
+
+def classical_alpha_fidelity(g1: FrequencyGrid, g2: FrequencyGrid, alpha: float) -> float:
+    """Discretized classical alpha-fidelity sum_k w1_k^alpha * w2_k^(1-alpha).
+
+    Both grids must share identical points: matching sizes with different
+    supports would silently compare unrelated frequency bins.
+    """
+    a = check_alpha(alpha)
+    if g1.size != g2.size or not np.array_equal(g1.points, g2.points):
+        raise ValueError("grids must share identical frequency points")
+    return float(np.sum(g1.weights**a * g2.weights ** (1.0 - a)))
+
+
+def apply_channel_oracle(
+    stack: WavePlateStack,
+    spectrum: GaussianSpectrum,
+    rho,
+    n_env: int,
+) -> DensityMatrix:
+    """Brute-force reference channel via an explicit joint unitary.
+
+    Embeds the environment as an n_env-point frequency pointer (the default
+    discretization of the spectrum at that size), applies the controlled
+    Jones unitary U = sum_k V(omega_k) (x) |k><k| to rho (x) diag(w), and
+    traces the pointer out. Exponentially sized, so n_env is capped.
+    """
+    if n_env > ORACLE_MAX_ENV:
+        raise ValueError(
+            f"oracle environment capped at {ORACLE_MAX_ENV} points, got {n_env}"
+        )
+    a = check_qubit(rho)
+    grid = discretize(spectrum, n=n_env)
+    v = jones_at_frequencies(stack, grid.points)
+    n = grid.size
+    u = np.zeros((2 * n, 2 * n), dtype=complex)
+    for k in range(n):
+        rows = np.ix_((k, n + k), (k, n + k))
+        u[rows] = v[k]
+    joint = np.kron(a, np.diag(grid.weights.astype(complex)))
+    evolved = u @ joint @ u.conj().T
+    out = partial_trace_env(evolved, 2, n)
+    return DensityMatrix((out + out.conj().T) / 2)

@@ -14,7 +14,6 @@ from alphaprobe.channel import (
     WavePlate,
     WavePlateStack,
     apply_channel,
-    apply_channel_oracle,
 )
 from alphaprobe.cli import EXIT_OK, main
 from alphaprobe.fidelity import alpha_fidelity, alpha_fidelity_curve, default_alpha_grid
@@ -29,8 +28,6 @@ from alphaprobe.reference import (
 from alphaprobe.scenario import SCHEMA_VERSION, parse_scenario, run_scenario
 from alphaprobe.spectra import (
     GaussianSpectrum,
-    classical_alpha_fidelity,
-    discretize,
     discretize_pair,
     gaussian_alpha_fidelity,
     kappa,
@@ -41,7 +38,15 @@ from alphaprobe.tomography import (
     monte_carlo_bounds,
     reconstruct,
 )
-from support import apply_kraus, rand_kraus, rand_state, rand_unitary
+from support import (
+    apply_channel_oracle,
+    apply_kraus,
+    classical_alpha_fidelity,
+    discretize,
+    rand_kraus,
+    rand_state,
+    rand_unitary,
+)
 
 MU0 = 3.7e14
 PLUS = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
@@ -218,12 +223,11 @@ def test_criterion_05_bound_soundness():
             )
         )
         rho1, rho2 = DensityMatrix(rand_state(rng, 2)), DensityMatrix(rand_state(rng, 2))
-        g1, g2 = discretize_pair(s1, s2)
         record = ProbingRecord(
             rho1=rho1,
             rho2=rho2,
-            phi1_rho1=apply_channel(stack, s1, rho1, g1),
-            phi2_rho2=apply_channel(stack, s2, rho2, g2),
+            phi1_rho1=apply_channel(stack, s1, rho1),
+            phi2_rho2=apply_channel(stack, s2, rho2),
             delta_mu=delta_mu,
         )
         curve = tightest_bound(record, alphas)

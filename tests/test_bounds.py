@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from alphaprobe.bounds import (
     ratio_lower_bound,
     tightest_bound,
     write_bound_curve_csv,
+    write_csv,
 )
 from alphaprobe.linalg import DensityMatrix
 from alphaprobe.reference import REFERENCE_SIGMA_HZ, reference_record
@@ -26,6 +28,7 @@ from support import oracle_alpha_fidelity
 KET0 = DensityMatrix(np.diag([1.0, 0.0]))
 KET1 = DensityMatrix(np.diag([0.0, 1.0]))
 MIXED = DensityMatrix(np.eye(2) / 2)
+PLUS = DensityMatrix(np.full((2, 2), 0.5))
 
 
 def diag_record(a, b, delta_mu=1.0):
@@ -248,6 +251,13 @@ class TestDualBounds:
         assert ratio_lower_bound(no_information_record(), 0.7) is None
         assert lower_bound_delta_mu(no_information_record(), 1.0, 0.7) is None
 
+    def test_zero_fraction_gives_infinite_ratio(self):
+        # the inverse of the width bound's limit 0: any shift is compatible
+        rec = ProbingRecord(rho1=PLUS, rho2=PLUS, phi1_rho1=KET0, phi2_rho2=KET1, delta_mu=1.0)
+        assert bound_b1(rec, 0.7) == 0.0
+        assert ratio_lower_bound(rec, 0.7) == math.inf
+        assert lower_bound_delta_mu(rec, 1.0, 0.7) == math.inf
+
     def test_classical_gaussian_embedding_recovers_shift(self):
         # evolved states carrying the two discretized lines verbatim make the
         # inequality tight, so the known-width dual returns the true shift
@@ -314,6 +324,15 @@ class TestSummaryAndCsv:
             assert float(row["b1_hz"]) == pytest.approx(curve.b1[i], rel=1e-10)
             assert float(row["b2_hz"]) == pytest.approx(curve.b2[i], rel=1e-10)
             assert row["valid1"] == "true" and row["valid2"] == "true"
+
+    def test_write_csv_cell_rule(self, tmp_path):
+        rows = [[0.25, math.nan, None, True, False, "B2"]]
+        stream = io.StringIO(newline="")
+        write_csv(stream, ["a", "b", "c", "d", "e", "f"], rows)
+        want = "a,b,c,d,e,f\r\n2.500000000000e-01,,,true,false,B2\r\n"
+        assert stream.getvalue() == want
+        write_csv(tmp_path / "out.csv", ["a", "b", "c", "d", "e", "f"], rows)
+        assert (tmp_path / "out.csv").read_bytes() == want.encode()
 
     def test_csv_marks_uninformative_rows_empty(self, tmp_path):
         curve = tightest_bound(no_information_record(), alpha_grid=[0.5, 0.7])

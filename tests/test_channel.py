@@ -5,26 +5,28 @@ import pytest
 
 from alphaprobe.channel import (
     MAX_PLATES,
-    ORACLE_MAX_ENV,
     QUARTZ_BIREFRINGENCE,
     WavePlate,
     WavePlateStack,
     apply_channel,
-    apply_channel_oracle,
     jones_at_frequencies,
-    jones_at_frequency,
 )
 from alphaprobe.fidelity import alpha_fidelity
 from alphaprobe.spectra import (
     LIGHT_SPEED,
     GaussianSpectrum,
-    classical_alpha_fidelity,
-    discretize,
     discretize_pair,
     gaussian_alpha_fidelity,
     kappa,
 )
-from support import rand_state
+from support import (
+    ORACLE_MAX_ENV,
+    apply_channel_oracle,
+    classical_alpha_fidelity,
+    discretize,
+    jones_at_frequency,
+    rand_state,
+)
 
 SPECTRUM = GaussianSpectrum(mu=3.7e14, sigma=5.68e11)
 PLUS = np.full((2, 2), 0.5, dtype=complex)

@@ -225,20 +225,36 @@ class TestSimulate:
         assert "bound stage" in capsys.readouterr().err
 
     def test_uninformative_scenario(self, tmp_path, capsys):
-        cfg = sim_config(
-            probes="paper-matrices",
-            coupling={"plates": [{"thickness_mm": 22.0, "orientation_deg": 0.0}]},
-        )
-        config = write_config(tmp_path / "config.json", cfg)
-        code = main(["simulate", "--config", config, "--out", str(tmp_path / "a")])
-        assert code == EXIT_OK
-        assert "no_information: true" in capsys.readouterr().out
+        # rows: exact states, and tomography whose replicas are all uninformative
+        monte_carlo = {
+            "integration_time_s": 60.0,
+            "count_rate_hz": 1e6,
+            "seed": 42,
+            "replicas": 3,
+        }
+        for name, tomography in (("exact", "exact-states"), ("mc", monte_carlo)):
+            cfg = sim_config(
+                probes="paper-matrices",
+                coupling={"plates": [{"thickness_mm": 22.0, "orientation_deg": 0.0}]},
+                tomography=tomography,
+            )
+            config = write_config(tmp_path / f"{name}.json", cfg)
+            out = tmp_path / name / "a"
+            code = main(["simulate", "--config", config, "--out", str(out)])
+            assert code == EXIT_OK
+            assert "no_information: true" in capsys.readouterr().out
+            results = json.loads((out / "summary.json").read_text())["results"]
+            assert results["no_information"] is True
+            if name == "mc":
+                assert results["monte_carlo"]["mean_b_inf_hz"] is None
+                assert results["monte_carlo"]["std_b_inf_hz"] is None
+                assert results["monte_carlo"]["no_info_fraction"] == 1.0
 
-        cfg["require_bound"] = True
-        config = write_config(tmp_path / "config2.json", cfg)
-        code = main(["simulate", "--config", config, "--out", str(tmp_path / "b")])
-        assert code == EXIT_NO_INFORMATION
-        assert "no information" in capsys.readouterr().err
+            cfg["require_bound"] = True
+            config = write_config(tmp_path / f"{name}_required.json", cfg)
+            code = main(["simulate", "--config", config, "--out", str(tmp_path / name / "b")])
+            assert code == EXIT_NO_INFORMATION
+            assert "no information" in capsys.readouterr().err
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         cfg = sim_config(

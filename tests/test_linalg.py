@@ -9,9 +9,8 @@ from alphaprobe.linalg import (
     hermitian_defect,
     matrix_from_json,
     matrix_to_json,
-    partial_trace_env,
 )
-from support import project_to_state, rand_state, rand_unitary
+from support import partial_trace_env, project_to_state, rand_state, rand_unitary
 
 
 def rand_hermitian(rng, dim):

@@ -9,12 +9,11 @@ from alphaprobe.spectra import (
     FrequencyGrid,
     GaussianSpectrum,
     UnequalWidthsError,
-    classical_alpha_fidelity,
-    discretize,
     discretize_pair,
     gaussian_alpha_fidelity,
     kappa,
 )
+from support import classical_alpha_fidelity, discretize
 
 MU0 = 3.7e14  # optical scale, Hz
 
@@ -112,7 +111,7 @@ class TestGaussianAlphaFidelity:
     def test_unequal_widths_point_to_classical_route(self):
         s1 = GaussianSpectrum(mu=MU0, sigma=1e11)
         s2 = GaussianSpectrum(mu=MU0, sigma=2e11)
-        with pytest.raises(UnequalWidthsError, match="classical_alpha_fidelity"):
+        with pytest.raises(UnequalWidthsError, match="shared discretized grid"):
             gaussian_alpha_fidelity(s1, s2, 0.5)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from alphaprobe.bounds import NoInformationError, ProbingRecord, tightest_bound
+from alphaprobe.bounds import ProbingRecord, tightest_bound
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
 from alphaprobe.linalg import DensityMatrix
 from alphaprobe.reference import (
@@ -345,13 +345,23 @@ class TestMonteCarlo:
             phi2_rho2=DensityMatrix(MIXED),
             delta_mu=1.0,
         )
-        with pytest.raises(NoInformationError, match="no_info_fraction = 1.0"):
-            monte_carlo_bounds(truth, settings(rate=1e4), 5, SMALL_GRID)
+        report = monte_carlo_bounds(truth, settings(rate=1e4), 5, SMALL_GRID)
+        assert report.values == (None,) * 5
+        assert report.mean_b_inf is None and report.std_b_inf is None
+        assert report.no_info_fraction == 1.0
+
+    def test_single_replica_is_replica_zero(self):
+        truth = exact_truth_record()
+        one = monte_carlo_bounds(truth, settings(), 1, SMALL_GRID)
+        three = monte_carlo_bounds(truth, settings(), 3, SMALL_GRID)
+        assert one.values == three.values[:1]
+        assert one.mean_b_inf == one.values[0] and one.std_b_inf == 0.0
+        assert one.curve0.optimum == three.curve0.optimum
 
     def test_replica_count_validated(self):
         truth = exact_truth_record()
-        with pytest.raises(ValueError, match="at least 2"):
-            monte_carlo_bounds(truth, settings(), 1, SMALL_GRID)
+        with pytest.raises(ValueError, match="at least 1"):
+            monte_carlo_bounds(truth, settings(), 0, SMALL_GRID)
         with pytest.raises(ValueError, match=f"at most {MAX_REPLICAS}"):
             monte_carlo_bounds(truth, settings(), MAX_REPLICAS + 1, SMALL_GRID)
 
