@@ -25,7 +25,7 @@ import numpy as np
 from .fidelity import (
     DPI_ALPHA_MIN,
     _check_alpha_grid,
-    alpha_fidelity_curve,
+    _fidelity_curves,
     default_alpha_grid,
 )
 from .linalg import DensityMatrix
@@ -76,6 +76,15 @@ def _check_control_shift(record: ProbingRecord) -> None:
         )
 
 
+def _fraction_rows(record: ProbingRecord, alphas: np.ndarray, orders=BOUND_ORDERS) -> list:
+    """Fidelity fraction per order from one fidelity call; a zero denominator gives +inf."""
+    forward = [(record.phi1_rho1, record.phi2_rho2), (record.rho1, record.rho2)]
+    pairs = [p if o == "forward" else p[::-1] for o in orders for p in forward]
+    f = _fidelity_curves(*(np.stack([p[k].matrix for p in pairs]) for k in (0, 1)), alphas)
+    num, den = f[::2], f[1::2]
+    return list(np.divide(num, den, out=np.full_like(num, math.inf), where=den != 0.0))
+
+
 def fraction_curve(record: ProbingRecord, alphas, order: str = "forward") -> np.ndarray:
     """Evolved-to-initial fidelity fraction over an alpha grid.
 
@@ -83,14 +92,7 @@ def fraction_curve(record: ProbingRecord, alphas, order: str = "forward") -> np.
     swaps both argument pairs. A zero denominator yields +inf.
     """
     _check_order(order)
-    if order == "forward":
-        num = alpha_fidelity_curve(record.phi1_rho1, record.phi2_rho2, alphas)
-        den = alpha_fidelity_curve(record.rho1, record.rho2, alphas)
-    else:
-        num = alpha_fidelity_curve(record.phi2_rho2, record.phi1_rho1, alphas)
-        den = alpha_fidelity_curve(record.rho2, record.rho1, alphas)
-    with np.errstate(divide="ignore"):
-        return np.where(den == 0.0, math.inf, num / np.where(den == 0.0, 1.0, den))
+    return _fraction_rows(record, _check_alpha_grid(alphas), [order])[0]
 
 
 def fraction(record: ProbingRecord, alpha: float, order: str = "forward") -> float:
@@ -173,10 +175,9 @@ def tightest_bound(record: ProbingRecord, alpha_grid=None) -> BoundCurve:
     alphas = _check_alpha_grid(
         default_alpha_grid() if alpha_grid is None else alpha_grid, DPI_ALPHA_MIN
     )
-    f1 = fraction_curve(record, alphas, "forward")
-    f2 = fraction_curve(record, alphas, "reversed")
-    b1 = _bounds_from_fractions(f1, alphas, record.delta_mu)
-    b2 = _bounds_from_fractions(f2, alphas, record.delta_mu)
+    b1, b2 = (
+        _bounds_from_fractions(f, alphas, record.delta_mu) for f in _fraction_rows(record, alphas)
+    )
 
     optimum = None
     best = math.inf
@@ -197,7 +198,7 @@ def ratio_lower_bound(record: ProbingRecord, alpha: float) -> float | None:
     +inf when a fraction is 0 (the width bound's limit 0).
     """
     a = _check_alpha_grid([alpha], DPI_ALPHA_MIN)
-    unit = [_bounds_from_fractions(fraction_curve(record, a, o), a, 1.0) for o in BOUND_ORDERS]
+    unit = [_bounds_from_fractions(f, a, 1.0) for f in _fraction_rows(record, a)]
     best = float(np.fmin(*unit)[0])  # fmin skips a NaN (uninformative) family
     if math.isnan(best):
         return None

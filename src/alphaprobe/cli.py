@@ -257,10 +257,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, *_) -> None:
+    print(f"alphaprobe: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning  # one stable line, no source path
+            return args.func(args)
     except (ConfigError, DegenerateControlError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -75,25 +75,50 @@ def _floor_spectrum(w: np.ndarray) -> np.ndarray:
     return np.where(w < EIG_FLOOR, 0.0, w)
 
 
-def _qubit_sandwich_eigvals(sandwich: np.ndarray, wp: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a stack of 2x2 sandwiches S = rho2^w rho1 rho2^w.
+def _qubit_fidelity_sums(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Unclipped F_alpha of qubit pairs, stacks (n, 2, 2), over a grid: shape (n, A).
 
-    With a = S00, c = S11, b = S01 the large root (a + c + sqrt((a - c)^2 + 4|b|^2)) / 2
-    adds terms of one sign. The small root is det S / lambda_+, where
-    det S = det(rho2^w)^2 det(rho1) comes from the spectral powers `wp` of rho2
-    instead of the entries of S, so it keeps its relative precision when both
-    states are near pure.
+    In the eigenbasis V of rho2's Hermitian part, with q = (1 - alpha) / alpha and
+    rho1' = V^dagger rho1 V, the sandwich has a = l1^q rho1'_00, c = l2^q rho1'_11 and
+    |b|^2 = (l1 l2)^q |rho1'_01|^2. Its large root (a + c + sqrt((a - c)^2 + 4|b|^2)) / 2
+    adds terms of one sign; the small root (l1 l2)^q det(rho1) / lambda_+ takes det(rho1)
+    from rho1's own entries, so it keeps its relative precision when both are near pure.
     """
-    a = sandwich[:, 0, 0].real
-    c = sandwich[:, 1, 1].real
-    b = sandwich[:, 0, 1]
-    hi = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4.0 * (b.real**2 + b.imag**2)))
-    # the sandwich is Hermitized, so its determinant is that of rho1's Hermitian part
-    off = 0.5 * (a1[0, 1] + np.conj(a1[1, 0]))
-    det1 = a1[0, 0].real * a1[1, 1].real - (off.real**2 + off.imag**2)
-    det = (wp[:, 0] * wp[:, 1]) ** 2 * det1
-    lo = np.divide(det, hi, out=np.zeros_like(hi), where=hi > 0.0)
-    return np.stack((lo, hi), axis=1)
+    w2, v2 = eig_hermitian(rho2s)
+    powers = _floor_spectrum(w2)[:, :, None] ** ((1.0 - grid) / grid)  # 0^q = 0 as q > 0
+    h1 = (rho1s + np.conj(np.swapaxes(rho1s, 1, 2))) / 2  # the sandwich is Hermitized
+    r = np.conj(np.swapaxes(v2, 1, 2)) @ h1 @ v2
+    a, c = powers[:, 0] * r[:, 0, 0, None].real, powers[:, 1] * r[:, 1, 1, None].real
+    both = powers[:, 0] * powers[:, 1]
+    hi = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4.0 * both * np.abs(r[:, 0, 1, None]) ** 2))
+    det1 = h1[:, 0, 0].real * h1[:, 1, 1].real - np.abs(h1[:, 0, 1]) ** 2
+    lo = np.divide(both * det1[:, None], hi, out=np.zeros_like(hi), where=hi > 0.0)
+    return _floor_spectrum(lo) ** grid + _floor_spectrum(hi) ** grid
+
+
+def _fidelity_curves(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """F_alpha over a checked grid for stacks (n, d, d) of pairs: shape (n, A), clamped.
+
+    Qubits go through the scalar kernel; higher dimensions cost a Hermitian
+    eigenvalue solve of the sandwich per alpha. All n pairs share one clamp warning.
+    """
+    if rho1s.shape[-1] == 2:
+        raw = _qubit_fidelity_sums(rho1s, rho2s, grid)
+    else:
+        w2, v2 = eig_hermitian(rho2s)
+        # rho2^((1-alpha)/(2 alpha)) for every alpha at once; 0^p = 0 on the null space
+        wp = _floor_spectrum(w2)[:, None, :] ** ((1.0 - grid) / (2.0 * grid))[:, None]
+        half = np.einsum("nab,nmb,ncb->nmac", v2, wp, v2.conj())
+        sandwich = half @ rho1s[:, None] @ half
+        sandwich = (sandwich + np.conj(np.swapaxes(sandwich, -1, -2))) / 2
+        ws = _floor_spectrum(np.linalg.eigvalsh(sandwich))
+        raw = np.sum(ws ** grid[:, None], axis=-1)
+    excess = raw.max() - 1.0
+    if excess > CLAMP_EXCESS:
+        warnings.warn(
+            f"alpha-fidelity exceeded 1 by up to {excess:.3e}; clamping to 1", stacklevel=3
+        )
+    return np.clip(raw, 0.0, 1.0)
 
 
 def alpha_fidelity(rho1: MatrixLike, rho2: MatrixLike, alpha: float) -> float:
@@ -109,9 +134,8 @@ def alpha_fidelity(rho1: MatrixLike, rho2: MatrixLike, alpha: float) -> float:
 def alpha_fidelity_curve(rho1: MatrixLike, rho2: MatrixLike, alphas) -> np.ndarray:
     """F_alpha(rho1, rho2) evaluated over a grid of alpha values.
 
-    One eigendecomposition of rho2 is shared across the grid; each alpha then
-    costs the eigenvalues of the sandwiched product, in closed form for qubits
-    and by a Hermitian eigenvalue solve in higher dimensions.
+    One eigendecomposition of rho2 is shared across the grid; qubits then cost
+    a few elementwise operations per alpha.
     """
     a1 = as_matrix(rho1)
     a2 = as_matrix(rho2)
@@ -119,29 +143,7 @@ def alpha_fidelity_curve(rho1: MatrixLike, rho2: MatrixLike, alphas) -> np.ndarr
         raise ValueError(
             f"density matrices have mismatched shapes {a1.shape} vs {a2.shape}"
         )
-    grid = _check_alpha_grid(alphas)
-
-    w2, v2 = eig_hermitian(a2)
-    w2 = _floor_spectrum(w2)
-    powers = (1.0 - grid) / (2.0 * grid)
-    # rho2^((1-alpha)/(2 alpha)) for every alpha at once; 0^p := 0 on the null space
-    wp = np.where(w2[None, :] == 0.0, 0.0, w2[None, :] ** powers[:, None])
-    half = np.einsum("ab,mb,cb->mac", v2, wp, v2.conj())
-    sandwich = half @ a1 @ half
-    sandwich = (sandwich + np.conj(np.swapaxes(sandwich, 1, 2))) / 2
-    if a1.shape == (2, 2):
-        ws = _qubit_sandwich_eigvals(sandwich, wp, a1)
-    else:
-        ws = np.linalg.eigvalsh(sandwich)
-    ws = _floor_spectrum(ws)
-    raw = np.sum(ws ** grid[:, None], axis=1)
-    excess = raw.max() - 1.0
-    if excess > CLAMP_EXCESS:
-        warnings.warn(
-            f"alpha-fidelity exceeded 1 by up to {excess:.3e}; clamping to 1",
-            stacklevel=2,
-        )
-    return np.clip(raw, 0.0, 1.0)
+    return _fidelity_curves(a1[None], a2[None], _check_alpha_grid(alphas))[0]
 
 
 def renyi_divergence(rho1: MatrixLike, rho2: MatrixLike, alpha: float) -> float:

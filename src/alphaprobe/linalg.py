@@ -8,6 +8,7 @@ EIG_FLOOR are treated as exact zeros when taking fractional matrix powers.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from typing import Union
 
@@ -29,9 +30,9 @@ class NotPositiveError(ValueError):
 
 
 def hermitian_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation |m - m^dagger|."""
+    """Largest entrywise deviation |m - m^dagger| (of every matrix in a stack)."""
     m = np.asarray(m)
-    return float(np.abs(m - m.conj().T).max())
+    return float(np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max())
 
 
 def _as_square(m, name: str = "matrix") -> np.ndarray:
@@ -42,20 +43,21 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
 
 
 def eig_hermitian(m, atol: float = HERMITICITY_ATOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a stack (..., d, d) of them.
 
     Returns (w, V) with eigenvalues w ascending and orthonormal eigenvector
     columns V, so that m = V @ diag(w) @ V^dagger. Raises NotHermitianError
     if the input deviates from Hermitian by more than atol.
     """
-    a = _as_square(m)
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
     defect = hermitian_defect(a)
     if defect > atol:
         raise NotHermitianError(
             f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e} > {atol:.1e}"
         )
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    return w, v
+    return np.linalg.eigh((a + np.conj(np.swapaxes(a, -1, -2))) / 2)
 
 
 class DensityMatrix:
@@ -75,7 +77,11 @@ class DensityMatrix:
                 f"density matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}"
             )
         a = (a + a.conj().T) / 2
-        wmin = float(np.linalg.eigvalsh(a).min())
+        if a.shape == (2, 2):
+            d0, d1 = a[0, 0].real, a[1, 1].real
+            wmin = 0.5 * (d0 + d1) - math.hypot(0.5 * (d0 - d1), abs(a[0, 1]))
+        else:
+            wmin = float(np.linalg.eigvalsh(a).min())
         if wmin < -PSD_ATOL:
             raise NotPositiveError(
                 f"density matrix has negative eigenvalue {wmin:.3e}"

@@ -20,10 +20,12 @@ from alphaprobe.bounds import (
     write_bound_curve_csv,
     write_csv,
 )
+from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
+from alphaprobe.fidelity import alpha_fidelity_curve, default_alpha_grid
 from alphaprobe.linalg import DensityMatrix
 from alphaprobe.reference import REFERENCE_SIGMA_HZ, reference_record
 from alphaprobe.spectra import GaussianSpectrum, discretize_pair
-from support import oracle_alpha_fidelity
+from support import eigvalsh_alpha_fidelity_curve, oracle_alpha_fidelity, rand_state
 
 KET0 = DensityMatrix(np.diag([1.0, 0.0]))
 KET1 = DensityMatrix(np.diag([0.0, 1.0]))
@@ -238,6 +240,95 @@ class TestTightestBound:
             tightest_bound(rec, alpha_grid=[0.4, 0.6])
         with pytest.raises(ValueError, match=r"\[0.5, 1\)"):
             tightest_bound(rec, alpha_grid=[0.6, 1.0])
+
+
+def random_qubit_record(rng, evolved: bool) -> ProbingRecord:
+    """Four Ginibre states, or two Ginibre probes through a random 1-5 plate stack."""
+    if not evolved:
+        states = [DensityMatrix(rand_state(rng, 2)) for _ in range(4)]
+        return ProbingRecord(*states, delta_mu=float(rng.uniform(0.3, 3.0)))
+    sigma = float(rng.uniform(2e11, 1e12))
+    delta_mu = sigma * float(rng.uniform(0.3, 3.0))
+    plates = tuple(
+        WavePlate(
+            thickness=float(rng.uniform(0.5e-3, 10e-3)),
+            orientation=float(rng.uniform(0.0, math.pi)),
+        )
+        for _ in range(int(rng.integers(1, 6)))
+    )
+    stack = WavePlateStack(plates=plates)
+    rho1, rho2 = DensityMatrix(rand_state(rng, 2)), DensityMatrix(rand_state(rng, 2))
+    return ProbingRecord(
+        rho1=rho1,
+        rho2=rho2,
+        phi1_rho1=apply_channel(stack, GaussianSpectrum(3.7e14, sigma), rho1),
+        phi2_rho2=apply_channel(stack, GaussianSpectrum(3.7e14 + delta_mu, sigma), rho2),
+        delta_mu=delta_mu,
+    )
+
+
+def per_curve_reference(record: ProbingRecord, alphas: np.ndarray) -> list:
+    """(fraction, bound) per family, one eigvalsh fidelity curve at a time."""
+    out = []
+    for num, den in (
+        ((record.phi1_rho1, record.phi2_rho2), (record.rho1, record.rho2)),
+        ((record.phi2_rho2, record.phi1_rho1), (record.rho2, record.rho1)),
+    ):
+        f_num = eigvalsh_alpha_fidelity_curve(num[0].matrix, num[1].matrix, alphas)
+        f_den = eigvalsh_alpha_fidelity_curve(den[0].matrix, den[1].matrix, alphas)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = np.where(f_den == 0.0, math.inf, f_num / np.where(f_den == 0.0, 1.0, f_den))
+            b = np.sqrt(alphas * (alphas - 1.0) * record.delta_mu**2 / (2.0 * np.log(f)))
+        b[~((f < 1.0) & np.isfinite(b))] = math.nan
+        out.append((f, b))
+    return out
+
+
+class TestQubitKernel:
+    """One kernel call per record against one eigvalsh fidelity curve at a time."""
+
+    def test_records_match_per_curve_reference(self):
+        rng = np.random.default_rng(2024)
+        alphas = default_alpha_grid()
+        for i in range(200):
+            record = random_qubit_record(rng, evolved=i % 2 == 1)
+            curve = tightest_bound(record, alphas)
+            reference = per_curve_reference(record, alphas)
+            optima = {}
+            for family, got, (f, want) in zip(("B1", "B2"), (curve.b1, curve.b2), reference):
+                assert np.array_equal(np.isnan(got), np.isnan(want)), (i, family)
+                ok = ~np.isnan(want) & (want > 0.0)
+                rel = np.abs(got[ok] - want[ok]) / want[ok]
+                # b's relative error is that of the fraction over 2|ln f|, so near
+                # f = 1 it is held to a 1e-13 relative fraction error instead
+                slack = 1e-13 / (2.0 * np.abs(np.log(f[ok])))
+                assert np.all(rel <= np.maximum(1e-12, slack)), (i, family, rel.max())
+                if not np.isnan(want).all():
+                    k = int(np.argmin(np.where(np.isnan(want), math.inf, want)))
+                    optima[family] = (want[k], alphas[k])
+            if not optima:
+                assert curve.optimum is None
+                continue
+            family = min(optima, key=lambda fam: optima[fam][0])
+            assert curve.optimum.alpha == optima[family][1], i
+            values = [v for v, _ in optima.values()]
+            # at alpha = 1/2 both families are one bound, so rounding picks the family
+            if len(values) == 1 or abs(values[0] - values[1]) > 1e-12 * min(values):
+                assert curve.optimum.family == family, i
+
+
+    def test_anti_hermitian_defect_of_rho2_is_ignored(self):
+        # eigh must see rho2's Hermitian part: its lower triangle alone carries the defect
+        rng = np.random.default_rng(2025)
+        alphas = default_alpha_grid()
+        for _ in range(20):
+            rho1, rho2 = rand_state(rng, 2), rand_state(rng, 2)
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            defective = rho2 + 1e-10 * (g - g.conj().T) / 2
+            hermitian = (defective + defective.conj().T) / 2
+            got = alpha_fidelity_curve(rho1, defective, alphas)
+            want = alpha_fidelity_curve(rho1, hermitian, alphas)
+            assert np.max(np.abs(got - want)) <= 1e-15
 
 
 class TestDualBounds:

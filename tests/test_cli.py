@@ -97,6 +97,21 @@ class TestAfid:
             )
             assert float(row["fidelity"]) == pytest.approx(expect, rel=1e-10)
 
+    def test_warning_is_one_stable_line(self, tmp_path, capsys):
+        rho1 = write_state(tmp_path / "a.json", PLUS)
+        rho2 = write_state(tmp_path / "b.json", KET0)
+        code = main(["afid", "--rho1", rho1, "--rho2", rho2, "--alpha", "0.3"])
+        assert code == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "alphaprobe: warning: alpha = 0.3 is below 0.5: the data-processing "
+            "inequality is not guaranteed in this range"
+        ]
+        assert "cli.py" not in err and "UserWarning" not in err
+        # library callers keep the ordinary warning
+        with pytest.warns(UserWarning, match="below 0.5"):
+            alpha_fidelity(PLUS, KET0, 0.3)
+
     def test_alpha_out_of_range(self, tmp_path, capsys):
         rho1 = write_state(tmp_path / "a.json", PLUS)
         code = main(["afid", "--rho1", rho1, "--rho2", rho1, "--alpha", "1.5"])

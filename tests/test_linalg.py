@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from alphaprobe.linalg import (
+    PSD_ATOL,
     DensityMatrix,
     NotHermitianError,
     NotPositiveError,
@@ -47,6 +48,17 @@ class TestEigHermitian:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             eig_hermitian(np.zeros((2, 3)))
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(31)
+        stack = np.stack([rand_hermitian(rng, 2) for _ in range(5)])
+        w, v = eig_hermitian(stack)
+        for k, m in enumerate(stack):
+            wk, vk = eig_hermitian(m)
+            assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+        stack[3, 1, 0] += 1e-6
+        with pytest.raises(NotHermitianError, match="1.000e-06"):
+            eig_hermitian(stack)
 
 
 class TestProjectToState:
@@ -164,3 +176,48 @@ class TestDensityMatrix:
     def test_hermitian_defect_reports_max_asymmetry(self):
         m = np.array([[0.0, 1.0], [0.5, 0.0]])
         assert hermitian_defect(m) == pytest.approx(0.5)
+
+
+class TestQubitPositivity:
+    """DensityMatrix's closed-form qubit eigenvalue tr/2 - hypot((a00 - a11)/2, |a01|)."""
+
+    def test_same_decision_as_eigvalsh_near_the_tolerance(self):
+        rng = np.random.default_rng(37)
+        n = 10_000
+        lam_min = rng.uniform(-2e-9, 0.0, n)
+        direction = rng.standard_normal((n, 3))
+        r = (1.0 - 2.0 * lam_min)[:, None] * direction / np.linalg.norm(direction, axis=1)[:, None]
+        # (I + r.sigma) / 2 has unit trace and eigenvalues (1 -+ |r|) / 2
+        mats = np.empty((n, 2, 2), dtype=complex)
+        mats[:, 0, 0] = (1.0 + r[:, 2]) / 2
+        mats[:, 1, 1] = (1.0 - r[:, 2]) / 2
+        mats[:, 0, 1] = (r[:, 0] - 1j * r[:, 1]) / 2
+        mats[:, 1, 0] = (r[:, 0] + 1j * r[:, 1]) / 2
+        rejected = compared = 0
+        for m, w in zip(mats, np.linalg.eigvalsh(mats)[:, 0]):
+            if abs(w + PSD_ATOL) <= 1e-15:
+                continue
+            try:
+                DensityMatrix(m)
+                accepted = True
+            except NotPositiveError:
+                accepted = False
+            assert accepted == (w >= -PSD_ATOL), w
+            rejected += not accepted
+            compared += 1
+        assert compared >= n - 10
+        assert 0.3 * n < rejected < 0.7 * n
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.diag([1.5, -0.5]), "density matrix has negative eigenvalue -5.000e-01"),
+            ([[0.5, 0.6], [0.6, 0.5]], "density matrix has negative eigenvalue -1.000e-01"),
+            ([[0.2, 0.5j], [-0.5j, 0.8]], "density matrix has negative eigenvalue -8.310e-02"),
+            (np.diag([0.7, 0.5, -0.2]), "density matrix has negative eigenvalue -2.000e-01"),
+        ],
+    )
+    def test_negative_eigenvalue_message(self, matrix, message):
+        with pytest.raises(NotPositiveError) as info:
+            DensityMatrix(np.asarray(matrix, dtype=complex))
+        assert str(info.value) == message
