@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -155,6 +155,8 @@ class BoundCurve:
     b1: np.ndarray
     b2: np.ndarray
     optimum: BoundOptimum | None
+    # the forward and reversed fidelity fractions behind b1 and b2; in no artifact
+    fractions: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     @property
     def valid1(self) -> np.ndarray:
@@ -175,9 +177,8 @@ def tightest_bound(record: ProbingRecord, alpha_grid=None) -> BoundCurve:
     alphas = _check_alpha_grid(
         default_alpha_grid() if alpha_grid is None else alpha_grid, DPI_ALPHA_MIN
     )
-    b1, b2 = (
-        _bounds_from_fractions(f, alphas, record.delta_mu) for f in _fraction_rows(record, alphas)
-    )
+    fractions = tuple(_fraction_rows(record, alphas))
+    b1, b2 = (_bounds_from_fractions(f, alphas, record.delta_mu) for f in fractions)
 
     optimum = None
     best = math.inf
@@ -187,7 +188,7 @@ def tightest_bound(record: ProbingRecord, alpha_grid=None) -> BoundCurve:
         if finite[k] < best:
             best = float(finite[k])
             optimum = BoundOptimum(value=best, alpha=float(alphas[k]), family=family)
-    return BoundCurve(alphas=alphas, b1=b1, b2=b2, optimum=optimum)
+    return BoundCurve(alphas=alphas, b1=b1, b2=b2, optimum=optimum, fractions=fractions)
 
 
 def ratio_lower_bound(record: ProbingRecord, alpha: float) -> float | None:

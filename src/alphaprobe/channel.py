@@ -30,6 +30,7 @@ QUARTZ_BIREFRINGENCE = 0.00925  # quartz near 810 nm
 
 # the closed form sums 4^k terms; beyond 8 plates it is slower than quadrature
 MAX_PLATES = 8
+ALIGNED_ATOL = 1e-12  # radians between plate axes that is_aligned treats as equal
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,10 @@ class WavePlateStack:
             [self.birefringence * p.thickness / LIGHT_SPEED for p in self.plates]
         )
 
-    def is_aligned(self, atol: float = 1e-12) -> bool:
+    def is_aligned(self) -> bool:
         """True when every plate shares the first plate's orientation."""
         first = self.plates[0].orientation
-        return all(abs(p.orientation - first) <= atol for p in self.plates)
+        return all(abs(p.orientation - first) <= ALIGNED_ATOL for p in self.plates)
 
 
 def _plate_projectors(plate: WavePlate) -> tuple[np.ndarray, np.ndarray]:

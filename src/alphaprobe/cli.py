@@ -2,42 +2,33 @@
 
 Exit codes: 0 success, 2 malformed config or input, 3 reproduction run
 disagreed with the published values, 4 a bound was demanded but the data
-carried no width information.
+carried no width information (the run's files are written first).
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
 
 import numpy as np
 
-from .bounds import (
-    DegenerateControlError,
-    NoInformationError,
-    ProbingRecord,
-    bound_summary,
-    tightest_bound,
-    write_bound_curve_csv,
-    write_csv,
-)
+from .bounds import DegenerateControlError, NoInformationError, write_csv
 from .fidelity import (
     ALPHA_COUNT,
     ALPHA_START,
     ALPHA_STOP,
     DPI_ALPHA_MIN,
-    _check_alpha_grid,
     alpha_fidelity_curve,
     alpha_range,
+    check_alpha,
 )
-from .linalg import DensityMatrix, check_qubit, matrix_from_json, save_matrix
+from .linalg import DensityMatrix, check_qubit, matrix_from_json, write_json
 from .scenario import (
     ConfigError,
     GoldenCheckError,
-    _number,
-    _write_report,
+    bound_record,
+    field_errors,
     load_json,
     load_scenario,
     reproduce_fig4,
@@ -59,25 +50,20 @@ EXIT_NO_INFORMATION = 4
 
 
 def _load_state(path, flag: str, qubit: bool = False) -> DensityMatrix:
-    try:
+    with field_errors(f"{flag} state {path}"):
         matrix = matrix_from_json(load_json(path, "state"))
         return DensityMatrix(check_qubit(matrix) if qubit else matrix)
-    except ValueError as exc:
-        raise ConfigError(f"{flag} state {path}: {exc}") from exc
 
 
 def _alpha_grid(args, lower: float) -> np.ndarray:
     single = getattr(args, "alpha", None) is not None
-    try:
-        with warnings.catch_warnings():
-            # the fidelity curve repeats this check, with its alpha < 0.5 warning
-            warnings.simplefilter("ignore")
-            if single:
-                return _check_alpha_grid([args.alpha], lower)
-            return alpha_range(args.alpha_start, args.alpha_stop, args.alpha_count, lower)
-    except ValueError as exc:
-        flags = "--alpha" if single else "--alpha-start/--alpha-stop/--alpha-count"
-        raise ConfigError(f"{flags}: {exc}") from exc
+    flags = "--alpha" if single else "--alpha-start/--alpha-stop/--alpha-count"
+    with field_errors(flags), warnings.catch_warnings():
+        # the fidelity curve repeats this check, with its alpha < 0.5 warning
+        warnings.simplefilter("ignore")
+        if single:
+            return np.array([check_alpha(args.alpha)])
+        return alpha_range(args.alpha_start, args.alpha_stop, args.alpha_count, lower)
 
 
 def _add_alpha_args(parser: argparse.ArgumentParser, single: bool = False) -> None:
@@ -103,64 +89,39 @@ def cmd_afid(args) -> int:
     return EXIT_OK
 
 
-def _load_record(path) -> ProbingRecord:
-    payload = load_json(path, "record")
-    try:
-        states = [
-            DensityMatrix(matrix_from_json(payload[key]))
-            for key in ("rho1", "rho2", "phi1_rho1", "phi2_rho2")
-        ]
-        return ProbingRecord(*states, delta_mu=_number(payload["delta_mu_hz"], "delta_mu_hz"))
-    except KeyError as exc:
-        raise ConfigError(f"record {path} is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"record {path}: {exc}") from exc
+def _print_report(report) -> None:
+    """One b_inf line per bound (per thickness in a sweep), then the files written."""
+    results = report.summary["results"]
+    for entry in results.get("thicknesses", [results]):
+        where = f"thickness_mm = {entry['thickness_mm']}: " if "thickness_mm" in entry else ""
+        if entry["no_information"]:
+            print(f"{where}no_information: true")
+        else:
+            print(
+                f"{where}b_inf = {entry['b_inf_hz']:.12e} Hz at alpha = "
+                f"{entry['alpha_star']:.6f} ({entry['family']})"
+            )
+    for path in report.files:
+        print(f"wrote {path}")
 
 
 def cmd_bound(args) -> int:
-    record = _load_record(args.record)
     grid = _alpha_grid(args, lower=DPI_ALPHA_MIN)
-    curve = tightest_bound(record, grid)
-    os.makedirs(args.out, exist_ok=True)
-    curve_path = os.path.join(args.out, "bound_curve.csv")
-    write_bound_curve_csv(curve, curve_path)
-    config = {"record": os.path.abspath(args.record)}
-    resolved = {"delta_mu_hz": record.delta_mu}
-    _write_report(args.out, config, resolved, bound_summary(curve), None, (curve_path,))
-    if curve.optimum is None:
-        print("no_information: every grid point has fidelity fraction >= 1")
-        if args.require_bound:
-            raise NoInformationError("bound demanded but the record is uninformative")
-    else:
-        print(
-            f"b_inf = {curve.optimum.value:.12e} Hz at alpha = "
-            f"{curve.optimum.alpha:.6f} ({curve.optimum.family})"
-        )
-    print(f"wrote {curve_path}")
+    _print_report(bound_record(args.record, grid, args.out, args.require_bound))
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    config = load_scenario(args.config)
-    report = run_scenario(config, out_dir=args.out)
-    results = report.summary["results"]
-    if results.get("no_information"):
-        print("no_information: true")
-    else:
-        print(f"b_inf = {results['b_inf_hz']:.12e} Hz")
-    for path in report.files:
-        print(f"wrote {path}")
+    _print_report(run_scenario(load_scenario(args.config), out_dir=args.out))
     return EXIT_OK
 
 
 def cmd_tomography(args) -> int:
     state = _load_state(args.state, "--state", qubit=True)
-    try:
+    with field_errors("--time/--rate/--seed"):
         settings = TomographySettings(
             integration_time=args.time, count_rate=args.rate, seed=args.seed
         )
-    except ValueError as exc:
-        raise ConfigError(f"--time/--rate/--seed: {exc}") from exc
     stream = rng_stream(settings.seed, (0, 0))
     counts = simulate_counts(state, settings, stream)
     try:
@@ -168,14 +129,10 @@ def cmd_tomography(args) -> int:
     except ZeroCountsError as exc:
         raise ConfigError(f"--time is too short for --rate: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
-    counts_path = os.path.join(args.out, "counts.json")
-    with open(counts_path, "w", encoding="utf-8") as fh:
-        json.dump(counts.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    state_path = os.path.join(args.out, "reconstructed.json")
-    save_matrix(state_path, estimate.matrix)
-    print(f"wrote {counts_path}")
-    print(f"wrote {state_path}")
+    for name, payload in (("counts.json", counts), ("reconstructed.json", estimate)):
+        path = os.path.join(args.out, name)
+        write_json(path, payload.to_json())
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -190,17 +147,12 @@ def cmd_reproduce_fig4(args) -> int:
         f"b2 at alpha 0.9999: {results['b2_top_over_sigma']:.4f} sigma "
         f"(published {results['published_b2_top_over_sigma']})"
     )
-    print(f"b_inf = {results['b_inf_hz']:.12e} Hz")
-    for path in report.files:
-        print(f"wrote {path}")
+    _print_report(report)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    config = load_scenario(args.config)
-    report = sweep_thickness(config, out_dir=args.out)
-    for path in report.files:
-        print(f"wrote {path}")
+    _print_report(sweep_thickness(load_scenario(args.config), out_dir=args.out))
     return EXIT_OK
 
 

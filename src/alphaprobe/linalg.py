@@ -42,20 +42,21 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def eig_hermitian(m, atol: float = HERMITICITY_ATOL) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or of a stack (..., d, d) of them.
 
     Returns (w, V) with eigenvalues w ascending and orthonormal eigenvector
     columns V, so that m = V @ diag(w) @ V^dagger. Raises NotHermitianError
-    if the input deviates from Hermitian by more than atol.
+    if the input deviates from Hermitian by more than HERMITICITY_ATOL.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     defect = hermitian_defect(a)
-    if defect > atol:
+    if defect > HERMITICITY_ATOL:
         raise NotHermitianError(
-            f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e} > {atol:.1e}"
+            f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e} "
+            f"> {HERMITICITY_ATOL:.1e}"
         )
     return np.linalg.eigh((a + np.conj(np.swapaxes(a, -1, -2))) / 2)
 
@@ -63,14 +64,16 @@ def eig_hermitian(m, atol: float = HERMITICITY_ATOL) -> tuple[np.ndarray, np.nda
 class DensityMatrix:
     """Validated density matrix: Hermitian, positive semidefinite, unit trace.
 
-    Wraps a read-only complex array. Construction raises if any invariant is
-    violated beyond the module tolerances.
+    Wraps a read-only complex array. Construction raises if an entry is not
+    finite or any invariant is violated beyond the module tolerances.
     """
 
     __slots__ = ("_mat",)
 
     def __init__(self, matrix) -> None:
         a = _as_square(matrix, "density matrix")
+        if not np.isfinite(a).all():  # NaN would slip through every comparison below
+            raise ValueError("density matrix entries must be finite")
         defect = hermitian_defect(a)
         if defect > HERMITICITY_ATOL:
             raise NotHermitianError(
@@ -170,7 +173,12 @@ def matrix_from_json(payload: dict) -> np.ndarray:
     return _json_rows(re, "re", dim) + 1j * _json_rows(im, "im", dim)
 
 
-def save_matrix(path, m) -> None:
+def write_json(path, payload) -> None:
+    """Write a JSON artifact: indent 2, sorted keys, final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(m), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_matrix(path, m) -> None:
+    write_json(path, matrix_to_json(m))

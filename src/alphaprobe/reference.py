@@ -19,10 +19,6 @@ from .linalg import DensityMatrix
 REFERENCE_DELTA_MU_HZ = 7.95e11
 REFERENCE_SIGMA_HZ = 5.68e11
 
-# demonstration geometry: 5 mm quartz near 810 nm
-REFERENCE_THICKNESS_M = 5e-3
-REFERENCE_WAVELENGTH_NM = 810.0
-
 REFERENCE_RHO_1 = np.array(
     [[0.513, 0.482 - 0.006j], [0.482 + 0.006j, 0.487]]
 )

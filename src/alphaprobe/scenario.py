@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .bounds import (
     NoInformationError,
     ProbingRecord,
     bound_summary,
-    fraction_curve,
     tightest_bound,
     write_bound_curve_csv,
     write_csv,
@@ -37,7 +38,7 @@ from .fidelity import (
     alpha_range,
     default_alpha_grid,
 )
-from .linalg import DensityMatrix, check_qubit, is_json_number, matrix_from_json
+from .linalg import DensityMatrix, check_qubit, is_json_number, matrix_from_json, write_json
 from .reference import (
     REFERENCE_RHO_1,
     REFERENCE_RHO_2,
@@ -81,6 +82,15 @@ def load_json(path, what: str):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # also bad UTF-8 and over-long integer literals
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+@contextmanager
+def field_errors(path: str):
+    """Re-raise a domain ValueError from the block as a ConfigError naming path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _require(payload: dict, key: str, path: str):
@@ -151,10 +161,8 @@ def _parse_probe(payload, path: str) -> DensityMatrix:
     if payload == "plus":
         return DensityMatrix(PLUS_STATE)
     if isinstance(payload, dict):
-        try:
+        with field_errors(path):
             return DensityMatrix(check_qubit(matrix_from_json(payload)))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path} must be \"plus\" or a matrix object, got {payload!r}")
 
 
@@ -190,10 +198,8 @@ def _parse_stack(payload, path: str) -> WavePlateStack:
         plates.append(
             WavePlate(thickness=thickness_mm * 1e-3, orientation=math.radians(theta))
         )
-    try:
+    with field_errors(path):
         return WavePlateStack(plates=tuple(plates), birefringence=birefringence)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _sweep_stack(
@@ -273,10 +279,8 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
         raise ConfigError("config.grid must be an object")
     span = _number(*_field(grid_cfg, "span_sigmas", "config.grid", 8.0))
     points = _integer(*_field(grid_cfg, "points", "config.grid", 3001))
-    try:
+    with field_errors("config.grid"):
         _check_grid_shape(span, points)
-    except ValueError as exc:
-        raise ConfigError(f"config.grid: {exc}") from exc
 
     alpha_cfg = payload.get("alpha_grid", {})
     if not isinstance(alpha_cfg, dict):
@@ -284,10 +288,8 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
     a_start = _number(*_field(alpha_cfg, "start", "config.alpha_grid", ALPHA_START))
     a_stop = _number(*_field(alpha_cfg, "stop", "config.alpha_grid", ALPHA_STOP))
     a_count = _integer(*_field(alpha_cfg, "count", "config.alpha_grid", ALPHA_COUNT))
-    try:
+    with field_errors("config.alpha_grid"):
         alpha_grid = alpha_range(a_start, a_stop, a_count, DPI_ALPHA_MIN)
-    except ValueError as exc:
-        raise ConfigError(f"config.alpha_grid: {exc}") from exc
 
     tomo_cfg = payload.get("tomography", "exact-states")
     tomography = None
@@ -300,10 +302,8 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
         integration_time = _positive(*_field(tomo_cfg, "integration_time_s", "tomography"))
         count_rate = _positive(*_field(tomo_cfg, "count_rate_hz", "tomography"))
         seed = _integer(*_field(tomo_cfg, "seed", "tomography"))
-        try:
+        with field_errors("config.tomography"):
             tomography = TomographySettings(integration_time, count_rate, seed)
-        except ValueError as exc:
-            raise ConfigError(f"config.tomography: {exc}") from exc
         replicas = _integer(
             *_field(tomo_cfg, "replicas", "tomography", 1), minimum=1, maximum=MAX_REPLICAS
         )
@@ -325,11 +325,9 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
         sweep_birefringence = _number(
             *_field(sweep_cfg, "birefringence", "sweep", QUARTZ_BIREFRINGENCE)
         )
-        try:
+        with field_errors("config.sweep"):
             for t in sweep_thicknesses:
                 _sweep_stack(t, sweep_orientation, sweep_birefringence)
-        except ValueError as exc:
-            raise ConfigError(f"config.sweep: {exc}") from exc
         if use_reference:
             raise ConfigError(
                 "sweep scenarios simulate the coupling per thickness; coupling must "
@@ -356,6 +354,21 @@ def load_scenario(path) -> ScenarioConfig:
     return parse_scenario(load_json(path, "config"))
 
 
+def load_record(path) -> ProbingRecord:
+    """Read a probing record JSON; a missing or malformed field is a ConfigError."""
+    payload = load_json(path, "record")
+    try:
+        states = [
+            DensityMatrix(matrix_from_json(payload[key]))
+            for key in ("rho1", "rho2", "phi1_rho1", "phi2_rho2")
+        ]
+        return ProbingRecord(*states, delta_mu=_number(payload["delta_mu_hz"], "delta_mu_hz"))
+    except KeyError as exc:
+        raise ConfigError(f"record {path} is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"record {path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class RunReport:
     """What a run produced: the summary dict and the files it wrote."""
@@ -369,9 +382,18 @@ class RunReport:
 
 
 def _write_report(
-    out_dir: str, config, resolved: dict, results: dict, seed: int | None, artifacts
+    out_dir: str, config, resolved: dict, results: dict, seed: int | None, writers: dict,
+    uninformative: str | None = None,
 ) -> RunReport:
-    """Write summary.json beside a run's artifact paths and report all of them."""
+    """Write a run directory: each artifact (name -> writer of its path), then summary.json.
+
+    The one exit-4 rule: a message in uninformative raises NoInformationError
+    only after every file is written.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    files = tuple(os.path.join(out_dir, name) for name in (*writers, "summary.json"))
+    for write, path in zip(writers.values(), files):
+        write(path)
     summary = {
         "schema": SCHEMA_VERSION,
         "config": config,
@@ -383,13 +405,12 @@ def _write_report(
             "seed": seed,
             "generated_at": datetime.now(timezone.utc).isoformat(),
         },
-        "files": [os.path.basename(p) for p in artifacts] + ["summary.json"],
+        "files": [*writers, "summary.json"],
     }
-    summary_path = os.path.join(out_dir, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return RunReport(summary=summary, files=(*artifacts, summary_path))
+    write_json(files[-1], summary)
+    if uninformative is not None:
+        raise NoInformationError(uninformative)
+    return RunReport(summary=summary, files=files)
 
 
 def _stack_echo(stack: WavePlateStack) -> dict:
@@ -408,7 +429,7 @@ def _stack_echo(stack: WavePlateStack) -> dict:
 def _evolve(config: ScenarioConfig, stack: WavePlateStack) -> ProbingRecord:
     s1, s2 = config.spectra
     rho1, rho2 = config.probes
-    try:
+    with field_errors("coupling simulation stage"):
         return ProbingRecord(
             rho1=rho1,
             rho2=rho2,
@@ -416,8 +437,6 @@ def _evolve(config: ScenarioConfig, stack: WavePlateStack) -> ProbingRecord:
             phi2_rho2=apply_channel(stack, s2, rho2),
             delta_mu=abs(s1.mu - s2.mu),
         )
-    except ValueError as exc:
-        raise ConfigError(f"coupling simulation stage: {exc}") from exc
 
 
 def _truth_sigma(config: ScenarioConfig) -> float | None:
@@ -433,10 +452,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     With tomography settings the record fed to the bound curve is replica 0's
     reconstruction and, for replicas >= 2, the summary carries Monte-Carlo
     statistics over all replicas (null mean and std when none is informative).
-    Raises NoInformationError only when require_bound is set and no grid point
-    of the (replica-0) record is informative.
+    Raises NoInformationError, after writing both files, only when require_bound
+    is set and no grid point of the (replica-0) record is informative.
     """
-    os.makedirs(out_dir, exist_ok=True)
     if config.sweep_thicknesses_mm is not None:
         raise ConfigError("config has a sweep section; run sweep_thickness instead")
 
@@ -470,14 +488,6 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     except DegenerateControlError as exc:
         raise DegenerateControlError(f"bound stage: {exc}") from exc
 
-    if config.require_bound and curve.optimum is None:
-        raise NoInformationError(
-            "scenario demanded a bound but every grid point is uninformative"
-        )
-
-    curve_path = os.path.join(out_dir, "bound_curve.csv")
-    write_bound_curve_csv(curve, curve_path)
-
     results = bound_summary(curve, sigma_reference=sigma_truth)
     if mc_block is not None:
         results["monte_carlo"] = mc_block
@@ -485,7 +495,29 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
         results["sigma_truth_hz"] = sigma_truth
 
     seed = None if config.tomography is None else config.tomography.seed
-    return _write_report(out_dir, config.echo, resolved, results, seed, (curve_path,))
+    demanded = config.require_bound and curve.no_information
+    return _write_report(
+        out_dir, config.echo, resolved, results, seed,
+        {"bound_curve.csv": partial(write_bound_curve_csv, curve)},
+        "scenario demanded a bound but every grid point is uninformative" if demanded else None,
+    )
+
+
+def bound_record(
+    record_path, alpha_grid=None, out_dir: str = ".", require_bound: bool = False
+) -> RunReport:
+    """Bound a probing record file into bound_curve.csv and summary.json.
+
+    Then raises NoInformationError if require_bound finds no informative alpha.
+    """
+    record = load_record(record_path)
+    curve = tightest_bound(record, alpha_grid)
+    demanded = require_bound and curve.no_information
+    return _write_report(
+        out_dir, {"record": os.path.abspath(record_path)}, {"delta_mu_hz": record.delta_mu},
+        bound_summary(curve), None, {"bound_curve.csv": partial(write_bound_curve_csv, curve)},
+        "bound demanded but the record is uninformative" if demanded else None,
+    )
 
 
 def reproduce_fig4(out_dir: str = ".") -> RunReport:
@@ -496,12 +528,9 @@ def reproduce_fig4(out_dir: str = ".") -> RunReport:
     published 2.22 sigma / 1.82 sigma, or when any fidelity fraction fails to
     stay below 1.
     """
-    os.makedirs(out_dir, exist_ok=True)
     record = reference_record()
-    alphas = default_alpha_grid()
-    curve = tightest_bound(record, alphas)
-    f_fwd = fraction_curve(record, alphas, "forward")
-    f_rev = fraction_curve(record, alphas, "reversed")
+    curve = tightest_bound(record, default_alpha_grid())
+    f_fwd, f_rev = curve.fractions
 
     checks = []
     b2_half = curve.b2[0] / REFERENCE_SIGMA_HZ
@@ -521,31 +550,29 @@ def reproduce_fig4(out_dir: str = ".") -> RunReport:
     if failures:
         raise GoldenCheckError("; ".join(failures))
 
-    bounds_path = os.path.join(out_dir, "fig4_bounds.csv")
-    write_bound_curve_csv(curve, bounds_path)
-    fractions_path = os.path.join(out_dir, "fig4_fractions.csv")
-    header = ["alpha", "fraction_forward", "fraction_reversed"]
-    write_csv(fractions_path, header, zip(alphas.tolist(), f_fwd.tolist(), f_rev.tolist()))
-
     results = bound_summary(curve, sigma_reference=REFERENCE_SIGMA_HZ)
     results["b2_half_over_sigma"] = float(b2_half)
     results["b2_top_over_sigma"] = float(b2_top)
     results["published_b2_half_over_sigma"] = GOLDEN_B2_HALF_OVER_SIGMA
     results["published_b2_top_over_sigma"] = GOLDEN_B2_TOP_OVER_SIGMA
     results["sigma_truth_hz"] = REFERENCE_SIGMA_HZ
-    config = {"coupling": REFERENCE_LITERAL}
-    resolved = {"delta_mu_hz": record.delta_mu}
-    artifacts = (bounds_path, fractions_path)
-    return _write_report(out_dir, config, resolved, results, None, artifacts)
+    header = ["alpha", "fraction_forward", "fraction_reversed"]
+    rows = zip(curve.alphas.tolist(), f_fwd.tolist(), f_rev.tolist())
+    writers = {
+        "fig4_bounds.csv": partial(write_bound_curve_csv, curve),
+        "fig4_fractions.csv": lambda path: write_csv(path, header, rows),
+    }
+    config, resolved = {"coupling": REFERENCE_LITERAL}, {"delta_mu_hz": record.delta_mu}
+    return _write_report(out_dir, config, resolved, results, None, writers)
 
 
 def sweep_thickness(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     """Exact-state bound optimum per plate thickness of an aligned stack.
 
     One plate per thickness at the sweep orientation; readout is exact
-    (tomography settings are ignored here). Writes sweep.csv and summary.json.
+    (tomography settings are ignored here). Writes sweep.csv and summary.json,
+    then raises NoInformationError if require_bound finds no informative one.
     """
-    os.makedirs(out_dir, exist_ok=True)
     if config.sweep_thicknesses_mm is None:
         raise ConfigError("config.sweep.thicknesses_mm is required for a sweep")
     sigma_truth = _truth_sigma(config)
@@ -561,20 +588,18 @@ def sweep_thickness(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
         entry["thickness_mm"] = thickness_mm
         rows.append(entry)
 
-    if config.require_bound and all(r["no_information"] for r in rows):
-        raise NoInformationError(
-            "sweep demanded a bound but every thickness is uninformative"
-        )
-
-    sweep_path = os.path.join(out_dir, "sweep.csv")
     columns = [
         "thickness_mm", "b_inf_hz", "b_inf_over_sigma", "alpha_star", "family", "no_information"
     ]
-    write_csv(sweep_path, columns, ([r.get(c) for c in columns] for r in rows))
-
+    table = ([r.get(c) for c in columns] for r in rows)
     resolved = {
         "orientation_deg": config.sweep_orientation_deg,
         "birefringence": config.sweep_birefringence,
     }
     results = {"thicknesses": rows, "sigma_truth_hz": sigma_truth}
-    return _write_report(out_dir, config.echo, resolved, results, None, (sweep_path,))
+    demanded = config.require_bound and all(r["no_information"] for r in rows)
+    return _write_report(
+        out_dir, config.echo, resolved, results, None,
+        {"sweep.csv": lambda path: write_csv(path, columns, table)},
+        "sweep demanded a bound but every thickness is uninformative" if demanded else None,
+    )

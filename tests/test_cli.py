@@ -1,10 +1,12 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
 import alphaprobe.scenario as scenario
+from alphaprobe.channel import apply_channel
 from alphaprobe.cli import EXIT_CONFIG, EXIT_GOLDEN, EXIT_NO_INFORMATION, EXIT_OK, main
 from alphaprobe.fidelity import alpha_fidelity
 from alphaprobe.linalg import DensityMatrix, matrix_from_json, matrix_to_json
@@ -294,6 +296,66 @@ class TestSimulate:
             s["provenance"].pop("generated_at")
             summaries.append(s)
         assert summaries[0] == summaries[1]
+
+
+class TestExitFourAfterArtifacts:
+    """A demanded bound on uninformative data exits 4 only after its run directory is written."""
+
+    PLATE = {"plates": [{"thickness_mm": 22.0, "orientation_deg": 0.0}]}
+
+    def argv(self, tmp_path, command):
+        cfg = sim_config(probes="paper-matrices", coupling=self.PLATE, require_bound=True)
+        if command == "bound":
+            parsed = scenario.parse_scenario(cfg)
+            (s1, s2), (rho1, rho2) = parsed.spectra, parsed.probes
+            path = write_record(
+                tmp_path / "record.json", rho1.matrix, rho2.matrix,
+                apply_channel(parsed.stack, s1, rho1).matrix,
+                apply_channel(parsed.stack, s2, rho2).matrix, abs(s1.mu - s2.mu),
+            )
+            return ["bound", "--record", path, "--require-bound"], "bound_curve.csv"
+        if command == "sweep":
+            cfg["sweep"] = {"thicknesses_mm": [22.0]}
+            return ["sweep", "--config", write_config(tmp_path / "c.json", cfg)], "sweep.csv"
+        if command == "simulate-replicas":
+            cfg["tomography"] = {
+                "integration_time_s": 60.0, "count_rate_hz": 1e6, "seed": 42, "replicas": 3
+            }
+        return ["simulate", "--config", write_config(tmp_path / "c.json", cfg)], "bound_curve.csv"
+
+    @pytest.mark.parametrize("command", ["bound", "simulate", "simulate-replicas", "sweep"])
+    def test_writes_then_exits_four(self, tmp_path, capsys, command):
+        argv, artifact = self.argv(tmp_path, command)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_NO_INFORMATION
+        assert "no information" in capsys.readouterr().err
+        assert (out / artifact).exists()
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["files"] == [artifact, "summary.json"]
+        results = summary["results"]
+        for entry in results.get("thicknesses", [results]):
+            assert entry["no_information"] is True
+
+
+@pytest.mark.parametrize("command", ["bound", "simulate", "sweep", "reproduce-fig4"])
+def test_run_commands_print_one_b_inf_line_format(tmp_path, capsys, command):
+    record = write_record(
+        tmp_path / "record.json", REFERENCE_RHO_1, REFERENCE_RHO_2,
+        REFERENCE_EVOLVED_1, REFERENCE_EVOLVED_2, REFERENCE_DELTA_MU_HZ,
+    )
+    sweep = write_config(tmp_path / "sweep.json", sim_config(sweep={"thicknesses_mm": [5.0]}))
+    argv = {
+        "bound": ["bound", "--record", record],
+        "simulate": ["simulate", "--config", write_config(tmp_path / "c.json", sim_config())],
+        "sweep": ["sweep", "--config", sweep],
+        "reproduce-fig4": ["reproduce-fig4"],
+    }[command]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    pattern = r"(thickness_mm = 5\.0: )?b_inf = \S+e\+\d+ Hz at alpha = 0\.\d{6} \(B[12]\)"
+    assert len([line for line in lines if re.fullmatch(pattern, line)]) == 1
+    written = [line for line in lines if line.startswith("wrote ")]
+    assert written[-1] == f"wrote {tmp_path / 'out' / 'summary.json'}"
 
 
 class TestTomography:

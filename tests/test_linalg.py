@@ -157,6 +157,15 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.diag([0.6, 0.6]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rejects_non_finite_entries(self, dim, bad):
+        # every invariant compares against NaN as False, so only an explicit check stops it
+        m = np.eye(dim, dtype=complex) / dim
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(m)
+
     def test_json_round_trip(self):
         rng = np.random.default_rng(29)
         rho = rand_state(rng, 3)

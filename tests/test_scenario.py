@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import alphaprobe.bounds as bounds
 import alphaprobe.scenario as scenario
 from alphaprobe.bounds import DegenerateControlError, NoInformationError
 from alphaprobe.reference import REFERENCE_DELTA_MU_HZ, REFERENCE_SIGMA_HZ
@@ -377,6 +378,18 @@ class TestReproduceFig4:
         assert len(rows) == 500
         assert all(float(r["fraction_forward"]) < 1.0 for r in rows)
         assert all(float(r["fraction_reversed"]) < 1.0 for r in rows)
+
+    def test_computes_the_four_fidelity_curves_once(self, tmp_path, monkeypatch):
+        # fig4_fractions.csv comes from the same kernel call as the bounds
+        kernel, rows = bounds._fidelity_curves, []
+
+        def counting(rho1s, rho2s, grid):
+            rows.append(len(rho1s))
+            return kernel(rho1s, rho2s, grid)
+
+        monkeypatch.setattr(bounds, "_fidelity_curves", counting)
+        reproduce_fig4(out_dir=str(tmp_path))
+        assert sum(rows) == 4
 
     def test_disagreement_raises_golden_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(scenario, "GOLDEN_B2_HALF_OVER_SIGMA", 5.0)
