@@ -31,6 +31,10 @@ from .fidelity import (
 from .linalg import DensityMatrix
 
 BOUND_ORDERS = ("forward", "reversed")
+BOUND_FAMILIES = ("B1", "B2")  # the bound of each order, in BOUND_ORDERS order
+# an order's fraction is F(numerator pair) / F(denominator pair), as indices
+# into ProbingRecord.states
+_STATE_PAIRS = {"forward": ((2, 3), (0, 1)), "reversed": ((3, 2), (1, 0))}
 
 
 class DegenerateControlError(ValueError):
@@ -52,14 +56,18 @@ class ProbingRecord:
     delta_mu: float
 
     def __post_init__(self) -> None:
-        states = (self.rho1, self.rho2, self.phi1_rho1, self.phi2_rho2)
-        dims = {s.dim for s in states}
+        dims = {s.dim for s in self.states}
         if len(dims) != 1:
             raise ValueError(f"record states must share one dimension, got {sorted(dims)}")
         if not (math.isfinite(self.delta_mu) and self.delta_mu >= 0.0):
             raise ValueError(
                 f"control shift must be finite and nonnegative, got {self.delta_mu}"
             )
+
+    @property
+    def states(self) -> tuple[DensityMatrix, ...]:
+        """(rho1, rho2, phi1_rho1, phi2_rho2): the order of a record's state stack."""
+        return (self.rho1, self.rho2, self.phi1_rho1, self.phi2_rho2)
 
 
 def _check_order(order: str) -> str:
@@ -68,21 +76,31 @@ def _check_order(order: str) -> str:
     return order
 
 
-def _check_control_shift(record: ProbingRecord) -> None:
-    if record.delta_mu == 0.0:
+def _check_control_shift(delta_mu: float) -> None:
+    if delta_mu == 0.0:
         raise DegenerateControlError(
             "control shift is zero: the inequality only yields the trivial "
             "condition sigma >= 0"
         )
 
 
-def _fraction_rows(record: ProbingRecord, alphas: np.ndarray, orders=BOUND_ORDERS) -> list:
-    """Fidelity fraction per order from one fidelity call; a zero denominator gives +inf."""
-    forward = [(record.phi1_rho1, record.phi2_rho2), (record.rho1, record.rho2)]
-    pairs = [p if o == "forward" else p[::-1] for o in orders for p in forward]
-    f = _fidelity_curves(*(np.stack([p[k].matrix for p in pairs]) for k in (0, 1)), alphas)
-    num, den = f[::2], f[1::2]
-    return list(np.divide(num, den, out=np.full_like(num, math.inf), where=den != 0.0))
+def _record_states(record: ProbingRecord) -> np.ndarray:
+    """The record's four matrices as a stack of one record, shape (1, 4, d, d)."""
+    return np.stack([s.matrix for s in record.states])[None]
+
+
+def _fraction_rows(states: np.ndarray, alphas: np.ndarray, orders=BOUND_ORDERS) -> np.ndarray:
+    """Fidelity fractions (n, len(orders), A) of n records stacked as (n, 4, d, d).
+
+    One fidelity call covers every record and order; a zero denominator gives +inf.
+    """
+    first, second = np.array([pair for o in orders for pair in _STATE_PAIRS[o]]).T
+    n, _, d, _ = states.shape
+    f = _fidelity_curves(
+        states[:, first].reshape(-1, d, d), states[:, second].reshape(-1, d, d), alphas
+    ).reshape(n, len(orders), 2, -1)
+    num, den = f[:, :, 0], f[:, :, 1]
+    return np.divide(num, den, out=np.full_like(num, math.inf), where=den != 0.0)
 
 
 def fraction_curve(record: ProbingRecord, alphas, order: str = "forward") -> np.ndarray:
@@ -92,7 +110,7 @@ def fraction_curve(record: ProbingRecord, alphas, order: str = "forward") -> np.
     swaps both argument pairs. A zero denominator yields +inf.
     """
     _check_order(order)
-    return _fraction_rows(record, _check_alpha_grid(alphas), [order])[0]
+    return _fraction_rows(_record_states(record), _check_alpha_grid(alphas), [order])[0, 0]
 
 
 def fraction(record: ProbingRecord, alpha: float, order: str = "forward") -> float:
@@ -122,7 +140,7 @@ def _bounds_from_fractions(
 
 def _family_bound(record: ProbingRecord, alpha: float, order: str) -> float | None:
     a = _check_alpha_grid([alpha], DPI_ALPHA_MIN)
-    _check_control_shift(record)
+    _check_control_shift(record.delta_mu)
     f = fraction_curve(record, a, order)
     b = _bounds_from_fractions(f, a, record.delta_mu)[0]
     return None if math.isnan(b) else float(b)
@@ -171,24 +189,51 @@ class BoundCurve:
         return self.optimum is None
 
 
-def tightest_bound(record: ProbingRecord, alpha_grid=None) -> BoundCurve:
-    """Evaluate both families over the grid and locate the minimum bound."""
-    _check_control_shift(record)
-    alphas = _check_alpha_grid(
+def _optima(bounds: np.ndarray, alphas: np.ndarray) -> list:
+    """Each record's smallest finite bound in rows (n, 2, A); None where there is none.
+
+    B1 wins a tie with B2, and the first grid point a tie within a family, as
+    in a scan of B1 and then B2 in grid order that keeps only strict improvements.
+    """
+    finite = np.where(np.isnan(bounds), math.inf, bounds).reshape(len(bounds), -1)
+    best = np.argmin(finite, axis=1)  # the first minimum of B1 followed by B2
+    return [
+        None if math.isinf(value) else BoundOptimum(
+            value=value, alpha=float(alphas[k % alphas.size]),
+            family=BOUND_FAMILIES[k // alphas.size],
+        )
+        for k, value in zip(best.tolist(), finite[np.arange(len(best)), best].tolist())
+    ]
+
+
+def _bound_rows(states: np.ndarray, alphas: np.ndarray, delta_mu: float):
+    """Fractions and bounds (n, 2, A) of n records stacked as (n, 4, d, d), and their optima."""
+    fractions = _fraction_rows(states, alphas)
+    bounds = _bounds_from_fractions(fractions, alphas, delta_mu)
+    return fractions, bounds, _optima(bounds, alphas)
+
+
+def _bound_curve(alphas, fractions, bounds, optimum) -> BoundCurve:
+    """One record's curve from its (2, A) rows of _bound_rows."""
+    return BoundCurve(alphas=alphas, b1=bounds[0], b2=bounds[1], optimum=optimum,
+                      fractions=(fractions[0], fractions[1]))
+
+
+def _bound_grid(alpha_grid) -> np.ndarray:
+    """A bound run's checked grid: the default for None, every alpha in [1/2, 1)."""
+    return _check_alpha_grid(
         default_alpha_grid() if alpha_grid is None else alpha_grid, DPI_ALPHA_MIN
     )
-    fractions = tuple(_fraction_rows(record, alphas))
-    b1, b2 = (_bounds_from_fractions(f, alphas, record.delta_mu) for f in fractions)
 
-    optimum = None
-    best = math.inf
-    for family, values in (("B1", b1), ("B2", b2)):
-        finite = np.where(np.isnan(values), math.inf, values)
-        k = int(np.argmin(finite))
-        if finite[k] < best:
-            best = float(finite[k])
-            optimum = BoundOptimum(value=best, alpha=float(alphas[k]), family=family)
-    return BoundCurve(alphas=alphas, b1=b1, b2=b2, optimum=optimum, fractions=fractions)
+
+def tightest_bound(record: ProbingRecord, alpha_grid=None) -> BoundCurve:
+    """Evaluate both families over the grid and locate the minimum bound."""
+    _check_control_shift(record.delta_mu)
+    alphas = _bound_grid(alpha_grid)
+    (fractions,), (bounds,), (optimum,) = _bound_rows(
+        _record_states(record), alphas, record.delta_mu
+    )
+    return _bound_curve(alphas, fractions, bounds, optimum)
 
 
 def ratio_lower_bound(record: ProbingRecord, alpha: float) -> float | None:
@@ -199,7 +244,7 @@ def ratio_lower_bound(record: ProbingRecord, alpha: float) -> float | None:
     +inf when a fraction is 0 (the width bound's limit 0).
     """
     a = _check_alpha_grid([alpha], DPI_ALPHA_MIN)
-    unit = [_bounds_from_fractions(f, a, 1.0) for f in _fraction_rows(record, a)]
+    unit = _bounds_from_fractions(_fraction_rows(_record_states(record), a)[0], a, 1.0)
     best = float(np.fmin(*unit)[0])  # fmin skips a NaN (uninformative) family
     if math.isnan(best):
         return None

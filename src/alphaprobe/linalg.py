@@ -8,7 +8,6 @@ EIG_FLOOR are treated as exact zeros when taking fractional matrix powers.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from typing import Union
 
@@ -61,37 +60,54 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh((a + np.conj(np.swapaxes(a, -1, -2))) / 2)
 
 
+def check_density_matrices(m) -> np.ndarray:
+    """Validate a density matrix, or a stack (..., d, d) of them; return the Hermitian parts.
+
+    Every entry must be finite, and each matrix Hermitian, positive
+    semidefinite and of unit trace within the module tolerances. The rules run
+    in that order over the whole stack; a broken rule raises, quoting the
+    stack's largest Hermitian defect, its lowest eigenvalue or its first bad
+    trace, which for a single bad matrix are that matrix's own.
+    """
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"density matrix must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():  # NaN would slip through every comparison below
+        raise ValueError("density matrix entries must be finite")
+    adjoint = np.conj(np.swapaxes(a, -1, -2))
+    defect = np.abs(a - adjoint).max()
+    if defect > HERMITICITY_ATOL:
+        raise NotHermitianError(
+            f"density matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}"
+        )
+    a = (a + adjoint) / 2
+    if a.shape[-1] == 2:
+        d0, d1 = a[..., 0, 0].real, a[..., 1, 1].real
+        wmin = 0.5 * (d0 + d1) - np.hypot(0.5 * (d0 - d1), np.abs(a[..., 0, 1]))
+    else:
+        wmin = np.linalg.eigvalsh(a)[..., 0]
+    lowest = wmin.min()
+    if lowest < -PSD_ATOL:
+        raise NotPositiveError(f"density matrix has negative eigenvalue {lowest:.3e}")
+    tr = np.trace(a, axis1=-2, axis2=-1)
+    bad = (np.abs(tr.imag) > TRACE_IMAG_ATOL) | (np.abs(tr.real - 1.0) > TRACE_ATOL)
+    if bad.any():
+        raise ValueError(f"density matrix trace is {complex(tr[bad][0])}, expected 1")
+    return a
+
+
 class DensityMatrix:
     """Validated density matrix: Hermitian, positive semidefinite, unit trace.
 
     Wraps a read-only complex array. Construction raises if an entry is not
-    finite or any invariant is violated beyond the module tolerances.
+    finite or any invariant is violated beyond the module tolerances; the
+    rules are those of check_density_matrices.
     """
 
     __slots__ = ("_mat",)
 
     def __init__(self, matrix) -> None:
-        a = _as_square(matrix, "density matrix")
-        if not np.isfinite(a).all():  # NaN would slip through every comparison below
-            raise ValueError("density matrix entries must be finite")
-        defect = hermitian_defect(a)
-        if defect > HERMITICITY_ATOL:
-            raise NotHermitianError(
-                f"density matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}"
-            )
-        a = (a + a.conj().T) / 2
-        if a.shape == (2, 2):
-            d0, d1 = a[0, 0].real, a[1, 1].real
-            wmin = 0.5 * (d0 + d1) - math.hypot(0.5 * (d0 - d1), abs(a[0, 1]))
-        else:
-            wmin = float(np.linalg.eigvalsh(a).min())
-        if wmin < -PSD_ATOL:
-            raise NotPositiveError(
-                f"density matrix has negative eigenvalue {wmin:.3e}"
-            )
-        tr = complex(np.trace(a))
-        if abs(tr.imag) > TRACE_IMAG_ATOL or abs(tr.real - 1.0) > TRACE_ATOL:
-            raise ValueError(f"density matrix trace is {tr}, expected 1")
+        a = check_density_matrices(_as_square(matrix, "density matrix"))
         a.setflags(write=False)
         self._mat = a
 
@@ -174,10 +190,14 @@ def matrix_from_json(payload: dict) -> np.ndarray:
 
 
 def write_json(path, payload) -> None:
-    """Write a JSON artifact: indent 2, sorted keys, final newline."""
+    """Write a JSON artifact: indent 2, sorted keys, final newline.
+
+    A NaN or infinite float raises ValueError before the file is opened, so no
+    file is left that matrix_from_json (or any strict JSON reader) rejects.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def save_matrix(path, m) -> None:

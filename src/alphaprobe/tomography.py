@@ -6,7 +6,9 @@ counts are independent Poisson draws with means rate * time * p_outcome.
 Linear inversion of the count asymmetries gives a Bloch vector r, repaired
 into a physical state as r / max(1, |r|). Monte-Carlo replicas repeat the full
 four-state tomography with independent counter-derived streams and propagate
-each replica through the bound pipeline.
+each replica through the bound pipeline; blocks of replicas are sampled,
+reconstructed, validated and bounded as arrays, with the same draws and
+results as one replica at a time.
 """
 from __future__ import annotations
 
@@ -17,13 +19,23 @@ from functools import cached_property
 
 import numpy as np
 
-from .bounds import BoundCurve, ProbingRecord, tightest_bound
-from .linalg import DensityMatrix, check_qubit
+from .bounds import (
+    BoundCurve,
+    ProbingRecord,
+    _bound_curve,
+    _bound_grid,
+    _bound_rows,
+    _check_control_shift,
+)
+from .linalg import DensityMatrix, check_density_matrices, check_qubit
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
 # the replica loop holds one result per replica; larger runs are rejected up front
 MAX_REPLICAS = 100_000
+# replicas run in blocks of max(1, BLOCK_ALPHA_POINTS // A) for an A-point grid,
+# so a block's (4B, A) kernel temporaries stay at or below 64 KiB
+BLOCK_ALPHA_POINTS = 2048
 
 
 class ZeroCountsError(ValueError):
@@ -125,6 +137,11 @@ def rng_stream(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _draw(stream: np.random.Generator, means: list[float]) -> list[int]:
+    """Scalar Poisson draws from one stream, one per mean and in order."""
+    return [int(stream.poisson(m)) for m in means]
+
+
 def sample_counts(
     probabilities: dict[str, tuple[float, float]],
     settings: TomographySettings,
@@ -132,13 +149,8 @@ def sample_counts(
 ) -> CountRecord:
     """Poisson-sample counts for precomputed per-basis outcome probabilities."""
     pairs = settings.expected_pairs
-    counts: dict[str, tuple[int, int]] = {}
-    for basis in settings.bases:
-        p_plus, p_minus = probabilities[basis.name]
-        n_plus = int(stream.poisson(pairs * p_plus))
-        n_minus = int(stream.poisson(pairs * p_minus))
-        counts[basis.name] = (n_plus, n_minus)
-    return CountRecord(counts)
+    n = _draw(stream, [pairs * p for b in settings.bases for p in probabilities[b.name]])
+    return CountRecord({b.name: (n[2 * i], n[2 * i + 1]) for i, b in enumerate(settings.bases)})
 
 
 def simulate_counts(
@@ -159,6 +171,28 @@ def expected_counts(rho, settings: TomographySettings) -> CountRecord:
     return CountRecord(counts)
 
 
+def _invert(counts: np.ndarray, bases: tuple[MeasurementBasis, ...]) -> np.ndarray:
+    """Repaired linear-inversion estimates (..., 2, 2), not yet validated.
+
+    counts (..., 2k) hold n_plus, n_minus of each basis in `bases` order. The
+    first zero-count basis in C order raises ZeroCountsError.
+    """
+    n_plus, n_minus = counts[..., 0::2], counts[..., 1::2]
+    total = n_plus + n_minus
+    empty = total == 0
+    if empty.any():
+        name = bases[np.argwhere(empty)[0][-1]].name
+        raise ZeroCountsError(f"basis {name!r} collected zero counts; asymmetry is undefined")
+    r = (n_plus - n_minus) / total
+    bloch = np.zeros(r.shape[:-1] + (2, 2), dtype=complex)  # sum_k r_k P_k
+    norm2 = 0.0
+    for k, basis in enumerate(bases):
+        r_k = r[..., k, None, None]
+        norm2 = norm2 + r_k * r_k
+        bloch += r_k * basis.observable
+    return (np.eye(2) + bloch / np.maximum(1.0, np.sqrt(norm2))) / 2.0
+
+
 def reconstruct(
     counts: CountRecord, bases: tuple[MeasurementBasis, ...] = MUB_BASES
 ) -> DensityMatrix:
@@ -168,21 +202,12 @@ def reconstruct(
     Pauli triple `bases`. For a qubit, clipping the negative eigenvalue of an
     estimate outside the Bloch ball and renormalizing is exactly r -> r / |r|.
     """
-    bloch = np.zeros((2, 2), dtype=complex)  # sum_k r_k P_k
-    norm2 = 0.0
     for basis in bases:
         if basis.name not in counts.counts:
             raise ValueError(f"count record is missing basis {basis.name!r}")
-        n_plus, n_minus = counts.counts[basis.name]
-        total = n_plus + n_minus
-        if total == 0:
-            raise ZeroCountsError(
-                f"basis {basis.name!r} collected zero counts; asymmetry is undefined"
-            )
-        r_k = (n_plus - n_minus) / total
-        norm2 += r_k * r_k
-        bloch += r_k * basis.observable
-    return DensityMatrix((np.eye(2) + bloch / max(1.0, math.sqrt(norm2))) / 2.0)
+    # float counts are exact below 2**53 and, unlike int64, cannot overflow
+    row = np.array([n for basis in bases for n in counts.counts[basis.name]], dtype=float)
+    return DensityMatrix(_invert(row, bases))
 
 
 @dataclass(frozen=True)
@@ -239,22 +264,30 @@ def monte_carlo_bounds(
     if sorted(order) != list(range(replicas)):
         raise ValueError("replica_order must be a permutation of range(replicas)")
 
-    probabilities = [
-        {b.name: born_probabilities(state, b) for b in settings.bases}
-        for state in (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
+    alphas = _bound_grid(alpha_grid)
+    _check_control_shift(truth.delta_mu)
+    # the Poisson means of each state's six counts, computed once for all replicas
+    pairs = settings.expected_pairs
+    means = [
+        [pairs * p for b in settings.bases for p in born_probabilities(state, b)]
+        for state in truth.states
     ]
+    block = max(1, BLOCK_ALPHA_POINTS // alphas.size)
     results: dict[int, float | None] = {}
     curve0 = None
-    for replica in order:
-        # state k of the replica is sampled from the stream with spawn key (replica, k)
-        estimates = [
-            reconstruct(sample_counts(p, settings, rng_stream(settings.seed, (replica, k))))
-            for k, p in enumerate(probabilities)
-        ]
-        curve = tightest_bound(ProbingRecord(*estimates, delta_mu=truth.delta_mu), alpha_grid)
-        results[replica] = None if curve.optimum is None else curve.optimum.value
-        if replica == 0:
-            curve0 = curve
+    for start in range(0, replicas, block):
+        rows = order[start:start + block]
+        # state k of a replica is sampled from the stream with spawn key (replica, k)
+        counts = np.array([
+            [_draw(rng_stream(settings.seed, (replica, k)), m) for k, m in enumerate(means)]
+            for replica in rows
+        ])
+        states = check_density_matrices(_invert(counts, settings.bases))
+        fractions, bounds, optima = _bound_rows(states, alphas, truth.delta_mu)
+        for i, (replica, optimum) in enumerate(zip(rows, optima)):
+            results[replica] = None if optimum is None else optimum.value
+            if replica == 0:
+                curve0 = _bound_curve(alphas, fractions[i], bounds[i], optimum)
 
     # order-independent aggregation: replica index order, compensated sums
     values = tuple(results[r] for r in range(replicas))

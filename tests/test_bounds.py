@@ -7,6 +7,7 @@ import pytest
 
 from alphaprobe.bounds import (
     BoundCurve,
+    BoundOptimum,
     DegenerateControlError,
     ProbingRecord,
     bound_b1,
@@ -19,6 +20,7 @@ from alphaprobe.bounds import (
     tightest_bound,
     write_bound_curve_csv,
     write_csv,
+    _optima,
 )
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
 from alphaprobe.fidelity import alpha_fidelity_curve, default_alpha_grid
@@ -240,6 +242,53 @@ class TestTightestBound:
             tightest_bound(rec, alpha_grid=[0.4, 0.6])
         with pytest.raises(ValueError, match=r"\[0.5, 1\)"):
             tightest_bound(rec, alpha_grid=[0.6, 1.0])
+
+
+def family_scan(b1, b2, alphas):
+    """The optimum as a scan of B1 then B2 in grid order, keeping strict improvements."""
+    optimum, best = None, math.inf
+    for family, values in (("B1", b1), ("B2", b2)):
+        for alpha, value in zip(alphas, values):
+            if not math.isnan(value) and value < best:
+                best = value
+                optimum = BoundOptimum(value=float(value), alpha=float(alpha), family=family)
+    return optimum
+
+
+class TestOptimumTieRule:
+    def test_one_point_grid_at_one_half_is_b1(self):
+        # the mirror-symmetric diagonal record gives bit-equal families
+        curve = tightest_bound(diag_record(0.45, 0.2), [0.5])
+        assert curve.b1[0] == curve.b2[0]
+        assert curve.optimum == BoundOptimum(float(curve.b1[0]), 0.5, "B1")
+        curve = tightest_bound(diag_record(0.45, 0.2))
+        assert np.array_equal(curve.b1, curve.b2)
+        assert curve.optimum.family == "B1"
+
+    def test_equal_minima_go_to_the_lower_alpha(self):
+        alphas = np.array([0.5, 0.6, 0.7, 0.8])
+        bounds = np.array([
+            [[3.0, 1.0, 2.0, 1.0], [math.nan, 4.0, 2.0, 5.0]],  # two B1 minima
+            [[3.0, 2.0, 2.0, 4.0], [math.nan, 3.0, 1.0, 1.0]],  # two B2 minima
+            [[3.0, 1.0, 2.0, 4.0], [1.0, 3.0, 1.0, 1.0]],  # B1 ties B2 at a higher alpha
+            [[math.nan] * 4, [math.nan] * 4],
+        ])
+        assert _optima(bounds, alphas) == [
+            BoundOptimum(1.0, 0.6, "B1"),
+            BoundOptimum(1.0, 0.7, "B2"),
+            BoundOptimum(1.0, 0.6, "B1"),
+            None,
+        ]
+
+    def test_matches_the_family_scan_on_random_ties(self):
+        rng = np.random.default_rng(43)
+        alphas = np.linspace(0.5, 0.9, 6)
+        bounds = rng.integers(1, 4, size=(500, 2, 6)).astype(float)
+        bounds[rng.random(bounds.shape) < 0.3] = math.nan
+        bounds[:10] = math.nan
+        optima = _optima(bounds, alphas)
+        assert optima == [family_scan(b1, b2, alphas) for b1, b2 in bounds]
+        assert None in optima
 
 
 def random_qubit_record(rng, evolved: bool) -> ProbingRecord:

@@ -6,10 +6,12 @@ from alphaprobe.linalg import (
     DensityMatrix,
     NotHermitianError,
     NotPositiveError,
+    check_density_matrices,
     eig_hermitian,
     hermitian_defect,
     matrix_from_json,
     matrix_to_json,
+    save_matrix,
 )
 from support import partial_trace_env, project_to_state, rand_state, rand_unitary
 
@@ -186,22 +188,78 @@ class TestDensityMatrix:
         m = np.array([[0.0, 1.0], [0.5, 0.0]])
         assert hermitian_defect(m) == pytest.approx(0.5)
 
+    def test_save_matrix_refuses_non_finite_entries(self, tmp_path):
+        # NaN would be written as a token that matrix_from_json cannot read back
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError):
+            save_matrix(path, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        assert not path.exists()
+
+
+GOOD_QUBITS = [
+    np.eye(2) / 2,
+    np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]),
+    np.diag([1.0, 0.0]),
+]
+
+
+BAD_QUBITS = {
+    "nan-entry": np.array([[0.5, np.nan], [0.0, 0.5]]),
+    "anti-hermitian-1e-8": np.eye(2) / 2 + 1e-8 * np.array([[0.0, 1.0], [-1.0, 0.0]]),
+    "eigenvalue-minus-2e-9": np.diag([1.0 + 2e-9, -2e-9]),
+    "trace-1-plus-1e-8": np.diag([0.5 + 1e-8, 0.5]),
+}
+
+
+class TestStackedCheck:
+    """check_density_matrices, the one validator behind DensityMatrix, on stacks."""
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("bad", BAD_QUBITS.values(), ids=BAD_QUBITS.keys())
+    def test_one_bad_matrix_raises_as_density_matrix(self, bad, position):
+        stack = np.array([GOOD_QUBITS[k % len(GOOD_QUBITS)] for k in range(6)], dtype=complex)
+        stack[position] = bad
+        with pytest.raises(ValueError) as want:
+            DensityMatrix(bad)
+        with pytest.raises(ValueError) as got:
+            check_density_matrices(stack.reshape(2, 3, 2, 2))
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_good_stack_returns_what_density_matrix_stores(self):
+        rng = np.random.default_rng(41)
+        stack = np.array([rand_state(rng, 3) for _ in range(4)])
+        stack[1, 0, 2] += 1e-10  # a defect within tolerance, removed by both
+        out = check_density_matrices(stack)
+        for m, got in zip(stack, out):
+            assert np.array_equal(got, DensityMatrix(m).matrix)
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            check_density_matrices(np.zeros((3, 2, 3)))
+
+
+def near_boundary_qubits(n=10_000):
+    """n unit-trace qubits whose smaller eigenvalue is uniform in [-2e-9, 0]."""
+    rng = np.random.default_rng(37)
+    lam_min = rng.uniform(-2e-9, 0.0, n)
+    direction = rng.standard_normal((n, 3))
+    r = (1.0 - 2.0 * lam_min)[:, None] * direction / np.linalg.norm(direction, axis=1)[:, None]
+    # (I + r.sigma) / 2 has unit trace and eigenvalues (1 -+ |r|) / 2
+    mats = np.empty((n, 2, 2), dtype=complex)
+    mats[:, 0, 0] = (1.0 + r[:, 2]) / 2
+    mats[:, 1, 1] = (1.0 - r[:, 2]) / 2
+    mats[:, 0, 1] = (r[:, 0] - 1j * r[:, 1]) / 2
+    mats[:, 1, 0] = (r[:, 0] + 1j * r[:, 1]) / 2
+    return mats
+
 
 class TestQubitPositivity:
     """DensityMatrix's closed-form qubit eigenvalue tr/2 - hypot((a00 - a11)/2, |a01|)."""
 
     def test_same_decision_as_eigvalsh_near_the_tolerance(self):
-        rng = np.random.default_rng(37)
         n = 10_000
-        lam_min = rng.uniform(-2e-9, 0.0, n)
-        direction = rng.standard_normal((n, 3))
-        r = (1.0 - 2.0 * lam_min)[:, None] * direction / np.linalg.norm(direction, axis=1)[:, None]
-        # (I + r.sigma) / 2 has unit trace and eigenvalues (1 -+ |r|) / 2
-        mats = np.empty((n, 2, 2), dtype=complex)
-        mats[:, 0, 0] = (1.0 + r[:, 2]) / 2
-        mats[:, 1, 1] = (1.0 - r[:, 2]) / 2
-        mats[:, 0, 1] = (r[:, 0] - 1j * r[:, 1]) / 2
-        mats[:, 1, 0] = (r[:, 0] + 1j * r[:, 1]) / 2
+        mats = near_boundary_qubits(n)
         rejected = compared = 0
         for m, w in zip(mats, np.linalg.eigvalsh(mats)[:, 0]):
             if abs(w + PSD_ATOL) <= 1e-15:
@@ -216,6 +274,26 @@ class TestQubitPositivity:
             compared += 1
         assert compared >= n - 10
         assert 0.3 * n < rejected < 0.7 * n
+
+    def test_stack_makes_the_same_decision_as_density_matrix(self):
+        mats = near_boundary_qubits()
+        accepted = np.ones(len(mats), dtype=bool)
+        messages = []
+        for k, m in enumerate(mats):
+            try:
+                DensityMatrix(m)
+            except NotPositiveError as exc:
+                accepted[k] = False
+                messages.append(str(exc))
+                with pytest.raises(NotPositiveError) as info:
+                    check_density_matrices(m[None])
+                assert str(info.value) == str(exc)
+        assert 0.3 < accepted.mean() < 0.7
+        check_density_matrices(mats[accepted])
+        # the whole stack quotes its lowest eigenvalue
+        with pytest.raises(NotPositiveError) as info:
+            check_density_matrices(mats)
+        assert str(info.value) == min(messages, key=lambda text: float(text.split()[-1]))
 
     @pytest.mark.parametrize(
         "matrix, message",

@@ -18,11 +18,13 @@ from alphaprobe.tomography import (
     CIRC_BASIS,
     DIAG_BASIS,
     HV_BASIS,
+    BLOCK_ALPHA_POINTS,
     MAX_REPLICAS,
     MUB_BASES,
     CountRecord,
     MonteCarloReport,
     TomographySettings,
+    ZeroCountsError,
     born_probabilities,
     expected_counts,
     monte_carlo_bounds,
@@ -309,15 +311,23 @@ class TestMonteCarlo:
         assert 0.0 < report.std_b_inf < 0.2 * exact
 
     def test_every_draw_matches_a_replica_rebuilt_stream_by_stream(self):
-        # the Monte-Carlo loop computes the truth's Born probabilities once;
-        # each value must still be the bound of the record sampled per
-        # (replica, state) stream from freshly computed probabilities
+        # the Monte-Carlo loop computes the truth's Born probabilities once and
+        # runs replicas in blocks of max(1, BLOCK_ALPHA_POINTS // A); each value
+        # must still be the bound of the record sampled per (replica, state)
+        # stream from freshly computed probabilities, one record at a time
         truth = reference_record()
         states = (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
-        for seed in (5, 601, 2**31 - 1):
+        assert [max(1, BLOCK_ALPHA_POINTS // a) for a in (500, 600, 1100)] == [4, 3, 1]
+        cases = [(seed, 20, None, None) for seed in (5, 601, 2**31 - 1)]
+        cases += [(17, replicas, None, None) for replicas in (1, 5, 7)]  # partial blocks
+        cases += [(17, 7, np.linspace(0.5, 0.9999, 600), None)]  # blocks of 3
+        cases += [(17, 5, np.linspace(0.5, 0.9999, 1100), None)]  # blocks of 1
+        cases += [(17, 7, None, [6, 2, 5, 0, 3, 1, 4])]  # replica 0 mid-block
+        for seed, replicas, grid, order in cases:
             cfg = settings(time=60.0, rate=200.0, seed=seed)
-            report = monte_carlo_bounds(truth, cfg, 20)
-            for replica in range(20):
+            report = monte_carlo_bounds(truth, cfg, replicas, grid, replica_order=order)
+            assert report.replicas == len(report.values) == replicas
+            for replica in range(replicas):
                 estimates = [
                     reconstruct(
                         sample_counts(
@@ -329,13 +339,38 @@ class TestMonteCarlo:
                     )
                     for k, state in enumerate(states)
                 ]
-                curve = tightest_bound(ProbingRecord(*estimates, delta_mu=truth.delta_mu))
+                curve = tightest_bound(ProbingRecord(*estimates, delta_mu=truth.delta_mu), grid)
                 want = None if curve.optimum is None else curve.optimum.value
                 assert report.values[replica] == want
                 if replica == 0:
                     assert report.curve0.optimum == curve.optimum
                     np.testing.assert_array_equal(report.curve0.b1, curve.b1)
                     np.testing.assert_array_equal(report.curve0.b2, curve.b2)
+                    for got, rebuilt in zip(report.curve0.fractions, curve.fractions):
+                        np.testing.assert_array_equal(got, rebuilt)
+
+    def test_zero_counts_name_the_first_empty_basis_in_replica_order(self):
+        # about 3 expected pairs per basis: at this seed the first empty basis in
+        # replica order is state 2's circ of the fourth replica, in the first block
+        truth = reference_record()
+        states = (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
+        cfg = settings(time=1.0, rate=3.0, seed=30)
+        order = [7, 3, 0, 5, 1, 6, 2, 4]
+
+        def one_record_at_a_time():
+            for replica in order:
+                for k, state in enumerate(states):
+                    counts = simulate_counts(state, cfg, rng_stream(cfg.seed, (replica, k)))
+                    try:
+                        reconstruct(counts)
+                    except ZeroCountsError as exc:
+                        yield str(exc)
+
+        want = next(one_record_at_a_time())
+        assert "'circ'" in want
+        with pytest.raises(ZeroCountsError) as info:
+            monte_carlo_bounds(truth, cfg, 8, replica_order=order)
+        assert str(info.value) == want
 
     def test_erased_probes_raise_no_information(self):
         truth = ProbingRecord(
