@@ -51,6 +51,7 @@ from .tomography import (
     TomographySettings,
     ZeroCountsError,
     monte_carlo_bounds,
+    rng_stream,
 )
 
 SCHEMA_VERSION = "probe-scenario/1"
@@ -184,7 +185,7 @@ def _parse_stack(payload, path: str) -> WavePlateStack:
                 f"{path}.orientation_seed is required when any orientation is \"random\""
             )
         seed = _integer(*_field(payload, "orientation_seed", path), minimum=0)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        rng = rng_stream(seed, ())
     plates = []
     for i, plate_cfg in enumerate(plates_cfg):
         ppath = f"{path}.plates[{i}]"

@@ -6,9 +6,9 @@ counts are independent Poisson draws with means rate * time * p_outcome.
 Linear inversion of the count asymmetries gives a Bloch vector r, repaired
 into a physical state as r / max(1, |r|). Monte-Carlo replicas repeat the full
 four-state tomography with independent counter-derived streams and propagate
-each replica through the bound pipeline; blocks of replicas are sampled,
-reconstructed, validated and bounded as arrays, with the same draws and
-results as one replica at a time.
+each replica through the bound pipeline; passes of replicas are sampled,
+reconstructed and validated as arrays and bounded in blocks, with the same
+draws and results as one replica at a time.
 """
 from __future__ import annotations
 
@@ -33,9 +33,19 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 
 # the replica loop holds one result per replica; larger runs are rejected up front
 MAX_REPLICAS = 100_000
-# replicas run in blocks of max(1, BLOCK_ALPHA_POINTS // A) for an A-point grid,
-# so a block's (4B, A) kernel temporaries stay at or below 64 KiB
+# replicas are sampled, inverted and validated in passes of up to SAMPLE_REPLICAS
+# in evaluation order, and bounded in blocks of max(1, BLOCK_ALPHA_POINTS // A)
+# for an A-point grid, so a block's (4B, A) kernel temporaries stay within 64 KiB
+SAMPLE_REPLICAS = 1024
 BLOCK_ALPHA_POINTS = 2048
+
+# numpy's SeedSequence pool hash (pool of 4 uint32 words), see _philox_keys
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
 
 
 class ZeroCountsError(ValueError):
@@ -131,10 +141,76 @@ def rng_stream(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
     """Counter-derived independent stream for (seed, spawn_key).
 
     Streams with different spawn keys are statistically independent and
-    reproducible regardless of creation or consumption order.
+    reproducible regardless of creation or consumption order. This is the
+    definition of every stream in the package; monte_carlo_bounds reaches the
+    same fresh states through _philox_keys and _reseeded.
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in spawn_key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _philox_keys(seed: int, spawn_keys) -> np.ndarray:
+    """Philox keys (N, 2) uint64 of rng_stream(seed, key) for N spawn keys at once.
+
+    numpy's SeedSequence pool hash, vectorised over the streams: the entropy
+    is the seed's little-endian 32-bit words, zero-padded to the pool size,
+    then the spawn-key words, each entry below 2**32. (numpy pads only when a
+    spawn key follows; without one, its pool hashes missing words as 0 all
+    the same.) Words shared by every stream stay Python ints; the rest are
+    uint64 arrays masked to 32 bits, so both wrap exactly as numpy's uint32
+    arithmetic does.
+    """
+    spawn = np.asarray(spawn_keys, dtype=np.uint64)
+    if spawn.size and int(spawn.max()) > _MASK32:
+        raise ValueError("spawn key entries must be below 2**32")
+    seed = int(seed)
+    n_words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
+    entropy = [seed >> 32 * i & _MASK32 for i in range(n_words)] + list(spawn.T)
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ hash_a
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * hash_a & _MASK32
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> _XSHIFT
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b = _INIT_B
+    words = []
+    for i in range(4):  # generate_state(2, np.uint64): four words cycled from the pool
+        value = pool[i % _POOL_SIZE] ^ hash_b
+        hash_b = hash_b * _MULT_B & _MASK32
+        value = value * hash_b & _MASK32
+        words.append(np.asarray(value ^ value >> _XSHIFT, dtype=np.uint64))
+    keys = np.empty((spawn.shape[0], 2), dtype=np.uint64)
+    keys[:, 0] = words[0] | words[1] << np.uint64(32)
+    keys[:, 1] = words[2] | words[3] << np.uint64(32)
+    return keys
+
+
+def _reseeded(stream: np.random.Generator, key) -> np.random.Generator:
+    """stream with its Philox reset to the fresh state Philox(SeedSequence) has for key."""
+    stream.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return stream
 
 
 def _draw(stream: np.random.Generator, means: list[float]) -> list[int]:
@@ -273,21 +349,26 @@ def monte_carlo_bounds(
         for state in truth.states
     ]
     block = max(1, BLOCK_ALPHA_POINTS // alphas.size)
+    # one generator for the run, reseeded to each (replica, state) stream's fresh state
+    stream = np.random.Generator(np.random.Philox(0))
     results: dict[int, float | None] = {}
     curve0 = None
-    for start in range(0, replicas, block):
-        rows = order[start:start + block]
+    for start in range(0, replicas, SAMPLE_REPLICAS):
+        rows = order[start:start + SAMPLE_REPLICAS]
         # state k of a replica is sampled from the stream with spawn key (replica, k)
+        spawn = np.stack(np.meshgrid(rows, range(len(means)), indexing="ij"), axis=-1)
+        keys = _philox_keys(settings.seed, spawn.reshape(-1, 2)).reshape(spawn.shape)
         counts = np.array([
-            [_draw(rng_stream(settings.seed, (replica, k)), m) for k, m in enumerate(means)]
-            for replica in rows
+            [_draw(_reseeded(stream, key), m) for key, m in zip(replica_keys, means)]
+            for replica_keys in keys.tolist()
         ])
         states = check_density_matrices(_invert(counts, settings.bases))
-        fractions, bounds, optima = _bound_rows(states, alphas, truth.delta_mu)
-        for i, (replica, optimum) in enumerate(zip(rows, optima)):
-            results[replica] = None if optimum is None else optimum.value
-            if replica == 0:
-                curve0 = _bound_curve(alphas, fractions[i], bounds[i], optimum)
+        for b in range(0, len(rows), block):
+            fractions, bounds, optima = _bound_rows(states[b:b + block], alphas, truth.delta_mu)
+            for i, (replica, optimum) in enumerate(zip(rows[b:b + block], optima)):
+                results[replica] = None if optimum is None else optimum.value
+                if replica == 0:
+                    curve0 = _bound_curve(alphas, fractions[i], bounds[i], optimum)
 
     # order-independent aggregation: replica index order, compensated sums
     values = tuple(results[r] for r in range(replicas))

@@ -159,6 +159,14 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.diag([0.6, 0.6]))
 
+    def test_imaginary_diagonal_is_bounded_by_the_hermitian_rule(self):
+        # |m - m^dagger| on the diagonal is 2 |Im m_ii|: 8e-10 passes, 1.2e-9 does not
+        dm = DensityMatrix(np.diag([0.5 + 4e-10j, 0.5]))
+        assert np.trace(dm.matrix).imag == 0.0
+        assert np.trace(dm.matrix).real == 1.0
+        with pytest.raises(NotHermitianError):
+            DensityMatrix(np.diag([0.5 + 6e-10j, 0.5]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_rejects_non_finite_entries(self, dim, bad):

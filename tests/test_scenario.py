@@ -158,6 +158,8 @@ class TestParse:
         b = parse_scenario(cfg)
         got = [p.orientation for p in a.stack.plates]
         assert got == [p.orientation for p in b.stack.plates]
+        # drawn in degrees from rng_stream(11, ()): 111.26... and 149.03...
+        assert got == [1.941866685809457, 2.60102201912537]
         assert all(0.0 <= theta < math.pi for theta in got)
         assert got[0] != got[1]
 

@@ -21,10 +21,13 @@ from alphaprobe.tomography import (
     BLOCK_ALPHA_POINTS,
     MAX_REPLICAS,
     MUB_BASES,
+    SAMPLE_REPLICAS,
     CountRecord,
     MonteCarloReport,
     TomographySettings,
     ZeroCountsError,
+    _philox_keys,
+    _reseeded,
     born_probabilities,
     expected_counts,
     monte_carlo_bounds,
@@ -133,6 +136,36 @@ class TestCounts:
         c = simulate_counts(PLUS, settings(), rng_stream(8, (0, 0)))
         assert a.counts != b.counts
         assert a.counts != c.counts
+
+    def test_philox_keys_match_seed_sequence(self):
+        seeds = (0, 1, 2**31 - 1, 2**32, 2**32 + 5, 2**64 + 3, 2**70)
+        spawn = [(r, k) for r in (0, 1, 1023, 1024, MAX_REPLICAS - 1) for k in range(4)]
+        for seed in seeds:
+            want = [
+                np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(2, np.uint64)
+                for key in spawn
+            ]
+            got = _philox_keys(seed, spawn)
+            assert got.dtype == np.uint64 and got.shape == (len(spawn), 2)
+            np.testing.assert_array_equal(got, want)
+
+    def test_reseeded_generator_starts_where_rng_stream_does(self):
+        stream = np.random.Generator(np.random.Philox(0))
+        spawn = [(3, 1), (0, 0), (3, 1)]
+        for key, words in zip(spawn, _philox_keys(2**32 + 5, spawn).tolist()):
+            fresh = rng_stream(2**32 + 5, key)
+            reseeded = _reseeded(stream, words)
+            got, want = reseeded.bit_generator.state, fresh.bit_generator.state
+            for name in ("buffer_pos", "has_uint32", "uinteger"):
+                assert got[name] == want[name]
+            np.testing.assert_array_equal(got["buffer"], want["buffer"])
+            for name in ("counter", "key"):
+                np.testing.assert_array_equal(got["state"][name], want["state"][name])
+            # a half-used buffer and a cached 32-bit word must not leak into the next stream
+            assert reseeded.poisson(50.0, 7).tolist() == fresh.poisson(50.0, 7).tolist()
+            assert reseeded.integers(0, 2**32, 3, dtype=np.uint32).tolist() == (
+                fresh.integers(0, 2**32, 3, dtype=np.uint32).tolist()
+            )
 
     def test_poisson_scale(self):
         record = simulate_counts(MIXED, settings(rate=1e4), rng_stream(11, (0,)))
@@ -311,18 +344,24 @@ class TestMonteCarlo:
         assert 0.0 < report.std_b_inf < 0.2 * exact
 
     def test_every_draw_matches_a_replica_rebuilt_stream_by_stream(self):
-        # the Monte-Carlo loop computes the truth's Born probabilities once and
-        # runs replicas in blocks of max(1, BLOCK_ALPHA_POINTS // A); each value
-        # must still be the bound of the record sampled per (replica, state)
-        # stream from freshly computed probabilities, one record at a time
+        # the Monte-Carlo loop computes the truth's Born probabilities once,
+        # derives the stream keys of SAMPLE_REPLICAS replicas in one hash,
+        # reseeds one generator per stream and bounds in blocks of
+        # max(1, BLOCK_ALPHA_POINTS // A); each value must still be the bound of
+        # the record sampled per (replica, state) stream from freshly computed
+        # probabilities, one record at a time
         truth = reference_record()
         states = (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
-        assert [max(1, BLOCK_ALPHA_POINTS // a) for a in (500, 600, 1100)] == [4, 3, 1]
-        cases = [(seed, 20, None, None) for seed in (5, 601, 2**31 - 1)]
+        assert [max(1, BLOCK_ALPHA_POINTS // a) for a in (500, 600, 1100, 5)] == [4, 3, 1, 409]
+        assert SAMPLE_REPLICAS == 1024
+        cases = [(seed, 20, None, None) for seed in (5, 601, 2**31 - 1, 2**32 + 5, 2**64 + 3)]
         cases += [(17, replicas, None, None) for replicas in (1, 5, 7)]  # partial blocks
         cases += [(17, 7, np.linspace(0.5, 0.9999, 600), None)]  # blocks of 3
         cases += [(17, 5, np.linspace(0.5, 0.9999, 1100), None)]  # blocks of 1
         cases += [(17, 7, None, [6, 2, 5, 0, 3, 1, 4])]  # replica 0 mid-block
+        # two sampling passes (1024 + 3) with blocks of 409 that end at the pass
+        # boundary, replica 0 last
+        cases += [(17, 1027, np.linspace(0.5, 0.9999, 5), list(range(1026, -1, -1)))]
         for seed, replicas, grid, order in cases:
             cfg = settings(time=60.0, rate=200.0, seed=seed)
             report = monte_carlo_bounds(truth, cfg, replicas, grid, replica_order=order)
