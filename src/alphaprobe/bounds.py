@@ -28,13 +28,13 @@ from .fidelity import (
     _fidelity_curves,
     default_alpha_grid,
 )
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, check_positive
 
 BOUND_ORDERS = ("forward", "reversed")
 BOUND_FAMILIES = ("B1", "B2")  # the bound of each order, in BOUND_ORDERS order
-# an order's fraction is F(numerator pair) / F(denominator pair), as indices
-# into ProbingRecord.states
-_STATE_PAIRS = {"forward": ((2, 3), (0, 1)), "reversed": ((3, 2), (1, 0))}
+# the fidelity pairs (first, second) behind the fractions, as indices into
+# ProbingRecord.states: forward numerator and denominator, then reversed ones
+_PAIR_FIRST, _PAIR_SECOND = [2, 0, 3, 1], [3, 1, 2, 0]
 
 
 class DegenerateControlError(ValueError):
@@ -89,16 +89,15 @@ def _record_states(record: ProbingRecord) -> np.ndarray:
     return np.stack([s.matrix for s in record.states])[None]
 
 
-def _fraction_rows(states: np.ndarray, alphas: np.ndarray, orders=BOUND_ORDERS) -> np.ndarray:
-    """Fidelity fractions (n, len(orders), A) of n records stacked as (n, 4, d, d).
+def _fraction_rows(states: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Fidelity fractions (n, 2, A), in BOUND_ORDERS order, of n records stacked as (n, 4, d, d).
 
     One fidelity call covers every record and order; a zero denominator gives +inf.
     """
-    first, second = np.array([pair for o in orders for pair in _STATE_PAIRS[o]]).T
     n, _, d, _ = states.shape
     f = _fidelity_curves(
-        states[:, first].reshape(-1, d, d), states[:, second].reshape(-1, d, d), alphas
-    ).reshape(n, len(orders), 2, -1)
+        states[:, _PAIR_FIRST].reshape(-1, d, d), states[:, _PAIR_SECOND].reshape(-1, d, d), alphas
+    ).reshape(n, 2, 2, -1)
     num, den = f[:, :, 0], f[:, :, 1]
     return np.divide(num, den, out=np.full_like(num, math.inf), where=den != 0.0)
 
@@ -109,8 +108,8 @@ def fraction_curve(record: ProbingRecord, alphas, order: str = "forward") -> np.
     forward: F_alpha(Phi1 rho1, Phi2 rho2) / F_alpha(rho1, rho2); reversed
     swaps both argument pairs. A zero denominator yields +inf.
     """
-    _check_order(order)
-    return _fraction_rows(_record_states(record), _check_alpha_grid(alphas), [order])[0, 0]
+    rows = _fraction_rows(_record_states(record), _check_alpha_grid(alphas))
+    return rows[0, BOUND_ORDERS.index(_check_order(order))]
 
 
 def fraction(record: ProbingRecord, alpha: float, order: str = "forward") -> float:
@@ -138,22 +137,19 @@ def _bounds_from_fractions(
     return out
 
 
-def _family_bound(record: ProbingRecord, alpha: float, order: str) -> float | None:
-    a = _check_alpha_grid([alpha], DPI_ALPHA_MIN)
-    _check_control_shift(record.delta_mu)
-    f = fraction_curve(record, a, order)
-    b = _bounds_from_fractions(f, a, record.delta_mu)[0]
-    return None if math.isnan(b) else float(b)
+def _family_bound(bounds: np.ndarray) -> float | None:
+    """The one entry of a family's bounds on a one-point grid; None when uninformative."""
+    return None if math.isnan(bounds[0]) else float(bounds[0])
 
 
 def bound_b1(record: ProbingRecord, alpha: float) -> float | None:
     """Family-B1 width bound at one alpha; None when uninformative."""
-    return _family_bound(record, alpha, "forward")
+    return _family_bound(tightest_bound(record, [alpha]).b1)
 
 
 def bound_b2(record: ProbingRecord, alpha: float) -> float | None:
     """Family-B2 width bound at one alpha; None when uninformative."""
-    return _family_bound(record, alpha, "reversed")
+    return _family_bound(tightest_bound(record, [alpha]).b2)
 
 
 @dataclass(frozen=True)
@@ -255,8 +251,7 @@ def lower_bound_delta_mu(
     record: ProbingRecord, sigma_known: float, alpha: float
 ) -> float | None:
     """Lower bound on the control shift when the width is known instead."""
-    if not (math.isfinite(sigma_known) and sigma_known > 0.0):
-        raise ValueError(f"known width must be positive, got {sigma_known}")
+    check_positive(sigma_known, "known width")
     ratio = ratio_lower_bound(record, alpha)
     return None if ratio is None else sigma_known * ratio
 

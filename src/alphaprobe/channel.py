@@ -23,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, check_qubit
+from .linalg import DensityMatrix, check_positive, check_qubit
 from .spectra import LIGHT_SPEED, FrequencyGrid, GaussianSpectrum, kappa
 
 QUARTZ_BIREFRINGENCE = 0.00925  # quartz near 810 nm
 
 # the closed form sums 4^k terms; beyond 8 plates it is slower than quadrature
 MAX_PLATES = 8
-ALIGNED_ATOL = 1e-12  # radians between plate axes that is_aligned treats as equal
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,7 @@ class WavePlate:
     orientation: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.thickness) and self.thickness > 0.0):
-            raise ValueError(f"plate thickness must be positive, got {self.thickness}")
+        check_positive(self.thickness, "plate thickness")
         if not math.isfinite(self.orientation):
             raise ValueError(f"plate orientation must be finite, got {self.orientation}")
 
@@ -64,20 +62,11 @@ class WavePlateStack:
             )
         object.__setattr__(self, "plates", plates)
 
-    @property
-    def total_thickness(self) -> float:
-        return sum(p.thickness for p in self.plates)
-
     def delays(self) -> np.ndarray:
         """Per-plate group delays tau_i = dn * x_i / c, in seconds."""
         return np.array(
             [self.birefringence * p.thickness / LIGHT_SPEED for p in self.plates]
         )
-
-    def is_aligned(self) -> bool:
-        """True when every plate shares the first plate's orientation."""
-        first = self.plates[0].orientation
-        return all(abs(p.orientation - first) <= ALIGNED_ATOL for p in self.plates)
 
 
 def _plate_projectors(plate: WavePlate) -> tuple[np.ndarray, np.ndarray]:

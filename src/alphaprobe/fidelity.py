@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .linalg import EIG_FLOOR, MatrixLike, as_matrix, eig_hermitian
+from .linalg import EIG_FLOOR, MatrixLike, as_matrix, check_integer, eig_hermitian
 
 CLAMP_EXCESS = 1e-9
 DPI_ALPHA_MIN = 0.5
@@ -64,8 +64,7 @@ def check_alpha(alpha: float) -> float:
 
 def alpha_range(start: float, stop: float, count: int, lower: float = 0.0) -> np.ndarray:
     """`count` evenly spaced orders from start to stop, validated like any grid."""
-    if not 2 <= count <= MAX_ALPHA_COUNT:
-        raise ValueError(f"count must lie in [2, {MAX_ALPHA_COUNT}], got {count}")
+    check_integer(count, "count", 2, MAX_ALPHA_COUNT)
     if not start < stop:
         raise ValueError(f"start must lie below stop, got [{start}, {stop}]")
     return _check_alpha_grid(np.linspace(start, stop, count), lower)

@@ -8,6 +8,7 @@ EIG_FLOOR are treated as exact zeros when taking fractional matrix powers.
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from typing import Union
 
@@ -167,6 +168,26 @@ def is_json_number(value) -> bool:
     return real and abs(value) <= sys.float_info.max
 
 
+def check_integer(value, what: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    """value as an int: an integral number (NumPy integers included, bools not) in bounds."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{what} must be at most {maximum}, got {value}")
+    return int(value)
+
+
+def check_positive(value, what: str) -> float:
+    """value as a float: a finite real number above 0 (NumPy reals included, bools not)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # a chained comparison also rejects nan, infinities and integers too large for a float
+    if not (real and 0.0 < value <= sys.float_info.max):
+        raise ValueError(f"{what} must be positive, got {value}")
+    return float(value)
+
+
 def _json_rows(rows, key: str, dim: int) -> np.ndarray:
     square = isinstance(rows, list) and len(rows) == dim and all(
         isinstance(row, list) and len(row) == dim for row in rows
@@ -185,8 +206,7 @@ def matrix_from_json(payload: dict) -> np.ndarray:
         dim, re, im = payload["dim"], payload["re"], payload["im"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"matrix payload missing field: {exc}") from exc
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise ValueError(f"matrix dim must be an integer, got {dim!r}")
+    dim = check_integer(dim, "matrix dim", minimum=1)
     return _json_rows(re, "re", dim) + 1j * _json_rows(im, "im", dim)
 
 

@@ -38,7 +38,15 @@ from .fidelity import (
     alpha_range,
     default_alpha_grid,
 )
-from .linalg import DensityMatrix, check_qubit, is_json_number, matrix_from_json, write_json
+from .linalg import (
+    DensityMatrix,
+    check_integer,
+    check_positive,
+    check_qubit,
+    is_json_number,
+    matrix_from_json,
+    write_json,
+)
 from .reference import (
     REFERENCE_RHO_1,
     REFERENCE_RHO_2,
@@ -118,20 +126,18 @@ def _number(value, path: str) -> float:
 
 
 def _positive(value, path: str) -> float:
-    x = _number(value, path)
-    if x <= 0.0:
-        raise ConfigError(f"{path} must be positive, got {value!r}")
-    return x
+    _number(value, path)
+    try:
+        return check_positive(value, path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _integer(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path} must be at least {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{path} must be at most {maximum}, got {value}")
-    return value
+    try:
+        return check_integer(value, path, minimum, maximum)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _boolean(value, path: str) -> bool:
@@ -140,9 +146,14 @@ def _boolean(value, path: str) -> bool:
     return value
 
 
-def _parse_spectrum(payload, path: str) -> GaussianSpectrum:
-    if not isinstance(payload, dict):
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
         raise ConfigError(f"{path} must be an object")
+    return value
+
+
+def _parse_spectrum(payload, path: str) -> GaussianSpectrum:
+    _object(payload, path)
     if "mu_hz" in payload or "sigma_hz" in payload:
         return GaussianSpectrum(
             mu=_positive(*_field(payload, "mu_hz", path)),
@@ -189,8 +200,7 @@ def _parse_stack(payload, path: str) -> WavePlateStack:
     plates = []
     for i, plate_cfg in enumerate(plates_cfg):
         ppath = f"{path}.plates[{i}]"
-        if not isinstance(plate_cfg, dict):
-            raise ConfigError(f"{ppath} must be an object")
+        _object(plate_cfg, ppath)
         thickness_mm = _positive(*_field(plate_cfg, "thickness_mm", ppath))
         if plate_cfg.get("orientation_deg") == "random":
             theta = float(rng.uniform(0.0, 180.0))
@@ -253,9 +263,7 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
                 "bundled probes"
             )
     else:
-        spectra_cfg = _require(payload, "spectra", "config")
-        if not isinstance(spectra_cfg, dict):
-            raise ConfigError("config.spectra must be an object")
+        spectra_cfg = _object(_require(payload, "spectra", "config"), "config.spectra")
         spectra = (
             _parse_spectrum(_require(spectra_cfg, "first", "spectra"), "spectra.first"),
             _parse_spectrum(_require(spectra_cfg, "second", "spectra"), "spectra.second"),
@@ -275,17 +283,13 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
             )
 
     # schema 1 documents a quadrature grid; it is still checked, but the channel is exact
-    grid_cfg = payload.get("grid", {})
-    if not isinstance(grid_cfg, dict):
-        raise ConfigError("config.grid must be an object")
+    grid_cfg = _object(payload.get("grid", {}), "config.grid")
     span = _number(*_field(grid_cfg, "span_sigmas", "config.grid", 8.0))
     points = _integer(*_field(grid_cfg, "points", "config.grid", 3001))
     with field_errors("config.grid"):
         _check_grid_shape(span, points)
 
-    alpha_cfg = payload.get("alpha_grid", {})
-    if not isinstance(alpha_cfg, dict):
-        raise ConfigError("config.alpha_grid must be an object")
+    alpha_cfg = _object(payload.get("alpha_grid", {}), "config.alpha_grid")
     a_start = _number(*_field(alpha_cfg, "start", "config.alpha_grid", ALPHA_START))
     a_stop = _number(*_field(alpha_cfg, "stop", "config.alpha_grid", ALPHA_STOP))
     a_count = _integer(*_field(alpha_cfg, "count", "config.alpha_grid", ALPHA_COUNT))
@@ -314,8 +318,7 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
     sweep_orientation = 0.0
     sweep_birefringence = QUARTZ_BIREFRINGENCE
     if sweep_cfg is not None:
-        if not isinstance(sweep_cfg, dict):
-            raise ConfigError("config.sweep must be an object")
+        _object(sweep_cfg, "config.sweep")
         thick = _require(sweep_cfg, "thicknesses_mm", "sweep")
         if not isinstance(thick, list) or not thick:
             raise ConfigError("sweep.thicknesses_mm must be a nonempty list")
@@ -372,14 +375,10 @@ def load_record(path) -> ProbingRecord:
 
 @dataclass(frozen=True)
 class RunReport:
-    """What a run produced: the summary dict and the files it wrote."""
+    """What a run produced: the summary dict and the files it wrote, summary.json last."""
 
     summary: dict
     files: tuple[str, ...]
-
-    @property
-    def summary_path(self) -> str:
-        return self.files[-1]  # _write_report lists summary.json last
 
 
 def _write_report(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fidelity import check_alpha
+from .linalg import check_positive
 
 LIGHT_SPEED = 299_792_458.0  # m/s
 
@@ -33,10 +34,8 @@ class GaussianSpectrum:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise ValueError(f"spectrum center must be positive, got {self.mu}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"spectrum width must be positive, got {self.sigma}")
+        check_positive(self.mu, "spectrum center")
+        check_positive(self.sigma, "spectrum width")
 
     @classmethod
     def from_wavelength(cls, center_nm: float, width_nm: float) -> "GaussianSpectrum":
@@ -45,13 +44,8 @@ class GaussianSpectrum:
         Uses nu = c / lambda and the first-order width mapping
         sigma_nu = c * sigma_lambda / lambda^2.
         """
-        if center_nm <= 0.0 or width_nm <= 0.0:
-            raise ValueError(
-                f"wavelength description must be positive, got center {center_nm} nm, "
-                f"width {width_nm} nm"
-            )
-        lam = center_nm * 1e-9
-        dlam = width_nm * 1e-9
+        lam = check_positive(center_nm, "center wavelength") * 1e-9
+        dlam = check_positive(width_nm, "wavelength width") * 1e-9
         return cls(mu=LIGHT_SPEED / lam, sigma=LIGHT_SPEED * dlam / lam**2)
 
     def density(self, omega) -> np.ndarray:
@@ -121,8 +115,7 @@ class FrequencyGrid:
 
 
 def _check_grid_shape(span_sigmas: float, n: int) -> None:
-    if span_sigmas <= 0.0:
-        raise ValueError(f"grid span must be positive, got {span_sigmas} sigmas")
+    check_positive(span_sigmas, "grid span in sigmas")
     if n < 3 or n % 2 == 0:
         raise ValueError(f"grid size must be odd and at least 3, got {n}")
 

@@ -13,7 +13,6 @@ draws and results as one replica at a time.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,7 +26,13 @@ from .bounds import (
     _bound_rows,
     _check_control_shift,
 )
-from .linalg import DensityMatrix, check_density_matrices, check_qubit
+from .linalg import (
+    DensityMatrix,
+    check_density_matrices,
+    check_integer,
+    check_positive,
+    check_qubit,
+)
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -86,14 +91,9 @@ class TomographySettings:
     bases = MUB_BASES  # fixed, not a field: the Pauli triple linear inversion assumes
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.integration_time) and self.integration_time > 0.0):
-            raise ValueError(
-                f"integration time must be positive, got {self.integration_time}"
-            )
-        if not (math.isfinite(self.count_rate) and self.count_rate > 0.0):
-            raise ValueError(f"count rate must be positive, got {self.count_rate}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        check_positive(self.integration_time, "integration time")
+        check_positive(self.count_rate, "count rate")
+        object.__setattr__(self, "seed", check_integer(self.seed, "seed", minimum=0))
 
     @property
     def expected_pairs(self) -> float:
@@ -116,12 +116,12 @@ class CountRecord:
             if not isinstance(name, str):
                 raise ValueError(f"basis names must be strings, got {name!r}")
             n_plus, n_minus = pair
-            for n in (n_plus, n_minus):
-                if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
-                    raise ValueError(
-                        f"counts must be nonnegative integers, got {pair} in {name!r}"
-                    )
-            clean[name] = (int(n_plus), int(n_minus))
+            try:
+                clean[name] = tuple(check_integer(n, "count", 0) for n in (n_plus, n_minus))
+            except ValueError:
+                raise ValueError(
+                    f"counts must be nonnegative integers, got {pair} in {name!r}"
+                ) from None
         object.__setattr__(self, "counts", clean)
 
     def to_json(self) -> dict:
@@ -145,7 +145,10 @@ def rng_stream(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
     definition of every stream in the package; monte_carlo_bounds reaches the
     same fresh states through _philox_keys and _reseeded.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in spawn_key))
+    ss = np.random.SeedSequence(
+        entropy=check_integer(seed, "seed"),
+        spawn_key=tuple(check_integer(k, "spawn key entry") for k in spawn_key),
+    )
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -237,16 +240,6 @@ def simulate_counts(
     return sample_counts(probs, settings, stream)
 
 
-def expected_counts(rho, settings: TomographySettings) -> CountRecord:
-    """Noiseless counts: expected values rounded to integers."""
-    pairs = settings.expected_pairs
-    counts: dict[str, tuple[int, int]] = {}
-    for basis in settings.bases:
-        p_plus, p_minus = born_probabilities(rho, basis)
-        counts[basis.name] = (round(pairs * p_plus), round(pairs * p_minus))
-    return CountRecord(counts)
-
-
 def _invert(counts: np.ndarray, bases: tuple[MeasurementBasis, ...]) -> np.ndarray:
     """Repaired linear-inversion estimates (..., 2, 2), not yet validated.
 
@@ -331,12 +324,10 @@ def monte_carlo_bounds(
     (e.g. for chunked execution); results are aggregated order-independently,
     so any permutation yields the identical report.
     """
-    if int(replicas) != replicas or not 1 <= replicas <= MAX_REPLICAS:
-        raise ValueError(
-            f"replicas must be at least 1 and at most {MAX_REPLICAS}, got {replicas}"
-        )
-    replicas = int(replicas)
-    order = list(range(replicas)) if replica_order is None else [int(r) for r in replica_order]
+    replicas = check_integer(replicas, "replicas", 1, MAX_REPLICAS)
+    order = list(range(replicas))
+    if replica_order is not None:
+        order = [check_integer(r, "replica_order entry") for r in replica_order]
     if sorted(order) != list(range(replicas)):
         raise ValueError("replica_order must be a permutation of range(replicas)")
 

@@ -9,6 +9,7 @@ general-dimension eigendecomposition repair checks tomography's closed
 Bloch-form repair. The frequency-quadrature references for the exact channel
 and the closed-form line fidelity live here too: a single-line grid, the
 discretized classical fidelity, and a brute-force joint-unitary channel.
+Noiseless tomography counts, the expected values rounded, live here as well.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from alphaprobe.channel import WavePlateStack, jones_at_frequencies
 from alphaprobe.fidelity import check_alpha
 from alphaprobe.linalg import EIG_FLOOR, DensityMatrix, check_qubit
 from alphaprobe.spectra import FrequencyGrid, GaussianSpectrum, _check_grid_shape
+from alphaprobe.tomography import CountRecord, TomographySettings, born_probabilities
 
 ORACLE_MAX_ENV = 256
 
@@ -127,6 +129,16 @@ def project_to_state(m: np.ndarray) -> np.ndarray:
         raise ValueError("state estimate has no positive spectral part; cannot renormalize")
     w = w / total
     return (v * w) @ v.conj().T
+
+
+def expected_counts(rho, settings: TomographySettings) -> CountRecord:
+    """Noiseless counts: expected values rounded to integers."""
+    pairs = settings.expected_pairs
+    counts: dict[str, tuple[int, int]] = {}
+    for basis in settings.bases:
+        p_plus, p_minus = born_probabilities(rho, basis)
+        counts[basis.name] = (round(pairs * p_plus), round(pairs * p_minus))
+    return CountRecord(counts)
 
 
 def naive_partial_trace(joint: np.ndarray, dim_probe: int, dim_env: int) -> np.ndarray:

@@ -34,7 +34,6 @@ from alphaprobe.spectra import (
 )
 from alphaprobe.tomography import (
     TomographySettings,
-    expected_counts,
     monte_carlo_bounds,
     reconstruct,
 )
@@ -43,6 +42,7 @@ from support import (
     apply_kraus,
     classical_alpha_fidelity,
     discretize,
+    expected_counts,
     rand_kraus,
     rand_state,
     rand_unitary,

@@ -430,6 +430,8 @@ class TestDualBounds:
     def test_known_width_validated(self):
         with pytest.raises(ValueError, match="width"):
             lower_bound_delta_mu(reference_record(), 0.0, 0.5)
+        with pytest.raises(ValueError, match="width"):
+            lower_bound_delta_mu(reference_record(), True, 0.5)
 
 
 class TestSummaryAndCsv:

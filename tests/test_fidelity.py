@@ -6,6 +6,7 @@ import pytest
 from alphaprobe.fidelity import (
     alpha_fidelity,
     alpha_fidelity_curve,
+    alpha_range,
     default_alpha_grid,
     dpi_margin,
     renyi_divergence,
@@ -138,6 +139,14 @@ class TestAlphaFidelity:
         curve = alpha_fidelity_curve(r1, r2, grid)
         for a, f in zip(grid, curve):
             assert f == pytest.approx(alpha_fidelity(r1, r2, float(a)), abs=1e-12)
+
+    def test_alpha_range_count_validated(self):
+        assert alpha_range(0.5, 0.9, np.int64(5)).tolist() == [0.5, 0.6, 0.7, 0.8, 0.9]
+        for bad in (True, 5.0):
+            with pytest.raises(ValueError, match="count must be an integer"):
+                alpha_range(0.5, 0.9, bad)
+        with pytest.raises(ValueError, match="count must be at least 2"):
+            alpha_range(0.5, 0.9, 1)
 
     def test_default_grid_shape(self):
         grid = default_alpha_grid()

@@ -188,6 +188,14 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="shape"):
             matrix_from_json({"dim": 2, "re": [[1.0]], "im": [[0.0]]})
 
+    def test_json_dim_must_be_a_positive_integer(self):
+        for dim in (0, -1):
+            with pytest.raises(ValueError, match="matrix dim must be at least 1"):
+                matrix_from_json({"dim": dim, "re": [], "im": []})
+        for dim in (2.0, True):
+            with pytest.raises(ValueError, match="matrix dim must be an integer"):
+                matrix_from_json({"dim": dim, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]})
+
     def test_json_missing_field(self):
         with pytest.raises(ValueError, match="missing"):
             matrix_from_json({"dim": 2, "re": [[1, 0], [0, 0]]})

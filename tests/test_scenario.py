@@ -232,7 +232,7 @@ class TestRunScenario:
         report = run_scenario(parse_scenario(sim_config()), out_dir=str(tmp_path))
         assert (tmp_path / "bound_curve.csv").exists()
         assert (tmp_path / "summary.json").exists()
-        assert report.summary_path.endswith("summary.json")
+        assert report.files[-1].endswith("summary.json")
 
         summary = read_summary(tmp_path / "summary.json")
         assert summary["schema"] == SCHEMA_VERSION

@@ -46,6 +46,10 @@ class TestGaussianSpectrum:
             GaussianSpectrum.from_wavelength(810.0, -1.0)
         with pytest.raises(ValueError, match="positive"):
             GaussianSpectrum.from_wavelength(0.0, 1.0)
+        with pytest.raises(ValueError, match="positive"):
+            GaussianSpectrum(mu=True, sigma=True)
+        with pytest.raises(ValueError, match="center wavelength must be positive, got inf"):
+            GaussianSpectrum.from_wavelength(math.inf, 1.0)
 
     def test_density_normalized_and_centered(self):
         s = GaussianSpectrum(mu=MU0, sigma=REFERENCE_SIGMA_HZ)

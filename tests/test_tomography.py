@@ -6,7 +6,7 @@ import pytest
 
 from alphaprobe.bounds import ProbingRecord, tightest_bound
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
-from alphaprobe.linalg import DensityMatrix
+from alphaprobe.linalg import DensityMatrix, write_json
 from alphaprobe.reference import (
     REFERENCE_DELTA_MU_HZ,
     REFERENCE_EVOLVED_1,
@@ -29,14 +29,13 @@ from alphaprobe.tomography import (
     _philox_keys,
     _reseeded,
     born_probabilities,
-    expected_counts,
     monte_carlo_bounds,
     reconstruct,
     rng_stream,
     sample_counts,
     simulate_counts,
 )
-from support import project_to_state, rand_state, trace_distance
+from support import expected_counts, project_to_state, rand_state, trace_distance
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -70,7 +69,7 @@ class TestBases:
 
 
 class TestSettings:
-    def test_parameter_validation(self):
+    def test_parameter_validation(self, tmp_path):
         with pytest.raises(ValueError, match="time"):
             TomographySettings(integration_time=0.0, count_rate=1.0, seed=0)
         with pytest.raises(ValueError, match="rate"):
@@ -79,6 +78,17 @@ class TestSettings:
             TomographySettings(integration_time=1.0, count_rate=1.0, seed=-1)
         with pytest.raises(ValueError, match="seed"):
             TomographySettings(integration_time=1.0, count_rate=1.0, seed=1.5)
+        for seed in (7.0, True):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                TomographySettings(integration_time=60.0, count_rate=200.0, seed=seed)
+        with pytest.raises(ValueError, match="time"):
+            TomographySettings(integration_time=True, count_rate=1.0, seed=0)
+        # a NumPy seed is stored as an int, so the report it seeds serializes
+        cfg = TomographySettings(integration_time=60.0, count_rate=200.0, seed=np.int64(7))
+        assert type(cfg.seed) is int and cfg.seed == 7
+        report = monte_carlo_bounds(exact_truth_record(), cfg, 2, SMALL_GRID)
+        write_json(tmp_path / "report.json", report.to_json())
+        assert json.loads((tmp_path / "report.json").read_text())["seed"] == 7
 
     def test_basis_triple_validation(self):
         # the triple is the fixed Pauli triple, not a setting a caller can replace
@@ -127,8 +137,11 @@ class TestCounts:
 
     def test_streams_are_reproducible(self):
         a = simulate_counts(PLUS, settings(), rng_stream(7, (3, 1)))
-        b = simulate_counts(PLUS, settings(), rng_stream(7, (3, 1)))
+        b = simulate_counts(PLUS, settings(), rng_stream(np.int64(7), (3, np.uint8(1))))
         assert a.counts == b.counts
+        for seed, key in ((7.9, (3, 1)), (True, (3, 1)), (7, (3.0, 1))):
+            with pytest.raises(ValueError, match="must be an integer"):
+                rng_stream(seed, key)
 
     def test_distinct_spawn_keys_decorrelate(self):
         a = simulate_counts(PLUS, settings(), rng_stream(7, (0, 0)))
@@ -438,11 +451,16 @@ class TestMonteCarlo:
             monte_carlo_bounds(truth, settings(), 0, SMALL_GRID)
         with pytest.raises(ValueError, match=f"at most {MAX_REPLICAS}"):
             monte_carlo_bounds(truth, settings(), MAX_REPLICAS + 1, SMALL_GRID)
+        for bad in (3.0, True):
+            with pytest.raises(ValueError, match="replicas must be an integer"):
+                monte_carlo_bounds(truth, settings(), bad, SMALL_GRID)
 
     def test_replica_order_validated(self):
         truth = exact_truth_record()
         with pytest.raises(ValueError, match="permutation"):
             monte_carlo_bounds(truth, settings(), 3, SMALL_GRID, replica_order=[0, 1, 1])
+        with pytest.raises(ValueError, match="replica_order entry must be an integer"):
+            monte_carlo_bounds(truth, settings(), 3, SMALL_GRID, replica_order=[2.9, 0.2, 1.5])
 
     def test_report_json_keys(self):
         report = MonteCarloReport(
