@@ -46,8 +46,6 @@ from .linalg import (
     DensityMatrix,
     NotHermitianError,
     NotPositiveError,
-    eig_hermitian,
-    hermitian_defect,
     matrix_from_json,
     matrix_to_json,
 )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, check_positive, check_qubit
+from .linalg import DensityMatrix, check_positive, check_qubit, state_matrix
 from .spectra import LIGHT_SPEED, FrequencyGrid, GaussianSpectrum, kappa
 
 QUARTZ_BIREFRINGENCE = 0.00925  # quartz near 810 nm
@@ -114,9 +114,10 @@ def apply_channel(
     Without a grid the average is exact: the module docstring's kappa sum
     over the stack's 2^k delay terms (at most MAX_PLATES plates). A grid
     gives the quadrature sum_k w_k V(omega_k) rho V(omega_k)^dagger instead,
-    the reference the exact channel is tested against.
+    the reference the exact channel is tested against. rho must be a qubit
+    density matrix, as a DensityMatrix or a raw array that passes its checks.
     """
-    a = check_qubit(rho)
+    a = check_qubit(state_matrix(rho))
     if grid is None:
         terms, delays = _delay_expansion(stack)
         weights = kappa(spectrum, delays[:, None] - delays[None, :])
@@ -126,4 +127,4 @@ def apply_channel(
     else:
         v = jones_at_frequencies(stack, grid.points)
         out = np.einsum("n,nab,bc,ndc->ad", grid.weights, v, a, v.conj())
-    return DensityMatrix((out + out.conj().T) / 2)
+    return DensityMatrix(out)

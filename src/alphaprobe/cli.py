@@ -79,11 +79,10 @@ def _add_alpha_args(parser: argparse.ArgumentParser, single: bool = False) -> No
 def cmd_afid(args) -> int:
     rho1 = _load_state(args.rho1, "--rho1")
     rho2 = _load_state(args.rho2, "--rho2")
-    if rho1.dim != rho2.dim:
-        raise ConfigError(f"--rho1/--rho2: states of dimension {rho1.dim} and {rho2.dim}")
     grid = _alpha_grid(args, lower=0.0)
-    rows = zip(grid.tolist(), alpha_fidelity_curve(rho1, rho2, grid).tolist())
-    write_csv(args.csv or sys.stdout, ["alpha", "fidelity"], rows)
+    with field_errors("--rho1/--rho2"):
+        curve = alpha_fidelity_curve(rho1, rho2, grid)
+    write_csv(args.csv or sys.stdout, ["alpha", "fidelity"], zip(grid.tolist(), curve.tolist()))
     if args.csv:
         print(f"wrote {args.csv}")
     return EXIT_OK

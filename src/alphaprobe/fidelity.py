@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .linalg import EIG_FLOOR, MatrixLike, as_matrix, check_integer, eig_hermitian
+from .linalg import EIG_FLOOR, check_integer, state_matrix
 
 CLAMP_EXCESS = 1e-9
 DPI_ALPHA_MIN = 0.5
@@ -75,28 +75,27 @@ def _floor_spectrum(w: np.ndarray) -> np.ndarray:
 
 
 def _qubit_fidelity_sums(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Unclipped F_alpha of qubit pairs, stacks (n, 2, 2), over a grid: shape (n, A).
+    """Unclipped F_alpha of validated qubit pairs, stacks (n, 2, 2), over a grid: shape (n, A).
 
-    In the eigenbasis V of rho2's Hermitian part, with q = (1 - alpha) / alpha and
+    In the eigenbasis V of rho2, with q = (1 - alpha) / alpha and
     rho1' = V^dagger rho1 V, the sandwich has a = l1^q rho1'_00, c = l2^q rho1'_11 and
     |b|^2 = (l1 l2)^q |rho1'_01|^2. Its large root (a + c + sqrt((a - c)^2 + 4|b|^2)) / 2
     adds terms of one sign; the small root (l1 l2)^q det(rho1) / lambda_+ takes det(rho1)
     from rho1's own entries, so it keeps its relative precision when both are near pure.
     """
-    w2, v2 = eig_hermitian(rho2s)
+    w2, v2 = np.linalg.eigh(rho2s)
     powers = _floor_spectrum(w2)[:, :, None] ** ((1.0 - grid) / grid)  # 0^q = 0 as q > 0
-    h1 = (rho1s + np.conj(np.swapaxes(rho1s, 1, 2))) / 2  # the sandwich is Hermitized
-    r = np.conj(np.swapaxes(v2, 1, 2)) @ h1 @ v2
+    r = np.conj(np.swapaxes(v2, 1, 2)) @ rho1s @ v2
     a, c = powers[:, 0] * r[:, 0, 0, None].real, powers[:, 1] * r[:, 1, 1, None].real
     both = powers[:, 0] * powers[:, 1]
     hi = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4.0 * both * np.abs(r[:, 0, 1, None]) ** 2))
-    det1 = h1[:, 0, 0].real * h1[:, 1, 1].real - np.abs(h1[:, 0, 1]) ** 2
+    det1 = rho1s[:, 0, 0].real * rho1s[:, 1, 1].real - np.abs(rho1s[:, 0, 1]) ** 2
     lo = np.divide(both * det1[:, None], hi, out=np.zeros_like(hi), where=hi > 0.0)
     return _floor_spectrum(lo) ** grid + _floor_spectrum(hi) ** grid
 
 
 def _fidelity_curves(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """F_alpha over a checked grid for stacks (n, d, d) of pairs: shape (n, A), clamped.
+    """F_alpha over a checked grid for validated stacks (n, d, d) of pairs: shape (n, A), clamped.
 
     Qubits go through the scalar kernel; higher dimensions cost a Hermitian
     eigenvalue solve of the sandwich per alpha. All n pairs share one clamp warning.
@@ -104,7 +103,7 @@ def _fidelity_curves(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray) -> 
     if rho1s.shape[-1] == 2:
         raw = _qubit_fidelity_sums(rho1s, rho2s, grid)
     else:
-        w2, v2 = eig_hermitian(rho2s)
+        w2, v2 = np.linalg.eigh(rho2s)
         # rho2^((1-alpha)/(2 alpha)) for every alpha at once; 0^p = 0 on the null space
         wp = _floor_spectrum(w2)[:, None, :] ** ((1.0 - grid) / (2.0 * grid))[:, None]
         half = np.einsum("nab,nmb,ncb->nmac", v2, wp, v2.conj())
@@ -120,24 +119,24 @@ def _fidelity_curves(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray) -> 
     return np.clip(raw, 0.0, 1.0)
 
 
-def alpha_fidelity(rho1: MatrixLike, rho2: MatrixLike, alpha: float) -> float:
+def alpha_fidelity(rho1, rho2, alpha: float) -> float:
     """F_alpha(rho1, rho2), clamped into [0, 1].
 
-    Both arguments must be density matrices of equal dimension. Null-space
+    Both arguments must be density matrices of equal dimension: DensityMatrix
+    instances, or raw arrays that pass its checks. Null-space
     eigenvalues of rho2 are handled as exact zeros, so pure rho2 reduces to
     <phi|rho1|phi>^alpha.
     """
     return float(alpha_fidelity_curve(rho1, rho2, [alpha])[0])
 
 
-def alpha_fidelity_curve(rho1: MatrixLike, rho2: MatrixLike, alphas) -> np.ndarray:
+def alpha_fidelity_curve(rho1, rho2, alphas) -> np.ndarray:
     """F_alpha(rho1, rho2) evaluated over a grid of alpha values.
 
     One eigendecomposition of rho2 is shared across the grid; qubits then cost
     a few elementwise operations per alpha.
     """
-    a1 = as_matrix(rho1)
-    a2 = as_matrix(rho2)
+    a1, a2 = state_matrix(rho1), state_matrix(rho2)
     if a1.shape != a2.shape:
         raise ValueError(
             f"density matrices have mismatched shapes {a1.shape} vs {a2.shape}"
@@ -145,7 +144,7 @@ def alpha_fidelity_curve(rho1: MatrixLike, rho2: MatrixLike, alphas) -> np.ndarr
     return _fidelity_curves(a1[None], a2[None], _check_alpha_grid(alphas))[0]
 
 
-def renyi_divergence(rho1: MatrixLike, rho2: MatrixLike, alpha: float) -> float:
+def renyi_divergence(rho1, rho2, alpha: float) -> float:
     """Sandwiched Renyi divergence S_alpha = log F_alpha / (alpha - 1).
 
     Returns +inf for orthogonal states (F_alpha = 0). Satisfies
@@ -158,12 +157,7 @@ def renyi_divergence(rho1: MatrixLike, rho2: MatrixLike, alpha: float) -> float:
 
 
 def dpi_margin(
-    rho1: MatrixLike,
-    rho2: MatrixLike,
-    phi1_rho1: MatrixLike,
-    phi2_rho2: MatrixLike,
-    xi_fid: float,
-    alpha: float,
+    rho1, rho2, phi1_rho1, phi2_rho2, xi_fid: float, alpha: float
 ) -> float:
     """Slack of the generalized data-processing inequality.
 

@@ -1,16 +1,16 @@
 """Dense Hermitian linear algebra for small quantum states.
 
-Everything downstream (fidelities, channels, tomography) funnels through the
-handful of primitives here, so the numerical tolerances live in one place:
-Hermiticity and positivity are enforced at 1e-9, and eigenvalues below
-EIG_FLOOR are treated as exact zeros when taking fractional matrix powers.
+Every state is checked once, by check_density_matrices, and the kernels
+downstream (fidelities, channels, tomography) trust the stacks it returns, so
+the numerical tolerances live in one place: Hermiticity and positivity are
+enforced at 1e-9, and eigenvalues below EIG_FLOOR are treated as exact zeros
+when taking fractional matrix powers.
 """
 from __future__ import annotations
 
 import json
 import numbers
 import sys
-from typing import Union
 
 import numpy as np
 
@@ -28,36 +28,11 @@ class NotPositiveError(ValueError):
     """Input matrix has an eigenvalue below the positivity tolerance."""
 
 
-def hermitian_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation |m - m^dagger| (of every matrix in a stack)."""
-    m = np.asarray(m)
-    return float(np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max())
-
-
 def _as_square(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     return a
-
-
-def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, or of a stack (..., d, d) of them.
-
-    Returns (w, V) with eigenvalues w ascending and orthonormal eigenvector
-    columns V, so that m = V @ diag(w) @ V^dagger. Raises NotHermitianError
-    if the input deviates from Hermitian by more than HERMITICITY_ATOL.
-    """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    defect = hermitian_defect(a)
-    if defect > HERMITICITY_ATOL:
-        raise NotHermitianError(
-            f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e} "
-            f"> {HERMITICITY_ATOL:.1e}"
-        )
-    return np.linalg.eigh((a + np.conj(np.swapaxes(a, -1, -2))) / 2)
 
 
 def check_density_matrices(m) -> np.ndarray:
@@ -133,19 +108,14 @@ class DensityMatrix:
         return matrix_to_json(self._mat)
 
 
-MatrixLike = Union[DensityMatrix, np.ndarray]
+def state_matrix(m) -> np.ndarray:
+    """The validated array of a state: a DensityMatrix's own, a raw array's via DensityMatrix."""
+    return (m if isinstance(m, DensityMatrix) else DensityMatrix(m)).matrix
 
 
-def as_matrix(m: MatrixLike) -> np.ndarray:
-    """Accept either a DensityMatrix or a raw array and return the array."""
-    if isinstance(m, DensityMatrix):
-        return m.matrix
-    return np.asarray(m, dtype=complex)
-
-
-def check_qubit(m: MatrixLike) -> np.ndarray:
+def check_qubit(m) -> np.ndarray:
     """The 2x2 array of a qubit operator; any other shape is a ValueError."""
-    a = as_matrix(m)
+    a = np.asarray(m, dtype=complex)
     if a.shape != (2, 2):
         raise ValueError(f"expected a qubit (2x2) state, got shape {a.shape}")
     return a
@@ -220,6 +190,3 @@ def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
-
-def save_matrix(path, m) -> None:
-    write_json(path, matrix_to_json(m))

@@ -160,10 +160,10 @@ def _parse_spectrum(payload, path: str) -> GaussianSpectrum:
             sigma=_positive(*_field(payload, "sigma_hz", path)),
         )
     if "center_wavelength_nm" in payload or "width_nm" in payload:
-        return GaussianSpectrum.from_wavelength(
-            center_nm=_positive(*_field(payload, "center_wavelength_nm", path)),
-            width_nm=_positive(*_field(payload, "width_nm", path)),
-        )
+        center_nm = _positive(*_field(payload, "center_wavelength_nm", path))
+        width_nm = _positive(*_field(payload, "width_nm", path))
+        with field_errors(f"{path}.center_wavelength_nm/width_nm"):
+            return GaussianSpectrum.from_wavelength(center_nm, width_nm)
     raise ConfigError(
         f"{path} needs either mu_hz/sigma_hz or center_wavelength_nm/width_nm"
     )

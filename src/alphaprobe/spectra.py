@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fidelity import check_alpha
-from .linalg import check_positive
+from .linalg import check_integer, check_positive
 
 LIGHT_SPEED = 299_792_458.0  # m/s
 
@@ -42,11 +42,18 @@ class GaussianSpectrum:
         """Convert a wavelength description (nm) to frequency (Hz).
 
         Uses nu = c / lambda and the first-order width mapping
-        sigma_nu = c * sigma_lambda / lambda^2.
+        sigma_nu = c * sigma_lambda / lambda^2. A wavelength whose line
+        leaves the float range (a zero, infinite or zero-width line) raises.
         """
         lam = check_positive(center_nm, "center wavelength") * 1e-9
         dlam = check_positive(width_nm, "wavelength width") * 1e-9
-        return cls(mu=LIGHT_SPEED / lam, sigma=LIGHT_SPEED * dlam / lam**2)
+        try:
+            return cls(mu=LIGHT_SPEED / lam, sigma=LIGHT_SPEED * dlam / lam**2)
+        except (ArithmeticError, ValueError):
+            raise ValueError(
+                f"center wavelength {center_nm} nm (width {width_nm} nm) gives no finite "
+                "positive line in Hz"
+            ) from None
 
     def density(self, omega) -> np.ndarray:
         """Normalized probability density |g(omega)|^2."""
@@ -116,7 +123,7 @@ class FrequencyGrid:
 
 def _check_grid_shape(span_sigmas: float, n: int) -> None:
     check_positive(span_sigmas, "grid span in sigmas")
-    if n < 3 or n % 2 == 0:
+    if check_integer(n, "grid size") < 3 or n % 2 == 0:
         raise ValueError(f"grid size must be odd and at least 3, got {n}")
 
 

@@ -154,6 +154,17 @@ class TestApplyChannel:
         with pytest.raises(ValueError, match="qubit"):
             apply_channel(stack, SPECTRUM, np.eye(3) / 3)
 
+    def test_non_state_rejected(self):
+        # the 20 mm plate damps the coherences enough that either output is a state
+        stack = WavePlateStack(plates=(WavePlate(20e-3, 0.0),))
+        cases = (
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
+            (np.array([[0.5, 0.6], [0.6, 0.5]]), "negative eigenvalue"),
+        )
+        for bad, message in cases:
+            with pytest.raises(ValueError, match=message):
+                apply_channel(stack, SPECTRUM, bad)
+
 
 class TestOracleAgreement:
     def test_matches_production_channel_on_shared_grid(self):

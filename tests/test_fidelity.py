@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from alphaprobe import fidelity
 from alphaprobe.fidelity import (
     alpha_fidelity,
     alpha_fidelity_curve,
@@ -115,9 +116,23 @@ class TestAlphaFidelity:
                 assert alpha_fidelity(rho, proj, a) == pytest.approx(want, abs=1e-9)
 
     def test_clamps_and_warns_above_one(self):
+        # the clamp is the kernel's; a public entry point rejects 1.5 * KET0 as a state
         with pytest.warns(UserWarning, match="clamping"):
-            got = alpha_fidelity(1.5 * KET0, KET0, 0.5)
-        assert got == 1.0
+            got = fidelity._fidelity_curves((1.5 * KET0)[None], KET0[None], np.array([0.5]))
+        assert got[0, 0] == 1.0
+
+    def test_non_states_rejected_in_either_position(self):
+        nan_entry = KET0.copy()
+        nan_entry[0, 1] = np.nan
+        cases = (
+            (1.5 * KET0, "trace is"),
+            (np.diag([1.1, -0.1]), "negative eigenvalue"),
+            (nan_entry, "must be finite"),
+        )
+        for bad, message in cases:
+            for pair in ((bad, KET0), (KET0, bad)):
+                with pytest.raises(ValueError, match=message):
+                    alpha_fidelity(*pair, 0.5)
 
     def test_alpha_outside_unit_interval_rejected(self):
         for bad in (0.0, 1.0, -0.1, 1.5):

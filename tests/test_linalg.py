@@ -7,11 +7,9 @@ from alphaprobe.linalg import (
     NotHermitianError,
     NotPositiveError,
     check_density_matrices,
-    eig_hermitian,
-    hermitian_defect,
     matrix_from_json,
     matrix_to_json,
-    save_matrix,
+    write_json,
 )
 from support import partial_trace_env, project_to_state, rand_state, rand_unitary
 
@@ -19,48 +17,6 @@ from support import partial_trace_env, project_to_state, rand_state, rand_unitar
 def rand_hermitian(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2
-
-
-class TestEigHermitian:
-    def test_identity(self):
-        w, v = eig_hermitian(np.eye(2))
-        assert np.allclose(w, [1.0, 1.0])
-        assert np.allclose(v.conj().T @ v, np.eye(2))
-
-    def test_pauli_x(self):
-        w, _ = eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(w, [-1.0, 1.0])
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            m = rand_hermitian(rng, 4)
-            w, v = eig_hermitian(m)
-            rebuilt = (v * w) @ v.conj().T
-            scale = np.abs(m).max()
-            assert np.abs(rebuilt - m).max() <= 1e-10 * scale
-            assert np.abs(v.conj().T @ v - np.eye(4)).max() <= 1e-10
-            assert np.all(np.diff(w) >= 0)
-
-    def test_non_hermitian_rejected(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(NotHermitianError, match="1.0"):
-            eig_hermitian(m)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            eig_hermitian(np.zeros((2, 3)))
-
-    def test_stack_matches_each_matrix(self):
-        rng = np.random.default_rng(31)
-        stack = np.stack([rand_hermitian(rng, 2) for _ in range(5)])
-        w, v = eig_hermitian(stack)
-        for k, m in enumerate(stack):
-            wk, vk = eig_hermitian(m)
-            assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
-        stack[3, 1, 0] += 1e-6
-        with pytest.raises(NotHermitianError, match="1.000e-06"):
-            eig_hermitian(stack)
 
 
 class TestProjectToState:
@@ -200,15 +156,11 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="missing"):
             matrix_from_json({"dim": 2, "re": [[1, 0], [0, 0]]})
 
-    def test_hermitian_defect_reports_max_asymmetry(self):
-        m = np.array([[0.0, 1.0], [0.5, 0.0]])
-        assert hermitian_defect(m) == pytest.approx(0.5)
-
     def test_save_matrix_refuses_non_finite_entries(self, tmp_path):
         # NaN would be written as a token that matrix_from_json cannot read back
         path = tmp_path / "m.json"
         with pytest.raises(ValueError):
-            save_matrix(path, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            write_json(path, matrix_to_json(np.array([[np.nan, 0.0], [0.0, 1.0]])))
         assert not path.exists()
 
 

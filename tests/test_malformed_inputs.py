@@ -100,6 +100,11 @@ def random_orientation_config(seed):
     return cfg
 
 
+def wavelength_config(center_nm):
+    line = {"center_wavelength_nm": center_nm, "width_nm": 1.0}
+    return edited(base_config(), "spectra.first", line)
+
+
 # (case id, subcommand, config or None, extra arguments, expected field path)
 CASES = [
     ("birefringence-string", "simulate",
@@ -142,6 +147,10 @@ CASES = [
      "--alpha-count"),
     ("replicas-over-max", "simulate", tomography_config(replicas=MAX_REPLICAS + 1), [],
      "tomography.replicas"),
+    ("wavelength-underflow", "simulate", wavelength_config(5e-324), [],
+     "spectra.first.center_wavelength_nm"),
+    ("wavelength-overflow", "simulate", wavelength_config(1e300), [],
+     "spectra.first.center_wavelength_nm"),
 ]
 
 

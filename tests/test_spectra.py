@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,9 @@ class TestGaussianSpectrum:
             GaussianSpectrum(mu=True, sigma=True)
         with pytest.raises(ValueError, match="center wavelength must be positive, got inf"):
             GaussianSpectrum.from_wavelength(math.inf, 1.0)
+        for center in (5e-324, 1e300):  # the line underflows or overflows in Hz
+            with pytest.raises(ValueError, match=re.escape(f"center wavelength {center} nm")):
+                GaussianSpectrum.from_wavelength(center, 1.0)
 
     def test_density_normalized_and_centered(self):
         s = GaussianSpectrum(mu=MU0, sigma=REFERENCE_SIGMA_HZ)
@@ -182,6 +186,8 @@ class TestDiscretize:
             discretize(s1, n=2000)
         with pytest.raises(ValueError, match="odd"):
             discretize(s1, n=1)
+        with pytest.raises(ValueError, match="grid size must be an integer"):
+            discretize_pair(s1, s1, 8.0, 301.0)
         with pytest.raises(ValueError, match="span"):
             discretize(s1, span_sigmas=0.0)
 
