@@ -28,7 +28,7 @@ from .fidelity import (
     _fidelity_curves,
     default_alpha_grid,
 )
-from .linalg import DensityMatrix, check_positive
+from .linalg import DensityMatrix, check_positive, check_real
 
 BOUND_ORDERS = ("forward", "reversed")
 BOUND_FAMILIES = ("B1", "B2")  # the bound of each order, in BOUND_ORDERS order
@@ -59,10 +59,8 @@ class ProbingRecord:
         dims = {s.dim for s in self.states}
         if len(dims) != 1:
             raise ValueError(f"record states must share one dimension, got {sorted(dims)}")
-        if not (math.isfinite(self.delta_mu) and self.delta_mu >= 0.0):
-            raise ValueError(
-                f"control shift must be finite and nonnegative, got {self.delta_mu}"
-            )
+        if check_real(self.delta_mu, "control shift") < 0.0:
+            raise ValueError(f"control shift must be nonnegative, got {self.delta_mu}")
 
     @property
     def states(self) -> tuple[DensityMatrix, ...]:
@@ -113,7 +111,7 @@ def fraction_curve(record: ProbingRecord, alphas, order: str = "forward") -> np.
 
 
 def fraction(record: ProbingRecord, alpha: float, order: str = "forward") -> float:
-    return float(fraction_curve(record, [float(alpha)], order)[0])
+    return float(fraction_curve(record, [alpha], order)[0])
 
 
 def _bounds_from_fractions(
@@ -132,8 +130,8 @@ def _bounds_from_fractions(
         radicand = alphas * (alphas - 1.0) * delta_mu**2 / (2.0 * logs)
         out[informative] = np.sqrt(radicand[informative])
     # a fraction of exactly 0 gives log -inf and a bound of 0, which is the
-    # correct limit; only non-finite leftovers are reclassified as absent
-    out[~np.isfinite(out)] = math.nan
+    # correct limit; only infinite leftovers are reclassified as absent
+    out[np.isinf(out)] = math.nan
     return out
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, check_positive, check_qubit, state_matrix
+from .linalg import DensityMatrix, check_positive, check_qubit, check_real, state_matrix
 from .spectra import LIGHT_SPEED, FrequencyGrid, GaussianSpectrum, kappa
 
 QUARTZ_BIREFRINGENCE = 0.00925  # quartz near 810 nm
@@ -41,8 +41,7 @@ class WavePlate:
 
     def __post_init__(self) -> None:
         check_positive(self.thickness, "plate thickness")
-        if not math.isfinite(self.orientation):
-            raise ValueError(f"plate orientation must be finite, got {self.orientation}")
+        check_real(self.orientation, "plate orientation")
 
 
 @dataclass(frozen=True)
@@ -56,10 +55,8 @@ class WavePlateStack:
         plates = tuple(self.plates)
         if not plates:
             raise ValueError("stack needs at least one plate")
-        if not (math.isfinite(self.birefringence) and self.birefringence != 0.0):
-            raise ValueError(
-                f"birefringence must be finite and nonzero, got {self.birefringence}"
-            )
+        if check_real(self.birefringence, "birefringence") == 0.0:
+            raise ValueError(f"birefringence must be nonzero, got {self.birefringence}")
         object.__setattr__(self, "plates", plates)
 
     def delays(self) -> np.ndarray:

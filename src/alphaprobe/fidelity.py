@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .linalg import EIG_FLOOR, check_integer, state_matrix
+from .linalg import EIG_FLOOR, check_integer, check_real, state_matrix
 
 CLAMP_EXCESS = 1e-9
 DPI_ALPHA_MIN = 0.5
@@ -41,7 +41,10 @@ def _check_alpha_grid(alphas, lower: float = 0.0) -> np.ndarray:
     where values below 1/2 are accepted but flagged, and 1/2 for width
     bounds, which need the data-processing inequality.
     """
-    a = np.asarray(alphas, dtype=float)
+    a = np.asarray(alphas)
+    if a.dtype.kind not in "iuf":  # bools, strings, bytes and objects are not converted
+        raise ValueError(f"alpha grid must hold real numbers, got dtype {a.dtype}")
+    a = a.astype(float, copy=False)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("alpha grid must be a nonempty 1-d array")
     if not (a.min() > 0.0 and a.min() >= lower and a.max() < 1.0):
@@ -167,6 +170,6 @@ def dpi_margin(
     channels are induced by a common unitary.
     """
     a = check_alpha(alpha)
-    if not 0.0 <= xi_fid <= 1.0:
+    if not 0.0 <= check_real(xi_fid, "environment fidelity") <= 1.0:
         raise ValueError(f"environment fidelity must lie in [0, 1], got {xi_fid}")
     return alpha_fidelity(phi1_rho1, phi2_rho2, a) - alpha_fidelity(rho1, rho2, a) * xi_fid

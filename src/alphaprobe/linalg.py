@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import numbers
 import sys
+from contextlib import suppress
 
 import numpy as np
 
@@ -131,13 +132,6 @@ def matrix_to_json(m) -> dict:
     }
 
 
-def is_json_number(value) -> bool:
-    """True for a finite JSON number; bools, strings and containers are not."""
-    real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    # also rejects nan, infinities and integers too large for a float
-    return real and abs(value) <= sys.float_info.max
-
-
 def check_integer(value, what: str, minimum: int | None = None, maximum: int | None = None) -> int:
     """value as an int: an integral number (NumPy integers included, bools not) in bounds."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -149,13 +143,24 @@ def check_integer(value, what: str, minimum: int | None = None, maximum: int | N
     return int(value)
 
 
-def check_positive(value, what: str) -> float:
-    """value as a float: a finite real number above 0 (NumPy reals included, bools not)."""
+def check_real(value, what: str) -> float:
+    """value as a float: a finite real number (NumPy reals included; bools, strings, bytes not)."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    # a chained comparison also rejects nan, infinities and integers too large for a float
-    if not (real and 0.0 < value <= sys.float_info.max):
-        raise ValueError(f"{what} must be positive, got {value}")
+    finite = False
+    with suppress(OverflowError):  # float() of an integer beyond the float range
+        # float() first: compared as itself, a float32 inf would pass the max cast to float32
+        finite = real and abs(float(value)) <= sys.float_info.max
+    if not finite:
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def check_positive(value, what: str) -> float:
+    """value as a float: a number that passes check_real and lies above 0."""
+    with suppress(ValueError):
+        if check_real(value, what) > 0.0:
+            return float(value)
+    raise ValueError(f"{what} must be positive, got {value}")
 
 
 def _json_rows(rows, key: str, dim: int) -> np.ndarray:
@@ -164,10 +169,7 @@ def _json_rows(rows, key: str, dim: int) -> np.ndarray:
     )
     if not square:
         raise ValueError(f"matrix payload shape mismatch: {key} is not {dim} rows of {dim}")
-    bad = [x for row in rows for x in row if not is_json_number(x)]
-    if bad:
-        raise ValueError(f"matrix {key} entries must be finite numbers, got {bad[0]!r}")
-    return np.array(rows, dtype=float)
+    return np.array([[check_real(x, f"matrix {key} entry") for x in row] for row in rows])
 
 
 def matrix_from_json(payload: dict) -> np.ndarray:

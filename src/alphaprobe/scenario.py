@@ -43,7 +43,7 @@ from .linalg import (
     check_integer,
     check_positive,
     check_qubit,
-    is_json_number,
+    check_real,
     matrix_from_json,
     write_json,
 )
@@ -112,32 +112,9 @@ _REQUIRED = object()
 
 
 def _field(payload: dict, key: str, path: str, default=_REQUIRED) -> tuple:
-    """(value, field path) of payload[key], for the typed readers below."""
+    """(value, field path) of payload[key], the arguments of a linalg check_* rule."""
     value = _require(payload, key, path) if default is _REQUIRED else payload.get(key, default)
     return value, f"{path}.{key}"
-
-
-# Typed readers: a raw JSON value and its field path in, a ConfigError naming the
-# path out. No value is converted between JSON types; ranges stay in domain types.
-def _number(value, path: str) -> float:
-    if not is_json_number(value):
-        raise ConfigError(f"{path} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _positive(value, path: str) -> float:
-    _number(value, path)
-    try:
-        return check_positive(value, path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _integer(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
-    try:
-        return check_integer(value, path, minimum, maximum)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _boolean(value, path: str) -> bool:
@@ -156,12 +133,12 @@ def _parse_spectrum(payload, path: str) -> GaussianSpectrum:
     _object(payload, path)
     if "mu_hz" in payload or "sigma_hz" in payload:
         return GaussianSpectrum(
-            mu=_positive(*_field(payload, "mu_hz", path)),
-            sigma=_positive(*_field(payload, "sigma_hz", path)),
+            mu=check_positive(*_field(payload, "mu_hz", path)),
+            sigma=check_positive(*_field(payload, "sigma_hz", path)),
         )
     if "center_wavelength_nm" in payload or "width_nm" in payload:
-        center_nm = _positive(*_field(payload, "center_wavelength_nm", path))
-        width_nm = _positive(*_field(payload, "width_nm", path))
+        center_nm = check_positive(*_field(payload, "center_wavelength_nm", path))
+        width_nm = check_positive(*_field(payload, "width_nm", path))
         with field_errors(f"{path}.center_wavelength_nm/width_nm"):
             return GaussianSpectrum.from_wavelength(center_nm, width_nm)
     raise ConfigError(
@@ -185,7 +162,7 @@ def _parse_stack(payload, path: str) -> WavePlateStack:
     plates_cfg = _require(payload, "plates", path)
     if not isinstance(plates_cfg, list) or not plates_cfg:
         raise ConfigError(f"{path}.plates must be a nonempty list")
-    birefringence = _number(*_field(payload, "birefringence", path, QUARTZ_BIREFRINGENCE))
+    birefringence = check_real(*_field(payload, "birefringence", path, QUARTZ_BIREFRINGENCE))
     needs_seed = any(
         isinstance(p, dict) and p.get("orientation_deg") == "random" for p in plates_cfg
     )
@@ -195,17 +172,17 @@ def _parse_stack(payload, path: str) -> WavePlateStack:
             raise ConfigError(
                 f"{path}.orientation_seed is required when any orientation is \"random\""
             )
-        seed = _integer(*_field(payload, "orientation_seed", path), minimum=0)
+        seed = check_integer(*_field(payload, "orientation_seed", path), minimum=0)
         rng = rng_stream(seed, ())
     plates = []
     for i, plate_cfg in enumerate(plates_cfg):
         ppath = f"{path}.plates[{i}]"
         _object(plate_cfg, ppath)
-        thickness_mm = _positive(*_field(plate_cfg, "thickness_mm", ppath))
+        thickness_mm = check_positive(*_field(plate_cfg, "thickness_mm", ppath))
         if plate_cfg.get("orientation_deg") == "random":
             theta = float(rng.uniform(0.0, 180.0))
         else:
-            theta = _number(*_field(plate_cfg, "orientation_deg", ppath, 0.0))
+            theta = check_real(*_field(plate_cfg, "orientation_deg", ppath, 0.0))
         plates.append(
             WavePlate(thickness=thickness_mm * 1e-3, orientation=math.radians(theta))
         )
@@ -239,6 +216,16 @@ class ScenarioConfig:
 
 
 def parse_scenario(payload: dict) -> ScenarioConfig:
+    """A scenario config from its JSON payload; a malformed field is a ConfigError naming it."""
+    try:
+        return _parse_config(payload)
+    except ConfigError:  # from _require, _object, the readers and field_errors
+        raise
+    except ValueError as exc:  # the one conversion of a check_* rule, whose message names the path
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse_config(payload: dict) -> ScenarioConfig:
     if not isinstance(payload, dict):
         raise ConfigError("config root must be an object")
     schema = payload.get("schema")
@@ -284,15 +271,15 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
 
     # schema 1 documents a quadrature grid; it is still checked, but the channel is exact
     grid_cfg = _object(payload.get("grid", {}), "config.grid")
-    span = _number(*_field(grid_cfg, "span_sigmas", "config.grid", 8.0))
-    points = _integer(*_field(grid_cfg, "points", "config.grid", 3001))
+    span = check_real(*_field(grid_cfg, "span_sigmas", "config.grid", 8.0))
+    points = check_integer(*_field(grid_cfg, "points", "config.grid", 3001))
     with field_errors("config.grid"):
         _check_grid_shape(span, points)
 
     alpha_cfg = _object(payload.get("alpha_grid", {}), "config.alpha_grid")
-    a_start = _number(*_field(alpha_cfg, "start", "config.alpha_grid", ALPHA_START))
-    a_stop = _number(*_field(alpha_cfg, "stop", "config.alpha_grid", ALPHA_STOP))
-    a_count = _integer(*_field(alpha_cfg, "count", "config.alpha_grid", ALPHA_COUNT))
+    a_start = check_real(*_field(alpha_cfg, "start", "config.alpha_grid", ALPHA_START))
+    a_stop = check_real(*_field(alpha_cfg, "stop", "config.alpha_grid", ALPHA_STOP))
+    a_count = check_integer(*_field(alpha_cfg, "count", "config.alpha_grid", ALPHA_COUNT))
     with field_errors("config.alpha_grid"):
         alpha_grid = alpha_range(a_start, a_stop, a_count, DPI_ALPHA_MIN)
 
@@ -304,12 +291,12 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
             raise ConfigError(
                 "config.tomography must be \"exact-states\" or a settings object"
             )
-        integration_time = _positive(*_field(tomo_cfg, "integration_time_s", "tomography"))
-        count_rate = _positive(*_field(tomo_cfg, "count_rate_hz", "tomography"))
-        seed = _integer(*_field(tomo_cfg, "seed", "tomography"))
+        integration_time = check_positive(*_field(tomo_cfg, "integration_time_s", "tomography"))
+        count_rate = check_positive(*_field(tomo_cfg, "count_rate_hz", "tomography"))
+        seed = check_integer(*_field(tomo_cfg, "seed", "tomography"))
         with field_errors("config.tomography"):
             tomography = TomographySettings(integration_time, count_rate, seed)
-        replicas = _integer(
+        replicas = check_integer(
             *_field(tomo_cfg, "replicas", "tomography", 1), minimum=1, maximum=MAX_REPLICAS
         )
 
@@ -323,10 +310,10 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
         if not isinstance(thick, list) or not thick:
             raise ConfigError("sweep.thicknesses_mm must be a nonempty list")
         sweep_thicknesses = tuple(
-            _positive(t, f"sweep.thicknesses_mm[{i}]") for i, t in enumerate(thick)
+            check_positive(t, f"sweep.thicknesses_mm[{i}]") for i, t in enumerate(thick)
         )
-        sweep_orientation = _number(*_field(sweep_cfg, "orientation_deg", "sweep", 0.0))
-        sweep_birefringence = _number(
+        sweep_orientation = check_real(*_field(sweep_cfg, "orientation_deg", "sweep", 0.0))
+        sweep_birefringence = check_real(
             *_field(sweep_cfg, "birefringence", "sweep", QUARTZ_BIREFRINGENCE)
         )
         with field_errors("config.sweep"):
@@ -366,7 +353,7 @@ def load_record(path) -> ProbingRecord:
             DensityMatrix(matrix_from_json(payload[key]))
             for key in ("rho1", "rho2", "phi1_rho1", "phi2_rho2")
         ]
-        return ProbingRecord(*states, delta_mu=_number(payload["delta_mu_hz"], "delta_mu_hz"))
+        return ProbingRecord(*states, delta_mu=check_real(payload["delta_mu_hz"], "delta_mu_hz"))
     except KeyError as exc:
         raise ConfigError(f"record {path} is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
