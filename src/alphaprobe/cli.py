@@ -31,6 +31,7 @@ from .scenario import (
     field_errors,
     load_json,
     load_scenario,
+    make_run_dir,
     reproduce_fig4,
     run_scenario,
     sweep_thickness,
@@ -127,7 +128,7 @@ def cmd_tomography(args) -> int:
         estimate = reconstruct(counts, settings.bases)
     except ZeroCountsError as exc:
         raise ConfigError(f"--time is too short for --rate: {exc}") from exc
-    os.makedirs(args.out, exist_ok=True)
+    make_run_dir(args.out)
     for name, payload in (("counts.json", counts), ("reconstructed.json", estimate)):
         path = os.path.join(args.out, name)
         write_json(path, payload.to_json())

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import numbers
 import sys
-from contextlib import suppress
 
 import numpy as np
 
@@ -98,9 +97,12 @@ class DensityMatrix:
         return self._mat.shape[0]
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
+        """The read-only array itself; a fresh writable one for copy=True or another dtype."""
+        if dtype is not None and np.dtype(dtype) != self._mat.dtype:
+            if copy is False:
+                raise ValueError(f"a {np.dtype(dtype)} array of a state needs a copy")
             return self._mat.astype(dtype)
-        return self._mat
+        return self._mat.copy() if copy else self._mat
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
@@ -146,10 +148,11 @@ def check_integer(value, what: str, minimum: int | None = None, maximum: int | N
 def check_real(value, what: str) -> float:
     """value as a float: a finite real number (NumPy reals included; bools, strings, bytes not)."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    finite = False
-    with suppress(OverflowError):  # float() of an integer beyond the float range
+    try:
         # float() first: compared as itself, a float32 inf would pass the max cast to float32
         finite = real and abs(float(value)) <= sys.float_info.max
+    except OverflowError:  # an integer beyond the float range
+        finite = False
     if not finite:
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return float(value)
@@ -157,9 +160,11 @@ def check_real(value, what: str) -> float:
 
 def check_positive(value, what: str) -> float:
     """value as a float: a number that passes check_real and lies above 0."""
-    with suppress(ValueError):
+    try:
         if check_real(value, what) > 0.0:
             return float(value)
+    except ValueError:
+        pass  # reported below, in this rule's words
     raise ValueError(f"{what} must be positive, got {value}")
 
 

@@ -102,6 +102,14 @@ def field_errors(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def make_run_dir(path) -> None:
+    """Create a run directory and its parents; a path that cannot be one is a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {path} cannot be created: {exc.strerror}") from exc
+
+
 def _require(payload: dict, key: str, path: str):
     if key not in payload:
         raise ConfigError(f"{path}.{key} is required")
@@ -183,9 +191,10 @@ def _parse_stack(payload, path: str) -> WavePlateStack:
             theta = float(rng.uniform(0.0, 180.0))
         else:
             theta = check_real(*_field(plate_cfg, "orientation_deg", ppath, 0.0))
-        plates.append(
-            WavePlate(thickness=thickness_mm * 1e-3, orientation=math.radians(theta))
-        )
+        with field_errors(f"{ppath}.thickness_mm"):  # a thickness that underflows in meters
+            plates.append(
+                WavePlate(thickness=thickness_mm * 1e-3, orientation=math.radians(theta))
+            )
     with field_errors(path):
         return WavePlateStack(plates=tuple(plates), birefringence=birefringence)
 
@@ -377,7 +386,7 @@ def _write_report(
     The one exit-4 rule: a message in uninformative raises NoInformationError
     only after every file is written.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    make_run_dir(out_dir)
     files = tuple(os.path.join(out_dir, name) for name in (*writers, "summary.json"))
     for write, path in zip(writers.values(), files):
         write(path)

@@ -38,9 +38,15 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 
 # the replica loop holds one result per replica; larger runs are rejected up front
 MAX_REPLICAS = 100_000
+# rate x time per basis; below it each count's mean lies where floats hold every
+# integer (reconstruct sums counts as floats), far inside numpy's Poisson limit (~9.2e18)
+MAX_EXPECTED_PAIRS = 2**53
 # replicas are sampled, inverted and validated in passes of up to SAMPLE_REPLICAS
 # in evaluation order, and bounded in blocks of max(1, BLOCK_ALPHA_POINTS // A)
-# for an A-point grid, so a block's (4B, A) kernel temporaries stay within 64 KiB
+# for an A-point grid. Peak memory sets the block: over 150 runs of 100 replicas at
+# A = 500 (2-vCPU Xeon, Python 3.11, numpy 2.4), blocks of 4 peak 8.5 MiB above the
+# imported package, 16 at 11.0 MiB and 100 at 23.7 MiB, where the mc-tomography
+# benchmark allows about 2.2 MiB (5%) of growth
 SAMPLE_REPLICAS = 1024
 BLOCK_ALPHA_POINTS = 2048
 
@@ -94,6 +100,10 @@ class TomographySettings:
         check_positive(self.integration_time, "integration time")
         check_positive(self.count_rate, "count rate")
         object.__setattr__(self, "seed", check_integer(self.seed, "seed", minimum=0))
+        if self.expected_pairs > MAX_EXPECTED_PAIRS:
+            raise ValueError(
+                f"count rate x integration time must be at most 2**53, got {self.expected_pairs}"
+            )
 
     @property
     def expected_pairs(self) -> float:

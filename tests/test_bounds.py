@@ -69,7 +69,7 @@ class TestProbingRecord:
             )
 
     def test_control_shift_validated(self):
-        for bad in (-1.0, math.nan, math.inf):
+        for bad in (-1.0, math.nan, math.inf, True, "1.0"):
             with pytest.raises(ValueError, match="control shift"):
                 ProbingRecord(
                     rho1=KET0, rho2=KET1, phi1_rho1=KET0, phi2_rho2=KET1, delta_mu=bad
@@ -211,7 +211,7 @@ class TestBoundFamilies:
 
     def test_alpha_domain_enforced(self):
         rec = reference_record()
-        for bad in (0.3, 0.4999, 1.0, 1.5):
+        for bad in (0.3, 0.4999, 1.0, 1.5, "0.7"):
             with pytest.raises(ValueError, match="alpha"):
                 bound_b1(rec, bad)
 
@@ -242,6 +242,8 @@ class TestTightestBound:
             tightest_bound(rec, alpha_grid=[0.4, 0.6])
         with pytest.raises(ValueError, match=r"\[0.5, 1\)"):
             tightest_bound(rec, alpha_grid=[0.6, 1.0])
+        with pytest.raises(ValueError, match="alpha grid must hold real numbers"):
+            tightest_bound(rec, alpha_grid=["0.5", "0.9"])
 
 
 def family_scan(b1, b2, alphas):

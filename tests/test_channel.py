@@ -49,14 +49,22 @@ class TestStackGeometry:
             WavePlate(thickness=0.0, orientation=0.0)
         with pytest.raises(ValueError, match="thickness"):
             WavePlate(thickness=True, orientation=0)
-        with pytest.raises(ValueError, match="orientation"):
-            WavePlate(thickness=1e-3, orientation=math.nan)
+        for bad in (math.nan, True, "0.1", np.float32(np.inf)):
+            with pytest.raises(ValueError, match="orientation"):
+                WavePlate(thickness=1e-3, orientation=bad)
 
     def test_stack_validation(self):
         with pytest.raises(ValueError, match="at least one"):
             WavePlateStack(plates=())
-        with pytest.raises(ValueError, match="birefringence"):
-            WavePlateStack(plates=(WavePlate(1e-3, 0.0),), birefringence=0.0)
+        for bad in (0.0, True, "0.00925"):
+            with pytest.raises(ValueError, match="birefringence"):
+                WavePlateStack(plates=(WavePlate(1e-3, 0.0),), birefringence=bad)
+
+    def test_float32_orientation_is_accepted(self):
+        line, plus = GaussianSpectrum(mu=3.7e14, sigma=5.68e11), np.full((2, 2), 0.5)
+        got = apply_channel(WavePlateStack(plates=(WavePlate(1e-3, np.float32(0.3)),)), line, plus)
+        want = WavePlateStack(plates=(WavePlate(1e-3, float(np.float32(0.3))),))
+        assert np.array_equal(got.matrix, apply_channel(want, line, plus).matrix)
 
     def test_delays_and_thickness(self):
         stack = WavePlateStack(

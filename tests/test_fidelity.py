@@ -135,9 +135,18 @@ class TestAlphaFidelity:
                     alpha_fidelity(*pair, 0.5)
 
     def test_alpha_outside_unit_interval_rejected(self):
-        for bad in (0.0, 1.0, -0.1, 1.5):
+        for bad in (0.0, 1.0, -0.1, 1.5, "0.5"):
             with pytest.raises(ValueError, match="alpha"):
                 alpha_fidelity(KET0, KET0, bad)
+        for grid in (["0.5", "0.9"], [b"0.5"], [True, False]):
+            with pytest.raises(ValueError, match="alpha grid must hold real numbers"):
+                alpha_fidelity_curve(KET0, KET0, grid)
+
+    def test_float32_grid_is_accepted(self):
+        grid = np.linspace(0.5, 0.99, 7, dtype=np.float32)
+        got = alpha_fidelity_curve(REFERENCE_RHO_1, REFERENCE_RHO_2, grid)
+        want = alpha_fidelity_curve(REFERENCE_RHO_1, REFERENCE_RHO_2, grid.astype(float))
+        assert np.array_equal(got, want)
 
     def test_alpha_below_half_warns(self):
         with pytest.warns(UserWarning, match="below 0.5"):
@@ -285,6 +294,6 @@ class TestDpiMargin:
     def test_environment_fidelity_range_checked(self):
         rng = np.random.default_rng(83)
         r1, r2 = rand_state(rng, 2), rand_state(rng, 2)
-        for bad in (-0.1, 1.1):
+        for bad in (-0.1, 1.1, True, "0.5"):
             with pytest.raises(ValueError, match="environment fidelity"):
                 dpi_margin(r1, r2, r1, r2, bad, 0.7)

@@ -7,6 +7,8 @@ from alphaprobe.linalg import (
     NotHermitianError,
     NotPositiveError,
     check_density_matrices,
+    check_positive,
+    check_real,
     matrix_from_json,
     matrix_to_json,
     write_json,
@@ -132,6 +134,15 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="finite"):
             DensityMatrix(m)
 
+    def test_array_protocol_copies_only_when_asked(self):
+        dm = DensityMatrix(np.eye(2) / 2)
+        copied = np.array(dm)
+        assert not np.shares_memory(copied, dm.matrix) and copied.flags.writeable
+        assert np.asarray(dm) is dm.matrix
+        assert np.asarray(dm, dtype=np.complex64).dtype == np.complex64
+        with pytest.raises(ValueError, match="copy"):
+            np.asarray(dm, dtype=np.complex64, copy=False)
+
     def test_json_round_trip(self):
         rng = np.random.default_rng(29)
         rho = rand_state(rng, 3)
@@ -162,6 +173,34 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             write_json(path, matrix_to_json(np.array([[np.nan, 0.0], [0.0, 1.0]])))
         assert not path.exists()
+
+
+NOT_FINITE_REALS = {
+    "bool": True,
+    "numpy-bool": np.True_,
+    "string": "1",
+    "bytes": b"1",
+    "nan": np.nan,
+    "inf": np.inf,
+    "float32-inf": np.float32(np.inf),
+    "int-beyond-float": 10**400,
+}
+
+
+class TestScalarRules:
+    @pytest.mark.parametrize("bad", NOT_FINITE_REALS.values(), ids=NOT_FINITE_REALS.keys())
+    def test_check_real_rejects(self, bad):
+        with pytest.raises(ValueError, match=r"^x must be a finite number, got "):
+            check_real(bad, "x")
+        with pytest.raises(ValueError, match=r"^x must be positive, got "):
+            check_positive(bad, "x")
+
+    @pytest.mark.parametrize(
+        "good, want", [(np.float32(0.25), 0.25), (np.int64(-3), -3.0), (7, 7.0), (-1e308, -1e308)]
+    )
+    def test_check_real_accepts_numpy_reals_as_floats(self, good, want):
+        got = check_real(good, "x")
+        assert type(got) is float and got == want
 
 
 GOOD_QUBITS = [

@@ -151,6 +151,19 @@ CASES = [
      "spectra.first.center_wavelength_nm"),
     ("wavelength-overflow", "simulate", wavelength_config(1e300), [],
      "spectra.first.center_wavelength_nm"),
+    ("thickness-underflow", "simulate",
+     edited(base_config(), "coupling.plates.0.thickness_mm", 5e-324), [],
+     "coupling.plates[0].thickness_mm"),
+    ("acquisition-beyond-2**53", "simulate",
+     tomography_config(integration_time_s=1e10, count_rate_hz=1e10), [], "config.tomography"),
+    ("acquisition-flags-beyond-2**53", "tomography", None,
+     ["--time", "1e10", "--rate", "1e10", "--seed", "7"], "--time/--rate/--seed"),
+    # "{tmp}" is the test's temporary directory, which holds config.json and state.json
+    ("out-is-a-file", "simulate", base_config(), ["--out", "{tmp}/config.json"],
+     "output directory"),
+    ("out-under-a-file", "tomography", None,
+     ["--time", "60", "--rate", "200", "--seed", "7", "--out", "{tmp}/state.json/run"],
+     "output directory"),
 ]
 
 
@@ -171,7 +184,7 @@ def test_malformed_input_exits_2_naming_the_field(
         argv = ["tomography", "--state", str(state), "--out", out]
     else:
         argv = ["afid", "--rho1", str(state), "--rho2", str(state)]
-    code = main(argv + extra)
+    code = main(argv + [arg.format(tmp=tmp_path) for arg in extra])
     assert code == EXIT_CONFIG
     assert field in capsys.readouterr().err
 

@@ -99,6 +99,12 @@ class TestSettings:
     def test_expected_pairs(self):
         assert settings(time=60.0, rate=200.0).expected_pairs == pytest.approx(12000.0)
 
+    def test_expected_pairs_capped_at_exact_float_integers(self):
+        assert settings(time=2.0**26, rate=2.0**27).expected_pairs == 2**53
+        for time, rate in ((1e10, 1e10), (1e200, 1e200)):
+            with pytest.raises(ValueError, match=r"at most 2\*\*53"):
+                settings(time=time, rate=rate)
+
 
 class TestBornProbabilities:
     def test_maximally_mixed_state(self):
