@@ -228,7 +228,7 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
     """A scenario config from its JSON payload; a malformed field is a ConfigError naming it."""
     try:
         return _parse_config(payload)
-    except ConfigError:  # from _require, _object, the readers and field_errors
+    except ConfigError:  # from _require, _object, _boolean and field_errors
         raise
     except ValueError as exc:  # the one conversion of a check_* rule, whose message names the path
         raise ConfigError(str(exc)) from exc

@@ -38,8 +38,8 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 
 # the replica loop holds one result per replica; larger runs are rejected up front
 MAX_REPLICAS = 100_000
-# rate x time per basis; below it each count's mean lies where floats hold every
-# integer (reconstruct sums counts as floats), far inside numpy's Poisson limit (~9.2e18)
+# expected pairs per basis (rate x time) at most: each count's mean then lies where
+# floats hold every integer, as reconstruct assumes, far inside numpy's Poisson limit
 MAX_EXPECTED_PAIRS = 2**53
 # replicas are sampled, inverted and validated in passes of up to SAMPLE_REPLICAS
 # in evaluation order, and bounded in blocks of max(1, BLOCK_ALPHA_POINTS // A)
