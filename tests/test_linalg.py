@@ -141,7 +141,7 @@ class TestDensityMatrix:
         assert np.asarray(dm) is dm.matrix
         assert np.asarray(dm, dtype=np.complex64).dtype == np.complex64
         with pytest.raises(ValueError, match="copy"):
-            np.asarray(dm, dtype=np.complex64, copy=False)
+            dm.__array__(np.complex64, copy=False)  # what np.asarray(..., copy=False) asks
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(29)
@@ -189,7 +189,7 @@ NOT_FINITE_REALS = {
 
 class TestScalarRules:
     @pytest.mark.parametrize("bad", NOT_FINITE_REALS.values(), ids=NOT_FINITE_REALS.keys())
-    def test_check_real_rejects(self, bad):
+    def test_check_real_and_check_positive_reject(self, bad):
         with pytest.raises(ValueError, match=r"^x must be a finite number, got "):
             check_real(bad, "x")
         with pytest.raises(ValueError, match=r"^x must be positive, got "):
