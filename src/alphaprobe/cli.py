@@ -23,7 +23,7 @@ from .fidelity import (
     alpha_range,
     check_alpha,
 )
-from .linalg import DensityMatrix, check_qubit, matrix_from_json, write_json
+from .linalg import DensityMatrix, write_json
 from .scenario import (
     ConfigError,
     GoldenCheckError,
@@ -32,6 +32,7 @@ from .scenario import (
     load_json,
     load_scenario,
     make_run_dir,
+    read_state,
     reproduce_fig4,
     run_scenario,
     sweep_thickness,
@@ -51,9 +52,7 @@ EXIT_NO_INFORMATION = 4
 
 
 def _load_state(path, flag: str, qubit: bool = False) -> DensityMatrix:
-    with field_errors(f"{flag} state {path}"):
-        matrix = matrix_from_json(load_json(path, "state"))
-        return DensityMatrix(check_qubit(matrix) if qubit else matrix)
+    return read_state(load_json(path, f"{flag} state"), f"{flag} state {path}", qubit)
 
 
 def _alpha_grid(args, lower: float) -> np.ndarray:

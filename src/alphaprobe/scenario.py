@@ -71,6 +71,8 @@ GOLDEN_B2_HALF_OVER_SIGMA = 2.22
 GOLDEN_B2_TOP_OVER_SIGMA = 1.82
 GOLDEN_RTOL = 0.05
 
+RECORD_STATES = ("rho1", "rho2", "phi1_rho1", "phi2_rho2")
+
 PLUS_STATE = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 
@@ -110,19 +112,19 @@ def make_run_dir(path) -> None:
         raise ConfigError(f"output directory {path} cannot be created: {exc.strerror}") from exc
 
 
-def _require(payload: dict, key: str, path: str):
-    if key not in payload:
-        raise ConfigError(f"{path}.{key} is required")
-    return payload[key]
-
-
 _REQUIRED = object()
 
 
 def _field(payload: dict, key: str, path: str, default=_REQUIRED) -> tuple:
-    """(value, field path) of payload[key], the arguments of a linalg check_* rule."""
-    value = _require(payload, key, path) if default is _REQUIRED else payload.get(key, default)
-    return value, f"{path}.{key}"
+    """(value, field path) of payload[key], the arguments of a check rule; "" is the root path."""
+    where = f"{path}.{key}" if path else key
+    if key not in payload and default is _REQUIRED:
+        raise ConfigError(f"{where} is required")
+    return payload.get(key, default), where
+
+
+def _require(payload: dict, key: str, path: str):
+    return _field(payload, key, path)[0]
 
 
 def _boolean(value, path: str) -> bool:
@@ -135,6 +137,13 @@ def _object(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{path} must be an object")
     return value
+
+
+def read_state(payload, path: str, qubit: bool = False) -> DensityMatrix:
+    """The state (a qubit if asked) of a matrix JSON payload; errors are ConfigErrors on path."""
+    with field_errors(path):
+        matrix = matrix_from_json(payload)
+        return DensityMatrix(check_qubit(matrix) if qubit else matrix)
 
 
 def _parse_spectrum(payload, path: str) -> GaussianSpectrum:
@@ -158,8 +167,7 @@ def _parse_probe(payload, path: str) -> DensityMatrix:
     if payload == "plus":
         return DensityMatrix(PLUS_STATE)
     if isinstance(payload, dict):
-        with field_errors(path):
-            return DensityMatrix(check_qubit(matrix_from_json(payload)))
+        return read_state(payload, path, qubit=True)
     raise ConfigError(f"{path} must be \"plus\" or a matrix object, got {payload!r}")
 
 
@@ -199,14 +207,6 @@ def _parse_stack(payload, path: str) -> WavePlateStack:
         return WavePlateStack(plates=tuple(plates), birefringence=birefringence)
 
 
-def _sweep_stack(
-    thickness_mm: float, orientation_deg: float, birefringence: float
-) -> WavePlateStack:
-    """The one-plate stack a thickness sweep evaluates at thickness_mm."""
-    plate = WavePlate(thickness=thickness_mm * 1e-3, orientation=math.radians(orientation_deg))
-    return WavePlateStack(plates=(plate,), birefringence=birefringence)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Parsed scenario: physics, readout, alpha grid, and the raw config echo."""
@@ -218,9 +218,8 @@ class ScenarioConfig:
     tomography: TomographySettings | None  # None means exact states
     replicas: int
     require_bound: bool
-    sweep_thicknesses_mm: tuple[float, ...] | None
+    sweep_stacks: tuple[tuple[float, WavePlateStack], ...] | None  # (thickness_mm, one plate)
     sweep_orientation_deg: float
-    sweep_birefringence: float
     echo: dict
 
 
@@ -259,19 +258,17 @@ def _parse_config(payload: dict) -> ScenarioConfig:
                 "bundled probes"
             )
     else:
-        spectra_cfg = _object(_require(payload, "spectra", "config"), "config.spectra")
-        spectra = (
-            _parse_spectrum(_require(spectra_cfg, "first", "spectra"), "spectra.first"),
-            _parse_spectrum(_require(spectra_cfg, "second", "spectra"), "spectra.second"),
+        spectra_cfg = _object(*_field(payload, "spectra", "config"))
+        spectra = tuple(
+            _parse_spectrum(*_field(spectra_cfg, k, "spectra")) for k in ("first", "second")
         )
         if probes_cfg is None:
             raise ConfigError("config.probes is required for a simulated coupling")
         if probes_cfg == REFERENCE_LITERAL:
             probes = (DensityMatrix(REFERENCE_RHO_1), DensityMatrix(REFERENCE_RHO_2))
         elif isinstance(probes_cfg, dict):
-            probes = (
-                _parse_probe(_require(probes_cfg, "rho1", "probes"), "probes.rho1"),
-                _parse_probe(_require(probes_cfg, "rho2", "probes"), "probes.rho2"),
+            probes = tuple(
+                _parse_probe(*_field(probes_cfg, k, "probes")) for k in ("rho1", "rho2")
             )
         else:
             raise ConfigError(
@@ -310,24 +307,21 @@ def _parse_config(payload: dict) -> ScenarioConfig:
         )
 
     sweep_cfg = payload.get("sweep")
-    sweep_thicknesses = None
+    sweep_stacks = None
     sweep_orientation = 0.0
-    sweep_birefringence = QUARTZ_BIREFRINGENCE
     if sweep_cfg is not None:
         _object(sweep_cfg, "config.sweep")
         thick = _require(sweep_cfg, "thicknesses_mm", "sweep")
         if not isinstance(thick, list) or not thick:
             raise ConfigError("sweep.thicknesses_mm must be a nonempty list")
-        sweep_thicknesses = tuple(
-            check_positive(t, f"sweep.thicknesses_mm[{i}]") for i, t in enumerate(thick)
-        )
+        mm = [check_positive(t, f"sweep.thicknesses_mm[{i}]") for i, t in enumerate(thick)]
         sweep_orientation = check_real(*_field(sweep_cfg, "orientation_deg", "sweep", 0.0))
-        sweep_birefringence = check_real(
-            *_field(sweep_cfg, "birefringence", "sweep", QUARTZ_BIREFRINGENCE)
-        )
-        with field_errors("config.sweep"):
-            for t in sweep_thicknesses:
-                _sweep_stack(t, sweep_orientation, sweep_birefringence)
+        dn = check_real(*_field(sweep_cfg, "birefringence", "sweep", QUARTZ_BIREFRINGENCE))
+        theta = math.radians(sweep_orientation)
+        with field_errors("config.sweep"):  # one plate per thickness
+            sweep_stacks = tuple(
+                (t, WavePlateStack((WavePlate(t * 1e-3, theta),), dn)) for t in mm
+            )
         if use_reference:
             raise ConfigError(
                 "sweep scenarios simulate the coupling per thickness; coupling must "
@@ -343,9 +337,8 @@ def _parse_config(payload: dict) -> ScenarioConfig:
         tomography=tomography,
         replicas=replicas,
         require_bound=_boolean(*_field(payload, "require_bound", "config", False)),
-        sweep_thicknesses_mm=sweep_thicknesses,
+        sweep_stacks=sweep_stacks,
         sweep_orientation_deg=sweep_orientation,
-        sweep_birefringence=sweep_birefringence,
         echo=payload,
     )
 
@@ -355,18 +348,12 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def load_record(path) -> ProbingRecord:
-    """Read a probing record JSON; a missing or malformed field is a ConfigError."""
+    """Read a probing record JSON; an error is a ConfigError naming the file and the field."""
     payload = load_json(path, "record")
-    try:
-        states = [
-            DensityMatrix(matrix_from_json(payload[key]))
-            for key in ("rho1", "rho2", "phi1_rho1", "phi2_rho2")
-        ]
-        return ProbingRecord(*states, delta_mu=check_real(payload["delta_mu_hz"], "delta_mu_hz"))
-    except KeyError as exc:
-        raise ConfigError(f"record {path} is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"record {path}: {exc}") from exc
+    with field_errors(f"record {path}"):
+        _object(payload, "document root")
+        states = [read_state(*_field(payload, key, "")) for key in RECORD_STATES]
+        return ProbingRecord(*states, check_positive(*_field(payload, "delta_mu_hz", "")))
 
 
 @dataclass(frozen=True)
@@ -451,7 +438,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     Raises NoInformationError, after writing both files, only when require_bound
     is set and no grid point of the (replica-0) record is informative.
     """
-    if config.sweep_thicknesses_mm is not None:
+    if config.sweep_stacks is not None:
         raise ConfigError("config has a sweep section; run sweep_thickness instead")
 
     resolved: dict = {}
@@ -569,15 +556,12 @@ def sweep_thickness(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     (tomography settings are ignored here). Writes sweep.csv and summary.json,
     then raises NoInformationError if require_bound finds no informative one.
     """
-    if config.sweep_thicknesses_mm is None:
+    if config.sweep_stacks is None:
         raise ConfigError("config.sweep.thicknesses_mm is required for a sweep")
     sigma_truth = _truth_sigma(config)
 
     rows = []
-    for thickness_mm in config.sweep_thicknesses_mm:
-        stack = _sweep_stack(
-            thickness_mm, config.sweep_orientation_deg, config.sweep_birefringence
-        )
+    for thickness_mm, stack in config.sweep_stacks:
         record = _evolve(config, stack)
         curve = tightest_bound(record, config.alpha_grid)
         entry = bound_summary(curve, sigma_reference=sigma_truth)
@@ -590,7 +574,7 @@ def sweep_thickness(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     table = ([r.get(c) for c in columns] for r in rows)
     resolved = {
         "orientation_deg": config.sweep_orientation_deg,
-        "birefringence": config.sweep_birefringence,
+        "birefringence": config.sweep_stacks[0][1].birefringence,
     }
     results = {"thicknesses": rows, "sigma_truth_hz": sigma_truth}
     demanded = config.require_bound and all(r["no_information"] for r in rows)

@@ -58,7 +58,7 @@ class TestParse:
         assert cfg.alpha_grid[0] == 0.5
         assert cfg.alpha_grid[-1] == 0.9999
         assert cfg.require_bound is False
-        assert cfg.sweep_thicknesses_mm is None
+        assert cfg.sweep_stacks is None
 
     def test_reference_config(self):
         cfg = parse_scenario({"schema": SCHEMA_VERSION, "coupling": REFERENCE_LITERAL})
