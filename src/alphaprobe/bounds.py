@@ -56,11 +56,14 @@ class ProbingRecord:
     delta_mu: float
 
     def __post_init__(self) -> None:
-        dims = {s.dim for s in self.states}
-        if len(dims) != 1:
-            raise ValueError(f"record states must share one dimension, got {sorted(dims)}")
-        if check_real(self.delta_mu, "control shift") < 0.0:
+        dims = [s.dim for s in self.states]
+        if len(set(dims)) != 1:
+            raise ValueError(f"states rho1, rho2, phi1_rho1, phi2_rho2 must share one dimension, "
+                             f"got {dims}")
+        delta_mu = check_real(self.delta_mu, "control shift")
+        if delta_mu < 0.0:
             raise ValueError(f"control shift must be nonnegative, got {self.delta_mu}")
+        object.__setattr__(self, "delta_mu", delta_mu)
 
     @property
     def states(self) -> tuple[DensityMatrix, ...]:

@@ -40,8 +40,8 @@ class WavePlate:
     orientation: float
 
     def __post_init__(self) -> None:
-        check_positive(self.thickness, "plate thickness")
-        check_real(self.orientation, "plate orientation")
+        object.__setattr__(self, "thickness", check_positive(self.thickness, "plate thickness"))
+        object.__setattr__(self, "orientation", check_real(self.orientation, "plate orientation"))
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,11 @@ class WavePlateStack:
         plates = tuple(self.plates)
         if not plates:
             raise ValueError("stack needs at least one plate")
-        if check_real(self.birefringence, "birefringence") == 0.0:
+        birefringence = check_real(self.birefringence, "birefringence")
+        if birefringence == 0.0:
             raise ValueError(f"birefringence must be nonzero, got {self.birefringence}")
         object.__setattr__(self, "plates", plates)
+        object.__setattr__(self, "birefringence", birefringence)
 
     def delays(self) -> np.ndarray:
         """Per-plate group delays tau_i = dn * x_i / c, in seconds."""

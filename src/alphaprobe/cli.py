@@ -82,9 +82,15 @@ def cmd_afid(args) -> int:
     grid = _alpha_grid(args, lower=0.0)
     with field_errors("--rho1/--rho2"):
         curve = alpha_fidelity_curve(rho1, rho2, grid)
-    write_csv(args.csv or sys.stdout, ["alpha", "fidelity"], zip(grid.tolist(), curve.tolist()))
-    if args.csv:
-        print(f"wrote {args.csv}")
+    rows = zip(grid.tolist(), curve.tolist())
+    if not args.csv:
+        write_csv(sys.stdout, ["alpha", "fidelity"], rows)
+        return EXIT_OK
+    try:  # like --out, an unwritable path is an input error; no directory is created
+        write_csv(args.csv, ["alpha", "fidelity"], rows)
+    except OSError as exc:
+        raise ConfigError(f"--csv {args.csv} cannot be written: {exc.strerror}") from exc
+    print(f"wrote {args.csv}")
     return EXIT_OK
 
 

@@ -34,8 +34,8 @@ class GaussianSpectrum:
     sigma: float
 
     def __post_init__(self) -> None:
-        check_positive(self.mu, "spectrum center")
-        check_positive(self.sigma, "spectrum width")
+        object.__setattr__(self, "mu", check_positive(self.mu, "spectrum center"))
+        object.__setattr__(self, "sigma", check_positive(self.sigma, "spectrum width"))
 
     @classmethod
     def from_wavelength(cls, center_nm: float, width_nm: float) -> "GaussianSpectrum":

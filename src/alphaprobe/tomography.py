@@ -97,8 +97,10 @@ class TomographySettings:
     bases = MUB_BASES  # fixed, not a field: the Pauli triple linear inversion assumes
 
     def __post_init__(self) -> None:
-        check_positive(self.integration_time, "integration time")
-        check_positive(self.count_rate, "count rate")
+        object.__setattr__(
+            self, "integration_time", check_positive(self.integration_time, "integration time")
+        )
+        object.__setattr__(self, "count_rate", check_positive(self.count_rate, "count rate"))
         object.__setattr__(self, "seed", check_integer(self.seed, "seed", minimum=0))
         if self.expected_pairs > MAX_EXPECTED_PAIRS:
             raise ValueError(

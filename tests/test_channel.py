@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from alphaprobe.bounds import ProbingRecord
 from alphaprobe.channel import (
     MAX_PLATES,
     QUARTZ_BIREFRINGENCE,
@@ -19,6 +20,7 @@ from alphaprobe.spectra import (
     gaussian_alpha_fidelity,
     kappa,
 )
+from alphaprobe.tomography import TomographySettings
 from support import (
     ORACLE_MAX_ENV,
     apply_channel_oracle,
@@ -65,6 +67,25 @@ class TestStackGeometry:
         got = apply_channel(WavePlateStack(plates=(WavePlate(1e-3, np.float32(0.3)),)), line, plus)
         want = WavePlateStack(plates=(WavePlate(1e-3, float(np.float32(0.3))),))
         assert np.array_equal(got.matrix, apply_channel(want, line, plus).matrix)
+
+    def test_numpy_scalars_are_stored_as_floats(self):
+        f32 = np.float32
+        stack = WavePlateStack((WavePlate(f32(5e-3), f32(0.3)),), birefringence=f32(0.00925))
+        twin = WavePlateStack(
+            (WavePlate(float(f32(5e-3)), float(f32(0.3))),), birefringence=float(f32(0.00925))
+        )
+        line = GaussianSpectrum(mu=f32(3.7e14), sigma=f32(5.68e11))
+        twin_line = GaussianSpectrum(mu=float(f32(3.7e14)), sigma=float(f32(5.68e11)))
+        got = apply_channel(stack, line, PLUS)
+        assert np.array_equal(got.matrix, apply_channel(twin, twin_line, PLUS).matrix)
+        record = ProbingRecord(got, got, got, got, delta_mu=f32(1e12))
+        settings = TomographySettings(integration_time=f32(60.0), count_rate=f32(200.0), seed=7)
+        plate = stack.plates[0]
+        stored = (
+            plate.thickness, plate.orientation, stack.birefringence, line.mu, line.sigma,
+            record.delta_mu, settings.integration_time, settings.count_rate,
+        )
+        assert all(type(x) is float for x in stored)
 
     def test_delays_and_thickness(self):
         stack = WavePlateStack(

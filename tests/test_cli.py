@@ -122,6 +122,14 @@ class TestAfid:
         assert "config error" in err
         assert "--alpha" in err
 
+    def test_unwritable_csv_names_the_flag_and_creates_no_directory(self, tmp_path, capsys):
+        rho1 = write_state(tmp_path / "a.json", PLUS)
+        target = tmp_path / "missing" / "curve.csv"
+        code = main(["afid", "--rho1", rho1, "--rho2", rho1, "--csv", str(target)])
+        assert code == EXIT_CONFIG
+        assert f"--csv {target} cannot be written" in capsys.readouterr().err
+        assert not target.parent.exists()
+
     def test_missing_state_file(self, tmp_path, capsys):
         rho1 = write_state(tmp_path / "a.json", PLUS)
         code = main(["afid", "--rho1", rho1, "--rho2", str(tmp_path / "nope.json")])

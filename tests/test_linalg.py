@@ -117,6 +117,11 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.diag([0.6, 0.6]))
 
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (2, 2, 2)])
+    def test_rejects_arrays_that_are_not_one_square_matrix(self, shape):
+        with pytest.raises(ValueError, match="must be square"):
+            DensityMatrix(np.full(shape, 0.5))
+
     def test_imaginary_diagonal_is_bounded_by_the_hermitian_rule(self):
         # |m - m^dagger| on the diagonal is 2 |Im m_ii|: 8e-10 passes, 1.2e-9 does not
         dm = DensityMatrix(np.diag([0.5 + 4e-10j, 0.5]))

@@ -88,6 +88,18 @@ def reference_record_json():
     return payload
 
 
+def record_with(key, value):
+    """The reference record JSON with one field replaced."""
+    return dict(reference_record_json(), **{key: value})
+
+
+def state_with(matrix, part, row, col, value):
+    """A matrix payload with one entry of its re or im rows replaced."""
+    payload = matrix_to_json(matrix)
+    payload[part][row][col] = value
+    return payload
+
+
 def nine_plate_config():
     plates = [{"thickness_mm": 1.0 + i, "orientation_deg": 20.0 * i} for i in range(9)]
     return edited(base_config(), "coupling.plates", plates)
@@ -164,6 +176,16 @@ CASES = [
     ("out-under-a-file", "tomography", None,
      ["--time", "60", "--rate", "200", "--seed", "7", "--out", "{tmp}/state.json/run"],
      "output directory"),
+    ("csv-in-a-missing-directory", "afid", None, ["--csv", "{tmp}/missing/x.csv"], "--csv"),
+    ("config-root-not-an-object", "simulate", [base_config()], [], "config root"),
+    ("spectra-not-an-object", "simulate", dict(base_config(), spectra=[]), [],
+     "config.spectra"),
+    ("coupling-not-an-object", "simulate", dict(base_config(), coupling=5), [], "coupling"),
+    ("probes-not-an-object", "simulate", dict(base_config(), probes=5), [], "config.probes"),
+    ("tomography-not-an-object", "simulate", dict(base_config(), tomography=5), [],
+     "config.tomography"),
+    ("sweep-no-thicknesses", "sweep", edited(sweep_config(), "sweep.thicknesses_mm", []), [],
+     "sweep.thicknesses_mm"),
 ]
 
 
@@ -200,6 +222,19 @@ FILE_CASES = [
           phi1_rho1=stringified(reference_record().phi1_rho1.to_json(), "im", 0, 1)),
      "record.json"),
     ("tomography-qutrit", "tomography", QUTRIT, "--state"),
+    ("record-not-an-object", "bound", [reference_record_json()], "document root"),
+    ("record-rho1-without-im", "bound",
+     record_with("rho1", {"dim": 2, "re": [[1, 0], [0, 0]]}), ": rho1:"),
+    ("record-rho2-not-hermitian", "bound",
+     record_with("rho2", state_with(np.eye(2) / 2, "re", 0, 1, 0.3)), ": rho2:"),
+    ("record-phi1-negative", "bound",
+     record_with("phi1_rho1", matrix_to_json(np.diag([1.5, -0.5]))), ": phi1_rho1:"),
+    ("record-phi2-trace", "bound",
+     record_with("phi2_rho2", state_with(REFERENCE_EVOLVED_1, "re", 0, 0,
+                                         REFERENCE_EVOLVED_1[0, 0].real + 0.991)),
+     ": phi2_rho2:"),
+    ("record-shift-string", "bound", record_with("delta_mu_hz", "1e12"), ": delta_mu_hz"),
+    ("record-shift-zero", "bound", record_with("delta_mu_hz", 0), ": delta_mu_hz"),
 ]
 
 
@@ -220,4 +255,7 @@ def test_malformed_file_exits_2_naming_it(tmp_path, capsys, subcommand, payload,
         state.write_text(json.dumps(matrix_to_json(REFERENCE_EVOLVED_1)), encoding="utf-8")
         argv = ["afid", "--rho1", str(state), "--rho2", str(bad)]
     assert main(argv) == EXIT_CONFIG
-    assert name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert name in err
+    if subcommand == "bound":  # a record error names the file as well as the field
+        assert "record.json" in err
