@@ -2,8 +2,8 @@
 
 One row per case: the CLI arguments (built from a config or state file in a
 temporary directory), and the field path the error message must contain.
-Malformed state and record files have their own table, keyed by the flag or
-file the message must name.
+Malformed state and record files have their own table, keyed by the flag,
+file or field the message must name; a record error must name its file too.
 """
 import json
 
@@ -235,6 +235,7 @@ FILE_CASES = [
      ": phi2_rho2:"),
     ("record-shift-string", "bound", record_with("delta_mu_hz", "1e12"), ": delta_mu_hz"),
     ("record-shift-zero", "bound", record_with("delta_mu_hz", 0), ": delta_mu_hz"),
+    ("record-shift-negative", "bound", record_with("delta_mu_hz", -1.0), ": delta_mu_hz"),
 ]
 
 
