@@ -126,15 +126,14 @@ def _bounds_from_fractions(
     above 1: those come from channels that cannot separate the probes, not
     from a near-infinite width.
     """
-    out = np.full(fractions.shape, math.nan)
-    informative = fractions < 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(fractions, where=informative, out=np.full_like(out, math.nan))
-        radicand = alphas * (alphas - 1.0) * delta_mu**2 / (2.0 * logs)
-        out[informative] = np.sqrt(radicand[informative])
+        out = np.log(fractions)
+        np.divide(alphas * (alphas - 1.0) * delta_mu**2 / 2.0, out, out=out)
+        np.sqrt(out, out=out)
     # a fraction of exactly 0 gives log -inf and a bound of 0, which is the
-    # correct limit; only infinite leftovers are reclassified as absent
-    out[np.isinf(out)] = math.nan
+    # correct limit; a fraction >= 1 (+inf included, whose root is -0.0) and
+    # an infinite bound are absent
+    np.copyto(out, math.nan, where=(fractions >= 1.0) | (out == math.inf))
     return out
 
 
@@ -192,7 +191,7 @@ def _optima(bounds: np.ndarray, alphas: np.ndarray) -> list:
     B1 wins a tie with B2, and the first grid point a tie within a family, as
     in a scan of B1 and then B2 in grid order that keeps only strict improvements.
     """
-    finite = np.where(np.isnan(bounds), math.inf, bounds).reshape(len(bounds), -1)
+    finite = np.fmin(bounds, math.inf).reshape(len(bounds), -1)  # fmin skips a NaN
     best = np.argmin(finite, axis=1)  # the first minimum of B1 followed by B2
     return [
         None if math.isinf(value) else BoundOptimum(

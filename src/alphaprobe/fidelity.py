@@ -80,21 +80,40 @@ def _floor_spectrum(w: np.ndarray) -> np.ndarray:
 def _qubit_fidelity_sums(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Unclipped F_alpha of validated qubit pairs, stacks (n, 2, 2), over a grid: shape (n, A).
 
-    In the eigenbasis V of rho2, with q = (1 - alpha) / alpha and
-    rho1' = V^dagger rho1 V, the sandwich has a = l1^q rho1'_00, c = l2^q rho1'_11 and
-    |b|^2 = (l1 l2)^q |rho1'_01|^2. Its large root (a + c + sqrt((a - c)^2 + 4|b|^2)) / 2
-    adds terms of one sign; the small root (l1 l2)^q det(rho1) / lambda_+ takes det(rho1)
-    from rho1's own entries, so it keeps its relative precision when both are near pure.
+    In the eigenbasis V of rho2 (eigenvalues l1 <= l2), with q = (1 - alpha) / alpha,
+    t = (l1 / l2)^q and rho1' = V^dagger rho1 V, the sandwich's large root is hi = l2^q h,
+    h = (t r'_00 + r'_11 + sqrt((t r'_00 - r'_11)^2 + 4 t |r'_01|^2)) / 2 (terms of one sign);
+    the small one, (l1 l2)^q det(rho1) / hi with rho1's own det, keeps its precision near
+    purity. Roots stay logs until exp(alpha log root); lo <= hi; below EIG_FLOOR a root is 0.
     """
     w2, v2 = np.linalg.eigh(rho2s)
-    powers = _floor_spectrum(w2)[:, :, None] ** ((1.0 - grid) / grid)  # 0^q = 0 as q > 0
     r = np.conj(np.swapaxes(v2, 1, 2)) @ rho1s @ v2
-    a, c = powers[:, 0] * r[:, 0, 0, None].real, powers[:, 1] * r[:, 1, 1, None].real
-    both = powers[:, 0] * powers[:, 1]
-    hi = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4.0 * both * np.abs(r[:, 0, 1, None]) ** 2))
     det1 = rho1s[:, 0, 0].real * rho1s[:, 1, 1].real - np.abs(rho1s[:, 0, 1]) ** 2
-    lo = np.divide(both * det1[:, None], hi, out=np.zeros_like(hi), where=hi > 0.0)
-    return _floor_spectrum(lo) ** grid + _floor_spectrum(hi) ** grid
+    half00, half11 = 0.5 * r[:, 0, 0, None].real, 0.5 * r[:, 1, 1, None].real
+    q = (1.0 - grid) / grid
+    roots = np.empty((2, len(w2), grid.size))  # log lo and log hi, then lo^alpha and hi^alpha
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf for a zero factor
+        logs = np.log(_floor_spectrum(w2))
+        lo = np.multiply.outer(logs[:, 0] - logs[:, 1], q, out=roots[0])  # log t
+        t = np.exp(lo)
+        hi = np.multiply(t, np.abs(r[:, 0, 1, None]) ** 2, out=roots[1])
+        t *= half00
+        d = t - half11
+        hi += np.square(d, out=d)
+        np.sqrt(hi, out=hi)
+        hi += t
+        hi += half11
+        np.log(hi, out=hi)  # log h
+        u = np.multiply.outer(logs[:, 1], q, out=t)  # q log l2
+        lo += np.add(u, np.log(np.maximum(det1, 0.0))[:, None], out=d)
+        lo -= hi
+        hi += u
+        np.fmin(lo, hi, out=lo)  # also where h = 0 made log lo NaN or +inf
+    np.copyto(roots, -math.inf, where=roots < math.log(EIG_FLOOR))
+    roots *= grid
+    np.exp(roots, out=roots)
+    lo += hi
+    return lo
 
 
 def _fidelity_curves(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -119,7 +138,7 @@ def _fidelity_curves(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray) -> 
         warnings.warn(
             f"alpha-fidelity exceeded 1 by up to {excess:.3e}; clamping to 1", stacklevel=3
         )
-    return np.clip(raw, 0.0, 1.0)
+    return np.clip(raw, 0.0, 1.0, out=raw)
 
 
 def alpha_fidelity(rho1, rho2, alpha: float) -> float:

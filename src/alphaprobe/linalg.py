@@ -165,7 +165,7 @@ def check_positive(value, what: str) -> float:
             return float(value)
     except ValueError:
         pass  # reported below, in this rule's words
-    raise ValueError(f"{what} must be positive, got {value}")
+    raise ValueError(f"{what} must be positive, got {value!r}")
 
 
 def _json_rows(rows, key: str, dim: int) -> np.ndarray:
@@ -179,9 +179,11 @@ def _json_rows(rows, key: str, dim: int) -> np.ndarray:
 
 def matrix_from_json(payload: dict) -> np.ndarray:
     """Inverse of matrix_to_json; entries and dim are never converted from other types."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"matrix payload must be a JSON object, got {type(payload).__name__}")
     try:
         dim, re, im = payload["dim"], payload["re"], payload["im"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"matrix payload missing field: {exc}") from exc
     dim = check_integer(dim, "matrix dim", minimum=1)
     return _json_rows(re, "re", dim) + 1j * _json_rows(im, "im", dim)

@@ -43,9 +43,9 @@ MAX_REPLICAS = 100_000
 MAX_EXPECTED_PAIRS = 2**53
 # replicas are sampled, inverted and validated in passes of up to SAMPLE_REPLICAS
 # in evaluation order, and bounded in blocks of max(1, BLOCK_ALPHA_POINTS // A)
-# for an A-point grid. Peak memory sets the block: over 150 runs of 100 replicas at
-# A = 500 (2-vCPU Xeon, Python 3.11, numpy 2.4), blocks of 4 peak 8.5 MiB above the
-# imported package, 16 at 11.0 MiB and 100 at 23.7 MiB, where the mc-tomography
+# for an A-point grid. Peak memory bounds the block: over 150 runs of 100 replicas at
+# A = 500 (2-vCPU Xeon, Python 3.11, numpy 2.4), blocks of 4 peak 7.9 MiB above the
+# imported package, 16 at 9.0 MiB and 100 at 14.1 MiB, and the mc-tomography
 # benchmark allows about 2.2 MiB (5%) of growth
 SAMPLE_REPLICAS = 1024
 BLOCK_ALPHA_POINTS = 2048

@@ -9,7 +9,9 @@ general-dimension eigendecomposition repair checks tomography's closed
 Bloch-form repair. The frequency-quadrature references for the exact channel
 and the closed-form line fidelity live here too: a single-line grid, the
 discretized classical fidelity, and a brute-force joint-unitary channel.
-Noiseless tomography counts, the expected values rounded, live here as well.
+Noiseless tomography counts, the expected values rounded, live here as well,
+and so does the linear-domain `pow` qubit kernel, the reference for the
+log-domain kernel that replaced it.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from alphaprobe.channel import WavePlateStack, jones_at_frequencies
-from alphaprobe.fidelity import check_alpha
+from alphaprobe.fidelity import _floor_spectrum, check_alpha
 from alphaprobe.linalg import EIG_FLOOR, DensityMatrix, check_qubit
 from alphaprobe.spectra import FrequencyGrid, GaussianSpectrum, _check_grid_shape
 from alphaprobe.tomography import CountRecord, TomographySettings, born_probabilities
@@ -82,6 +84,26 @@ def eigvalsh_alpha_fidelity_curve(rho1: np.ndarray, rho2: np.ndarray, alphas) ->
     ws = np.linalg.eigvalsh(sandwich)
     ws = np.where(ws < EIG_FLOOR, 0.0, ws)
     return np.clip(np.sum(ws ** grid[:, None], axis=1), 0.0, 1.0)
+
+
+def pow_qubit_fidelity_sums(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The linear-domain qubit kernel: unclipped F_alpha of stacks (n, 2, 2), shape (n, A).
+
+    The same sandwich roots as `fidelity._qubit_fidelity_sums`, formed with four
+    `pow`s and a divide per point: a = l1^q rho1'_00, c = l2^q rho1'_11 and
+    |b|^2 = (l1 l2)^q |rho1'_01|^2 in rho2's eigenbasis, the large root
+    (a + c + sqrt((a - c)^2 + 4|b|^2)) / 2 and the small one (l1 l2)^q det(rho1)
+    over it, each root below EIG_FLOOR taken as 0.
+    """
+    w2, v2 = np.linalg.eigh(rho2s)
+    powers = _floor_spectrum(w2)[:, :, None] ** ((1.0 - grid) / grid)  # 0^q = 0 as q > 0
+    r = np.conj(np.swapaxes(v2, 1, 2)) @ rho1s @ v2
+    a, c = powers[:, 0] * r[:, 0, 0, None].real, powers[:, 1] * r[:, 1, 1, None].real
+    both = powers[:, 0] * powers[:, 1]
+    hi = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4.0 * both * np.abs(r[:, 0, 1, None]) ** 2))
+    det1 = rho1s[:, 0, 0].real * rho1s[:, 1, 1].real - np.abs(rho1s[:, 0, 1]) ** 2
+    lo = np.divide(both * det1[:, None], hi, out=np.zeros_like(hi), where=hi > 0.0)
+    return _floor_spectrum(lo) ** grid + _floor_spectrum(hi) ** grid
 
 
 def _mp_eig2(m) -> tuple:

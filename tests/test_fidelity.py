@@ -12,6 +12,7 @@ from alphaprobe.fidelity import (
     dpi_margin,
     renyi_divergence,
 )
+from alphaprobe.linalg import check_density_matrices
 from alphaprobe.reference import (
     REFERENCE_DELTA_MU_HZ,
     REFERENCE_RHO_1,
@@ -25,6 +26,7 @@ from support import (
     eigvalsh_alpha_fidelity_curve,
     mp_qubit_alpha_fidelity,
     oracle_alpha_fidelity,
+    pow_qubit_fidelity_sums,
     rand_kraus,
     rand_state,
     rand_unitary,
@@ -236,6 +238,54 @@ class TestQubitClosedForm:
             want = (v.conj() @ rho @ v).real ** grid
             got = alpha_fidelity_curve(rho, np.outer(v, v.conj()), grid)
             assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def pure_qubit(rng: np.random.Generator) -> np.ndarray:
+    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def kernel_cases() -> dict:
+    """Named lists of qubit pairs (rho1, rho2) for the kernel agreement test."""
+    rng = np.random.default_rng(131)
+    cases = {
+        "random": [(rand_state(rng, 2), rand_state(rng, 2)) for _ in range(40)],
+        "rank-one-rho2": [(rand_state(rng, 2), pure_qubit(rng)) for _ in range(20)],
+        "orthogonal": [(KET0, KET1), (KET1, KET0)],
+        # det(rho1) is 0 or a rounding error of either sign; the diagonal one is exactly 0
+        "det-rho1-nonpositive": [(KET0, rand_state(rng, 2))]
+        + [(pure_qubit(rng), rand_state(rng, 2)) for _ in range(20)],
+    }
+    for v in (pure_qubit(rng) for _ in range(8)):
+        cases["orthogonal"].append((v, np.eye(2) - v))
+    # the smallest eigenvalue at, below and around EIG_FLOOR = 1e-12, in either state
+    for small in (0.0, 1e-13, 1e-12 * (1.0 - 1e-9), 1e-12 * (1.0 + 1e-9), 1e-10):
+        cases[f"smallest-{small:.9e}"] = [
+            pair
+            for _ in range(6)
+            for pair in (
+                (qubit_with_small_eigenvalue(rng, small), rand_state(rng, 2)),
+                (rand_state(rng, 2), qubit_with_small_eigenvalue(rng, small)),
+                (qubit_with_small_eigenvalue(rng, small), qubit_with_small_eigenvalue(rng, small)),
+            )
+        ]
+    return cases
+
+
+class TestLogDomainKernel:
+    """The log-domain qubit kernel against the linear-domain pow kernel it replaced."""
+
+    @pytest.mark.parametrize("pairs", kernel_cases().values(), ids=kernel_cases().keys())
+    def test_agrees_with_pow_kernel(self, pairs):
+        grid = default_alpha_grid()
+        rho1s = check_density_matrices(np.array([p[0] for p in pairs]))
+        rho2s = check_density_matrices(np.array([p[1] for p in pairs]))
+        got = fidelity._qubit_fidelity_sums(rho1s, rho2s, grid)
+        want = pow_qubit_fidelity_sums(rho1s, rho2s, grid)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        # both floors (rho2's spectrum, the sandwich roots) zero the same points
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
 
 
 class TestRenyiDivergence:

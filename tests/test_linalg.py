@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,11 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="missing"):
             matrix_from_json({"dim": 2, "re": [[1, 0], [0, 0]]})
 
+    def test_json_payload_must_be_an_object(self):
+        for payload, kind in ((5, "int"), ([[1, 0], [0, 0]], "list"), ("x", "str")):
+            with pytest.raises(ValueError, match=f"^matrix payload must be a JSON object, got {kind}$"):
+                matrix_from_json(payload)
+
     def test_save_matrix_refuses_non_finite_entries(self, tmp_path):
         # NaN would be written as a token that matrix_from_json cannot read back
         path = tmp_path / "m.json"
@@ -198,6 +205,11 @@ class TestScalarRules:
         with pytest.raises(ValueError, match=r"^x must be a finite number, got "):
             check_real(bad, "x")
         with pytest.raises(ValueError, match=r"^x must be positive, got "):
+            check_positive(bad, "x")
+
+    @pytest.mark.parametrize("bad", ["1e12", 0, -2.5])
+    def test_check_positive_quotes_its_value(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"x must be positive, got {bad!r}")):
             check_positive(bad, "x")
 
     @pytest.mark.parametrize(

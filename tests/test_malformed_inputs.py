@@ -186,6 +186,9 @@ CASES = [
      "config.tomography"),
     ("sweep-no-thicknesses", "sweep", edited(sweep_config(), "sweep.thicknesses_mm", []), [],
      "sweep.thicknesses_mm"),
+    # a numeric string is quoted, so it cannot be read as a valid value
+    ("mu-numeric-string", "simulate", edited(base_config(), "spectra.first.mu_hz", "3.7e14"), [],
+     "spectra.first.mu_hz must be positive, got '3.7e14'"),
 ]
 
 
@@ -233,9 +236,13 @@ FILE_CASES = [
      record_with("phi2_rho2", state_with(REFERENCE_EVOLVED_1, "re", 0, 0,
                                          REFERENCE_EVOLVED_1[0, 0].real + 0.991)),
      ": phi2_rho2:"),
-    ("record-shift-string", "bound", record_with("delta_mu_hz", "1e12"), ": delta_mu_hz"),
+    # a numeric string is quoted, so it cannot be read as a valid shift
+    ("record-shift-string", "bound", record_with("delta_mu_hz", "1e12"),
+     ": delta_mu_hz must be positive, got '1e12'"),
     ("record-shift-zero", "bound", record_with("delta_mu_hz", 0), ": delta_mu_hz"),
     ("record-shift-negative", "bound", record_with("delta_mu_hz", -1.0), ": delta_mu_hz"),
+    ("record-rho1-not-an-object", "bound", record_with("rho1", 5),
+     ": rho1: matrix payload must be a JSON object, got int"),
 ]
 
 
@@ -260,3 +267,13 @@ def test_malformed_file_exits_2_naming_it(tmp_path, capsys, subcommand, payload,
     assert name in err
     if subcommand == "bound":  # a record error names the file as well as the field
         assert "record.json" in err
+
+
+def test_state_file_that_is_not_an_object_exits_2_naming_its_flag(tmp_path, capsys):
+    bad = tmp_path / "rho1.json"
+    bad.write_text(json.dumps([[1.0, 0.0], [0.0, 0.0]]), encoding="utf-8")
+    state = tmp_path / "rho2.json"
+    state.write_text(json.dumps(matrix_to_json(REFERENCE_EVOLVED_1)), encoding="utf-8")
+    assert main(["afid", "--rho1", str(bad), "--rho2", str(state)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"--rho1 state {bad}: matrix payload must be a JSON object, got list" in err

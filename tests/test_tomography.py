@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from alphaprobe import fidelity, tomography
 from alphaprobe.bounds import ProbingRecord, tightest_bound
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
 from alphaprobe.linalg import DensityMatrix, write_json
@@ -13,6 +14,7 @@ from alphaprobe.reference import (
     REFERENCE_SIGMA_HZ,
     reference_record,
 )
+from alphaprobe.scenario import SCHEMA_VERSION, parse_scenario, run_scenario
 from alphaprobe.spectra import GaussianSpectrum, discretize_pair
 from alphaprobe.tomography import (
     CIRC_BASIS,
@@ -35,7 +37,13 @@ from alphaprobe.tomography import (
     sample_counts,
     simulate_counts,
 )
-from support import expected_counts, project_to_state, rand_state, trace_distance
+from support import (
+    expected_counts,
+    pow_qubit_fidelity_sums,
+    project_to_state,
+    rand_state,
+    trace_distance,
+)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -484,3 +492,46 @@ class TestMonteCarlo:
             "replicas": 4,
             "seed": 3,
         }
+
+    @pytest.mark.parametrize("seed", [42, 43])
+    def test_replicas_agree_with_pow_kernel(self, tmp_path, monkeypatch, seed):
+        # the README's scenario config: every replica's optimum through the
+        # log-domain qubit kernel and through the linear-domain pow kernel
+        config = {
+            "schema": SCHEMA_VERSION,
+            "spectra": {
+                "first": {"mu_hz": 3.7e14, "sigma_hz": 5.68e11},
+                "second": {"center_wavelength_nm": 810.0, "width_nm": 1.73},
+            },
+            "probes": {"rho1": "plus", "rho2": "plus"},
+            "coupling": {
+                "plates": [{"thickness_mm": 5.0, "orientation_deg": 0.0}],
+                "birefringence": 0.00925,
+            },
+            "alpha_grid": {"start": 0.5, "stop": 0.9999, "count": 500},
+            "grid": {"span_sigmas": 8.0, "points": 3001},
+            "tomography": {
+                "integration_time_s": 60.0, "count_rate_hz": 200.0,
+                "seed": seed, "replicas": 500,
+            },
+        }
+        bound_rows = tomography._bound_rows
+        optima = {}
+        for name, kernel in [("log", fidelity._qubit_fidelity_sums),
+                             ("pow", pow_qubit_fidelity_sums)]:
+            found = optima[name] = []
+
+            def recording(*args, found=found):
+                rows = bound_rows(*args)
+                found.extend(rows[2])
+                return rows
+
+            monkeypatch.setattr(fidelity, "_qubit_fidelity_sums", kernel)
+            monkeypatch.setattr(tomography, "_bound_rows", recording)
+            run_scenario(parse_scenario(config), str(tmp_path / name))
+        assert len(optima["log"]) == len(optima["pow"]) == 500
+        for got, want in zip(optima["log"], optima["pow"]):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.value == pytest.approx(want.value, rel=1e-10, abs=0.0)
+                assert (got.alpha, got.family) == (want.alpha, want.family)
