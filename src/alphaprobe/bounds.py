@@ -126,13 +126,13 @@ def _bounds_from_fractions(
     above 1: those come from channels that cannot separate the probes, not
     from a near-infinite width.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.log(fractions)
-        np.divide(alphas * (alphas - 1.0) * delta_mu**2 / 2.0, out, out=out)
-        np.sqrt(out, out=out)
+        np.divide(alphas * (alphas - 1.0) / 2.0, out, out=out)
+        np.multiply(np.sqrt(out, out=out), delta_mu, out=out)  # dmu unsquared: no overflow
     # a fraction of exactly 0 gives log -inf and a bound of 0, which is the
     # correct limit; a fraction >= 1 (+inf included, whose root is -0.0) and
-    # an infinite bound are absent
+    # an infinite bound (an overflowing product included) are absent
     np.copyto(out, math.nan, where=(fractions >= 1.0) | (out == math.inf))
     return out
 

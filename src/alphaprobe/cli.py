@@ -7,9 +7,9 @@ carried no width information (the run's files are written first).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -31,11 +31,12 @@ from .scenario import (
     field_errors,
     load_json,
     load_scenario,
-    make_run_dir,
     read_state,
     reproduce_fig4,
     run_scenario,
     sweep_thickness,
+    write_output,
+    write_run_dir,
 )
 from .tomography import (
     TomographySettings,
@@ -86,10 +87,7 @@ def cmd_afid(args) -> int:
     if not args.csv:
         write_csv(sys.stdout, ["alpha", "fidelity"], rows)
         return EXIT_OK
-    try:  # like --out, an unwritable path is an input error; no directory is created
-        write_csv(args.csv, ["alpha", "fidelity"], rows)
-    except OSError as exc:
-        raise ConfigError(f"--csv {args.csv} cannot be written: {exc.strerror}") from exc
+    write_output(args.csv, partial(write_csv, header=["alpha", "fidelity"], rows=rows), "--csv")
     print(f"wrote {args.csv}")
     return EXIT_OK
 
@@ -133,10 +131,9 @@ def cmd_tomography(args) -> int:
         estimate = reconstruct(counts, settings.bases)
     except ZeroCountsError as exc:
         raise ConfigError(f"--time is too short for --rate: {exc}") from exc
-    make_run_dir(args.out)
-    for name, payload in (("counts.json", counts), ("reconstructed.json", estimate)):
-        path = os.path.join(args.out, name)
-        write_json(path, payload.to_json())
+    payloads = {"counts.json": counts, "reconstructed.json": estimate}
+    writers = {name: partial(write_json, payload=p.to_json()) for name, p in payloads.items()}
+    for path in write_run_dir(args.out, writers):
         print(f"wrote {path}")
     return EXIT_OK
 

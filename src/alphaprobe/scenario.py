@@ -104,12 +104,22 @@ def field_errors(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def make_run_dir(path) -> None:
-    """Create a run directory and its parents; a path that cannot be one is a ConfigError."""
+def write_output(path, write, what: str = "output file") -> str:
+    """Call write(path), creating no directory, and return path; an OSError is a ConfigError."""
     try:
-        os.makedirs(path, exist_ok=True)
+        write(path)
     except OSError as exc:
-        raise ConfigError(f"output directory {path} cannot be created: {exc.strerror}") from exc
+        raise ConfigError(f"{what} {path} cannot be written: {exc.strerror}") from exc
+    return path
+
+
+def write_run_dir(out_dir, writers: dict) -> tuple[str, ...]:
+    """Make out_dir and its parents, then write each file (name -> writer of its path) in order."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out_dir} cannot be created: {exc.strerror}") from exc
+    return tuple(write_output(os.path.join(out_dir, n), w) for n, w in writers.items())
 
 
 _REQUIRED = object()
@@ -365,18 +375,14 @@ class RunReport:
 
 
 def _write_report(
-    out_dir: str, config, resolved: dict, results: dict, seed: int | None, writers: dict,
+    out: str, config, resolved: dict, results: dict, seed: int | None, writers: dict,
     uninformative: str | None = None,
 ) -> RunReport:
-    """Write a run directory: each artifact (name -> writer of its path), then summary.json.
+    """Write the run directory out: each artifact (name -> writer of its path), then summary.json.
 
     The one exit-4 rule: a message in uninformative raises NoInformationError
     only after every file is written.
     """
-    make_run_dir(out_dir)
-    files = tuple(os.path.join(out_dir, name) for name in (*writers, "summary.json"))
-    for write, path in zip(writers.values(), files):
-        write(path)
     summary = {
         "schema": SCHEMA_VERSION,
         "config": config,
@@ -390,7 +396,7 @@ def _write_report(
         },
         "files": [*writers, "summary.json"],
     }
-    write_json(files[-1], summary)
+    files = write_run_dir(out, {**writers, "summary.json": partial(write_json, payload=summary)})
     if uninformative is not None:
         raise NoInformationError(uninformative)
     return RunReport(summary=summary, files=files)

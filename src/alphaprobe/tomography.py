@@ -252,22 +252,22 @@ def simulate_counts(
     return sample_counts(probs, settings, stream)
 
 
-def _invert(counts: np.ndarray, bases: tuple[MeasurementBasis, ...]) -> np.ndarray:
+def _invert(counts: np.ndarray) -> np.ndarray:
     """Repaired linear-inversion estimates (..., 2, 2), not yet validated.
 
-    counts (..., 2k) hold n_plus, n_minus of each basis in `bases` order. The
+    counts (..., 6) hold n_plus, n_minus of each basis in MUB_BASES order. The
     first zero-count basis in C order raises ZeroCountsError.
     """
     n_plus, n_minus = counts[..., 0::2], counts[..., 1::2]
     total = n_plus + n_minus
     empty = total == 0
     if empty.any():
-        name = bases[np.argwhere(empty)[0][-1]].name
+        name = MUB_BASES[np.argwhere(empty)[0][-1]].name
         raise ZeroCountsError(f"basis {name!r} collected zero counts; asymmetry is undefined")
     r = (n_plus - n_minus) / total
     bloch = np.zeros(r.shape[:-1] + (2, 2), dtype=complex)  # sum_k r_k P_k
     norm2 = 0.0
-    for k, basis in enumerate(bases):
+    for k, basis in enumerate(MUB_BASES):
         r_k = r[..., k, None, None]
         norm2 = norm2 + r_k * r_k
         bloch += r_k * basis.observable
@@ -280,15 +280,17 @@ def reconstruct(
     """Linear-inversion estimate from count asymmetries, repaired to a state.
 
     rho_hat = (I + sum_k r_k P_k) / 2 with r_k = (n_plus - n_minus) / N_k over the
-    Pauli triple `bases`. For a qubit, clipping the negative eigenvalue of an
+    Pauli triple, which `bases` must be. For a qubit, clipping the negative eigenvalue of an
     estimate outside the Bloch ball and renormalizing is exactly r -> r / |r|.
     """
-    for basis in bases:
+    if tuple(bases) != MUB_BASES:
+        raise ValueError(f"bases must be the Pauli triple MUB_BASES, got {bases!r}")
+    for basis in MUB_BASES:
         if basis.name not in counts.counts:
             raise ValueError(f"count record is missing basis {basis.name!r}")
     # float counts are exact below 2**53 and, unlike int64, cannot overflow
-    row = np.array([n for basis in bases for n in counts.counts[basis.name]], dtype=float)
-    return DensityMatrix(_invert(row, bases))
+    row = np.array([n for basis in MUB_BASES for n in counts.counts[basis.name]], dtype=float)
+    return DensityMatrix(_invert(row))
 
 
 @dataclass(frozen=True)
@@ -365,7 +367,7 @@ def monte_carlo_bounds(
             [_draw(_reseeded(stream, key), m) for key, m in zip(replica_keys, means)]
             for replica_keys in keys.tolist()
         ])
-        states = check_density_matrices(_invert(counts, settings.bases))
+        states = check_density_matrices(_invert(counts))
         for b in range(0, len(rows), block):
             fractions, bounds, optima = _bound_rows(states[b:b + block], alphas, truth.delta_mu)
             for i, (replica, optimum) in enumerate(zip(rows[b:b + block], optima)):
@@ -378,9 +380,12 @@ def monte_carlo_bounds(
     informative = [v for v in values if v is not None]
     mean = std = None
     if informative:
-        mean = math.fsum(informative) / len(informative)
-        dof = max(len(informative) - 1, 1)  # one informative replica has std 0
-        std = math.sqrt(math.fsum((v - mean) ** 2 for v in informative) / dof)
+        e = max(math.frexp(max(informative))[1] - 500, 0)  # exact 2**e unit: squares stay finite
+        unit = [math.ldexp(v, -e) for v in informative]
+        mean = math.fsum(unit) / len(unit)
+        dof = max(len(unit) - 1, 1)  # one informative replica has std 0
+        std = math.ldexp(math.sqrt(math.fsum((v - mean) ** 2 for v in unit) / dof), e)
+        mean = math.ldexp(mean, e)
     return MonteCarloReport(
         mean_b_inf=mean,
         std_b_inf=std,

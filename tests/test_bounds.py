@@ -161,6 +161,20 @@ class TestBoundFamilies:
         for a in (0.5, 0.8):
             assert bound_b1(scaled, a) == pytest.approx(3.5 * bound_b1(base, a), rel=1e-12)
 
+    @pytest.mark.parametrize("delta_mu", [1e160, 1e300])
+    def test_huge_control_shift_is_never_squared(self, delta_mu):
+        # Δμ² overflows a float above about 1.34e154 Hz; the bound Δμ · B(1 Hz) does not
+        base = tightest_bound(diag_record(0.45, 0.2, delta_mu=1.0))
+        huge = tightest_bound(diag_record(0.45, 0.2, delta_mu=delta_mu))
+        np.testing.assert_allclose(huge.b1, delta_mu * base.b1, rtol=1e-15)
+        np.testing.assert_allclose(huge.b2, delta_mu * base.b2, rtol=1e-15)
+
+    def test_bound_beyond_the_float_range_is_absent(self):
+        states = reference_record().states
+        unit = tightest_bound(ProbingRecord(*states, delta_mu=1.0))
+        assert unit.optimum.value * 1.7e308 == math.inf  # so every bound overflows
+        assert tightest_bound(ProbingRecord(*states, delta_mu=1.7e308)).no_information
+
     def test_stronger_dephasing_tightens_the_bound(self):
         weaker = diag_record(0.45, 0.3)
         stronger = diag_record(0.45, 0.1)

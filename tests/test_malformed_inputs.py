@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from alphaprobe.cli import EXIT_CONFIG, main
+from alphaprobe.cli import EXIT_CONFIG, EXIT_NO_INFORMATION, EXIT_OK, main
 from alphaprobe.fidelity import MAX_ALPHA_COUNT
 from alphaprobe.linalg import matrix_to_json
 from alphaprobe.reference import (
@@ -277,3 +277,53 @@ def test_state_file_that_is_not_an_object_exits_2_naming_its_flag(tmp_path, caps
     assert main(["afid", "--rho1", str(bad), "--rho2", str(state)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"--rho1 state {bad}: matrix payload must be a JSON object, got list" in err
+
+
+# (subcommand, the artifact whose path is made a directory before the run)
+BLOCKED_ARTIFACTS = [
+    ("simulate", "bound_curve.csv"),
+    ("bound", "summary.json"),
+    ("sweep", "sweep.csv"),
+    ("reproduce-fig4", "fig4_fractions.csv"),
+    ("tomography", "reconstructed.json"),
+]
+
+
+@pytest.mark.parametrize("subcommand, artifact", BLOCKED_ARTIFACTS)
+def test_artifact_path_that_is_a_directory_exits_2_naming_it(
+    tmp_path, capsys, subcommand, artifact
+):
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    inputs = tmp_path / "input.json"
+    payload = {"simulate": base_config(), "sweep": sweep_config(),
+               "bound": reference_record_json(),
+               "tomography": matrix_to_json(REFERENCE_EVOLVED_1)}.get(subcommand, {})
+    inputs.write_text(json.dumps(payload), encoding="utf-8")
+    argv = {
+        "simulate": ["--config", str(inputs)],
+        "sweep": ["--config", str(inputs)],
+        "bound": ["--record", str(inputs)],
+        "reproduce-fig4": [],
+        "tomography": ["--state", str(inputs), "--time", "60", "--rate", "200", "--seed", "7"],
+    }[subcommand]
+    assert main([subcommand, *argv, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"output file {out / artifact} cannot be written" in captured.err
+    assert "wrote" not in captured.out
+
+
+@pytest.mark.parametrize("delta_mu, code, informative", [
+    (1e160, EXIT_OK, True),  # Δμ² overflows a float, Δμ · B(1 Hz) does not
+    (1.7e308, EXIT_NO_INFORMATION, False),  # every bound itself overflows, so none is informative
+])
+def test_huge_record_shift_is_never_squared(tmp_path, capsys, delta_mu, code, informative):
+    record = tmp_path / "record.json"
+    record.write_text(json.dumps(record_with("delta_mu_hz", delta_mu)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["bound", "--record", str(record), "--out", str(out), "--require-bound"]) == code
+    results = json.loads((out / "summary.json").read_text(encoding="utf-8"))["results"]
+    assert results["no_information"] is not informative
+    if informative:
+        assert results["b_inf_hz"] == pytest.approx(1.301097318584e160, rel=1e-12)
+        assert "b_inf = 1.301097318584e+160 Hz" in capsys.readouterr().out

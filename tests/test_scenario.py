@@ -335,6 +335,24 @@ class TestRunScenario:
         assert report.summary["results"]["no_information"] is True
         assert report.summary["results"]["b_inf_hz"] is None
 
+    def test_artifact_path_that_is_a_directory_is_a_config_error(self, tmp_path):
+        blocked = tmp_path / "bound_curve.csv"
+        blocked.mkdir()
+        with pytest.raises(ConfigError, match=f"output file {blocked} cannot be written"):
+            run_scenario(parse_scenario(sim_config()), out_dir=str(tmp_path))
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_huge_shift_gives_finite_monte_carlo_statistics(self, tmp_path):
+        # bounds near 1e200 Hz, whose replica deviations (above 1e155 Hz) square beyond a float
+        first = {"mu_hz": 1e200, "sigma_hz": REFERENCE_SIGMA_HZ}
+        tomo = {"integration_time_s": 60.0, "count_rate_hz": 200.0, "seed": 42, "replicas": 20}
+        cfg = sim_config(tomography=tomo, alpha_grid={"start": 0.5, "stop": 0.9999, "count": 60})
+        cfg["spectra"]["first"] = first
+        report = run_scenario(parse_scenario(cfg), out_dir=str(tmp_path))
+        mc = report.summary["results"]["monte_carlo"]
+        assert mc["no_info_fraction"] < 1.0
+        assert 1e155 < mc["std_b_inf_hz"] < mc["mean_b_inf_hz"] < math.inf
+
     def test_sweep_config_rejected(self, tmp_path):
         cfg = sim_config(sweep={"thicknesses_mm": [1.0, 2.0]})
         with pytest.raises(ConfigError, match="sweep"):

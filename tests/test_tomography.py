@@ -292,6 +292,18 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="zero counts"):
             reconstruct(record)
 
+    @pytest.mark.parametrize("bases", [
+        (HV_BASIS,),  # a |+> record would silently come back as I/2
+        (HV_BASIS, DIAG_BASIS, DIAG_BASIS),
+        (DIAG_BASIS, HV_BASIS, CIRC_BASIS),
+    ])
+    def test_only_the_pauli_triple_is_inverted(self, bases):
+        record = CountRecord({"hv": (500, 500), "diag": (1000, 0), "circ": (500, 500)})
+        with pytest.raises(ValueError, match="MUB_BASES"):
+            reconstruct(record, bases)
+        for triple in (list(MUB_BASES), (b for b in MUB_BASES)):
+            assert np.allclose(reconstruct(record, triple).matrix, PLUS)
+
     def test_missing_basis_rejected(self):
         record = CountRecord({"hv": (10, 10), "diag": (10, 10)})
         with pytest.raises(ValueError, match="missing basis"):
