@@ -15,7 +15,6 @@ reported as absent rather than as huge bounds.
 """
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
@@ -256,52 +255,54 @@ def lower_bound_delta_mu(
     return None if ratio is None else sigma_known * ratio
 
 
+def width_ratio(bound: float, sigma: float) -> float:
+    """bound / sigma; a ratio beyond the float range, which no JSON holds, raises ValueError."""
+    ratio = bound / sigma
+    if math.isinf(ratio):
+        raise ValueError(f"a bound of {bound!r} Hz over the width {sigma!r} Hz overflows a float")
+    return ratio
+
+
 def bound_summary(curve: BoundCurve, sigma_reference: float | None = None) -> dict:
-    """JSON-ready summary of a bound curve's optimum."""
-    if curve.optimum is None:
-        summary: dict = {
-            "no_information": True,
-            "b_inf_hz": None,
-            "alpha_star": None,
-            "family": None,
-        }
-    else:
-        summary = {
-            "no_information": False,
-            "b_inf_hz": curve.optimum.value,
-            "alpha_star": curve.optimum.alpha,
-            "family": curve.optimum.family,
-        }
-    if sigma_reference is not None and curve.optimum is not None:
-        summary["b_inf_over_sigma"] = curve.optimum.value / sigma_reference
+    """JSON-ready summary of a bound curve's optimum; see width_ratio for its ValueError."""
+    best = curve.optimum
+    summary = dict(no_information=best is None, b_inf_hz=None, alpha_star=None, family=None)
+    if best is not None:
+        summary.update(b_inf_hz=best.value, alpha_star=best.alpha, family=best.family)
+        if sigma_reference is not None:
+            summary["b_inf_over_sigma"] = width_ratio(best.value, sigma_reference)
     return summary
 
 
-def _cell(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "" if math.isnan(value) else f"{value:.12e}"
-    return "" if value is None else value
+def _cells(column) -> list[str]:
+    """One column's cells, formatted in one pass over its values."""
+    if not isinstance(column, np.ndarray):  # strings, quoted as the csv module quotes them
+        return ['"' + c.replace('"', '""') + '"' if any(q in c for q in ',"\r\n') else c
+                for c in column]
+    values = column.tolist()
+    if column.dtype == bool:
+        return [("false", "true")[v] for v in values]
+    # NaN is the only float that formats to a text holding "nan"
+    return ("%.12e\n" * len(values) % tuple(values)).replace("nan", "").split("\n")[:-1]
 
 
-def write_csv(target, header, rows) -> None:
-    """Write a header and rows to a path or an open text stream.
+def write_csv(target, header, columns) -> None:
+    """Write a header and equal-length columns, formatted in full, to a path or a text stream.
 
-    Cells: floats as .12e, None and NaN as empty cells, bools as true/false,
-    anything else (strings) unchanged. Pass plain Python values (`.tolist()`).
+    Cells: float arrays as %.12e with NaN empty, bool arrays as true/false, string
+    sequences as they are. CRLF rows and minimal quoting (a cell holding a comma,
+    a quote, CR or LF) give the csv module's bytes for two or more columns.
     """
+    rows = [_cells(header), *zip(*map(_cells, columns))]
+    text = "\r\n".join(map(",".join, rows)) + "\r\n"
     if isinstance(target, (str, os.PathLike)):
         with open(target, "w", encoding="utf-8", newline="") as fh:
-            write_csv(fh, header, rows)
-        return
-    writer = csv.writer(target)
-    writer.writerow(header)
-    writer.writerows([_cell(v) for v in row] for row in rows)
+            fh.write(text)
+    else:
+        target.write(text)
 
 
 def write_bound_curve_csv(curve: BoundCurve, path) -> None:
     """CSV export: alpha,b1_hz,b2_hz,valid1,valid2 (empty cells where invalid)."""
     header = ["alpha", "b1_hz", "b2_hz", "valid1", "valid2"]
-    columns = (curve.alphas, curve.b1, curve.b2, curve.valid1, curve.valid2)
-    write_csv(path, header, zip(*(c.tolist() for c in columns)))
+    write_csv(path, header, (curve.alphas, curve.b1, curve.b2, curve.valid1, curve.valid2))

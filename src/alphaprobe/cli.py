@@ -83,12 +83,11 @@ def cmd_afid(args) -> int:
     grid = _alpha_grid(args, lower=0.0)
     with field_errors("--rho1/--rho2"):
         curve = alpha_fidelity_curve(rho1, rho2, grid)
-    rows = zip(grid.tolist(), curve.tolist())
-    if not args.csv:
-        write_csv(sys.stdout, ["alpha", "fidelity"], rows)
-        return EXIT_OK
-    write_output(args.csv, partial(write_csv, header=["alpha", "fidelity"], rows=rows), "--csv")
-    print(f"wrote {args.csv}")
+    write = partial(write_csv, header=["alpha", "fidelity"], columns=(grid, curve))
+    if args.csv is None:
+        write(sys.stdout)
+    else:
+        print(f"wrote {write_output(args.csv, write, '--csv')}")
     return EXIT_OK
 
 

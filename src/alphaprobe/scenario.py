@@ -26,6 +26,7 @@ from .bounds import (
     ProbingRecord,
     bound_summary,
     tightest_bound,
+    width_ratio,
     write_bound_curve_csv,
     write_csv,
 )
@@ -457,7 +458,6 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     resolved["delta_mu_hz"] = truth.delta_mu
 
     sigma_truth = _truth_sigma(config)
-    mc_block = None
     # replica 0 is the single experiment the curve artifact describes; it comes
     # out of the Monte-Carlo pass, which also serves a single replica
     try:
@@ -468,18 +468,17 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
                 truth, config.tomography, config.replicas, alpha_grid=config.alpha_grid
             )
             curve = mc.curve0
-            if config.replicas >= 2:
-                mc_block = mc.to_json()
-                if sigma_truth is not None and mc.mean_b_inf is not None:
-                    mc_block["mean_b_inf_over_sigma"] = mc.mean_b_inf / sigma_truth
     except ZeroCountsError as exc:
         raise ConfigError(f"tomography.integration_time_s too short: {exc}") from exc
     except DegenerateControlError as exc:
         raise DegenerateControlError(f"bound stage: {exc}") from exc
 
-    results = bound_summary(curve, sigma_reference=sigma_truth)
-    if mc_block is not None:
-        results["monte_carlo"] = mc_block
+    with field_errors("spectra"):  # a finite bound over a tiny width can overflow
+        results = bound_summary(curve, sigma_reference=sigma_truth)
+        if config.replicas >= 2:  # only with tomography settings
+            results["monte_carlo"] = mc_block = mc.to_json()
+            if sigma_truth is not None and mc.mean_b_inf is not None:
+                mc_block["mean_b_inf_over_sigma"] = width_ratio(mc.mean_b_inf, sigma_truth)
     if sigma_truth is not None:
         results["sigma_truth_hz"] = sigma_truth
 
@@ -519,7 +518,7 @@ def reproduce_fig4(out_dir: str = ".") -> RunReport:
     """
     record = reference_record()
     curve = tightest_bound(record, default_alpha_grid())
-    f_fwd, f_rev = curve.fractions
+    alphas, (f_fwd, f_rev) = curve.alphas, curve.fractions
 
     checks = []
     b2_half = curve.b2[0] / REFERENCE_SIGMA_HZ
@@ -546,10 +545,9 @@ def reproduce_fig4(out_dir: str = ".") -> RunReport:
     results["published_b2_top_over_sigma"] = GOLDEN_B2_TOP_OVER_SIGMA
     results["sigma_truth_hz"] = REFERENCE_SIGMA_HZ
     header = ["alpha", "fraction_forward", "fraction_reversed"]
-    rows = zip(curve.alphas.tolist(), f_fwd.tolist(), f_rev.tolist())
     writers = {
         "fig4_bounds.csv": partial(write_bound_curve_csv, curve),
-        "fig4_fractions.csv": lambda path: write_csv(path, header, rows),
+        "fig4_fractions.csv": partial(write_csv, header=header, columns=(alphas, f_fwd, f_rev)),
     }
     config, resolved = {"coupling": REFERENCE_LITERAL}, {"delta_mu_hz": record.delta_mu}
     return _write_report(out_dir, config, resolved, results, None, writers)
@@ -570,14 +568,15 @@ def sweep_thickness(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     for thickness_mm, stack in config.sweep_stacks:
         record = _evolve(config, stack)
         curve = tightest_bound(record, config.alpha_grid)
-        entry = bound_summary(curve, sigma_reference=sigma_truth)
+        with field_errors("spectra"):
+            entry = bound_summary(curve, sigma_reference=sigma_truth)
         entry["thickness_mm"] = thickness_mm
         rows.append(entry)
 
-    columns = [
-        "thickness_mm", "b_inf_hz", "b_inf_over_sigma", "alpha_star", "family", "no_information"
-    ]
-    table = ([r.get(c) for c in columns] for r in rows)
+    numbers = ["thickness_mm", "b_inf_hz", "b_inf_over_sigma", "alpha_star"]
+    columns = [np.array([r.get(c) for r in rows], dtype=float) for c in numbers]  # None: NaN
+    columns += [[r["family"] or "" for r in rows], np.array([r["no_information"] for r in rows])]
+    header = [*numbers, "family", "no_information"]
     resolved = {
         "orientation_deg": config.sweep_orientation_deg,
         "birefringence": config.sweep_stacks[0][1].birefringence,
@@ -586,6 +585,6 @@ def sweep_thickness(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     demanded = config.require_bound and all(r["no_information"] for r in rows)
     return _write_report(
         out_dir, config.echo, resolved, results, None,
-        {"sweep.csv": lambda path: write_csv(path, columns, table)},
+        {"sweep.csv": partial(write_csv, header=header, columns=columns)},
         "sweep demanded a bound but every thickness is uninformative" if demanded else None,
     )

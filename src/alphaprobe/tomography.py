@@ -230,7 +230,7 @@ def _reseeded(stream: np.random.Generator, key) -> np.random.Generator:
 
 def _draw(stream: np.random.Generator, means: list[float]) -> list[int]:
     """Scalar Poisson draws from one stream, one per mean and in order."""
-    return [int(stream.poisson(m)) for m in means]
+    return [stream.poisson(m) for m in means]  # a Python int for a Python float mean
 
 
 def sample_counts(

@@ -11,9 +11,14 @@ and the closed-form line fidelity live here too: a single-line grid, the
 discretized classical fidelity, and a brute-force joint-unitary channel.
 Noiseless tomography counts, the expected values rounded, live here as well,
 and so does the linear-domain `pow` qubit kernel, the reference for the
-log-domain kernel that replaced it.
+log-domain kernel that replaced it. The row CSV writer, `csv.writer` over a
+per-cell rule, is the reference for the columnar `bounds.write_csv`.
 """
 from __future__ import annotations
+
+import csv
+import math
+import os
 
 import mpmath
 import numpy as np
@@ -251,3 +256,28 @@ def apply_channel_oracle(
     evolved = u @ joint @ u.conj().T
     out = partial_trace_env(evolved, 2, n)
     return DensityMatrix((out + out.conj().T) / 2)
+
+
+def _oracle_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "" if math.isnan(value) else f"{value:.12e}"
+    return "" if value is None else value
+
+
+def oracle_write_csv(target, header, columns) -> None:
+    """The row writer `bounds.write_csv` replaced: the csv module, one cell at a time.
+
+    Takes the columnar writer's arguments; array columns become their `.tolist()`
+    values. Cells: floats as .12e, None and NaN empty, bools as true/false,
+    strings unchanged (the csv module quotes them where needed).
+    """
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            oracle_write_csv(fh, header, columns)
+        return
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    writer = csv.writer(target)
+    writer.writerow(header)
+    writer.writerows([_oracle_cell(v) for v in row] for row in rows)

@@ -27,7 +27,12 @@ from alphaprobe.fidelity import alpha_fidelity_curve, default_alpha_grid
 from alphaprobe.linalg import DensityMatrix
 from alphaprobe.reference import REFERENCE_SIGMA_HZ, reference_record
 from alphaprobe.spectra import GaussianSpectrum, discretize_pair
-from support import eigvalsh_alpha_fidelity_curve, oracle_alpha_fidelity, rand_state
+from support import (
+    eigvalsh_alpha_fidelity_curve,
+    oracle_alpha_fidelity,
+    oracle_write_csv,
+    rand_state,
+)
 
 KET0 = DensityMatrix(np.diag([1.0, 0.0]))
 KET1 = DensityMatrix(np.diag([0.0, 1.0]))
@@ -484,13 +489,38 @@ class TestSummaryAndCsv:
             assert row["valid1"] == "true" and row["valid2"] == "true"
 
     def test_write_csv_cell_rule(self, tmp_path):
-        rows = [[0.25, math.nan, None, True, False, "B2"]]
+        columns = [np.array([0.25]), np.array([math.nan]), [""], np.array([True]),
+                   np.array([False]), ["B2"]]
         stream = io.StringIO(newline="")
-        write_csv(stream, ["a", "b", "c", "d", "e", "f"], rows)
+        write_csv(stream, ["a", "b", "c", "d", "e", "f"], columns)
         want = "a,b,c,d,e,f\r\n2.500000000000e-01,,,true,false,B2\r\n"
         assert stream.getvalue() == want
-        write_csv(tmp_path / "out.csv", ["a", "b", "c", "d", "e", "f"], rows)
+        write_csv(tmp_path / "out.csv", ["a", "b", "c", "d", "e", "f"], columns)
         assert (tmp_path / "out.csv").read_bytes() == want.encode()
+
+    def test_write_csv_matches_the_row_writer_oracle(self):
+        # seeded tables of float, bool and string columns, written by both writers
+        rng = np.random.default_rng(20261018)
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]
+        words = ["", "B1", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\n", '"', ",", "é"]
+        for _ in range(60):
+            n = int(rng.integers(0, 40))
+            columns = []
+            for kind in rng.integers(3, size=int(rng.integers(2, 7))):
+                if kind == 0:
+                    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+                    special = rng.random(n) < 0.3
+                    values[special] = rng.choice(specials, int(special.sum()))
+                    columns.append(values)
+                elif kind == 1:
+                    columns.append(rng.random(n) < 0.5)
+                else:
+                    columns.append([words[i] for i in rng.integers(len(words), size=n)])
+            header = [words[i] for i in rng.integers(len(words), size=len(columns))]
+            got, want = io.StringIO(newline=""), io.StringIO(newline="")
+            write_csv(got, header, columns)
+            oracle_write_csv(want, header, columns)
+            assert got.getvalue() == want.getvalue()
 
     def test_csv_marks_uninformative_rows_empty(self, tmp_path):
         curve = tightest_bound(no_information_record(), alpha_grid=[0.5, 0.7])

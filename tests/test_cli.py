@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 
+import alphaprobe.bounds as bounds
+import alphaprobe.cli as cli
 import alphaprobe.scenario as scenario
 from alphaprobe.channel import apply_channel
 from alphaprobe.cli import EXIT_CONFIG, EXIT_GOLDEN, EXIT_NO_INFORMATION, EXIT_OK, main
@@ -19,6 +21,7 @@ from alphaprobe.reference import (
     REFERENCE_SIGMA_HZ,
 )
 from alphaprobe.scenario import SCHEMA_VERSION
+from support import oracle_write_csv
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -439,3 +442,82 @@ class TestSweep:
         code = main(["sweep", "--config", config, "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "thicknesses_mm" in capsys.readouterr().err
+
+
+# the README's scenario config, Monte Carlo included
+README_CONFIG = {
+    "schema": SCHEMA_VERSION,
+    "spectra": {
+        "first": {"mu_hz": 3.7e14, "sigma_hz": 5.68e11},
+        "second": {"center_wavelength_nm": 810.0, "width_nm": 1.73},
+    },
+    "probes": {"rho1": "plus", "rho2": "plus"},
+    "coupling": {
+        "plates": [{"thickness_mm": 5.0, "orientation_deg": 0.0}],
+        "birefringence": 0.00925,
+    },
+    "alpha_grid": {"start": 0.5, "stop": 0.9999, "count": 500},
+    "grid": {"span_sigmas": 8.0, "points": 3001},
+    "tomography": {
+        "integration_time_s": 60.0, "count_rate_hz": 200.0, "seed": 42, "replicas": 500
+    },
+    "require_bound": False,
+}
+
+# a record whose B1 is informative at 146 of the 500 default orders and B2 at all of them
+MIXED_RECORD = [
+    [[0.223, -0.346 + 0.158j], [-0.346 - 0.158j, 0.777]],
+    [[0.801, 0.284 + 0.277j], [0.284 - 0.277j, 0.199]],
+    [[0.564, -0.387 - 0.244j], [-0.387 + 0.244j, 0.436]],
+    [[0.235, 0.407 + 0.005j], [0.407 - 0.005j, 0.765]],
+]
+
+
+def csv_artifact_argv(tmp_path, command):
+    """CLI arguments (without --out or --csv) of a run writing the named CSV artifacts."""
+    if command == "simulate":
+        return ["simulate", "--config", write_config(tmp_path / "c.json", README_CONFIG)]
+    if command == "bound":
+        states = [np.array(m) for m in MIXED_RECORD]
+        return ["bound", "--record", write_record(tmp_path / "r.json", *states, 7.95e11)]
+    if command == "sweep":
+        cfg = sim_config(probes="paper-matrices", sweep={"thicknesses_mm": [5.0, 22.0]})
+        return ["sweep", "--config", write_config(tmp_path / "c.json", cfg)]
+    if command == "reproduce-fig4":
+        return ["reproduce-fig4"]
+    rho1, rho2 = write_state(tmp_path / "a.json", PLUS), write_state(tmp_path / "b.json", KET0)
+    return ["afid", "--rho1", rho1, "--rho2", rho2]
+
+
+@pytest.mark.parametrize("command, artifacts", [
+    ("simulate", ["bound_curve.csv"]),
+    ("bound", ["bound_curve.csv"]),
+    ("sweep", ["sweep.csv"]),
+    ("reproduce-fig4", ["fig4_bounds.csv", "fig4_fractions.csv"]),
+    ("afid", ["afid.csv"]),
+])
+def test_csv_artifacts_match_the_row_writer_oracle(tmp_path, capsys, monkeypatch, command,
+                                                   artifacts):
+    argv = csv_artifact_argv(tmp_path, command)
+    outputs = {}
+    for writer in ("columnar", "oracle"):
+        if writer == "oracle":
+            for module in (bounds, scenario, cli):
+                monkeypatch.setattr(module, "write_csv", oracle_write_csv)
+        out = tmp_path / writer
+        if command == "afid":
+            assert main(argv) == EXIT_OK
+            stdout = capsys.readouterr().out
+            out.mkdir()
+            assert main(argv + ["--csv", str(out / "afid.csv")]) == EXIT_OK
+            assert capsys.readouterr().out == f"wrote {out / 'afid.csv'}\n"
+        else:
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            stdout = None
+        outputs[writer] = stdout, [(out / name).read_bytes() for name in artifacts]
+    assert outputs["columnar"] == outputs["oracle"]
+    if command == "afid":  # stdout and the --csv file hold the same curve
+        assert outputs["columnar"][0].encode() == outputs["columnar"][1][0]
+    if command in ("bound", "sweep"):  # both kinds of row are in the artifact
+        cells = outputs["columnar"][1][0].decode().split("\r\n")
+        assert any(",," in row for row in cells) and any("true" in row for row in cells)

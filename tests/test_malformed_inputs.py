@@ -117,6 +117,14 @@ def wavelength_config(center_nm):
     return edited(base_config(), "spectra.first", line)
 
 
+def tiny_width_config():
+    """Lines so narrow that a finite bound over their width overflows b_inf_over_sigma."""
+    cfg = base_config()
+    cfg["spectra"] = {key: {"mu_hz": mu, "sigma_hz": 1e-170}
+                      for key, mu in (("first", 1e150), ("second", 2e150))}
+    return cfg
+
+
 # (case id, subcommand, config or None, extra arguments, expected field path)
 CASES = [
     ("birefringence-string", "simulate",
@@ -177,6 +185,10 @@ CASES = [
      ["--time", "60", "--rate", "200", "--seed", "7", "--out", "{tmp}/state.json/run"],
      "output directory"),
     ("csv-in-a-missing-directory", "afid", None, ["--csv", "{tmp}/missing/x.csv"], "--csv"),
+    ("csv-empty-path", "afid", None, ["--csv", ""], "--csv  cannot be written"),
+    ("width-ratio-overflow", "simulate", tiny_width_config(), [], "spectra: a bound of"),
+    ("width-ratio-overflow-sweep", "sweep",
+     dict(tiny_width_config(), sweep={"thicknesses_mm": [5.0]}), [], "spectra: a bound of"),
     ("config-root-not-an-object", "simulate", [base_config()], [], "config root"),
     ("spectra-not-an-object", "simulate", dict(base_config(), spectra=[]), [],
      "config.spectra"),
@@ -212,6 +224,7 @@ def test_malformed_input_exits_2_naming_the_field(
     code = main(argv + [arg.format(tmp=tmp_path) for arg in extra])
     assert code == EXIT_CONFIG
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before any file is written
 
 
 # (case id, subcommand, malformed file payload, flag or file name in the message)
