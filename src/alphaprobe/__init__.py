@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .bounds import (
     BoundCurve,
     BoundOptimum,
-    DegenerateControlError,
     NoInformationError,
     ProbingRecord,
     bound_b1,

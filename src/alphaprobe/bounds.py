@@ -27,7 +27,7 @@ from .fidelity import (
     _fidelity_curves,
     default_alpha_grid,
 )
-from .linalg import DensityMatrix, check_positive, check_real
+from .linalg import DensityMatrix, check_positive
 
 BOUND_ORDERS = ("forward", "reversed")
 BOUND_FAMILIES = ("B1", "B2")  # the bound of each order, in BOUND_ORDERS order
@@ -36,17 +36,13 @@ BOUND_FAMILIES = ("B1", "B2")  # the bound of each order, in BOUND_ORDERS order
 _PAIR_FIRST, _PAIR_SECOND = [2, 0, 3, 1], [3, 1, 2, 0]
 
 
-class DegenerateControlError(ValueError):
-    """dmu = 0 makes the bound trivial (sigma >= 0 only)."""
-
-
 class NoInformationError(RuntimeError):
     """Raised when a bound was demanded but every grid point is uninformative."""
 
 
 @dataclass(frozen=True)
 class ProbingRecord:
-    """Probes before and after the channel pair, plus the control shift dmu (Hz)."""
+    """Probes before and after the channel pair, plus the control shift dmu > 0 (Hz)."""
 
     rho1: DensityMatrix
     rho2: DensityMatrix
@@ -59,10 +55,8 @@ class ProbingRecord:
         if len(set(dims)) != 1:
             raise ValueError(f"states rho1, rho2, phi1_rho1, phi2_rho2 must share one dimension, "
                              f"got {dims}")
-        delta_mu = check_real(self.delta_mu, "control shift")
-        if delta_mu < 0.0:
-            raise ValueError(f"control shift must be nonnegative, got {self.delta_mu}")
-        object.__setattr__(self, "delta_mu", delta_mu)
+        # at dmu = 0 the inequality only says sigma >= 0: such a record is not built
+        object.__setattr__(self, "delta_mu", check_positive(self.delta_mu, "control shift"))
 
     @property
     def states(self) -> tuple[DensityMatrix, ...]:
@@ -74,14 +68,6 @@ def _check_order(order: str) -> str:
     if order not in BOUND_ORDERS:
         raise ValueError(f"order must be one of {BOUND_ORDERS}, got {order!r}")
     return order
-
-
-def _check_control_shift(delta_mu: float) -> None:
-    if delta_mu == 0.0:
-        raise DegenerateControlError(
-            "control shift is zero: the inequality only yields the trivial "
-            "condition sigma >= 0"
-        )
 
 
 def _record_states(record: ProbingRecord) -> np.ndarray:
@@ -168,7 +154,7 @@ class BoundCurve:
     b1: np.ndarray
     b2: np.ndarray
     optimum: BoundOptimum | None
-    # the forward and reversed fidelity fractions behind b1 and b2; in no artifact
+    # the forward and reversed fractions behind b1 and b2, written to fig4_fractions.csv
     fractions: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     @property
@@ -201,17 +187,14 @@ def _optima(bounds: np.ndarray, alphas: np.ndarray) -> list:
     ]
 
 
-def _bound_rows(states: np.ndarray, alphas: np.ndarray, delta_mu: float):
-    """Fractions and bounds (n, 2, A) of n records stacked as (n, 4, d, d), and their optima."""
+def _bound_curves(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> list[BoundCurve]:
+    """One curve per record of n stacked as (n, 4, d, d); each views shared (n, 2, A) arrays."""
     fractions = _fraction_rows(states, alphas)
     bounds = _bounds_from_fractions(fractions, alphas, delta_mu)
-    return fractions, bounds, _optima(bounds, alphas)
-
-
-def _bound_curve(alphas, fractions, bounds, optimum) -> BoundCurve:
-    """One record's curve from its (2, A) rows of _bound_rows."""
-    return BoundCurve(alphas=alphas, b1=bounds[0], b2=bounds[1], optimum=optimum,
-                      fractions=(fractions[0], fractions[1]))
+    return [
+        BoundCurve(alphas=alphas, b1=b[0], b2=b[1], optimum=optimum, fractions=(f[0], f[1]))
+        for f, b, optimum in zip(fractions, bounds, _optima(bounds, alphas))
+    ]
 
 
 def _bound_grid(alpha_grid) -> np.ndarray:
@@ -223,12 +206,7 @@ def _bound_grid(alpha_grid) -> np.ndarray:
 
 def tightest_bound(record: ProbingRecord, alpha_grid=None) -> BoundCurve:
     """Evaluate both families over the grid and locate the minimum bound."""
-    _check_control_shift(record.delta_mu)
-    alphas = _bound_grid(alpha_grid)
-    (fractions,), (bounds,), (optimum,) = _bound_rows(
-        _record_states(record), alphas, record.delta_mu
-    )
-    return _bound_curve(alphas, fractions, bounds, optimum)
+    return _bound_curves(_record_states(record), _bound_grid(alpha_grid), record.delta_mu)[0]
 
 
 def ratio_lower_bound(record: ProbingRecord, alpha: float) -> float | None:
@@ -236,7 +214,8 @@ def ratio_lower_bound(record: ProbingRecord, alpha: float) -> float | None:
 
     The inverse of the width bound at unit shift, taking the better (smaller)
     of the two families' bounds; None when neither fraction is informative,
-    +inf when a fraction is 0 (the width bound's limit 0).
+    +inf when a fraction is 0 (the width bound's limit 0). The record's own
+    shift is not used, so any positive placeholder will do.
     """
     a = _check_alpha_grid([alpha], DPI_ALPHA_MIN)
     unit = _bounds_from_fractions(_fraction_rows(_record_states(record), a)[0], a, 1.0)
@@ -249,7 +228,7 @@ def ratio_lower_bound(record: ProbingRecord, alpha: float) -> float | None:
 def lower_bound_delta_mu(
     record: ProbingRecord, sigma_known: float, alpha: float
 ) -> float | None:
-    """Lower bound on the control shift when the width is known instead."""
+    """Lower bound on the control shift at a known width; the record's own shift is unused."""
     check_positive(sigma_known, "known width")
     ratio = ratio_lower_bound(record, alpha)
     return None if ratio is None else sigma_known * ratio

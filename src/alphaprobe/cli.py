@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .bounds import DegenerateControlError, NoInformationError, write_csv
+from .bounds import NoInformationError, write_csv
 from .fidelity import (
     ALPHA_COUNT,
     ALPHA_START,
@@ -220,7 +220,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning  # one stable line, no source path
             return args.func(args)
-    except (ConfigError, DegenerateControlError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GoldenCheckError as exc:

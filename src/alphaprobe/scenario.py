@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    DegenerateControlError,
     NoInformationError,
     ProbingRecord,
     bound_summary,
@@ -273,6 +272,9 @@ def _parse_config(payload: dict) -> ScenarioConfig:
         spectra = tuple(
             _parse_spectrum(*_field(spectra_cfg, k, "spectra")) for k in ("first", "second")
         )
+        if spectra[0].mu == spectra[1].mu:  # a zero control shift bounds nothing
+            raise ConfigError("spectra.first and spectra.second must have different line "
+                              f"centers, got {spectra[0].mu!r} Hz for both")
         if probes_cfg is None:
             raise ConfigError("config.probes is required for a simulated coupling")
         if probes_cfg == REFERENCE_LITERAL:
@@ -470,8 +472,6 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
             curve = mc.curve0
     except ZeroCountsError as exc:
         raise ConfigError(f"tomography.integration_time_s too short: {exc}") from exc
-    except DegenerateControlError as exc:
-        raise DegenerateControlError(f"bound stage: {exc}") from exc
 
     with field_errors("spectra"):  # a finite bound over a tiny width can overflow
         results = bound_summary(curve, sigma_reference=sigma_truth)

@@ -18,14 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bounds import (
-    BoundCurve,
-    ProbingRecord,
-    _bound_curve,
-    _bound_grid,
-    _bound_rows,
-    _check_control_shift,
-)
+from .bounds import BoundCurve, ProbingRecord, _bound_curves, _bound_grid
 from .linalg import (
     DensityMatrix,
     check_density_matrices,
@@ -346,7 +339,6 @@ def monte_carlo_bounds(
         raise ValueError("replica_order must be a permutation of range(replicas)")
 
     alphas = _bound_grid(alpha_grid)
-    _check_control_shift(truth.delta_mu)
     # the Poisson means of each state's six counts, computed once for all replicas
     pairs = settings.expected_pairs
     means = [
@@ -369,11 +361,12 @@ def monte_carlo_bounds(
         ])
         states = check_density_matrices(_invert(counts))
         for b in range(0, len(rows), block):
-            fractions, bounds, optima = _bound_rows(states[b:b + block], alphas, truth.delta_mu)
-            for i, (replica, optimum) in enumerate(zip(rows[b:b + block], optima)):
-                results[replica] = None if optimum is None else optimum.value
+            # each curve views its block's arrays: keep optimum values and replica 0's curve
+            curves = _bound_curves(states[b:b + block], alphas, truth.delta_mu)
+            for replica, curve in zip(rows[b:b + block], curves):
+                results[replica] = None if curve.no_information else curve.optimum.value
                 if replica == 0:
-                    curve0 = _bound_curve(alphas, fractions[i], bounds[i], optimum)
+                    curve0 = curve
 
     # order-independent aggregation: replica index order, compensated sums
     values = tuple(results[r] for r in range(replicas))

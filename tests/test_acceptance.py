@@ -1,5 +1,7 @@
 """Acceptance gate: ten end-to-end criteria, one printed verdict line each.
 
+Criterion 5 has a second check, an adversarial search for the tightest bound.
+
 Run `pytest tests/test_acceptance.py -v -s` to see the verdict lines as they
 happen; without -s they still appear in the captured output of failures.
 """
@@ -8,6 +10,7 @@ import math
 import time
 
 import numpy as np
+from scipy.optimize import minimize
 
 from alphaprobe.bounds import ProbingRecord, fraction_curve, tightest_bound
 from alphaprobe.channel import (
@@ -245,6 +248,73 @@ def test_criterion_05_bound_soundness():
         "width bound never undershoots the true width over 1000 random scenarios",
         f"informative {informative}/1000, violations {violations}, "
         f"tightest b_inf/sigma {tightest_ratio:.4f}",
+    )
+
+
+def _pure_state(theta: float, phi: float) -> DensityMatrix:
+    """The pure qubit state at Bloch polar angle theta and azimuth phi."""
+    x, y, z = math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)
+    return DensityMatrix(np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]]) / 2.0)
+
+
+def test_criterion_05_adversarial_soundness():
+    """A seeded Nelder-Mead search for the scenario whose bound comes closest to sigma.
+
+    It varies ln(dmu / sigma) in [ln 0.05, ln 3], both pure probes' Bloch angles and,
+    for 1, 2 and 3 plates on the exact channel, each plate's ln(thickness / mm) in
+    [ln 0.1, ln 20] and its orientation. Each plate count starts from the best of 60
+    random draws. The bound is tightest for a thin plate and a small shift, where
+    b_inf / sigma comes near 1 + (dmu / sigma)^2 / 16 at alpha = 0.5, so a bound
+    scaled by 0.999 fails here. The box stops where floating point, not the
+    inequality, decides the bound: with thinner plates a sandwich root below
+    EIG_FLOOR is dropped from a small fidelity, and for dmu / sigma near 1e-7
+    rounding alone puts a fraction below 1; both give bounds under sigma.
+    """
+    rng = np.random.default_rng(55)
+    alphas = default_alpha_grid()
+    sigma = REFERENCE_SIGMA_HZ
+    ratios = []
+
+    def ratio(x) -> float:
+        log_shift, theta1, phi1, theta2, phi2, *plates = x
+        rho1, rho2 = _pure_state(theta1, phi1), _pure_state(theta2, phi2)
+        stack = WavePlateStack(plates=tuple(
+            WavePlate(thickness=1e-3 * math.exp(log_mm), orientation=theta)
+            for log_mm, theta in zip(plates[0::2], plates[1::2])
+        ))
+        delta_mu = sigma * math.exp(log_shift)
+        s1, s2 = GaussianSpectrum(MU0, sigma), GaussianSpectrum(MU0 + delta_mu, sigma)
+        record = ProbingRecord(
+            rho1=rho1,
+            rho2=rho2,
+            phi1_rho1=apply_channel(stack, s1, rho1),
+            phi2_rho2=apply_channel(stack, s2, rho2),
+            delta_mu=delta_mu,
+        )
+        optimum = tightest_bound(record, alphas).optimum
+        ratios.append(math.inf if optimum is None else optimum.value / sigma)
+        return min(ratios[-1], 10.0)  # a flat floor where the record is uninformative
+
+    probes = [(0.0, math.pi), (0.0, 2.0 * math.pi)] * 2
+    t0 = time.perf_counter()
+    for plates, starts, evaluations in [(1, 2, 400), (2, 1, 250), (3, 1, 250)]:
+        box = [(math.log(0.05), math.log(3.0)), *probes,
+               *[(math.log(0.1), math.log(20.0)), (0.0, math.pi)] * plates]
+        draws = [np.array([rng.uniform(lo, hi) for lo, hi in box]) for _ in range(60)]
+        values = [ratio(x) for x in draws]
+        for k in np.argsort(values)[:starts]:
+            minimize(ratio, draws[k], method="Nelder-Mead", bounds=box,
+                     options=dict(maxfev=evaluations, xatol=1e-9, fatol=1e-13, adaptive=True))
+    elapsed = time.perf_counter() - t0
+    violations = sum(r < 1.0 - 1e-9 for r in ratios)
+    tightest = min(ratios)
+    ok = violations == 0 and tightest < 1.01
+    _verdict(
+        5,
+        ok,
+        "an adversarial search finds no bound below the true width, and comes within 1%",
+        f"{len(ratios)} scenarios, violations {violations}, "
+        f"tightest b_inf/sigma {tightest:.6f}, {elapsed:.2f}s",
     )
 
 

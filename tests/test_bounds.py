@@ -8,7 +8,6 @@ import pytest
 from alphaprobe.bounds import (
     BoundCurve,
     BoundOptimum,
-    DegenerateControlError,
     ProbingRecord,
     bound_b1,
     bound_b2,
@@ -218,15 +217,9 @@ class TestBoundFamilies:
         assert bound_b1(rec, 0.5) == 0.0
 
     def test_zero_control_shift_rejected(self):
-        rec = ProbingRecord(
-            rho1=KET0, rho2=MIXED, phi1_rho1=KET0, phi2_rho2=MIXED, delta_mu=0.0
-        )
-        with pytest.raises(DegenerateControlError):
-            bound_b1(rec, 0.7)
-        with pytest.raises(DegenerateControlError):
-            bound_b2(rec, 0.7)
-        with pytest.raises(DegenerateControlError):
-            tightest_bound(rec)
+        # a record that cannot be bounded cannot be built
+        with pytest.raises(ValueError, match="control shift must be positive"):
+            ProbingRecord(rho1=KET0, rho2=MIXED, phi1_rho1=KET0, phi2_rho2=MIXED, delta_mu=0.0)
 
     def test_alpha_domain_enforced(self):
         rec = reference_record()

@@ -244,13 +244,22 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert "config.probes" in capsys.readouterr().err
 
-    def test_zero_control_shift(self, tmp_path, capsys):
-        cfg = sim_config()
-        cfg["spectra"]["second"] = dict(cfg["spectra"]["first"])
+    @pytest.mark.parametrize("line", [
+        {"mu_hz": 3.7e14, "sigma_hz": REFERENCE_SIGMA_HZ},
+        {"center_wavelength_nm": 810.0, "width_nm": 1.73},
+    ], ids=["mu_hz", "center_wavelength_nm"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_zero_control_shift(self, tmp_path, capsys, command, line):
+        # equal line centers are rejected when the config is read, before any file
+        cfg = sim_config(spectra={"first": line, "second": dict(line)})
+        if command == "sweep":
+            cfg["sweep"] = {"thicknesses_mm": [5.0]}
         config = write_config(tmp_path / "config.json", cfg)
-        code = main(["simulate", "--config", config, "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        code = main([command, "--config", config, "--out", str(out)])
         assert code == EXIT_CONFIG
-        assert "bound stage" in capsys.readouterr().err
+        assert "spectra.first and spectra.second" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_uninformative_scenario(self, tmp_path, capsys):
         # rows: exact states, and tomography whose replicas are all uninformative

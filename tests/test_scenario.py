@@ -7,7 +7,7 @@ import pytest
 
 import alphaprobe.bounds as bounds
 import alphaprobe.scenario as scenario
-from alphaprobe.bounds import DegenerateControlError, NoInformationError
+from alphaprobe.bounds import NoInformationError
 from alphaprobe.reference import REFERENCE_DELTA_MU_HZ, REFERENCE_SIGMA_HZ
 from alphaprobe.scenario import (
     REFERENCE_LITERAL,
@@ -264,11 +264,11 @@ class TestRunScenario:
         assert results["b_inf_over_sigma"] == pytest.approx(1.82, rel=0.05)
         assert report.summary["resolved"]["coupling"] == REFERENCE_LITERAL
 
-    def test_zero_shift_fails_at_bound_stage(self, tmp_path):
+    def test_zero_shift_rejected_by_parser(self):
         cfg = sim_config()
         cfg["spectra"]["second"] = dict(cfg["spectra"]["first"])
-        with pytest.raises(DegenerateControlError, match="bound stage"):
-            run_scenario(parse_scenario(cfg), out_dir=str(tmp_path))
+        with pytest.raises(ConfigError, match="spectra.first and spectra.second"):
+            parse_scenario(cfg)
 
     def test_tomography_run_reports_monte_carlo(self, tmp_path):
         cfg = sim_config(

@@ -527,19 +527,19 @@ class TestMonteCarlo:
                 "seed": seed, "replicas": 500,
             },
         }
-        bound_rows = tomography._bound_rows
+        bound_curves = tomography._bound_curves
         optima = {}
         for name, kernel in [("log", fidelity._qubit_fidelity_sums),
                              ("pow", pow_qubit_fidelity_sums)]:
             found = optima[name] = []
 
             def recording(*args, found=found):
-                rows = bound_rows(*args)
-                found.extend(rows[2])
-                return rows
+                curves = bound_curves(*args)
+                found.extend(curve.optimum for curve in curves)
+                return curves
 
             monkeypatch.setattr(fidelity, "_qubit_fidelity_sums", kernel)
-            monkeypatch.setattr(tomography, "_bound_rows", recording)
+            monkeypatch.setattr(tomography, "_bound_curves", recording)
             run_scenario(parse_scenario(config), str(tmp_path / name))
         assert len(optima["log"]) == len(optima["pow"]) == 500
         for got, want in zip(optima["log"], optima["pow"]):
