@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -212,17 +212,15 @@ def tightest_bound(record: ProbingRecord, alpha_grid=None) -> BoundCurve:
 def ratio_lower_bound(record: ProbingRecord, alpha: float) -> float | None:
     """Lower bound on dmu / sigma at one alpha (independent of both scales).
 
-    The inverse of the width bound at unit shift, taking the better (smaller)
-    of the two families' bounds; None when neither fraction is informative,
+    The inverse of the tightest width bound at unit shift, the optimum of
+    tightest_bound on a one-point grid; None when neither fraction is informative,
     +inf when a fraction is 0 (the width bound's limit 0). The record's own
     shift is not used, so any positive placeholder will do.
     """
-    a = _check_alpha_grid([alpha], DPI_ALPHA_MIN)
-    unit = _bounds_from_fractions(_fraction_rows(_record_states(record), a)[0], a, 1.0)
-    best = float(np.fmin(*unit)[0])  # fmin skips a NaN (uninformative) family
-    if math.isnan(best):
+    best = tightest_bound(replace(record, delta_mu=1.0), [alpha]).optimum
+    if best is None:
         return None
-    return math.inf if best == 0.0 else 1.0 / best
+    return math.inf if best.value == 0.0 else 1.0 / best.value
 
 
 def lower_bound_delta_mu(

@@ -60,6 +60,10 @@ class WavePlateStack:
             raise ValueError(f"birefringence must be nonzero, got {self.birefringence}")
         object.__setattr__(self, "plates", plates)
         object.__setattr__(self, "birefringence", birefringence)
+        # every delay difference of the channel's kappa sum then stays a finite float
+        total = sum(map(abs, self.delays().tolist()))
+        if math.isinf(total):
+            raise ValueError(f"plate delays |dn x_i / c| must have a finite sum, got {total} s")
 
     def delays(self) -> np.ndarray:
         """Per-plate group delays tau_i = dn * x_i / c, in seconds."""

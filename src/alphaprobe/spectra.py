@@ -80,12 +80,14 @@ def kappa(spectrum: GaussianSpectrum, tau):
     """Characteristic function of the line at delay tau (s), scalar or array.
 
     kappa(tau) = exp(2 pi i tau mu - (2 pi tau sigma)^2 / 2). A delay channel
-    multiplies the probe's upper off-diagonal by conj(kappa).
+    multiplies the probe's upper off-diagonal by conj(kappa). Where the damping
+    underflows to 0, kappa is exactly 0, its limit, even if the phase overflows.
     """
     t = np.asarray(tau, dtype=float)
-    phase = 2.0 * math.pi * t * spectrum.mu
-    damp = (2.0 * math.pi * t * spectrum.sigma) ** 2 / 2.0
-    return np.exp(-damp) * (np.cos(phase) + 1j * np.sin(phase))
+    with np.errstate(over="ignore", invalid="ignore"):
+        damp = np.exp(-((2.0 * math.pi * t * spectrum.sigma) ** 2) / 2.0)
+        phase = np.where(damp == 0.0, 0.0, 2.0 * math.pi * t * spectrum.mu)
+        return damp * (np.cos(phase) + 1j * np.sin(phase))
 
 
 @dataclass(frozen=True)

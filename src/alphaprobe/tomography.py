@@ -3,8 +3,11 @@
 Measurement model: each of three mutually unbiased polarization bases is
 integrated for a fixed time at a fixed pair-detection rate; the two outcome
 counts are independent Poisson draws with means rate * time * p_outcome.
-Linear inversion of the count asymmetries gives a Bloch vector r, repaired
-into a physical state as r / max(1, |r|). Monte-Carlo replicas repeat the full
+The bases are the Pauli triple H/V, D/A and R/L, so everything is in closed
+Bloch form: a qubit state (I + r.sigma) / 2 has r = (z, x, y) = (a00 - a11,
+2 Re a01, -2 Im a01), basis k has outcome probabilities (1 +/- r_k) / 2, and
+linear inversion of the count asymmetries gives r back, repaired into a
+physical state as r / max(1, |r|). Monte-Carlo replicas repeat the full
 four-state tomography with independent counter-derived streams and propagate
 each replica through the bound pipeline; passes of replicas are sampled,
 reconstructed and validated as arrays and bounded in blocks, with the same
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -26,8 +28,6 @@ from .linalg import (
     check_positive,
     check_qubit,
 )
-
-_SQ2 = 1.0 / math.sqrt(2.0)
 
 # the replica loop holds one result per replica; larger runs are rejected up front
 MAX_REPLICAS = 100_000
@@ -58,24 +58,14 @@ class ZeroCountsError(ValueError):
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """Projective qubit basis given by its two orthonormal outcome kets."""
+    """One basis of the Pauli triple, by name: hv measures Z, diag X and circ Y."""
 
     name: str
-    plus: tuple[complex, complex]
-    minus: tuple[complex, complex]
-
-    @cached_property
-    def observable(self) -> np.ndarray:
-        """Traceless +/-1 observable P_plus - P_minus, built once per basis."""
-        plus, minus = np.asarray(self.plus), np.asarray(self.minus)
-        obs = np.outer(plus, plus.conj()) - np.outer(minus, minus.conj())
-        obs.setflags(write=False)
-        return obs
 
 
-HV_BASIS = MeasurementBasis("hv", (1.0, 0.0), (0.0, 1.0))
-DIAG_BASIS = MeasurementBasis("diag", (_SQ2, _SQ2), (_SQ2, -_SQ2))
-CIRC_BASIS = MeasurementBasis("circ", (_SQ2, _SQ2 * 1j), (_SQ2, -_SQ2 * 1j))
+HV_BASIS = MeasurementBasis("hv")
+DIAG_BASIS = MeasurementBasis("diag")
+CIRC_BASIS = MeasurementBasis("circ")
 
 MUB_BASES = (HV_BASIS, DIAG_BASIS, CIRC_BASIS)
 
@@ -133,13 +123,19 @@ class CountRecord:
         return {name: list(pair) for name, pair in self.counts.items()}
 
 
+def _bloch(a: np.ndarray) -> tuple[float, float, float]:
+    """Bloch components (z, x, y) of a qubit matrix, the Pauli expectations in MUB_BASES order."""
+    off = complex(a[0, 1])
+    return (float((a[0, 0] - a[1, 1]).real), 2.0 * off.real, -2.0 * off.imag)
+
+
 def born_probabilities(rho, basis: MeasurementBasis) -> tuple[float, float]:
-    """Outcome probabilities (p_plus, p_minus) of the basis on a qubit state."""
-    a = check_qubit(rho)
-    p_plus = float(np.real(np.conj(basis.plus) @ a @ basis.plus))
-    p_minus = float(np.real(np.conj(basis.minus) @ a @ basis.minus))
-    # clip floating-point residue; the pair sums to tr(rho) = 1
-    return (min(max(p_plus, 0.0), 1.0), min(max(p_minus, 0.0), 1.0))
+    """Outcome probabilities (p_plus, p_minus) = ((1 + r_k) / 2, (1 - r_k) / 2) of basis k."""
+    if basis not in MUB_BASES:
+        raise ValueError(f"basis must be one of MUB_BASES, got {basis!r}")
+    r_k = _bloch(check_qubit(rho))[MUB_BASES.index(basis)]
+    # clip floating-point residue; the pair sums to 1
+    return (min(max((1.0 + r_k) / 2.0, 0.0), 1.0), min(max((1.0 - r_k) / 2.0, 0.0), 1.0))
 
 
 def rng_stream(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
@@ -257,14 +253,10 @@ def _invert(counts: np.ndarray) -> np.ndarray:
     if empty.any():
         name = MUB_BASES[np.argwhere(empty)[0][-1]].name
         raise ZeroCountsError(f"basis {name!r} collected zero counts; asymmetry is undefined")
-    r = (n_plus - n_minus) / total
-    bloch = np.zeros(r.shape[:-1] + (2, 2), dtype=complex)  # sum_k r_k P_k
-    norm2 = 0.0
-    for k, basis in enumerate(MUB_BASES):
-        r_k = r[..., k, None, None]
-        norm2 = norm2 + r_k * r_k
-        bloch += r_k * basis.observable
-    return (np.eye(2) + bloch / np.maximum(1.0, np.sqrt(norm2))) / 2.0
+    z, x, y = np.moveaxis((n_plus - n_minus) / total, -1, 0)  # r in MUB_BASES order
+    z, x, y = (z, x, y) / np.maximum(1.0, np.sqrt(z * z + x * x + y * y))  # r / max(1, |r|)
+    rho = np.stack((1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z), axis=-1) / 2.0  # (I + r.sigma) / 2
+    return rho.reshape(z.shape + (2, 2))
 
 
 def reconstruct(
@@ -272,8 +264,8 @@ def reconstruct(
 ) -> DensityMatrix:
     """Linear-inversion estimate from count asymmetries, repaired to a state.
 
-    rho_hat = (I + sum_k r_k P_k) / 2 with r_k = (n_plus - n_minus) / N_k over the
-    Pauli triple, which `bases` must be. For a qubit, clipping the negative eigenvalue of an
+    rho_hat = (I + r.sigma) / 2 with r_k = (n_plus - n_minus) / N_k over the Pauli
+    triple, which `bases` must be. For a qubit, clipping the negative eigenvalue of an
     estimate outside the Bloch ball and renormalizing is exactly r -> r / |r|.
     """
     if tuple(bases) != MUB_BASES:

@@ -6,7 +6,10 @@ cross-check the eigh-based fidelity, the batched `eigvalsh` route and a
 50-digit mpmath evaluation check the closed-form qubit sandwich eigenvalues,
 the partial trace is redone with explicit index loops, and the
 general-dimension eigendecomposition repair checks tomography's closed
-Bloch-form repair. The frequency-quadrature references for the exact channel
+Bloch-form repair. The outcome-ket route of the Pauli triple (Born
+probabilities <k|rho|k> and the inversion (I + sum_k r_k P_k) / 2 over the
+observables P = P_plus - P_minus built from the kets) is the oracle for
+tomography's closed Bloch forms. The frequency-quadrature references for the exact channel
 and the closed-form line fidelity live here too: a single-line grid, the
 discretized classical fidelity, and a brute-force joint-unitary channel.
 Noiseless tomography counts, the expected values rounded, live here as well,
@@ -156,6 +159,40 @@ def project_to_state(m: np.ndarray) -> np.ndarray:
         raise ValueError("state estimate has no positive spectral part; cannot renormalize")
     w = w / total
     return (v * w) @ v.conj().T
+
+
+_SQ2 = 1.0 / math.sqrt(2.0)
+# each basis's outcome kets (plus, minus): H/V, D/A and R/L polarization
+MUB_KETS = {
+    "hv": (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+    "diag": (np.array([_SQ2, _SQ2]), np.array([_SQ2, -_SQ2])),
+    "circ": (np.array([_SQ2, _SQ2 * 1j]), np.array([_SQ2, -_SQ2 * 1j])),
+}
+
+
+def ket_observable(name: str) -> np.ndarray:
+    """The basis's +/-1 observable P_plus - P_minus, from its outcome kets."""
+    plus, minus = MUB_KETS[name]
+    return np.outer(plus, plus.conj()) - np.outer(minus, minus.conj())
+
+
+def ket_born_probabilities(rho, basis) -> tuple[float, float]:
+    """(<plus|rho|plus>, <minus|rho|minus>) of the basis, clipped into [0, 1]."""
+    a = check_qubit(rho)
+    return tuple(min(max(float(np.real(np.conj(k) @ a @ k)), 0.0), 1.0)
+                 for k in MUB_KETS[basis.name])
+
+
+def observable_sum_estimate(counts: CountRecord, repair: bool = True) -> np.ndarray:
+    """Linear inversion (I + sum_k r_k P_k) / 2 over the ket observables, in MUB_BASES order.
+
+    r_k = (n_plus - n_minus) / N_k; with repair, r is first scaled to r / max(1, |r|).
+    """
+    r = [(n_plus - n_minus) / (n_plus + n_minus)
+         for n_plus, n_minus in (counts.counts[name] for name in MUB_KETS)]
+    scale = max(1.0, math.sqrt(sum(r_k * r_k for r_k in r))) if repair else 1.0
+    return (np.eye(2) + sum(r_k / scale * ket_observable(name)
+                            for r_k, name in zip(r, MUB_KETS))) / 2.0
 
 
 def expected_counts(rho, settings: TomographySettings) -> CountRecord:

@@ -19,7 +19,10 @@ from alphaprobe.bounds import (
     tightest_bound,
     write_bound_curve_csv,
     write_csv,
+    _bounds_from_fractions,
+    _fraction_rows,
     _optima,
+    _record_states,
 )
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
 from alphaprobe.fidelity import alpha_fidelity_curve, default_alpha_grid
@@ -400,6 +403,24 @@ class TestDualBounds:
         for a in (0.5, 0.7, 0.9999):
             want = rec.delta_mu / min(bound_b1(rec, a), bound_b2(rec, a))
             assert ratio_lower_bound(rec, a) == pytest.approx(want, rel=1e-12)
+
+    def test_ratio_matches_the_family_minimum_route(self):
+        # the unit-shift bound through tightest_bound's optimum, against the fmin
+        # of both families' unit-shift bounds, bit for bit
+        rng = np.random.default_rng(2031)
+        records = [reference_record(), no_information_record()]
+        for _ in range(300):
+            states = [DensityMatrix(rand_state(rng, 2, rank=int(rng.integers(1, 3))))
+                      for _ in range(4)]
+            records.append(ProbingRecord(*states, delta_mu=float(rng.uniform(0.1, 10.0))))
+        for rec in records:
+            for a in (0.5, float(rng.uniform(0.5, 0.9999)), 0.9999):
+                grid = np.array([a])
+                unit = _bounds_from_fractions(_fraction_rows(_record_states(rec), grid)[0],
+                                              grid, 1.0)
+                best = float(np.fmin(*unit)[0])
+                want = None if math.isnan(best) else math.inf if best == 0.0 else 1.0 / best
+                assert ratio_lower_bound(rec, a) == want
 
     def test_ratio_none_when_uninformative(self):
         assert ratio_lower_bound(no_information_record(), 0.7) is None

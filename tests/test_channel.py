@@ -62,6 +62,24 @@ class TestStackGeometry:
             with pytest.raises(ValueError, match="birefringence"):
                 WavePlateStack(plates=(WavePlate(1e-3, 0.0),), birefringence=bad)
 
+    def test_delays_must_have_a_finite_sum(self):
+        # dn x = 1e310 m overflows; 1e7 m gives a finite delay of 3.3e298 s
+        with pytest.raises(ValueError, match="finite sum"):
+            WavePlateStack(plates=(WavePlate(1e10, 0.0),), birefringence=1e300)
+        with pytest.raises(ValueError, match="finite sum"):
+            WavePlateStack(plates=(WavePlate(1e10, 0.0), WavePlate(1e-3, 0.0)),
+                           birefringence=-1e300)
+        assert WavePlateStack((WavePlate(1e7, 0.0),), 1e300).delays()[0] < math.inf
+
+    def test_overflowing_delay_fully_dephases_without_warnings(self):
+        # kappa is exactly 0 at each nonzero delay difference, so the plus state
+        # through a 1.7e308 mm plate (5.2e294 s) keeps only its diagonal
+        plus = np.full((2, 2), 0.5)
+        for stack in (WavePlateStack((WavePlate(1.7e305, 0.0),)),
+                      WavePlateStack((WavePlate(1e7, 0.0),), 1e300)):
+            out = apply_channel(stack, SPECTRUM, plus).matrix
+            assert np.array_equal(out, np.eye(2) / 2)
+
     def test_float32_orientation_is_accepted(self):
         line, plus = GaussianSpectrum(mu=3.7e14, sigma=5.68e11), np.full((2, 2), 0.5)
         got = apply_channel(WavePlateStack(plates=(WavePlate(1e-3, np.float32(0.3)),)), line, plus)

@@ -229,6 +229,21 @@ class TestSimulate:
         assert (out / "bound_curve.csv").exists()
         assert (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        # widths whose damping overflows, and plates whose delays make 2 pi tau mu overflow
+        {"spectra": {"first": {"mu_hz": 3.7e14, "sigma_hz": 1e300},
+                     "second": {"mu_hz": 3.7e14 + REFERENCE_DELTA_MU_HZ, "sigma_hz": 1e300}}},
+        {"coupling": {"plates": [{"thickness_mm": 1.7e308}]}},
+        {"coupling": {"plates": [{"thickness_mm": 1e10}], "birefringence": 1e300}},
+    ], ids=["width-1e300", "plate-1.7e308-mm", "birefringence-1e300"])
+    def test_extreme_dephasing_runs_without_warnings(self, tmp_path, capsys, overrides):
+        config = write_config(tmp_path / "config.json", sim_config(**overrides))
+        code = main(["simulate", "--config", config, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert captured.err == ""
+        assert "no_information: true" in captured.out
+
     def test_malformed_json(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("{oops", encoding="utf-8")

@@ -198,6 +198,13 @@ CASES = [
      "config.tomography"),
     ("sweep-no-thicknesses", "sweep", edited(sweep_config(), "sweep.thicknesses_mm", []), [],
      "sweep.thicknesses_mm"),
+    # dn x = 1e310 m: the plate delay dn x / c overflows a float
+    ("delay-overflow", "simulate",
+     edited(edited(base_config(), "coupling.birefringence", 1e300),
+            "coupling.plates.0.thickness_mm", 1e13), [], "coupling: plate delays"),
+    ("delay-overflow-sweep", "sweep",
+     edited(sweep_config(), "sweep", {"thicknesses_mm": [5.0, 1e13], "birefringence": 1e300}),
+     [], "config.sweep: plate delays"),
     # a numeric string is quoted, so it cannot be read as a valid value
     ("mu-numeric-string", "simulate", edited(base_config(), "spectra.first.mu_hz", "3.7e14"), [],
      "spectra.first.mu_hz must be positive, got '3.7e14'"),

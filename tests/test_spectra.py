@@ -147,6 +147,23 @@ class TestKappa:
         mags = [abs(kappa(s1, t)) for t in taus]
         assert all(b < a for a, b in zip(mags, mags[1:]))
 
+    def test_underflowing_damping_gives_exactly_zero_without_warnings(self):
+        # RuntimeWarnings fail the suite: the overflowing square and phase stay silent
+        assert kappa(GaussianSpectrum(3.7e14, 1e300), 1e-13) == 0.0
+        s1, _ = reference_pair()
+        # 5.2e294 s, the delay of a 1.7e308 mm quartz plate, overflows 2 pi tau mu
+        got = kappa(s1, np.array([0.0, -1e-9, 1e-9, 5.2e294, -5.2e294]))
+        assert got[0] == 1.0 and np.array_equal(got[1:], np.zeros(4))
+        assert not np.signbit(got[1:].real).any() and not np.signbit(got[1:].imag).any()
+
+    def test_ordinary_delays_unchanged_by_the_zero_rule(self):
+        s1, _ = reference_pair()
+        tau = np.linspace(-3.0, 3.0, 101) / (2.0 * math.pi * s1.sigma)
+        phase = 2.0 * math.pi * tau * s1.mu
+        want = np.exp(-((2.0 * math.pi * tau * s1.sigma) ** 2) / 2.0) * (
+            np.cos(phase) + 1j * np.sin(phase))
+        assert np.array_equal(kappa(s1, tau), want)
+
 
 class TestFrequencyGrid:
     def test_weights_renormalized(self):

@@ -25,6 +25,7 @@ from alphaprobe.tomography import (
     MUB_BASES,
     SAMPLE_REPLICAS,
     CountRecord,
+    MeasurementBasis,
     MonteCarloReport,
     TomographySettings,
     ZeroCountsError,
@@ -38,7 +39,11 @@ from alphaprobe.tomography import (
     simulate_counts,
 )
 from support import (
+    MUB_KETS,
     expected_counts,
+    ket_born_probabilities,
+    ket_observable,
+    observable_sum_estimate,
     pow_qubit_fidelity_sums,
     project_to_state,
     rand_state,
@@ -62,18 +67,34 @@ def settings(time=1.0, rate=1e4, seed=7):
 
 class TestBases:
     def test_observables_are_pauli_triple(self):
-        assert np.abs(HV_BASIS.observable - PAULI_Z).max() <= 1e-12
-        assert np.abs(DIAG_BASIS.observable - PAULI_X).max() <= 1e-12
-        assert np.abs(CIRC_BASIS.observable - PAULI_Y).max() <= 1e-12
+        # the oracle's outcome kets give the Pauli triple, and the closed form's
+        # p_plus - p_minus of each basis is tr(rho P) of that basis's Pauli matrix
+        paulis = (PAULI_Z, PAULI_X, PAULI_Y)
+        for basis, pauli in zip(MUB_BASES, paulis):
+            assert np.abs(ket_observable(basis.name) - pauli).max() <= 1e-12
+        rng = np.random.default_rng(61)
+        for _ in range(50):
+            rho = rand_state(rng, 2)
+            for basis, pauli in zip(MUB_BASES, paulis):
+                p_plus, p_minus = born_probabilities(rho, basis)
+                assert p_plus - p_minus == pytest.approx(np.trace(rho @ pauli).real, abs=1e-15)
 
     def test_bases_are_mutually_unbiased(self):
         for b1 in MUB_BASES:
             for b2 in MUB_BASES:
                 if b1.name == b2.name:
                     continue
-                for k1 in (b1.plus, b1.minus):
-                    for k2 in (b2.plus, b2.minus):
+                for k1 in MUB_KETS[b1.name]:
+                    for k2 in MUB_KETS[b2.name]:
                         assert abs(np.vdot(k1, k2)) ** 2 == pytest.approx(0.5, abs=1e-12)
+                # each outcome of one basis is equally likely in the other
+                for k1 in MUB_KETS[b1.name]:
+                    assert born_probabilities(np.outer(k1, k1.conj()), b2) == pytest.approx(
+                        (0.5, 0.5), abs=1e-15)
+
+    def test_only_the_pauli_triple_has_probabilities(self):
+        with pytest.raises(ValueError, match="MUB_BASES"):
+            born_probabilities(MIXED, MeasurementBasis("other"))
 
 
 class TestSettings:
@@ -142,6 +163,28 @@ class TestBornProbabilities:
     def test_non_qubit_rejected(self):
         with pytest.raises(ValueError, match="qubit"):
             born_probabilities(np.eye(3) / 3, HV_BASIS)
+
+    def test_closed_form_matches_ket_oracle(self):
+        # random mixed, pure and near-pure states: each probability within 1e-15
+        rng = np.random.default_rng(137)
+        states = [rand_state(rng, 2) for _ in range(4000)]
+        states += [rand_state(rng, 2, rank=1) for _ in range(4000)]
+        for eps in (1e-3, 1e-9):
+            states += [(1 - eps) * rand_state(rng, 2, rank=1) + eps * MIXED for _ in range(1000)]
+        states += [KET0, PLUS, MIXED, np.diag([1.1, -0.1])]
+        worst = 0.0
+        for rho in states:
+            for basis in MUB_BASES:
+                got = born_probabilities(rho, basis)
+                want = ket_born_probabilities(rho, basis)
+                worst = max(worst, abs(got[0] - want[0]), abs(got[1] - want[1]))
+        assert worst <= 1e-15
+        assert len(states) >= 10_000
+
+    def test_mixed_state_is_exactly_one_half(self):
+        # the ket route gives 0.4999999999999999 in the D/A and R/L bases
+        for basis in MUB_BASES:
+            assert born_probabilities(MIXED, basis) == (0.5, 0.5)
 
 
 class TestCounts:
@@ -282,10 +325,28 @@ class TestReconstruct:
             r = [(n_plus - n_minus) / (n_plus + n_minus)
                  for n_plus, n_minus in (record.counts[b.name] for b in MUB_BASES)]
             outside += math.hypot(*r) > 1.0
-            estimate = (np.eye(2) + sum(r_k * b.observable for r_k, b in zip(r, MUB_BASES))) / 2
+            estimate = observable_sum_estimate(record, repair=False)
             got = reconstruct(record).matrix
             assert np.abs(got - project_to_state(estimate)).max() <= 1e-14
         assert 50 <= outside <= len(records) - 50
+
+    def test_closed_form_matches_observable_sum_oracle(self):
+        # count rows inside and outside the Bloch ball, each entry within 1e-15,
+        # through reconstruct and through the replica path's array inversion
+        rng = np.random.default_rng(139)
+        rows = rng.integers(0, 1000, size=(10_000, 6)) + np.array([1, 0] * 3)
+        rows[:2000, 1::2] = 0  # one-sided counts: |r| = sqrt(3), always repaired
+        rows[2000:2100] = 500  # balanced counts: r = 0
+        got = tomography._invert(rows.reshape(100, 100, 6).astype(float)).reshape(-1, 2, 2)
+        worst = 0.0
+        for row, matrix in zip(rows.tolist(), got):
+            record = CountRecord({b.name: (row[2 * k], row[2 * k + 1])
+                                  for k, b in enumerate(MUB_BASES)})
+            want = observable_sum_estimate(record)
+            worst = max(worst, np.abs(matrix - want).max())
+            if row[0] % 50 == 0:  # a sample of rows through reconstruct too
+                assert np.abs(reconstruct(record).matrix - matrix).max() == 0.0
+        assert worst <= 1e-15
 
     def test_zero_count_basis_rejected(self):
         record = CountRecord({"hv": (10, 10), "diag": (0, 0), "circ": (10, 10)})
