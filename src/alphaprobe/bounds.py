@@ -85,7 +85,10 @@ def _fraction_rows(states: np.ndarray, alphas: np.ndarray) -> np.ndarray:
         states[:, _PAIR_FIRST].reshape(-1, d, d), states[:, _PAIR_SECOND].reshape(-1, d, d), alphas
     ).reshape(n, 2, 2, -1)
     num, den = f[:, :, 0], f[:, :, 1]
-    return np.divide(num, den, out=np.full_like(num, math.inf), where=den != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / den
+    np.copyto(out, math.inf, where=den == 0.0)
+    return out
 
 
 def fraction_curve(record: ProbingRecord, alphas, order: str = "forward") -> np.ndarray:
@@ -251,16 +254,78 @@ def bound_summary(curve: BoundCurve, sigma_reference: float | None = None) -> di
     return summary
 
 
-def _cells(column) -> list[str]:
-    """One column's cells, formatted in one pass over its values."""
-    if not isinstance(column, np.ndarray):  # strings, quoted as the csv module quotes them
-        return ['"' + c.replace('"', '""') + '"' if any(q in c for q in ',"\r\n') else c
-                for c in column]
-    values = column.tolist()
-    if column.dtype == bool:
-        return [("false", "true")[v] for v in values]
-    # NaN is the only float that formats to a text holding "nan"
-    return ("%.12e\n" * len(values) % tuple(values)).replace("nan", "").split("\n")[:-1]
+def _quoted(cells) -> list[str]:
+    """String cells as they are, quoted like the csv module where one holds , " CR or LF."""
+    return ['"' + c.replace('"', '""') + '"' if any(q in c for q in ',"\r\n') else c
+            for c in cells]
+
+
+_PAD = 0xFF  # pads the byte tables; no UTF-8 text holds it, so a cell may hold any other byte
+
+
+def _byte_cells(cells) -> np.ndarray:
+    """Text cells as a (len(cells), width) uint8 table of their UTF-8 bytes, padded with _PAD."""
+    data = [c.encode() for c in cells]
+    width = max(map(len, data), default=0)
+    padded = b"".join(b.ljust(width, bytes([_PAD])) for b in data)
+    return np.frombuffer(padded, np.uint8).reshape(len(data), width)
+
+
+def _digit_rows(numbers: np.ndarray, count: int) -> np.ndarray:
+    """ASCII codes of the count digits of integer-valued floats x < 10^count, a row each.
+
+    Rows start at the most significant digit; x < 10^(count + 1) keeps every code a byte.
+    """
+    q = np.floor(numbers / 10.0 ** np.arange(count - 1, -1, -1)[:, None])
+    q[1:] -= 10.0 * q[:-1]
+    return q + ord("0")
+
+
+_BOOL_CELLS = np.frombuffer(b"falsetrue" + bytes([_PAD]), np.uint8).reshape(2, 5)
+_FLOAT_WIDTH = 20  # the widest '%.12e' cell, "-d.dddddddddddde-ddd"
+# decimal exponents e from _E_MIN keep |v| 10^(12 - e) normal: their scales and their
+# cells' last five bytes "e+ddd", one row per byte, _PAD for absent hundreds
+_E_MIN = -296
+_EXPONENTS = np.arange(_E_MIN, 309)
+_SCALES = 10.0 ** (12 - _EXPONENTS)
+_EXPONENT_TAILS = np.vstack((
+    np.full(_EXPONENTS.size, ord("e")), np.where(_EXPONENTS < 0, ord("-"), ord("+")),
+    _digit_rows(np.abs(_EXPONENTS), 3),
+)).astype(np.uint8)
+_EXPONENT_TAILS[2, np.abs(_EXPONENTS) < 100] = _PAD
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """Each float's '%.12e' % v bytes, NaN empty, as an (n, 20) uint8 table padded with _PAD.
+
+    With e = floor(log10 |v|) the mantissa is s = |v| 10^(12 - e) rounded to an integer.
+    The computed s' carries two roundings, the table's (at most 1 ulp) and the product's,
+    so |s' - s| < 3 2^-53 s < 3.4e-3 for s < 10^13: where s' lies more than 1/128 from a
+    rounding boundary, s rounds to the same integer, and s' >= 10^12 pins the exponent.
+    Its digits come from the exact quotients floor(m / 10^k): a rounded m / 10^k reaches
+    the next integer only from within half an ulp, far below the gap 10^-k. Every other
+    value (0, inf, a subnormal or tiny exponent, a round-up to the next decade, a
+    near-tie) is formatted by '%' one cell at a time.
+    """
+    a = np.abs(values)
+    regular = np.isfinite(a) & (a > 0.0)
+    a[~regular] = 1.0
+    row = np.maximum(np.floor(np.log10(a)), _E_MIN).astype(np.intp) - _E_MIN  # e's table row
+    scaled = a * _SCALES[row]
+    mantissa = np.floor(scaled)
+    half = scaled - mantissa - 0.5
+    mantissa += half > 0.0
+    regular &= (np.abs(half) > 1 / 128) & (scaled >= 1e12) & (mantissa < 1e13)
+    digits = _digit_rows(mantissa, 13)
+    cells = np.empty((_FLOAT_WIDTH, values.size), np.uint8)  # column-major: a row per byte
+    cells[0] = np.where(values < 0.0, ord("-"), _PAD)
+    cells[1], cells[2], cells[3:15] = digits[0], ord("."), digits[1:]
+    cells[15:] = _EXPONENT_TAILS[:, row]
+    cells[:, np.flatnonzero(~regular)] = _PAD  # NaN stays empty
+    fallback = np.flatnonzero(~regular & ~np.isnan(values))
+    block = _byte_cells(["%.12e" % v for v in values[fallback].tolist()])
+    cells[: block.shape[1], fallback] = block.T
+    return cells.T
 
 
 def write_csv(target, header, columns) -> None:
@@ -268,10 +333,26 @@ def write_csv(target, header, columns) -> None:
 
     Cells: float arrays as %.12e with NaN empty, bool arrays as true/false, string
     sequences as they are. CRLF rows and minimal quoting (a cell holding a comma,
-    a quote, CR or LF) give the csv module's bytes for two or more columns.
+    a quote, CR or LF) give the csv module's bytes for two or more columns. The rows
+    are laid out as one byte table: every float of the file is formatted in one call.
     """
-    rows = [_cells(header), *zip(*map(_cells, columns))]
-    text = "\r\n".join(map(",".join, rows)) + "\r\n"
+    n = len(columns[0]) if columns else 0
+    floats = [c for c in columns if isinstance(c, np.ndarray) and c.dtype != bool]
+    # zeros(0) makes the concatenation a float array even when no column is float
+    float_cells = _float_cells(np.concatenate([np.zeros(0), *floats]))
+    float_blocks = iter(float_cells.reshape(len(floats), n, _FLOAT_WIDTH))
+    parts = []
+    for column in columns:
+        if not isinstance(column, np.ndarray):
+            parts.append(_byte_cells(_quoted(column)))
+        elif column.dtype == bool:
+            parts.append(_BOOL_CELLS[column.astype(np.intp)])
+        else:
+            parts.append(next(float_blocks))
+        parts.append(np.full((n, 1), ord(","), np.uint8))
+    parts[-1:] = [np.tile(np.frombuffer(b"\r\n", np.uint8), (n, 1))]
+    body = np.concatenate(parts, axis=1).tobytes().translate(None, bytes([_PAD]))
+    text = ",".join(_quoted(header)) + "\r\n" + body.decode()
     if isinstance(target, (str, os.PathLike)):
         with open(target, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

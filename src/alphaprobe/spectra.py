@@ -81,13 +81,18 @@ def kappa(spectrum: GaussianSpectrum, tau):
 
     kappa(tau) = exp(2 pi i tau mu - (2 pi tau sigma)^2 / 2). A delay channel
     multiplies the probe's upper off-diagonal by conj(kappa). Where the damping
-    underflows to 0, kappa is exactly 0, its limit, even if the phase overflows.
+    underflows to 0, kappa is exactly 0, its limit, even if the phase overflows;
+    a phase that overflows where the damping does not raises ValueError.
     """
     t = np.asarray(tau, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         damp = np.exp(-((2.0 * math.pi * t * spectrum.sigma) ** 2) / 2.0)
         phase = np.where(damp == 0.0, 0.0, 2.0 * math.pi * t * spectrum.mu)
-        return damp * (np.cos(phase) + 1j * np.sin(phase))
+    if not np.isfinite(phase).all():
+        tau_max = np.abs(t[~np.isfinite(phase)]).max()
+        raise ValueError(f"the line phase 2 pi tau mu overflows a float at tau = {tau_max} s, "
+                         f"mu = {spectrum.mu} Hz, where the damping is nonzero")
+    return damp * (np.cos(phase) + 1j * np.sin(phase))
 
 
 @dataclass(frozen=True)

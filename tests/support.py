@@ -15,7 +15,9 @@ discretized classical fidelity, and a brute-force joint-unitary channel.
 Noiseless tomography counts, the expected values rounded, live here as well,
 and so does the linear-domain `pow` qubit kernel, the reference for the
 log-domain kernel that replaced it. The row CSV writer, `csv.writer` over a
-per-cell rule, is the reference for the columnar `bounds.write_csv`.
+per-cell rule, is the reference for the columnar `bounds.write_csv`, and so is
+the columnar writer that formats each float by Python's '%.12e' % v, the
+reference for the byte-table writer's vectorised float cells.
 """
 from __future__ import annotations
 
@@ -318,3 +320,24 @@ def oracle_write_csv(target, header, columns) -> None:
     writer = csv.writer(target)
     writer.writerow(header)
     writer.writerows([_oracle_cell(v) for v in row] for row in rows)
+
+
+def _oracle_percent_cells(column) -> list[str]:
+    """One column's cells, each float formatted by Python's '%'."""
+    if not isinstance(column, np.ndarray):  # strings, quoted as the csv module quotes them
+        return ['"' + c.replace('"', '""') + '"' if any(q in c for q in ',"\r\n') else c
+                for c in column]
+    values = column.tolist()
+    if column.dtype == bool:
+        return [("false", "true")[v] for v in values]
+    # NaN is the only float that formats to a text holding "nan"
+    return ("%.12e\n" * len(values) % tuple(values)).replace("nan", "").split("\n")[:-1]
+
+
+def oracle_percent_write_csv(target, header, columns) -> None:
+    """The columnar `bounds.write_csv` before its byte table: '%' formats every float.
+
+    Takes the writer's arguments and writes the same bytes, also for one column.
+    """
+    rows = [_oracle_percent_cells(header), *zip(*map(_oracle_percent_cells, columns))]
+    target.write("\r\n".join(map(",".join, rows)) + "\r\n")

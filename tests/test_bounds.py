@@ -32,6 +32,7 @@ from alphaprobe.spectra import GaussianSpectrum, discretize_pair
 from support import (
     eigvalsh_alpha_fidelity_curve,
     oracle_alpha_fidelity,
+    oracle_percent_write_csv,
     oracle_write_csv,
     rand_state,
 )
@@ -535,6 +536,44 @@ class TestSummaryAndCsv:
             write_csv(got, header, columns)
             oracle_write_csv(want, header, columns)
             assert got.getvalue() == want.getvalue()
+
+    @staticmethod
+    def assert_percent_writer_bytes(header, columns):
+        got, want = io.StringIO(newline=""), io.StringIO(newline="")
+        write_csv(got, header, columns)
+        oracle_percent_write_csv(want, header, columns)
+        assert got.getvalue() == want.getvalue()
+
+    def test_float_cells_match_percent_formatting(self):
+        # seeded: every cell against '%.12e' % v, in one column of each dtype
+        rng = np.random.default_rng(20261019)
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        round_ups = np.array([float(f"9.9999999999995e{k}") for k in range(-310, 308)])
+        edges = np.concatenate((powers, round_ups))
+        values = np.concatenate((
+            rng.choice([-1.0, 1.0], 60_000) * 10.0 ** rng.uniform(-320.0, 308.25, 60_000),
+            (2.0 * rng.integers(0, 2**45, 20_000) + 1.0) * 2.0**-20,  # odd multiples of 2^-20
+            rng.integers(10**12, 10**15, 10_000) * 10.0 + 5.0,  # ties: ...5 at 14+ digits
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, math.inf), -edges,
+            rng.random(5_000) * 2.2250738585072014e-308,  # subnormals
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7976931348623157e308],
+        ))
+        assert values.size >= 10**5
+        singles = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-45.0, 38.0, 20_000)
+        singles = np.append(singles, [math.nan, -math.inf, 1e-45]).astype(np.float32)
+        for column in (values, singles, rng.integers(-2**63, 2**63, 5_000),
+                       np.arange(-1000, 1000)):
+            self.assert_percent_writer_bytes(["x"], [column])
+
+    @pytest.mark.parametrize("columns", [
+        [np.zeros(0), np.zeros(0, dtype=bool), []],  # zero rows
+        [np.array([1.5, math.nan, -0.0])],  # one column: a NaN row is an empty line
+        [["a\x00b", "x,y", 'say "hi"', "cr\rhere", "two\nlines", "é ∞ 😀", ""]],
+        [["\x00", "\xff", ",\x00"], np.array([math.nan, 1e-300, 5e-324]),
+         np.array([True, False, True])],
+    ])
+    def test_write_csv_matches_the_percent_writer(self, columns):
+        self.assert_percent_writer_bytes([f"h{k},\x00" for k in range(len(columns))], columns)
 
     def test_csv_marks_uninformative_rows_empty(self, tmp_path):
         curve = tightest_bound(no_information_record(), alpha_grid=[0.5, 0.7])

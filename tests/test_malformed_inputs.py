@@ -125,6 +125,15 @@ def tiny_width_config():
     return cfg
 
 
+def narrow_lines_config():
+    """Lines so narrow that the delay phase 2 pi tau mu of a 2.5e306 mm plate overflows
+    where its damping is still nonzero."""
+    cfg = base_config()
+    cfg["spectra"] = {key: {"mu_hz": mu, "sigma_hz": 1e-300}
+                      for key, mu in (("first", 3.7e14), ("second", 3.8e14))}
+    return cfg
+
+
 # (case id, subcommand, config or None, extra arguments, expected field path)
 CASES = [
     ("birefringence-string", "simulate",
@@ -205,6 +214,12 @@ CASES = [
     ("delay-overflow-sweep", "sweep",
      edited(sweep_config(), "sweep", {"thicknesses_mm": [5.0, 1e13], "birefringence": 1e300}),
      [], "config.sweep: plate delays"),
+    ("phase-overflow", "simulate",
+     edited(narrow_lines_config(), "coupling.plates.0.thickness_mm", 2.5e306), [],
+     "coupling simulation stage: the line phase 2 pi tau mu overflows"),
+    ("phase-overflow-sweep", "sweep",
+     dict(narrow_lines_config(), sweep={"thicknesses_mm": [2.5e306]}), [],
+     "coupling simulation stage: the line phase 2 pi tau mu overflows"),
     # a numeric string is quoted, so it cannot be read as a valid value
     ("mu-numeric-string", "simulate", edited(base_config(), "spectra.first.mu_hz", "3.7e14"), [],
      "spectra.first.mu_hz must be positive, got '3.7e14'"),

@@ -156,6 +156,13 @@ class TestKappa:
         assert got[0] == 1.0 and np.array_equal(got[1:], np.zeros(4))
         assert not np.signbit(got[1:].real).any() and not np.signbit(got[1:].imag).any()
 
+    def test_overflowing_phase_under_nonzero_damping_raises_without_warnings(self):
+        # sigma = 1e-300 Hz leaves the damping at 1 while 2 pi tau mu overflows
+        narrow = GaussianSpectrum(3.7e14, 1e-300)
+        with pytest.raises(ValueError, match=r"2 pi tau mu overflows a float at tau = 1e\+294 s"):
+            kappa(narrow, np.array([0.0, 1e-9, -1e294]))
+        assert abs(kappa(narrow, 1e290)) == pytest.approx(1.0)
+
     def test_ordinary_delays_unchanged_by_the_zero_rule(self):
         s1, _ = reference_pair()
         tau = np.linspace(-3.0, 3.0, 101) / (2.0 * math.pi * s1.sigma)
