@@ -106,6 +106,15 @@ def _delay_expansion(stack: WavePlateStack) -> tuple[np.ndarray, np.ndarray]:
     return terms, delays
 
 
+def _exact_channel(stack: WavePlateStack, spectra, states) -> list[np.ndarray]:
+    """The exact channel's output for each (spectrum, qubit array) pair, from one expansion."""
+    terms, delays = _delay_expansion(stack)
+    lags, conj = delays[:, None] - delays[None, :], terms.conj()
+    # right_s = sum_t kappa_st conj(A_t); Phi = sum_s A_s rho right_s^T
+    rights = [np.tensordot(kappa(spectrum, lags), conj, axes=(1, 0)) for spectrum in spectra]
+    return [np.tensordot(terms @ a, r, axes=([0, 2], [0, 2])) for a, r in zip(states, rights)]
+
+
 def apply_channel(
     stack: WavePlateStack,
     spectrum: GaussianSpectrum,
@@ -122,11 +131,7 @@ def apply_channel(
     """
     a = check_qubit(state_matrix(rho))
     if grid is None:
-        terms, delays = _delay_expansion(stack)
-        weights = kappa(spectrum, delays[:, None] - delays[None, :])
-        # right_s = sum_t kappa_st conj(A_t); Phi = sum_s A_s rho right_s^T
-        right = np.tensordot(weights, terms.conj(), axes=(1, 0))
-        out = np.tensordot(terms @ a, right, axes=([0, 2], [0, 2]))
+        (out,) = _exact_channel(stack, [spectrum], [a])
     else:
         v = jones_at_frequencies(stack, grid.points)
         out = np.einsum("n,nab,bc,ndc->ad", grid.weights, v, a, v.conj())

@@ -57,14 +57,20 @@ def _load_state(path, flag: str, qubit: bool = False) -> DensityMatrix:
 
 
 def _alpha_grid(args, lower: float) -> np.ndarray:
+    # the range flags default to None, so one given with --alpha is not silently dropped
+    ranged = {f"--alpha-{k}": getattr(args, f"alpha_{k}") for k in ("start", "stop", "count")}
     single = getattr(args, "alpha", None) is not None
-    flags = "--alpha" if single else "--alpha-start/--alpha-stop/--alpha-count"
-    with field_errors(flags), warnings.catch_warnings():
+    if single and any(v is not None for v in ranged.values()):
+        given = " or ".join(flag for flag, v in ranged.items() if v is not None)
+        raise ConfigError(f"--alpha cannot be combined with {given}")
+    with field_errors("--alpha" if single else "/".join(ranged)), warnings.catch_warnings():
         # the fidelity curve repeats this check, with its alpha < 0.5 warning
         warnings.simplefilter("ignore")
         if single:
             return np.array([check_alpha(args.alpha)])
-        return alpha_range(args.alpha_start, args.alpha_stop, args.alpha_count, lower)
+        defaults = (ALPHA_START, ALPHA_STOP, ALPHA_COUNT)
+        start, stop, count = (d if v is None else v for v, d in zip(ranged.values(), defaults))
+        return alpha_range(start, stop, count, lower)
 
 
 def _add_alpha_args(parser: argparse.ArgumentParser, single: bool = False) -> None:
@@ -72,9 +78,9 @@ def _add_alpha_args(parser: argparse.ArgumentParser, single: bool = False) -> No
         parser.add_argument(
             "--alpha", type=float, default=None, help="single order parameter"
         )
-    parser.add_argument("--alpha-start", type=float, default=ALPHA_START)
-    parser.add_argument("--alpha-stop", type=float, default=ALPHA_STOP)
-    parser.add_argument("--alpha-count", type=int, default=ALPHA_COUNT)
+    parser.add_argument("--alpha-start", type=float)
+    parser.add_argument("--alpha-stop", type=float)
+    parser.add_argument("--alpha-count", type=int)
 
 
 def cmd_afid(args) -> int:

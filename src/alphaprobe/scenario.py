@@ -23,13 +23,16 @@ from . import __version__
 from .bounds import (
     NoInformationError,
     ProbingRecord,
+    _bound_curves,
+    _bound_grid,
+    _record_states,
     bound_summary,
     tightest_bound,
     width_ratio,
     write_bound_curve_csv,
     write_csv,
 )
-from .channel import QUARTZ_BIREFRINGENCE, WavePlate, WavePlateStack, apply_channel
+from .channel import QUARTZ_BIREFRINGENCE, WavePlate, WavePlateStack, _exact_channel
 from .fidelity import (
     ALPHA_COUNT,
     ALPHA_START,
@@ -133,10 +136,6 @@ def _field(payload: dict, key: str, path: str, default=_REQUIRED) -> tuple:
     return payload.get(key, default), where
 
 
-def _require(payload: dict, key: str, path: str):
-    return _field(payload, key, path)[0]
-
-
 def _boolean(value, path: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{path} must be true or false, got {value!r}")
@@ -185,7 +184,7 @@ def _parse_stack(payload, path: str) -> WavePlateStack:
     if not isinstance(payload, dict):
         raise ConfigError(f"{path} must be an object or the literal "
                           f"{REFERENCE_LITERAL!r}")
-    plates_cfg = _require(payload, "plates", path)
+    plates_cfg = _field(payload, "plates", path)[0]
     if not isinstance(plates_cfg, list) or not plates_cfg:
         raise ConfigError(f"{path}.plates must be a nonempty list")
     birefringence = check_real(*_field(payload, "birefringence", path, QUARTZ_BIREFRINGENCE))
@@ -237,7 +236,7 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
     """A scenario config from its JSON payload; a malformed field is a ConfigError naming it."""
     try:
         return _parse_config(payload)
-    except ConfigError:  # from _require, _object, _boolean and field_errors
+    except ConfigError:  # from _field, _object, _boolean and field_errors
         raise
     except ValueError as exc:  # the one conversion of a check_* rule, whose message names the path
         raise ConfigError(str(exc)) from exc
@@ -252,7 +251,7 @@ def _parse_config(payload: dict) -> ScenarioConfig:
             f"schema must be {SCHEMA_VERSION!r}, got {schema!r}"
         )
 
-    coupling = _require(payload, "coupling", "config")
+    coupling = _field(payload, "coupling", "config")[0]
     use_reference = coupling == REFERENCE_LITERAL
     stack = None if use_reference else _parse_stack(coupling, "coupling")
 
@@ -324,7 +323,7 @@ def _parse_config(payload: dict) -> ScenarioConfig:
     sweep_orientation = 0.0
     if sweep_cfg is not None:
         _object(sweep_cfg, "config.sweep")
-        thick = _require(sweep_cfg, "thicknesses_mm", "sweep")
+        thick = _field(sweep_cfg, "thicknesses_mm", "sweep")[0]
         if not isinstance(thick, list) or not thick:
             raise ConfigError("sweep.thicknesses_mm must be a nonempty list")
         mm = [check_positive(t, f"sweep.thicknesses_mm[{i}]") for i, t in enumerate(thick)]
@@ -422,13 +421,8 @@ def _evolve(config: ScenarioConfig, stack: WavePlateStack) -> ProbingRecord:
     s1, s2 = config.spectra
     rho1, rho2 = config.probes
     with field_errors("coupling simulation stage"):
-        return ProbingRecord(
-            rho1=rho1,
-            rho2=rho2,
-            phi1_rho1=apply_channel(stack, s1, rho1),
-            phi2_rho2=apply_channel(stack, s2, rho2),
-            delta_mu=abs(s1.mu - s2.mu),
-        )
+        evolved = _exact_channel(stack, config.spectra, [rho1.matrix, rho2.matrix])
+        return ProbingRecord(rho1, rho2, *map(DensityMatrix, evolved), abs(s1.mu - s2.mu))
 
 
 def _truth_sigma(config: ScenarioConfig) -> float | None:
@@ -557,17 +551,19 @@ def sweep_thickness(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     """Exact-state bound optimum per plate thickness of an aligned stack.
 
     One plate per thickness at the sweep orientation; readout is exact
-    (tomography settings are ignored here). Writes sweep.csv and summary.json,
-    then raises NoInformationError if require_bound finds no informative one.
+    (tomography settings are ignored here). Every thickness is evolved before
+    one blocked pass bounds them all. Writes sweep.csv and summary.json, then
+    raises NoInformationError if require_bound finds no informative one.
     """
     if config.sweep_stacks is None:
         raise ConfigError("config.sweep.thicknesses_mm is required for a sweep")
     sigma_truth = _truth_sigma(config)
 
+    records = [_evolve(config, stack) for _, stack in config.sweep_stacks]
+    alphas = _bound_grid(config.alpha_grid)
+    curves = _bound_curves(_record_states(records), alphas, records[0].delta_mu)
     rows = []
-    for thickness_mm, stack in config.sweep_stacks:
-        record = _evolve(config, stack)
-        curve = tightest_bound(record, config.alpha_grid)
+    for (thickness_mm, _), curve in zip(config.sweep_stacks, curves):
         with field_errors("spectra"):
             entry = bound_summary(curve, sigma_reference=sigma_truth)
         entry["thickness_mm"] = thickness_mm

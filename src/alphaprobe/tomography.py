@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundCurve, ProbingRecord, _bound_curves, _bound_grid
+from .bounds import BLOCK_ALPHA_POINTS, BoundCurve, ProbingRecord, _bound_curves, _bound_grid
 from .linalg import (
     DensityMatrix,
     check_density_matrices,
@@ -35,13 +35,8 @@ MAX_REPLICAS = 100_000
 # floats hold every integer, as reconstruct assumes, far inside numpy's Poisson limit
 MAX_EXPECTED_PAIRS = 2**53
 # replicas are sampled, inverted and validated in passes of up to SAMPLE_REPLICAS
-# in evaluation order, and bounded in blocks of max(1, BLOCK_ALPHA_POINTS // A)
-# for an A-point grid. Peak memory bounds the block: over 150 runs of 100 replicas at
-# A = 500 (2-vCPU Xeon, Python 3.11, numpy 2.4), blocks of 4 peak 7.9 MiB above the
-# imported package, 16 at 9.0 MiB and 100 at 14.1 MiB, and the mc-tomography
-# benchmark allows about 2.2 MiB (5%) of growth
+# in evaluation order, then bounded in blocks of BLOCK_ALPHA_POINTS by _bound_curves
 SAMPLE_REPLICAS = 1024
-BLOCK_ALPHA_POINTS = 2048
 
 # numpy's SeedSequence pool hash (pool of 4 uint32 words), see _philox_keys
 _POOL_SIZE = 4
@@ -337,7 +332,6 @@ def monte_carlo_bounds(
         [pairs * p for b in settings.bases for p in born_probabilities(state, b)]
         for state in truth.states
     ]
-    block = max(1, BLOCK_ALPHA_POINTS // alphas.size)
     # one generator for the run, reseeded to each (replica, state) stream's fresh state
     stream = np.random.Generator(np.random.Philox(0))
     results: dict[int, float | None] = {}
@@ -352,13 +346,11 @@ def monte_carlo_bounds(
             for replica_keys in keys.tolist()
         ])
         states = check_density_matrices(_invert(counts))
-        for b in range(0, len(rows), block):
-            # each curve views its block's arrays: keep optimum values and replica 0's curve
-            curves = _bound_curves(states[b:b + block], alphas, truth.delta_mu)
-            for replica, curve in zip(rows[b:b + block], curves):
-                results[replica] = None if curve.no_information else curve.optimum.value
-                if replica == 0:
-                    curve0 = curve
+        # each curve views its block's arrays: keep optimum values and replica 0's curve
+        for replica, curve in zip(rows, _bound_curves(states, alphas, truth.delta_mu)):
+            results[replica] = None if curve.no_information else curve.optimum.value
+            if replica == 0:
+                curve0 = curve
 
     # order-independent aggregation: replica index order, compensated sums
     values = tuple(results[r] for r in range(replicas))

@@ -17,7 +17,10 @@ and so does the linear-domain `pow` qubit kernel, the reference for the
 log-domain kernel that replaced it. The row CSV writer, `csv.writer` over a
 per-cell rule, is the reference for the columnar `bounds.write_csv`, and so is
 the columnar writer that formats each float by Python's '%.12e' % v, the
-reference for the byte-table writer's vectorised float cells.
+reference for the byte-table writer's vectorised float cells. The per-thickness sweep
+(two channel calls, `tightest_bound` and `bound_summary` for each thickness in turn) is
+the reference for `sweep_thickness`, which evolves every thickness and bounds them in
+one blocked pass.
 """
 from __future__ import annotations
 
@@ -29,9 +32,11 @@ import mpmath
 import numpy as np
 import scipy.linalg as sla
 
-from alphaprobe.channel import WavePlateStack, jones_at_frequencies
+from alphaprobe.bounds import ProbingRecord, bound_summary, tightest_bound
+from alphaprobe.channel import WavePlateStack, apply_channel, jones_at_frequencies
 from alphaprobe.fidelity import _floor_spectrum, check_alpha
 from alphaprobe.linalg import EIG_FLOOR, DensityMatrix, check_qubit
+from alphaprobe.scenario import _truth_sigma
 from alphaprobe.spectra import FrequencyGrid, GaussianSpectrum, _check_grid_shape
 from alphaprobe.tomography import CountRecord, TomographySettings, born_probabilities
 
@@ -341,3 +346,28 @@ def oracle_percent_write_csv(target, header, columns) -> None:
     """
     rows = [_oracle_percent_cells(header), *zip(*map(_oracle_percent_cells, columns))]
     target.write("\r\n".join(map(",".join, rows)) + "\r\n")
+
+
+def oracle_sweep_rows(config) -> list[dict]:
+    """The results["thicknesses"] rows of a sweep config, one thickness at a time.
+
+    Each thickness's record comes from one apply_channel call per line, and its
+    row from tightest_bound and bound_summary on that record alone.
+    """
+    (s1, s2), (rho1, rho2) = config.spectra, config.probes
+    rows = []
+    for thickness_mm, stack in config.sweep_stacks:
+        record = ProbingRecord(rho1, rho2, apply_channel(stack, s1, rho1),
+                               apply_channel(stack, s2, rho2), abs(s1.mu - s2.mu))
+        row = bound_summary(tightest_bound(record, config.alpha_grid), _truth_sigma(config))
+        rows.append({**row, "thickness_mm": thickness_mm})
+    return rows
+
+
+def oracle_sweep_csv(target, config) -> None:
+    """sweep.csv of a sweep config, from oracle_sweep_rows through the row writer."""
+    rows = oracle_sweep_rows(config)
+    numbers = ["thickness_mm", "b_inf_hz", "b_inf_over_sigma", "alpha_star"]
+    columns = [[r.get(c) for r in rows] for c in numbers]  # None: an empty cell
+    columns += [[r["family"] or "" for r in rows], [r["no_information"] for r in rows]]
+    oracle_write_csv(target, [*numbers, "family", "no_information"], columns)

@@ -417,7 +417,7 @@ class TestDualBounds:
         for rec in records:
             for a in (0.5, float(rng.uniform(0.5, 0.9999)), 0.9999):
                 grid = np.array([a])
-                unit = _bounds_from_fractions(_fraction_rows(_record_states(rec), grid)[0],
+                unit = _bounds_from_fractions(_fraction_rows(_record_states([rec]), grid)[0],
                                               grid, 1.0)
                 best = float(np.fmin(*unit)[0])
                 want = None if math.isnan(best) else math.inf if best == 0.0 else 1.0 / best

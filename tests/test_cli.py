@@ -125,6 +125,31 @@ class TestAfid:
         assert "config error" in err
         assert "--alpha" in err
 
+    def test_alpha_with_a_range_flag_exits_2_naming_both(self, tmp_path, capsys):
+        rho1 = write_state(tmp_path / "a.json", PLUS)
+        out = tmp_path / "curve.csv"
+        for flags, named in [
+            (["--alpha-count", "5"], "--alpha-count"),
+            (["--alpha-start", "0.6"], "--alpha-start"),
+            (["--alpha-stop", "0.9"], "--alpha-stop"),
+            # a range flag given at its default value is still given
+            (["--alpha-start", "0.5", "--alpha-count", "500"], "--alpha-start or --alpha-count"),
+        ]:
+            code = main(["afid", "--rho1", rho1, "--rho2", rho1, "--alpha", "0.7", *flags,
+                         "--csv", str(out)])
+            assert code == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert f"config error: --alpha cannot be combined with {named}" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
+        # each alone still works, the range flags at their defaults when left out
+        assert main(["afid", "--rho1", rho1, "--rho2", rho1, "--alpha", "0.7"]) == EXIT_OK
+        assert capsys.readouterr().out.count("\n") == 2
+        assert main(["afid", "--rho1", rho1, "--rho2", rho1, "--alpha-count", "5"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 6
+        assert [float(r.split(",")[0]) for r in rows[1::4]] == [0.5, 0.9999]
+
     def test_unwritable_csv_names_the_flag_and_creates_no_directory(self, tmp_path, capsys):
         rho1 = write_state(tmp_path / "a.json", PLUS)
         target = tmp_path / "missing" / "curve.csv"

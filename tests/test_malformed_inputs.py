@@ -166,6 +166,8 @@ CASES = [
     ("alpha-start-bool", "simulate", edited(base_config(), "alpha_grid.start", True), [],
      "alpha_grid.start"),
     ("alpha-count-one", "afid", None, ["--alpha-count", "1"], "--alpha-count"),
+    ("alpha-with-alpha-count", "afid", None, ["--alpha", "0.7", "--alpha-count", "5"],
+     "--alpha cannot be combined with --alpha-count"),
     ("probe-string-entries", "simulate", edited(base_config(), "probes.rho1", STRING_PLUS),
      [], "probes.rho1"),
     ("nine-plates", "simulate", nine_plate_config(), [], "coupling"),
@@ -219,6 +221,11 @@ CASES = [
      "coupling simulation stage: the line phase 2 pi tau mu overflows"),
     ("phase-overflow-sweep", "sweep",
      dict(narrow_lines_config(), sweep={"thicknesses_mm": [2.5e306]}), [],
+     "coupling simulation stage: the line phase 2 pi tau mu overflows"),
+    # every thickness is evolved before any is bounded: the 5 mm plate's bound over a
+    # 1e-300 Hz width would overflow, but the later plate's evolve error comes first
+    ("phase-overflow-after-width-overflow-sweep", "sweep",
+     dict(narrow_lines_config(), sweep={"thicknesses_mm": [5.0, 2.5e306]}), [],
      "coupling simulation stage: the line phase 2 pi tau mu overflows"),
     # a numeric string is quoted, so it cannot be read as a valid value
     ("mu-numeric-string", "simulate", edited(base_config(), "spectra.first.mu_hz", "3.7e14"), [],

@@ -1,13 +1,17 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import alphaprobe.bounds as bounds
+import alphaprobe.channel as channel
 import alphaprobe.scenario as scenario
-from alphaprobe.bounds import NoInformationError
+from alphaprobe.bounds import BLOCK_ALPHA_POINTS, NoInformationError
+from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
+from alphaprobe.linalg import DensityMatrix
 from alphaprobe.reference import REFERENCE_DELTA_MU_HZ, REFERENCE_SIGMA_HZ
 from alphaprobe.scenario import (
     REFERENCE_LITERAL,
@@ -20,7 +24,8 @@ from alphaprobe.scenario import (
     run_scenario,
     sweep_thickness,
 )
-from alphaprobe.spectra import LIGHT_SPEED
+from alphaprobe.spectra import LIGHT_SPEED, GaussianSpectrum
+from support import oracle_sweep_csv, oracle_sweep_rows, rand_state
 
 MU0 = 3.7e14
 
@@ -225,6 +230,42 @@ class TestParse:
         bad.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_scenario(bad)
+
+
+class TestEvolve:
+    def test_one_expansion_gives_both_lines_channel_outputs(self, monkeypatch):
+        # _evolve expands the stack once for both lines; each evolved probe must equal
+        # its own apply_channel call bit for bit, over 1 to 8 plates, plus and mixed probes
+        rng = np.random.default_rng(2121)
+        expansions = []
+        expand = channel._delay_expansion
+        monkeypatch.setattr(channel, "_delay_expansion",
+                            lambda stack: expansions.append(stack) or expand(stack))
+        base = parse_scenario(sim_config())
+        for n_plates in range(1, 9):
+            for probes in ("plus", "mixed"):
+                for _ in range(3):
+                    stack = WavePlateStack(tuple(
+                        WavePlate(float(rng.uniform(0.5e-3, 10e-3)),
+                                  float(rng.uniform(0.0, math.pi)))
+                        for _ in range(n_plates)
+                    ))
+                    sigma = float(rng.uniform(2e11, 1e12))
+                    s1 = GaussianSpectrum(MU0, sigma)
+                    s2 = GaussianSpectrum(MU0 + sigma * float(rng.uniform(0.3, 3.0)),
+                                          sigma * float(rng.uniform(0.5, 2.0)))
+                    pair = base.probes if probes == "plus" else tuple(
+                        DensityMatrix(rand_state(rng, 2, rank=int(rng.integers(1, 3))))
+                        for _ in range(2)
+                    )
+                    config = replace(base, spectra=(s1, s2), probes=pair)
+                    expansions.clear()
+                    record = scenario._evolve(config, stack)
+                    assert expansions == [stack]
+                    for got, line, rho in ((record.phi1_rho1, s1, pair[0]),
+                                           (record.phi2_rho2, s2, pair[1])):
+                        assert np.array_equal(got.matrix, apply_channel(stack, line, rho).matrix)
+                    assert record.delta_mu == abs(s1.mu - s2.mu)
 
 
 class TestRunScenario:
@@ -466,6 +507,41 @@ class TestSweep:
     def test_sweep_requires_sweep_section(self, tmp_path):
         with pytest.raises(ConfigError, match="thicknesses_mm"):
             sweep_thickness(parse_scenario(sim_config()), out_dir=str(tmp_path))
+
+    @pytest.mark.parametrize("count, thicknesses, second_sigma", [
+        # two blocks of 25 and 5 records, the uninformative 22 mm plate last
+        (80, [0.5 * k for k in range(1, 30)] + [22.0], None),
+        # unequal widths, so sigma_truth is null and no row has b_inf_over_sigma
+        (80, [22.0] + [0.7 * k for k in range(1, 31)], 1.4 * REFERENCE_SIGMA_HZ),
+        # blocks of 4 records at the default grid, the last one partial
+        (500, [1.5 * k for k in range(1, 11)] + [22.0], None),
+    ])
+    def test_one_blocked_pass_keeps_the_per_thickness_rows(
+        self, tmp_path, monkeypatch, count, thicknesses, second_sigma
+    ):
+        payload = self.sweep_config(thicknesses, alpha_grid={"count": count})
+        if second_sigma is not None:
+            payload["spectra"]["second"]["sigma_hz"] = second_sigma
+        cfg = parse_scenario(payload)
+        want = oracle_sweep_rows(cfg)
+        oracle_sweep_csv(tmp_path / "oracle.csv", cfg)
+        kernel = bounds._fidelity_curves
+        pairs = []
+        monkeypatch.setattr(bounds, "_fidelity_curves",
+                            lambda rho1s, *args: pairs.append(len(rho1s)) or kernel(rho1s, *args))
+        report = sweep_thickness(cfg, out_dir=str(tmp_path / "run"))
+        results = report.summary["results"]
+        assert results["thicknesses"] == want
+        assert (tmp_path / "run" / "sweep.csv").read_bytes() == (
+            tmp_path / "oracle.csv").read_bytes()
+        assert (results["sigma_truth_hz"] is None) == (second_sigma is not None)
+        assert any(r["no_information"] for r in want)
+        assert any(not r["no_information"] for r in want)
+        # one kernel call per block of records, four fidelity pairs per record
+        block = max(1, BLOCK_ALPHA_POINTS // count)
+        k = len(thicknesses)
+        assert len(pairs) == math.ceil(k / block) > 1
+        assert pairs == [4 * min(block, k - start) for start in range(0, k, block)]
 
     def test_require_bound_sweep_with_no_informative_thickness(self, tmp_path):
         cfg = parse_scenario(self.sweep_config([22.0, 25.0], require_bound=True))

@@ -595,7 +595,7 @@ class TestMonteCarlo:
             found = optima[name] = []
 
             def recording(*args, found=found):
-                curves = bound_curves(*args)
+                curves = list(bound_curves(*args))
                 found.extend(curve.optimum for curve in curves)
                 return curves
 
