@@ -25,7 +25,7 @@ import numpy as np
 from .fidelity import (
     DPI_ALPHA_MIN,
     _check_alpha_grid,
-    _fidelity_curves,
+    _fidelity_blocks,
     default_alpha_grid,
 )
 from .linalg import DensityMatrix, check_positive
@@ -37,8 +37,8 @@ BOUND_FAMILIES = ("B1", "B2")  # the bound of each order, in BOUND_ORDERS order
 _PAIR_FIRST, _PAIR_SECOND = [2, 0, 3, 1], [3, 1, 2, 0]
 # alpha points per block of _bound_curves, which holds one record at least. Peak memory
 # bounds it: over 150 Monte-Carlo runs of 100 replicas at A = 500 (2-vCPU Xeon, Python
-# 3.11, numpy 2.4), blocks of 4 peak 7.9 MiB above the imported package, 16 at 9.0 MiB
-# and 100 at 14.1 MiB, and the mc-tomography benchmark allows about 2.2 MiB (5%) of growth
+# 3.11, numpy 2.4), blocks of 4 peak 7.8 MiB above the imported package, 16 at 9.6 MiB
+# and 100 at 13.8 MiB, and the mc-tomography benchmark allows about 2.2 MiB (5%) of growth
 BLOCK_ALPHA_POINTS = 2048
 
 
@@ -75,20 +75,20 @@ def _record_states(records) -> np.ndarray:
     return np.array([[s.matrix for s in record.states] for record in records])
 
 
-def _fraction_rows(states: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Fidelity fractions (n, 2, A), in BOUND_ORDERS order, of n records stacked as (n, 4, d, d).
+def _fraction_blocks(states: np.ndarray, alphas: np.ndarray, block: int) -> Iterator[np.ndarray]:
+    """Fidelity fractions (block, 2, A), in BOUND_ORDERS order, of n records (n, 4, d, d).
 
-    One fidelity call covers every record and order; a zero denominator gives +inf.
+    One fidelity pass covers every record and order; a zero denominator gives +inf.
     """
-    n, _, d, _ = states.shape
-    f = _fidelity_curves(
-        states[:, _PAIR_FIRST].reshape(-1, d, d), states[:, _PAIR_SECOND].reshape(-1, d, d), alphas
-    ).reshape(n, 2, 2, -1)
-    num, den = f[:, :, 0], f[:, :, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
-    np.copyto(out, math.inf, where=den == 0.0)
-    return out
+    d = states.shape[-1]
+    pairs = states[:, _PAIR_FIRST].reshape(-1, d, d), states[:, _PAIR_SECOND].reshape(-1, d, d)
+    for f in _fidelity_blocks(*pairs, alphas, 4 * block):
+        f = f.reshape(-1, 2, 2, alphas.size)
+        num, den = f[:, :, 0], f[:, :, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = num / den
+        np.copyto(out, math.inf, where=den == 0.0)
+        yield out
 
 
 def fraction_curve(record: ProbingRecord, alphas, order: str = "forward") -> np.ndarray:
@@ -99,7 +99,7 @@ def fraction_curve(record: ProbingRecord, alphas, order: str = "forward") -> np.
     """
     if order not in BOUND_ORDERS:
         raise ValueError(f"order must be one of {BOUND_ORDERS}, got {order!r}")
-    rows = _fraction_rows(_record_states([record]), _check_alpha_grid(alphas))
+    rows = next(_fraction_blocks(_record_states([record]), _check_alpha_grid(alphas), 1))
     return rows[0, BOUND_ORDERS.index(order)]
 
 
@@ -198,9 +198,7 @@ def _bound_curves(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> It
     Records are bounded max(1, BLOCK_ALPHA_POINTS // A) at a time, and a curve views its
     block's (block, 2, A) arrays.
     """
-    block = max(1, BLOCK_ALPHA_POINTS // alphas.size)
-    for start in range(0, len(states), block):
-        fractions = _fraction_rows(states[start:start + block], alphas)
+    for fractions in _fraction_blocks(states, alphas, max(1, BLOCK_ALPHA_POINTS // alphas.size)):
         bounds = _bounds_from_fractions(fractions, alphas, delta_mu)
         for f, b, optimum in zip(fractions, bounds, _optima(bounds, alphas)):
             yield BoundCurve(alphas, b[0], b[1], optimum, fractions=(f[0], f[1]))

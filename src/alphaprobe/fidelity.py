@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -77,26 +78,36 @@ def _floor_spectrum(w: np.ndarray) -> np.ndarray:
     return np.where(w < EIG_FLOOR, 0.0, w)
 
 
-def _qubit_fidelity_sums(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Unclipped F_alpha of validated qubit pairs, stacks (n, 2, 2), over a grid: shape (n, A).
+def _qubit_frames(rho1s: np.ndarray, rho2s: np.ndarray) -> np.ndarray:
+    """The alpha-free half of the qubit kernel for validated stacks (n, 2, 2): rows (6, n).
 
-    In the eigenbasis V of rho2 (eigenvalues l1 <= l2), with q = (1 - alpha) / alpha,
-    t = (l1 / l2)^q and rho1' = V^dagger rho1 V, the sandwich's large root is hi = l2^q h,
-    h = (t r'_00 + r'_11 + sqrt((t r'_00 - r'_11)^2 + 4 t |r'_01|^2)) / 2 (terms of one sign);
-    the small one, (l1 l2)^q det(rho1) / hi with rho1's own det, keeps its precision near
-    purity. Roots stay logs until exp(alpha log root); lo <= hi; below EIG_FLOOR a root is 0.
+    In rho2's eigenbasis V (floored eigenvalues l1 <= l2, log 0 = -inf), rho1' = V^dagger rho1 V:
+    log l1 - log l2, log l2, log det(rho1) (rho1's own det), |r'_01|^2, r'_00 / 2 and r'_11 / 2.
     """
     w2, v2 = np.linalg.eigh(rho2s)
     r = np.conj(np.swapaxes(v2, 1, 2)) @ rho1s @ v2
     det1 = rho1s[:, 0, 0].real * rho1s[:, 1, 1].real - np.abs(rho1s[:, 0, 1]) ** 2
-    half00, half11 = 0.5 * r[:, 0, 0, None].real, 0.5 * r[:, 1, 1, None].real
-    q = (1.0 - grid) / grid
-    roots = np.empty((2, len(w2), grid.size))  # log lo and log hi, then lo^alpha and hi^alpha
-    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf for a zero factor
+    with np.errstate(divide="ignore"):
         logs = np.log(_floor_spectrum(w2))
-        lo = np.multiply.outer(logs[:, 0] - logs[:, 1], q, out=roots[0])  # log t
+        log_det1 = np.log(np.maximum(det1, 0.0))
+    return np.stack((logs[:, 0] - logs[:, 1], logs[:, 1], log_det1,
+                     np.abs(r[:, 0, 1]) ** 2, 0.5 * r[:, 0, 0].real, 0.5 * r[:, 1, 1].real))
+
+
+def _qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The per-alpha half: unclipped F_alpha of m pairs' frames (6, m) over a grid, shape (m, A).
+
+    With q = (1 - alpha) / alpha and t = (l1 / l2)^q, the sandwich's large root is hi = l2^q h,
+    h = (t r'_00 + r'_11 + sqrt((t r'_00 - r'_11)^2 + 4 t |r'_01|^2)) / 2 (terms of one sign);
+    the small one, (l1 l2)^q det(rho1) / hi, keeps its precision near purity.
+    Roots stay logs until exp(alpha log root); lo <= hi; below EIG_FLOOR a root is 0.
+    """
+    log_t, log_l2, log_det1, b2, half00, half11 = frames[:, :, None]
+    roots = np.empty((2, frames.shape[1], grid.size))  # log lo and log hi, then their powers
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf for a zero factor
+        lo = np.multiply(log_t, q, out=roots[0])  # log t
         t = np.exp(lo)
-        hi = np.multiply(t, np.abs(r[:, 0, 1, None]) ** 2, out=roots[1])
+        hi = np.multiply(t, b2, out=roots[1])
         t *= half00
         d = t - half11
         hi += np.square(d, out=d)
@@ -104,8 +115,8 @@ def _qubit_fidelity_sums(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray)
         hi += t
         hi += half11
         np.log(hi, out=hi)  # log h
-        u = np.multiply.outer(logs[:, 1], q, out=t)  # q log l2
-        lo += np.add(u, np.log(np.maximum(det1, 0.0))[:, None], out=d)
+        u = np.multiply(log_l2, q, out=t)  # q log l2
+        lo += np.add(u, log_det1, out=d)
         lo -= hi
         hi += u
         np.fmin(lo, hi, out=lo)  # also where h = 0 made log lo NaN or +inf
@@ -116,29 +127,34 @@ def _qubit_fidelity_sums(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray)
     return lo
 
 
-def _fidelity_curves(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """F_alpha over a checked grid for validated stacks (n, d, d) of pairs: shape (n, A), clamped.
+def _fidelity_blocks(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray,
+                     size: int) -> Iterator[np.ndarray]:
+    """Clamped F_alpha of validated stacks (n, d, d) of pairs over a checked grid, in blocks.
 
-    Qubits go through the scalar kernel; higher dimensions cost a Hermitian
-    eigenvalue solve of the sandwich per alpha. All n pairs share one clamp warning.
+    Blocks are (size, A), the last one possibly shorter, each with one clamp warning at most.
+    Qubits run the kernel's alpha-free half once over the stack and its per-alpha half per
+    block; higher dimensions cost a Hermitian eigenvalue solve of the sandwich per alpha.
     """
-    if rho1s.shape[-1] == 2:
-        raw = _qubit_fidelity_sums(rho1s, rho2s, grid)
-    else:
-        w2, v2 = np.linalg.eigh(rho2s)
-        # rho2^((1-alpha)/(2 alpha)) for every alpha at once; 0^p = 0 on the null space
-        wp = _floor_spectrum(w2)[:, None, :] ** ((1.0 - grid) / (2.0 * grid))[:, None]
-        half = np.einsum("nab,nmb,ncb->nmac", v2, wp, v2.conj())
-        sandwich = half @ rho1s[:, None] @ half
-        sandwich = (sandwich + np.conj(np.swapaxes(sandwich, -1, -2))) / 2
-        ws = _floor_spectrum(np.linalg.eigvalsh(sandwich))
-        raw = np.sum(ws ** grid[:, None], axis=-1)
-    excess = raw.max() - 1.0
-    if excess > CLAMP_EXCESS:
-        warnings.warn(
-            f"alpha-fidelity exceeded 1 by up to {excess:.3e}; clamping to 1", stacklevel=3
-        )
-    return np.clip(raw, 0.0, 1.0, out=raw)
+    q = (1.0 - grid) / grid
+    frames = _qubit_frames(rho1s, rho2s) if rho1s.shape[-1] == 2 else None
+    for start in range(0, len(rho1s), size):
+        if frames is not None:
+            raw = _qubit_fidelity_sums(frames[:, start:start + size], q, grid)
+        else:
+            w2, v2 = np.linalg.eigh(rho2s[start:start + size])
+            # rho2^((1-alpha)/(2 alpha)) for every alpha at once; 0^p = 0 on the null space
+            wp = _floor_spectrum(w2)[:, None, :] ** (q / 2.0)[:, None]
+            half = np.einsum("nab,nmb,ncb->nmac", v2, wp, v2.conj())
+            sandwich = half @ rho1s[start:start + size, None] @ half
+            sandwich = (sandwich + np.conj(np.swapaxes(sandwich, -1, -2))) / 2
+            ws = _floor_spectrum(np.linalg.eigvalsh(sandwich))
+            raw = np.sum(ws ** grid[:, None], axis=-1)
+        excess = raw.max() - 1.0
+        if excess > CLAMP_EXCESS:
+            warnings.warn(
+                f"alpha-fidelity exceeded 1 by up to {excess:.3e}; clamping to 1", stacklevel=3
+            )
+        yield np.clip(raw, 0.0, 1.0, out=raw)
 
 
 def alpha_fidelity(rho1, rho2, alpha: float) -> float:
@@ -163,7 +179,7 @@ def alpha_fidelity_curve(rho1, rho2, alphas) -> np.ndarray:
         raise ValueError(
             f"density matrices have mismatched shapes {a1.shape} vs {a2.shape}"
         )
-    return _fidelity_curves(a1[None], a2[None], _check_alpha_grid(alphas))[0]
+    return next(_fidelity_blocks(a1[None], a2[None], _check_alpha_grid(alphas), 1))[0]
 
 
 def renyi_divergence(rho1, rho2, alpha: float) -> float:

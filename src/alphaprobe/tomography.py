@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BLOCK_ALPHA_POINTS, BoundCurve, ProbingRecord, _bound_curves, _bound_grid
+from .bounds import BoundCurve, ProbingRecord, _bound_curves, _bound_grid
 from .linalg import (
     DensityMatrix,
     check_density_matrices,
@@ -34,8 +34,8 @@ MAX_REPLICAS = 100_000
 # expected pairs per basis (rate x time) at most: each count's mean then lies where
 # floats hold every integer, as reconstruct assumes, far inside numpy's Poisson limit
 MAX_EXPECTED_PAIRS = 2**53
-# replicas are sampled, inverted and validated in passes of up to SAMPLE_REPLICAS
-# in evaluation order, then bounded in blocks of BLOCK_ALPHA_POINTS by _bound_curves
+# replicas are sampled, inverted and validated in passes of up to SAMPLE_REPLICAS in
+# evaluation order; _bound_curves then bounds a pass with one eigh of its 4 x pass rho2s
 SAMPLE_REPLICAS = 1024
 
 # numpy's SeedSequence pool hash (pool of 4 uint32 words), see _philox_keys

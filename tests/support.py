@@ -14,7 +14,11 @@ and the closed-form line fidelity live here too: a single-line grid, the
 discretized classical fidelity, and a brute-force joint-unitary channel.
 Noiseless tomography counts, the expected values rounded, live here as well,
 and so does the linear-domain `pow` qubit kernel, the reference for the
-log-domain kernel that replaced it. The row CSV writer, `csv.writer` over a
+log-domain kernel that replaced it, split like it into an alpha-free and a
+per-alpha half. The one-piece log-domain kernel, eigendecomposition and
+per-alpha steps in one call, is the bit-exact reference for that split, and
+bound rows built from it one record at a time are the reference for the
+blocked bound loop. The row CSV writer, `csv.writer` over a
 per-cell rule, is the reference for the columnar `bounds.write_csv`, and so is
 the columnar writer that formats each float by Python's '%.12e' % v, the
 reference for the byte-table writer's vectorised float cells. The per-thickness sweep
@@ -32,7 +36,16 @@ import mpmath
 import numpy as np
 import scipy.linalg as sla
 
-from alphaprobe.bounds import ProbingRecord, bound_summary, tightest_bound
+from alphaprobe import fidelity
+from alphaprobe.bounds import (
+    _PAIR_FIRST,
+    _PAIR_SECOND,
+    ProbingRecord,
+    _bounds_from_fractions,
+    _optima,
+    bound_summary,
+    tightest_bound,
+)
 from alphaprobe.channel import WavePlateStack, apply_channel, jones_at_frequencies
 from alphaprobe.fidelity import _floor_spectrum, check_alpha
 from alphaprobe.linalg import EIG_FLOOR, DensityMatrix, check_qubit
@@ -101,24 +114,108 @@ def eigvalsh_alpha_fidelity_curve(rho1: np.ndarray, rho2: np.ndarray, alphas) ->
     return np.clip(np.sum(ws ** grid[:, None], axis=1), 0.0, 1.0)
 
 
-def pow_qubit_fidelity_sums(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """The linear-domain qubit kernel: unclipped F_alpha of stacks (n, 2, 2), shape (n, A).
+def pow_qubit_frames(rho1s: np.ndarray, rho2s: np.ndarray) -> np.ndarray:
+    """The alpha-free half of the linear-domain qubit kernel for stacks (n, 2, 2): shape (6, n).
 
-    The same sandwich roots as `fidelity._qubit_fidelity_sums`, formed with four
-    `pow`s and a divide per point: a = l1^q rho1'_00, c = l2^q rho1'_11 and
-    |b|^2 = (l1 l2)^q |rho1'_01|^2 in rho2's eigenbasis, the large root
-    (a + c + sqrt((a - c)^2 + 4|b|^2)) / 2 and the small one (l1 l2)^q det(rho1)
-    over it, each root below EIG_FLOOR taken as 0.
+    The rows are rho2's eigenvalues l1 <= l2 (each below EIG_FLOOR taken as 0), det(rho1),
+    |rho1'_01|^2, rho1'_00 and rho1'_11, with rho1' = V^dagger rho1 V in rho2's eigenbasis V.
     """
     w2, v2 = np.linalg.eigh(rho2s)
-    powers = _floor_spectrum(w2)[:, :, None] ** ((1.0 - grid) / grid)  # 0^q = 0 as q > 0
+    w2 = _floor_spectrum(w2)
     r = np.conj(np.swapaxes(v2, 1, 2)) @ rho1s @ v2
-    a, c = powers[:, 0] * r[:, 0, 0, None].real, powers[:, 1] * r[:, 1, 1, None].real
-    both = powers[:, 0] * powers[:, 1]
-    hi = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4.0 * both * np.abs(r[:, 0, 1, None]) ** 2))
     det1 = rho1s[:, 0, 0].real * rho1s[:, 1, 1].real - np.abs(rho1s[:, 0, 1]) ** 2
-    lo = np.divide(both * det1[:, None], hi, out=np.zeros_like(hi), where=hi > 0.0)
+    return np.stack((w2[:, 0], w2[:, 1], det1, np.abs(r[:, 0, 1]) ** 2, r[:, 0, 0].real,
+                     r[:, 1, 1].real))
+
+
+def pow_qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The per-alpha half of the linear-domain qubit kernel: unclipped F_alpha, shape (m, A).
+
+    It takes `pow_qubit_frames` rows (6, m) and q = (1 - alpha) / alpha, in the call
+    pattern of `fidelity._qubit_fidelity_sums`, and forms the same sandwich roots with
+    four `pow`s and a divide per point: a = l1^q rho1'_00, c = l2^q rho1'_11 and
+    |b|^2 = (l1 l2)^q |rho1'_01|^2, the large root (a + c + sqrt((a - c)^2 + 4|b|^2)) / 2
+    and the small one (l1 l2)^q det(rho1) over it, each root below EIG_FLOOR taken as 0.
+    """
+    l1, l2, det1, b2, r00, r11 = frames[:, :, None]
+    p1, p2 = l1 ** q, l2 ** q  # 0^q = 0 as q > 0
+    a, c, both = p1 * r00, p2 * r11, p1 * p2
+    hi = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4.0 * both * b2))
+    lo = np.divide(both * det1, hi, out=np.zeros_like(hi), where=hi > 0.0)
     return _floor_spectrum(lo) ** grid + _floor_spectrum(hi) ** grid
+
+
+def oracle_qubit_fidelity_sums(rho1s: np.ndarray, rho2s: np.ndarray,
+                               grid: np.ndarray) -> np.ndarray:
+    """The one-piece log-domain qubit kernel: unclipped F_alpha of stacks (n, 2, 2), shape (n, A).
+
+    The eigendecomposition, the rotation of rho1 and every per-alpha step in one
+    call, in the operation order that `fidelity._qubit_frames` and
+    `fidelity._qubit_fidelity_sums` split between them: the bit-exact reference
+    for the split kernel.
+    """
+    w2, v2 = np.linalg.eigh(rho2s)
+    r = np.conj(np.swapaxes(v2, 1, 2)) @ rho1s @ v2
+    det1 = rho1s[:, 0, 0].real * rho1s[:, 1, 1].real - np.abs(rho1s[:, 0, 1]) ** 2
+    half00, half11 = 0.5 * r[:, 0, 0, None].real, 0.5 * r[:, 1, 1, None].real
+    q = (1.0 - grid) / grid
+    roots = np.empty((2, len(w2), grid.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(_floor_spectrum(w2))
+        lo = np.multiply.outer(logs[:, 0] - logs[:, 1], q, out=roots[0])
+        t = np.exp(lo)
+        hi = np.multiply(t, np.abs(r[:, 0, 1, None]) ** 2, out=roots[1])
+        t *= half00
+        d = t - half11
+        hi += np.square(d, out=d)
+        np.sqrt(hi, out=hi)
+        hi += t
+        hi += half11
+        np.log(hi, out=hi)
+        u = np.multiply.outer(logs[:, 1], q, out=t)
+        lo += np.add(u, np.log(np.maximum(det1, 0.0))[:, None], out=d)
+        lo -= hi
+        hi += u
+        np.fmin(lo, hi, out=lo)
+    np.copyto(roots, -math.inf, where=roots < math.log(EIG_FLOOR))
+    roots *= grid
+    np.exp(roots, out=roots)
+    lo += hi
+    return lo
+
+
+def record_kernel_halves(monkeypatch, frames=None, sums=None) -> list:
+    """Patch the qubit kernel's two halves to record each call as ("frames" or "sums", pairs).
+
+    `frames` and `sums` stand in for `fidelity._qubit_frames` and
+    `fidelity._qubit_fidelity_sums` when given; the package's halves run otherwise.
+    """
+    frames = frames or fidelity._qubit_frames
+    sums = sums or fidelity._qubit_fidelity_sums
+    calls = []
+    monkeypatch.setattr(fidelity, "_qubit_frames", lambda rho1s, rho2s:
+                        calls.append(("frames", len(rho1s))) or frames(rho1s, rho2s))
+    monkeypatch.setattr(fidelity, "_qubit_fidelity_sums", lambda f, q, grid:
+                        calls.append(("sums", f.shape[1])) or sums(f, q, grid))
+    return calls
+
+
+def oracle_bound_rows(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> list:
+    """(fractions (2, A), bounds (2, A), optimum) of qubit records (n, 4, 2, 2), one at a time.
+
+    Each record's four fidelity curves come from one `oracle_qubit_fidelity_sums`
+    call, clipped into [0, 1]; a zero denominator gives a fraction of +inf, and the
+    package's fraction-to-bound map and tie rule finish the row.
+    """
+    rows = []
+    for record in states:
+        f = np.clip(oracle_qubit_fidelity_sums(record[_PAIR_FIRST], record[_PAIR_SECOND], alphas),
+                    0.0, 1.0).reshape(2, 2, -1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fractions = np.where(f[:, 1] == 0.0, math.inf, f[:, 0] / f[:, 1])
+        bounds = _bounds_from_fractions(fractions, alphas, delta_mu)
+        rows.append((fractions, bounds, _optima(bounds[None], alphas)[0]))
+    return rows
 
 
 def _mp_eig2(m) -> tuple:

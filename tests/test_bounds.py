@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from alphaprobe.bounds import (
+    BLOCK_ALPHA_POINTS,
     BoundCurve,
     BoundOptimum,
     ProbingRecord,
@@ -19,22 +20,25 @@ from alphaprobe.bounds import (
     tightest_bound,
     write_bound_curve_csv,
     write_csv,
+    _bound_curves,
     _bounds_from_fractions,
-    _fraction_rows,
+    _fraction_blocks,
     _optima,
     _record_states,
 )
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
 from alphaprobe.fidelity import alpha_fidelity_curve, default_alpha_grid
-from alphaprobe.linalg import DensityMatrix
+from alphaprobe.linalg import DensityMatrix, check_density_matrices
 from alphaprobe.reference import REFERENCE_SIGMA_HZ, reference_record
 from alphaprobe.spectra import GaussianSpectrum, discretize_pair
 from support import (
     eigvalsh_alpha_fidelity_curve,
     oracle_alpha_fidelity,
+    oracle_bound_rows,
     oracle_percent_write_csv,
     oracle_write_csv,
     rand_state,
+    record_kernel_halves,
 )
 
 KET0 = DensityMatrix(np.diag([1.0, 0.0]))
@@ -398,6 +402,63 @@ class TestQubitKernel:
             assert np.max(np.abs(got - want)) <= 1e-15
 
 
+def random_qubit_stack(rng, n: int) -> np.ndarray:
+    """n records of four validated Ginibre qubit states of rank 1 or 2: shape (n, 4, 2, 2)."""
+    states = [rand_state(rng, 2, rank=int(rng.integers(1, 3))) for _ in range(4 * n)]
+    return check_density_matrices(np.array(states)).reshape(n, 4, 2, 2)
+
+
+def assert_same_curve(got: BoundCurve, fractions, b1, b2, optimum) -> None:
+    """Both fractions, both families and the optimum equal, bit for bit (NaN where NaN)."""
+    for mine, want in zip((*got.fractions, got.b1, got.b2), (*fractions, b1, b2)):
+        assert np.array_equal(mine, want, equal_nan=True)
+    assert got.optimum == optimum
+
+
+class TestBlockedBoundLoop:
+    """_bound_curves in blocks of max(1, 2048 // A) records against one record at a time."""
+
+    @pytest.mark.parametrize("count", [1, 5, 500, 600, 2049])
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 9, 100])
+    def test_qubit_blocks_match_the_one_piece_kernel(self, monkeypatch, n, count):
+        # blocks of 2048, 409, 4, 3 and 1 records: partial last blocks and blocks of one
+        rng = np.random.default_rng([2026, n, count])
+        states = random_qubit_stack(rng, n)
+        alphas = np.linspace(0.5, 0.9999, count)
+        delta_mu = float(rng.uniform(0.3, 3.0))
+        calls = record_kernel_halves(monkeypatch)
+        curves = list(_bound_curves(states, alphas, delta_mu))
+        # the alpha-free half runs once over the whole stack, the per-alpha half per block
+        block = max(1, BLOCK_ALPHA_POINTS // count)
+        assert calls == [("frames", 4 * n)] + [
+            ("sums", 4 * min(block, n - start)) for start in range(0, n, block)
+        ]
+        want = oracle_bound_rows(states, alphas, delta_mu)
+        assert len(curves) == len(want) == n
+        for curve, (fractions, (b1, b2), optimum) in zip(curves, want):
+            assert_same_curve(curve, fractions, b1, b2, optimum)
+
+    def test_qutrit_blocks_match_tightest_bound(self, monkeypatch):
+        # the per-block sandwich route at 2048 // 600 = 3 records a block, the last block of one
+        rng = np.random.default_rng(2027)
+        alphas = np.linspace(0.5, 0.9999, 600)
+        records = [
+            ProbingRecord(*(DensityMatrix(rand_state(rng, 3, rank=int(rng.integers(1, 4))))
+                            for _ in range(4)), delta_mu=1.7)
+            for _ in range(7)
+        ]
+        eigvalsh, blocks = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: blocks.append(len(m)) or eigvalsh(m))
+        curves = list(_bound_curves(_record_states(records), alphas, 1.7))
+        assert blocks == [12, 12, 4]  # four sandwiches per record
+        monkeypatch.undo()
+        assert len(curves) == 7
+        assert any(c.optimum is not None for c in curves)
+        for record, curve in zip(records, curves):
+            want = tightest_bound(record, alphas)
+            assert_same_curve(curve, want.fractions, want.b1, want.b2, want.optimum)
+
+
 class TestDualBounds:
     def test_ratio_is_shift_over_best_bound(self):
         rec = reference_record()
@@ -417,8 +478,8 @@ class TestDualBounds:
         for rec in records:
             for a in (0.5, float(rng.uniform(0.5, 0.9999)), 0.9999):
                 grid = np.array([a])
-                unit = _bounds_from_fractions(_fraction_rows(_record_states([rec]), grid)[0],
-                                              grid, 1.0)
+                fractions = next(_fraction_blocks(_record_states([rec]), grid, 1))[0]
+                unit = _bounds_from_fractions(fractions, grid, 1.0)
                 best = float(np.fmin(*unit)[0])
                 want = None if math.isnan(best) else math.inf if best == 0.0 else 1.0 / best
                 assert ratio_lower_bound(rec, a) == want

@@ -26,7 +26,9 @@ from support import (
     eigvalsh_alpha_fidelity_curve,
     mp_qubit_alpha_fidelity,
     oracle_alpha_fidelity,
+    oracle_qubit_fidelity_sums,
     pow_qubit_fidelity_sums,
+    pow_qubit_frames,
     rand_kraus,
     rand_state,
     rand_unitary,
@@ -120,7 +122,8 @@ class TestAlphaFidelity:
     def test_clamps_and_warns_above_one(self):
         # the clamp is the kernel's; a public entry point rejects 1.5 * KET0 as a state
         with pytest.warns(UserWarning, match="clamping"):
-            got = fidelity._fidelity_curves((1.5 * KET0)[None], KET0[None], np.array([0.5]))
+            blocks = fidelity._fidelity_blocks((1.5 * KET0)[None], KET0[None], np.array([0.5]), 1)
+            got = next(blocks)
         assert got[0, 0] == 1.0
 
     def test_non_states_rejected_in_either_position(self):
@@ -279,13 +282,16 @@ class TestLogDomainKernel:
     @pytest.mark.parametrize("pairs", kernel_cases().values(), ids=kernel_cases().keys())
     def test_agrees_with_pow_kernel(self, pairs):
         grid = default_alpha_grid()
+        q = (1.0 - grid) / grid
         rho1s = check_density_matrices(np.array([p[0] for p in pairs]))
         rho2s = check_density_matrices(np.array([p[1] for p in pairs]))
-        got = fidelity._qubit_fidelity_sums(rho1s, rho2s, grid)
-        want = pow_qubit_fidelity_sums(rho1s, rho2s, grid)
+        got = fidelity._qubit_fidelity_sums(fidelity._qubit_frames(rho1s, rho2s), q, grid)
+        want = pow_qubit_fidelity_sums(pow_qubit_frames(rho1s, rho2s), q, grid)
         assert np.max(np.abs(got - want)) <= 1e-12
         # both floors (rho2's spectrum, the sandwich roots) zero the same points
         np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        # the alpha-free and per-alpha halves are the one-piece kernel, bit for bit
+        np.testing.assert_array_equal(got, oracle_qubit_fidelity_sums(rho1s, rho2s, grid))
 
 
 class TestRenyiDivergence:

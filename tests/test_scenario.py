@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import alphaprobe.bounds as bounds
 import alphaprobe.channel as channel
 import alphaprobe.scenario as scenario
 from alphaprobe.bounds import BLOCK_ALPHA_POINTS, NoInformationError
@@ -25,7 +24,7 @@ from alphaprobe.scenario import (
     sweep_thickness,
 )
 from alphaprobe.spectra import LIGHT_SPEED, GaussianSpectrum
-from support import oracle_sweep_csv, oracle_sweep_rows, rand_state
+from support import oracle_sweep_csv, oracle_sweep_rows, rand_state, record_kernel_halves
 
 MU0 = 3.7e14
 
@@ -441,16 +440,10 @@ class TestReproduceFig4:
         assert all(float(r["fraction_reversed"]) < 1.0 for r in rows)
 
     def test_computes_the_four_fidelity_curves_once(self, tmp_path, monkeypatch):
-        # fig4_fractions.csv comes from the same kernel call as the bounds
-        kernel, rows = bounds._fidelity_curves, []
-
-        def counting(rho1s, rho2s, grid):
-            rows.append(len(rho1s))
-            return kernel(rho1s, rho2s, grid)
-
-        monkeypatch.setattr(bounds, "_fidelity_curves", counting)
+        # fig4_fractions.csv comes from the same kernel calls as the bounds
+        calls = record_kernel_halves(monkeypatch)
         reproduce_fig4(out_dir=str(tmp_path))
-        assert sum(rows) == 4
+        assert calls == [("frames", 4), ("sums", 4)]
 
     def test_disagreement_raises_golden_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(scenario, "GOLDEN_B2_HALF_OVER_SIGMA", 5.0)
@@ -525,10 +518,7 @@ class TestSweep:
         cfg = parse_scenario(payload)
         want = oracle_sweep_rows(cfg)
         oracle_sweep_csv(tmp_path / "oracle.csv", cfg)
-        kernel = bounds._fidelity_curves
-        pairs = []
-        monkeypatch.setattr(bounds, "_fidelity_curves",
-                            lambda rho1s, *args: pairs.append(len(rho1s)) or kernel(rho1s, *args))
+        calls = record_kernel_halves(monkeypatch)
         report = sweep_thickness(cfg, out_dir=str(tmp_path / "run"))
         results = report.summary["results"]
         assert results["thicknesses"] == want
@@ -537,11 +527,14 @@ class TestSweep:
         assert (results["sigma_truth_hz"] is None) == (second_sigma is not None)
         assert any(r["no_information"] for r in want)
         assert any(not r["no_information"] for r in want)
-        # one kernel call per block of records, four fidelity pairs per record
+        # four fidelity pairs per record: the kernel's alpha-free half over every
+        # record at once, its per-alpha half once per block of records
         block = max(1, BLOCK_ALPHA_POINTS // count)
         k = len(thicknesses)
-        assert len(pairs) == math.ceil(k / block) > 1
-        assert pairs == [4 * min(block, k - start) for start in range(0, k, block)]
+        assert len(calls) - 1 == math.ceil(k / block) > 1
+        assert calls == [("frames", 4 * k)] + [
+            ("sums", 4 * min(block, k - start)) for start in range(0, k, block)
+        ]
 
     def test_require_bound_sweep_with_no_informative_thickness(self, tmp_path):
         cfg = parse_scenario(self.sweep_config([22.0, 25.0], require_bound=True))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from alphaprobe import fidelity, tomography
-from alphaprobe.bounds import ProbingRecord, tightest_bound
+from alphaprobe.bounds import BLOCK_ALPHA_POINTS, ProbingRecord, tightest_bound
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
 from alphaprobe.linalg import DensityMatrix, write_json
 from alphaprobe.reference import (
@@ -20,7 +20,6 @@ from alphaprobe.tomography import (
     CIRC_BASIS,
     DIAG_BASIS,
     HV_BASIS,
-    BLOCK_ALPHA_POINTS,
     MAX_REPLICAS,
     MUB_BASES,
     SAMPLE_REPLICAS,
@@ -45,8 +44,10 @@ from support import (
     ket_observable,
     observable_sum_estimate,
     pow_qubit_fidelity_sums,
+    pow_qubit_frames,
     project_to_state,
     rand_state,
+    record_kernel_halves,
     trace_distance,
 )
 
@@ -488,6 +489,19 @@ class TestMonteCarlo:
                     for got, rebuilt in zip(report.curve0.fractions, curve.fractions):
                         np.testing.assert_array_equal(got, rebuilt)
 
+    def test_alpha_free_half_runs_once_per_sampling_pass(self, monkeypatch):
+        # rho2's eigendecomposition and rho1's rotation run once over a pass's
+        # 4 x replicas fidelity pairs; the per-alpha half runs per block of records
+        calls = record_kernel_halves(monkeypatch)
+        truth, cfg = reference_record(), settings(time=60.0, rate=200.0, seed=3)
+        monte_carlo_bounds(truth, cfg, 100)
+        assert calls == [("frames", 400)] + [("sums", 16)] * 25  # blocks of 2048 // 500 = 4
+        calls.clear()
+        # passes of 1024 and 3 replicas, blocks of 2048 // 5 = 409: 409 + 409 + 206, then 3
+        monte_carlo_bounds(truth, cfg, 1027, np.linspace(0.5, 0.9999, 5))
+        assert calls == [("frames", 4096), ("sums", 1636), ("sums", 1636), ("sums", 824),
+                         ("frames", 12), ("sums", 12)]
+
     def test_zero_counts_name_the_first_empty_basis_in_replica_order(self):
         # about 3 expected pairs per basis: at this seed the first empty basis in
         # replica order is state 2's circ of the fourth replica, in the first block
@@ -589,9 +603,12 @@ class TestMonteCarlo:
             },
         }
         bound_curves = tomography._bound_curves
-        optima = {}
-        for name, kernel in [("log", fidelity._qubit_fidelity_sums),
-                             ("pow", pow_qubit_fidelity_sums)]:
+        optima, calls = {}, {}
+        halves = {
+            "log": (fidelity._qubit_frames, fidelity._qubit_fidelity_sums),
+            "pow": (pow_qubit_frames, pow_qubit_fidelity_sums),
+        }
+        for name, (frames, sums) in halves.items():
             found = optima[name] = []
 
             def recording(*args, found=found):
@@ -599,9 +616,12 @@ class TestMonteCarlo:
                 found.extend(curve.optimum for curve in curves)
                 return curves
 
-            monkeypatch.setattr(fidelity, "_qubit_fidelity_sums", kernel)
+            # both halves substituted and every call recorded: the kernel under test runs
+            calls[name] = record_kernel_halves(monkeypatch, frames, sums)
             monkeypatch.setattr(tomography, "_bound_curves", recording)
             run_scenario(parse_scenario(config), str(tmp_path / name))
+        # one sampling pass: the alpha-free half over 500 records, the per-alpha half per 4
+        assert calls["log"] == calls["pow"] == [("frames", 2000)] + [("sums", 16)] * 125
         assert len(optima["log"]) == len(optima["pow"]) == 500
         for got, want in zip(optima["log"], optima["pow"]):
             assert (got is None) == (want is None)
