@@ -35,11 +35,11 @@ BOUND_FAMILIES = ("B1", "B2")  # the bound of each order, in BOUND_ORDERS order
 # the fidelity pairs (first, second) behind the fractions, as indices into
 # ProbingRecord.states: forward numerator and denominator, then reversed ones
 _PAIR_FIRST, _PAIR_SECOND = [2, 0, 3, 1], [3, 1, 2, 0]
-# alpha points per block of _bound_curves, which holds one record at least. Peak memory
+# alpha points per block of _bound_blocks, which holds one record at least. Peak memory
 # bounds it: over 150 Monte-Carlo runs of 100 replicas at A = 500 (2-vCPU Xeon, Python
-# 3.11, numpy 2.4), blocks of 4 peak 7.8 MiB above the imported package, 16 at 9.6 MiB
-# and 100 at 13.8 MiB, and the mc-tomography benchmark allows about 2.2 MiB (5%) of growth
-BLOCK_ALPHA_POINTS = 2048
+# 3.11, numpy 2.4), blocks of 8 peak 8.1 MiB above the imported package, 4 at 7.7, 16 at
+# 9.0 and 100 at 15.8 MiB; the mc-tomography benchmark allows about 2.2 MiB (5%) of growth
+BLOCK_ALPHA_POINTS = 4096
 
 
 class NoInformationError(RuntimeError):
@@ -175,31 +175,37 @@ class BoundCurve:
         return self.optimum is None
 
 
-def _optima(bounds: np.ndarray, alphas: np.ndarray) -> list:
-    """Each record's smallest finite bound in rows (n, 2, A); None where there is none.
+def _best_bounds(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (2, A) index and value, inf for none, of each record's least finite bound in (n, 2, A).
 
-    B1 wins a tie with B2, and the first grid point a tie within a family, as
-    in a scan of B1 and then B2 in grid order that keeps only strict improvements.
+    B1 wins a tie with B2, and the first grid point a tie within a family, as in a scan
+    of B1 and then B2 in grid order that keeps only strict improvements.
     """
     finite = np.fmin(bounds, math.inf).reshape(len(bounds), -1)  # fmin skips a NaN
     best = np.argmin(finite, axis=1)  # the first minimum of B1 followed by B2
+    return best, finite[np.arange(len(best)), best]
+
+
+def _optima(bounds: np.ndarray, alphas: np.ndarray) -> list:
+    """Each record's BoundOptimum in rows (n, 2, A), by _best_bounds; None where there is none."""
     return [
         None if math.isinf(value) else BoundOptimum(
             value=value, alpha=float(alphas[k % alphas.size]),
             family=BOUND_FAMILIES[k // alphas.size],
         )
-        for k, value in zip(best.tolist(), finite[np.arange(len(best)), best].tolist())
+        for k, value in zip(*(a.tolist() for a in _best_bounds(bounds)))
     ]
 
 
-def _bound_curves(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> Iterator[BoundCurve]:
-    """Each curve, in order, of n records stacked as (n, 4, d, d) that share the shift delta_mu.
-
-    Records are bounded max(1, BLOCK_ALPHA_POINTS // A) at a time, and a curve views its
-    block's (block, 2, A) arrays.
-    """
+def _bound_blocks(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> Iterator[tuple]:
+    """Fractions, bounds (b, 2, A) of records (n, 4, d, d), b = max(1, BLOCK_ALPHA_POINTS // A)."""
     for fractions in _fraction_blocks(states, alphas, max(1, BLOCK_ALPHA_POINTS // alphas.size)):
-        bounds = _bounds_from_fractions(fractions, alphas, delta_mu)
+        yield fractions, _bounds_from_fractions(fractions, alphas, delta_mu)
+
+
+def _bound_curves(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> Iterator[BoundCurve]:
+    """Each curve, in order, of n records (n, 4, d, d) sharing delta_mu; it views its block."""
+    for fractions, bounds in _bound_blocks(states, alphas, delta_mu):
         for f, b, optimum in zip(fractions, bounds, _optima(bounds, alphas)):
             yield BoundCurve(alphas, b[0], b[1], optimum, fractions=(f[0], f[1]))
 

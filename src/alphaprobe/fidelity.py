@@ -94,22 +94,25 @@ def _qubit_frames(rho1s: np.ndarray, rho2s: np.ndarray) -> np.ndarray:
                      np.abs(r[:, 0, 1]) ** 2, 0.5 * r[:, 0, 0].real, 0.5 * r[:, 1, 1].real))
 
 
-def _qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray) -> np.ndarray:
+def _qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray,
+                         scratch: np.ndarray) -> np.ndarray:
     """The per-alpha half: unclipped F_alpha of m pairs' frames (6, m) over a grid, shape (m, A).
 
     With q = (1 - alpha) / alpha and t = (l1 / l2)^q, the sandwich's large root is hi = l2^q h,
     h = (t r'_00 + r'_11 + sqrt((t r'_00 - r'_11)^2 + 4 t |r'_01|^2)) / 2 (terms of one sign);
     the small one, (l1 l2)^q det(rho1) / hi, keeps its precision near purity.
     Roots stay logs until exp(alpha log root); lo <= hi; below EIG_FLOOR a root is 0.
+    Log roots (then their powers), t and d are (m, A) views of scratch (4, M A), M >= m.
     """
     log_t, log_l2, log_det1, b2, half00, half11 = frames[:, :, None]
-    roots = np.empty((2, frames.shape[1], grid.size))  # log lo and log hi, then their powers
+    work = scratch[:, :frames.shape[1] * grid.size].reshape(4, -1, grid.size)
+    roots, t, d = work[:2], work[2], work[3]
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf for a zero factor
         lo = np.multiply(log_t, q, out=roots[0])  # log t
-        t = np.exp(lo)
+        np.exp(lo, out=t)
         hi = np.multiply(t, b2, out=roots[1])
         t *= half00
-        d = t - half11
+        np.subtract(t, half11, out=d)
         hi += np.square(d, out=d)
         np.sqrt(hi, out=hi)
         hi += t
@@ -133,13 +136,15 @@ def _fidelity_blocks(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray,
 
     Blocks are (size, A), the last one possibly shorter, each with one clamp warning at most.
     Qubits run the kernel's alpha-free half once over the stack and its per-alpha half per
-    block; higher dimensions cost a Hermitian eigenvalue solve of the sandwich per alpha.
+    block, in one scratch whose block the next one overwrites; higher dimensions cost a
+    Hermitian eigenvalue solve of the sandwich per alpha.
     """
     q = (1.0 - grid) / grid
     frames = _qubit_frames(rho1s, rho2s) if rho1s.shape[-1] == 2 else None
+    scratch = np.empty((4, min(size, len(rho1s)) * grid.size)) if frames is not None else None
     for start in range(0, len(rho1s), size):
         if frames is not None:
-            raw = _qubit_fidelity_sums(frames[:, start:start + size], q, grid)
+            raw = _qubit_fidelity_sums(frames[:, start:start + size], q, grid, scratch)
         else:
             w2, v2 = np.linalg.eigh(rho2s[start:start + size])
             # rho2^((1-alpha)/(2 alpha)) for every alpha at once; 0^p = 0 on the null space
@@ -154,7 +159,8 @@ def _fidelity_blocks(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray,
             warnings.warn(
                 f"alpha-fidelity exceeded 1 by up to {excess:.3e}; clamping to 1", stacklevel=3
             )
-        yield np.clip(raw, 0.0, 1.0, out=raw)
+        # F is a sum of exponentials or of floored eigenvalue powers: never negative
+        yield np.minimum(raw, 1.0, out=raw)
 
 
 def alpha_fidelity(rho1, rho2, alpha: float) -> float:

@@ -9,6 +9,8 @@ reruns can be truth-labeled; the bound machinery itself never reads it.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .bounds import ProbingRecord
@@ -33,8 +35,9 @@ REFERENCE_EVOLVED_2 = np.array(
 )
 
 
+@functools.cache
 def reference_record() -> ProbingRecord:
-    """The demonstration measurement as a ready-to-bound probing record."""
+    """The demonstration measurement as a probing record, built once: it is immutable."""
     return ProbingRecord(
         rho1=DensityMatrix(REFERENCE_RHO_1),
         rho2=DensityMatrix(REFERENCE_RHO_2),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundCurve, ProbingRecord, _bound_curves, _bound_grid
+from .bounds import BoundCurve, ProbingRecord, _best_bounds, _bound_blocks, _bound_grid, _optima
 from .linalg import (
     DensityMatrix,
     check_density_matrices,
@@ -29,13 +29,13 @@ from .linalg import (
     check_qubit,
 )
 
-# the replica loop holds one result per replica; larger runs are rejected up front
+# the replica loop holds one float per replica; larger runs are rejected up front
 MAX_REPLICAS = 100_000
 # expected pairs per basis (rate x time) at most: each count's mean then lies where
 # floats hold every integer, as reconstruct assumes, far inside numpy's Poisson limit
 MAX_EXPECTED_PAIRS = 2**53
-# replicas are sampled, inverted and validated in passes of up to SAMPLE_REPLICAS in
-# evaluation order; _bound_curves then bounds a pass with one eigh of its 4 x pass rho2s
+# replicas are sampled, inverted and validated in passes of up to SAMPLE_REPLICAS in evaluation
+# order; _bound_blocks bounds a pass with one eigh of its 4 x pass rho2s and one kernel scratch
 SAMPLE_REPLICAS = 1024
 
 # numpy's SeedSequence pool hash (pool of 4 uint32 words), see _philox_keys
@@ -139,7 +139,7 @@ def rng_stream(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
     Streams with different spawn keys are statistically independent and
     reproducible regardless of creation or consumption order. This is the
     definition of every stream in the package; monte_carlo_bounds reaches the
-    same fresh states through _philox_keys and _reseeded.
+    same fresh states through _philox_keys and _fresh_state.
     """
     ss = np.random.SeedSequence(
         entropy=check_integer(seed, "seed"),
@@ -199,22 +199,21 @@ def _philox_keys(seed: int, spawn_keys) -> np.ndarray:
     return keys
 
 
-def _reseeded(stream: np.random.Generator, key) -> np.random.Generator:
-    """stream with its Philox reset to the fresh state Philox(SeedSequence) has for key."""
-    stream.bit_generator.state = {
+def _fresh_state() -> dict:
+    """The state a Philox(SeedSequence) bit generator starts in, once its "key" is set."""
+    return {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return stream
 
 
-def _draw(stream: np.random.Generator, means: list[float]) -> list[int]:
-    """Scalar Poisson draws from one stream, one per mean and in order."""
-    return [stream.poisson(m) for m in means]  # a Python int for a Python float mean
+def _draw(poisson, means: list[float]) -> list[int]:
+    """Scalar Poisson draws from one stream's bound poisson, one per mean and in order."""
+    return [poisson(m) for m in means]  # a Python int for a Python float mean
 
 
 def sample_counts(
@@ -224,7 +223,7 @@ def sample_counts(
 ) -> CountRecord:
     """Poisson-sample counts for precomputed per-basis outcome probabilities."""
     pairs = settings.expected_pairs
-    n = _draw(stream, [pairs * p for b in settings.bases for p in probabilities[b.name]])
+    n = _draw(stream.poisson, [pairs * p for b in settings.bases for p in probabilities[b.name]])
     return CountRecord({b.name: (n[2 * i], n[2 * i + 1]) for i, b in enumerate(settings.bases)})
 
 
@@ -332,28 +331,34 @@ def monte_carlo_bounds(
         [pairs * p for b in settings.bases for p in born_probabilities(state, b)]
         for state in truth.states
     ]
-    # one generator for the run, reseeded to each (replica, state) stream's fresh state
-    stream = np.random.Generator(np.random.Philox(0))
-    results: dict[int, float | None] = {}
-    curve0 = None
+    # one generator for the run, reset to each (replica, state) stream's fresh state
+    philox = np.random.Philox(0)
+    poisson = np.random.Generator(philox).poisson
+    fresh = _fresh_state()  # one dict for every stream: only its key changes
+    b_inf = np.empty(replicas)  # by replica index; inf where a replica has no bound
+    curve0, done = None, 0  # done: replicas bounded so far, in evaluation order
     for start in range(0, replicas, SAMPLE_REPLICAS):
         rows = order[start:start + SAMPLE_REPLICAS]
         # state k of a replica is sampled from the stream with spawn key (replica, k)
         spawn = np.stack(np.meshgrid(rows, range(len(means)), indexing="ij"), axis=-1)
-        keys = _philox_keys(settings.seed, spawn.reshape(-1, 2)).reshape(spawn.shape)
-        counts = np.array([
-            [_draw(_reseeded(stream, key), m) for key, m in zip(replica_keys, means)]
-            for replica_keys in keys.tolist()
-        ])
-        states = check_density_matrices(_invert(counts))
-        # each curve views its block's arrays: keep optimum values and replica 0's curve
-        for replica, curve in zip(rows, _bound_curves(states, alphas, truth.delta_mu)):
-            results[replica] = None if curve.no_information else curve.optimum.value
-            if replica == 0:
-                curve0 = curve
+        counts = []
+        for key, m in zip(_philox_keys(settings.seed, spawn.reshape(-1, 2)).tolist(),
+                          means * len(rows)):
+            fresh["state"]["key"] = key
+            philox.state = fresh
+            counts.append(_draw(poisson, m))
+        states = check_density_matrices(_invert(np.reshape(counts, spawn.shape[:2] + (-1,))))
+        for fractions, bounds in _bound_blocks(states, alphas, truth.delta_mu):
+            block = order[done:done + len(bounds)]
+            b_inf[block] = _best_bounds(bounds)[1]
+            if 0 in block:  # the one curve a run reports
+                k = block.index(0)
+                curve0 = BoundCurve(alphas, *bounds[k], _optima(bounds[k:k + 1], alphas)[0],
+                                    fractions=tuple(fractions[k]))
+            done += len(bounds)
 
     # order-independent aggregation: replica index order, compensated sums
-    values = tuple(results[r] for r in range(replicas))
+    values = tuple(None if math.isinf(v) else v for v in b_inf.tolist())
     informative = [v for v in values if v is not None]
     mean = std = None
     if informative:

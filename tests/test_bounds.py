@@ -20,6 +20,7 @@ from alphaprobe.bounds import (
     tightest_bound,
     write_bound_curve_csv,
     write_csv,
+    _best_bounds,
     _bound_curves,
     _bounds_from_fractions,
     _fraction_blocks,
@@ -86,6 +87,14 @@ class TestProbingRecord:
                 ProbingRecord(
                     rho1=KET0, rho2=KET1, phi1_rho1=KET0, phi2_rho2=KET1, delta_mu=bad
                 )
+
+    def test_reference_record_is_built_once(self):
+        # one shared record: frozen, with read-only states
+        record = reference_record()
+        assert reference_record() is record
+        assert not any(state.matrix.flags.writeable for state in record.states)
+        with pytest.raises(AttributeError):
+            record.delta_mu = 1.0
 
 
 class TestFraction:
@@ -312,6 +321,40 @@ class TestOptimumTieRule:
         assert optima == [family_scan(b1, b2, alphas) for b1, b2 in bounds]
         assert None in optima
 
+    def test_array_optimum_agrees_with_optima(self):
+        # the flat (2, A) index and value behind _optima: B1 over B2, the first alpha
+        # within a family, an all-NaN row, a bound of 0 and bounds that overflow
+        alphas = np.array([0.5, 0.6, 0.7, 0.8])
+        nan = math.nan
+        ties = np.array([
+            [[3.0, 1.0, 2.0, 1.0], [nan, 4.0, 2.0, 5.0]],  # two B1 minima
+            [[3.0, 2.0, 2.0, 4.0], [nan, 3.0, 1.0, 1.0]],  # two B2 minima
+            [[3.0, 1.0, 2.0, 4.0], [1.0, 3.0, 1.0, 1.0]],  # B1 ties B2 at a higher alpha
+            [[nan] * 4, [nan] * 4],
+        ])
+        # fractions of 0 give bounds of 0 in both families, and at dmu = 1.7e308
+        # every bound overflows and is absent
+        zero = _bounds_from_fractions(np.array([[[0.5, 0.0, 0.9, 0.0], [0.0, 0.7, 1.0, 2.0]]]),
+                                      alphas, 1.0)
+        overflow = _bounds_from_fractions(np.array([[[0.99] * 4, [0.999] * 4]]), alphas, 1.7e308)
+        bounds = np.concatenate([ties, zero, overflow])
+        assert np.isnan(overflow).all() and zero[0, 0, 1] == zero[0, 1, 0] == 0.0
+        best, values = _best_bounds(bounds)
+        assert values.tolist() == [1.0, 1.0, 1.0, math.inf, 0.0, math.inf]
+        assert best[values < math.inf].tolist() == [1, 6, 1, 1]
+        optima = _optima(bounds, alphas)
+        assert optima[:4] == [
+            BoundOptimum(1.0, 0.6, "B1"),
+            BoundOptimum(1.0, 0.7, "B2"),
+            BoundOptimum(1.0, 0.6, "B1"),
+            None,
+        ]
+        for k, value, optimum in zip(best.tolist(), values.tolist(), optima):
+            if optimum is None:
+                assert value == math.inf
+            else:
+                assert optimum == BoundOptimum(value, alphas[k % 4], ("B1", "B2")[k // 4])
+
 
 def random_qubit_record(rng, evolved: bool) -> ProbingRecord:
     """Four Ginibre states, or two Ginibre probes through a random 1-5 plate stack."""
@@ -416,12 +459,12 @@ def assert_same_curve(got: BoundCurve, fractions, b1, b2, optimum) -> None:
 
 
 class TestBlockedBoundLoop:
-    """_bound_curves in blocks of max(1, 2048 // A) records against one record at a time."""
+    """_bound_curves in blocks of max(1, 4096 // A) records against one record at a time."""
 
     @pytest.mark.parametrize("count", [1, 5, 500, 600, 2049])
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 9, 100])
     def test_qubit_blocks_match_the_one_piece_kernel(self, monkeypatch, n, count):
-        # blocks of 2048, 409, 4, 3 and 1 records: partial last blocks and blocks of one
+        # blocks of 4096, 819, 8, 6 and 1 records: partial last blocks and blocks of one
         rng = np.random.default_rng([2026, n, count])
         states = random_qubit_stack(rng, n)
         alphas = np.linspace(0.5, 0.9999, count)
@@ -439,24 +482,64 @@ class TestBlockedBoundLoop:
             assert_same_curve(curve, fractions, b1, b2, optimum)
 
     def test_qutrit_blocks_match_tightest_bound(self, monkeypatch):
-        # the per-block sandwich route at 2048 // 600 = 3 records a block, the last block of one
+        # the per-block sandwich route at 4096 // 600 = 6 records a block, the last block of one
         rng = np.random.default_rng(2027)
         alphas = np.linspace(0.5, 0.9999, 600)
         records = [
             ProbingRecord(*(DensityMatrix(rand_state(rng, 3, rank=int(rng.integers(1, 4))))
                             for _ in range(4)), delta_mu=1.7)
-            for _ in range(7)
+            for _ in range(13)
         ]
         eigvalsh, blocks = np.linalg.eigvalsh, []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: blocks.append(len(m)) or eigvalsh(m))
         curves = list(_bound_curves(_record_states(records), alphas, 1.7))
-        assert blocks == [12, 12, 4]  # four sandwiches per record
+        assert blocks == [24, 24, 4]  # four sandwiches per record
         monkeypatch.undo()
-        assert len(curves) == 7
+        assert len(curves) == 13
         assert any(c.optimum is not None for c in curves)
         for record, curve in zip(records, curves):
             want = tightest_bound(record, alphas)
             assert_same_curve(curve, want.fractions, want.b1, want.b2, want.optimum)
+
+
+def plate_record(rho1, rho2, thickness_mm, orientation, shift_over_sigma) -> ProbingRecord:
+    """Two probes through one plate under lines of the reference width, dmu apart."""
+    sigma = REFERENCE_SIGMA_HZ
+    stack = WavePlateStack(plates=(WavePlate(thickness=1e-3 * thickness_mm,
+                                             orientation=orientation),))
+    s1 = GaussianSpectrum(3.7e14, sigma)
+    s2 = GaussianSpectrum(3.7e14 + shift_over_sigma * sigma, sigma)
+    return ProbingRecord(rho1, rho2, apply_channel(stack, s1, rho1), apply_channel(stack, s2, rho2),
+                         delta_mu=shift_over_sigma * sigma)
+
+
+def assert_sound(curve: BoundCurve) -> None:
+    """No bound, or one at or above the true (reference) width."""
+    assert curve.optimum is None or curve.optimum.value >= REFERENCE_SIGMA_HZ, curve.optimum
+
+
+class TestFloatSoundness:
+    """Bounds that floating point, not the inequality, decides; both still undershoot sigma."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a sandwich root below EIG_FLOOR is dropped from a small "
+                              "fidelity: b_inf = 0.70763 sigma at alpha* = 0.5 (B1)")
+    def test_small_fidelity_of_near_pure_states(self):
+        def pure(theta, phi):
+            x, y = math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi)
+            z = math.cos(theta)
+            return DensityMatrix(np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]]) / 2.0)
+
+        record = plate_record(pure(2.0032, 0.0), pure(1.13839, 3.14227), 0.00121036, 1.12578,
+                              0.10751)
+        assert_sound(tightest_bound(record))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="rounding alone puts a fraction below 1: b_inf = 0.067106 sigma "
+                              "at dmu / sigma = 1e-7 and 6.7106e-4 sigma at 1e-9")
+    @pytest.mark.parametrize("shift_over_sigma", [1e-7, 1e-9])
+    def test_tiny_control_shift(self, shift_over_sigma):
+        assert_sound(tightest_bound(plate_record(PLUS, PLUS, 5.0, 0.3, shift_over_sigma)))
 
 
 class TestDualBounds:

@@ -502,11 +502,11 @@ class TestSweep:
             sweep_thickness(parse_scenario(sim_config()), out_dir=str(tmp_path))
 
     @pytest.mark.parametrize("count, thicknesses, second_sigma", [
-        # two blocks of 25 and 5 records, the uninformative 22 mm plate last
-        (80, [0.5 * k for k in range(1, 30)] + [22.0], None),
+        # two blocks of 51 and 9 records, the uninformative 22 mm plate last
+        (80, [0.25 * k for k in range(1, 60)] + [22.0], None),
         # unequal widths, so sigma_truth is null and no row has b_inf_over_sigma
-        (80, [22.0] + [0.7 * k for k in range(1, 31)], 1.4 * REFERENCE_SIGMA_HZ),
-        # blocks of 4 records at the default grid, the last one partial
+        (80, [22.0] + [0.35 * k for k in range(1, 62)], 1.4 * REFERENCE_SIGMA_HZ),
+        # blocks of 8 records at the default grid, the last one partial
         (500, [1.5 * k for k in range(1, 11)] + [22.0], None),
     ])
     def test_one_blocked_pass_keeps_the_per_thickness_rows(

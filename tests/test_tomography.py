@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from alphaprobe import fidelity, tomography
-from alphaprobe.bounds import BLOCK_ALPHA_POINTS, ProbingRecord, tightest_bound
+from alphaprobe.bounds import BLOCK_ALPHA_POINTS, BoundCurve, ProbingRecord, _optima, tightest_bound
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
 from alphaprobe.linalg import DensityMatrix, write_json
 from alphaprobe.reference import (
@@ -28,8 +28,8 @@ from alphaprobe.tomography import (
     MonteCarloReport,
     TomographySettings,
     ZeroCountsError,
+    _fresh_state,
     _philox_keys,
-    _reseeded,
     born_probabilities,
     monte_carlo_bounds,
     reconstruct,
@@ -221,11 +221,13 @@ class TestCounts:
             np.testing.assert_array_equal(got, want)
 
     def test_reseeded_generator_starts_where_rng_stream_does(self):
-        stream = np.random.Generator(np.random.Philox(0))
+        # one generator and one state dict, reset per stream as monte_carlo_bounds does
+        reseeded, state = np.random.Generator(np.random.Philox(0)), _fresh_state()
         spawn = [(3, 1), (0, 0), (3, 1)]
         for key, words in zip(spawn, _philox_keys(2**32 + 5, spawn).tolist()):
             fresh = rng_stream(2**32 + 5, key)
-            reseeded = _reseeded(stream, words)
+            state["state"]["key"] = words
+            reseeded.bit_generator.state = state
             got, want = reseeded.bit_generator.state, fresh.bit_generator.state
             for name in ("buffer_pos", "has_uint32", "uinteger"):
                 assert got[name] == want[name]
@@ -453,15 +455,17 @@ class TestMonteCarlo:
         # probabilities, one record at a time
         truth = reference_record()
         states = (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
-        assert [max(1, BLOCK_ALPHA_POINTS // a) for a in (500, 600, 1100, 5)] == [4, 3, 1, 409]
+        assert [max(1, BLOCK_ALPHA_POINTS // a) for a in (500, 600, 1100, 2049, 5)] == [
+            8, 6, 3, 1, 819]
         assert SAMPLE_REPLICAS == 1024
         cases = [(seed, 20, None, None) for seed in (5, 601, 2**31 - 1, 2**32 + 5, 2**64 + 3)]
         cases += [(17, replicas, None, None) for replicas in (1, 5, 7)]  # partial blocks
-        cases += [(17, 7, np.linspace(0.5, 0.9999, 600), None)]  # blocks of 3
-        cases += [(17, 5, np.linspace(0.5, 0.9999, 1100), None)]  # blocks of 1
+        cases += [(17, 7, np.linspace(0.5, 0.9999, 600), None)]  # blocks of 6
+        cases += [(17, 7, np.linspace(0.5, 0.9999, 1100), None)]  # blocks of 3
+        cases += [(17, 5, np.linspace(0.5, 0.9999, 2049), None)]  # blocks of 1
         cases += [(17, 7, None, [6, 2, 5, 0, 3, 1, 4])]  # replica 0 mid-block
-        # two sampling passes (1024 + 3) with blocks of 409 that end at the pass
-        # boundary, replica 0 last
+        # two sampling passes (1024 + 3), the first in blocks of 819 and 205 that end
+        # at the pass boundary, replica 0 last
         cases += [(17, 1027, np.linspace(0.5, 0.9999, 5), list(range(1026, -1, -1)))]
         for seed, replicas, grid, order in cases:
             cfg = settings(time=60.0, rate=200.0, seed=seed)
@@ -495,12 +499,27 @@ class TestMonteCarlo:
         calls = record_kernel_halves(monkeypatch)
         truth, cfg = reference_record(), settings(time=60.0, rate=200.0, seed=3)
         monte_carlo_bounds(truth, cfg, 100)
-        assert calls == [("frames", 400)] + [("sums", 16)] * 25  # blocks of 2048 // 500 = 4
+        # blocks of 4096 // 500 = 8 replicas, the last one partial
+        assert calls == [("frames", 400)] + [("sums", 32)] * 12 + [("sums", 16)]
         calls.clear()
-        # passes of 1024 and 3 replicas, blocks of 2048 // 5 = 409: 409 + 409 + 206, then 3
+        # passes of 1024 and 3 replicas, blocks of 4096 // 5 = 819: 819 + 205, then 3
         monte_carlo_bounds(truth, cfg, 1027, np.linspace(0.5, 0.9999, 5))
-        assert calls == [("frames", 4096), ("sums", 1636), ("sums", 1636), ("sums", 824),
+        assert calls == [("frames", 4096), ("sums", 3276), ("sums", 820),
                          ("frames", 12), ("sums", 12)]
+
+    def test_a_run_builds_one_bound_curve(self, monkeypatch):
+        # only replica 0's curve is reported, so it is the only one built: here in
+        # the first block of one pass, then in the second of two passes
+        built, init = [], BoundCurve.__init__
+        monkeypatch.setattr(BoundCurve, "__init__", lambda curve, *args, **kwargs:
+                            built.append(len(args)) or init(curve, *args, **kwargs))
+        truth, cfg = reference_record(), settings(time=60.0, rate=200.0, seed=3)
+        for replicas, grid, order in [(100, None, None),
+                                      (1027, np.linspace(0.5, 0.9999, 5), range(1026, -1, -1))]:
+            built.clear()
+            report = monte_carlo_bounds(truth, cfg, replicas, grid, replica_order=order)
+            assert len(built) == 1
+            assert report.curve0 is not None and len(report.values) == replicas
 
     def test_zero_counts_name_the_first_empty_basis_in_replica_order(self):
         # about 3 expected pairs per basis: at this seed the first empty basis in
@@ -602,7 +621,7 @@ class TestMonteCarlo:
                 "seed": seed, "replicas": 500,
             },
         }
-        bound_curves = tomography._bound_curves
+        bound_blocks = tomography._bound_blocks
         optima, calls = {}, {}
         halves = {
             "log": (fidelity._qubit_frames, fidelity._qubit_fidelity_sums),
@@ -611,17 +630,18 @@ class TestMonteCarlo:
         for name, (frames, sums) in halves.items():
             found = optima[name] = []
 
-            def recording(*args, found=found):
-                curves = list(bound_curves(*args))
-                found.extend(curve.optimum for curve in curves)
-                return curves
+            def recording(states, alphas, delta_mu, found=found):
+                for fractions, bounds in bound_blocks(states, alphas, delta_mu):
+                    found.extend(_optima(bounds, alphas))
+                    yield fractions, bounds
 
             # both halves substituted and every call recorded: the kernel under test runs
             calls[name] = record_kernel_halves(monkeypatch, frames, sums)
-            monkeypatch.setattr(tomography, "_bound_curves", recording)
+            monkeypatch.setattr(tomography, "_bound_blocks", recording)
             run_scenario(parse_scenario(config), str(tmp_path / name))
-        # one sampling pass: the alpha-free half over 500 records, the per-alpha half per 4
-        assert calls["log"] == calls["pow"] == [("frames", 2000)] + [("sums", 16)] * 125
+        # one sampling pass: the alpha-free half over 500 records, the per-alpha half per 8
+        assert calls["log"] == calls["pow"] == (
+            [("frames", 2000)] + [("sums", 32)] * 62 + [("sums", 16)])
         assert len(optima["log"]) == len(optima["pow"]) == 500
         for got, want in zip(optima["log"], optima["pow"]):
             assert (got is None) == (want is None)
