@@ -38,13 +38,6 @@ from .scenario import (
     write_output,
     write_run_dir,
 )
-from .tomography import (
-    TomographySettings,
-    ZeroCountsError,
-    reconstruct,
-    rng_stream,
-    simulate_counts,
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,6 +118,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tomography(args) -> int:
+    from .tomography import (
+        TomographySettings, ZeroCountsError, reconstruct, rng_stream, simulate_counts,
+    )
+
     state = _load_state(args.state, "--state", qubit=True)
     with field_errors("--time/--rate/--seed"):
         settings = TomographySettings(

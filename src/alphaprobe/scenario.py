@@ -15,7 +15,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .bounds import (
     write_bound_curve_csv,
     write_csv,
 )
-from .channel import QUARTZ_BIREFRINGENCE, WavePlate, WavePlateStack, _exact_channel
 from .fidelity import (
     ALPHA_COUNT,
     ALPHA_START,
@@ -50,20 +49,10 @@ from .linalg import (
     matrix_from_json,
     write_json,
 )
-from .reference import (
-    REFERENCE_RHO_1,
-    REFERENCE_RHO_2,
-    REFERENCE_SIGMA_HZ,
-    reference_record,
-)
-from .spectra import GaussianSpectrum, _check_grid_shape
-from .tomography import (
-    MAX_REPLICAS,
-    TomographySettings,
-    ZeroCountsError,
-    monte_carlo_bounds,
-    rng_stream,
-)
+from .reference import REFERENCE_SIGMA_HZ, reference_record
+
+# channel, spectra and tomography are imported where a config or run needs them,
+# so a CLI process that never simulates or samples does not load them
 
 SCHEMA_VERSION = "probe-scenario/1"
 
@@ -156,6 +145,8 @@ def read_state(payload, path: str, qubit: bool = False) -> DensityMatrix:
 
 
 def _parse_spectrum(payload, path: str) -> GaussianSpectrum:
+    from .spectra import GaussianSpectrum
+
     _object(payload, path)
     if "mu_hz" in payload or "sigma_hz" in payload:
         return GaussianSpectrum(
@@ -172,15 +163,23 @@ def _parse_spectrum(payload, path: str) -> GaussianSpectrum:
     )
 
 
+@cache
+def _plus_probe() -> DensityMatrix:
+    """The "plus" probe, validated once: it is immutable."""
+    return DensityMatrix(PLUS_STATE)
+
+
 def _parse_probe(payload, path: str) -> DensityMatrix:
     if payload == "plus":
-        return DensityMatrix(PLUS_STATE)
+        return _plus_probe()
     if isinstance(payload, dict):
         return read_state(payload, path, qubit=True)
     raise ConfigError(f"{path} must be \"plus\" or a matrix object, got {payload!r}")
 
 
 def _parse_stack(payload, path: str) -> WavePlateStack:
+    from .channel import QUARTZ_BIREFRINGENCE, WavePlate, WavePlateStack
+
     if not isinstance(payload, dict):
         raise ConfigError(f"{path} must be an object or the literal "
                           f"{REFERENCE_LITERAL!r}")
@@ -193,6 +192,8 @@ def _parse_stack(payload, path: str) -> WavePlateStack:
     )
     rng = None
     if needs_seed:
+        from .tomography import rng_stream
+
         if "orientation_seed" not in payload:
             raise ConfigError(
                 f"{path}.orientation_seed is required when any orientation is \"random\""
@@ -243,6 +244,8 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
 
 
 def _parse_config(payload: dict) -> ScenarioConfig:
+    from .spectra import _check_grid_shape
+
     if not isinstance(payload, dict):
         raise ConfigError("config root must be an object")
     schema = payload.get("schema")
@@ -277,7 +280,7 @@ def _parse_config(payload: dict) -> ScenarioConfig:
         if probes_cfg is None:
             raise ConfigError("config.probes is required for a simulated coupling")
         if probes_cfg == REFERENCE_LITERAL:
-            probes = (DensityMatrix(REFERENCE_RHO_1), DensityMatrix(REFERENCE_RHO_2))
+            probes = (reference_record().rho1, reference_record().rho2)
         elif isinstance(probes_cfg, dict):
             probes = tuple(
                 _parse_probe(*_field(probes_cfg, k, "probes")) for k in ("rho1", "rho2")
@@ -305,6 +308,8 @@ def _parse_config(payload: dict) -> ScenarioConfig:
     tomography = None
     replicas = 1
     if tomo_cfg != "exact-states":
+        from .tomography import MAX_REPLICAS, TomographySettings
+
         if not isinstance(tomo_cfg, dict):
             raise ConfigError(
                 "config.tomography must be \"exact-states\" or a settings object"
@@ -322,6 +327,8 @@ def _parse_config(payload: dict) -> ScenarioConfig:
     sweep_stacks = None
     sweep_orientation = 0.0
     if sweep_cfg is not None:
+        from .channel import QUARTZ_BIREFRINGENCE, WavePlate, WavePlateStack
+
         _object(sweep_cfg, "config.sweep")
         thick = _field(sweep_cfg, "thicknesses_mm", "sweep")[0]
         if not isinstance(thick, list) or not thick:
@@ -418,6 +425,8 @@ def _stack_echo(stack: WavePlateStack) -> dict:
 
 
 def _evolve(config: ScenarioConfig, stack: WavePlateStack) -> ProbingRecord:
+    from .channel import _exact_channel
+
     s1, s2 = config.spectra
     rho1, rho2 = config.probes
     with field_errors("coupling simulation stage"):
@@ -456,16 +465,18 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     sigma_truth = _truth_sigma(config)
     # replica 0 is the single experiment the curve artifact describes; it comes
     # out of the Monte-Carlo pass, which also serves a single replica
-    try:
-        if config.tomography is None:
-            curve = tightest_bound(truth, config.alpha_grid)
-        else:
+    if config.tomography is None:
+        curve = tightest_bound(truth, config.alpha_grid)
+    else:
+        from .tomography import ZeroCountsError, monte_carlo_bounds
+
+        try:
             mc = monte_carlo_bounds(
                 truth, config.tomography, config.replicas, alpha_grid=config.alpha_grid
             )
-            curve = mc.curve0
-    except ZeroCountsError as exc:
-        raise ConfigError(f"tomography.integration_time_s too short: {exc}") from exc
+        except ZeroCountsError as exc:
+            raise ConfigError(f"tomography.integration_time_s too short: {exc}") from exc
+        curve = mc.curve0
 
     with field_errors("spectra"):  # a finite bound over a tiny width can overflow
         results = bound_summary(curve, sigma_reference=sigma_truth)

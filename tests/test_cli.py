@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -570,3 +574,42 @@ def test_csv_artifacts_match_the_row_writer_oracle(tmp_path, capsys, monkeypatch
     if command in ("bound", "sweep"):  # both kinds of row are in the artifact
         cells = outputs["columnar"][1][0].decode().split("\r\n")
         assert any(",," in row for row in cells) and any("true" in row for row in cells)
+
+
+# modules a cold process of each subcommand loads: what it runs, nothing more; an
+# exact-states simulate and tomography load these beyond COLD_MODULES
+COLD_MODULES = {"bounds", "cli", "fidelity", "linalg", "reference", "scenario"}
+EXTRA_MODULES = {"simulate": {"channel", "spectra"}, "tomography": {"tomography"}}
+# main() in a fresh interpreter, then the loaded alphaprobe modules and whether numpy.random is
+LOADED_AFTER_MAIN = (
+    "import json, sys; from alphaprobe.cli import main; code = main(sys.argv[1:]); "
+    "print(json.dumps([code, sorted(m.split('.', 1)[1] for m in sys.modules "
+    "if m.startswith('alphaprobe.')), 'numpy.random' in sys.modules]))"
+)
+
+
+@pytest.mark.parametrize("command", ["afid", "bound", "reproduce-fig4", "simulate", "tomography"])
+def test_a_cold_subcommand_loads_only_the_modules_it_runs(tmp_path, command):
+    rho1, rho2 = write_state(tmp_path / "a.json", PLUS), write_state(tmp_path / "b.json", KET0)
+    record = write_record(
+        tmp_path / "record.json", REFERENCE_RHO_1, REFERENCE_RHO_2,
+        REFERENCE_EVOLVED_1, REFERENCE_EVOLVED_2, REFERENCE_DELTA_MU_HZ,
+    )
+    out = str(tmp_path / "out")
+    argv = {
+        "afid": ["afid", "--rho1", rho1, "--rho2", rho2, "--csv", str(tmp_path / "afid.csv")],
+        "bound": ["bound", "--record", record, "--out", out],
+        "reproduce-fig4": ["reproduce-fig4", "--out", out],
+        "simulate": ["simulate", "--config", write_config(tmp_path / "c.json", sim_config()),
+                     "--out", out],
+        "tomography": ["tomography", "--state", rho1, "--time", "60", "--rate", "200",
+                       "--seed", "7", "--out", out],
+    }[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    code, modules, numpy_random = json.loads(done.stdout.splitlines()[-1])
+    assert code == EXIT_OK
+    assert set(modules) == COLD_MODULES | EXTRA_MODULES.get(command, set())
+    assert numpy_random == (command == "tomography")
