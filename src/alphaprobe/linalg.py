@@ -35,6 +35,7 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an entry near the float limit fails a rule
 def check_density_matrices(m) -> np.ndarray:
     """Validate a density matrix, or a stack (..., d, d) of them; return the Hermitian parts.
 

@@ -177,7 +177,8 @@ def _parse_probe(payload, path: str) -> DensityMatrix:
     raise ConfigError(f"{path} must be \"plus\" or a matrix object, got {payload!r}")
 
 
-def _parse_stack(payload, path: str) -> WavePlateStack:
+def _parse_stack(payload, path: str) -> tuple[WavePlateStack, dict]:
+    """The stack and its echo: each value as read, a "random" orientation as drawn."""
     from .channel import QUARTZ_BIREFRINGENCE, WavePlate, WavePlateStack
 
     if not isinstance(payload, dict):
@@ -200,7 +201,7 @@ def _parse_stack(payload, path: str) -> WavePlateStack:
             )
         seed = check_integer(*_field(payload, "orientation_seed", path), minimum=0)
         rng = rng_stream(seed, ())
-    plates = []
+    plates, echo = [], []
     for i, plate_cfg in enumerate(plates_cfg):
         ppath = f"{path}.plates[{i}]"
         _object(plate_cfg, ppath)
@@ -209,12 +210,14 @@ def _parse_stack(payload, path: str) -> WavePlateStack:
             theta = float(rng.uniform(0.0, 180.0))
         else:
             theta = check_real(*_field(plate_cfg, "orientation_deg", ppath, 0.0))
+        echo.append({"thickness_mm": thickness_mm, "orientation_deg": theta})
         with field_errors(f"{ppath}.thickness_mm"):  # a thickness that underflows in meters
             plates.append(
                 WavePlate(thickness=thickness_mm * 1e-3, orientation=math.radians(theta))
             )
     with field_errors(path):
-        return WavePlateStack(plates=tuple(plates), birefringence=birefringence)
+        stack = WavePlateStack(plates=tuple(plates), birefringence=birefringence)
+    return stack, {"birefringence": birefringence, "plates": echo}
 
 
 @dataclass(frozen=True)
@@ -229,7 +232,7 @@ class ScenarioConfig:
     replicas: int
     require_bound: bool
     sweep_stacks: tuple[tuple[float, WavePlateStack], ...] | None  # (thickness_mm, one plate)
-    sweep_orientation_deg: float
+    resolved: dict  # the summary's resolved block but delta_mu_hz, each value as parsed
     echo: dict
 
 
@@ -256,7 +259,8 @@ def _parse_config(payload: dict) -> ScenarioConfig:
 
     coupling = _field(payload, "coupling", "config")[0]
     use_reference = coupling == REFERENCE_LITERAL
-    stack = None if use_reference else _parse_stack(coupling, "coupling")
+    stack, echoed = (None, coupling) if use_reference else _parse_stack(coupling, "coupling")
+    resolved = {"coupling": echoed}
 
     probes_cfg = payload.get("probes")
     spectra: tuple[GaussianSpectrum, GaussianSpectrum] | None = None
@@ -325,7 +329,6 @@ def _parse_config(payload: dict) -> ScenarioConfig:
 
     sweep_cfg = payload.get("sweep")
     sweep_stacks = None
-    sweep_orientation = 0.0
     if sweep_cfg is not None:
         from .channel import QUARTZ_BIREFRINGENCE, WavePlate, WavePlateStack
 
@@ -334,9 +337,10 @@ def _parse_config(payload: dict) -> ScenarioConfig:
         if not isinstance(thick, list) or not thick:
             raise ConfigError("sweep.thicknesses_mm must be a nonempty list")
         mm = [check_positive(t, f"sweep.thicknesses_mm[{i}]") for i, t in enumerate(thick)]
-        sweep_orientation = check_real(*_field(sweep_cfg, "orientation_deg", "sweep", 0.0))
+        orientation = check_real(*_field(sweep_cfg, "orientation_deg", "sweep", 0.0))
         dn = check_real(*_field(sweep_cfg, "birefringence", "sweep", QUARTZ_BIREFRINGENCE))
-        theta = math.radians(sweep_orientation)
+        resolved = {"orientation_deg": orientation, "birefringence": dn}
+        theta = math.radians(orientation)
         with field_errors("config.sweep"):  # one plate per thickness
             sweep_stacks = tuple(
                 (t, WavePlateStack((WavePlate(t * 1e-3, theta),), dn)) for t in mm
@@ -357,7 +361,7 @@ def _parse_config(payload: dict) -> ScenarioConfig:
         replicas=replicas,
         require_bound=_boolean(*_field(payload, "require_bound", "config", False)),
         sweep_stacks=sweep_stacks,
-        sweep_orientation_deg=sweep_orientation,
+        resolved=resolved,
         echo=payload,
     )
 
@@ -411,19 +415,6 @@ def _write_report(
     return RunReport(summary=summary, files=files)
 
 
-def _stack_echo(stack: WavePlateStack) -> dict:
-    return {
-        "birefringence": stack.birefringence,
-        "plates": [
-            {
-                "thickness_mm": p.thickness * 1e3,
-                "orientation_deg": math.degrees(p.orientation),
-            }
-            for p in stack.plates
-        ],
-    }
-
-
 def _evolve(config: ScenarioConfig, stack: WavePlateStack) -> ProbingRecord:
     from .channel import _exact_channel
 
@@ -453,18 +444,11 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     if config.sweep_stacks is not None:
         raise ConfigError("config has a sweep section; run sweep_thickness instead")
 
-    resolved: dict = {}
-    if config.stack is None:
-        truth = reference_record()
-        resolved["coupling"] = REFERENCE_LITERAL
-    else:
-        truth = _evolve(config, config.stack)
-        resolved["coupling"] = _stack_echo(config.stack)
-    resolved["delta_mu_hz"] = truth.delta_mu
-
+    truth = reference_record() if config.stack is None else _evolve(config, config.stack)
     sigma_truth = _truth_sigma(config)
     # replica 0 is the single experiment the curve artifact describes; it comes
     # out of the Monte-Carlo pass, which also serves a single replica
+    mc = None
     if config.tomography is None:
         curve = tightest_bound(truth, config.alpha_grid)
     else:
@@ -480,7 +464,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
 
     with field_errors("spectra"):  # a finite bound over a tiny width can overflow
         results = bound_summary(curve, sigma_reference=sigma_truth)
-        if config.replicas >= 2:  # only with tomography settings
+        if mc is not None and mc.replicas >= 2:
             results["monte_carlo"] = mc_block = mc.to_json()
             if sigma_truth is not None and mc.mean_b_inf is not None:
                 mc_block["mean_b_inf_over_sigma"] = width_ratio(mc.mean_b_inf, sigma_truth)
@@ -490,7 +474,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     seed = None if config.tomography is None else config.tomography.seed
     demanded = config.require_bound and curve.no_information
     return _write_report(
-        out_dir, config.echo, resolved, results, seed,
+        out_dir, config.echo, {**config.resolved, "delta_mu_hz": truth.delta_mu}, results, seed,
         {"bound_curve.csv": partial(write_bound_curve_csv, curve)},
         "scenario demanded a bound but every grid point is uninformative" if demanded else None,
     )
@@ -584,14 +568,10 @@ def sweep_thickness(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     columns = [np.array([r.get(c) for r in rows], dtype=float) for c in numbers]  # None: NaN
     columns += [[r["family"] or "" for r in rows], np.array([r["no_information"] for r in rows])]
     header = [*numbers, "family", "no_information"]
-    resolved = {
-        "orientation_deg": config.sweep_orientation_deg,
-        "birefringence": config.sweep_stacks[0][1].birefringence,
-    }
     results = {"thicknesses": rows, "sigma_truth_hz": sigma_truth}
     demanded = config.require_bound and all(r["no_information"] for r in rows)
     return _write_report(
-        out_dir, config.echo, resolved, results, None,
+        out_dir, config.echo, config.resolved, results, None,
         {"sweep.csv": partial(write_csv, header=header, columns=columns)},
         "sweep demanded a bound but every thickness is uninformative" if demanded else None,
     )

@@ -6,10 +6,12 @@ Malformed state and record files have their own table, keyed by the flag,
 file or field the message must name; a record error must name its file too.
 """
 import json
+from functools import cache
 
 import numpy as np
 import pytest
 
+from alphaprobe import cli
 from alphaprobe.cli import EXIT_CONFIG, EXIT_NO_INFORMATION, EXIT_OK, main
 from alphaprobe.fidelity import MAX_ALPHA_COUNT
 from alphaprobe.linalg import matrix_to_json
@@ -369,3 +371,68 @@ def test_huge_record_shift_is_never_squared(tmp_path, capsys, delta_mu, code, in
     if informative:
         assert results["b_inf_hz"] == pytest.approx(1.301097318584e160, rel=1e-12)
         assert "b_inf = 1.301097318584e+160 Hz" in capsys.readouterr().out
+
+
+# one representative of each value class, set at every field of a document in turn
+FIELD_VALUES = [None, True, "x", -1.5, 0, 0.25, 2**64, 1e308, float("inf"), [], {},
+                "random", "plus", "paper-matrices", "exact-states"]
+DELETED = object()
+
+# (document id, subcommand, its flag, the valid document whose fields are replaced)
+FIELD_DOCUMENTS = [
+    ("tomography", "simulate", "--config", tomography_config(replicas=2)),
+    ("random-orientation", "simulate", "--config", random_orientation_config(11)),
+    ("sweep", "sweep", "--config", sweep_config()),
+    ("record", "bound", "--record", reference_record_json()),
+]
+
+
+def field_paths(node, path=()):
+    """The key path of every value in node, objects and lists included, outermost first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield (*path, key)
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, (*path, key))
+
+
+def with_field(document, path, value):
+    """A deep copy of document with the field at path set to value, or deleted."""
+    copy = json.loads(json.dumps(document))
+    node = copy
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETED:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return copy
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag, document", [d[1:] for d in FIELD_DOCUMENTS],
+    ids=[d[0] for d in FIELD_DOCUMENTS],
+)
+def test_every_field_of_a_valid_document_exits_cleanly(
+    tmp_path, capsys, monkeypatch, subcommand, flag, document
+):
+    """Each value class, and deletion, at every field: exit 0, 2 or 4, and exit 2 names the key."""
+    # one parser serves every case: building it costs more than most cases do
+    monkeypatch.setattr(cli, "build_parser", cache(cli.build_parser))
+    path, out = tmp_path / "input.json", str(tmp_path / "out")
+    failures = []
+    for key_path in field_paths(document):
+        for value in [DELETED, *FIELD_VALUES]:
+            path.write_text(json.dumps(with_field(document, key_path, value)), encoding="utf-8")
+            shown = "<deleted>" if value is DELETED else repr(value)
+            case = f"{'.'.join(map(str, key_path))} = {shown}"
+            try:
+                code = main([subcommand, flag, str(path), "--out", out])
+            except Exception as exc:  # noqa: BLE001 -- every escape is a failure of the case
+                code = exc
+            err = capsys.readouterr().err
+            if code not in (EXIT_OK, EXIT_CONFIG, EXIT_NO_INFORMATION):
+                failures.append(f"{case}: {code!r}")
+            elif code == EXIT_CONFIG and str(key_path[0]) not in err:
+                failures.append(f"{case}: exit 2 without naming {key_path[0]}: {err.strip()}")
+    assert not failures, "\n".join(failures)

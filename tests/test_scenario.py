@@ -295,7 +295,43 @@ class TestRunScenario:
         plates = [{"thickness_mm": 1.0 + i, "orientation_deg": 20.0 * i} for i in range(8)]
         cfg = parse_scenario(sim_config(coupling={"plates": plates}))
         report = run_scenario(cfg, out_dir=str(tmp_path))
-        assert len(report.summary["resolved"]["coupling"]["plates"]) == 8
+        assert report.summary["resolved"]["coupling"]["plates"] == plates
+
+    def test_resolved_block_echoes_the_parsed_values(self, tmp_path):
+        random_plates = [{"thickness_mm": 2.0, "orientation_deg": "random"},
+                         {"thickness_mm": 3.0, "orientation_deg": "random"}]
+        cfg = parse_scenario(
+            sim_config(coupling={"plates": random_plates, "orientation_seed": 11})
+        )
+        echo = cfg.resolved["coupling"]["plates"]
+        assert [p["thickness_mm"] for p in echo] == [2.0, 3.0]
+        for plate, drawn in zip(cfg.stack.plates, echo):
+            assert math.radians(drawn["orientation_deg"]) == plate.orientation
+
+        # a run's echo, pasted back as coupling, replays the same stack to the bit
+        cfg = parse_scenario(
+            sim_config(coupling={"plates": [{"thickness_mm": 0.7, "orientation_deg": 12}]})
+        )
+        coupling = run_scenario(cfg, str(tmp_path / "a")).summary["resolved"]["coupling"]
+        replayed = parse_scenario(sim_config(coupling=coupling))
+        assert replayed.stack == cfg.stack
+        run_scenario(replayed, str(tmp_path / "b"))
+        curve = (tmp_path / "a" / "bound_curve.csv").read_bytes()
+        assert (tmp_path / "b" / "bound_curve.csv").read_bytes() == curve
+
+        sweep = parse_scenario(sim_config(sweep={"thicknesses_mm": [2.0], "orientation_deg": 12}))
+        assert sweep.resolved == {"orientation_deg": 12.0,
+                                  "birefringence": channel.QUARTZ_BIREFRINGENCE}
+
+    def test_exact_states_config_ignores_its_replica_count(self, tmp_path):
+        cfg = parse_scenario({"schema": SCHEMA_VERSION, "coupling": REFERENCE_LITERAL})
+        runs = [run_scenario(replace(cfg, replicas=n), str(tmp_path / str(n))) for n in (1, 3)]
+        assert "monte_carlo" not in runs[1].summary["results"]
+        for run in runs:
+            run.summary["provenance"].pop("generated_at")
+        assert runs[1].summary == runs[0].summary
+        curve = (tmp_path / "1" / "bound_curve.csv").read_bytes()
+        assert (tmp_path / "3" / "bound_curve.csv").read_bytes() == curve
 
     def test_reference_coupling_run(self, tmp_path):
         cfg = parse_scenario({"schema": SCHEMA_VERSION, "coupling": REFERENCE_LITERAL})
