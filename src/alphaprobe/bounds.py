@@ -22,24 +22,32 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import fidelity
 from .fidelity import (
     DPI_ALPHA_MIN,
     _check_alpha_grid,
     _fidelity_blocks,
+    _warn_clamped,
     default_alpha_grid,
 )
-from .linalg import DensityMatrix, check_positive
+from .linalg import EIG_FLOOR, DensityMatrix, check_positive
 
 BOUND_ORDERS = ("forward", "reversed")
 BOUND_FAMILIES = ("B1", "B2")  # the bound of each order, in BOUND_ORDERS order
 # the fidelity pairs (first, second) behind the fractions, as indices into
 # ProbingRecord.states: forward numerator and denominator, then reversed ones
 _PAIR_FIRST, _PAIR_SECOND = [2, 0, 3, 1], [3, 1, 2, 0]
-# alpha points per block of _bound_blocks, which holds one record at least. Peak memory
-# bounds it: over 150 Monte-Carlo runs of 100 replicas at A = 500 (2-vCPU Xeon, Python
-# 3.11, numpy 2.4), blocks of 8 peak 8.1 MiB above the imported package, 4 at 7.7, 16 at
-# 9.0 and 100 at 15.8 MiB; the mc-tomography benchmark allows about 2.2 MiB (5%) of growth
+# alpha points per block of _bound_blocks, which holds one record at least; the scratch of
+# _search_optima holds twice as many pairs' points. Peak memory bounds both: a Monte-Carlo
+# run of 100 replicas at A = 500 traces 1.03-1.07 MiB through the search (tracemalloc;
+# 2-vCPU Xeon, Python 3.11, numpy 2.4), against 1.18-1.19 MiB over the full grid in blocks
+# of 8; a search scratch of 4 x 4096 points traced 1.74 MiB, one of 4096 0.77 MiB and ran
+# slower. The mc-tomography benchmark allows about 2.2 MiB (5%) of growth
 BLOCK_ALPHA_POINTS = 4096
+# _search_optima's widening of each computed ln F_alpha, which covers an error of a third of
+# it at a gap's end and at a point inside (the kernel's is a few ulp); also the search's
+# relative slack on a bound and its margin, in log units, around the root floor
+SEARCH_ALLOWANCE = 2.0**-20
 
 
 class NoInformationError(RuntimeError):
@@ -80,15 +88,23 @@ def _fraction_blocks(states: np.ndarray, alphas: np.ndarray, block: int) -> Iter
 
     One fidelity pass covers every record and order; a zero denominator gives +inf.
     """
+    for f in _fidelity_blocks(*_pair_stacks(states), alphas, 4 * block):
+        yield _ratio(f.reshape(-1, 2, 2, alphas.size))
+
+
+def _pair_stacks(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and second states (4 n, d, d) of the fidelity pairs of n records (n, 4, d, d)."""
     d = states.shape[-1]
-    pairs = states[:, _PAIR_FIRST].reshape(-1, d, d), states[:, _PAIR_SECOND].reshape(-1, d, d)
-    for f in _fidelity_blocks(*pairs, alphas, 4 * block):
-        f = f.reshape(-1, 2, 2, alphas.size)
-        num, den = f[:, :, 0], f[:, :, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = num / den
-        np.copyto(out, math.inf, where=den == 0.0)
-        yield out
+    return states[:, _PAIR_FIRST].reshape(-1, d, d), states[:, _PAIR_SECOND].reshape(-1, d, d)
+
+
+def _ratio(f: np.ndarray) -> np.ndarray:
+    """Fractions of F (..., 2, k), numerators then denominators; a zero denominator gives +inf."""
+    num, den = f[..., 0, :], f[..., 1, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / den
+    np.copyto(out, math.inf, where=den == 0.0)
+    return out
 
 
 def fraction_curve(record: ProbingRecord, alphas, order: str = "forward") -> np.ndarray:
@@ -208,6 +224,100 @@ def _bound_curves(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> It
     for fractions, bounds in _bound_blocks(states, alphas, delta_mu):
         for f, b, optimum in zip(fractions, bounds, _optima(bounds, alphas)):
             yield BoundCurve(alphas, b[0], b[1], optimum, fractions=(f[0], f[1]))
+
+
+def _steady(logs: np.ndarray) -> np.ndarray:
+    """Whether neither sandwich root of a pair crosses EIG_FLOOR inside a gap, (m, c - 1).
+
+    logs (2, m, c) holds log lo and log hi of m pairs at the c ends of the gaps, alpha
+    increasing. Both rise with alpha: log hi = q log l2 + log h, h falling as q grows, and
+    log lo = q log l1 + log det rho1 - log h has the slope (1 - e) log l1 + e log l2 <= 0
+    in q, e = t h'(t) / h in [0, 1] being the elasticity of h in t = (l1 / l2)^q. So a root
+    lies between its values at a gap's ends; SEARCH_ALLOWANCE widens the floor.
+    """
+    floor = math.log(EIG_FLOOR)
+    return ((logs[..., 1:] < floor - SEARCH_ALLOWANCE)
+            | (logs[..., :-1] > floor + SEARCH_ALLOWANCE)).all(axis=0)
+
+
+def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float,
+                   curve: int | None = None) -> tuple:
+    """_best_bounds of qubit records (n, 4, 2, 2) on a checked grid, from a certified part of it.
+
+    Returns each record's flat (2, A) index and value, the bits of _best_bounds on the full
+    grid, and record `curve`'s full-grid BoundCurve (None when not asked for). The sandwiched
+    S_a = ln F_a / (a - 1) is nondecreasing in a (Mueller-Lennert et al., J. Math. Phys. 54,
+    122203 (2013)), so inside a gap (a_i, a_j) of a sorted grid every bound obeys
+    B(a)^2 >= a_i dmu^2 / (2 (S_out(a_j) - S_in(a_i))), and no point is informative where
+    that divergence gap is <= 0. A coarse sub-grid, every step-th point and both ends, is
+    evaluated first; then, a call per scratch, every interior point of each gap of each family
+    that may hold a bound at or below the record's least coarse bound. Each ln F is widened
+    by SEARCH_ALLOWANCE, a bound for the rounding at a gap's end and at a point inside it; a
+    gap where a sandwich root may cross EIG_FLOOR (see _steady), and every gap of an unsorted
+    grid, is always filled. Both halves of the kernel run through the fidelity module, in one
+    scratch of 2 x BLOCK_ALPHA_POINTS pairs' points (4 A at least); a pass warns of clamping
+    once, for the points it evaluated.
+    """
+    n, count = len(states), alphas.size
+    step = max(2, 1 << (math.isqrt(count).bit_length() - 1))  # about sqrt(A): 16 at A = 500
+    cols = np.minimum(np.arange(0, count + step - 1, step), count - 1)  # and the last point
+    gaps = np.minimum(cols[:-1, None] + np.arange(1, step), cols[1:, None])  # end-padded interiors
+    q = (1.0 - alphas) / alphas
+    frames = fidelity._qubit_frames(*_pair_stacks(states))
+    scratch = np.empty((4, max(4 * count, min(4 * n * count, 2 * BLOCK_ALPHA_POINTS))))
+    peak = -math.inf
+
+    def bound_rows(pairs, index, logs=None):
+        """Clamped F (pairs, k), fractions and bounds of pairs of frame columns at grid indices."""
+        nonlocal peak
+        at = index if index.ndim == 1 else np.repeat(index, 2, axis=0)  # a row per pair
+        f = fidelity._qubit_fidelity_sums(frames[:, pairs], q[at], alphas[at], scratch, logs)
+        peak = max(peak, f.max())
+        fractions = _ratio(np.minimum(f, 1.0, out=f).reshape(-1, 2, index.shape[-1]))
+        return f, fractions, _bounds_from_fractions(fractions, alphas[index], delta_mu)
+
+    index, value = np.empty(n, np.intp), np.empty(n)
+    a = alphas[cols]
+    ordered = bool(np.all(alphas[1:] >= alphas[:-1]))  # an unsorted grid is filled in full
+    root_half_a = np.sqrt(a[:-1] / 2.0) * (1.0 - SEARCH_ALLOWANCE)
+    block, per_call = scratch.shape[1] // (4 * cols.size), scratch.shape[1] // (2 * gaps.shape[1])
+    for start in range(0, n, block):
+        b = min(block, n - start)
+        logs = np.empty((2, 4 * b, cols.size))
+        f, _, coarse = bound_rows(np.arange(4 * start, 4 * (start + b)), cols, logs)
+        coarse = np.fmin(coarse, math.inf).reshape(b, -1)  # (family, column) in flat order
+        first = coarse.argmin(axis=1)
+        incumbent = coarse[np.arange(b), first]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_f = np.log(f, out=f).reshape(b, 2, 2, -1)  # (record, family, num/den, column)
+            spread = ((SEARCH_ALLOWANCE - log_f[:, :, 0, 1:]) / (1.0 - a[1:])
+                      + (log_f[:, :, 1, :-1] + SEARCH_ALLOWANCE) / (1.0 - a[:-1]))
+            lower = delta_mu * root_half_a / np.sqrt(spread)  # inf only beyond the float range
+        pruned = ordered & _steady(logs).reshape(b, 2, 2, -1).all(axis=2) & (
+            (spread <= 0.0) | (lower > incumbent[:, None, None]))
+        rec, family, gap = np.nonzero(~pruned)
+        # candidates (record, value, flat index): the coarse optimum, each filled gap's least
+        found = [(np.arange(b), incumbent, first // cols.size * count + cols[first % cols.size])]
+        for s in range(0, len(rec), per_call):
+            part = slice(s, s + per_call)
+            at, num = gaps[gap[part]], 4 * (start + rec[part]) + 2 * family[part]
+            fill = np.fmin(bound_rows(np.stack((num, num + 1), axis=1).ravel(), at)[2], math.inf)
+            j, r = fill.argmin(axis=1), np.arange(len(at))
+            found.append((rec[part], fill[r, j], family[part] * count + at[r, j]))
+        r, v, k = map(np.concatenate, zip(*found))
+        low = np.full(b, math.inf)
+        np.minimum.at(low, r, v)
+        tie = v == low[r]
+        at_low = np.full(b, 2 * count)
+        np.minimum.at(at_low, r[tie], k[tie])  # the first grid point of the least value
+        index[start:start + b], value[start:start + b] = at_low, low
+    full = None
+    if curve is not None:
+        _, fractions, bounds = bound_rows(np.arange(4 * curve, 4 * curve + 4), np.arange(count))
+        full = BoundCurve(alphas, *bounds, _optima(bounds[None], alphas)[0],
+                          fractions=tuple(fractions))
+    _warn_clamped(peak - 1.0)
+    return index, value, full
 
 
 def _bound_grid(alpha_grid) -> np.ndarray:

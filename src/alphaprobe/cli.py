@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -160,7 +160,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse tree, built once per process."""
     parser = argparse.ArgumentParser(
         prog="alphaprobe",
         description="Width bounds on an unknown Gaussian line from qubit probes",

@@ -95,17 +95,20 @@ def _qubit_frames(rho1s: np.ndarray, rho2s: np.ndarray) -> np.ndarray:
 
 
 def _qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray,
-                         scratch: np.ndarray) -> np.ndarray:
-    """The per-alpha half: unclipped F_alpha of m pairs' frames (6, m) over a grid, shape (m, A).
+                         scratch: np.ndarray, logs: np.ndarray | None = None) -> np.ndarray:
+    """The per-alpha half: unclipped F_alpha of m pairs' frames (6, m), shape (m, k).
 
-    With q = (1 - alpha) / alpha and t = (l1 / l2)^q, the sandwich's large root is hi = l2^q h,
+    The grid and q = (1 - alpha) / alpha are one row (k,) for every pair or a row per
+    pair (m, k); each point is computed on its own, so its bits do not depend on the others.
+    With t = (l1 / l2)^q, the sandwich's large root is hi = l2^q h,
     h = (t r'_00 + r'_11 + sqrt((t r'_00 - r'_11)^2 + 4 t |r'_01|^2)) / 2 (terms of one sign);
     the small one, (l1 l2)^q det(rho1) / hi, keeps its precision near purity.
     Roots stay logs until exp(alpha log root); lo <= hi; below EIG_FLOOR a root is 0.
-    Log roots (then their powers), t and d are (m, A) views of scratch (4, M A), M >= m.
+    logs (2, m, k), when given, receives log lo and log hi before that floor.
+    Log roots (then their powers), t and d are (m, k) views of scratch (4, M k), M >= m.
     """
     log_t, log_l2, log_det1, b2, half00, half11 = frames[:, :, None]
-    work = scratch[:, :frames.shape[1] * grid.size].reshape(4, -1, grid.size)
+    work = scratch[:, :frames.shape[1] * grid.shape[-1]].reshape(4, -1, grid.shape[-1])
     roots, t, d = work[:2], work[2], work[3]
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf for a zero factor
         lo = np.multiply(log_t, q, out=roots[0])  # log t
@@ -123,11 +126,21 @@ def _qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray,
         lo -= hi
         hi += u
         np.fmin(lo, hi, out=lo)  # also where h = 0 made log lo NaN or +inf
+    if logs is not None:
+        np.copyto(logs, roots)
     np.copyto(roots, -math.inf, where=roots < math.log(EIG_FLOOR))
     roots *= grid
     np.exp(roots, out=roots)
     lo += hi
     return lo
+
+
+def _warn_clamped(excess: float) -> None:
+    """The clamp warning, when a raw F_alpha exceeded 1 by more than CLAMP_EXCESS."""
+    if excess > CLAMP_EXCESS:
+        warnings.warn(
+            f"alpha-fidelity exceeded 1 by up to {excess:.3e}; clamping to 1", stacklevel=4
+        )
 
 
 def _fidelity_blocks(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray,
@@ -154,11 +167,7 @@ def _fidelity_blocks(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray,
             sandwich = (sandwich + np.conj(np.swapaxes(sandwich, -1, -2))) / 2
             ws = _floor_spectrum(np.linalg.eigvalsh(sandwich))
             raw = np.sum(ws ** grid[:, None], axis=-1)
-        excess = raw.max() - 1.0
-        if excess > CLAMP_EXCESS:
-            warnings.warn(
-                f"alpha-fidelity exceeded 1 by up to {excess:.3e}; clamping to 1", stacklevel=3
-            )
+        _warn_clamped(raw.max() - 1.0)
         # F is a sum of exponentials or of floored eigenvalue powers: never negative
         yield np.minimum(raw, 1.0, out=raw)
 

@@ -10,8 +10,10 @@ linear inversion of the count asymmetries gives r back, repaired into a
 physical state as r / max(1, |r|). Monte-Carlo replicas repeat the full
 four-state tomography with independent counter-derived streams and propagate
 each replica through the bound pipeline; passes of replicas are sampled,
-reconstructed and validated as arrays and bounded in blocks, with the same
-draws and results as one replica at a time.
+reconstructed and validated as arrays, and each pass finds every replica's
+optimum by one certified coarse-then-fill alpha search (bounds._search_optima)
+and replica 0's curve over the full grid, with the same draws and results as
+one replica at a time through tightest_bound.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundCurve, ProbingRecord, _best_bounds, _bound_blocks, _bound_grid, _optima
+from .bounds import BoundCurve, ProbingRecord, _bound_grid, _search_optima
 from .linalg import (
     DensityMatrix,
     check_density_matrices,
@@ -35,7 +37,7 @@ MAX_REPLICAS = 100_000
 # floats hold every integer, as reconstruct assumes, far inside numpy's Poisson limit
 MAX_EXPECTED_PAIRS = 2**53
 # replicas are sampled, inverted and validated in passes of up to SAMPLE_REPLICAS in evaluation
-# order; _bound_blocks bounds a pass with one eigh of its 4 x pass rho2s and one kernel scratch
+# order; _search_optima bounds a pass with one eigh of its 4 x pass rho2s and one kernel scratch
 SAMPLE_REPLICAS = 1024
 
 # numpy's SeedSequence pool hash (pool of 4 uint32 words), see _philox_keys
@@ -336,7 +338,7 @@ def monte_carlo_bounds(
     poisson = np.random.Generator(philox).poisson
     fresh = _fresh_state()  # one dict for every stream: only its key changes
     b_inf = np.empty(replicas)  # by replica index; inf where a replica has no bound
-    curve0, done = None, 0  # done: replicas bounded so far, in evaluation order
+    curve0 = None
     for start in range(0, replicas, SAMPLE_REPLICAS):
         rows = order[start:start + SAMPLE_REPLICAS]
         # state k of a replica is sampled from the stream with spawn key (replica, k)
@@ -348,14 +350,10 @@ def monte_carlo_bounds(
             philox.state = fresh
             counts.append(_draw(poisson, m))
         states = check_density_matrices(_invert(np.reshape(counts, spawn.shape[:2] + (-1,))))
-        for fractions, bounds in _bound_blocks(states, alphas, truth.delta_mu):
-            block = order[done:done + len(bounds)]
-            b_inf[block] = _best_bounds(bounds)[1]
-            if 0 in block:  # the one curve a run reports
-                k = block.index(0)
-                curve0 = BoundCurve(alphas, *bounds[k], _optima(bounds[k:k + 1], alphas)[0],
-                                    fractions=tuple(fractions[k]))
-            done += len(bounds)
+        at = rows.index(0) if 0 in rows else None  # the one curve a run reports
+        _, b_inf[rows], curve = _search_optima(states, alphas, truth.delta_mu, curve=at)
+        if curve is not None:
+            curve0 = curve
 
     # order-independent aggregation: replica index order, compensated sums
     values = tuple(None if math.isinf(v) else v for v in b_inf.tolist())

@@ -18,7 +18,8 @@ log-domain kernel that replaced it, split like it into an alpha-free and a
 per-alpha half. The one-piece log-domain kernel, eigendecomposition and
 per-alpha steps in one call, is the bit-exact reference for that split, and
 bound rows built from it one record at a time are the reference for the
-blocked bound loop. The row CSV writer, `csv.writer` over a
+blocked bound loop, and that full-grid loop for the certified coarse-then-fill
+search of each record's least bound. The row CSV writer, `csv.writer` over a
 per-cell rule, is the reference for the columnar `bounds.write_csv`, and so is
 the columnar writer that formats each float by Python's '%.12e' % v, the
 reference for the byte-table writer's vectorised float cells. The per-thickness sweep
@@ -41,6 +42,9 @@ from alphaprobe.bounds import (
     _PAIR_FIRST,
     _PAIR_SECOND,
     ProbingRecord,
+    _best_bounds,
+    _bound_blocks,
+    _bound_curves,
     _bounds_from_fractions,
     _optima,
     bound_summary,
@@ -129,21 +133,28 @@ def pow_qubit_frames(rho1s: np.ndarray, rho2s: np.ndarray) -> np.ndarray:
 
 
 def pow_qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray,
-                            scratch: np.ndarray | None = None) -> np.ndarray:
-    """The per-alpha half of the linear-domain qubit kernel: unclipped F_alpha, shape (m, A).
+                            scratch: np.ndarray | None = None,
+                            logs: np.ndarray | None = None) -> np.ndarray:
+    """The per-alpha half of the linear-domain qubit kernel: unclipped F_alpha, shape (m, k).
 
-    It takes `pow_qubit_frames` rows (6, m) and q = (1 - alpha) / alpha, in the call
-    pattern of `fidelity._qubit_fidelity_sums` (it leaves the scratch unused and returns
-    a fresh array), and forms the same sandwich roots with four `pow`s and a divide per
-    point: a = l1^q rho1'_00, c = l2^q rho1'_11 and |b|^2 = (l1 l2)^q |rho1'_01|^2, the
-    large root (a + c + sqrt((a - c)^2 + 4|b|^2)) / 2 and the small one
-    (l1 l2)^q det(rho1) over it, each root below EIG_FLOOR taken as 0.
+    It takes `pow_qubit_frames` rows (6, m) and q = (1 - alpha) / alpha, one row (k,) or a
+    row per pair (m, k), in the call pattern of `fidelity._qubit_fidelity_sums` (it leaves
+    the scratch unused and returns a fresh array), and forms the same sandwich roots with
+    four `pow`s and a divide per point: a = l1^q rho1'_00, c = l2^q rho1'_11 and
+    |b|^2 = (l1 l2)^q |rho1'_01|^2, the large root (a + c + sqrt((a - c)^2 + 4|b|^2)) / 2
+    and the small one (l1 l2)^q det(rho1) over it, each root below EIG_FLOOR taken as 0.
+    logs (2, m, k), when given, receives the logs of the small and the large root before
+    that floor.
     """
     l1, l2, det1, b2, r00, r11 = frames[:, :, None]
     p1, p2 = l1 ** q, l2 ** q  # 0^q = 0 as q > 0
     a, c, both = p1 * r00, p2 * r11, p1 * p2
     hi = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4.0 * both * b2))
     lo = np.divide(both * det1, hi, out=np.zeros_like(hi), where=hi > 0.0)
+    if logs is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):  # a root of 0 or below: -inf or NaN
+            np.log(lo, out=logs[0])
+            np.log(hi, out=logs[1])
     return _floor_spectrum(lo) ** grid + _floor_spectrum(hi) ** grid
 
 
@@ -189,6 +200,7 @@ def oracle_qubit_fidelity_sums(rho1s: np.ndarray, rho2s: np.ndarray,
 def record_kernel_halves(monkeypatch, frames=None, sums=None) -> list:
     """Patch the qubit kernel's two halves to record each call as ("frames" or "sums", pairs).
 
+    A "sums" call over a row of points per pair, not one grid row, is ("sums", pairs, points).
     `frames` and `sums` stand in for `fidelity._qubit_frames` and
     `fidelity._qubit_fidelity_sums` when given; the package's halves run otherwise.
     """
@@ -197,8 +209,9 @@ def record_kernel_halves(monkeypatch, frames=None, sums=None) -> list:
     calls = []
     monkeypatch.setattr(fidelity, "_qubit_frames", lambda rho1s, rho2s:
                         calls.append(("frames", len(rho1s))) or frames(rho1s, rho2s))
-    monkeypatch.setattr(fidelity, "_qubit_fidelity_sums", lambda f, q, grid, scratch:
-                        calls.append(("sums", f.shape[1])) or sums(f, q, grid, scratch))
+    monkeypatch.setattr(fidelity, "_qubit_fidelity_sums", lambda f, q, grid, scratch, logs=None:
+                        calls.append(("sums", f.shape[1], *grid.shape[1:]))
+                        or sums(f, q, grid, scratch, logs))
     return calls
 
 
@@ -218,6 +231,20 @@ def oracle_bound_rows(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -
         bounds = _bounds_from_fractions(fractions, alphas, delta_mu)
         rows.append((fractions, bounds, _optima(bounds[None], alphas)[0]))
     return rows
+
+
+def full_grid_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float,
+                     curve: int | None = None) -> tuple:
+    """`bounds._search_optima` by the full-grid route, its oracle.
+
+    Each record's flat (2, A) index and value by `_best_bounds` over the blocks of
+    `_bound_blocks`, and record `curve`'s BoundCurve from `_bound_curves` (None without one).
+    """
+    found = [_best_bounds(bounds) for _, bounds in _bound_blocks(states, alphas, delta_mu)]
+    index, value = (np.concatenate(arrays) for arrays in zip(*found))
+    full = None if curve is None else next(_bound_curves(states[curve:curve + 1], alphas,
+                                                         delta_mu))
+    return index, value, full
 
 
 def _mp_eig2(m) -> tuple:

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from alphaprobe import fidelity
 from alphaprobe.bounds import (
     BLOCK_ALPHA_POINTS,
+    SEARCH_ALLOWANCE,
     BoundCurve,
     BoundOptimum,
     ProbingRecord,
@@ -25,15 +27,21 @@ from alphaprobe.bounds import (
     _bounds_from_fractions,
     _fraction_blocks,
     _optima,
+    _pair_stacks,
     _record_states,
+    _search_optima,
+    _steady,
 )
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
 from alphaprobe.fidelity import alpha_fidelity_curve, default_alpha_grid
-from alphaprobe.linalg import DensityMatrix, check_density_matrices
+from alphaprobe.linalg import EIG_FLOOR, DensityMatrix, check_density_matrices
 from alphaprobe.reference import REFERENCE_SIGMA_HZ, reference_record
 from alphaprobe.spectra import GaussianSpectrum, discretize_pair
+from alphaprobe.tomography import TomographySettings, reconstruct, rng_stream, simulate_counts
 from support import (
     eigvalsh_alpha_fidelity_curve,
+    full_grid_optima,
+    mp_qubit_alpha_fidelity,
     oracle_alpha_fidelity,
     oracle_bound_rows,
     oracle_percent_write_csv,
@@ -540,6 +548,196 @@ class TestFloatSoundness:
     @pytest.mark.parametrize("shift_over_sigma", [1e-7, 1e-9])
     def test_tiny_control_shift(self, shift_over_sigma):
         assert_sound(tightest_bound(plate_record(PLUS, PLUS, 5.0, 0.3, shift_over_sigma)))
+
+
+def bloch_pure(theta: float, phi: float) -> DensityMatrix:
+    """The pure qubit state at Bloch polar angle theta and azimuth phi."""
+    x, y, z = math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)
+    return DensityMatrix(np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]]) / 2.0)
+
+
+def stack_record(rho1, rho2, plates, shift_over_sigma) -> ProbingRecord:
+    """Two probes through plates (thickness mm, orientation) under lines of the reference width."""
+    sigma = REFERENCE_SIGMA_HZ
+    stack = WavePlateStack(plates=tuple(WavePlate(thickness=1e-3 * mm, orientation=theta)
+                                        for mm, theta in plates))
+    s1 = GaussianSpectrum(3.7e14, sigma)
+    s2 = GaussianSpectrum(3.7e14 + shift_over_sigma * sigma, sigma)
+    return ProbingRecord(rho1, rho2, apply_channel(stack, s1, rho1), apply_channel(stack, s2, rho2),
+                         delta_mu=shift_over_sigma * sigma)
+
+
+def search_records(rng) -> list:
+    """Records for the search against the full grid, one group per hazard.
+
+    Criterion 5's random scenarios and draws from its adversarial search box; the
+    float-defect records of TestFloatSoundness; exact B1 = B2 ties of plus probes
+    and of mirror-symmetric diagonal records; bounds of 0 at every point; records
+    uninformative at every point.
+    """
+    records = []
+    for _ in range(40):  # criterion 5's random scenarios
+        plates = [(rng.uniform(0.5, 10.0), rng.uniform(0.0, math.pi))
+                  for _ in range(int(rng.integers(1, 6)))]
+        probes = [DensityMatrix(rand_state(rng, 2)) for _ in range(2)]
+        records.append(stack_record(*probes, plates, rng.uniform(0.3, 3.0)))
+    for _ in range(60):  # criterion 5's adversarial box: pure probes, 1 to 3 plates
+        plates = [(math.exp(rng.uniform(math.log(0.1), math.log(20.0))), rng.uniform(0.0, math.pi))
+                  for _ in range(int(rng.integers(1, 4)))]
+        probes = [bloch_pure(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+                  for _ in range(2)]
+        records.append(stack_record(*probes, plates, math.exp(rng.uniform(math.log(0.05), 0.0))))
+    dropped_root = bloch_pure(2.0032, 0.0), bloch_pure(1.13839, 3.14227)
+    records += [stack_record(*dropped_root, [(mm, 1.12578)], 0.10751) for mm in (0.00121036, 0.063)]
+    records += [plate_record(PLUS, PLUS, 5.0, 0.3, shift) for shift in (1e-9, 1e-7, 1e-5)]
+    records += [plate_record(PLUS, PLUS, mm, theta, 1.0) for mm, theta in
+                [(5.0, 0.3), (2.0, 0.7), (5.0, 0.0), (22.0, 0.0)]]
+    records += [diag_record(0.3, 0.35), diag_record(0.2, 0.6, delta_mu=3.0)]
+    records += [ProbingRecord(PLUS, PLUS, KET0, KET1, delta_mu=1.0), no_information_record()]
+    return records
+
+
+def near_pure_stack(rng, n: int) -> np.ndarray:
+    """n records (n, 4, 2, 2) of states with one eigenvalue in [1e-16, 1e-2], nearly aligned.
+
+    Small roots of their sandwiches cross EIG_FLOOR between grid points, where the
+    floored fidelity jumps, and their bounds can be least right there.
+    """
+    def state():
+        small = 10.0 ** rng.uniform(-16.0, -2.0)
+        spectrum = [1.0 - small, small] if rng.random() < 0.3 else [small, 1.0 - small]
+        t = 10.0 ** rng.uniform(-8.0, -1.0) * rng.standard_normal() if rng.random() < 0.7 else 0.0
+        u = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]], dtype=complex)
+        m = u @ np.diag(spectrum) @ u.conj().T
+        return (m + m.conj().T) / 2.0
+
+    states = np.array([[state() for _ in range(4)] for _ in range(n)])
+    same = rng.random(n) < 0.3
+    states[same, 1] = states[same, 0]  # prepared probes alike: F_in = 1
+    return check_density_matrices(states)
+
+
+def assert_search_matches_full_grid(states, alphas, delta_mu) -> None:
+    index, value, _ = _search_optima(states, alphas, delta_mu)
+    want_index, want_value, _ = full_grid_optima(states, alphas, delta_mu)
+    np.testing.assert_array_equal(index, want_index)
+    np.testing.assert_array_equal(value, want_value)
+
+
+class TestCertifiedSearch:
+    """_search_optima against the full-grid route: each flat (2, A) argmin and value, bitwise."""
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 17, 500, 1000, 2100])
+    def test_hazard_records_on_every_grid_size(self, count):
+        records = search_records(np.random.default_rng(2041))
+        alphas = np.linspace(0.5, 0.9999, count)
+        for record in records:
+            assert_search_matches_full_grid(_record_states([record]), alphas, record.delta_mu)
+        if count == 500:
+            curves = [tightest_bound(r, alphas) for r in records]
+            assert sum(c.optimum is None for c in curves) >= 3
+            assert any(c.optimum is not None and c.optimum.value == 0.0 for c in curves)
+            assert any(c.optimum is not None and c.optimum.family == "B1"
+                       and np.nanmin(c.b2) == c.optimum.value for c in curves)
+
+    def test_near_pure_records(self):
+        rng = np.random.default_rng(2042)
+        assert_search_matches_full_grid(near_pure_stack(rng, 2000), default_alpha_grid(), 1.0)
+
+    def test_floor_bracket_holds_every_root_inside_its_gap(self):
+        # _steady marks a gap where neither root of a pair crosses EIG_FLOOR: there the
+        # kernel floors each root at every grid point inside as it does at both ends
+        rng = np.random.default_rng(2042)
+        states, alphas = near_pure_stack(rng, 2000), default_alpha_grid()
+        frames = fidelity._qubit_frames(*_pair_stacks(states))
+        logs = np.empty((2, frames.shape[1], alphas.size))
+        fidelity._qubit_fidelity_sums(frames, (1.0 - alphas) / alphas, alphas,
+                                      np.empty((4, logs[0].size)), logs)
+        below = logs < math.log(EIG_FLOOR)
+        ends = np.append(np.arange(0, alphas.size, 16), alphas.size - 1)
+        steady = _steady(logs[:, :, ends])
+        crossing = np.stack([(below[:, :, i:j + 1] != below[:, :, i:i + 1]).any(axis=2)
+                             for i, j in zip(ends[:-1], ends[1:])], axis=-1).any(axis=0)
+        assert crossing.sum() > 100  # small roots that do cross, inside 100 gaps and more
+        assert not (steady & crossing).any()
+        assert steady.mean() > 0.9
+
+    def test_tiny_shifts_where_rounding_decides(self):
+        # fractions within rounding of 1, as test_tiny_control_shift's, at shifts down to
+        # 1e-10 sigma: without its allowance the search misses about 1 in 14 of these optima
+        rng = np.random.default_rng(2043)
+        records = []
+        for _ in range(120):
+            rho1 = DensityMatrix(rand_state(rng, 2))
+            rho2 = rho1 if rng.random() < 0.5 else DensityMatrix(rand_state(rng, 2))
+            plates = [(rng.uniform(0.5, 10.0), rng.uniform(0.0, math.pi))
+                      for _ in range(int(rng.integers(1, 3)))]
+            records.append(stack_record(rho1, rho2, plates, 10.0 ** rng.uniform(-10.0, -4.0)))
+        for count in (60, 500):
+            alphas = np.linspace(0.5, 0.9999, count)
+            for record in records:
+                assert_search_matches_full_grid(_record_states([record]), alphas,
+                                                record.delta_mu)
+
+    def test_ties_within_a_family_and_unsorted_grids(self):
+        # a grid that repeats each alpha three times ties every bound with its copies,
+        # where the first copy wins; an unsorted grid has no gaps to certify
+        rng = np.random.default_rng(2044)
+        records = [reference_record(), plate_record(PLUS, PLUS, 5.0, 0.3, 1.0),
+                   diag_record(0.3, 0.35), no_information_record()]
+        states = _record_states(records)
+        repeated = np.repeat(np.linspace(0.5, 0.9999, 170), 3)
+        shuffled = rng.permutation(default_alpha_grid())
+        for alphas in (repeated, shuffled, shuffled[:17]):
+            for record in records:
+                assert_search_matches_full_grid(_record_states([record]), alphas,
+                                                record.delta_mu)
+            assert_search_matches_full_grid(states, alphas, 1.3)
+        assert _search_optima(_record_states(records[:1]), repeated, 1.0)[0][0] % 3 == 0
+
+    def test_one_clamp_warning_per_pass(self):
+        # a raw F of 1.5^alpha: the search warns once over a pass of three coarse blocks
+        # and their fills, with the largest excess it evaluated (at alpha = 0.9999);
+        # the full-grid route warns once per block of 8 records
+        states = np.array([[1.5 * KET0.matrix, KET0.matrix, PLUS.matrix, MIXED.matrix]] * 130)
+        alphas = default_alpha_grid()
+        with pytest.warns(UserWarning, match="clamping") as record:
+            _, value, curve = _search_optima(states, alphas, 1.0, curve=129)
+        assert len(record) == 1
+        assert f"{1.5 ** 0.9999 - 1.0:.3e}" in str(record[0].message)
+        with pytest.warns(UserWarning, match="clamping") as record:
+            want = list(_bound_curves(states, alphas, 1.0))
+        assert len(record) == math.ceil(130 / 8)
+        assert value.tolist() == [
+            math.inf if c.optimum is None else c.optimum.value for c in want]
+        np.testing.assert_array_equal(curve.b1, want[129].b1)
+
+    def test_allowance_bounds_the_kernel_error(self):
+        # each computed ln F lies within a thirtieth of SEARCH_ALLOWANCE of the 50-digit
+        # value, with the same floor, on near-pure, reconstructed and random pairs; a root
+        # or an eigenvalue within 1e-6 of EIG_FLOOR, which rounding may put on either side
+        # of it, is left out
+        rng = np.random.default_rng(2045)
+        pairs = [(rand_state(rng, 2), rand_state(rng, 2)) for _ in range(40)]
+        near = near_pure_stack(rng, 40)
+        pairs += [(near[k, 0], near[k, 2]) for k in range(40)]
+        settings = TomographySettings(integration_time=10.0, count_rate=200.0, seed=2046)
+        for k, rho in enumerate(reference_record().states):  # repaired pure estimates among them
+            pairs += [(reconstruct(simulate_counts(rho, settings, rng_stream(2046, (k, i)))).matrix,
+                       rho.matrix) for i in range(30)]
+        worst, floor = 0.0, math.log(EIG_FLOOR)
+        for rho1, rho2 in pairs:
+            alpha = float(rng.uniform(0.5, 0.9999))
+            frames = fidelity._qubit_frames(rho1[None], rho2[None])
+            logs = np.empty((2, 1, 1))
+            got = fidelity._qubit_fidelity_sums(frames, np.array([(1.0 - alpha) / alpha]),
+                                                np.array([alpha]), np.empty((4, 1)), logs)[0, 0]
+            if np.any(np.abs(np.append(logs, frames[0] + frames[1]) - floor) < 1e-6):
+                continue
+            want = mp_qubit_alpha_fidelity(rho1, rho2, alpha)
+            if want > 0.0:
+                worst = max(worst, abs(math.log(min(got, 1.0)) - math.log(want)))
+        assert worst < SEARCH_ALLOWANCE / 30.0
 
 
 class TestDualBounds:

@@ -6,12 +6,10 @@ Malformed state and record files have their own table, keyed by the flag,
 file or field the message must name; a record error must name its file too.
 """
 import json
-from functools import cache
 
 import numpy as np
 import pytest
 
-from alphaprobe import cli
 from alphaprobe.cli import EXIT_CONFIG, EXIT_NO_INFORMATION, EXIT_OK, main
 from alphaprobe.fidelity import MAX_ALPHA_COUNT
 from alphaprobe.linalg import matrix_to_json
@@ -414,11 +412,9 @@ def with_field(document, path, value):
     ids=[d[0] for d in FIELD_DOCUMENTS],
 )
 def test_every_field_of_a_valid_document_exits_cleanly(
-    tmp_path, capsys, monkeypatch, subcommand, flag, document
+    tmp_path, capsys, subcommand, flag, document
 ):
     """Each value class, and deletion, at every field: exit 0, 2 or 4, and exit 2 names the key."""
-    # one parser serves every case: building it costs more than most cases do
-    monkeypatch.setattr(cli, "build_parser", cache(cli.build_parser))
     path, out = tmp_path / "input.json", str(tmp_path / "out")
     failures = []
     for key_path in field_paths(document):

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from alphaprobe import fidelity, tomography
-from alphaprobe.bounds import BLOCK_ALPHA_POINTS, BoundCurve, ProbingRecord, _optima, tightest_bound
+from alphaprobe.bounds import (
+    BLOCK_ALPHA_POINTS,
+    BoundCurve,
+    ProbingRecord,
+    tightest_bound,
+)
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
 from alphaprobe.linalg import DensityMatrix, write_json
 from alphaprobe.reference import (
@@ -40,6 +45,7 @@ from alphaprobe.tomography import (
 from support import (
     MUB_KETS,
     expected_counts,
+    full_grid_optima,
     ket_born_probabilities,
     ket_observable,
     observable_sum_estimate,
@@ -404,6 +410,25 @@ def exact_truth_record():
     )
 
 
+def erased_record():
+    """The evolution erased both probes: every replica is uninformative."""
+    return ProbingRecord(
+        rho1=DensityMatrix(KET0),
+        rho2=DensityMatrix(np.diag([0.9, 0.1])),
+        phi1_rho1=DensityMatrix(MIXED),
+        phi2_rho2=DensityMatrix(MIXED),
+        delta_mu=1.0,
+    )
+
+
+def assert_same_curve(got: BoundCurve, want: BoundCurve) -> None:
+    """Equal optima, and both families and fractions equal bit for bit (NaN where NaN)."""
+    assert got.optimum == want.optimum
+    for mine, theirs in zip((got.alphas, got.b1, got.b2, *got.fractions),
+                            (want.alphas, want.b1, want.b2, *want.fractions)):
+        assert np.array_equal(mine, theirs, equal_nan=True)
+
+
 class TestMonteCarlo:
     def test_noiseless_replicas_collapse(self):
         # a noise-free replica reconstructs the rounded expected counts
@@ -449,23 +474,24 @@ class TestMonteCarlo:
     def test_every_draw_matches_a_replica_rebuilt_stream_by_stream(self):
         # the Monte-Carlo loop computes the truth's Born probabilities once,
         # derives the stream keys of SAMPLE_REPLICAS replicas in one hash,
-        # reseeds one generator per stream and bounds in blocks of
-        # max(1, BLOCK_ALPHA_POINTS // A); each value must still be the bound of
-        # the record sampled per (replica, state) stream from freshly computed
-        # probabilities, one record at a time
+        # reseeds one generator per stream and bounds a pass by the certified
+        # search, in coarse blocks of 2 x BLOCK_ALPHA_POINTS // (4 x coarse points)
+        # replicas; each value must still be the bound of the record sampled per
+        # (replica, state) stream from freshly computed probabilities, one record
+        # at a time, and replica 0's curve that record's full-grid curve
         truth = reference_record()
         states = (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
-        assert [max(1, BLOCK_ALPHA_POINTS // a) for a in (500, 600, 1100, 2049, 5)] == [
-            8, 6, 3, 1, 819]
-        assert SAMPLE_REPLICAS == 1024
+        assert BLOCK_ALPHA_POINTS == 4096 and SAMPLE_REPLICAS == 1024
         cases = [(seed, 20, None, None) for seed in (5, 601, 2**31 - 1, 2**32 + 5, 2**64 + 3)]
-        cases += [(17, replicas, None, None) for replicas in (1, 5, 7)]  # partial blocks
-        cases += [(17, 7, np.linspace(0.5, 0.9999, 600), None)]  # blocks of 6
-        cases += [(17, 7, np.linspace(0.5, 0.9999, 1100), None)]  # blocks of 3
-        cases += [(17, 5, np.linspace(0.5, 0.9999, 2049), None)]  # blocks of 1
+        cases += [(17, replicas, None, None) for replicas in (1, 5, 7)]
+        cases += [(17, 7, np.linspace(0.5, 0.9999, 600), None)]  # 39 coarse points
+        cases += [(17, 7, np.linspace(0.5, 0.9999, 1100), None)]  # 36, gaps of 31 points
+        cases += [(17, 5, np.linspace(0.5, 0.9999, 2049), None)]  # 65, the last gap full
         cases += [(17, 7, None, [6, 2, 5, 0, 3, 1, 4])]  # replica 0 mid-block
-        # two sampling passes (1024 + 3), the first in blocks of 819 and 205 that end
-        # at the pass boundary, replica 0 last
+        # coarse blocks of 62 and 8 replicas at 33 points, replica 0 in the second
+        cases += [(17, 70, None, list(range(69, -1, -1)))]
+        # two sampling passes (1024 + 3), the first in coarse blocks of 682 and 342
+        # that end at the pass boundary, replica 0 last
         cases += [(17, 1027, np.linspace(0.5, 0.9999, 5), list(range(1026, -1, -1)))]
         for seed, replicas, grid, order in cases:
             cfg = settings(time=60.0, rate=200.0, seed=seed)
@@ -495,17 +521,23 @@ class TestMonteCarlo:
 
     def test_alpha_free_half_runs_once_per_sampling_pass(self, monkeypatch):
         # rho2's eigendecomposition and rho1's rotation run once over a pass's
-        # 4 x replicas fidelity pairs; the per-alpha half runs per block of records
+        # 4 x replicas fidelity pairs; the per-alpha half then runs the certified
+        # search, a coarse call and a fill call per block of records, and last
+        # replica 0's full grid from the same frames
         calls = record_kernel_halves(monkeypatch)
         truth, cfg = reference_record(), settings(time=60.0, rate=200.0, seed=3)
         monte_carlo_bounds(truth, cfg, 100)
-        # blocks of 4096 // 500 = 8 replicas, the last one partial
-        assert calls == [("frames", 400)] + [("sums", 32)] * 12 + [("sums", 16)]
+        # blocks of 8192 // (4 x 33) = 62 replicas at 33 coarse points, then 38; a fill
+        # call holds two pairs per gap it fills, here 229 and 140 gaps of 15 points
+        assert calls == [("frames", 400), ("sums", 248), ("sums", 458, 15), ("sums", 152),
+                         ("sums", 280, 15), ("sums", 4)]
         calls.clear()
-        # passes of 1024 and 3 replicas, blocks of 4096 // 5 = 819: 819 + 205, then 3
+        # passes of 1024 and 3 replicas at A = 5: 3 coarse points and 2 gaps of one
+        # point, blocks of 8192 // 12 = 682 replicas, every gap filled
         monte_carlo_bounds(truth, cfg, 1027, np.linspace(0.5, 0.9999, 5))
-        assert calls == [("frames", 4096), ("sums", 3276), ("sums", 820),
-                         ("frames", 12), ("sums", 12)]
+        assert calls == [("frames", 4096), ("sums", 2728), ("sums", 5456, 1), ("sums", 1368),
+                         ("sums", 2736, 1), ("sums", 4), ("frames", 12), ("sums", 12),
+                         ("sums", 24, 1)]
 
     def test_a_run_builds_one_bound_curve(self, monkeypatch):
         # only replica 0's curve is reported, so it is the only one built: here in
@@ -544,14 +576,50 @@ class TestMonteCarlo:
             monte_carlo_bounds(truth, cfg, 8, replica_order=order)
         assert str(info.value) == want
 
+    def test_search_matches_the_full_grid_on_reconstructed_records(self, monkeypatch):
+        # 10^4 reconstructed reference records, repaired pure estimates among them: each
+        # pass's certified search against the full-grid route, index and value bit for bit
+        search, seen = tomography._search_optima, []
+
+        def checked(states, alphas, delta_mu, curve=None):
+            got = search(states, alphas, delta_mu, curve)
+            want = full_grid_optima(states, alphas, delta_mu, curve)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            assert (got[2] is None) == (want[2] is None)
+            if curve is not None:
+                assert_same_curve(got[2], want[2])
+            dets = states[..., 0, 0].real * states[..., 1, 1].real - np.abs(states[..., 0, 1]) ** 2
+            seen.append(int(np.sum(np.abs(dets) < 1e-15)))
+            return got
+
+        monkeypatch.setattr(tomography, "_search_optima", checked)
+        truth = reference_record()
+        for time in (10.0, 60.0, 360.0):
+            monte_carlo_bounds(truth, settings(time=time, rate=200.0, seed=2047), 3334)
+        # four passes a run; repaired pure estimates, at 10 s
+        assert len(seen) == 12 and sum(seen[:4]) > 200
+
+    @pytest.mark.parametrize("time, replicas, order", [
+        (10.0, 300, None), (60.0, 300, None), (360.0, 300, None),
+        (60.0, 70, list(range(69, -1, -1))),
+    ])
+    def test_report_equals_the_full_grid_route(self, monkeypatch, time, replicas, order):
+        # every MonteCarloReport field and replica 0's curve, through the search and
+        # through the full-grid route; the erased-probe truth is uninformative throughout
+        for truth in (reference_record(), exact_truth_record(), erased_record()):
+            cfg = settings(time=time, rate=200.0, seed=2048)
+            got = monte_carlo_bounds(truth, cfg, replicas, replica_order=order)
+            with monkeypatch.context() as patch:
+                patch.setattr(tomography, "_search_optima", full_grid_optima)
+                want = monte_carlo_bounds(truth, cfg, replicas, replica_order=order)
+            assert got == want
+            assert (got.mean_b_inf, got.std_b_inf, got.no_info_fraction) == (
+                want.mean_b_inf, want.std_b_inf, want.no_info_fraction)
+            assert_same_curve(got.curve0, want.curve0)
+
     def test_erased_probes_raise_no_information(self):
-        truth = ProbingRecord(
-            rho1=DensityMatrix(KET0),
-            rho2=DensityMatrix(np.diag([0.9, 0.1])),
-            phi1_rho1=DensityMatrix(MIXED),
-            phi2_rho2=DensityMatrix(MIXED),
-            delta_mu=1.0,
-        )
+        truth = erased_record()
         report = monte_carlo_bounds(truth, settings(rate=1e4), 5, SMALL_GRID)
         assert report.values == (None,) * 5
         assert report.mean_b_inf is None and report.std_b_inf is None
@@ -621,7 +689,7 @@ class TestMonteCarlo:
                 "seed": seed, "replicas": 500,
             },
         }
-        bound_blocks = tomography._bound_blocks
+        search = tomography._search_optima
         optima, calls = {}, {}
         halves = {
             "log": (fidelity._qubit_frames, fidelity._qubit_fidelity_sums),
@@ -630,21 +698,26 @@ class TestMonteCarlo:
         for name, (frames, sums) in halves.items():
             found = optima[name] = []
 
-            def recording(states, alphas, delta_mu, found=found):
-                for fractions, bounds in bound_blocks(states, alphas, delta_mu):
-                    found.extend(_optima(bounds, alphas))
-                    yield fractions, bounds
+            def recording(states, alphas, delta_mu, curve=None, found=found):
+                index, value, full = search(states, alphas, delta_mu, curve)
+                found.extend(zip(index.tolist(), value.tolist()))
+                return index, value, full
 
             # both halves substituted and every call recorded: the kernel under test runs
             calls[name] = record_kernel_halves(monkeypatch, frames, sums)
-            monkeypatch.setattr(tomography, "_bound_blocks", recording)
+            monkeypatch.setattr(tomography, "_search_optima", recording)
             run_scenario(parse_scenario(config), str(tmp_path / name))
-        # one sampling pass: the alpha-free half over 500 records, the per-alpha half per 8
-        assert calls["log"] == calls["pow"] == (
-            [("frames", 2000)] + [("sums", 32)] * 62 + [("sums", 16)])
+        # one sampling pass: the alpha-free half over 500 records, then per block of
+        # 62 records, eight and one of 4, a coarse call and fill calls of at most
+        # 8192 // 15 = 546 pairs, and replica 0's full grid; both kernels prune alike
+        got = calls["log"]
+        assert got == calls["pow"]
+        assert [c for c in got if len(c) == 2] == [
+            ("frames", 2000), *[("sums", 248)] * 8, ("sums", 16), ("sums", 4)]
+        assert all(c[1] <= 546 and c[1] % 2 == 0 and c[2] == 15 for c in got if len(c) == 3)
         assert len(optima["log"]) == len(optima["pow"]) == 500
-        for got, want in zip(optima["log"], optima["pow"]):
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got.value == pytest.approx(want.value, rel=1e-10, abs=0.0)
-                assert (got.alpha, got.family) == (want.alpha, want.family)
+        for (k, got), (j, want) in zip(optima["log"], optima["pow"]):
+            assert math.isinf(got) == math.isinf(want)
+            if not math.isinf(got):
+                assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+                assert k == j  # the same alpha and family
