@@ -39,10 +39,10 @@ BOUND_FAMILIES = ("B1", "B2")  # the bound of each order, in BOUND_ORDERS order
 _PAIR_FIRST, _PAIR_SECOND = [2, 0, 3, 1], [3, 1, 2, 0]
 # alpha points per block of _bound_blocks, which holds one record at least; the scratch of
 # _search_optima holds twice as many pairs' points. Peak memory bounds both: a Monte-Carlo
-# run of 100 replicas at A = 500 traces 1.03-1.07 MiB through the search (tracemalloc;
-# 2-vCPU Xeon, Python 3.11, numpy 2.4), against 1.18-1.19 MiB over the full grid in blocks
-# of 8; a search scratch of 4 x 4096 points traced 1.74 MiB, one of 4096 0.77 MiB and ran
-# slower. The mc-tomography benchmark allows about 2.2 MiB (5%) of growth
+# run of 100 replicas at A = 500, its search and replica 0's curve, traces 0.99-1.01 MiB
+# (tracemalloc; 2-vCPU Xeon, Python 3.11, numpy 2.4), against 1.18-1.19 MiB over the full
+# grid in blocks of 8; a search scratch of 4 x 4096 points traced 1.74 MiB, one of 4096
+# 0.77 MiB and ran slower. The mc-tomography benchmark allows about 2.2 MiB (5%) of growth
 BLOCK_ALPHA_POINTS = 4096
 # _search_optima's widening of each computed ln F_alpha, which covers an error of a third of
 # it at a gap's end and at a point inside (the kernel's is a few ulp); also the search's
@@ -83,15 +83,6 @@ def _record_states(records) -> np.ndarray:
     return np.array([[s.matrix for s in record.states] for record in records])
 
 
-def _fraction_blocks(states: np.ndarray, alphas: np.ndarray, block: int) -> Iterator[np.ndarray]:
-    """Fidelity fractions (block, 2, A), in BOUND_ORDERS order, of n records (n, 4, d, d).
-
-    One fidelity pass covers every record and order; a zero denominator gives +inf.
-    """
-    for f in _fidelity_blocks(*_pair_stacks(states), alphas, 4 * block):
-        yield _ratio(f.reshape(-1, 2, 2, alphas.size))
-
-
 def _pair_stacks(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second states (4 n, d, d) of the fidelity pairs of n records (n, 4, d, d)."""
     d = states.shape[-1]
@@ -115,8 +106,8 @@ def fraction_curve(record: ProbingRecord, alphas, order: str = "forward") -> np.
     """
     if order not in BOUND_ORDERS:
         raise ValueError(f"order must be one of {BOUND_ORDERS}, got {order!r}")
-    rows = next(_fraction_blocks(_record_states([record]), _check_alpha_grid(alphas), 1))
-    return rows[0, BOUND_ORDERS.index(order)]
+    fractions, _ = next(_bound_blocks(_record_states([record]), _check_alpha_grid(alphas), 1.0))
+    return fractions[0, BOUND_ORDERS.index(order)]
 
 
 def fraction(record: ProbingRecord, alpha: float, order: str = "forward") -> float:
@@ -214,8 +205,14 @@ def _optima(bounds: np.ndarray, alphas: np.ndarray) -> list:
 
 
 def _bound_blocks(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> Iterator[tuple]:
-    """Fractions, bounds (b, 2, A) of records (n, 4, d, d), b = max(1, BLOCK_ALPHA_POINTS // A)."""
-    for fractions in _fraction_blocks(states, alphas, max(1, BLOCK_ALPHA_POINTS // alphas.size)):
+    """Fractions, bounds (b, 2, A) of records (n, 4, d, d), b = max(1, BLOCK_ALPHA_POINTS // A).
+
+    One fidelity pass covers every record and order; fractions are in BOUND_ORDERS order,
+    +inf over a zero denominator.
+    """
+    block = 4 * max(1, BLOCK_ALPHA_POINTS // alphas.size)
+    for f in _fidelity_blocks(*_pair_stacks(states), alphas, block):
+        fractions = _ratio(f.reshape(-1, 2, 2, alphas.size))
         yield fractions, _bounds_from_fractions(fractions, alphas, delta_mu)
 
 
@@ -240,22 +237,21 @@ def _steady(logs: np.ndarray) -> np.ndarray:
             | (logs[..., :-1] > floor + SEARCH_ALLOWANCE)).all(axis=0)
 
 
-def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float,
-                   curve: int | None = None) -> tuple:
-    """_best_bounds of qubit records (n, 4, 2, 2) on a checked grid, from a certified part of it.
+def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> np.ndarray:
+    """Each least bound, inf for none, of qubit records (n, 4, 2, 2) on a checked grid.
 
-    Returns each record's flat (2, A) index and value, the bits of _best_bounds on the full
-    grid, and record `curve`'s full-grid BoundCurve (None when not asked for). The sandwiched
-    S_a = ln F_a / (a - 1) is nondecreasing in a (Mueller-Lennert et al., J. Math. Phys. 54,
-    122203 (2013)), so inside a gap (a_i, a_j) of a sorted grid every bound obeys
-    B(a)^2 >= a_i dmu^2 / (2 (S_out(a_j) - S_in(a_i))), and no point is informative where
-    that divergence gap is <= 0. A coarse sub-grid, every step-th point and both ends, is
-    evaluated first; then, a call per scratch, every interior point of each gap of each family
-    that may hold a bound at or below the record's least coarse bound. Each ln F is widened
-    by SEARCH_ALLOWANCE, a bound for the rounding at a gap's end and at a point inside it; a
+    The values of _best_bounds on the full grid, bit for bit, from a certified part of it.
+    The sandwiched S_a = ln F_a / (a - 1) is nondecreasing in a (Mueller-Lennert et al.,
+    J. Math. Phys. 54, 122203 (2013)), so inside a gap (a_i, a_j) of a sorted grid every
+    bound obeys B(a)^2 >= a_i dmu^2 / (2 (S_out(a_j) - S_in(a_i))), and no point is
+    informative where that divergence gap is <= 0. A coarse sub-grid, every step-th point
+    and both ends, is evaluated first; then, a call per scratch, every interior point of each
+    gap of each family that may hold a bound at or below the record's least coarse bound,
+    each fill folding into the record's least value. Each ln F is widened by
+    SEARCH_ALLOWANCE, a bound for the rounding at a gap's end and at a point inside it; a
     gap where a sandwich root may cross EIG_FLOOR (see _steady), and every gap of an unsorted
     grid, is always filled. Both halves of the kernel run through the fidelity module, in one
-    scratch of 2 x BLOCK_ALPHA_POINTS pairs' points (4 A at least); a pass warns of clamping
+    scratch of 2 x BLOCK_ALPHA_POINTS pairs' points (4 A at least); a call warns of clamping
     once, for the points it evaluated.
     """
     n, count = len(states), alphas.size
@@ -268,15 +264,15 @@ def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float,
     peak = -math.inf
 
     def bound_rows(pairs, index, logs=None):
-        """Clamped F (pairs, k), fractions and bounds of pairs of frame columns at grid indices."""
+        """Clamped F (pairs, k) and bounds, inf for none, of frame-column pairs at grid indices."""
         nonlocal peak
         at = index if index.ndim == 1 else np.repeat(index, 2, axis=0)  # a row per pair
         f = fidelity._qubit_fidelity_sums(frames[:, pairs], q[at], alphas[at], scratch, logs)
         peak = max(peak, f.max())
         fractions = _ratio(np.minimum(f, 1.0, out=f).reshape(-1, 2, index.shape[-1]))
-        return f, fractions, _bounds_from_fractions(fractions, alphas[index], delta_mu)
+        return f, np.fmin(_bounds_from_fractions(fractions, alphas[index], delta_mu), math.inf)
 
-    index, value = np.empty(n, np.intp), np.empty(n)
+    value = np.empty(n)
     a = alphas[cols]
     ordered = bool(np.all(alphas[1:] >= alphas[:-1]))  # an unsorted grid is filled in full
     root_half_a = np.sqrt(a[:-1] / 2.0) * (1.0 - SEARCH_ALLOWANCE)
@@ -284,40 +280,24 @@ def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float,
     for start in range(0, n, block):
         b = min(block, n - start)
         logs = np.empty((2, 4 * b, cols.size))
-        f, _, coarse = bound_rows(np.arange(4 * start, 4 * (start + b)), cols, logs)
-        coarse = np.fmin(coarse, math.inf).reshape(b, -1)  # (family, column) in flat order
-        first = coarse.argmin(axis=1)
-        incumbent = coarse[np.arange(b), first]
+        f, coarse = bound_rows(np.arange(4 * start, 4 * (start + b)), cols, logs)
+        low = value[start:start + b]
+        np.min(coarse.reshape(b, -1), axis=1, out=low)  # each record's least coarse bound
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             log_f = np.log(f, out=f).reshape(b, 2, 2, -1)  # (record, family, num/den, column)
             spread = ((SEARCH_ALLOWANCE - log_f[:, :, 0, 1:]) / (1.0 - a[1:])
                       + (log_f[:, :, 1, :-1] + SEARCH_ALLOWANCE) / (1.0 - a[:-1]))
             lower = delta_mu * root_half_a / np.sqrt(spread)  # inf only beyond the float range
         pruned = ordered & _steady(logs).reshape(b, 2, 2, -1).all(axis=2) & (
-            (spread <= 0.0) | (lower > incumbent[:, None, None]))
+            (spread <= 0.0) | (lower > low[:, None, None]))
         rec, family, gap = np.nonzero(~pruned)
-        # candidates (record, value, flat index): the coarse optimum, each filled gap's least
-        found = [(np.arange(b), incumbent, first // cols.size * count + cols[first % cols.size])]
         for s in range(0, len(rec), per_call):
             part = slice(s, s + per_call)
-            at, num = gaps[gap[part]], 4 * (start + rec[part]) + 2 * family[part]
-            fill = np.fmin(bound_rows(np.stack((num, num + 1), axis=1).ravel(), at)[2], math.inf)
-            j, r = fill.argmin(axis=1), np.arange(len(at))
-            found.append((rec[part], fill[r, j], family[part] * count + at[r, j]))
-        r, v, k = map(np.concatenate, zip(*found))
-        low = np.full(b, math.inf)
-        np.minimum.at(low, r, v)
-        tie = v == low[r]
-        at_low = np.full(b, 2 * count)
-        np.minimum.at(at_low, r[tie], k[tie])  # the first grid point of the least value
-        index[start:start + b], value[start:start + b] = at_low, low
-    full = None
-    if curve is not None:
-        _, fractions, bounds = bound_rows(np.arange(4 * curve, 4 * curve + 4), np.arange(count))
-        full = BoundCurve(alphas, *bounds, _optima(bounds[None], alphas)[0],
-                          fractions=tuple(fractions))
+            num = 4 * (start + rec[part]) + 2 * family[part]
+            fill = bound_rows(np.stack((num, num + 1), axis=1).ravel(), gaps[gap[part]])[1]
+            np.minimum.at(low, rec[part], fill.min(axis=1))
     _warn_clamped(peak - 1.0)
-    return index, value, full
+    return value
 
 
 def _bound_grid(alpha_grid) -> np.ndarray:

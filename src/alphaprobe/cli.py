@@ -135,8 +135,9 @@ def cmd_tomography(args) -> int:
         raise ConfigError(f"--time is too short for --rate: {exc}") from exc
     payloads = {"counts.json": counts, "reconstructed.json": estimate}
     writers = {name: partial(write_json, payload=p.to_json()) for name, p in payloads.items()}
-    for path in write_run_dir(args.out, writers):
-        print(f"wrote {path}")
+    with field_errors("--out"):
+        for path in write_run_dir(args.out, writers):
+            print(f"wrote {path}")
     return EXIT_OK
 
 

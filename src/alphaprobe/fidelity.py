@@ -12,6 +12,7 @@ values below 1/2 are accepted but flagged.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections.abc import Iterator
 
@@ -21,6 +22,9 @@ from .linalg import EIG_FLOOR, check_integer, check_real, state_matrix
 
 CLAMP_EXCESS = 1e-9
 DPI_ALPHA_MIN = 0.5
+# the least order: the qubit kernel's largest log factor is q log EIG_FLOOR,
+# q = (1 - alpha) / alpha, and this is the least float alpha that keeps it finite
+ALPHA_MIN = -math.log(EIG_FLOOR) / sys.float_info.max
 
 # the default alpha grid of the library, the CLI and scenario configs
 ALPHA_START = 0.5
@@ -38,9 +42,9 @@ def default_alpha_grid() -> np.ndarray:
 def _check_alpha_grid(alphas, lower: float = 0.0) -> np.ndarray:
     """Validate a grid of order parameters; the one home of the alpha rules.
 
-    Every alpha must lie in (0, 1) and at or above `lower`: 0 for fidelities,
-    where values below 1/2 are accepted but flagged, and 1/2 for width
-    bounds, which need the data-processing inequality.
+    Every alpha must lie in [ALPHA_MIN, 1) and at or above `lower`: 0 for
+    fidelities, where values below 1/2 are accepted but flagged, and 1/2 for
+    width bounds, which need the data-processing inequality.
     """
     a = np.asarray(alphas)
     if a.dtype.kind not in "iuf":  # bools, strings, bytes and objects are not converted
@@ -48,10 +52,10 @@ def _check_alpha_grid(alphas, lower: float = 0.0) -> np.ndarray:
     a = a.astype(float, copy=False)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("alpha grid must be a nonempty 1-d array")
-    if not (a.min() > 0.0 and a.min() >= lower and a.max() < 1.0):
-        interval = f"[{lower}, 1)" if lower > 0.0 else "(0, 1)"
+    least = max(lower, ALPHA_MIN)
+    if not (a.min() >= least and a.max() < 1.0):
         got = a[0] if a.size == 1 else f"[{a.min()}, {a.max()}]"
-        raise ValueError(f"alpha must lie in {interval}, got {got}")
+        raise ValueError(f"alpha must lie in [{least}, 1), got {got}")
     if a.min() < DPI_ALPHA_MIN:
         warnings.warn(
             f"alpha = {a.min()} is below 0.5: the data-processing inequality is "
@@ -62,16 +66,18 @@ def _check_alpha_grid(alphas, lower: float = 0.0) -> np.ndarray:
 
 
 def check_alpha(alpha: float) -> float:
-    """Validate a single order parameter: must lie strictly inside (0, 1)."""
+    """Validate a single order parameter: must lie in [ALPHA_MIN, 1)."""
     return float(_check_alpha_grid([alpha])[0])
 
 
 def alpha_range(start: float, stop: float, count: int, lower: float = 0.0) -> np.ndarray:
     """`count` evenly spaced orders from start to stop, validated like any grid."""
     check_integer(count, "count", 2, MAX_ALPHA_COUNT)
+    start, stop = check_real(start, "start"), check_real(stop, "stop")
     if not start < stop:
         raise ValueError(f"start must lie below stop, got [{start}, {stop}]")
-    return _check_alpha_grid(np.linspace(start, stop, count), lower)
+    _check_alpha_grid(np.array([start, stop]), lower)  # the ends first: stop - start may overflow
+    return np.linspace(start, stop, count)
 
 
 def _floor_spectrum(w: np.ndarray) -> np.ndarray:

@@ -10,10 +10,10 @@ linear inversion of the count asymmetries gives r back, repaired into a
 physical state as r / max(1, |r|). Monte-Carlo replicas repeat the full
 four-state tomography with independent counter-derived streams and propagate
 each replica through the bound pipeline; passes of replicas are sampled,
-reconstructed and validated as arrays, and each pass finds every replica's
-optimum by one certified coarse-then-fill alpha search (bounds._search_optima)
-and replica 0's curve over the full grid, with the same draws and results as
-one replica at a time through tightest_bound.
+reconstructed and validated as arrays; each pass finds every replica's least
+bound by one certified coarse-then-fill alpha search (bounds._search_optima),
+and replica 0's curve comes from the full-grid route (bounds._bound_curves),
+with the same draws and results as one replica at a time through tightest_bound.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundCurve, ProbingRecord, _bound_grid, _search_optima
+from .bounds import BoundCurve, ProbingRecord, _bound_curves, _bound_grid, _search_optima
 from .linalg import (
     DensityMatrix,
     check_density_matrices,
@@ -338,7 +338,6 @@ def monte_carlo_bounds(
     poisson = np.random.Generator(philox).poisson
     fresh = _fresh_state()  # one dict for every stream: only its key changes
     b_inf = np.empty(replicas)  # by replica index; inf where a replica has no bound
-    curve0 = None
     for start in range(0, replicas, SAMPLE_REPLICAS):
         rows = order[start:start + SAMPLE_REPLICAS]
         # state k of a replica is sampled from the stream with spawn key (replica, k)
@@ -350,10 +349,9 @@ def monte_carlo_bounds(
             philox.state = fresh
             counts.append(_draw(poisson, m))
         states = check_density_matrices(_invert(np.reshape(counts, spawn.shape[:2] + (-1,))))
-        at = rows.index(0) if 0 in rows else None  # the one curve a run reports
-        _, b_inf[rows], curve = _search_optima(states, alphas, truth.delta_mu, curve=at)
-        if curve is not None:
-            curve0 = curve
+        b_inf[rows] = _search_optima(states, alphas, truth.delta_mu)
+        if 0 in rows:  # the one curve a run reports, from replica 0's own states
+            (curve0,) = _bound_curves(states[rows.index(0)][None], alphas, truth.delta_mu)
 
     # order-independent aggregation: replica index order, compensated sums
     values = tuple(None if math.isinf(v) else v for v in b_inf.tolist())

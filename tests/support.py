@@ -44,7 +44,6 @@ from alphaprobe.bounds import (
     ProbingRecord,
     _best_bounds,
     _bound_blocks,
-    _bound_curves,
     _bounds_from_fractions,
     _optima,
     bound_summary,
@@ -233,18 +232,13 @@ def oracle_bound_rows(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -
     return rows
 
 
-def full_grid_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float,
-                     curve: int | None = None) -> tuple:
+def full_grid_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> np.ndarray:
     """`bounds._search_optima` by the full-grid route, its oracle.
 
-    Each record's flat (2, A) index and value by `_best_bounds` over the blocks of
-    `_bound_blocks`, and record `curve`'s BoundCurve from `_bound_curves` (None without one).
+    Each record's least bound, inf for none, by `_best_bounds` over the blocks of `_bound_blocks`.
     """
-    found = [_best_bounds(bounds) for _, bounds in _bound_blocks(states, alphas, delta_mu)]
-    index, value = (np.concatenate(arrays) for arrays in zip(*found))
-    full = None if curve is None else next(_bound_curves(states[curve:curve + 1], alphas,
-                                                         delta_mu))
-    return index, value, full
+    return np.concatenate([_best_bounds(bounds)[1]
+                           for _, bounds in _bound_blocks(states, alphas, delta_mu)])
 
 
 def _mp_eig2(m) -> tuple:

@@ -23,9 +23,9 @@ from alphaprobe.bounds import (
     write_bound_curve_csv,
     write_csv,
     _best_bounds,
+    _bound_blocks,
     _bound_curves,
     _bounds_from_fractions,
-    _fraction_blocks,
     _optima,
     _pair_stacks,
     _record_states,
@@ -33,9 +33,14 @@ from alphaprobe.bounds import (
     _steady,
 )
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
-from alphaprobe.fidelity import alpha_fidelity_curve, default_alpha_grid
+from alphaprobe.fidelity import alpha_fidelity, alpha_fidelity_curve, default_alpha_grid
 from alphaprobe.linalg import EIG_FLOOR, DensityMatrix, check_density_matrices
-from alphaprobe.reference import REFERENCE_SIGMA_HZ, reference_record
+from alphaprobe.reference import (
+    REFERENCE_RHO_1,
+    REFERENCE_RHO_2,
+    REFERENCE_SIGMA_HZ,
+    reference_record,
+)
 from alphaprobe.spectra import GaussianSpectrum, discretize_pair
 from alphaprobe.tomography import TomographySettings, reconstruct, rng_stream, simulate_counts
 from support import (
@@ -550,6 +555,20 @@ class TestFloatSoundness:
         assert_sound(tightest_bound(plate_record(PLUS, PLUS, 5.0, 0.3, shift_over_sigma)))
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the sandwich's small root, 6.69e-13 at alpha = 0.2, lies below "
+                          "EIG_FLOOR and is dropped, though its alpha-th power is 0.0037: "
+                          "F = 0.994327318701 against 0.998000917664")
+def test_fidelity_below_half_keeps_a_root_below_the_floor():
+    # the paper's prepared probes; the references are mpmath at 400 and at 800 digits,
+    # which agree, with no eigenvalue floor (support.mp_qubit_alpha_fidelity floors as the
+    # package does, so it cannot be the reference here)
+    for alpha, want in ((0.2, 0.998000917663741), (0.1, 0.99894032073658)):
+        with pytest.warns(UserWarning, match="below 0.5"):
+            got = alpha_fidelity(REFERENCE_RHO_1, REFERENCE_RHO_2, alpha)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def bloch_pure(theta: float, phi: float) -> DensityMatrix:
     """The pure qubit state at Bloch polar angle theta and azimuth phi."""
     x, y, z = math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)
@@ -618,14 +637,12 @@ def near_pure_stack(rng, n: int) -> np.ndarray:
 
 
 def assert_search_matches_full_grid(states, alphas, delta_mu) -> None:
-    index, value, _ = _search_optima(states, alphas, delta_mu)
-    want_index, want_value, _ = full_grid_optima(states, alphas, delta_mu)
-    np.testing.assert_array_equal(index, want_index)
-    np.testing.assert_array_equal(value, want_value)
+    np.testing.assert_array_equal(_search_optima(states, alphas, delta_mu),
+                                  full_grid_optima(states, alphas, delta_mu))
 
 
 class TestCertifiedSearch:
-    """_search_optima against the full-grid route: each flat (2, A) argmin and value, bitwise."""
+    """_search_optima against the full-grid route: each record's least bound, bitwise."""
 
     @pytest.mark.parametrize("count", [1, 2, 5, 17, 500, 1000, 2100])
     def test_hazard_records_on_every_grid_size(self, count):
@@ -693,7 +710,9 @@ class TestCertifiedSearch:
                 assert_search_matches_full_grid(_record_states([record]), alphas,
                                                 record.delta_mu)
             assert_search_matches_full_grid(states, alphas, 1.3)
-        assert _search_optima(_record_states(records[:1]), repeated, 1.0)[0][0] % 3 == 0
+        # the full-grid route decides alpha*: the first copy of the least bound's alpha
+        _, bounds = next(_bound_blocks(_record_states(records[:1]), repeated, 1.0))
+        assert _best_bounds(bounds)[0][0] % 3 == 0
 
     def test_one_clamp_warning_per_pass(self):
         # a raw F of 1.5^alpha: the search warns once over a pass of three coarse blocks
@@ -702,7 +721,7 @@ class TestCertifiedSearch:
         states = np.array([[1.5 * KET0.matrix, KET0.matrix, PLUS.matrix, MIXED.matrix]] * 130)
         alphas = default_alpha_grid()
         with pytest.warns(UserWarning, match="clamping") as record:
-            _, value, curve = _search_optima(states, alphas, 1.0, curve=129)
+            value = _search_optima(states, alphas, 1.0)
         assert len(record) == 1
         assert f"{1.5 ** 0.9999 - 1.0:.3e}" in str(record[0].message)
         with pytest.warns(UserWarning, match="clamping") as record:
@@ -710,7 +729,6 @@ class TestCertifiedSearch:
         assert len(record) == math.ceil(130 / 8)
         assert value.tolist() == [
             math.inf if c.optimum is None else c.optimum.value for c in want]
-        np.testing.assert_array_equal(curve.b1, want[129].b1)
 
     def test_allowance_bounds_the_kernel_error(self):
         # each computed ln F lies within a thirtieth of SEARCH_ALLOWANCE of the 50-digit
@@ -759,7 +777,7 @@ class TestDualBounds:
         for rec in records:
             for a in (0.5, float(rng.uniform(0.5, 0.9999)), 0.9999):
                 grid = np.array([a])
-                fractions = next(_fraction_blocks(_record_states([rec]), grid, 1))[0]
+                fractions = next(_bound_blocks(_record_states([rec]), grid, 1.0))[0][0]
                 unit = _bounds_from_fractions(fractions, grid, 1.0)
                 best = float(np.fmin(*unit)[0])
                 want = None if math.isnan(best) else math.inf if best == 0.0 else 1.0 / best

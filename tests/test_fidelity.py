@@ -5,6 +5,7 @@ import pytest
 
 from alphaprobe import fidelity
 from alphaprobe.fidelity import (
+    ALPHA_MIN,
     alpha_fidelity,
     alpha_fidelity_curve,
     alpha_range,
@@ -12,7 +13,7 @@ from alphaprobe.fidelity import (
     dpi_margin,
     renyi_divergence,
 )
-from alphaprobe.linalg import check_density_matrices
+from alphaprobe.linalg import EIG_FLOOR, check_density_matrices
 from alphaprobe.reference import (
     REFERENCE_DELTA_MU_HZ,
     REFERENCE_RHO_1,
@@ -153,6 +154,25 @@ class TestAlphaFidelity:
         want = alpha_fidelity_curve(REFERENCE_RHO_1, REFERENCE_RHO_2, grid.astype(float))
         assert np.array_equal(got, want)
 
+    def test_least_order_keeps_the_kernel_in_float_range(self):
+        # q = (1 - alpha) / alpha times log EIG_FLOOR, the qubit kernel's largest log
+        # factor, is finite from ALPHA_MIN (about 1.537e-307) on and overflows below it
+        log_floor = math.log(EIG_FLOOR)
+        below = math.nextafter(ALPHA_MIN, 0.0)
+        assert math.isfinite((1.0 - ALPHA_MIN) / ALPHA_MIN * log_floor)
+        assert math.isinf((1.0 - below) / below * log_floor)
+        rng = np.random.default_rng(62)
+        states = [REFERENCE_RHO_1, REFERENCE_RHO_2, KET0, KET1, np.eye(2) / 2,
+                  qubit_with_small_eigenvalue(rng, EIG_FLOOR)]
+        for rho1 in states:
+            for rho2 in states:
+                with pytest.warns(UserWarning, match="below 0.5") as record:
+                    alpha_fidelity_curve(rho1, rho2, [ALPHA_MIN, 1e-300, 0.25])
+                assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
+        for tiny in (below, 1e-308, 1e-320, 5e-324):
+            with pytest.raises(ValueError, match=rf"\[{ALPHA_MIN!r}, 1\), got {tiny!r}$"):
+                alpha_fidelity_curve(REFERENCE_RHO_1, REFERENCE_RHO_2, [tiny])
+
     def test_alpha_below_half_warns(self):
         with pytest.warns(UserWarning, match="below 0.5"):
             alpha_fidelity(KET0, KET0, 0.3)
@@ -176,6 +196,16 @@ class TestAlphaFidelity:
                 alpha_range(0.5, 0.9, bad)
         with pytest.raises(ValueError, match="count must be at least 2"):
             alpha_range(0.5, 0.9, 1)
+
+    def test_alpha_range_ends_must_be_finite(self):
+        # each end is checked before the grid is built, so the message names the value given
+        for start, stop, what in ((0.5, math.inf, "stop"), (math.nan, 0.9999, "start"),
+                                  (-math.inf, 0.9, "start"), (0.5, "0.9", "stop")):
+            with pytest.raises(ValueError, match=f"{what} must be a finite number, got"):
+                alpha_range(start, stop, 5)
+        # finite ends whose difference, the grid's span, overflows
+        with pytest.raises(ValueError, match=r"got \[-1e\+308, 1e\+308\]"):
+            alpha_range(-1e308, 1e308, 5)
 
     def test_default_grid_shape(self):
         grid = default_alpha_grid()

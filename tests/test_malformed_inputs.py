@@ -196,6 +196,12 @@ CASES = [
      ["--time", "60", "--rate", "200", "--seed", "7", "--out", "{tmp}/state.json/run"],
      "output directory"),
     ("csv-in-a-missing-directory", "afid", None, ["--csv", "{tmp}/missing/x.csv"], "--csv"),
+    ("alpha-below-the-least-order", "afid", None, ["--alpha", "1e-308"],
+     "--alpha: alpha must lie in [1.5370265692228274e-307, 1), got 1e-308"),
+    ("alpha-stop-infinite", "afid", None, ["--alpha-stop", "inf"],
+     "stop must be a finite number, got inf"),
+    ("alpha-start-nan", "afid", None, ["--alpha-start", "nan"],
+     "start must be a finite number, got nan"),
     ("csv-empty-path", "afid", None, ["--csv", ""], "--csv  cannot be written"),
     ("width-ratio-overflow", "simulate", tiny_width_config(), [], "spectra: a bound of"),
     ("width-ratio-overflow-sweep", "sweep",
@@ -431,4 +437,51 @@ def test_every_field_of_a_valid_document_exits_cleanly(
                 failures.append(f"{case}: {code!r}")
             elif code == EXIT_CONFIG and str(key_path[0]) not in err:
                 failures.append(f"{case}: exit 2 without naming {key_path[0]}: {err.strip()}")
+    assert not failures, "\n".join(failures)
+
+
+# one value of each class for a flag, as the shell passes it: numbers (2**64 as digits), then
+# paths, which FLAG_PATHS fills in with files made for each case
+FLAG_VALUES = ["nan", "inf", "-inf", "1e400", "-1", "0", "-0.0", "5e-324", "1e-308", "0.25",
+               "1e308", str(2**64), "x", "", "{missing}", "{directory}", "{not-json}", "{qutrit}"]
+FLAG_PATHS = {"missing": "missing.json", "directory": "directory", "not-json": "not.json",
+              "qutrit": "qutrit.json", "qubit": "qubit.json"}
+
+# (subcommand, its valid arguments, the flags given each value in turn)
+FLAG_COMMANDS = [
+    ("afid", ["--rho1", "{qubit}", "--rho2", "{qubit}"],
+     ["--rho1", "--rho2", "--alpha", "--alpha-start", "--alpha-stop", "--alpha-count", "--csv"]),
+    ("tomography", ["--state", "{qubit}", "--time", "60", "--rate", "200", "--seed", "7"],
+     ["--state", "--time", "--rate", "--seed", "--out"]),
+]
+
+
+@pytest.mark.parametrize("subcommand, valid, flags", FLAG_COMMANDS,
+                         ids=[c[0] for c in FLAG_COMMANDS])
+def test_every_flag_exits_cleanly(tmp_path, monkeypatch, capsys, subcommand, valid, flags):
+    """Each value class at every flag: exit 0 or 2, exit 2 naming the flag, nothing escaping."""
+    failures = []
+    for flag in flags:
+        for i, value in enumerate(FLAG_VALUES):
+            case = tmp_path / f"{flag}-{i}"  # a fresh working directory: outputs land here
+            (case / FLAG_PATHS["directory"]).mkdir(parents=True)
+            (case / FLAG_PATHS["not-json"]).write_text("not JSON", encoding="utf-8")
+            for name, matrix in (("qubit", REFERENCE_EVOLVED_1), ("qutrit", np.eye(3) / 3)):
+                (case / FLAG_PATHS[name]).write_text(json.dumps(matrix_to_json(matrix)),
+                                                     encoding="utf-8")
+            monkeypatch.chdir(case)
+            args = dict(zip(valid[::2], valid[1::2]))
+            args[flag] = value
+            argv = [subcommand, *(a.format(**FLAG_PATHS) for kv in args.items() for a in kv)]
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+            except Exception as exc:  # noqa: BLE001 -- every escape is a failure of the case
+                code = exc
+            err = capsys.readouterr().err
+            if code not in (EXIT_OK, EXIT_CONFIG):
+                failures.append(f"{flag} {value!r}: {code!r}")
+            elif code == EXIT_CONFIG and flag not in err:
+                failures.append(f"{flag} {value!r}: exit 2 without naming {flag}: {err.strip()}")
     assert not failures, "\n".join(failures)

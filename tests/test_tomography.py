@@ -9,6 +9,8 @@ from alphaprobe.bounds import (
     BLOCK_ALPHA_POINTS,
     BoundCurve,
     ProbingRecord,
+    _best_bounds,
+    _bound_blocks,
     tightest_bound,
 )
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
@@ -523,21 +525,21 @@ class TestMonteCarlo:
         # rho2's eigendecomposition and rho1's rotation run once over a pass's
         # 4 x replicas fidelity pairs; the per-alpha half then runs the certified
         # search, a coarse call and a fill call per block of records, and last
-        # replica 0's full grid from the same frames
+        # replica 0's full grid, with its own frames
         calls = record_kernel_halves(monkeypatch)
         truth, cfg = reference_record(), settings(time=60.0, rate=200.0, seed=3)
         monte_carlo_bounds(truth, cfg, 100)
         # blocks of 8192 // (4 x 33) = 62 replicas at 33 coarse points, then 38; a fill
         # call holds two pairs per gap it fills, here 229 and 140 gaps of 15 points
         assert calls == [("frames", 400), ("sums", 248), ("sums", 458, 15), ("sums", 152),
-                         ("sums", 280, 15), ("sums", 4)]
+                         ("sums", 280, 15), ("frames", 4), ("sums", 4)]
         calls.clear()
         # passes of 1024 and 3 replicas at A = 5: 3 coarse points and 2 gaps of one
         # point, blocks of 8192 // 12 = 682 replicas, every gap filled
         monte_carlo_bounds(truth, cfg, 1027, np.linspace(0.5, 0.9999, 5))
         assert calls == [("frames", 4096), ("sums", 2728), ("sums", 5456, 1), ("sums", 1368),
-                         ("sums", 2736, 1), ("sums", 4), ("frames", 12), ("sums", 12),
-                         ("sums", 24, 1)]
+                         ("sums", 2736, 1), ("frames", 4), ("sums", 4), ("frames", 12),
+                         ("sums", 12), ("sums", 24, 1)]
 
     def test_a_run_builds_one_bound_curve(self, monkeypatch):
         # only replica 0's curve is reported, so it is the only one built: here in
@@ -578,17 +580,12 @@ class TestMonteCarlo:
 
     def test_search_matches_the_full_grid_on_reconstructed_records(self, monkeypatch):
         # 10^4 reconstructed reference records, repaired pure estimates among them: each
-        # pass's certified search against the full-grid route, index and value bit for bit
+        # pass's certified search against the full-grid route, each least bound bit for bit
         search, seen = tomography._search_optima, []
 
-        def checked(states, alphas, delta_mu, curve=None):
-            got = search(states, alphas, delta_mu, curve)
-            want = full_grid_optima(states, alphas, delta_mu, curve)
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
-            assert (got[2] is None) == (want[2] is None)
-            if curve is not None:
-                assert_same_curve(got[2], want[2])
+        def checked(states, alphas, delta_mu):
+            got = search(states, alphas, delta_mu)
+            np.testing.assert_array_equal(got, full_grid_optima(states, alphas, delta_mu))
             dets = states[..., 0, 0].real * states[..., 1, 1].real - np.abs(states[..., 0, 1]) ** 2
             seen.append(int(np.sum(np.abs(dets) < 1e-15)))
             return got
@@ -696,24 +693,30 @@ class TestMonteCarlo:
             "pow": (pow_qubit_frames, pow_qubit_fidelity_sums),
         }
         for name, (frames, sums) in halves.items():
-            found = optima[name] = []
+            passes = []
 
-            def recording(states, alphas, delta_mu, curve=None, found=found):
-                index, value, full = search(states, alphas, delta_mu, curve)
-                found.extend(zip(index.tolist(), value.tolist()))
-                return index, value, full
+            def recording(states, alphas, delta_mu, passes=passes):
+                passes.append((states, alphas, delta_mu, search(states, alphas, delta_mu)))
+                return passes[-1][-1]
 
             # both halves substituted and every call recorded: the kernel under test runs
-            calls[name] = record_kernel_halves(monkeypatch, frames, sums)
+            recorded = record_kernel_halves(monkeypatch, frames, sums)
             monkeypatch.setattr(tomography, "_search_optima", recording)
             run_scenario(parse_scenario(config), str(tmp_path / name))
+            calls[name] = recorded[:]
+            # the full-grid route, where a tie still decides alpha*, gives each alpha and family
+            ((states, alphas, delta_mu, value),) = passes
+            index = np.concatenate([_best_bounds(bounds)[0]
+                                    for _, bounds in _bound_blocks(states, alphas, delta_mu)])
+            optima[name] = list(zip(index.tolist(), value.tolist()))
         # one sampling pass: the alpha-free half over 500 records, then per block of
         # 62 records, eight and one of 4, a coarse call and fill calls of at most
-        # 8192 // 15 = 546 pairs, and replica 0's full grid; both kernels prune alike
+        # 8192 // 15 = 546 pairs, and replica 0's own frames and full grid; both kernels
+        # prune alike
         got = calls["log"]
         assert got == calls["pow"]
         assert [c for c in got if len(c) == 2] == [
-            ("frames", 2000), *[("sums", 248)] * 8, ("sums", 16), ("sums", 4)]
+            ("frames", 2000), *[("sums", 248)] * 8, ("sums", 16), ("frames", 4), ("sums", 4)]
         assert all(c[1] <= 546 and c[1] % 2 == 0 and c[2] == 15 for c in got if len(c) == 3)
         assert len(optima["log"]) == len(optima["pow"]) == 500
         for (k, got), (j, want) in zip(optima["log"], optima["pow"]):
