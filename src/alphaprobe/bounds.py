@@ -30,7 +30,7 @@ from .fidelity import (
     _warn_clamped,
     default_alpha_grid,
 )
-from .linalg import EIG_FLOOR, DensityMatrix, check_positive
+from .linalg import DensityMatrix, check_positive
 
 BOUND_ORDERS = ("forward", "reversed")
 BOUND_FAMILIES = ("B1", "B2")  # the bound of each order, in BOUND_ORDERS order
@@ -44,9 +44,9 @@ _PAIR_FIRST, _PAIR_SECOND = [2, 0, 3, 1], [3, 1, 2, 0]
 # grid in blocks of 8; a search scratch of 4 x 4096 points traced 1.74 MiB, one of 4096
 # 0.77 MiB and ran slower. The mc-tomography benchmark allows about 2.2 MiB (5%) of growth
 BLOCK_ALPHA_POINTS = 4096
-# _search_optima's widening of each computed ln F_alpha, which covers an error of a third of
-# it at a gap's end and at a point inside (the kernel's is a few ulp); also the search's
-# relative slack on a bound and its margin, in log units, around the root floor
+# _search_optima's one float allowance: its widening of each computed ln F_alpha, which covers
+# an error of a third of it at a gap's end and at a point inside (the kernel's is a few ulp),
+# and its relative slack on a bound
 SEARCH_ALLOWANCE = 2.0**-20
 
 
@@ -223,20 +223,6 @@ def _bound_curves(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> It
             yield BoundCurve(alphas, b[0], b[1], optimum, fractions=(f[0], f[1]))
 
 
-def _steady(logs: np.ndarray) -> np.ndarray:
-    """Whether neither sandwich root of a pair crosses EIG_FLOOR inside a gap, (m, c - 1).
-
-    logs (2, m, c) holds log lo and log hi of m pairs at the c ends of the gaps, alpha
-    increasing. Both rise with alpha: log hi = q log l2 + log h, h falling as q grows, and
-    log lo = q log l1 + log det rho1 - log h has the slope (1 - e) log l1 + e log l2 <= 0
-    in q, e = t h'(t) / h in [0, 1] being the elasticity of h in t = (l1 / l2)^q. So a root
-    lies between its values at a gap's ends; SEARCH_ALLOWANCE widens the floor.
-    """
-    floor = math.log(EIG_FLOOR)
-    return ((logs[..., 1:] < floor - SEARCH_ALLOWANCE)
-            | (logs[..., :-1] > floor + SEARCH_ALLOWANCE)).all(axis=0)
-
-
 def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> np.ndarray:
     """Each least bound, inf for none, of qubit records (n, 4, 2, 2) on a checked grid.
 
@@ -248,11 +234,11 @@ def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> n
     and both ends, is evaluated first; then, a call per scratch, every interior point of each
     gap of each family that may hold a bound at or below the record's least coarse bound,
     each fill folding into the record's least value. Each ln F is widened by
-    SEARCH_ALLOWANCE, a bound for the rounding at a gap's end and at a point inside it; a
-    gap where a sandwich root may cross EIG_FLOOR (see _steady), and every gap of an unsorted
-    grid, is always filled. Both halves of the kernel run through the fidelity module, in one
-    scratch of 2 x BLOCK_ALPHA_POINTS pairs' points (4 A at least); a call warns of clamping
-    once, for the points it evaluated.
+    SEARCH_ALLOWANCE, a bound for the rounding at a gap's end and at a point inside it; every
+    gap of an unsorted grid is filled. The kernel floors only alpha-free inputs, which keeps
+    S_a monotone (see the README). Both halves of the kernel run through the fidelity module,
+    in one scratch of 2 x BLOCK_ALPHA_POINTS pairs' points (4 A at least); a call warns of
+    clamping once, for the points it evaluated.
     """
     n, count = len(states), alphas.size
     step = max(2, 1 << (math.isqrt(count).bit_length() - 1))  # about sqrt(A): 16 at A = 500
@@ -263,11 +249,11 @@ def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> n
     scratch = np.empty((4, max(4 * count, min(4 * n * count, 2 * BLOCK_ALPHA_POINTS))))
     peak = -math.inf
 
-    def bound_rows(pairs, index, logs=None):
+    def bound_rows(pairs, index):
         """Clamped F (pairs, k) and bounds, inf for none, of frame-column pairs at grid indices."""
         nonlocal peak
         at = index if index.ndim == 1 else np.repeat(index, 2, axis=0)  # a row per pair
-        f = fidelity._qubit_fidelity_sums(frames[:, pairs], q[at], alphas[at], scratch, logs)
+        f = fidelity._qubit_fidelity_sums(frames[:, pairs], q[at], alphas[at], scratch)
         peak = max(peak, f.max())
         fractions = _ratio(np.minimum(f, 1.0, out=f).reshape(-1, 2, index.shape[-1]))
         return f, np.fmin(_bounds_from_fractions(fractions, alphas[index], delta_mu), math.inf)
@@ -279,8 +265,7 @@ def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> n
     block, per_call = scratch.shape[1] // (4 * cols.size), scratch.shape[1] // (2 * gaps.shape[1])
     for start in range(0, n, block):
         b = min(block, n - start)
-        logs = np.empty((2, 4 * b, cols.size))
-        f, coarse = bound_rows(np.arange(4 * start, 4 * (start + b)), cols, logs)
+        f, coarse = bound_rows(np.arange(4 * start, 4 * (start + b)), cols)
         low = value[start:start + b]
         np.min(coarse.reshape(b, -1), axis=1, out=low)  # each record's least coarse bound
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -288,8 +273,7 @@ def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> n
             spread = ((SEARCH_ALLOWANCE - log_f[:, :, 0, 1:]) / (1.0 - a[1:])
                       + (log_f[:, :, 1, :-1] + SEARCH_ALLOWANCE) / (1.0 - a[:-1]))
             lower = delta_mu * root_half_a / np.sqrt(spread)  # inf only beyond the float range
-        pruned = ordered & _steady(logs).reshape(b, 2, 2, -1).all(axis=2) & (
-            (spread <= 0.0) | (lower > low[:, None, None]))
+        pruned = ordered & ((spread <= 0.0) | (lower > low[:, None, None]))
         rec, family, gap = np.nonzero(~pruned)
         for s in range(0, len(rec), per_call):
             part = slice(s, s + per_call)

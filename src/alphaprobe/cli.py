@@ -27,6 +27,7 @@ from .linalg import DensityMatrix, write_json
 from .scenario import (
     ConfigError,
     GoldenCheckError,
+    OutputError,
     bound_record,
     field_errors,
     load_json,
@@ -113,7 +114,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _print_report(run_scenario(load_scenario(args.config), out_dir=args.out))
+    with field_errors("--config"):
+        config = load_scenario(args.config)
+    _print_report(run_scenario(config, out_dir=args.out))
     return EXIT_OK
 
 
@@ -135,9 +138,8 @@ def cmd_tomography(args) -> int:
         raise ConfigError(f"--time is too short for --rate: {exc}") from exc
     payloads = {"counts.json": counts, "reconstructed.json": estimate}
     writers = {name: partial(write_json, payload=p.to_json()) for name, p in payloads.items()}
-    with field_errors("--out"):
-        for path in write_run_dir(args.out, writers):
-            print(f"wrote {path}")
+    for path in write_run_dir(args.out, writers):
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -157,7 +159,9 @@ def cmd_reproduce_fig4(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _print_report(sweep_thickness(load_scenario(args.config), out_dir=args.out))
+    with field_errors("--config"):
+        config = load_scenario(args.config)
+    _print_report(sweep_thickness(config, out_dir=args.out))
     return EXIT_OK
 
 
@@ -226,8 +230,9 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning  # one stable line, no source path
             return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except ConfigError as exc:  # a run directory's output error is one of --out
+        flag = "--out: " if isinstance(exc, OutputError) and "out" in args else ""
+        print(f"config error: {flag}{exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GoldenCheckError as exc:
         print(f"golden check failed: {exc}", file=sys.stderr)

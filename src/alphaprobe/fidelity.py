@@ -87,21 +87,24 @@ def _floor_spectrum(w: np.ndarray) -> np.ndarray:
 def _qubit_frames(rho1s: np.ndarray, rho2s: np.ndarray) -> np.ndarray:
     """The alpha-free half of the qubit kernel for validated stacks (n, 2, 2): rows (6, n).
 
-    In rho2's eigenbasis V (floored eigenvalues l1 <= l2, log 0 = -inf), rho1' = V^dagger rho1 V:
-    log l1 - log l2, log l2, log det(rho1) (rho1's own det), |r'_01|^2, r'_00 / 2 and r'_11 / 2.
+    In rho2's eigenbasis V, rho1' = V^dagger rho1 V: log l1 - log l2, log l2, log det(rho1),
+    |r'_01|^2, r'_00 / 2 and r'_11 / 2. Eigenvalues l1 <= l2, det(rho1) and the populations
+    r'_00, r'_11 below EIG_FLOOR are 0, and so is |r'_01|^2 beside a zero population, as
+    positivity demands: rounding leaves them about 1e-17 of either sign where they are 0.
     """
     w2, v2 = np.linalg.eigh(rho2s)
     r = np.conj(np.swapaxes(v2, 1, 2)) @ rho1s @ v2
     det1 = rho1s[:, 0, 0].real * rho1s[:, 1, 1].real - np.abs(rho1s[:, 0, 1]) ** 2
+    inputs = _floor_spectrum(np.column_stack((w2, det1, r[:, 0, 0].real, r[:, 1, 1].real)))
+    b2 = np.where(inputs[:, 3:].all(axis=1), np.abs(r[:, 0, 1]) ** 2, 0.0)
     with np.errstate(divide="ignore"):
-        logs = np.log(_floor_spectrum(w2))
-        log_det1 = np.log(np.maximum(det1, 0.0))
-    return np.stack((logs[:, 0] - logs[:, 1], logs[:, 1], log_det1,
-                     np.abs(r[:, 0, 1]) ** 2, 0.5 * r[:, 0, 0].real, 0.5 * r[:, 1, 1].real))
+        logs = np.log(inputs[:, :3])
+    return np.stack((logs[:, 0] - logs[:, 1], logs[:, 1], logs[:, 2], b2,
+                     0.5 * inputs[:, 3], 0.5 * inputs[:, 4]))
 
 
 def _qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray,
-                         scratch: np.ndarray, logs: np.ndarray | None = None) -> np.ndarray:
+                         scratch: np.ndarray) -> np.ndarray:
     """The per-alpha half: unclipped F_alpha of m pairs' frames (6, m), shape (m, k).
 
     The grid and q = (1 - alpha) / alpha are one row (k,) for every pair or a row per
@@ -109,8 +112,7 @@ def _qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray,
     With t = (l1 / l2)^q, the sandwich's large root is hi = l2^q h,
     h = (t r'_00 + r'_11 + sqrt((t r'_00 - r'_11)^2 + 4 t |r'_01|^2)) / 2 (terms of one sign);
     the small one, (l1 l2)^q det(rho1) / hi, keeps its precision near purity.
-    Roots stay logs until exp(alpha log root); lo <= hi; below EIG_FLOOR a root is 0.
-    logs (2, m, k), when given, receives log lo and log hi before that floor.
+    Roots stay logs until exp(alpha log root); lo <= hi; unlike the inputs, no root is floored.
     Log roots (then their powers), t and d are (m, k) views of scratch (4, M k), M >= m.
     """
     log_t, log_l2, log_det1, b2, half00, half11 = frames[:, :, None]
@@ -132,9 +134,6 @@ def _qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray,
         lo -= hi
         hi += u
         np.fmin(lo, hi, out=lo)  # also where h = 0 made log lo NaN or +inf
-    if logs is not None:
-        np.copyto(logs, roots)
-    np.copyto(roots, -math.inf, where=roots < math.log(EIG_FLOOR))
     roots *= grid
     np.exp(roots, out=roots)
     lo += hi
@@ -171,6 +170,7 @@ def _fidelity_blocks(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray,
             half = np.einsum("nab,nmb,ncb->nmac", v2, wp, v2.conj())
             sandwich = half @ rho1s[start:start + size, None] @ half
             sandwich = (sandwich + np.conj(np.swapaxes(sandwich, -1, -2))) / 2
+            # eigvalsh's error is absolute, so unlike the qubit roots its eigenvalues keep the floor
             ws = _floor_spectrum(np.linalg.eigvalsh(sandwich))
             raw = np.sum(ws ** grid[:, None], axis=-1)
         _warn_clamped(raw.max() - 1.0)

@@ -72,6 +72,10 @@ class ConfigError(ValueError):
     """Scenario config is malformed; the message names the offending field."""
 
 
+class OutputError(ConfigError):
+    """An output directory or file cannot be created or written; the message names its path."""
+
+
 class GoldenCheckError(RuntimeError):
     """A reproduction run disagrees with the published demonstration values."""
 
@@ -101,7 +105,7 @@ def write_output(path, write, what: str = "output file") -> str:
     try:
         write(path)
     except OSError as exc:
-        raise ConfigError(f"{what} {path} cannot be written: {exc.strerror}") from exc
+        raise OutputError(f"{what} {path} cannot be written: {exc.strerror}") from exc
     return path
 
 
@@ -110,7 +114,7 @@ def write_run_dir(out_dir, writers: dict) -> tuple[str, ...]:
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"output directory {out_dir} cannot be created: {exc.strerror}") from exc
+        raise OutputError(f"output directory {out_dir} cannot be created: {exc.strerror}") from exc
     return tuple(write_output(os.path.join(out_dir, n), w) for n, w in writers.items())
 
 
@@ -371,9 +375,9 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def load_record(path) -> ProbingRecord:
-    """Read a probing record JSON; an error is a ConfigError naming the file and the field."""
-    payload = load_json(path, "record")
-    with field_errors(f"record {path}"):
+    """Read the `bound --record` JSON; an error is a ConfigError naming the flag, file and field."""
+    payload = load_json(path, "--record")
+    with field_errors(f"--record {path}"):
         _object(payload, "document root")
         states = [read_state(*_field(payload, key, "")) for key in RECORD_STATES]
         return ProbingRecord(*states, check_positive(*_field(payload, "delta_mu_hz", "")))

@@ -120,20 +120,22 @@ def eigvalsh_alpha_fidelity_curve(rho1: np.ndarray, rho2: np.ndarray, alphas) ->
 def pow_qubit_frames(rho1s: np.ndarray, rho2s: np.ndarray) -> np.ndarray:
     """The alpha-free half of the linear-domain qubit kernel for stacks (n, 2, 2): shape (6, n).
 
-    The rows are rho2's eigenvalues l1 <= l2 (each below EIG_FLOOR taken as 0), det(rho1),
-    |rho1'_01|^2, rho1'_00 and rho1'_11, with rho1' = V^dagger rho1 V in rho2's eigenbasis V.
+    The rows are rho2's eigenvalues l1 <= l2, det(rho1), |rho1'_01|^2, rho1'_00 and rho1'_11,
+    with rho1' = V^dagger rho1 V in rho2's eigenbasis V; the eigenvalues, det(rho1) and the
+    populations rho1'_00, rho1'_11 below EIG_FLOOR are taken as 0, and |rho1'_01|^2 beside
+    a zero population too.
     """
     w2, v2 = np.linalg.eigh(rho2s)
     w2 = _floor_spectrum(w2)
     r = np.conj(np.swapaxes(v2, 1, 2)) @ rho1s @ v2
     det1 = rho1s[:, 0, 0].real * rho1s[:, 1, 1].real - np.abs(rho1s[:, 0, 1]) ** 2
-    return np.stack((w2[:, 0], w2[:, 1], det1, np.abs(r[:, 0, 1]) ** 2, r[:, 0, 0].real,
-                     r[:, 1, 1].real))
+    r00, r11 = _floor_spectrum(r[:, 0, 0].real), _floor_spectrum(r[:, 1, 1].real)
+    b2 = np.abs(r[:, 0, 1]) ** 2 * ((r00 > 0.0) & (r11 > 0.0))
+    return np.stack((w2[:, 0], w2[:, 1], _floor_spectrum(det1), b2, r00, r11))
 
 
 def pow_qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray,
-                            scratch: np.ndarray | None = None,
-                            logs: np.ndarray | None = None) -> np.ndarray:
+                            scratch: np.ndarray | None = None) -> np.ndarray:
     """The per-alpha half of the linear-domain qubit kernel: unclipped F_alpha, shape (m, k).
 
     It takes `pow_qubit_frames` rows (6, m) and q = (1 - alpha) / alpha, one row (k,) or a
@@ -141,20 +143,14 @@ def pow_qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray,
     the scratch unused and returns a fresh array), and forms the same sandwich roots with
     four `pow`s and a divide per point: a = l1^q rho1'_00, c = l2^q rho1'_11 and
     |b|^2 = (l1 l2)^q |rho1'_01|^2, the large root (a + c + sqrt((a - c)^2 + 4|b|^2)) / 2
-    and the small one (l1 l2)^q det(rho1) over it, each root below EIG_FLOOR taken as 0.
-    logs (2, m, k), when given, receives the logs of the small and the large root before
-    that floor.
+    and the small one (l1 l2)^q det(rho1) over it, neither root floored.
     """
     l1, l2, det1, b2, r00, r11 = frames[:, :, None]
     p1, p2 = l1 ** q, l2 ** q  # 0^q = 0 as q > 0
     a, c, both = p1 * r00, p2 * r11, p1 * p2
     hi = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4.0 * both * b2))
     lo = np.divide(both * det1, hi, out=np.zeros_like(hi), where=hi > 0.0)
-    if logs is not None:
-        with np.errstate(divide="ignore", invalid="ignore"):  # a root of 0 or below: -inf or NaN
-            np.log(lo, out=logs[0])
-            np.log(hi, out=logs[1])
-    return _floor_spectrum(lo) ** grid + _floor_spectrum(hi) ** grid
+    return lo ** grid + hi ** grid
 
 
 def oracle_qubit_fidelity_sums(rho1s: np.ndarray, rho2s: np.ndarray,
@@ -169,14 +165,16 @@ def oracle_qubit_fidelity_sums(rho1s: np.ndarray, rho2s: np.ndarray,
     w2, v2 = np.linalg.eigh(rho2s)
     r = np.conj(np.swapaxes(v2, 1, 2)) @ rho1s @ v2
     det1 = rho1s[:, 0, 0].real * rho1s[:, 1, 1].real - np.abs(rho1s[:, 0, 1]) ** 2
-    half00, half11 = 0.5 * r[:, 0, 0, None].real, 0.5 * r[:, 1, 1, None].real
+    populations = _floor_spectrum(np.stack((r[:, 0, 0].real, r[:, 1, 1].real), axis=1))
+    b2 = np.where(populations.all(axis=1), np.abs(r[:, 0, 1]) ** 2, 0.0)
+    half00, half11 = 0.5 * populations[:, 0, None], 0.5 * populations[:, 1, None]
     q = (1.0 - grid) / grid
     roots = np.empty((2, len(w2), grid.size))
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(_floor_spectrum(w2))
         lo = np.multiply.outer(logs[:, 0] - logs[:, 1], q, out=roots[0])
         t = np.exp(lo)
-        hi = np.multiply(t, np.abs(r[:, 0, 1, None]) ** 2, out=roots[1])
+        hi = np.multiply(t, b2[:, None], out=roots[1])
         t *= half00
         d = t - half11
         hi += np.square(d, out=d)
@@ -185,11 +183,10 @@ def oracle_qubit_fidelity_sums(rho1s: np.ndarray, rho2s: np.ndarray,
         hi += half11
         np.log(hi, out=hi)
         u = np.multiply.outer(logs[:, 1], q, out=t)
-        lo += np.add(u, np.log(np.maximum(det1, 0.0))[:, None], out=d)
+        lo += np.add(u, np.log(_floor_spectrum(det1))[:, None], out=d)
         lo -= hi
         hi += u
         np.fmin(lo, hi, out=lo)
-    np.copyto(roots, -math.inf, where=roots < math.log(EIG_FLOOR))
     roots *= grid
     np.exp(roots, out=roots)
     lo += hi
@@ -208,9 +205,9 @@ def record_kernel_halves(monkeypatch, frames=None, sums=None) -> list:
     calls = []
     monkeypatch.setattr(fidelity, "_qubit_frames", lambda rho1s, rho2s:
                         calls.append(("frames", len(rho1s))) or frames(rho1s, rho2s))
-    monkeypatch.setattr(fidelity, "_qubit_fidelity_sums", lambda f, q, grid, scratch, logs=None:
+    monkeypatch.setattr(fidelity, "_qubit_fidelity_sums", lambda f, q, grid, scratch:
                         calls.append(("sums", f.shape[1], *grid.shape[1:]))
-                        or sums(f, q, grid, scratch, logs))
+                        or sums(f, q, grid, scratch))
     return calls
 
 
@@ -248,13 +245,19 @@ def _mp_eig2(m) -> tuple:
     return (a + c - d) / 2, (a + c + d) / 2
 
 
-def mp_qubit_alpha_fidelity(rho1: np.ndarray, rho2: np.ndarray, alpha: float) -> float:
+def mp_qubit_alpha_fidelity(rho1: np.ndarray, rho2: np.ndarray, alpha: float,
+                            floored: bool = True) -> float:
     """F_alpha of two qubit matrices in 50-digit arithmetic, taking their entries as exact.
 
     rho2^w is the Lagrange form f(l-) P- + f(l+) P+ of the 2x2 matrix function.
-    Spectral values below EIG_FLOOR count as zeros, as in the package, so the
-    reference differs from the float routes only by their rounding.
+    With floored, the qubit kernel's floor rule holds: an eigenvalue of rho2 below
+    EIG_FLOOR counts as zero, and so does the sandwich's small eigenvalue where det(rho1)
+    lies below EIG_FLOOR; where rho2 is not degenerate and a population Tr(P rho1) of rho1
+    lies below EIG_FLOOR, it counts as zero with rho1's coherence between P- and P+, so the
+    sandwich is diagonal. The reference then differs from the kernel only by its rounding.
+    Without floored, only a negative eigenvalue, of rho2 or of the sandwich, counts as zero.
     """
+    floor = EIG_FLOOR if floored else 0
     with mpmath.workdps(50):
         m1 = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in rho1])
         m2 = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in rho2])
@@ -262,14 +265,22 @@ def mp_qubit_alpha_fidelity(rho1: np.ndarray, rho2: np.ndarray, alpha: float) ->
         p = (1 - a) / (2 * a)
         lo, hi = _mp_eig2(m2)
         eye = mpmath.eye(2)
-        f_lo, f_hi = (0 if x < EIG_FLOOR else x**p for x in (lo, hi))
+        f_lo, f_hi = (0 if x < floor else x**p for x in (lo, hi))
         if hi - lo < mpmath.mpf(10) ** -40:
             half = f_hi * eye
         else:
             half = (f_hi * (m2 - lo * eye) - f_lo * (m2 - hi * eye)) / (hi - lo)
+            projected = ((hi * eye - m2) * m1, (m2 - lo * eye) * m1)
+            pops = [mpmath.re(m[0, 0] + m[1, 1]) / (hi - lo) for m in projected]
+            if min(pops) < floor:
+                return float(sum((0 if x < floor else f**2 * x) ** a
+                                 for f, x in zip((f_lo, f_hi), pops)))
         s = half * m1 * half
         s = (s + s.H) / 2
-        return float(sum(0 if x < EIG_FLOOR else x**a for x in _mp_eig2(s)))
+        small, large = (max(x, 0) for x in _mp_eig2(s))
+        if mpmath.re(m1[0, 0]) * mpmath.re(m1[1, 1]) - abs(m1[0, 1]) ** 2 < floor:
+            small = 0
+        return float(small**a + large**a)
 
 
 def project_to_state(m: np.ndarray) -> np.ndarray:

@@ -266,9 +266,10 @@ def test_criterion_05_adversarial_soundness():
     random draws. The bound is tightest for a thin plate and a small shift, where
     b_inf / sigma comes near 1 + (dmu / sigma)^2 / 16 at alpha = 0.5, so a bound
     scaled by 0.999 fails here. The box stops where floating point, not the
-    inequality, decides the bound: with thinner plates a sandwich root below
-    EIG_FLOOR is dropped from a small fidelity, and for dmu / sigma near 1e-7
-    rounding alone puts a fraction below 1; both give bounds under sigma.
+    inequality, may decide the bound: with thinner plates an evolved state's
+    det(rho1) can fall below EIG_FLOOR, where the kernel drops the sandwich's small
+    root, up to about 1e-6 of F at alpha = 0.5; and for dmu / sigma near 1e-7
+    rounding alone puts a fraction below 1, which gives bounds under sigma.
     """
     rng = np.random.default_rng(55)
     alphas = default_alpha_grid()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,18 @@ class TestAlphaFidelity:
     def test_orthogonal_states_vanish(self):
         for a in ALPHAS:
             assert alpha_fidelity(KET0, KET1, a) == 0.0
+
+    def test_orthogonal_pure_states_vanish_in_any_basis(self):
+        # in rho2's eigenbasis, rounding leaves rho1 = v a population of about 1e-17, of
+        # either sign, along rho2 = I - v; its alpha-th power would be 0.68 at alpha = 0.01
+        rng = np.random.default_rng(41)
+        grid = np.array([*ALPHAS, 0.2, 0.01, 1e-300])
+        for _ in range(50):
+            v = pure_qubit(rng)
+            for rho1, rho2 in ((v, np.eye(2) - v), (np.eye(2) - v, v)):
+                with pytest.warns(UserWarning, match="below 0.5"):
+                    curve = alpha_fidelity_curve(rho1, rho2, grid)
+                np.testing.assert_array_equal(curve, 0.0)
 
     def test_mixed_vs_pure_closed_form(self):
         # pure rho2 reduces to <0| I/2 |0>^alpha = 0.5^alpha
@@ -306,6 +319,31 @@ def kernel_cases() -> dict:
     return cases
 
 
+def _rotated(rho: np.ndarray, theta: float) -> np.ndarray:
+    u = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    return u @ rho @ u.T
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="an alpha-free input below EIG_FLOOR is taken as 0, though its "
+                          "alpha-th power is 0.74 at alpha = 0.01: F = 0.50348 against 0.87671 "
+                          "(det(rho1) = 1e-13) and 0.70250 against 0.92751 (a population)")
+@pytest.mark.parametrize("rho1, rho2", [
+    (_rotated(np.diag([1.0 - 1e-13, 1e-13]).astype(complex), 0.7), np.eye(2) / 2),
+    (np.diag([1.0 - 1e-13, 1e-13]).astype(complex), np.diag([0.7, 0.3]).astype(complex)),
+], ids=["det-rho1", "population"])
+def test_input_below_the_floor_counts_far_below_half(rho1, rho2):
+    # rho1's small eigenvalue, 1e-13, is a value and not rounding; the reference is
+    # mpmath at 50 digits with no floor, which agrees with the closed form
+    # 2^-(1 - a) (l+^a + l-^a) for rho2 = I / 2
+    for alpha in (0.5, 0.2, 0.01):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # below 0.5
+            got = alpha_fidelity(rho1, rho2, alpha)
+        want = mp_qubit_alpha_fidelity(rho1, rho2, alpha, floored=False)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0), alpha
+
+
 class TestLogDomainKernel:
     """The log-domain qubit kernel against the linear-domain pow kernel it replaced."""
 
@@ -323,7 +361,7 @@ class TestLogDomainKernel:
         assert np.shares_memory(got, scratch)
         want = pow_qubit_fidelity_sums(pow_qubit_frames(rho1s, rho2s), q, grid)
         assert np.max(np.abs(got - want)) <= 1e-12
-        # both floors (rho2's spectrum, the sandwich roots) zero the same points
+        # both floors (rho2's spectrum and det(rho1)) zero the same points
         np.testing.assert_array_equal(got == 0.0, want == 0.0)
         # the alpha-free and per-alpha halves are the one-piece kernel, bit for bit
         np.testing.assert_array_equal(got, oracle_qubit_fidelity_sums(rho1s, rho2s, grid))

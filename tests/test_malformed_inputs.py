@@ -445,7 +445,8 @@ def test_every_field_of_a_valid_document_exits_cleanly(
 FLAG_VALUES = ["nan", "inf", "-inf", "1e400", "-1", "0", "-0.0", "5e-324", "1e-308", "0.25",
                "1e308", str(2**64), "x", "", "{missing}", "{directory}", "{not-json}", "{qutrit}"]
 FLAG_PATHS = {"missing": "missing.json", "directory": "directory", "not-json": "not.json",
-              "qutrit": "qutrit.json", "qubit": "qubit.json"}
+              "qutrit": "qutrit.json", "qubit": "qubit.json", "config": "config.json",
+              "sweep": "sweep.json", "record": "record.json"}
 
 # (subcommand, its valid arguments, the flags given each value in turn)
 FLAG_COMMANDS = [
@@ -453,6 +454,11 @@ FLAG_COMMANDS = [
      ["--rho1", "--rho2", "--alpha", "--alpha-start", "--alpha-stop", "--alpha-count", "--csv"]),
     ("tomography", ["--state", "{qubit}", "--time", "60", "--rate", "200", "--seed", "7"],
      ["--state", "--time", "--rate", "--seed", "--out"]),
+    ("simulate", ["--config", "{config}"], ["--config", "--out"]),
+    ("sweep", ["--config", "{sweep}"], ["--config", "--out"]),
+    ("bound", ["--record", "{record}"],
+     ["--record", "--out", "--alpha-start", "--alpha-stop", "--alpha-count"]),
+    ("reproduce-fig4", [], ["--out"]),
 ]
 
 
@@ -466,9 +472,11 @@ def test_every_flag_exits_cleanly(tmp_path, monkeypatch, capsys, subcommand, val
             case = tmp_path / f"{flag}-{i}"  # a fresh working directory: outputs land here
             (case / FLAG_PATHS["directory"]).mkdir(parents=True)
             (case / FLAG_PATHS["not-json"]).write_text("not JSON", encoding="utf-8")
-            for name, matrix in (("qubit", REFERENCE_EVOLVED_1), ("qutrit", np.eye(3) / 3)):
-                (case / FLAG_PATHS[name]).write_text(json.dumps(matrix_to_json(matrix)),
-                                                     encoding="utf-8")
+            documents = {"qubit": matrix_to_json(REFERENCE_EVOLVED_1), "qutrit": QUTRIT,
+                         "config": base_config(), "sweep": sweep_config(),
+                         "record": reference_record_json()}
+            for name, document in documents.items():
+                (case / FLAG_PATHS[name]).write_text(json.dumps(document), encoding="utf-8")
             monkeypatch.chdir(case)
             args = dict(zip(valid[::2], valid[1::2]))
             args[flag] = value
