@@ -226,20 +226,20 @@ def _bound_curves(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> It
 def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> np.ndarray:
     """Each least bound, inf for none, of qubit records (n, 4, 2, 2) on a checked grid.
 
-    The values of _best_bounds on the full grid, bit for bit, from a certified part of it.
-    The sandwiched S_a = ln F_a / (a - 1) is nondecreasing in a (Mueller-Lennert et al.,
-    J. Math. Phys. 54, 122203 (2013)), so inside a gap (a_i, a_j) of a sorted grid every
-    bound obeys B(a)^2 >= a_i dmu^2 / (2 (S_out(a_j) - S_in(a_i))), and no point is
-    informative where that divergence gap is <= 0. A coarse sub-grid, every step-th point
-    and both ends, is evaluated first; then, a call per scratch, every interior point of each
-    gap of each family that may hold a bound at or below the record's least coarse bound,
-    each fill folding into the record's least value. Each ln F is widened by
-    SEARCH_ALLOWANCE, a bound for the rounding at a gap's end and at a point inside it; every
-    gap of an unsorted grid is filled. The kernel floors only alpha-free inputs, which keeps
-    S_a monotone (see the README). Both halves of the kernel run through the fidelity module,
-    in one scratch of 2 x BLOCK_ALPHA_POINTS pairs' points (4 A at least); a call warns of
-    clamping once, for the points it evaluated.
+    The values of _best_bounds on the full grid, bit for bit, from a certified part of its
+    sorted copy (a least value ignores order). The sandwiched S_a = ln F_a / (a - 1) is
+    nondecreasing in a (Mueller-Lennert et al., J. Math. Phys. 54, 122203 (2013)), so inside a
+    gap (a_i, a_j) every bound obeys B(a)^2 >= a_i dmu^2 / (2 (S_out(a_j) - S_in(a_i))), and no
+    point is informative where that divergence gap is <= 0. A coarse sub-grid, every step-th
+    point and both ends, is evaluated first; then, a call per scratch, every interior point of
+    each gap of each family that may hold a bound at or below the record's least coarse bound,
+    each fill folding into the record's least value. Each ln F is widened by SEARCH_ALLOWANCE,
+    a bound for the rounding at a gap's end and at a point inside it. The kernel floors only
+    alpha-free inputs, which keeps S_a monotone (see the README). Both halves of the kernel run
+    through the fidelity module, in one scratch of 2 x BLOCK_ALPHA_POINTS pairs' points (4 A at
+    least); a call warns of clamping once, for the points it evaluated.
     """
+    alphas = np.sort(alphas)
     n, count = len(states), alphas.size
     step = max(2, 1 << (math.isqrt(count).bit_length() - 1))  # about sqrt(A): 16 at A = 500
     cols = np.minimum(np.arange(0, count + step - 1, step), count - 1)  # and the last point
@@ -260,7 +260,6 @@ def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> n
 
     value = np.empty(n)
     a = alphas[cols]
-    ordered = bool(np.all(alphas[1:] >= alphas[:-1]))  # an unsorted grid is filled in full
     root_half_a = np.sqrt(a[:-1] / 2.0) * (1.0 - SEARCH_ALLOWANCE)
     block, per_call = scratch.shape[1] // (4 * cols.size), scratch.shape[1] // (2 * gaps.shape[1])
     for start in range(0, n, block):
@@ -273,7 +272,7 @@ def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> n
             spread = ((SEARCH_ALLOWANCE - log_f[:, :, 0, 1:]) / (1.0 - a[1:])
                       + (log_f[:, :, 1, :-1] + SEARCH_ALLOWANCE) / (1.0 - a[:-1]))
             lower = delta_mu * root_half_a / np.sqrt(spread)  # inf only beyond the float range
-        pruned = ordered & ((spread <= 0.0) | (lower > low[:, None, None]))
+        pruned = (spread <= 0.0) | (lower > low[:, None, None])
         rec, family, gap = np.nonzero(~pruned)
         for s in range(0, len(rec), per_call):
             part = slice(s, s + per_call)

@@ -29,6 +29,7 @@ from .linalg import (
     check_integer,
     check_positive,
     check_qubit,
+    state_matrix,
 )
 
 # the replica loop holds one float per replica; larger runs are rejected up front
@@ -36,7 +37,7 @@ MAX_REPLICAS = 100_000
 # expected pairs per basis (rate x time) at most: each count's mean then lies where
 # floats hold every integer, as reconstruct assumes, far inside numpy's Poisson limit
 MAX_EXPECTED_PAIRS = 2**53
-# replicas are sampled, inverted and validated in passes of up to SAMPLE_REPLICAS in evaluation
+# replicas are sampled, inverted and validated in passes of up to SAMPLE_REPLICAS in index
 # order; _search_optima bounds a pass with one eigh of its 4 x pass rho2s and one kernel scratch
 SAMPLE_REPLICAS = 1024
 
@@ -130,7 +131,7 @@ def born_probabilities(rho, basis: MeasurementBasis) -> tuple[float, float]:
     """Outcome probabilities (p_plus, p_minus) = ((1 + r_k) / 2, (1 - r_k) / 2) of basis k."""
     if basis not in MUB_BASES:
         raise ValueError(f"basis must be one of MUB_BASES, got {basis!r}")
-    r_k = _bloch(check_qubit(rho))[MUB_BASES.index(basis)]
+    r_k = _bloch(check_qubit(state_matrix(rho)))[MUB_BASES.index(basis)]
     # clip floating-point residue; the pair sums to 1
     return (min(max((1.0 + r_k) / 2.0, 0.0), 1.0), min(max((1.0 - r_k) / 2.0, 0.0), 1.0))
 
@@ -278,7 +279,7 @@ def reconstruct(
 class MonteCarloReport:
     """Aggregated bound statistics over tomography replicas.
 
-    values holds one entry per replica in replica order; None marks a replica
+    values holds one entry per replica in index order; None marks a replica
     whose reconstructed record was uninformative at every grid point. When
     every replica is, mean_b_inf and std_b_inf are None. curve0 is replica
     0's bound curve, the single experiment a run's curve artifact describes;
@@ -304,28 +305,18 @@ class MonteCarloReport:
 
 
 def monte_carlo_bounds(
-    truth: ProbingRecord,
-    settings: TomographySettings,
-    replicas: int,
-    alpha_grid=None,
-    replica_order=None,
+    truth: ProbingRecord, settings: TomographySettings, replicas: int, alpha_grid=None
 ) -> MonteCarloReport:
     """Propagate tomography shot noise through the bound pipeline.
 
     Each replica redoes the four-state tomography with its own streams
     (spawn keys (replica, state_index)) and reports the tightest bound of the
     reconstructed record; the truth states' Born probabilities are computed
-    once for all replicas. replica_order may permute the evaluation order
-    (e.g. for chunked execution); results are aggregated order-independently,
-    so any permutation yields the identical report.
+    once for all replicas. Replicas run in index order, in passes of up to
+    SAMPLE_REPLICAS; a replica's result depends on its index alone, so the
+    report does not depend on how the run is split into passes.
     """
     replicas = check_integer(replicas, "replicas", 1, MAX_REPLICAS)
-    order = list(range(replicas))
-    if replica_order is not None:
-        order = [check_integer(r, "replica_order entry") for r in replica_order]
-    if sorted(order) != list(range(replicas)):
-        raise ValueError("replica_order must be a permutation of range(replicas)")
-
     alphas = _bound_grid(alpha_grid)
     # the Poisson means of each state's six counts, computed once for all replicas
     pairs = settings.expected_pairs
@@ -339,7 +330,7 @@ def monte_carlo_bounds(
     fresh = _fresh_state()  # one dict for every stream: only its key changes
     b_inf = np.empty(replicas)  # by replica index; inf where a replica has no bound
     for start in range(0, replicas, SAMPLE_REPLICAS):
-        rows = order[start:start + SAMPLE_REPLICAS]
+        rows = np.arange(start, min(start + SAMPLE_REPLICAS, replicas))
         # state k of a replica is sampled from the stream with spawn key (replica, k)
         spawn = np.stack(np.meshgrid(rows, range(len(means)), indexing="ij"), axis=-1)
         counts = []
@@ -350,10 +341,10 @@ def monte_carlo_bounds(
             counts.append(_draw(poisson, m))
         states = check_density_matrices(_invert(np.reshape(counts, spawn.shape[:2] + (-1,))))
         b_inf[rows] = _search_optima(states, alphas, truth.delta_mu)
-        if 0 in rows:  # the one curve a run reports, from replica 0's own states
-            (curve0,) = _bound_curves(states[rows.index(0)][None], alphas, truth.delta_mu)
+        if start == 0:  # the one curve a run reports, from replica 0's own states
+            (curve0,) = _bound_curves(states[:1], alphas, truth.delta_mu)
 
-    # order-independent aggregation: replica index order, compensated sums
+    # aggregation in replica index order, compensated sums
     values = tuple(None if math.isinf(v) else v for v in b_inf.tolist())
     informative = [v for v in values if v is not None]
     mean = std = None

@@ -238,11 +238,20 @@ def full_grid_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) ->
                            for _, bounds in _bound_blocks(states, alphas, delta_mu)])
 
 
-def _mp_eig2(m) -> tuple:
-    """Eigenvalues (low, high) of a 2x2 Hermitian mpmath matrix."""
+def _mp_det2(m):
+    """Determinant of a 2x2 Hermitian mpmath matrix, from its entries."""
+    return mpmath.re(m[0, 0]) * mpmath.re(m[1, 1]) - abs(m[0, 1]) ** 2
+
+
+def _mp_eig2(m, det) -> tuple:
+    """Eigenvalues (low, high) of a 2x2 Hermitian mpmath matrix of determinant det.
+
+    The low one is det / high: (a + c - d) / 2 would cancel every digit of it once it
+    lies about 10^-dps below the high one. The zero matrix has (0, 0).
+    """
     a, c, b = mpmath.re(m[0, 0]), mpmath.re(m[1, 1]), m[0, 1]
-    d = mpmath.sqrt((a - c) ** 2 + 4 * abs(b) ** 2)
-    return (a + c - d) / 2, (a + c + d) / 2
+    high = (a + c + mpmath.sqrt((a - c) ** 2 + 4 * abs(b) ** 2)) / 2
+    return (det / high if high else mpmath.mpf(0)), high
 
 
 def mp_qubit_alpha_fidelity(rho1: np.ndarray, rho2: np.ndarray, alpha: float,
@@ -263,7 +272,7 @@ def mp_qubit_alpha_fidelity(rho1: np.ndarray, rho2: np.ndarray, alpha: float,
         m2 = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in rho2])
         a = mpmath.mpf(float(alpha))
         p = (1 - a) / (2 * a)
-        lo, hi = _mp_eig2(m2)
+        lo, hi = _mp_eig2(m2, _mp_det2(m2))
         eye = mpmath.eye(2)
         f_lo, f_hi = (0 if x < floor else x**p for x in (lo, hi))
         if hi - lo < mpmath.mpf(10) ** -40:
@@ -277,8 +286,9 @@ def mp_qubit_alpha_fidelity(rho1: np.ndarray, rho2: np.ndarray, alpha: float,
                                  for f, x in zip((f_lo, f_hi), pops)))
         s = half * m1 * half
         s = (s + s.H) / 2
-        small, large = (max(x, 0) for x in _mp_eig2(s))
-        if mpmath.re(m1[0, 0]) * mpmath.re(m1[1, 1]) - abs(m1[0, 1]) ** 2 < floor:
+        det1 = _mp_det2(m1)  # det(s) = det(half)^2 det(rho1), det(half) = f_lo f_hi
+        small, large = (max(x, 0) for x in _mp_eig2(s, (f_lo * f_hi) ** 2 * det1))
+        if det1 < floor:
             small = 0
         return float(small**a + large**a)
 

@@ -690,9 +690,10 @@ class TestCertifiedSearch:
                 assert_search_matches_full_grid(_record_states([record]), alphas,
                                                 record.delta_mu)
 
-    def test_ties_within_a_family_and_unsorted_grids(self):
+    def test_ties_within_a_family_and_unsorted_grids(self, monkeypatch):
         # a grid that repeats each alpha three times ties every bound with its copies,
-        # where the first copy wins; an unsorted grid has no gaps to certify
+        # where the first copy wins; the search sorts an unsorted grid, so it certifies
+        # the gaps of the sorted copy and makes that copy's kernel calls
         rng = np.random.default_rng(2044)
         records = [reference_record(), plate_record(PLUS, PLUS, 5.0, 0.3, 1.0),
                    diag_record(0.3, 0.35), no_information_record()]
@@ -707,6 +708,14 @@ class TestCertifiedSearch:
         # the full-grid route decides alpha*: the first copy of the least bound's alpha
         _, bounds = next(_bound_blocks(_record_states(records[:1]), repeated, 1.0))
         assert _best_bounds(bounds)[0][0] % 3 == 0
+        calls = record_kernel_halves(monkeypatch)
+        for alphas in (shuffled, shuffled[:17]):
+            made = []
+            for grid in (alphas, np.sort(alphas)):
+                calls.clear()
+                _search_optima(states, grid, 1.3)
+                made.append(list(calls))
+            assert made[0] == made[1]
 
     def test_one_clamp_warning_per_pass(self):
         # a raw F of 1.5^alpha: the search warns once over a pass of three coarse blocks

@@ -327,7 +327,7 @@ def _rotated(rho: np.ndarray, theta: float) -> np.ndarray:
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="an alpha-free input below EIG_FLOOR is taken as 0, though its "
                           "alpha-th power is 0.74 at alpha = 0.01: F = 0.50348 against 0.87671 "
-                          "(det(rho1) = 1e-13) and 0.70250 against 0.92751 (a population)")
+                          "(det(rho1) = 1e-13) and 0.70250 against 0.92759 (a population)")
 @pytest.mark.parametrize("rho1, rho2", [
     (_rotated(np.diag([1.0 - 1e-13, 1e-13]).astype(complex), 0.7), np.eye(2) / 2),
     (np.diag([1.0 - 1e-13, 1e-13]).astype(complex), np.diag([0.7, 0.3]).astype(complex)),
@@ -342,6 +342,23 @@ def test_input_below_the_floor_counts_far_below_half(rho1, rho2):
             got = alpha_fidelity(rho1, rho2, alpha)
         want = mp_qubit_alpha_fidelity(rho1, rho2, alpha, floored=False)
         assert got == pytest.approx(want, rel=1e-9, abs=0.0), alpha
+
+
+def test_reference_keeps_a_small_eigenvalue_far_below_the_large_one():
+    # the 50-digit reference takes each small eigenvalue as det / large: as
+    # (a + c - d) / 2 it would cancel once it lies about 10^-50 below the large one
+    rho1 = np.diag([1.0 - 1e-13, 1e-13]).astype(complex)
+    rho2 = np.diag([0.7, 0.3]).astype(complex)
+    exact = 0.7**0.99 * (1.0 - 1e-13) ** 0.01 + 0.3**0.99 * 1e-13**0.01  # they commute
+    got = mp_qubit_alpha_fidelity(rho1, rho2, 0.01, floored=False)
+    assert got == pytest.approx(0.9275879903844045, rel=1e-15, abs=0.0)
+    assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
+    # the limit at alpha -> 0, which the kernel reads too
+    assert mp_qubit_alpha_fidelity(REFERENCE_RHO_1, REFERENCE_RHO_2, 1e-300) == 1.0
+    with pytest.warns(UserWarning, match="below 0.5"):
+        assert alpha_fidelity(REFERENCE_RHO_1, REFERENCE_RHO_2, 1e-300) == 1.0
+    assert mp_qubit_alpha_fidelity(REFERENCE_RHO_1, REFERENCE_RHO_2, 0.2) == pytest.approx(
+        0.998000917663741, rel=1e-15, abs=0.0)
 
 
 class TestLogDomainKernel:

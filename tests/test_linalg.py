@@ -107,6 +107,9 @@ class TestDensityMatrix:
         assert dm.dim == 2
         assert not dm.matrix.flags.writeable
 
+    def test_repr_names_the_dimension(self):
+        assert repr(DensityMatrix(np.eye(2) / 2)) == "DensityMatrix(dim=2)"
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))

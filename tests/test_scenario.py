@@ -10,8 +10,9 @@ import alphaprobe.channel as channel
 import alphaprobe.scenario as scenario
 from alphaprobe.bounds import BLOCK_ALPHA_POINTS, NoInformationError
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
+from alphaprobe.cli import EXIT_GOLDEN, main
 from alphaprobe.linalg import DensityMatrix
-from alphaprobe.reference import REFERENCE_DELTA_MU_HZ, REFERENCE_SIGMA_HZ
+from alphaprobe.reference import REFERENCE_DELTA_MU_HZ, REFERENCE_SIGMA_HZ, reference_record
 from alphaprobe.scenario import (
     REFERENCE_LITERAL,
     SCHEMA_VERSION,
@@ -487,6 +488,17 @@ class TestReproduceFig4:
             reproduce_fig4(out_dir=str(tmp_path))
         assert "b2_half_over_sigma" in str(err.value)
         assert "computed" in str(err.value)
+
+    def test_a_fraction_of_one_raises_golden_error(self, tmp_path, monkeypatch, capsys):
+        # evolved probes equal to the prepared ones: every fraction is 1, which the check
+        # rejects, and the CLI exits with the golden code
+        truth = reference_record()
+        unchanged = replace(truth, phi1_rho1=truth.rho1, phi2_rho2=truth.rho2)
+        monkeypatch.setattr(scenario, "reference_record", lambda: unchanged)
+        with pytest.raises(GoldenCheckError, match="fidelity fractions must stay below 1"):
+            reproduce_fig4(out_dir=str(tmp_path / "run"))
+        assert main(["reproduce-fig4", "--out", str(tmp_path / "cli")]) == EXIT_GOLDEN
+        assert "fidelity fractions must stay below 1" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from alphaprobe.bounds import (
     tightest_bound,
 )
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
-from alphaprobe.linalg import DensityMatrix, write_json
+from alphaprobe.linalg import DensityMatrix, check_density_matrices, write_json
 from alphaprobe.reference import (
     REFERENCE_DELTA_MU_HZ,
     REFERENCE_EVOLVED_1,
@@ -173,6 +174,22 @@ class TestBornProbabilities:
         with pytest.raises(ValueError, match="qubit"):
             born_probabilities(np.eye(3) / 3, HV_BASIS)
 
+    @pytest.mark.parametrize("rho", [
+        np.diag([1.1, -0.1]), np.diag([2.0, -1.0]),  # a negative eigenvalue
+        np.eye(2),  # a trace of 2
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[0.5, 0.1], [0.0, 0.5]]),  # a Hermitian defect
+    ])
+    def test_non_states_raise_the_validators_error(self, rho):
+        # born_probabilities and simulate_counts clip nothing into a state: a
+        # non-state raises the one validator's error, type and message
+        with pytest.raises(ValueError) as want:
+            check_density_matrices(rho)
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            born_probabilities(rho, HV_BASIS)
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            simulate_counts(rho, settings(), rng_stream(7, (0,)))
+
     def test_closed_form_matches_ket_oracle(self):
         # random mixed, pure and near-pure states: each probability within 1e-15
         rng = np.random.default_rng(137)
@@ -180,7 +197,7 @@ class TestBornProbabilities:
         states += [rand_state(rng, 2, rank=1) for _ in range(4000)]
         for eps in (1e-3, 1e-9):
             states += [(1 - eps) * rand_state(rng, 2, rank=1) + eps * MIXED for _ in range(1000)]
-        states += [KET0, PLUS, MIXED, np.diag([1.1, -0.1])]
+        states += [KET0, PLUS, MIXED]
         worst = 0.0
         for rho in states:
             for basis in MUB_BASES:
@@ -227,6 +244,12 @@ class TestCounts:
             got = _philox_keys(seed, spawn)
             assert got.dtype == np.uint64 and got.shape == (len(spawn), 2)
             np.testing.assert_array_equal(got, want)
+
+    def test_philox_keys_reject_a_spawn_entry_of_2_to_the_32(self):
+        # SeedSequence hashes each spawn-key entry as one 32-bit word
+        with pytest.raises(ValueError, match="below 2\\*\\*32"):
+            _philox_keys(1, [[2**32, 0]])
+        assert _philox_keys(1, [[2**32 - 1, 0]]).shape == (1, 2)
 
     def test_reseeded_generator_starts_where_rng_stream_does(self):
         # one generator and one state dict, reset per stream as monte_carlo_bounds does
@@ -326,9 +349,9 @@ class TestReconstruct:
         records.append(CountRecord({"hv": (1000, 0), "diag": (500, 500), "circ": (7, 7)}))
         records.append(CountRecord({"hv": (0, 40), "diag": (30, 0), "circ": (0, 40)}))
         records.append(CountRecord({b.name: (1000, 1000) for b in MUB_BASES}))
-        # the oracle's own trace-one qubit case (|r| = 1 after the Born clip), and
-        # near-pure states whose rounded expected counts can leave the ball
-        truths = [np.diag([1.1, -0.1])]
+        # a pure truth (|r| = 1), and near-pure states whose rounded expected counts
+        # can leave the ball
+        truths = [KET0]
         truths += [0.999 * rand_state(rng, 2, rank=1) + 0.001 * MIXED for _ in range(100)]
         records += [expected_counts(m, settings(rate=37.0)) for m in truths]
         outside = 0
@@ -454,14 +477,17 @@ class TestMonteCarlo:
         b = monte_carlo_bounds(truth, cfg, 8, SMALL_GRID)
         assert a == b
 
-    def test_replica_order_does_not_change_the_report(self):
+    def test_pass_size_does_not_change_the_report(self, monkeypatch):
+        # a replica's result depends on its index, not on the pass it is evaluated in
         truth = exact_truth_record()
         cfg = settings(time=60.0, rate=200.0, seed=12345)
-        base = monte_carlo_bounds(truth, cfg, 8, SMALL_GRID)
-        shuffled = monte_carlo_bounds(
-            truth, cfg, 8, SMALL_GRID, replica_order=[5, 0, 7, 2, 6, 1, 4, 3]
-        )
-        assert base == shuffled
+        reports = []
+        for pass_size in (1, 3, 1024):
+            monkeypatch.setattr(tomography, "SAMPLE_REPLICAS", pass_size)
+            reports.append(monte_carlo_bounds(truth, cfg, 8, SMALL_GRID))
+        assert reports[0] == reports[1] == reports[2]
+        for report in reports[1:]:
+            assert_same_curve(report.curve0, reports[0].curve0)
 
     def test_reasonable_statistics_near_truth(self):
         truth = exact_truth_record()
@@ -484,20 +510,18 @@ class TestMonteCarlo:
         truth = reference_record()
         states = (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
         assert BLOCK_ALPHA_POINTS == 4096 and SAMPLE_REPLICAS == 1024
-        cases = [(seed, 20, None, None) for seed in (5, 601, 2**31 - 1, 2**32 + 5, 2**64 + 3)]
-        cases += [(17, replicas, None, None) for replicas in (1, 5, 7)]
-        cases += [(17, 7, np.linspace(0.5, 0.9999, 600), None)]  # 39 coarse points
-        cases += [(17, 7, np.linspace(0.5, 0.9999, 1100), None)]  # 36, gaps of 31 points
-        cases += [(17, 5, np.linspace(0.5, 0.9999, 2049), None)]  # 65, the last gap full
-        cases += [(17, 7, None, [6, 2, 5, 0, 3, 1, 4])]  # replica 0 mid-block
-        # coarse blocks of 62 and 8 replicas at 33 points, replica 0 in the second
-        cases += [(17, 70, None, list(range(69, -1, -1)))]
+        cases = [(seed, 20, None) for seed in (5, 601, 2**31 - 1, 2**32 + 5, 2**64 + 3)]
+        cases += [(17, replicas, None) for replicas in (1, 5, 7)]
+        cases += [(17, 7, np.linspace(0.5, 0.9999, 600))]  # 39 coarse points
+        cases += [(17, 7, np.linspace(0.5, 0.9999, 1100))]  # 36, gaps of 31 points
+        cases += [(17, 5, np.linspace(0.5, 0.9999, 2049))]  # 65, the last gap full
+        cases += [(17, 70, None)]  # coarse blocks of 62 and 8 replicas at 33 points
         # two sampling passes (1024 + 3), the first in coarse blocks of 682 and 342
-        # that end at the pass boundary, replica 0 last
-        cases += [(17, 1027, np.linspace(0.5, 0.9999, 5), list(range(1026, -1, -1)))]
-        for seed, replicas, grid, order in cases:
+        # that end at the pass boundary
+        cases += [(17, 1027, np.linspace(0.5, 0.9999, 5))]
+        for seed, replicas, grid in cases:
             cfg = settings(time=60.0, rate=200.0, seed=seed)
-            report = monte_carlo_bounds(truth, cfg, replicas, grid, replica_order=order)
+            report = monte_carlo_bounds(truth, cfg, replicas, grid)
             assert report.replicas == len(report.values) == replicas
             for replica in range(replicas):
                 estimates = [
@@ -543,28 +567,27 @@ class TestMonteCarlo:
 
     def test_a_run_builds_one_bound_curve(self, monkeypatch):
         # only replica 0's curve is reported, so it is the only one built: here in
-        # the first block of one pass, then in the second of two passes
+        # a run of one pass, then in the first of two passes
         built, init = [], BoundCurve.__init__
         monkeypatch.setattr(BoundCurve, "__init__", lambda curve, *args, **kwargs:
                             built.append(len(args)) or init(curve, *args, **kwargs))
         truth, cfg = reference_record(), settings(time=60.0, rate=200.0, seed=3)
-        for replicas, grid, order in [(100, None, None),
-                                      (1027, np.linspace(0.5, 0.9999, 5), range(1026, -1, -1))]:
+        for replicas, grid in [(100, None), (1027, np.linspace(0.5, 0.9999, 5))]:
             built.clear()
-            report = monte_carlo_bounds(truth, cfg, replicas, grid, replica_order=order)
+            report = monte_carlo_bounds(truth, cfg, replicas, grid)
             assert len(built) == 1
             assert report.curve0 is not None and len(report.values) == replicas
 
     def test_zero_counts_name_the_first_empty_basis_in_replica_order(self):
         # about 3 expected pairs per basis: at this seed the first empty basis in
-        # replica order is state 2's circ of the fourth replica, in the first block
+        # replica order, which is index order, is state 3's hv of replica 1, ahead of
+        # state 2's circ of replica 5
         truth = reference_record()
         states = (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
         cfg = settings(time=1.0, rate=3.0, seed=30)
-        order = [7, 3, 0, 5, 1, 6, 2, 4]
 
         def one_record_at_a_time():
-            for replica in order:
+            for replica in range(8):
                 for k, state in enumerate(states):
                     counts = simulate_counts(state, cfg, rng_stream(cfg.seed, (replica, k)))
                     try:
@@ -573,9 +596,9 @@ class TestMonteCarlo:
                         yield str(exc)
 
         want = next(one_record_at_a_time())
-        assert "'circ'" in want
+        assert "'hv'" in want
         with pytest.raises(ZeroCountsError) as info:
-            monte_carlo_bounds(truth, cfg, 8, replica_order=order)
+            monte_carlo_bounds(truth, cfg, 8)
         assert str(info.value) == want
 
     def test_search_matches_the_full_grid_on_reconstructed_records(self, monkeypatch):
@@ -597,19 +620,21 @@ class TestMonteCarlo:
         # four passes a run; repaired pure estimates, at 10 s
         assert len(seen) == 12 and sum(seen[:4]) > 200
 
-    @pytest.mark.parametrize("time, replicas, order", [
-        (10.0, 300, None), (60.0, 300, None), (360.0, 300, None),
-        (60.0, 70, list(range(69, -1, -1))),
+    @pytest.mark.parametrize("time, replicas, pass_size", [
+        (10.0, 300, None), (60.0, 300, None), (360.0, 300, None), (60.0, 70, 16),
     ])
-    def test_report_equals_the_full_grid_route(self, monkeypatch, time, replicas, order):
+    def test_report_equals_the_full_grid_route(self, monkeypatch, time, replicas, pass_size):
         # every MonteCarloReport field and replica 0's curve, through the search and
-        # through the full-grid route; the erased-probe truth is uninformative throughout
+        # through the full-grid route, in one pass or in passes of pass_size replicas;
+        # the erased-probe truth is uninformative throughout
+        if pass_size is not None:
+            monkeypatch.setattr(tomography, "SAMPLE_REPLICAS", pass_size)
         for truth in (reference_record(), exact_truth_record(), erased_record()):
             cfg = settings(time=time, rate=200.0, seed=2048)
-            got = monte_carlo_bounds(truth, cfg, replicas, replica_order=order)
+            got = monte_carlo_bounds(truth, cfg, replicas)
             with monkeypatch.context() as patch:
                 patch.setattr(tomography, "_search_optima", full_grid_optima)
-                want = monte_carlo_bounds(truth, cfg, replicas, replica_order=order)
+                want = monte_carlo_bounds(truth, cfg, replicas)
             assert got == want
             assert (got.mean_b_inf, got.std_b_inf, got.no_info_fraction) == (
                 want.mean_b_inf, want.std_b_inf, want.no_info_fraction)
@@ -639,13 +664,6 @@ class TestMonteCarlo:
         for bad in (3.0, True):
             with pytest.raises(ValueError, match="replicas must be an integer"):
                 monte_carlo_bounds(truth, settings(), bad, SMALL_GRID)
-
-    def test_replica_order_validated(self):
-        truth = exact_truth_record()
-        with pytest.raises(ValueError, match="permutation"):
-            monte_carlo_bounds(truth, settings(), 3, SMALL_GRID, replica_order=[0, 1, 1])
-        with pytest.raises(ValueError, match="replica_order entry must be an integer"):
-            monte_carlo_bounds(truth, settings(), 3, SMALL_GRID, replica_order=[2.9, 0.2, 1.5])
 
     def test_report_json_keys(self):
         report = MonteCarloReport(
