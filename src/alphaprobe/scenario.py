@@ -441,7 +441,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
 
     With tomography settings the record fed to the bound curve is replica 0's
     reconstruction and, for replicas >= 2, the summary carries Monte-Carlo
-    statistics over all replicas (null mean and std when none is informative).
+    statistics over all replicas (null mean and std when none is informative),
+    with the share of replicas whose bound lies below a known true width.
     Raises NoInformationError, after writing both files, only when require_bound
     is set and no grid point of the (replica-0) record is informative.
     """
@@ -470,8 +471,12 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
         results = bound_summary(curve, sigma_reference=sigma_truth)
         if mc is not None and mc.replicas >= 2:
             results["monte_carlo"] = mc_block = mc.to_json()
-            if sigma_truth is not None and mc.mean_b_inf is not None:
-                mc_block["mean_b_inf_over_sigma"] = width_ratio(mc.mean_b_inf, sigma_truth)
+            if sigma_truth is not None:
+                if mc.mean_b_inf is not None:
+                    mc_block["mean_b_inf_over_sigma"] = width_ratio(mc.mean_b_inf, sigma_truth)
+                # a replica without a bound is not below the truth
+                below = sum(v is not None and v < sigma_truth for v in mc.values)
+                mc_block["below_truth_fraction"] = below / mc.replicas
     if sigma_truth is not None:
         results["sigma_truth_hz"] = sigma_truth
 

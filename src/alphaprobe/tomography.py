@@ -8,12 +8,14 @@ Bloch form: a qubit state (I + r.sigma) / 2 has r = (z, x, y) = (a00 - a11,
 2 Re a01, -2 Im a01), basis k has outcome probabilities (1 +/- r_k) / 2, and
 linear inversion of the count asymmetries gives r back, repaired into a
 physical state as r / max(1, |r|). Monte-Carlo replicas repeat the full
-four-state tomography with independent counter-derived streams and propagate
-each replica through the bound pipeline; passes of replicas are sampled,
-reconstructed and validated as arrays; each pass finds every replica's least
-bound by one certified coarse-then-fill alpha search (bounds._search_optima),
-and replica 0's curve comes from the full-grid route (bounds._bound_curves),
-with the same draws and results as one replica at a time through tightest_bound.
+four-state tomography and propagate each replica through the bound pipeline.
+Each truth state has one counter-derived stream, which the replicas read in
+index order, six draws each, so replica 0 draws what one tomography run of
+that stream draws. Passes of replicas are sampled with one array draw per
+state, then reconstructed and validated as arrays; each pass finds every
+replica's least bound by one certified coarse-then-fill alpha search
+(bounds._search_optima), and replica 0's curve comes from the full-grid route
+(bounds._bound_curves), as tightest_bound builds it.
 """
 from __future__ import annotations
 
@@ -40,15 +42,6 @@ MAX_EXPECTED_PAIRS = 2**53
 # replicas are sampled, inverted and validated in passes of up to SAMPLE_REPLICAS in index
 # order; _search_optima bounds a pass with one eigh of its 4 x pass rho2s and one kernel scratch
 SAMPLE_REPLICAS = 1024
-
-# numpy's SeedSequence pool hash (pool of 4 uint32 words), see _philox_keys
-_POOL_SIZE = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-
 
 class ZeroCountsError(ValueError):
     """A basis collected no counts, so its asymmetry is undefined."""
@@ -141,82 +134,14 @@ def rng_stream(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
 
     Streams with different spawn keys are statistically independent and
     reproducible regardless of creation or consumption order. This is the
-    definition of every stream in the package; monte_carlo_bounds reaches the
-    same fresh states through _philox_keys and _fresh_state.
+    definition of every stream in the package: monte_carlo_bounds draws truth
+    state k of every replica from the one stream with spawn key (0, k).
     """
     ss = np.random.SeedSequence(
         entropy=check_integer(seed, "seed"),
         spawn_key=tuple(check_integer(k, "spawn key entry") for k in spawn_key),
     )
     return np.random.Generator(np.random.Philox(ss))
-
-
-def _philox_keys(seed: int, spawn_keys) -> np.ndarray:
-    """Philox keys (N, 2) uint64 of rng_stream(seed, key) for N spawn keys at once.
-
-    numpy's SeedSequence pool hash, vectorised over the streams: the entropy
-    is the seed's little-endian 32-bit words, zero-padded to the pool size,
-    then the spawn-key words, each entry below 2**32. (numpy pads only when a
-    spawn key follows; without one, its pool hashes missing words as 0 all
-    the same.) Words shared by every stream stay Python ints; the rest are
-    uint64 arrays masked to 32 bits, so both wrap exactly as numpy's uint32
-    arithmetic does.
-    """
-    spawn = np.asarray(spawn_keys, dtype=np.uint64)
-    if spawn.size and int(spawn.max()) > _MASK32:
-        raise ValueError("spawn key entries must be below 2**32")
-    seed = int(seed)
-    n_words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
-    entropy = [seed >> 32 * i & _MASK32 for i in range(n_words)] + list(spawn.T)
-    hash_a = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_a
-        value = value ^ hash_a
-        hash_a = hash_a * _MULT_A & _MASK32
-        value = value * hash_a & _MASK32
-        return value ^ value >> _XSHIFT
-
-    def mix(x, y):
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ result >> _XSHIFT
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_b = _INIT_B
-    words = []
-    for i in range(4):  # generate_state(2, np.uint64): four words cycled from the pool
-        value = pool[i % _POOL_SIZE] ^ hash_b
-        hash_b = hash_b * _MULT_B & _MASK32
-        value = value * hash_b & _MASK32
-        words.append(np.asarray(value ^ value >> _XSHIFT, dtype=np.uint64))
-    keys = np.empty((spawn.shape[0], 2), dtype=np.uint64)
-    keys[:, 0] = words[0] | words[1] << np.uint64(32)
-    keys[:, 1] = words[2] | words[3] << np.uint64(32)
-    return keys
-
-
-def _fresh_state() -> dict:
-    """The state a Philox(SeedSequence) bit generator starts in, once its "key" is set."""
-    return {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-def _draw(poisson, means: list[float]) -> list[int]:
-    """Scalar Poisson draws from one stream's bound poisson, one per mean and in order."""
-    return [poisson(m) for m in means]  # a Python int for a Python float mean
 
 
 def sample_counts(
@@ -226,7 +151,8 @@ def sample_counts(
 ) -> CountRecord:
     """Poisson-sample counts for precomputed per-basis outcome probabilities."""
     pairs = settings.expected_pairs
-    n = _draw(stream.poisson, [pairs * p for b in settings.bases for p in probabilities[b.name]])
+    # scalar draws in order, each a Python int for a Python float mean
+    n = [stream.poisson(pairs * p) for b in settings.bases for p in probabilities[b.name]]
     return CountRecord({b.name: (n[2 * i], n[2 * i + 1]) for i, b in enumerate(settings.bases)})
 
 
@@ -309,12 +235,15 @@ def monte_carlo_bounds(
 ) -> MonteCarloReport:
     """Propagate tomography shot noise through the bound pipeline.
 
-    Each replica redoes the four-state tomography with its own streams
-    (spawn keys (replica, state_index)) and reports the tightest bound of the
-    reconstructed record; the truth states' Born probabilities are computed
-    once for all replicas. Replicas run in index order, in passes of up to
-    SAMPLE_REPLICAS; a replica's result depends on its index alone, so the
-    report does not depend on how the run is split into passes.
+    Each replica redoes the four-state tomography and reports the tightest
+    bound of the reconstructed record; the truth states' Born probabilities are
+    computed once for all replicas. Truth state k draws the counts of every
+    replica from one stream, rng_stream(seed, (0, k)): replica r takes its
+    draws 6r to 6r + 5, in MUB_BASES order with n_plus before n_minus, so
+    replica 0 draws what sample_counts draws from that stream. Replicas run in
+    index order, in passes of up to SAMPLE_REPLICAS, and each state's stream
+    carries on from one pass to the next, so the report does not depend on
+    how the run is split into passes.
     """
     replicas = check_integer(replicas, "replicas", 1, MAX_REPLICAS)
     alphas = _bound_grid(alpha_grid)
@@ -324,22 +253,14 @@ def monte_carlo_bounds(
         [pairs * p for b in settings.bases for p in born_probabilities(state, b)]
         for state in truth.states
     ]
-    # one generator for the run, reset to each (replica, state) stream's fresh state
-    philox = np.random.Philox(0)
-    poisson = np.random.Generator(philox).poisson
-    fresh = _fresh_state()  # one dict for every stream: only its key changes
+    streams = [rng_stream(settings.seed, (0, k)) for k in range(len(means))]
     b_inf = np.empty(replicas)  # by replica index; inf where a replica has no bound
     for start in range(0, replicas, SAMPLE_REPLICAS):
         rows = np.arange(start, min(start + SAMPLE_REPLICAS, replicas))
-        # state k of a replica is sampled from the stream with spawn key (replica, k)
-        spawn = np.stack(np.meshgrid(rows, range(len(means)), indexing="ij"), axis=-1)
-        counts = []
-        for key, m in zip(_philox_keys(settings.seed, spawn.reshape(-1, 2)).tolist(),
-                          means * len(rows)):
-            fresh["state"]["key"] = key
-            philox.state = fresh
-            counts.append(_draw(poisson, m))
-        states = check_density_matrices(_invert(np.reshape(counts, spawn.shape[:2] + (-1,))))
+        # counts (rows, state, 6): one array draw per state, a row per replica
+        counts = np.stack([g.poisson(m, size=(len(rows), len(m)))
+                           for g, m in zip(streams, means)], axis=1)
+        states = check_density_matrices(_invert(counts))
         b_inf[rows] = _search_optima(states, alphas, truth.delta_mu)
         if start == 0:  # the one curve a run reports, from replica 0's own states
             (curve0,) = _bound_curves(states[:1], alphas, truth.delta_mu)

@@ -330,6 +330,7 @@ class TestSimulate:
                 assert results["monte_carlo"]["mean_b_inf_hz"] is None
                 assert results["monte_carlo"]["std_b_inf_hz"] is None
                 assert results["monte_carlo"]["no_info_fraction"] == 1.0
+                assert results["monte_carlo"]["below_truth_fraction"] == 0.0
 
             cfg["require_bound"] = True
             config = write_config(tmp_path / f"{name}_required.json", cfg)

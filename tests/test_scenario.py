@@ -25,6 +25,7 @@ from alphaprobe.scenario import (
     sweep_thickness,
 )
 from alphaprobe.spectra import LIGHT_SPEED, GaussianSpectrum
+from alphaprobe.tomography import monte_carlo_bounds
 from support import oracle_sweep_csv, oracle_sweep_rows, rand_state, record_kernel_halves
 
 MU0 = 3.7e14
@@ -370,6 +371,24 @@ class TestRunScenario:
         assert report.summary["provenance"]["seed"] == 12345
         # curve artifact is replica 0, close to but distinct from the truth
         assert results["b_inf_hz"] == pytest.approx(mc["mean_b_inf_hz"], rel=0.3)
+
+    def test_below_truth_fraction_counts_replicas_under_sigma(self, tmp_path):
+        # the reference record at 0.2 s and 200 Hz, 40 pairs per basis: about a
+        # quarter to a third of the replicas bound the width below the truth (103 of
+        # 400 here), and the 19 replicas without a bound are not below it
+        tomo = {"integration_time_s": 0.2, "count_rate_hz": 200.0, "seed": 10, "replicas": 400}
+        config = parse_scenario({"schema": SCHEMA_VERSION, "coupling": REFERENCE_LITERAL,
+                                 "tomography": tomo})
+        mc = run_scenario(config, out_dir=str(tmp_path)).summary["results"]["monte_carlo"]
+        values = monte_carlo_bounds(reference_record(), config.tomography, 400).values
+        below = sum(v is not None and v < REFERENCE_SIGMA_HZ for v in values)
+        assert mc["below_truth_fraction"] == below / 400
+        assert 0.2 < mc["below_truth_fraction"] < 0.4
+        # with unequal widths there is no truth to be below
+        cfg = sim_config(tomography=dict(tomo, integration_time_s=60.0, replicas=3))
+        cfg["spectra"]["second"]["sigma_hz"] = 2 * REFERENCE_SIGMA_HZ
+        report = run_scenario(parse_scenario(cfg), out_dir=str(tmp_path / "unequal"))
+        assert "below_truth_fraction" not in report.summary["results"]["monte_carlo"]
 
     def test_curve_artifact_is_replica_zero_at_any_replica_count(self, tmp_path):
         # with replicas >= 2 replica 0's curve comes out of the Monte-Carlo pass

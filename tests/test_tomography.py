@@ -15,6 +15,7 @@ from alphaprobe.bounds import (
     tightest_bound,
 )
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
+from alphaprobe.cli import main
 from alphaprobe.linalg import DensityMatrix, check_density_matrices, write_json
 from alphaprobe.reference import (
     REFERENCE_DELTA_MU_HZ,
@@ -36,8 +37,6 @@ from alphaprobe.tomography import (
     MonteCarloReport,
     TomographySettings,
     ZeroCountsError,
-    _fresh_state,
-    _philox_keys,
     born_probabilities,
     monte_carlo_bounds,
     reconstruct,
@@ -233,44 +232,6 @@ class TestCounts:
         assert a.counts != b.counts
         assert a.counts != c.counts
 
-    def test_philox_keys_match_seed_sequence(self):
-        seeds = (0, 1, 2**31 - 1, 2**32, 2**32 + 5, 2**64 + 3, 2**70)
-        spawn = [(r, k) for r in (0, 1, 1023, 1024, MAX_REPLICAS - 1) for k in range(4)]
-        for seed in seeds:
-            want = [
-                np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(2, np.uint64)
-                for key in spawn
-            ]
-            got = _philox_keys(seed, spawn)
-            assert got.dtype == np.uint64 and got.shape == (len(spawn), 2)
-            np.testing.assert_array_equal(got, want)
-
-    def test_philox_keys_reject_a_spawn_entry_of_2_to_the_32(self):
-        # SeedSequence hashes each spawn-key entry as one 32-bit word
-        with pytest.raises(ValueError, match="below 2\\*\\*32"):
-            _philox_keys(1, [[2**32, 0]])
-        assert _philox_keys(1, [[2**32 - 1, 0]]).shape == (1, 2)
-
-    def test_reseeded_generator_starts_where_rng_stream_does(self):
-        # one generator and one state dict, reset per stream as monte_carlo_bounds does
-        reseeded, state = np.random.Generator(np.random.Philox(0)), _fresh_state()
-        spawn = [(3, 1), (0, 0), (3, 1)]
-        for key, words in zip(spawn, _philox_keys(2**32 + 5, spawn).tolist()):
-            fresh = rng_stream(2**32 + 5, key)
-            state["state"]["key"] = words
-            reseeded.bit_generator.state = state
-            got, want = reseeded.bit_generator.state, fresh.bit_generator.state
-            for name in ("buffer_pos", "has_uint32", "uinteger"):
-                assert got[name] == want[name]
-            np.testing.assert_array_equal(got["buffer"], want["buffer"])
-            for name in ("counter", "key"):
-                np.testing.assert_array_equal(got["state"][name], want["state"][name])
-            # a half-used buffer and a cached 32-bit word must not leak into the next stream
-            assert reseeded.poisson(50.0, 7).tolist() == fresh.poisson(50.0, 7).tolist()
-            assert reseeded.integers(0, 2**32, 3, dtype=np.uint32).tolist() == (
-                fresh.integers(0, 2**32, 3, dtype=np.uint32).tolist()
-            )
-
     def test_poisson_scale(self):
         record = simulate_counts(MIXED, settings(rate=1e4), rng_stream(11, (0,)))
         for n_plus, n_minus in record.counts.values():
@@ -446,6 +407,14 @@ def erased_record():
     )
 
 
+def record_counts(monkeypatch) -> list:
+    """Patch tomography._invert to keep a copy of each count array it inverts."""
+    drawn, invert = [], tomography._invert
+    monkeypatch.setattr(tomography, "_invert",
+                        lambda counts: drawn.append(counts.copy()) or invert(counts))
+    return drawn
+
+
 def assert_same_curve(got: BoundCurve, want: BoundCurve) -> None:
     """Equal optima, and both families and fractions equal bit for bit (NaN where NaN)."""
     assert got.optimum == want.optimum
@@ -500,13 +469,14 @@ class TestMonteCarlo:
         assert 0.0 < report.std_b_inf < 0.2 * exact
 
     def test_every_draw_matches_a_replica_rebuilt_stream_by_stream(self):
-        # the Monte-Carlo loop computes the truth's Born probabilities once,
-        # derives the stream keys of SAMPLE_REPLICAS replicas in one hash,
-        # reseeds one generator per stream and bounds a pass by the certified
+        # the Monte-Carlo loop computes the truth's Born probabilities once, draws
+        # a pass's counts of each state in one array call on that state's stream,
+        # carries the streams from pass to pass and bounds a pass by the certified
         # search, in coarse blocks of 2 x BLOCK_ALPHA_POINTS // (4 x coarse points)
-        # replicas; each value must still be the bound of the record sampled per
-        # (replica, state) stream from freshly computed probabilities, one record
-        # at a time, and replica 0's curve that record's full-grid curve
+        # replicas; each value must still be the bound of the record whose state k
+        # is the (replica + 1)-th sample_counts call on rng_stream(seed, (0, k)),
+        # from freshly computed probabilities, one record at a time, and replica
+        # 0's curve that record's full-grid curve
         truth = reference_record()
         states = (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
         assert BLOCK_ALPHA_POINTS == 4096 and SAMPLE_REPLICAS == 1024
@@ -523,17 +493,18 @@ class TestMonteCarlo:
             cfg = settings(time=60.0, rate=200.0, seed=seed)
             report = monte_carlo_bounds(truth, cfg, replicas, grid)
             assert report.replicas == len(report.values) == replicas
+            streams = [rng_stream(seed, (0, k)) for k in range(len(states))]
             for replica in range(replicas):
                 estimates = [
                     reconstruct(
                         sample_counts(
                             {b.name: born_probabilities(state, b) for b in cfg.bases},
                             cfg,
-                            rng_stream(seed, (replica, k)),
+                            stream,
                         ),
                         cfg.bases,
                     )
-                    for k, state in enumerate(states)
+                    for stream, state in zip(streams, states)
                 ]
                 curve = tightest_bound(ProbingRecord(*estimates, delta_mu=truth.delta_mu), grid)
                 want = None if curve.optimum is None else curve.optimum.value
@@ -545,6 +516,45 @@ class TestMonteCarlo:
                     for got, rebuilt in zip(report.curve0.fractions, curve.fractions):
                         np.testing.assert_array_equal(got, rebuilt)
 
+    def test_replica_zero_draws_what_one_tomography_run_draws(self, monkeypatch, tmp_path):
+        # replica 0 takes the first six draws of each state's stream: a 100-replica
+        # run, a one-replica run and the tomography subcommand at the same seed read
+        # the same counts
+        drawn = record_counts(monkeypatch)
+        truth, cfg = reference_record(), settings(time=60.0, rate=200.0, seed=9)
+        for replicas in (100, 1):
+            monte_carlo_bounds(truth, cfg, replicas, SMALL_GRID)
+        many, one = drawn
+        assert many.shape == (100, 4, 6) and one.shape == (1, 4, 6)
+        np.testing.assert_array_equal(many[0], one[0])
+        state = tmp_path / "rho1.json"
+        write_json(state, truth.rho1.to_json())
+        args = ["--time", "60", "--rate", "200", "--seed", "9", "--out", str(tmp_path / "out")]
+        assert main(["tomography", "--state", str(state), *args]) == 0
+        counts = json.loads((tmp_path / "out" / "counts.json").read_text())
+        assert [n for b in MUB_BASES for n in counts[b.name]] == one[0, 0].tolist()
+
+    def test_replica_counts_are_poisson_and_uncorrelated(self, monkeypatch):
+        # 2,000 replicas of the reference record, in two passes: each of the 24 counts
+        # of a replica has its mean and variance / mean near 1, as a Poisson count
+        # does, and the lag-1 correlation of consecutive replicas, which read
+        # consecutive draws of one state's stream, lies within 4 / sqrt(n)
+        drawn = record_counts(monkeypatch)
+        truth, cfg = reference_record(), settings(time=60.0, rate=200.0, seed=2049)
+        monte_carlo_bounds(truth, cfg, 2000, SMALL_GRID)
+        counts = np.concatenate(drawn).reshape(2000, 24).astype(float)
+        n = len(counts)
+        means = [cfg.expected_pairs * p for state in truth.states
+                 for b in MUB_BASES for p in born_probabilities(state, b)]
+        assert min(means) > 40.0
+        assert np.all(np.abs(counts.mean(axis=0) - means) < 5.0 * np.sqrt(np.divide(means, n)))
+        # the ratio's standard error is sqrt(2 / (n - 1)), about 0.032
+        dispersion = counts.var(axis=0, ddof=1) / counts.mean(axis=0)
+        assert np.all(np.abs(dispersion - 1.0) < 5.0 * math.sqrt(2.0 / (n - 1)))
+        centred = counts - counts.mean(axis=0)
+        lag1 = (centred[1:] * centred[:-1]).sum(axis=0) / (centred**2).sum(axis=0)
+        assert np.all(np.abs(lag1) < 4.0 / math.sqrt(n))
+
     def test_alpha_free_half_runs_once_per_sampling_pass(self, monkeypatch):
         # rho2's eigendecomposition and rho1's rotation run once over a pass's
         # 4 x replicas fidelity pairs; the per-alpha half then runs the certified
@@ -554,9 +564,9 @@ class TestMonteCarlo:
         truth, cfg = reference_record(), settings(time=60.0, rate=200.0, seed=3)
         monte_carlo_bounds(truth, cfg, 100)
         # blocks of 8192 // (4 x 33) = 62 replicas at 33 coarse points, then 38; a fill
-        # call holds two pairs per gap it fills, here 229 and 140 gaps of 15 points
-        assert calls == [("frames", 400), ("sums", 248), ("sums", 458, 15), ("sums", 152),
-                         ("sums", 280, 15), ("frames", 4), ("sums", 4)]
+        # call holds two pairs per gap it fills, here 235 and 142 gaps of 15 points
+        assert calls == [("frames", 400), ("sums", 248), ("sums", 470, 15), ("sums", 152),
+                         ("sums", 284, 15), ("frames", 4), ("sums", 4)]
         calls.clear()
         # passes of 1024 and 3 replicas at A = 5: 3 coarse points and 2 gaps of one
         # point, blocks of 8192 // 12 = 682 replicas, every gap filled
@@ -579,17 +589,19 @@ class TestMonteCarlo:
             assert report.curve0 is not None and len(report.values) == replicas
 
     def test_zero_counts_name_the_first_empty_basis_in_replica_order(self):
-        # about 3 expected pairs per basis: at this seed the first empty basis in
-        # replica order, which is index order, is state 3's hv of replica 1, ahead of
-        # state 2's circ of replica 5
+        # about 3 expected pairs per basis, replica r of state k the (r + 1)-th record
+        # drawn from rng_stream(seed, (0, k)): at this seed the first empty basis in
+        # replica order, which is index order, is state 2's hv of replica 1, ahead of
+        # state 3's diag of the same replica
         truth = reference_record()
         states = (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
         cfg = settings(time=1.0, rate=3.0, seed=30)
 
         def one_record_at_a_time():
-            for replica in range(8):
-                for k, state in enumerate(states):
-                    counts = simulate_counts(state, cfg, rng_stream(cfg.seed, (replica, k)))
+            streams = [rng_stream(cfg.seed, (0, k)) for k in range(len(states))]
+            for _ in range(8):
+                for stream, state in zip(streams, states):
+                    counts = simulate_counts(state, cfg, stream)
                     try:
                         reconstruct(counts)
                     except ZeroCountsError as exc:
