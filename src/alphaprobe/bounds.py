@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +25,7 @@ from . import fidelity
 from .fidelity import (
     DPI_ALPHA_MIN,
     _check_alpha_grid,
-    _fidelity_blocks,
+    _fidelity_rows,
     _warn_clamped,
     default_alpha_grid,
 )
@@ -37,12 +36,11 @@ BOUND_FAMILIES = ("B1", "B2")  # the bound of each order, in BOUND_ORDERS order
 # the fidelity pairs (first, second) behind the fractions, as indices into
 # ProbingRecord.states: forward numerator and denominator, then reversed ones
 _PAIR_FIRST, _PAIR_SECOND = [2, 0, 3, 1], [3, 1, 2, 0]
-# alpha points per block of _bound_blocks, which holds one record at least; the scratch of
-# _search_optima holds twice as many pairs' points. Peak memory bounds both: a Monte-Carlo
-# run of 100 replicas at A = 500, its search and replica 0's curve, traces 0.99-1.01 MiB
-# (tracemalloc; 2-vCPU Xeon, Python 3.11, numpy 2.4), against 1.18-1.19 MiB over the full
-# grid in blocks of 8; a search scratch of 4 x 4096 points traced 1.74 MiB, one of 4096
-# 0.77 MiB and ran slower. The mc-tomography benchmark allows about 2.2 MiB (5%) of growth
+# the scratch of _search_optima holds 2 x BLOCK_ALPHA_POINTS pairs' points (4 A at least).
+# A Monte-Carlo run of 100 replicas at A = 500, its search and replica 0's curve, traces a
+# 0.76 MiB peak (tracemalloc; 2-vCPU Xeon, Python 3.11, numpy 2.4); at 8192 it traced
+# 1.26 MiB, at 2048 0.49 MiB, and both ran slower. The mc-tomography benchmark allows about
+# 2.2 MiB (5%) of growth
 BLOCK_ALPHA_POINTS = 4096
 # _search_optima's one float allowance: its widening of each computed ln F_alpha, which covers
 # an error of a third of it at a gap's end and at a point inside (the kernel's is a few ulp),
@@ -106,8 +104,8 @@ def fraction_curve(record: ProbingRecord, alphas, order: str = "forward") -> np.
     """
     if order not in BOUND_ORDERS:
         raise ValueError(f"order must be one of {BOUND_ORDERS}, got {order!r}")
-    fractions, _ = next(_bound_blocks(_record_states([record]), _check_alpha_grid(alphas), 1.0))
-    return fractions[0, BOUND_ORDERS.index(order)]
+    fractions, _ = _record_bounds(_record_states([record])[0], _check_alpha_grid(alphas), 1.0)
+    return fractions[BOUND_ORDERS.index(order)]
 
 
 def fraction(record: ProbingRecord, alpha: float, order: str = "forward") -> float:
@@ -204,23 +202,21 @@ def _optima(bounds: np.ndarray, alphas: np.ndarray) -> list:
     ]
 
 
-def _bound_blocks(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> Iterator[tuple]:
-    """Fractions, bounds (b, 2, A) of records (n, 4, d, d), b = max(1, BLOCK_ALPHA_POINTS // A).
+def _record_bounds(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> tuple:
+    """Fractions and bounds (2, A) of one record's states (4, d, d), in BOUND_ORDERS order.
 
-    One fidelity pass covers every record and order; fractions are in BOUND_ORDERS order,
-    +inf over a zero denominator.
+    One fidelity call covers both orders; a zero denominator gives a fraction of +inf.
     """
-    block = 4 * max(1, BLOCK_ALPHA_POINTS // alphas.size)
-    for f in _fidelity_blocks(*_pair_stacks(states), alphas, block):
-        fractions = _ratio(f.reshape(-1, 2, 2, alphas.size))
-        yield fractions, _bounds_from_fractions(fractions, alphas, delta_mu)
+    f = _fidelity_rows(states[_PAIR_FIRST], states[_PAIR_SECOND], alphas)
+    fractions = _ratio(f.reshape(2, 2, alphas.size))
+    return fractions, _bounds_from_fractions(fractions, alphas, delta_mu)
 
 
-def _bound_curves(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> Iterator[BoundCurve]:
-    """Each curve, in order, of n records (n, 4, d, d) sharing delta_mu; it views its block."""
-    for fractions, bounds in _bound_blocks(states, alphas, delta_mu):
-        for f, b, optimum in zip(fractions, bounds, _optima(bounds, alphas)):
-            yield BoundCurve(alphas, b[0], b[1], optimum, fractions=(f[0], f[1]))
+def _bound_curve(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> BoundCurve:
+    """The full-grid BoundCurve of one record's states (4, d, d)."""
+    fractions, bounds = _record_bounds(states, alphas, delta_mu)
+    (optimum,) = _optima(bounds[None], alphas)
+    return BoundCurve(alphas, bounds[0], bounds[1], optimum, fractions=tuple(fractions))
 
 
 def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> np.ndarray:
@@ -292,8 +288,7 @@ def _bound_grid(alpha_grid) -> np.ndarray:
 
 def tightest_bound(record: ProbingRecord, alpha_grid=None) -> BoundCurve:
     """Evaluate both families over the grid and locate the minimum bound."""
-    (curve,) = _bound_curves(_record_states([record]), _bound_grid(alpha_grid), record.delta_mu)
-    return curve
+    return _bound_curve(_record_states([record])[0], _bound_grid(alpha_grid), record.delta_mu)
 
 
 def ratio_lower_bound(record: ProbingRecord, alpha: float) -> float | None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -148,34 +147,29 @@ def _warn_clamped(excess: float) -> None:
         )
 
 
-def _fidelity_blocks(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray,
-                     size: int) -> Iterator[np.ndarray]:
-    """Clamped F_alpha of validated stacks (n, d, d) of pairs over a checked grid, in blocks.
+def _fidelity_rows(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Clamped F_alpha (n, A) of validated stacks (n, d, d) of pairs over a checked grid.
 
-    Blocks are (size, A), the last one possibly shorter, each with one clamp warning at most.
-    Qubits run the kernel's alpha-free half once over the stack and its per-alpha half per
-    block, in one scratch whose block the next one overwrites; higher dimensions cost a
-    Hermitian eigenvalue solve of the sandwich per alpha.
+    Qubits run both halves of the kernel once; higher dimensions cost a Hermitian
+    eigenvalue solve of the sandwich per alpha. A call warns of clamping once at most.
     """
     q = (1.0 - grid) / grid
-    frames = _qubit_frames(rho1s, rho2s) if rho1s.shape[-1] == 2 else None
-    scratch = np.empty((4, min(size, len(rho1s)) * grid.size)) if frames is not None else None
-    for start in range(0, len(rho1s), size):
-        if frames is not None:
-            raw = _qubit_fidelity_sums(frames[:, start:start + size], q, grid, scratch)
-        else:
-            w2, v2 = np.linalg.eigh(rho2s[start:start + size])
-            # rho2^((1-alpha)/(2 alpha)) for every alpha at once; 0^p = 0 on the null space
-            wp = _floor_spectrum(w2)[:, None, :] ** (q / 2.0)[:, None]
-            half = np.einsum("nab,nmb,ncb->nmac", v2, wp, v2.conj())
-            sandwich = half @ rho1s[start:start + size, None] @ half
-            sandwich = (sandwich + np.conj(np.swapaxes(sandwich, -1, -2))) / 2
-            # eigvalsh's error is absolute, so unlike the qubit roots its eigenvalues keep the floor
-            ws = _floor_spectrum(np.linalg.eigvalsh(sandwich))
-            raw = np.sum(ws ** grid[:, None], axis=-1)
-        _warn_clamped(raw.max() - 1.0)
-        # F is a sum of exponentials or of floored eigenvalue powers: never negative
-        yield np.minimum(raw, 1.0, out=raw)
+    if rho1s.shape[-1] == 2:
+        frames = _qubit_frames(rho1s, rho2s)
+        raw = _qubit_fidelity_sums(frames, q, grid, np.empty((4, len(rho1s) * grid.size)))
+    else:
+        w2, v2 = np.linalg.eigh(rho2s)
+        # rho2^((1-alpha)/(2 alpha)) for every alpha at once; 0^p = 0 on the null space
+        wp = _floor_spectrum(w2)[:, None, :] ** (q / 2.0)[:, None]
+        half = np.einsum("nab,nmb,ncb->nmac", v2, wp, v2.conj())
+        sandwich = half @ rho1s[:, None] @ half
+        sandwich = (sandwich + np.conj(np.swapaxes(sandwich, -1, -2))) / 2
+        # eigvalsh's error is absolute, so unlike the qubit roots its eigenvalues keep the floor
+        ws = _floor_spectrum(np.linalg.eigvalsh(sandwich))
+        raw = np.sum(ws ** grid[:, None], axis=-1)
+    _warn_clamped(raw.max() - 1.0)
+    # F is a sum of exponentials or of floored eigenvalue powers: never negative
+    return np.minimum(raw, 1.0, out=raw)
 
 
 def alpha_fidelity(rho1, rho2, alpha: float) -> float:
@@ -200,7 +194,7 @@ def alpha_fidelity_curve(rho1, rho2, alphas) -> np.ndarray:
         raise ValueError(
             f"density matrices have mismatched shapes {a1.shape} vs {a2.shape}"
         )
-    return next(_fidelity_blocks(a1[None], a2[None], _check_alpha_grid(alphas), 1))[0]
+    return _fidelity_rows(a1[None], a2[None], _check_alpha_grid(alphas))[0]
 
 
 def renyi_divergence(rho1, rho2, alpha: float) -> float:

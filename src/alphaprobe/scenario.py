@@ -23,9 +23,6 @@ from . import __version__
 from .bounds import (
     NoInformationError,
     ProbingRecord,
-    _bound_curves,
-    _bound_grid,
-    _record_states,
     bound_summary,
     tightest_bound,
     width_ratio,
@@ -556,7 +553,7 @@ def sweep_thickness(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
 
     One plate per thickness at the sweep orientation; readout is exact
     (tomography settings are ignored here). Every thickness is evolved before
-    one blocked pass bounds them all. Writes sweep.csv and summary.json, then
+    tightest_bound bounds each in turn. Writes sweep.csv and summary.json, then
     raises NoInformationError if require_bound finds no informative one.
     """
     if config.sweep_stacks is None:
@@ -564,10 +561,9 @@ def sweep_thickness(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     sigma_truth = _truth_sigma(config)
 
     records = [_evolve(config, stack) for _, stack in config.sweep_stacks]
-    alphas = _bound_grid(config.alpha_grid)
-    curves = _bound_curves(_record_states(records), alphas, records[0].delta_mu)
     rows = []
-    for (thickness_mm, _), curve in zip(config.sweep_stacks, curves):
+    for (thickness_mm, _), record in zip(config.sweep_stacks, records):
+        curve = tightest_bound(record, config.alpha_grid)
         with field_errors("spectra"):
             entry = bound_summary(curve, sigma_reference=sigma_truth)
         entry["thickness_mm"] = thickness_mm

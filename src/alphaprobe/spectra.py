@@ -6,8 +6,9 @@ alpha-fidelity has the closed form
 
     F_alpha(xi1, xi2) = exp(-(1 - alpha) * alpha * dmu^2 / (2 sigma^2)),
 
-which is what the analytic width bounds invert. The shared frequency grid of
-two lines remains as the quadrature reference for the exact channel.
+which is what the analytic width bounds invert; gaussian_alpha_fidelity gives
+it for any two widths. The shared frequency grid of two lines remains as the
+quadrature reference for the exact channel.
 """
 from __future__ import annotations
 
@@ -20,10 +21,6 @@ from .fidelity import check_alpha
 from .linalg import check_integer, check_positive
 
 LIGHT_SPEED = 299_792_458.0  # m/s
-
-
-class UnequalWidthsError(ValueError):
-    """Closed form requires equal widths; compare the lines on a shared grid instead."""
 
 
 @dataclass(frozen=True)
@@ -65,15 +62,17 @@ class GaussianSpectrum:
 def gaussian_alpha_fidelity(
     s1: GaussianSpectrum, s2: GaussianSpectrum, alpha: float
 ) -> float:
-    """Closed-form classical alpha-fidelity of two equal-width Gaussian lines."""
+    """Closed-form classical alpha-fidelity sum xi1^alpha xi2^(1 - alpha) of two Gaussian lines.
+
+    With r = sigma2 / sigma1 and v = 1 + alpha (r^2 - 1) it is
+    r^alpha / sqrt(v) exp(-alpha (1 - alpha) dmu^2 / (2 sigma1^2 v)) (Gil, Alajaji and
+    Linder, Information Sciences 249, 124 (2013)); v is exactly 1 for equal widths.
+    """
     a = check_alpha(alpha)
-    if not math.isclose(s1.sigma, s2.sigma, rel_tol=1e-12, abs_tol=0.0):
-        raise UnequalWidthsError(
-            f"closed form needs equal widths, got {s1.sigma} vs {s2.sigma} Hz; "
-            "compare the lines on a shared discretized grid instead"
-        )
+    r = s2.sigma / s1.sigma
+    v = 1.0 + a * (r * r - 1.0)
     dmu = s1.mu - s2.mu
-    return math.exp(-(1.0 - a) * a * dmu * dmu / (2.0 * s1.sigma**2))
+    return r**a / math.sqrt(v) * math.exp(-(1.0 - a) * a * dmu * dmu / (2.0 * s1.sigma**2 * v))
 
 
 def kappa(spectrum: GaussianSpectrum, tau):

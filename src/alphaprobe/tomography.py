@@ -15,7 +15,7 @@ that stream draws. Passes of replicas are sampled with one array draw per
 state, then reconstructed and validated as arrays; each pass finds every
 replica's least bound by one certified coarse-then-fill alpha search
 (bounds._search_optima), and replica 0's curve comes from the full-grid route
-(bounds._bound_curves), as tightest_bound builds it.
+(bounds._bound_curve), as tightest_bound builds it.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundCurve, ProbingRecord, _bound_curves, _bound_grid, _search_optima
+from .bounds import BoundCurve, ProbingRecord, _bound_curve, _bound_grid, _search_optima
 from .linalg import (
     DensityMatrix,
     check_density_matrices,
@@ -263,7 +263,7 @@ def monte_carlo_bounds(
         states = check_density_matrices(_invert(counts))
         b_inf[rows] = _search_optima(states, alphas, truth.delta_mu)
         if start == 0:  # the one curve a run reports, from replica 0's own states
-            (curve0,) = _bound_curves(states[:1], alphas, truth.delta_mu)
+            curve0 = _bound_curve(states[0], alphas, truth.delta_mu)
 
     # aggregation in replica index order, compensated sums
     values = tuple(None if math.isinf(v) else v for v in b_inf.tolist())

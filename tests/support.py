@@ -17,15 +17,14 @@ and so does the linear-domain `pow` qubit kernel, the reference for the
 log-domain kernel that replaced it, split like it into an alpha-free and a
 per-alpha half. The one-piece log-domain kernel, eigendecomposition and
 per-alpha steps in one call, is the bit-exact reference for that split, and
-bound rows built from it one record at a time are the reference for the
-blocked bound loop, and that full-grid loop for the certified coarse-then-fill
-search of each record's least bound. The row CSV writer, `csv.writer` over a
-per-cell rule, is the reference for the columnar `bounds.write_csv`, and so is
+bound rows built from it are the reference for the full-grid bound route,
+and that route for the certified coarse-then-fill search of each record's
+least bound. The row CSV writer, `csv.writer` over a per-cell rule, is the
+reference for the columnar `bounds.write_csv`, and so is
 the columnar writer that formats each float by Python's '%.12e' % v, the
 reference for the byte-table writer's vectorised float cells. The per-thickness sweep
 (two channel calls, `tightest_bound` and `bound_summary` for each thickness in turn) is
-the reference for `sweep_thickness`, which evolves every thickness and bounds them in
-one blocked pass.
+the reference for `sweep_thickness`, which evolves every thickness before it bounds any.
 """
 from __future__ import annotations
 
@@ -43,9 +42,9 @@ from alphaprobe.bounds import (
     _PAIR_SECOND,
     ProbingRecord,
     _best_bounds,
-    _bound_blocks,
     _bounds_from_fractions,
     _optima,
+    _record_bounds,
     bound_summary,
     tightest_bound,
 )
@@ -232,10 +231,10 @@ def oracle_bound_rows(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -
 def full_grid_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> np.ndarray:
     """`bounds._search_optima` by the full-grid route, its oracle.
 
-    Each record's least bound, inf for none, by `_best_bounds` over the blocks of `_bound_blocks`.
+    Each record's least bound, inf for none, by `_best_bounds` over its `_record_bounds`.
     """
-    return np.concatenate([_best_bounds(bounds)[1]
-                           for _, bounds in _bound_blocks(states, alphas, delta_mu)])
+    return _best_bounds(np.array([_record_bounds(record, alphas, delta_mu)[1]
+                                  for record in states]))[1]
 
 
 def _mp_det2(m):

@@ -7,7 +7,6 @@ import pytest
 
 from alphaprobe import fidelity
 from alphaprobe.bounds import (
-    BLOCK_ALPHA_POINTS,
     SEARCH_ALLOWANCE,
     BoundCurve,
     BoundOptimum,
@@ -23,10 +22,10 @@ from alphaprobe.bounds import (
     write_bound_curve_csv,
     write_csv,
     _best_bounds,
-    _bound_blocks,
-    _bound_curves,
+    _bound_curve,
     _bounds_from_fractions,
     _optima,
+    _record_bounds,
     _record_states,
     _search_optima,
 )
@@ -409,6 +408,33 @@ def per_curve_reference(record: ProbingRecord, alphas: np.ndarray) -> list:
     return out
 
 
+def assert_matches_per_curve_reference(curve: BoundCurve, record: ProbingRecord, tag) -> None:
+    """Both families within rounding of per_curve_reference, and the same alpha* and family."""
+    alphas = curve.alphas
+    optima = {}
+    for family, got, (f, want) in zip(("B1", "B2"), (curve.b1, curve.b2),
+                                      per_curve_reference(record, alphas)):
+        assert np.array_equal(np.isnan(got), np.isnan(want)), (tag, family)
+        ok = ~np.isnan(want) & (want > 0.0)
+        rel = np.abs(got[ok] - want[ok]) / want[ok]
+        # b's relative error is that of the fraction over 2|ln f|, so near
+        # f = 1 it is held to a 1e-13 relative fraction error instead
+        slack = 1e-13 / (2.0 * np.abs(np.log(f[ok])))
+        assert np.all(rel <= np.maximum(1e-12, slack)), (tag, family, rel.max())
+        if not np.isnan(want).all():
+            k = int(np.argmin(np.where(np.isnan(want), math.inf, want)))
+            optima[family] = (want[k], alphas[k])
+    if not optima:
+        assert curve.optimum is None, tag
+        return
+    family = min(optima, key=lambda fam: optima[fam][0])
+    assert curve.optimum.alpha == optima[family][1], tag
+    values = [v for v, _ in optima.values()]
+    # at alpha = 1/2 both families are one bound, so rounding picks the family
+    if len(values) == 1 or abs(values[0] - values[1]) > 1e-12 * min(values):
+        assert curve.optimum.family == family, tag
+
+
 class TestQubitKernel:
     """One kernel call per record against one eigvalsh fidelity curve at a time."""
 
@@ -417,29 +443,7 @@ class TestQubitKernel:
         alphas = default_alpha_grid()
         for i in range(200):
             record = random_qubit_record(rng, evolved=i % 2 == 1)
-            curve = tightest_bound(record, alphas)
-            reference = per_curve_reference(record, alphas)
-            optima = {}
-            for family, got, (f, want) in zip(("B1", "B2"), (curve.b1, curve.b2), reference):
-                assert np.array_equal(np.isnan(got), np.isnan(want)), (i, family)
-                ok = ~np.isnan(want) & (want > 0.0)
-                rel = np.abs(got[ok] - want[ok]) / want[ok]
-                # b's relative error is that of the fraction over 2|ln f|, so near
-                # f = 1 it is held to a 1e-13 relative fraction error instead
-                slack = 1e-13 / (2.0 * np.abs(np.log(f[ok])))
-                assert np.all(rel <= np.maximum(1e-12, slack)), (i, family, rel.max())
-                if not np.isnan(want).all():
-                    k = int(np.argmin(np.where(np.isnan(want), math.inf, want)))
-                    optima[family] = (want[k], alphas[k])
-            if not optima:
-                assert curve.optimum is None
-                continue
-            family = min(optima, key=lambda fam: optima[fam][0])
-            assert curve.optimum.alpha == optima[family][1], i
-            values = [v for v, _ in optima.values()]
-            # at alpha = 1/2 both families are one bound, so rounding picks the family
-            if len(values) == 1 or abs(values[0] - values[1]) > 1e-12 * min(values):
-                assert curve.optimum.family == family, i
+            assert_matches_per_curve_reference(tightest_bound(record, alphas), record, i)
 
 
     def test_anti_hermitian_defect_of_rho2_is_ignored(self):
@@ -470,30 +474,26 @@ def assert_same_curve(got: BoundCurve, fractions, b1, b2, optimum) -> None:
 
 
 class TestBlockedBoundLoop:
-    """_bound_curves in blocks of max(1, 4096 // A) records against one record at a time."""
+    """The full-grid route, one record at a time, against independent kernels."""
 
     @pytest.mark.parametrize("count", [1, 5, 500, 600, 2049])
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 9, 100])
     def test_qubit_blocks_match_the_one_piece_kernel(self, monkeypatch, n, count):
-        # blocks of 4096, 819, 8, 6 and 1 records: partial last blocks and blocks of one
         rng = np.random.default_rng([2026, n, count])
         states = random_qubit_stack(rng, n)
         alphas = np.linspace(0.5, 0.9999, count)
         delta_mu = float(rng.uniform(0.3, 3.0))
         calls = record_kernel_halves(monkeypatch)
-        curves = list(_bound_curves(states, alphas, delta_mu))
-        # the alpha-free half runs once over the whole stack, the per-alpha half per block
-        block = max(1, BLOCK_ALPHA_POINTS // count)
-        assert calls == [("frames", 4 * n)] + [
-            ("sums", 4 * min(block, n - start)) for start in range(0, n, block)
-        ]
+        curves = [_bound_curve(record, alphas, delta_mu) for record in states]
+        # each record runs both halves of the kernel once, on its four pairs
+        assert calls == [("frames", 4), ("sums", 4)] * n
         want = oracle_bound_rows(states, alphas, delta_mu)
-        assert len(curves) == len(want) == n
+        assert len(want) == n
         for curve, (fractions, (b1, b2), optimum) in zip(curves, want):
             assert_same_curve(curve, fractions, b1, b2, optimum)
 
-    def test_qutrit_blocks_match_tightest_bound(self, monkeypatch):
-        # the per-block sandwich route at 4096 // 600 = 6 records a block, the last block of one
+    def test_qutrit_blocks_match_tightest_bound(self):
+        # the sandwich route of dim > 2 against one eigvalsh fidelity curve at a time
         rng = np.random.default_rng(2027)
         alphas = np.linspace(0.5, 0.9999, 600)
         records = [
@@ -501,16 +501,11 @@ class TestBlockedBoundLoop:
                             for _ in range(4)), delta_mu=1.7)
             for _ in range(13)
         ]
-        eigvalsh, blocks = np.linalg.eigvalsh, []
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: blocks.append(len(m)) or eigvalsh(m))
-        curves = list(_bound_curves(_record_states(records), alphas, 1.7))
-        assert blocks == [24, 24, 4]  # four sandwiches per record
-        monkeypatch.undo()
-        assert len(curves) == 13
+        curves = [tightest_bound(record, alphas) for record in records]
         assert any(c.optimum is not None for c in curves)
-        for record, curve in zip(records, curves):
-            want = tightest_bound(record, alphas)
-            assert_same_curve(curve, want.fractions, want.b1, want.b2, want.optimum)
+        assert any(c.optimum is None for c in curves)
+        for i, (record, curve) in enumerate(zip(records, curves)):
+            assert_matches_per_curve_reference(curve, record, i)
 
 
 def plate_record(rho1, rho2, thickness_mm, orientation, shift_over_sigma) -> ProbingRecord:
@@ -706,8 +701,8 @@ class TestCertifiedSearch:
                                                 record.delta_mu)
             assert_search_matches_full_grid(states, alphas, 1.3)
         # the full-grid route decides alpha*: the first copy of the least bound's alpha
-        _, bounds = next(_bound_blocks(_record_states(records[:1]), repeated, 1.0))
-        assert _best_bounds(bounds)[0][0] % 3 == 0
+        _, bounds = _record_bounds(_record_states(records[:1])[0], repeated, 1.0)
+        assert _best_bounds(bounds[None])[0][0] % 3 == 0
         calls = record_kernel_halves(monkeypatch)
         for alphas in (shuffled, shuffled[:17]):
             made = []
@@ -720,7 +715,7 @@ class TestCertifiedSearch:
     def test_one_clamp_warning_per_pass(self):
         # a raw F of 1.5^alpha: the search warns once over a pass of three coarse blocks
         # and their fills, with the largest excess it evaluated (at alpha = 0.9999);
-        # the full-grid route warns once per block of 8 records
+        # the full-grid route warns once per record
         states = np.array([[1.5 * KET0.matrix, KET0.matrix, PLUS.matrix, MIXED.matrix]] * 130)
         alphas = default_alpha_grid()
         with pytest.warns(UserWarning, match="clamping") as record:
@@ -728,8 +723,8 @@ class TestCertifiedSearch:
         assert len(record) == 1
         assert f"{1.5 ** 0.9999 - 1.0:.3e}" in str(record[0].message)
         with pytest.warns(UserWarning, match="clamping") as record:
-            want = list(_bound_curves(states, alphas, 1.0))
-        assert len(record) == math.ceil(130 / 8)
+            want = [_bound_curve(s, alphas, 1.0) for s in states]
+        assert len(record) == 130
         assert value.tolist() == [
             math.inf if c.optimum is None else c.optimum.value for c in want]
 
@@ -785,7 +780,7 @@ class TestDualBounds:
         for rec in records:
             for a in (0.5, float(rng.uniform(0.5, 0.9999)), 0.9999):
                 grid = np.array([a])
-                fractions = next(_bound_blocks(_record_states([rec]), grid, 1.0))[0][0]
+                fractions, _ = _record_bounds(_record_states([rec])[0], grid, 1.0)
                 unit = _bounds_from_fractions(fractions, grid, 1.0)
                 best = float(np.fmin(*unit)[0])
                 want = None if math.isnan(best) else math.inf if best == 0.0 else 1.0 / best

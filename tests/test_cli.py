@@ -498,8 +498,9 @@ class TestSweep:
         assert "thicknesses_mm" in capsys.readouterr().err
 
 
-# the README's scenario config, Monte Carlo included
-README_CONFIG = {
+# a Monte-Carlo scenario config whose second line, given by wavelength, is 1.73 nm
+# (7.905e11 Hz) wide against the first line's 5.68e11 Hz
+WAVELENGTH_CONFIG = {
     "schema": SCHEMA_VERSION,
     "spectra": {
         "first": {"mu_hz": 3.7e14, "sigma_hz": 5.68e11},
@@ -530,7 +531,7 @@ MIXED_RECORD = [
 def csv_artifact_argv(tmp_path, command):
     """CLI arguments (without --out or --csv) of a run writing the named CSV artifacts."""
     if command == "simulate":
-        return ["simulate", "--config", write_config(tmp_path / "c.json", README_CONFIG)]
+        return ["simulate", "--config", write_config(tmp_path / "c.json", WAVELENGTH_CONFIG)]
     if command == "bound":
         states = [np.array(m) for m in MIXED_RECORD]
         return ["bound", "--record", write_record(tmp_path / "r.json", *states, 7.95e11)]

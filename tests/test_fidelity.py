@@ -136,8 +136,7 @@ class TestAlphaFidelity:
     def test_clamps_and_warns_above_one(self):
         # the clamp is the kernel's; a public entry point rejects 1.5 * KET0 as a state
         with pytest.warns(UserWarning, match="clamping"):
-            blocks = fidelity._fidelity_blocks((1.5 * KET0)[None], KET0[None], np.array([0.5]), 1)
-            got = next(blocks)
+            got = fidelity._fidelity_rows((1.5 * KET0)[None], KET0[None], np.array([0.5]))
         assert got[0, 0] == 1.0
 
     def test_non_states_rejected_in_either_position(self):

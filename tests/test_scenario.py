@@ -8,7 +8,7 @@ import pytest
 
 import alphaprobe.channel as channel
 import alphaprobe.scenario as scenario
-from alphaprobe.bounds import BLOCK_ALPHA_POINTS, NoInformationError
+from alphaprobe.bounds import NoInformationError
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
 from alphaprobe.cli import EXIT_GOLDEN, main
 from alphaprobe.linalg import DensityMatrix
@@ -293,6 +293,18 @@ class TestRunScenario:
         assert len(rows) == 500
         assert all(r["valid1"] == "true" and r["valid2"] == "true" for r in rows)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: the equal-width inversion bounds "
+                       "a record of lines of unequal widths below both widths")
+    def test_unequal_widths_bound_no_less_than_the_narrower_width(self, tmp_path):
+        # an 810 nm line 1.73 nm wide is 7.905e11 Hz wide against the first line's
+        # 5.68e11 Hz; in exact-states mode b_inf reads 4.989e11 Hz, below both widths
+        cfg = parse_scenario(sim_config(spectra={
+            "first": {"mu_hz": MU0, "sigma_hz": REFERENCE_SIGMA_HZ},
+            "second": {"center_wavelength_nm": 810.0, "width_nm": 1.73},
+        }))
+        results = run_scenario(cfg, out_dir=str(tmp_path)).summary["results"]
+        assert results["b_inf_hz"] >= min(s.sigma for s in cfg.spectra)
+
     def test_eight_plate_stack_runs(self, tmp_path):
         plates = [{"thickness_mm": 1.0 + i, "orientation_deg": 20.0 * i} for i in range(8)]
         cfg = parse_scenario(sim_config(coupling={"plates": plates}))
@@ -569,15 +581,14 @@ class TestSweep:
             sweep_thickness(parse_scenario(sim_config()), out_dir=str(tmp_path))
 
     @pytest.mark.parametrize("count, thicknesses, second_sigma", [
-        # two blocks of 51 and 9 records, the uninformative 22 mm plate last
+        # 60 thicknesses, the uninformative 22 mm plate last
         (80, [0.25 * k for k in range(1, 60)] + [22.0], None),
         # unequal widths, so sigma_truth is null and no row has b_inf_over_sigma
         (80, [22.0] + [0.35 * k for k in range(1, 62)], 1.4 * REFERENCE_SIGMA_HZ),
-        # blocks of 8 records at the default grid, the last one partial
         (500, [1.5 * k for k in range(1, 11)] + [22.0], None),
     ])
     def test_one_blocked_pass_keeps_the_per_thickness_rows(
-        self, tmp_path, monkeypatch, count, thicknesses, second_sigma
+        self, tmp_path, count, thicknesses, second_sigma
     ):
         payload = self.sweep_config(thicknesses, alpha_grid={"count": count})
         if second_sigma is not None:
@@ -585,7 +596,6 @@ class TestSweep:
         cfg = parse_scenario(payload)
         want = oracle_sweep_rows(cfg)
         oracle_sweep_csv(tmp_path / "oracle.csv", cfg)
-        calls = record_kernel_halves(monkeypatch)
         report = sweep_thickness(cfg, out_dir=str(tmp_path / "run"))
         results = report.summary["results"]
         assert results["thicknesses"] == want
@@ -594,14 +604,6 @@ class TestSweep:
         assert (results["sigma_truth_hz"] is None) == (second_sigma is not None)
         assert any(r["no_information"] for r in want)
         assert any(not r["no_information"] for r in want)
-        # four fidelity pairs per record: the kernel's alpha-free half over every
-        # record at once, its per-alpha half once per block of records
-        block = max(1, BLOCK_ALPHA_POINTS // count)
-        k = len(thicknesses)
-        assert len(calls) - 1 == math.ceil(k / block) > 1
-        assert calls == [("frames", 4 * k)] + [
-            ("sums", 4 * min(block, k - start)) for start in range(0, k, block)
-        ]
 
     def test_require_bound_sweep_with_no_informative_thickness(self, tmp_path):
         cfg = parse_scenario(self.sweep_config([22.0, 25.0], require_bound=True))

@@ -9,7 +9,6 @@ from alphaprobe.spectra import (
     LIGHT_SPEED,
     FrequencyGrid,
     GaussianSpectrum,
-    UnequalWidthsError,
     discretize_pair,
     gaussian_alpha_fidelity,
     kappa,
@@ -116,11 +115,15 @@ class TestGaussianAlphaFidelity:
         for a in (0.5, 0.9):
             assert gaussian_alpha_fidelity(s1, s2, a) == gaussian_alpha_fidelity(s2, s1, a)
 
-    def test_unequal_widths_point_to_classical_route(self):
+    @pytest.mark.filterwarnings("ignore:alpha = 0.2 is below 0.5")
+    def test_unequal_widths_match_the_shared_grid(self):
         s1 = GaussianSpectrum(mu=MU0, sigma=1e11)
-        s2 = GaussianSpectrum(mu=MU0, sigma=2e11)
-        with pytest.raises(UnequalWidthsError, match="shared discretized grid"):
-            gaussian_alpha_fidelity(s1, s2, 0.5)
+        for r in (0.3, 0.77, 1.39, 3.0):
+            s2 = GaussianSpectrum(mu=MU0 + 1e11, sigma=r * 1e11)
+            g1, g2 = discretize_pair(s1, s2, 12.0, 20001)
+            for a in (0.2, 0.5, 0.7, 0.9999):
+                want = classical_alpha_fidelity(g1, g2, a)
+                assert gaussian_alpha_fidelity(s1, s2, a) == pytest.approx(want, abs=1e-14)
 
 
 class TestKappa:

@@ -11,7 +11,7 @@ from alphaprobe.bounds import (
     BoundCurve,
     ProbingRecord,
     _best_bounds,
-    _bound_blocks,
+    _record_bounds,
     tightest_bound,
 )
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
@@ -696,8 +696,9 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("seed", [42, 43])
     def test_replicas_agree_with_pow_kernel(self, tmp_path, monkeypatch, seed):
-        # the README's scenario config: every replica's optimum through the
-        # log-domain qubit kernel and through the linear-domain pow kernel
+        # a Monte-Carlo scenario config with a wavelength-form second line: every
+        # replica's optimum through the log-domain qubit kernel and through the
+        # linear-domain pow kernel
         config = {
             "schema": SCHEMA_VERSION,
             "spectra": {
@@ -736,8 +737,8 @@ class TestMonteCarlo:
             calls[name] = recorded[:]
             # the full-grid route, where a tie still decides alpha*, gives each alpha and family
             ((states, alphas, delta_mu, value),) = passes
-            index = np.concatenate([_best_bounds(bounds)[0]
-                                    for _, bounds in _bound_blocks(states, alphas, delta_mu)])
+            bounds = np.array([_record_bounds(record, alphas, delta_mu)[1] for record in states])
+            index = _best_bounds(bounds)[0]
             optima[name] = list(zip(index.tolist(), value.tolist()))
         # one sampling pass: the alpha-free half over 500 records, then per block of
         # 62 records, eight and one of 4, a coarse call and fill calls of at most
