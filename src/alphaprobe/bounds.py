@@ -76,17 +76,6 @@ class ProbingRecord:
         return (self.rho1, self.rho2, self.phi1_rho1, self.phi2_rho2)
 
 
-def _record_states(records) -> np.ndarray:
-    """The four matrices of each of n records as one stack, shape (n, 4, d, d)."""
-    return np.array([[s.matrix for s in record.states] for record in records])
-
-
-def _pair_stacks(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and second states (4 n, d, d) of the fidelity pairs of n records (n, 4, d, d)."""
-    d = states.shape[-1]
-    return states[:, _PAIR_FIRST].reshape(-1, d, d), states[:, _PAIR_SECOND].reshape(-1, d, d)
-
-
 def _ratio(f: np.ndarray) -> np.ndarray:
     """Fractions of F (..., 2, k), numerators then denominators; a zero denominator gives +inf."""
     num, den = f[..., 0, :], f[..., 1, :]
@@ -104,7 +93,7 @@ def fraction_curve(record: ProbingRecord, alphas, order: str = "forward") -> np.
     """
     if order not in BOUND_ORDERS:
         raise ValueError(f"order must be one of {BOUND_ORDERS}, got {order!r}")
-    fractions, _ = _record_bounds(_record_states([record])[0], _check_alpha_grid(alphas), 1.0)
+    fractions, _ = _record_bounds(np.array(record.states), _check_alpha_grid(alphas), 1.0)
     return fractions[BOUND_ORDERS.index(order)]
 
 
@@ -180,26 +169,18 @@ class BoundCurve:
         return self.optimum is None
 
 
-def _best_bounds(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (2, A) index and value, inf for none, of each record's least finite bound in (n, 2, A).
+def _optimum(bounds: np.ndarray, alphas: np.ndarray) -> BoundOptimum | None:
+    """The least finite bound of one record's rows (2, A); None where there is none.
 
     B1 wins a tie with B2, and the first grid point a tie within a family, as in a scan
     of B1 and then B2 in grid order that keeps only strict improvements.
     """
-    finite = np.fmin(bounds, math.inf).reshape(len(bounds), -1)  # fmin skips a NaN
-    best = np.argmin(finite, axis=1)  # the first minimum of B1 followed by B2
-    return best, finite[np.arange(len(best)), best]
-
-
-def _optima(bounds: np.ndarray, alphas: np.ndarray) -> list:
-    """Each record's BoundOptimum in rows (n, 2, A), by _best_bounds; None where there is none."""
-    return [
-        None if math.isinf(value) else BoundOptimum(
-            value=value, alpha=float(alphas[k % alphas.size]),
-            family=BOUND_FAMILIES[k // alphas.size],
-        )
-        for k, value in zip(*(a.tolist() for a in _best_bounds(bounds)))
-    ]
+    finite = np.fmin(bounds, math.inf).ravel()  # fmin skips a NaN
+    k = int(np.argmin(finite))  # the first minimum of B1 followed by B2
+    if math.isinf(finite[k]):
+        return None
+    return BoundOptimum(float(finite[k]), float(alphas[k % alphas.size]),
+                        BOUND_FAMILIES[k // alphas.size])
 
 
 def _record_bounds(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> tuple:
@@ -215,14 +196,14 @@ def _record_bounds(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> t
 def _bound_curve(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> BoundCurve:
     """The full-grid BoundCurve of one record's states (4, d, d)."""
     fractions, bounds = _record_bounds(states, alphas, delta_mu)
-    (optimum,) = _optima(bounds[None], alphas)
-    return BoundCurve(alphas, bounds[0], bounds[1], optimum, fractions=tuple(fractions))
+    return BoundCurve(alphas, bounds[0], bounds[1], _optimum(bounds, alphas),
+                      fractions=tuple(fractions))
 
 
 def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> np.ndarray:
     """Each least bound, inf for none, of qubit records (n, 4, 2, 2) on a checked grid.
 
-    The values of _best_bounds on the full grid, bit for bit, from a certified part of its
+    The values of _optimum on the full grid, bit for bit, from a certified part of its
     sorted copy (a least value ignores order). The sandwiched S_a = ln F_a / (a - 1) is
     nondecreasing in a (Mueller-Lennert et al., J. Math. Phys. 54, 122203 (2013)), so inside a
     gap (a_i, a_j) every bound obeys B(a)^2 >= a_i dmu^2 / (2 (S_out(a_j) - S_in(a_i))), and no
@@ -241,7 +222,8 @@ def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> n
     cols = np.minimum(np.arange(0, count + step - 1, step), count - 1)  # and the last point
     gaps = np.minimum(cols[:-1, None] + np.arange(1, step), cols[1:, None])  # end-padded interiors
     q = (1.0 - alphas) / alphas
-    frames = fidelity._qubit_frames(*_pair_stacks(states))
+    frames = fidelity._qubit_frames(states[:, _PAIR_FIRST].reshape(-1, 2, 2),
+                                    states[:, _PAIR_SECOND].reshape(-1, 2, 2))
     scratch = np.empty((4, max(4 * count, min(4 * n * count, 2 * BLOCK_ALPHA_POINTS))))
     peak = -math.inf
 
@@ -288,7 +270,7 @@ def _bound_grid(alpha_grid) -> np.ndarray:
 
 def tightest_bound(record: ProbingRecord, alpha_grid=None) -> BoundCurve:
     """Evaluate both families over the grid and locate the minimum bound."""
-    return _bound_curve(_record_states([record])[0], _bound_grid(alpha_grid), record.delta_mu)
+    return _bound_curve(np.array(record.states), _bound_grid(alpha_grid), record.delta_mu)
 
 
 def ratio_lower_bound(record: ProbingRecord, alpha: float) -> float | None:

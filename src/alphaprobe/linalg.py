@@ -1,8 +1,8 @@
 """Dense Hermitian linear algebra for small quantum states.
 
-Every state is checked once, by check_density_matrices, and the kernels
-downstream (fidelities, channels, tomography) trust the stacks it returns, so
-the numerical tolerances live in one place: Hermiticity and positivity are
+Every state is checked once, by check_density_matrices, or built valid (a
+tomographic estimate), and the kernels downstream trust those stacks, so the
+numerical tolerances live in one place: Hermiticity and positivity are
 enforced at 1e-9, and eigenvalues below EIG_FLOOR are treated as exact zeros
 when taking fractional matrix powers.
 """

@@ -192,15 +192,16 @@ def _parse_stack(payload, path: str) -> tuple[WavePlateStack, dict]:
     needs_seed = any(
         isinstance(p, dict) and p.get("orientation_deg") == "random" for p in plates_cfg
     )
+    if "orientation_seed" in payload:  # checked even where no orientation draws from it
+        seed = check_integer(*_field(payload, "orientation_seed", path), minimum=0)
+    elif needs_seed:
+        raise ConfigError(
+            f"{path}.orientation_seed is required when any orientation is \"random\""
+        )
     rng = None
     if needs_seed:
         from .tomography import rng_stream
 
-        if "orientation_seed" not in payload:
-            raise ConfigError(
-                f"{path}.orientation_seed is required when any orientation is \"random\""
-            )
-        seed = check_integer(*_field(payload, "orientation_seed", path), minimum=0)
         rng = rng_stream(seed, ())
     plates, echo = [], []
     for i, plate_cfg in enumerate(plates_cfg):
@@ -273,6 +274,11 @@ def _parse_config(payload: dict) -> ScenarioConfig:
                 f"probes must be omitted or {REFERENCE_LITERAL!r} when coupling is "
                 f"{REFERENCE_LITERAL!r}: the bundled evolved states belong to the "
                 "bundled probes"
+            )
+        if "spectra" in payload:
+            raise ConfigError(
+                f"spectra must be omitted when coupling is {REFERENCE_LITERAL!r}: the "
+                "bundled record fixes its lines"
             )
     else:
         spectra_cfg = _object(*_field(payload, "spectra", "config"))

@@ -66,13 +66,19 @@ def gaussian_alpha_fidelity(
 
     With r = sigma2 / sigma1 and v = 1 + alpha (r^2 - 1) it is
     r^alpha / sqrt(v) exp(-alpha (1 - alpha) dmu^2 / (2 sigma1^2 v)) (Gil, Alajaji and
-    Linder, Information Sciences 249, 124 (2013)); v is exactly 1 for equal widths.
+    Linder, Information Sciences 249, 124 (2013)). It is evaluated through ln r and
+    ln v, so no square leaves the float range at any finite widths and shift.
     """
     a = check_alpha(alpha)
-    r = s2.sigma / s1.sigma
-    v = 1.0 + a * (r * r - 1.0)
-    dmu = s1.mu - s2.mu
-    return r**a / math.sqrt(v) * math.exp(-(1.0 - a) * a * dmu * dmu / (2.0 * s1.sigma**2 * v))
+    log_r = math.log(s2.sigma) - math.log(s1.sigma)
+    # ln v from r^2 - 1 where r <= 1 and from 1 / r^2 where r > 1: neither overflows
+    if log_r <= 0.0:
+        log_v = math.log1p(a * math.expm1(2.0 * log_r))
+    else:
+        log_v = 2.0 * log_r + math.log(a + (1.0 - a) * math.exp(-2.0 * log_r))
+    # dmu / (sigma1 sqrt(v)), with sigma1^2 v = (1 - a) sigma1^2 + a sigma2^2
+    z = (s1.mu - s2.mu) / math.hypot(math.sqrt(1.0 - a) * s1.sigma, math.sqrt(a) * s2.sigma)
+    return math.exp(a * log_r - 0.5 * log_v - (1.0 - a) * a * z * z / 2.0)
 
 
 def kappa(spectrum: GaussianSpectrum, tau):

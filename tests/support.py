@@ -41,10 +41,9 @@ from alphaprobe.bounds import (
     _PAIR_FIRST,
     _PAIR_SECOND,
     ProbingRecord,
-    _best_bounds,
+    _bound_curve,
     _bounds_from_fractions,
-    _optima,
-    _record_bounds,
+    _optimum,
     bound_summary,
     tightest_bound,
 )
@@ -224,17 +223,17 @@ def oracle_bound_rows(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -
         with np.errstate(divide="ignore", invalid="ignore"):
             fractions = np.where(f[:, 1] == 0.0, math.inf, f[:, 0] / f[:, 1])
         bounds = _bounds_from_fractions(fractions, alphas, delta_mu)
-        rows.append((fractions, bounds, _optima(bounds[None], alphas)[0]))
+        rows.append((fractions, bounds, _optimum(bounds, alphas)))
     return rows
 
 
 def full_grid_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> np.ndarray:
     """`bounds._search_optima` by the full-grid route, its oracle.
 
-    Each record's least bound, inf for none, by `_best_bounds` over its `_record_bounds`.
+    Each record's least bound, inf for none: the optimum of its `_bound_curve`.
     """
-    return _best_bounds(np.array([_record_bounds(record, alphas, delta_mu)[1]
-                                  for record in states]))[1]
+    optima = [_bound_curve(record, alphas, delta_mu).optimum for record in states]
+    return np.array([math.inf if best is None else best.value for best in optima])
 
 
 def _mp_det2(m):

@@ -21,12 +21,10 @@ from alphaprobe.bounds import (
     tightest_bound,
     write_bound_curve_csv,
     write_csv,
-    _best_bounds,
     _bound_curve,
     _bounds_from_fractions,
-    _optima,
+    _optimum,
     _record_bounds,
-    _record_states,
     _search_optima,
 )
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
@@ -314,7 +312,7 @@ class TestOptimumTieRule:
             [[3.0, 1.0, 2.0, 4.0], [1.0, 3.0, 1.0, 1.0]],  # B1 ties B2 at a higher alpha
             [[math.nan] * 4, [math.nan] * 4],
         ])
-        assert _optima(bounds, alphas) == [
+        assert [_optimum(b, alphas) for b in bounds] == [
             BoundOptimum(1.0, 0.6, "B1"),
             BoundOptimum(1.0, 0.7, "B2"),
             BoundOptimum(1.0, 0.6, "B1"),
@@ -327,13 +325,13 @@ class TestOptimumTieRule:
         bounds = rng.integers(1, 4, size=(500, 2, 6)).astype(float)
         bounds[rng.random(bounds.shape) < 0.3] = math.nan
         bounds[:10] = math.nan
-        optima = _optima(bounds, alphas)
+        optima = [_optimum(b, alphas) for b in bounds]
         assert optima == [family_scan(b1, b2, alphas) for b1, b2 in bounds]
         assert None in optima
 
     def test_array_optimum_agrees_with_optima(self):
-        # the flat (2, A) index and value behind _optima: B1 over B2, the first alpha
-        # within a family, an all-NaN row, a bound of 0 and bounds that overflow
+        # _optimum on crafted rows: B1 over B2, the first alpha within a family, an
+        # all-NaN row, a bound of 0 and bounds that overflow
         alphas = np.array([0.5, 0.6, 0.7, 0.8])
         nan = math.nan
         ties = np.array([
@@ -349,21 +347,16 @@ class TestOptimumTieRule:
         overflow = _bounds_from_fractions(np.array([[[0.99] * 4, [0.999] * 4]]), alphas, 1.7e308)
         bounds = np.concatenate([ties, zero, overflow])
         assert np.isnan(overflow).all() and zero[0, 0, 1] == zero[0, 1, 0] == 0.0
-        best, values = _best_bounds(bounds)
-        assert values.tolist() == [1.0, 1.0, 1.0, math.inf, 0.0, math.inf]
-        assert best[values < math.inf].tolist() == [1, 6, 1, 1]
-        optima = _optima(bounds, alphas)
-        assert optima[:4] == [
+        optima = [_optimum(b, alphas) for b in bounds]
+        assert optima == [
             BoundOptimum(1.0, 0.6, "B1"),
             BoundOptimum(1.0, 0.7, "B2"),
             BoundOptimum(1.0, 0.6, "B1"),
             None,
+            BoundOptimum(0.0, 0.6, "B1"),
+            None,
         ]
-        for k, value, optimum in zip(best.tolist(), values.tolist(), optima):
-            if optimum is None:
-                assert value == math.inf
-            else:
-                assert optimum == BoundOptimum(value, alphas[k % 4], ("B1", "B2")[k // 4])
+        assert all(type(o.value) is type(o.alpha) is float for o in optima if o is not None)
 
 
 def random_qubit_record(rng, evolved: bool) -> ProbingRecord:
@@ -458,6 +451,11 @@ class TestQubitKernel:
             got = alpha_fidelity_curve(rho1, defective, alphas)
             want = alpha_fidelity_curve(rho1, hermitian, alphas)
             assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def record_stack(records) -> np.ndarray:
+    """The four state matrices of each record as one stack (n, 4, d, d)."""
+    return np.array([record.states for record in records])
 
 
 def random_qubit_stack(rng, n: int) -> np.ndarray:
@@ -656,7 +654,7 @@ class TestCertifiedSearch:
         records = search_records(np.random.default_rng(2041))
         alphas = np.linspace(0.5, 0.9999, count)
         for record in records:
-            assert_search_matches_full_grid(_record_states([record]), alphas, record.delta_mu)
+            assert_search_matches_full_grid(record_stack([record]), alphas, record.delta_mu)
         if count == 500:
             curves = [tightest_bound(r, alphas) for r in records]
             assert sum(c.optimum is None for c in curves) >= 3
@@ -682,8 +680,7 @@ class TestCertifiedSearch:
         for count in (60, 500):
             alphas = np.linspace(0.5, 0.9999, count)
             for record in records:
-                assert_search_matches_full_grid(_record_states([record]), alphas,
-                                                record.delta_mu)
+                assert_search_matches_full_grid(record_stack([record]), alphas, record.delta_mu)
 
     def test_ties_within_a_family_and_unsorted_grids(self, monkeypatch):
         # a grid that repeats each alpha three times ties every bound with its copies,
@@ -692,17 +689,17 @@ class TestCertifiedSearch:
         rng = np.random.default_rng(2044)
         records = [reference_record(), plate_record(PLUS, PLUS, 5.0, 0.3, 1.0),
                    diag_record(0.3, 0.35), no_information_record()]
-        states = _record_states(records)
+        states = record_stack(records)
         repeated = np.repeat(np.linspace(0.5, 0.9999, 170), 3)
         shuffled = rng.permutation(default_alpha_grid())
         for alphas in (repeated, shuffled, shuffled[:17]):
             for record in records:
-                assert_search_matches_full_grid(_record_states([record]), alphas,
-                                                record.delta_mu)
+                assert_search_matches_full_grid(record_stack([record]), alphas, record.delta_mu)
             assert_search_matches_full_grid(states, alphas, 1.3)
-        # the full-grid route decides alpha*: the first copy of the least bound's alpha
-        _, bounds = _record_bounds(_record_states(records[:1])[0], repeated, 1.0)
-        assert _best_bounds(bounds[None])[0][0] % 3 == 0
+        # the full-grid route decides alpha*: the first copy of the least bound's alpha,
+        # whose grid index _optimum reports in place of alpha on a grid of indices
+        _, bounds = _record_bounds(states[0], repeated, 1.0)
+        assert _optimum(bounds, np.arange(repeated.size, dtype=float)).alpha % 3 == 0
         calls = record_kernel_halves(monkeypatch)
         for alphas in (shuffled, shuffled[:17]):
             made = []
@@ -780,7 +777,7 @@ class TestDualBounds:
         for rec in records:
             for a in (0.5, float(rng.uniform(0.5, 0.9999)), 0.9999):
                 grid = np.array([a])
-                fractions, _ = _record_bounds(_record_states([rec])[0], grid, 1.0)
+                fractions, _ = _record_bounds(np.array(rec.states), grid, 1.0)
                 unit = _bounds_from_fractions(fractions, grid, 1.0)
                 best = float(np.fmin(*unit)[0])
                 want = None if math.isnan(best) else math.inf if best == 0.0 else 1.0 / best

@@ -147,6 +147,18 @@ CASES = [
      "tomography.replicas"),
     ("orientation-seed-string", "simulate", random_orientation_config("x"), [],
      "orientation_seed"),
+    # the seed is checked even where every orientation is fixed and none draws from it
+    ("orientation-seed-string-fixed-plates", "simulate",
+     edited(base_config(), "coupling.orientation_seed", "x"), [], "coupling.orientation_seed"),
+    ("orientation-seed-negative-fixed-plates", "simulate",
+     edited(base_config(), "coupling.orientation_seed", -5), [], "coupling.orientation_seed"),
+    # the bundled coupling reads no spectra, so a spectra block beside it is rejected
+    ("spectra-beside-bundled-coupling", "simulate",
+     {"schema": SCHEMA_VERSION, "coupling": "paper-matrices", "spectra": "garbage"}, [],
+     "spectra must be omitted"),
+    ("spectra-lines-beside-bundled-coupling", "simulate",
+     {"schema": SCHEMA_VERSION, "coupling": "paper-matrices",
+      "spectra": {"first": {"mu_hz": -1}}}, [], "spectra must be omitted"),
     ("sweep-orientation-string", "sweep",
      edited(sweep_config(), "sweep.orientation_deg", "x"), [], "sweep.orientation_deg"),
     ("sweep-qutrit-probe", "sweep", edited(sweep_config(), "probes.rho1", QUTRIT), [],

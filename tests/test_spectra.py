@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -124,6 +125,36 @@ class TestGaussianAlphaFidelity:
             for a in (0.2, 0.5, 0.7, 0.9999):
                 want = classical_alpha_fidelity(g1, g2, a)
                 assert gaussian_alpha_fidelity(s1, s2, a) == pytest.approx(want, abs=1e-14)
+
+    @pytest.mark.parametrize("sigma1, sigma2, want", [
+        (2e154, 2e154, 1.0),  # sigma1^2 overflows
+        (1e-163, 1e-163, 0.0),  # sigma1^2 underflows to 0
+        (1e-300, 1e300, 1.1952286093343204e-180),  # r overflows
+        (1e300, 1e-300, 0.0),  # r underflows, sigma1^2 overflows
+    ])
+    def test_extreme_widths(self, sigma1, sigma2, want):
+        # the 50-digit closed form, rounded to a float, at dmu = 1e15 Hz
+        got = gaussian_alpha_fidelity(GaussianSpectrum(1e15, sigma1),
+                                      GaussianSpectrum(2e15, sigma2), 0.7)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_any_finite_widths_match_the_50_digit_form(self):
+        # widths and shifts from 1e-300 to 1e300 Hz: F within 1e-12 max(1, |ln F|) of the
+        # 50-digit value, relative, or one subnormal step where it underflows
+        rng = np.random.default_rng(151)
+        with mpmath.workdps(50):
+            for _ in range(300):
+                sigma1, sigma2, mu = 10.0 ** rng.uniform(-300.0, 300.0, size=3)
+                mu2 = mu * (1.0 + float(rng.choice([0.0, 1e-12, 0.5, 3.0])))
+                a = float(rng.uniform(0.5, 0.9999))
+                got = gaussian_alpha_fidelity(GaussianSpectrum(mu, sigma1),
+                                              GaussianSpectrum(mu2, sigma2), a)
+                s1, s2, d, m = (mpmath.mpf(x) for x in (sigma1, sigma2, mu - mu2, a))
+                v = (1 - m) * s1**2 + m * s2**2  # sigma1^2 (1 + a (r^2 - 1))
+                log_want = (m * mpmath.log(s2) + (1 - m) * mpmath.log(s1) - mpmath.log(v) / 2
+                            - (1 - m) * m * d**2 / (2 * v))
+                want = mpmath.exp(log_want)  # F <= 1, so ln F <= 0
+                assert abs(got - want) <= 1e-12 * max(1, -log_want) * want + math.ulp(0.0)
 
 
 class TestKappa:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from alphaprobe.bounds import (
     BLOCK_ALPHA_POINTS,
     BoundCurve,
     ProbingRecord,
-    _best_bounds,
-    _record_bounds,
+    _bound_curve,
     tightest_bound,
 )
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
@@ -343,6 +343,22 @@ class TestReconstruct:
                 assert np.abs(reconstruct(record).matrix - matrix).max() == 0.0
         assert worst <= 1e-15
 
+    def test_inverted_estimates_are_states_as_built(self):
+        # the replica pass bounds _invert's estimates unchecked: each pass of 1024 x 4 is
+        # its own check_density_matrices image, bit for bit, with one-sided and other
+        # rows outside the Bloch ball among them, which the repair puts on its surface
+        rng = np.random.default_rng(149)
+        repaired = 0
+        for _ in range(20):
+            counts = rng.poisson(rng.uniform(0.0, 40.0, size=(1024, 4, 6))).astype(float)
+            counts[..., 0::2] += counts[..., 0::2] + counts[..., 1::2] == 0  # no empty basis
+            n_plus, n_minus = counts[..., 0::2], counts[..., 1::2]
+            r = (n_plus - n_minus) / (n_plus + n_minus)
+            repaired += int(np.sum(np.sum(r * r, axis=-1) > 1.0))
+            states = tomography._invert(counts)
+            assert states.tobytes() == check_density_matrices(states).tobytes()
+        assert repaired > 1000
+
     def test_zero_count_basis_rejected(self):
         record = CountRecord({"hv": (10, 10), "diag": (0, 0), "circ": (10, 10)})
         with pytest.raises(ValueError, match="zero counts"):
@@ -659,6 +675,18 @@ class TestMonteCarlo:
         assert report.mean_b_inf is None and report.std_b_inf is None
         assert report.no_info_fraction == 1.0
 
+    def test_tiny_bounds_keep_their_spread(self):
+        # replica bounds near 1e-188 Hz: their deviations square below the float range
+        # unless the values are first scaled up by a power of two, which is exact
+        truth = replace(reference_record(), delta_mu=REFERENCE_DELTA_MU_HZ * 1e-200)
+        cfg = settings(time=60.0, rate=200.0, seed=3)
+        report = monte_carlo_bounds(truth, cfg, 50)
+        values = np.array(report.values) * 2.0**600
+        assert report.std_b_inf == pytest.approx(np.std(values, ddof=1) / 2.0**600, rel=1e-13)
+        assert report.mean_b_inf == pytest.approx(np.mean(values) / 2.0**600, rel=1e-15)
+        ordinary = monte_carlo_bounds(reference_record(), cfg, 50)
+        assert report.std_b_inf == pytest.approx(ordinary.std_b_inf * 1e-200, rel=1e-12)
+
     def test_single_replica_is_replica_zero(self):
         truth = exact_truth_record()
         one = monte_carlo_bounds(truth, settings(), 1, SMALL_GRID)
@@ -737,9 +765,8 @@ class TestMonteCarlo:
             calls[name] = recorded[:]
             # the full-grid route, where a tie still decides alpha*, gives each alpha and family
             ((states, alphas, delta_mu, value),) = passes
-            bounds = np.array([_record_bounds(record, alphas, delta_mu)[1] for record in states])
-            index = _best_bounds(bounds)[0]
-            optima[name] = list(zip(index.tolist(), value.tolist()))
+            best = [_bound_curve(record, alphas, delta_mu).optimum for record in states]
+            optima[name] = [(b and (b.alpha, b.family), v) for b, v in zip(best, value.tolist())]
         # one sampling pass: the alpha-free half over 500 records, then per block of
         # 62 records, eight and one of 4, a coarse call and fill calls of at most
         # 8192 // 15 = 546 pairs, and replica 0's own frames and full grid; both kernels
