@@ -36,11 +36,11 @@ BOUND_FAMILIES = ("B1", "B2")  # the bound of each order, in BOUND_ORDERS order
 # the fidelity pairs (first, second) behind the fractions, as indices into
 # ProbingRecord.states: forward numerator and denominator, then reversed ones
 _PAIR_FIRST, _PAIR_SECOND = [2, 0, 3, 1], [3, 1, 2, 0]
-# the scratch of _search_optima holds 2 x BLOCK_ALPHA_POINTS pairs' points (4 A at least).
-# A Monte-Carlo run of 100 replicas at A = 500, its search and replica 0's curve, traces a
-# 0.76 MiB peak (tracemalloc; 2-vCPU Xeon, Python 3.11, numpy 2.4); at 8192 it traced
-# 1.26 MiB, at 2048 0.49 MiB, and both ran slower. The mc-tomography benchmark allows about
-# 2.2 MiB (5%) of growth
+# a fill call of _search_optima takes BLOCK_ALPHA_POINTS // (gap width) gaps, two pairs a
+# gap: 273 gaps of 15 points at A = 500. A Monte-Carlo run of 100 replicas at A = 500, one
+# coarse call, its fills and replica 0's curve, traces a 1.22 MiB peak (tracemalloc; 2-vCPU
+# Xeon, Python 3.11, numpy 2.4), 0.75 MiB when coarse calls ran in blocks of 2 x 4096
+# points; the mc-tomography benchmark allows about 2.2 MiB (5%) of growth
 BLOCK_ALPHA_POINTS = 4096
 # _search_optima's one float allowance: its widening of each computed ln F_alpha, which covers
 # an error of a third of it at a gap's end and at a point inside (the kernel's is a few ulp),
@@ -208,13 +208,14 @@ def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> n
     nondecreasing in a (Mueller-Lennert et al., J. Math. Phys. 54, 122203 (2013)), so inside a
     gap (a_i, a_j) every bound obeys B(a)^2 >= a_i dmu^2 / (2 (S_out(a_j) - S_in(a_i))), and no
     point is informative where that divergence gap is <= 0. A coarse sub-grid, every step-th
-    point and both ends, is evaluated first; then, a call per scratch, every interior point of
-    each gap of each family that may hold a bound at or below the record's least coarse bound,
-    each fill folding into the record's least value. Each ln F is widened by SEARCH_ALLOWANCE,
-    a bound for the rounding at a gap's end and at a point inside it. The kernel floors only
-    alpha-free inputs, which keeps S_a monotone (see the README). Both halves of the kernel run
-    through the fidelity module, in one scratch of 2 x BLOCK_ALPHA_POINTS pairs' points (4 A at
-    least); a call warns of clamping once, for the points it evaluated.
+    point and both ends, is evaluated first, for every record in one kernel call; then, in
+    calls of BLOCK_ALPHA_POINTS // (gap width) gaps, every interior point of each gap of each
+    family that may hold a bound at or below the record's least coarse bound, each fill
+    folding into the record's least value. Each ln F is widened by SEARCH_ALLOWANCE, a bound
+    for the rounding at a gap's end and at a point inside it. The kernel floors only
+    alpha-free inputs, which keeps S_a monotone (see the README). Both halves of the kernel
+    run through the fidelity module; a call warns of clamping once, for the points it
+    evaluated.
     """
     alphas = np.sort(alphas)
     n, count = len(states), alphas.size
@@ -224,39 +225,34 @@ def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> n
     q = (1.0 - alphas) / alphas
     frames = fidelity._qubit_frames(states[:, _PAIR_FIRST].reshape(-1, 2, 2),
                                     states[:, _PAIR_SECOND].reshape(-1, 2, 2))
-    scratch = np.empty((4, max(4 * count, min(4 * n * count, 2 * BLOCK_ALPHA_POINTS))))
     peak = -math.inf
 
     def bound_rows(pairs, index):
         """Clamped F (pairs, k) and bounds, inf for none, of frame-column pairs at grid indices."""
         nonlocal peak
         at = index if index.ndim == 1 else np.repeat(index, 2, axis=0)  # a row per pair
-        f = fidelity._qubit_fidelity_sums(frames[:, pairs], q[at], alphas[at], scratch)
+        f = fidelity._qubit_fidelity_sums(frames[:, pairs], q[at], alphas[at])
         peak = max(peak, f.max())
         fractions = _ratio(np.minimum(f, 1.0, out=f).reshape(-1, 2, index.shape[-1]))
         return f, np.fmin(_bounds_from_fractions(fractions, alphas[index], delta_mu), math.inf)
 
-    value = np.empty(n)
     a = alphas[cols]
     root_half_a = np.sqrt(a[:-1] / 2.0) * (1.0 - SEARCH_ALLOWANCE)
-    block, per_call = scratch.shape[1] // (4 * cols.size), scratch.shape[1] // (2 * gaps.shape[1])
-    for start in range(0, n, block):
-        b = min(block, n - start)
-        f, coarse = bound_rows(np.arange(4 * start, 4 * (start + b)), cols)
-        low = value[start:start + b]
-        np.min(coarse.reshape(b, -1), axis=1, out=low)  # each record's least coarse bound
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_f = np.log(f, out=f).reshape(b, 2, 2, -1)  # (record, family, num/den, column)
-            spread = ((SEARCH_ALLOWANCE - log_f[:, :, 0, 1:]) / (1.0 - a[1:])
-                      + (log_f[:, :, 1, :-1] + SEARCH_ALLOWANCE) / (1.0 - a[:-1]))
-            lower = delta_mu * root_half_a / np.sqrt(spread)  # inf only beyond the float range
-        pruned = (spread <= 0.0) | (lower > low[:, None, None])
-        rec, family, gap = np.nonzero(~pruned)
-        for s in range(0, len(rec), per_call):
-            part = slice(s, s + per_call)
-            num = 4 * (start + rec[part]) + 2 * family[part]
-            fill = bound_rows(np.stack((num, num + 1), axis=1).ravel(), gaps[gap[part]])[1]
-            np.minimum.at(low, rec[part], fill.min(axis=1))
+    f, coarse = bound_rows(np.arange(4 * n), cols)
+    value = coarse.reshape(n, -1).min(axis=1)  # each record's least coarse bound
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_f = np.log(f, out=f).reshape(n, 2, 2, -1)  # (record, family, num/den, column)
+        spread = ((SEARCH_ALLOWANCE - log_f[:, :, 0, 1:]) / (1.0 - a[1:])
+                  + (log_f[:, :, 1, :-1] + SEARCH_ALLOWANCE) / (1.0 - a[:-1]))
+        lower = delta_mu * root_half_a / np.sqrt(spread)  # inf only beyond the float range
+    pruned = (spread <= 0.0) | (lower > value[:, None, None])
+    rec, family, gap = np.nonzero(~pruned)
+    per_call = BLOCK_ALPHA_POINTS // gaps.shape[1]
+    for s in range(0, len(rec), per_call):
+        part = slice(s, s + per_call)
+        num = 4 * rec[part] + 2 * family[part]
+        fill = bound_rows(np.stack((num, num + 1), axis=1).ravel(), gaps[gap[part]])[1]
+        np.minimum.at(value, rec[part], fill.min(axis=1))
     _warn_clamped(peak - 1.0)
     return value
 

@@ -102,8 +102,7 @@ def _qubit_frames(rho1s: np.ndarray, rho2s: np.ndarray) -> np.ndarray:
                      0.5 * inputs[:, 3], 0.5 * inputs[:, 4]))
 
 
-def _qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray,
-                         scratch: np.ndarray) -> np.ndarray:
+def _qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """The per-alpha half: unclipped F_alpha of m pairs' frames (6, m), shape (m, k).
 
     The grid and q = (1 - alpha) / alpha are one row (k,) for every pair or a row per
@@ -112,10 +111,10 @@ def _qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray,
     h = (t r'_00 + r'_11 + sqrt((t r'_00 - r'_11)^2 + 4 t |r'_01|^2)) / 2 (terms of one sign);
     the small one, (l1 l2)^q det(rho1) / hi, keeps its precision near purity.
     Roots stay logs until exp(alpha log root); lo <= hi; unlike the inputs, no root is floored.
-    Log roots (then their powers), t and d are (m, k) views of scratch (4, M k), M >= m.
+    Log roots (then their powers), t and d are (m, k) rows of one work array (4, m, k).
     """
     log_t, log_l2, log_det1, b2, half00, half11 = frames[:, :, None]
-    work = scratch[:, :frames.shape[1] * grid.shape[-1]].reshape(4, -1, grid.shape[-1])
+    work = np.empty((4, frames.shape[1], grid.shape[-1]))
     roots, t, d = work[:2], work[2], work[3]
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf for a zero factor
         lo = np.multiply(log_t, q, out=roots[0])  # log t
@@ -156,7 +155,7 @@ def _fidelity_rows(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray) -> np
     q = (1.0 - grid) / grid
     if rho1s.shape[-1] == 2:
         frames = _qubit_frames(rho1s, rho2s)
-        raw = _qubit_fidelity_sums(frames, q, grid, np.empty((4, len(rho1s) * grid.size)))
+        raw = _qubit_fidelity_sums(frames, q, grid)
     else:
         w2, v2 = np.linalg.eigh(rho2s)
         # rho2^((1-alpha)/(2 alpha)) for every alpha at once; 0^p = 0 on the null space

@@ -12,10 +12,12 @@ four-state tomography and propagate each replica through the bound pipeline.
 Each truth state has one counter-derived stream, which the replicas read in
 index order, six draws each, so replica 0 draws what one tomography run of
 that stream draws. Passes of replicas are sampled with one array draw per
-state, then inverted as arrays into states that are valid by construction;
-each pass finds every replica's least bound by one certified coarse-then-fill
-alpha search (bounds._search_optima), and replica 0's curve comes from the
-full-grid route (bounds._bound_curve), as tightest_bound builds it.
+state, then inverted as arrays into states that are valid by construction; a
+replica with an empty basis gets no estimate. Each pass finds the least bound
+of every estimate by one certified coarse-then-fill alpha search
+(bounds._search_optima), whose coarse kernel call covers the whole pass, and
+replica 0's curve comes from the full-grid route (bounds._bound_curve), as
+tightest_bound builds it.
 """
 from __future__ import annotations
 
@@ -38,9 +40,11 @@ MAX_REPLICAS = 100_000
 # expected pairs per basis (rate x time) at most: each count's mean then lies where
 # floats hold every integer, as reconstruct assumes, far inside numpy's Poisson limit
 MAX_EXPECTED_PAIRS = 2**53
-# replicas are sampled and inverted in passes of up to SAMPLE_REPLICAS in index order;
-# _search_optima bounds a pass with one eigh of its 4 x pass rho2s and one kernel scratch
-SAMPLE_REPLICAS = 1024
+# replicas are sampled, inverted and bounded in passes of up to SAMPLE_REPLICAS in index
+# order; _search_optima bounds a pass with one eigh and one coarse kernel call, so the pass
+# size bounds that call's memory: 1,100 replicas of the reference record trace 2.25 MiB at
+# A = 500 and 24.0 MiB at A = 100,000 in passes of 256, 7.06 and 76.5 MiB in passes of 1024
+SAMPLE_REPLICAS = 256
 
 class ZeroCountsError(ValueError):
     """A basis collected no counts, so its asymmetry is undefined."""
@@ -205,8 +209,10 @@ class MonteCarloReport:
     """Aggregated bound statistics over tomography replicas.
 
     values holds one entry per replica in index order; None marks a replica
-    whose reconstructed record was uninformative at every grid point. When
-    every replica is, mean_b_inf and std_b_inf are None. curve0 is replica
+    whose reconstructed record was uninformative at every grid point, or which
+    has no estimate because a basis of one of its states collected no counts
+    (empty_basis_fraction is their share). When every replica is None,
+    mean_b_inf and std_b_inf are None. curve0 is replica
     0's bound curve, the single experiment a run's curve artifact describes;
     it is left out of equality and of the JSON summary.
     """
@@ -217,16 +223,20 @@ class MonteCarloReport:
     replicas: int
     seed: int
     values: tuple[float | None, ...]
+    empty_basis_fraction: float = 0.0
     curve0: BoundCurve | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
-        return {
+        report = {
             "mean_b_inf_hz": self.mean_b_inf,
             "std_b_inf_hz": self.std_b_inf,
             "no_info_fraction": self.no_info_fraction,
             "replicas": self.replicas,
             "seed": self.seed,
         }
+        if self.empty_basis_fraction > 0.0:  # a run without an empty basis keeps its bytes
+            report["empty_basis_fraction"] = self.empty_basis_fraction
+        return report
 
 
 def monte_carlo_bounds(
@@ -242,7 +252,9 @@ def monte_carlo_bounds(
     replica 0 draws what sample_counts draws from that stream. Replicas run in
     index order, in passes of up to SAMPLE_REPLICAS, and each state's stream
     carries on from one pass to the next, so the report does not depend on
-    how the run is split into passes.
+    how the run is split into passes. A replica with an empty basis gets no
+    estimate (its value is None); an empty basis of replica 0, the experiment a
+    run reports, raises ZeroCountsError.
     """
     replicas = check_integer(replicas, "replicas", 1, MAX_REPLICAS)
     alphas = _bound_grid(alpha_grid)
@@ -253,14 +265,21 @@ def monte_carlo_bounds(
         for state in truth.states
     ]
     streams = [rng_stream(settings.seed, (0, k)) for k in range(len(means))]
-    b_inf = np.empty(replicas)  # by replica index; inf where a replica has no bound
+    b_inf = np.full(replicas, math.inf)  # by replica index; inf where a replica has no bound
+    empty_count = 0
     for start in range(0, replicas, SAMPLE_REPLICAS):
         rows = np.arange(start, min(start + SAMPLE_REPLICAS, replicas))
         # counts (rows, state, 6): one array draw per state, a row per replica
         counts = np.stack([g.poisson(m, size=(len(rows), len(m)))
                            for g, m in zip(streams, means)], axis=1)
-        states = _invert(counts)
-        b_inf[rows] = _search_optima(states, alphas, truth.delta_mu)
+        # a replica with an empty basis has no estimate, except replica 0, the reported
+        # experiment, which _invert rejects
+        empty = (counts[..., 0::2] + counts[..., 1::2] == 0).any(axis=(1, 2))
+        empty[0] &= start > 0
+        empty_count += int(empty.sum())
+        states = _invert(counts[~empty])
+        if len(states):
+            b_inf[rows[~empty]] = _search_optima(states, alphas, truth.delta_mu)
         if start == 0:  # the one curve a run reports, from replica 0's own states
             curve0 = _bound_curve(states[0], alphas, truth.delta_mu)
 
@@ -285,5 +304,6 @@ def monte_carlo_bounds(
         replicas=replicas,
         seed=settings.seed,
         values=values,
+        empty_basis_fraction=empty_count / replicas,
         curve0=curve0,
     )

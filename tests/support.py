@@ -132,16 +132,15 @@ def pow_qubit_frames(rho1s: np.ndarray, rho2s: np.ndarray) -> np.ndarray:
     return np.stack((w2[:, 0], w2[:, 1], _floor_spectrum(det1), b2, r00, r11))
 
 
-def pow_qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray,
-                            scratch: np.ndarray | None = None) -> np.ndarray:
+def pow_qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """The per-alpha half of the linear-domain qubit kernel: unclipped F_alpha, shape (m, k).
 
     It takes `pow_qubit_frames` rows (6, m) and q = (1 - alpha) / alpha, one row (k,) or a
-    row per pair (m, k), in the call pattern of `fidelity._qubit_fidelity_sums` (it leaves
-    the scratch unused and returns a fresh array), and forms the same sandwich roots with
-    four `pow`s and a divide per point: a = l1^q rho1'_00, c = l2^q rho1'_11 and
-    |b|^2 = (l1 l2)^q |rho1'_01|^2, the large root (a + c + sqrt((a - c)^2 + 4|b|^2)) / 2
-    and the small one (l1 l2)^q det(rho1) over it, neither root floored.
+    row per pair (m, k), in the call pattern of `fidelity._qubit_fidelity_sums`, and forms
+    the same sandwich roots with four `pow`s and a divide per point: a = l1^q rho1'_00,
+    c = l2^q rho1'_11 and |b|^2 = (l1 l2)^q |rho1'_01|^2, the large root
+    (a + c + sqrt((a - c)^2 + 4|b|^2)) / 2 and the small one (l1 l2)^q det(rho1) over it,
+    neither root floored.
     """
     l1, l2, det1, b2, r00, r11 = frames[:, :, None]
     p1, p2 = l1 ** q, l2 ** q  # 0^q = 0 as q > 0
@@ -203,9 +202,8 @@ def record_kernel_halves(monkeypatch, frames=None, sums=None) -> list:
     calls = []
     monkeypatch.setattr(fidelity, "_qubit_frames", lambda rho1s, rho2s:
                         calls.append(("frames", len(rho1s))) or frames(rho1s, rho2s))
-    monkeypatch.setattr(fidelity, "_qubit_fidelity_sums", lambda f, q, grid, scratch:
-                        calls.append(("sums", f.shape[1], *grid.shape[1:]))
-                        or sums(f, q, grid, scratch))
+    monkeypatch.setattr(fidelity, "_qubit_fidelity_sums", lambda f, q, grid:
+                        calls.append(("sums", f.shape[1], *grid.shape[1:])) or sums(f, q, grid))
     return calls
 
 

@@ -480,15 +480,20 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
         summaries.append(summary)
     rerun_ok = curves[0] == curves[1] and summaries[0] == summaries[1]
 
-    # how the replicas are split into sampling passes must not change the aggregate report
+    # how the replicas are split into sampling passes must not change the report, every
+    # replica's value included: 300 replicas in passes of 1, 3, 256 (then 44) and 1024,
+    # on grids of 5, 500 and 2,049 points
     truth = reference_record()
     settings = TomographySettings(integration_time=20.0, count_rate=150.0, seed=11)
-    reports = []
-    for pass_size in (1, 3, 1024):
-        with monkeypatch.context() as patch:
-            patch.setattr(tomography, "SAMPLE_REPLICAS", pass_size)
-            reports.append(monte_carlo_bounds(truth, settings, 8, alpha_grid=ALPHAS_11).to_json())
-    pass_ok = reports[0] == reports[1] == reports[2]
+    pass_ok = True
+    for count in (5, 500, 2049):
+        reports = []
+        for pass_size in (1, 3, 256, 1024):
+            with monkeypatch.context() as patch:
+                patch.setattr(tomography, "SAMPLE_REPLICAS", pass_size)
+                reports.append(monte_carlo_bounds(truth, settings, 300,
+                                                  alpha_grid=np.linspace(0.5, 0.9999, count)))
+        pass_ok = pass_ok and all(report == reports[0] for report in reports[1:])
 
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")

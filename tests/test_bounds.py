@@ -751,7 +751,7 @@ class TestCertifiedSearch:
                 continue
             frames = fidelity._qubit_frames(rho1[None], rho2[None])
             got = fidelity._qubit_fidelity_sums(frames, np.array([(1.0 - alpha) / alpha]),
-                                                np.array([alpha]), np.empty((4, 1)))[0, 0]
+                                                np.array([alpha]))[0, 0]
             want = mp_qubit_alpha_fidelity(rho1, rho2, alpha)
             if want > 0.0:
                 worst = max(worst, abs(math.log(min(got, 1.0)) - math.log(want)))

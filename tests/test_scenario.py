@@ -402,6 +402,30 @@ class TestRunScenario:
         report = run_scenario(parse_scenario(cfg), out_dir=str(tmp_path / "unequal"))
         assert "below_truth_fraction" not in report.summary["results"]["monte_carlo"]
 
+    def test_an_empty_basis_ends_one_replica_not_the_run(self, tmp_path):
+        # the reference record at 0.03 s and 200 Hz, 6 pairs per basis: at seed 0 replica
+        # 0 has counts in every basis and 3 of 100 replicas have an empty one. They have
+        # no estimate, so they count as not below the truth, over all 100 replicas; at
+        # 60 s no basis is empty and the key is not written. An empty basis of replica 0,
+        # the reported experiment, still ends the run (at 3 pairs per basis, seed 12)
+        tomo = {"integration_time_s": 0.03, "count_rate_hz": 200.0, "seed": 0, "replicas": 100}
+
+        def run(name, **settings):
+            config = parse_scenario({"schema": SCHEMA_VERSION, "coupling": REFERENCE_LITERAL,
+                                     "tomography": dict(tomo, **settings)})
+            mc = run_scenario(config, out_dir=str(tmp_path / name)).summary["results"]
+            return config, mc["monte_carlo"]
+
+        config, mc = run("short")
+        report = monte_carlo_bounds(reference_record(), config.tomography, 100)
+        assert mc["empty_basis_fraction"] == report.empty_basis_fraction == 0.03
+        below = sum(v is not None and v < REFERENCE_SIGMA_HZ for v in report.values)
+        assert mc["below_truth_fraction"] == below / 100
+        assert mc["no_info_fraction"] == report.values.count(None) / 100 >= 0.03
+        assert "empty_basis_fraction" not in run("long", integration_time_s=60.0)[1]
+        with pytest.raises(ConfigError, match="integration_time_s too short: basis 'diag'"):
+            run("empty", integration_time_s=1.0, count_rate_hz=3.0, seed=12)
+
     def test_curve_artifact_is_replica_zero_at_any_replica_count(self, tmp_path):
         # with replicas >= 2 replica 0's curve comes out of the Monte-Carlo pass
         tomo = {"integration_time_s": 60.0, "count_rate_hz": 200.0, "seed": 12345}

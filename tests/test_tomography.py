@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -463,16 +464,19 @@ class TestMonteCarlo:
         assert a == b
 
     def test_pass_size_does_not_change_the_report(self, monkeypatch):
-        # a replica's result depends on its index, not on the pass it is evaluated in
+        # a replica's result depends on its index, not on the pass it is evaluated in:
+        # 300 replicas in passes of 1, 3, 256 (then 44) and 1024, on grids of 5, 500
+        # and 2,049 points, every report field and replica 0's curve bit for bit
         truth = exact_truth_record()
         cfg = settings(time=60.0, rate=200.0, seed=12345)
-        reports = []
-        for pass_size in (1, 3, 1024):
-            monkeypatch.setattr(tomography, "SAMPLE_REPLICAS", pass_size)
-            reports.append(monte_carlo_bounds(truth, cfg, 8, SMALL_GRID))
-        assert reports[0] == reports[1] == reports[2]
-        for report in reports[1:]:
-            assert_same_curve(report.curve0, reports[0].curve0)
+        for grid in (np.linspace(0.5, 0.9999, 5), None, np.linspace(0.5, 0.9999, 2049)):
+            reports = []
+            for pass_size in (1, 3, 256, 1024):
+                monkeypatch.setattr(tomography, "SAMPLE_REPLICAS", pass_size)
+                reports.append(monte_carlo_bounds(truth, cfg, 300, grid))
+            for report in reports[1:]:
+                assert report == reports[0]
+                assert_same_curve(report.curve0, reports[0].curve0)
 
     def test_reasonable_statistics_near_truth(self):
         truth = exact_truth_record()
@@ -488,22 +492,21 @@ class TestMonteCarlo:
         # the Monte-Carlo loop computes the truth's Born probabilities once, draws
         # a pass's counts of each state in one array call on that state's stream,
         # carries the streams from pass to pass and bounds a pass by the certified
-        # search, in coarse blocks of 2 x BLOCK_ALPHA_POINTS // (4 x coarse points)
-        # replicas; each value must still be the bound of the record whose state k
-        # is the (replica + 1)-th sample_counts call on rng_stream(seed, (0, k)),
-        # from freshly computed probabilities, one record at a time, and replica
-        # 0's curve that record's full-grid curve
+        # search, one coarse call per pass and fill calls of at most BLOCK_ALPHA_POINTS
+        # points; each value must still be the bound of the record whose state k is
+        # the (replica + 1)-th sample_counts call on rng_stream(seed, (0, k)), from
+        # freshly computed probabilities, one record at a time, and replica 0's curve
+        # that record's full-grid curve
         truth = reference_record()
         states = (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
-        assert BLOCK_ALPHA_POINTS == 4096 and SAMPLE_REPLICAS == 1024
+        assert BLOCK_ALPHA_POINTS == 4096 and SAMPLE_REPLICAS == 256
         cases = [(seed, 20, None) for seed in (5, 601, 2**31 - 1, 2**32 + 5, 2**64 + 3)]
         cases += [(17, replicas, None) for replicas in (1, 5, 7)]
         cases += [(17, 7, np.linspace(0.5, 0.9999, 600))]  # 39 coarse points
         cases += [(17, 7, np.linspace(0.5, 0.9999, 1100))]  # 36, gaps of 31 points
         cases += [(17, 5, np.linspace(0.5, 0.9999, 2049))]  # 65, the last gap full
-        cases += [(17, 70, None)]  # coarse blocks of 62 and 8 replicas at 33 points
-        # two sampling passes (1024 + 3), the first in coarse blocks of 682 and 342
-        # that end at the pass boundary
+        cases += [(17, 70, None)]  # 33 coarse points, fill calls of 273 gaps and fewer
+        # five sampling passes (4 x 256 + 3), each in one coarse call
         cases += [(17, 1027, np.linspace(0.5, 0.9999, 5))]
         for seed, replicas, grid in cases:
             cfg = settings(time=60.0, rate=200.0, seed=seed)
@@ -574,22 +577,38 @@ class TestMonteCarlo:
     def test_alpha_free_half_runs_once_per_sampling_pass(self, monkeypatch):
         # rho2's eigendecomposition and rho1's rotation run once over a pass's
         # 4 x replicas fidelity pairs; the per-alpha half then runs the certified
-        # search, a coarse call and a fill call per block of records, and last
-        # replica 0's full grid, with its own frames
+        # search, one coarse call over the pass's records and fill calls of at most
+        # BLOCK_ALPHA_POINTS points, and after the first pass's search replica 0's
+        # full grid, with its own frames
         calls = record_kernel_halves(monkeypatch)
         truth, cfg = reference_record(), settings(time=60.0, rate=200.0, seed=3)
         monte_carlo_bounds(truth, cfg, 100)
-        # blocks of 8192 // (4 x 33) = 62 replicas at 33 coarse points, then 38; a fill
-        # call holds two pairs per gap it fills, here 235 and 142 gaps of 15 points
-        assert calls == [("frames", 400), ("sums", 248), ("sums", 470, 15), ("sums", 152),
-                         ("sums", 284, 15), ("frames", 4), ("sums", 4)]
+        # 33 coarse points; a fill call holds two pairs per gap it fills, here 377 gaps
+        # of 15 points in calls of 4096 // 15 = 273 gaps and 104
+        assert calls == [("frames", 400), ("sums", 400), ("sums", 546, 15), ("sums", 208, 15),
+                         ("frames", 4), ("sums", 4)]
         calls.clear()
-        # passes of 1024 and 3 replicas at A = 5: 3 coarse points and 2 gaps of one
-        # point, blocks of 8192 // 12 = 682 replicas, every gap filled
+        # passes of 256, 256, 256, 256 and 3 replicas at A = 5: 3 coarse points and
+        # 2 gaps of one point, every gap filled, the 1,024 gaps of a pass in one call
         monte_carlo_bounds(truth, cfg, 1027, np.linspace(0.5, 0.9999, 5))
-        assert calls == [("frames", 4096), ("sums", 2728), ("sums", 5456, 1), ("sums", 1368),
-                         ("sums", 2736, 1), ("frames", 4), ("sums", 4), ("frames", 12),
-                         ("sums", 12), ("sums", 24, 1)]
+        full_pass = [("frames", 1024), ("sums", 1024), ("sums", 2048, 1)]
+        assert calls == [*full_pass, ("frames", 4), ("sums", 4), *full_pass * 3,
+                         ("frames", 12), ("sums", 12), ("sums", 24, 1)]
+
+    def test_a_pass_bounds_its_memory(self):
+        # a pass is one coarse kernel call over its records, so SAMPLE_REPLICAS bounds that
+        # call's memory: 1,100 replicas on a grid of 100,000 points trace a peak of about
+        # 24 MiB in passes of 256 (about 38 MiB in the record blocks of one 1,024-replica
+        # pass, 77 MiB in one coarse call over such a pass)
+        truth, cfg = reference_record(), settings(time=60.0, rate=200.0, seed=5)
+        grid = np.linspace(0.5, 0.9999, 100_000)  # the largest grid a run takes
+        tracemalloc.start()
+        try:
+            monte_carlo_bounds(truth, cfg, 1100, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20
 
     def test_a_run_builds_one_bound_curve(self, monkeypatch):
         # only replica 0's curve is reported, so it is the only one built: here in
@@ -604,30 +623,60 @@ class TestMonteCarlo:
             assert len(built) == 1
             assert report.curve0 is not None and len(report.values) == replicas
 
-    def test_zero_counts_name_the_first_empty_basis_in_replica_order(self):
-        # about 3 expected pairs per basis, replica r of state k the (r + 1)-th record
-        # drawn from rng_stream(seed, (0, k)): at this seed the first empty basis in
-        # replica order, which is index order, is state 2's hv of replica 1, ahead of
-        # state 3's diag of the same replica
+    def test_zero_counts_in_replica_zero_name_its_first_empty_basis(self, monkeypatch):
+        # about 3 expected pairs per basis, replica 0 of state k the first record drawn
+        # from rng_stream(seed, (0, k)). Replica 0 is the experiment a run reports: at
+        # seed 12 its first empty basis in state order is state 1's diag, ahead of state
+        # 3's hv, and the run raises what reconstructing that record raises. At seed 30
+        # replica 0 has counts in every basis and replica 1 none in state 2's hv, so that
+        # run finishes without an estimate for replica 1, also in passes of one replica,
+        # where replica 1's pass has no estimate to bound
         truth = reference_record()
-        states = (truth.rho1, truth.rho2, truth.phi1_rho1, truth.phi2_rho2)
-        cfg = settings(time=1.0, rate=3.0, seed=30)
+        for seed in (12, 30):
+            cfg = settings(time=1.0, rate=3.0, seed=seed)
+            errors = []
+            for k, state in enumerate(truth.states):
+                try:
+                    reconstruct(simulate_counts(state, cfg, rng_stream(seed, (0, k))))
+                except ZeroCountsError as exc:
+                    errors.append(str(exc))
+            if seed == 12:
+                assert len(errors) == 2 and "'diag'" in errors[0] and "'hv'" in errors[1]
+                with pytest.raises(ZeroCountsError) as info:
+                    monte_carlo_bounds(truth, cfg, 8)
+                assert str(info.value) == errors[0]
+            else:
+                assert errors == []
+                report = monte_carlo_bounds(truth, cfg, 8)
+                assert report.values[1] is None and report.empty_basis_fraction >= 1 / 8
+                monkeypatch.setattr(tomography, "SAMPLE_REPLICAS", 1)
+                assert monte_carlo_bounds(truth, cfg, 8) == report
 
-        def one_record_at_a_time():
-            streams = [rng_stream(cfg.seed, (0, k)) for k in range(len(states))]
-            for _ in range(8):
-                for stream, state in zip(streams, states):
-                    counts = simulate_counts(state, cfg, stream)
-                    try:
-                        reconstruct(counts)
-                    except ZeroCountsError as exc:
-                        yield str(exc)
-
-        want = next(one_record_at_a_time())
-        assert "'hv'" in want
-        with pytest.raises(ZeroCountsError) as info:
-            monte_carlo_bounds(truth, cfg, 8)
-        assert str(info.value) == want
+    @pytest.mark.parametrize("time, replicas, runs_with_empty", [(0.05, 1000, 6), (0.03, 100, 19)])
+    def test_an_empty_basis_ends_one_replica_not_the_run(self, time, replicas, runs_with_empty):
+        # the reference record at 200 Hz, 10 and 6 expected pairs per basis, seeds 0-19:
+        # replica 0 has counts in every basis, so every run finishes. A replica with an
+        # empty basis in the counts of its four streams has no estimate: its value is
+        # None, it counts in no_info_fraction and empty_basis_fraction, and the mean and
+        # std are over the informative replicas only
+        truth, with_empty = reference_record(), 0
+        for seed in range(20):
+            cfg = settings(time=time, rate=200.0, seed=seed)
+            means = [[cfg.expected_pairs * p for b in MUB_BASES for p in born_probabilities(s, b)]
+                     for s in truth.states]
+            counts = np.stack([rng_stream(seed, (0, k)).poisson(m, size=(replicas, 6))
+                               for k, m in enumerate(means)], axis=1)
+            empty = (counts[..., 0::2] + counts[..., 1::2] == 0).any(axis=(1, 2))
+            assert not empty[0]
+            report = monte_carlo_bounds(truth, cfg, replicas)
+            assert all(report.values[r] is None for r in np.flatnonzero(empty))
+            assert report.empty_basis_fraction == empty.sum() / replicas
+            informative = [v for v in report.values if v is not None]
+            assert report.no_info_fraction == (replicas - len(informative)) / replicas
+            assert report.mean_b_inf == pytest.approx(np.mean(informative), rel=1e-12)
+            assert report.std_b_inf == pytest.approx(np.std(informative, ddof=1), rel=1e-9)
+            with_empty += bool(empty.any())
+        assert with_empty == runs_with_empty
 
     def test_search_matches_the_full_grid_on_reconstructed_records(self, monkeypatch):
         # 10^4 reconstructed reference records, repaired pure estimates among them: each
@@ -645,8 +694,8 @@ class TestMonteCarlo:
         truth = reference_record()
         for time in (10.0, 60.0, 360.0):
             monte_carlo_bounds(truth, settings(time=time, rate=200.0, seed=2047), 3334)
-        # four passes a run; repaired pure estimates, at 10 s
-        assert len(seen) == 12 and sum(seen[:4]) > 200
+        # fourteen passes a run (13 x 256 + 6); repaired pure estimates, at 10 s
+        assert len(seen) == 42 and sum(seen[:14]) > 200
 
     @pytest.mark.parametrize("time, replicas, pass_size", [
         (10.0, 300, None), (60.0, 300, None), (360.0, 300, None), (60.0, 70, 16),
@@ -764,17 +813,19 @@ class TestMonteCarlo:
             run_scenario(parse_scenario(config), str(tmp_path / name))
             calls[name] = recorded[:]
             # the full-grid route, where a tie still decides alpha*, gives each alpha and family
-            ((states, alphas, delta_mu, value),) = passes
-            best = [_bound_curve(record, alphas, delta_mu).optimum for record in states]
-            optima[name] = [(b and (b.alpha, b.family), v) for b, v in zip(best, value.tolist())]
-        # one sampling pass: the alpha-free half over 500 records, then per block of
-        # 62 records, eight and one of 4, a coarse call and fill calls of at most
-        # 8192 // 15 = 546 pairs, and replica 0's own frames and full grid; both kernels
-        # prune alike
+            optima[name] = [(b and (b.alpha, b.family), v)
+                            for states, alphas, delta_mu, value in passes
+                            for b, v in zip((_bound_curve(record, alphas, delta_mu).optimum
+                                             for record in states), value.tolist())]
+        # sampling passes of 256 and 244 records: the alpha-free half over a pass's
+        # records, one coarse call and fill calls of at most 2 x 4096 // 15 = 546 pairs,
+        # and after the first pass's search replica 0's own frames and full grid; both
+        # kernels prune alike
         got = calls["log"]
         assert got == calls["pow"]
-        assert [c for c in got if len(c) == 2] == [
-            ("frames", 2000), *[("sums", 248)] * 8, ("sums", 16), ("frames", 4), ("sums", 4)]
+        assert [c for c in got if len(c) == 2] == [("frames", 1024), ("sums", 1024),
+                                                   ("frames", 4), ("sums", 4),
+                                                   ("frames", 976), ("sums", 976)]
         assert all(c[1] <= 546 and c[1] % 2 == 0 and c[2] == 15 for c in got if len(c) == 3)
         assert len(optima["log"]) == len(optima["pow"]) == 500
         for (k, got), (j, want) in zip(optima["log"], optima["pow"]):
