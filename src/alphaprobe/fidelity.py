@@ -79,27 +79,82 @@ def alpha_range(start: float, stop: float, count: int, lower: float = 0.0) -> np
     return np.linspace(start, stop, count)
 
 
+# Veltkamp's splitter: x = hi + lo in halves of 26 bits, whose products are exact floats
+_SPLIT = 2.0**27 + 1.0
+# the frames (6, 1) of a pure state against itself: l1 = det(rho1) = r'_00 = 0, l2 = r'_11 = 1
+_PURE_SELF = np.array([[-math.inf], [0.0], [-math.inf], [0.0], [0.0], [0.5]])
+
+
 def _floor_spectrum(w: np.ndarray) -> np.ndarray:
     return np.where(w < EIG_FLOOR, 0.0, w)
+
+
+def _halves(x: np.ndarray) -> tuple:
+    t = _SPLIT * x
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _qubit_det(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a c - |b|^2 for real a, c and complex b, to about one rounding where its terms cancel.
+
+    Dekker's error-free products give a c, Re(b)^2 and Im(b)^2 each as a float plus its
+    exact error; taking the larger square first, the floats cancel exactly (Sterbenz)
+    wherever the result is small beside them, and only the sum of the errors is rounded.
+    """
+    br, bi = b.real, b.imag
+    (ah, al), (ch, cl), (rh, rl), (ih, il) = _halves(a), _halves(c), _halves(br), _halves(bi)
+    ac, rr, ii = a * c, br * br, bi * bi
+    err = ((ah * ch - ac) + ah * cl + al * ch) + al * cl
+    err -= ((rh * rh - rr) + 2.0 * rh * rl) + rl * rl
+    err -= ((ih * ih - ii) + 2.0 * ih * il) + il * il
+    return ((ac - np.maximum(rr, ii)) - np.minimum(rr, ii)) + err
 
 
 def _qubit_frames(rho1s: np.ndarray, rho2s: np.ndarray) -> np.ndarray:
     """The alpha-free half of the qubit kernel for validated stacks (n, 2, 2): rows (6, n).
 
     In rho2's eigenbasis V, rho1' = V^dagger rho1 V: log l1 - log l2, log l2, log det(rho1),
-    |r'_01|^2, r'_00 / 2 and r'_11 / 2. Eigenvalues l1 <= l2, det(rho1) and the populations
-    r'_00, r'_11 below EIG_FLOOR are 0, and so is |r'_01|^2 beside a zero population, as
-    positivity demands: rounding leaves them about 1e-17 of either sign where they are 0.
+    |r'_01|^2, r'_00 / 2 and r'_11 / 2, in closed form from the entries. With
+    rho2 = [[a, b], [b*, c]], d = (a - c) / 2 and big = |d| + sqrt(d^2 + |b|^2), the
+    eigenvalues are l2 = max(a, c) + |b|^2 / big and l1 = det(rho2) / l2, both free of
+    cancellation (det(rho2) by `_qubit_det`). l1's eigenvector is the row of rho2 - l1 that
+    does not cancel: (-b, big) where a >= c, as a - l1 = big, and (big, -b*) otherwise.
+    d and b are first scaled by a power of two that brings the larger near 1, which rounds
+    nothing and keeps every square in the float range; a multiple of I (big = 0) takes the
+    z basis.
+    Eigenvalues, det(rho1) and the populations r'_00, r'_11 below EIG_FLOOR are 0, and so is
+    |r'_01|^2 beside a zero population, as positivity demands: rounding leaves them about
+    1e-17 of either sign where they are 0. A pair of bitwise-equal states takes the frames of
+    a pure state against itself, for which the per-alpha half returns F = tr rho = 1 exactly.
     """
-    w2, v2 = np.linalg.eigh(rho2s)
-    r = np.conj(np.swapaxes(v2, 1, 2)) @ rho1s @ v2
-    det1 = rho1s[:, 0, 0].real * rho1s[:, 1, 1].real - np.abs(rho1s[:, 0, 1]) ** 2
-    inputs = _floor_spectrum(np.column_stack((w2, det1, r[:, 0, 0].real, r[:, 1, 1].real)))
-    b2 = np.where(inputs[:, 3:].all(axis=1), np.abs(r[:, 0, 1]) ** 2, 0.0)
+    a, c, b = rho2s[:, 0, 0].real, rho2s[:, 1, 1].real, rho2s[:, 0, 1]
+    p, s, e = rho1s[:, 0, 0].real, rho1s[:, 1, 1].real, rho1s[:, 0, 1]
+    d = 0.5 * (a - c)
+    # 2^-k, k the binary exponent of the larger of |d| and |b|, at least -1021 to stay finite
+    scale = np.ldexp(1.0, -np.maximum(np.frexp(np.maximum(np.abs(d), np.abs(b)))[1], -1021))
+    d, b = d * scale, b * scale
+    beta = b.real * b.real + b.imag * b.imag
+    big = np.abs(d)
+    big += np.sqrt(d * d + beta)
+    big[big == 0.0] = 1.0  # a multiple of I takes the z basis
+    l2, big2 = np.maximum(a, c) + beta / big / scale, big * big
+    norm = beta + big2  # |l1's eigenvector|^2
+    # the diagonal entries of rho1 that l1's eigenvector weights by |b|^2 and by big^2
+    upper = a >= c
+    p_b, p_big = np.where(upper, p, s), np.where(upper, s, p)
+    cross = 2.0 * big * (b.real * e.real + b.imag * e.imag)  # the same in both eigenvectors
+    z = b * (big * (p_b - p_big) + b * np.conj(e)) - big2 * e  # norm rho1'_01, up to a phase
+    det1 = p * s - (e.real * e.real + e.imag * e.imag)
+    inputs = _floor_spectrum(np.stack((_qubit_det(a, c, rho2s[:, 0, 1]) / l2, l2, det1,
+                                       (beta * p_b + big2 * p_big - cross) / norm,
+                                       (big2 * p_b + beta * p_big + cross) / norm)))
+    b2 = np.where(inputs[3:].all(axis=0), (z.real * z.real + z.imag * z.imag) / (norm * norm), 0.0)
     with np.errstate(divide="ignore"):
-        logs = np.log(inputs[:, :3])
-    return np.stack((logs[:, 0] - logs[:, 1], logs[:, 1], logs[:, 2], b2,
-                     0.5 * inputs[:, 3], 0.5 * inputs[:, 4]))
+        logs = np.log(inputs[:3])
+    frames = np.stack((logs[0] - logs[1], logs[1], logs[2], b2, 0.5 * inputs[3], 0.5 * inputs[4]))
+    frames[:, (rho1s == rho2s).all(axis=(1, 2))] = _PURE_SELF
+    return frames
 
 
 def _qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -185,8 +240,8 @@ def alpha_fidelity(rho1, rho2, alpha: float) -> float:
 def alpha_fidelity_curve(rho1, rho2, alphas) -> np.ndarray:
     """F_alpha(rho1, rho2) evaluated over a grid of alpha values.
 
-    One eigendecomposition of rho2 is shared across the grid; qubits then cost
-    a few elementwise operations per alpha.
+    Qubits take rho2's eigensystem in closed form once for the grid, then cost a few
+    elementwise operations per alpha; higher dimensions share one eigh of rho2.
     """
     a1, a2 = state_matrix(rho1), state_matrix(rho2)
     if a1.shape != a2.shape:

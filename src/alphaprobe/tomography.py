@@ -41,7 +41,7 @@ MAX_REPLICAS = 100_000
 # floats hold every integer, as reconstruct assumes, far inside numpy's Poisson limit
 MAX_EXPECTED_PAIRS = 2**53
 # replicas are sampled, inverted and bounded in passes of up to SAMPLE_REPLICAS in index
-# order; _search_optima bounds a pass with one eigh and one coarse kernel call, so the pass
+# order; _search_optima bounds a pass with one frames and one coarse kernel call, so the pass
 # size bounds that call's memory: 1,100 replicas of the reference record trace 2.25 MiB at
 # A = 500 and 24.0 MiB at A = 100,000 in passes of 256, 7.06 and 76.5 MiB in passes of 1024
 SAMPLE_REPLICAS = 256

@@ -15,7 +15,8 @@ discretized classical fidelity, and a brute-force joint-unitary channel.
 Noiseless tomography counts, the expected values rounded, live here as well,
 and so does the linear-domain `pow` qubit kernel, the reference for the
 log-domain kernel that replaced it, split like it into an alpha-free and a
-per-alpha half. The one-piece log-domain kernel, eigendecomposition and
+per-alpha half, and so are the `eigh` frames that the closed-form alpha-free half
+replaced. The one-piece log-domain kernel, closed-form frames and
 per-alpha steps in one call, is the bit-exact reference for that split, and
 bound rows built from it are the reference for the full-grid bound route,
 and that route for the certified coarse-then-fill search of each record's
@@ -49,7 +50,7 @@ from alphaprobe.bounds import (
 )
 from alphaprobe.channel import WavePlateStack, apply_channel, jones_at_frequencies
 from alphaprobe.fidelity import _floor_spectrum, check_alpha
-from alphaprobe.linalg import EIG_FLOOR, DensityMatrix, check_qubit
+from alphaprobe.linalg import EIG_FLOOR, DensityMatrix, check_density_matrices, check_qubit
 from alphaprobe.scenario import _truth_sigma
 from alphaprobe.spectra import FrequencyGrid, GaussianSpectrum, _check_grid_shape
 from alphaprobe.tomography import CountRecord, TomographySettings, born_probabilities
@@ -150,25 +151,62 @@ def pow_qubit_fidelity_sums(frames: np.ndarray, q: np.ndarray, grid: np.ndarray)
     return lo ** grid + hi ** grid
 
 
-def oracle_qubit_fidelity_sums(rho1s: np.ndarray, rho2s: np.ndarray,
-                               grid: np.ndarray) -> np.ndarray:
-    """The one-piece log-domain qubit kernel: unclipped F_alpha of stacks (n, 2, 2), shape (n, A).
+def eigh_qubit_frames(rho1s: np.ndarray, rho2s: np.ndarray) -> np.ndarray:
+    """The alpha-free half of the log-domain qubit kernel by `eigh`, rows (6, n) as its closed form.
 
-    The eigendecomposition, the rotation of rho1 and every per-alpha step in one
-    call, in the operation order that `fidelity._qubit_frames` and
-    `fidelity._qubit_fidelity_sums` split between them: the bit-exact reference
-    for the split kernel.
+    In rho2's eigenbasis V, rho1' = V^dagger rho1 V: log l1 - log l2, log l2, log det(rho1),
+    |r'_01|^2, r'_00 / 2 and r'_11 / 2. Eigenvalues l1 <= l2, det(rho1) and the populations
+    r'_00, r'_11 below EIG_FLOOR are 0, and so is |r'_01|^2 beside a zero population. This is
+    the frames routine that `fidelity._qubit_frames` replaced: a batched eigendecomposition of
+    the rho2s and one rotation of each rho1 into its rho2's eigenbasis.
     """
     w2, v2 = np.linalg.eigh(rho2s)
     r = np.conj(np.swapaxes(v2, 1, 2)) @ rho1s @ v2
     det1 = rho1s[:, 0, 0].real * rho1s[:, 1, 1].real - np.abs(rho1s[:, 0, 1]) ** 2
-    populations = _floor_spectrum(np.stack((r[:, 0, 0].real, r[:, 1, 1].real), axis=1))
-    b2 = np.where(populations.all(axis=1), np.abs(r[:, 0, 1]) ** 2, 0.0)
+    inputs = _floor_spectrum(np.column_stack((w2, det1, r[:, 0, 0].real, r[:, 1, 1].real)))
+    b2 = np.where(inputs[:, 3:].all(axis=1), np.abs(r[:, 0, 1]) ** 2, 0.0)
+    with np.errstate(divide="ignore"):
+        logs = np.log(inputs[:, :3])
+    return np.stack((logs[:, 0] - logs[:, 1], logs[:, 1], logs[:, 2], b2,
+                     0.5 * inputs[:, 3], 0.5 * inputs[:, 4]))
+
+
+def oracle_qubit_fidelity_sums(rho1s: np.ndarray, rho2s: np.ndarray,
+                               grid: np.ndarray) -> np.ndarray:
+    """The one-piece log-domain qubit kernel: unclipped F_alpha of stacks (n, 2, 2), shape (n, A).
+
+    The closed-form eigensystem of each rho2, rho1's entries in it and every per-alpha
+    step in one call, in the operation order that `fidelity._qubit_frames` and
+    `fidelity._qubit_fidelity_sums` split between them: the bit-exact reference
+    for the split kernel. A bitwise-equal pair is a pure state against itself.
+    """
+    a, c, b = rho2s[:, 0, 0].real, rho2s[:, 1, 1].real, rho2s[:, 0, 1]
+    p, s, e = rho1s[:, 0, 0].real, rho1s[:, 1, 1].real, rho1s[:, 0, 1]
+    d = 0.5 * (a - c)
+    scale = np.ldexp(1.0, -np.maximum(np.frexp(np.maximum(np.abs(d), np.abs(b)))[1], -1021))
+    d, b = d * scale, b * scale
+    beta = b.real * b.real + b.imag * b.imag
+    big = np.abs(d) + np.sqrt(d * d + beta)
+    big = np.where(big == 0.0, 1.0, big)
+    big2 = big * big
+    norm = beta + big2
+    upper = a >= c
+    p_b, p_big = np.where(upper, p, s), np.where(upper, s, p)
+    cross = 2.0 * big * (b.real * e.real + b.imag * e.imag)
+    z = b * (big * (p_b - p_big) + b * np.conj(e)) - big2 * e
+    l2 = np.maximum(a, c) + beta / big / scale
+    w2 = _floor_spectrum(np.stack((fidelity._qubit_det(a, c, rho2s[:, 0, 1]) / l2, l2), axis=1))
+    det1 = p * s - (e.real * e.real + e.imag * e.imag)
+    populations = _floor_spectrum(np.stack(((beta * p_b + big2 * p_big - cross) / norm,
+                                            (big2 * p_b + beta * p_big + cross) / norm), axis=1))
+    b2 = np.where(populations.all(axis=1), (z.real * z.real + z.imag * z.imag) / (norm * norm), 0.0)
+    same = (rho1s == rho2s).all(axis=(1, 2))
+    w2[same], det1[same], b2[same], populations[same] = (0.0, 1.0), 0.0, 0.0, (0.0, 1.0)
     half00, half11 = 0.5 * populations[:, 0, None], 0.5 * populations[:, 1, None]
     q = (1.0 - grid) / grid
     roots = np.empty((2, len(w2), grid.size))
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(_floor_spectrum(w2))
+        logs = np.log(w2)
         lo = np.multiply.outer(logs[:, 0] - logs[:, 1], q, out=roots[0])
         t = np.exp(lo)
         hi = np.multiply(t, b2[:, None], out=roots[1])
@@ -232,6 +270,27 @@ def full_grid_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) ->
     """
     optima = [_bound_curve(record, alphas, delta_mu).optimum for record in states]
     return np.array([math.inf if best is None else best.value for best in optima])
+
+
+def near_pure_stack(rng, n: int) -> np.ndarray:
+    """n records (n, 4, 2, 2) of states with one eigenvalue in [1e-16, 1e-2], nearly aligned.
+
+    Their det(rho1) and rho2's small eigenvalues lie on both sides of EIG_FLOOR, and small
+    roots of their sandwiches cross it between grid points, where a floor on the roots
+    would make the fidelity jump.
+    """
+    def state():
+        small = 10.0 ** rng.uniform(-16.0, -2.0)
+        spectrum = [1.0 - small, small] if rng.random() < 0.3 else [small, 1.0 - small]
+        t = 10.0 ** rng.uniform(-8.0, -1.0) * rng.standard_normal() if rng.random() < 0.7 else 0.0
+        u = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]], dtype=complex)
+        m = u @ np.diag(spectrum) @ u.conj().T
+        return (m + m.conj().T) / 2.0
+
+    states = np.array([[state() for _ in range(4)] for _ in range(n)])
+    same = rng.random(n) < 0.3
+    states[same, 1] = states[same, 0]  # prepared probes alike: F_in = 1
+    return check_density_matrices(states)
 
 
 def _mp_det2(m):

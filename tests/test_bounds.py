@@ -42,6 +42,7 @@ from support import (
     eigvalsh_alpha_fidelity_curve,
     full_grid_optima,
     mp_qubit_alpha_fidelity,
+    near_pure_stack,
     oracle_alpha_fidelity,
     oracle_bound_rows,
     oracle_percent_write_csv,
@@ -118,6 +119,20 @@ class TestFraction:
         for a in (0.5, 0.7, 0.9, 0.9999):
             assert fraction(rec, a, "forward") < 1.0
             assert fraction(rec, a, "reversed") < 1.0
+
+    def test_alike_states_give_exactly_one_on_both_routes(self):
+        # F(rho, rho) = tr rho = 1 exactly, so probes alike and evolved states alike give
+        # fractions of exactly 1 and no bound, on the full grid and in the certified search
+        rng = np.random.default_rng(2053)
+        alphas = default_alpha_grid()
+        for first, second in [(PLUS, MIXED), (MIXED, PLUS)] + [
+                (DensityMatrix(rand_state(rng, 2)), DensityMatrix(rand_state(rng, 2, rank=1)))
+                for _ in range(10)]:
+            record = ProbingRecord(first, first, second, second, delta_mu=1.0)
+            curve = tightest_bound(record, alphas)
+            assert np.all(curve.fractions[0] == 1.0) and np.all(curve.fractions[1] == 1.0)
+            assert curve.optimum is None
+            assert _search_optima(record_stack([record]), alphas, 1.0).tolist() == [math.inf]
 
     def test_zero_denominator_gives_infinity(self):
         rec = ProbingRecord(
@@ -618,27 +633,6 @@ def search_records(rng) -> list:
     records += [diag_record(0.3, 0.35), diag_record(0.2, 0.6, delta_mu=3.0)]
     records += [ProbingRecord(PLUS, PLUS, KET0, KET1, delta_mu=1.0), no_information_record()]
     return records
-
-
-def near_pure_stack(rng, n: int) -> np.ndarray:
-    """n records (n, 4, 2, 2) of states with one eigenvalue in [1e-16, 1e-2], nearly aligned.
-
-    Their det(rho1) and rho2's small eigenvalues lie on both sides of EIG_FLOOR, and small
-    roots of their sandwiches cross it between grid points, where a floor on the roots
-    would make the fidelity jump.
-    """
-    def state():
-        small = 10.0 ** rng.uniform(-16.0, -2.0)
-        spectrum = [1.0 - small, small] if rng.random() < 0.3 else [small, 1.0 - small]
-        t = 10.0 ** rng.uniform(-8.0, -1.0) * rng.standard_normal() if rng.random() < 0.7 else 0.0
-        u = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]], dtype=complex)
-        m = u @ np.diag(spectrum) @ u.conj().T
-        return (m + m.conj().T) / 2.0
-
-    states = np.array([[state() for _ in range(4)] for _ in range(n)])
-    same = rng.random(n) < 0.3
-    states[same, 1] = states[same, 0]  # prepared probes alike: F_in = 1
-    return check_density_matrices(states)
 
 
 def assert_search_matches_full_grid(states, alphas, delta_mu) -> None:

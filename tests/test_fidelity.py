@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,10 +24,13 @@ from alphaprobe.reference import (
     reference_record,
 )
 from alphaprobe.spectra import GaussianSpectrum, gaussian_alpha_fidelity
+from alphaprobe.tomography import TomographySettings, reconstruct, rng_stream, simulate_counts
 from support import (
     apply_kraus,
+    eigh_qubit_frames,
     eigvalsh_alpha_fidelity_curve,
     mp_qubit_alpha_fidelity,
+    near_pure_stack,
     oracle_alpha_fidelity,
     oracle_qubit_fidelity_sums,
     pow_qubit_fidelity_sums,
@@ -40,6 +44,7 @@ ALPHAS = (0.5, 0.62, 0.75, 0.9, 0.9999)
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
+HALF = np.eye(2, dtype=complex) / 2
 
 
 class TestAlphaFidelity:
@@ -49,6 +54,12 @@ class TestAlphaFidelity:
             rho = rand_state(rng, dim)
             for a in ALPHAS:
                 assert alpha_fidelity(rho, rho, a) == pytest.approx(1.0, abs=1e-12)
+        # qubits: F(rho, rho) = tr rho = 1 exactly, where the computed value would round
+        # an ulp or so to either side of it
+        qubits = [rand_state(rng, 2) for _ in range(20)] + [pure_qubit(rng) for _ in range(5)]
+        qubits += list(near_pure_stack(rng, 5).reshape(-1, 2, 2))
+        for rho in qubits + [HALF, KET0, KET1, np.full((2, 2), 0.5, dtype=complex)]:
+            assert np.all(alpha_fidelity_curve(rho, rho, default_alpha_grid()) == 1.0)
 
     def test_orthogonal_states_vanish(self):
         for a in ALPHAS:
@@ -250,28 +261,38 @@ class TestQubitClosedForm:
         assert worst <= 1e-12
 
     def test_near_pure_pairs_no_less_accurate_than_eigvalsh(self):
-        # A pair's error is its worst over the grid. Both routes share rho2's
-        # eigendecomposition, whose rounding dominates the error of some pairs,
-        # so the two errors may differ there by a few ulp of F <= 1.
+        # A pair's error is its worst over the grid. The closed-form frames and the eigh
+        # frames (the same per-alpha half on LAPACK's eigendecomposition of rho2) round
+        # rho2's small eigenvalue differently, and F magnifies an absolute error in it by
+        # about 1 / l1; over the set, the worst and the summed error of the closed form
+        # are each no larger than those of either other route.
         rng = np.random.default_rng(97)
         grid = self.NEAR_PURE_GRID
-        eps = np.finfo(float).eps
+        q = (1.0 - grid) / grid
         smalls = (0.0, 1e-13, 1e-10, 1e-6)
-        both_mixed = {"new": 0.0, "old": 0.0}
+        errors = {"closed": [], "eigh": [], "eigvalsh": []}
+        both_mixed = {"closed": 0.0, "eigvalsh": 0.0}
         for s1 in smalls:
             for s2 in smalls:
                 for _ in range(4):
                     r1 = qubit_with_small_eigenvalue(rng, s1)
                     r2 = qubit_with_small_eigenvalue(rng, s2)
                     want = np.array([mp_qubit_alpha_fidelity(r1, r2, a) for a in grid])
-                    err_new = np.max(np.abs(alpha_fidelity_curve(r1, r2, grid) - want))
-                    err_old = np.max(np.abs(eigvalsh_alpha_fidelity_curve(r1, r2, grid) - want))
-                    assert err_new <= err_old + 8 * eps, (s1, s2)
+                    eigh = fidelity._qubit_fidelity_sums(eigh_qubit_frames(r1[None], r2[None]),
+                                                         q, grid)[0]
+                    got = {"closed": alpha_fidelity_curve(r1, r2, grid),
+                           "eigh": np.minimum(eigh, 1.0),
+                           "eigvalsh": eigvalsh_alpha_fidelity_curve(r1, r2, grid)}
+                    for route, f in got.items():
+                        errors[route].append(np.max(np.abs(f - want)))
                     if s1 == s2 == 1e-6:
-                        both_mixed["new"] += err_new
-                        both_mixed["old"] += err_old
+                        for route in both_mixed:
+                            both_mixed[route] += errors[route][-1]
+        for other in ("eigh", "eigvalsh"):
+            assert max(errors["closed"]) <= max(errors[other]), other
+            assert sum(errors["closed"]) <= sum(errors[other]), other
         # where the sandwich's small eigenvalue dominates, the closed form is tighter
-        assert both_mixed["new"] < both_mixed["old"]
+        assert both_mixed["closed"] < both_mixed["eigvalsh"]
 
     def test_rank_one_rho2_reduces_to_expectation(self):
         rng = np.random.default_rng(101)
@@ -283,6 +304,11 @@ class TestQubitClosedForm:
             want = (v.conj() @ rho @ v).real ** grid
             got = alpha_fidelity_curve(rho, np.outer(v, v.conj()), grid)
             assert np.max(np.abs(got - want)) <= 1e-12
+        # the poles, diagonal rho2 with a >= c and with a < c, give <k|rho1|k>^a
+        for rho in [rand_state(rng, 2) for _ in range(20)] + [HALF, KET0, KET1]:
+            for k, pole in enumerate((KET0, KET1)):
+                np.testing.assert_allclose(alpha_fidelity_curve(rho, pole, grid),
+                                           rho[k, k].real ** grid, rtol=1e-14, atol=0.0)
 
 
 def pure_qubit(rng: np.random.Generator) -> np.ndarray:
@@ -360,22 +386,184 @@ def test_reference_keeps_a_small_eigenvalue_far_below_the_large_one():
         0.998000917663741, rel=1e-15, abs=0.0)
 
 
+def exact_det(rho: np.ndarray) -> Fraction:
+    """a c - |b|^2 of a qubit matrix's float entries in exact rational arithmetic."""
+    b = rho[0, 1]
+    return (Fraction(rho[0, 0].real) * Fraction(rho[1, 1].real)
+            - Fraction(b.real) ** 2 - Fraction(b.imag) ** 2)
+
+
 class TestLogDomainKernel:
     """The log-domain qubit kernel against the linear-domain pow kernel it replaced."""
 
-    @pytest.mark.parametrize("pairs", kernel_cases().values(), ids=kernel_cases().keys())
-    def test_agrees_with_pow_kernel(self, pairs):
+    # cases where the pow kernel's eigh is not the reference, and the 50-digit value is:
+    # a small eigenvalue within rounding of EIG_FLOOR, which the two routes may floor
+    # apart, or one at 1e-10, whose absolute rounding in eigh moves F by up to about 1e-8
+    MP_CASES = ("smallest-9.999999990e-13", "smallest-1.000000001e-12", "smallest-1.000000000e-10")
+
+    @pytest.mark.parametrize("name", kernel_cases().keys())
+    def test_agrees_with_pow_kernel(self, name):
+        pairs = kernel_cases()[name]
         grid = default_alpha_grid()
         q = (1.0 - grid) / grid
         rho1s = check_density_matrices(np.array([p[0] for p in pairs]))
         rho2s = check_density_matrices(np.array([p[1] for p in pairs]))
-        got = fidelity._qubit_fidelity_sums(fidelity._qubit_frames(rho1s, rho2s), q, grid)
+        frames = fidelity._qubit_frames(rho1s, rho2s)
+        got = fidelity._qubit_fidelity_sums(frames, q, grid)
         want = pow_qubit_fidelity_sums(pow_qubit_frames(rho1s, rho2s), q, grid)
-        assert np.max(np.abs(got - want)) <= 1e-12
+        # the two per-alpha halves on one eigendecomposition of rho2, the pow kernel's eigh
+        on_eigh = fidelity._qubit_fidelity_sums(eigh_qubit_frames(rho1s, rho2s), q, grid)
+        assert np.max(np.abs(on_eigh - want)) <= 1e-12
         # both floors (rho2's spectrum and det(rho1)) zero the same points
+        np.testing.assert_array_equal(on_eigh == 0.0, want == 0.0)
         np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        if name not in self.MP_CASES:
+            assert np.max(np.abs(got - want)) <= 1e-12
+        else:
+            # det(rho1) = a c - |b|^2 rounds by up to about eps, and F magnifies that near
+            # the floor: a pair whose exact det(rho1) lies that close to EIG_FLOOR may be
+            # floored either way, and every other pair is within 1e-12 of the 50-digit
+            # value on a sub-grid, or no further from it than the pow kernel
+            sub = slice(None, None, 20)
+            eps = np.finfo(float).eps
+            for rho1, rho2, new, old, floored in zip(rho1s, rho2s, got[:, sub], want[:, sub],
+                                                     frames[2] == -math.inf):
+                exact = exact_det(rho1)
+                if floored != (exact < EIG_FLOOR):
+                    assert abs(exact - Fraction(EIG_FLOOR)) <= eps
+                    continue
+                ref = [mp_qubit_alpha_fidelity(rho1, rho2, a) for a in grid[sub]]
+                limit = max(1e-12, np.max(np.abs(old - ref)) + 4.0 * eps)
+                assert np.max(np.abs(new - ref)) <= limit
         # the alpha-free and per-alpha halves are the one-piece kernel, bit for bit
         np.testing.assert_array_equal(got, oracle_qubit_fidelity_sums(rho1s, rho2s, grid))
+
+
+def frame_cases() -> dict:
+    """Named stacks (rho1s, rho2s) of qubit pairs for the closed-form frames' agreement test."""
+    rng = np.random.default_rng(137)
+    near = near_pure_stack(rng, 60)
+    settings = TomographySettings(integration_time=10.0, count_rate=200.0, seed=139)
+    estimates = [reconstruct(simulate_counts(rho, settings, rng_stream(139, (k, i)))).matrix
+                 for k, rho in enumerate(reference_record().states) for i in range(40)]
+    randoms = [rand_state(rng, 2) for _ in range(40)]
+    pairs = {
+        "random": [(rand_state(rng, 2), rand_state(rng, 2)) for _ in range(100)],
+        "near-pure": [(near[k, i], near[k, j]) for k in range(60)
+                      for i, j in ((2, 3), (0, 1), (3, 2), (1, 0))],
+        "reconstructed": [(estimates[i], estimates[(7 * i + 3) % 160]) for i in range(160)],
+        "rank-one": [(pure_qubit(rng), pure_qubit(rng)) for _ in range(40)]
+        + [(rand_state(rng, 2), pure_qubit(rng)) for _ in range(40)],
+        "half": [(HALF, HALF)] + [pair for rho in randoms[:20] + [pure_qubit(rng) for _ in range(5)]
+                                  for pair in ((rho, HALF), (HALF, rho))],
+        "poles": [(x, y) for x in (KET0, KET1) for y in (KET0, KET1)]
+        + [pair for x in (KET0, KET1) for rho in randoms[20:] for pair in ((rho, x), (x, rho))],
+    }
+    return {name: tuple(check_density_matrices(np.array([p[i] for p in stack])) for i in (0, 1))
+            for name, stack in pairs.items()}
+
+
+def linear_inputs(frames: np.ndarray) -> np.ndarray:
+    """The alpha-free inputs l1, l2, det(rho1), |r'_01|^2, r'_00 / 2 and r'_11 / 2 of frames."""
+    return np.stack((np.exp(frames[0] + frames[1]), np.exp(frames[1]), np.exp(frames[2]),
+                     *frames[3:]))
+
+
+class TestClosedFormFrames:
+    """The closed-form alpha-free half against the eigh frames it replaced."""
+
+    @pytest.mark.parametrize("name", frame_cases().keys())
+    def test_agrees_with_the_eigh_frames(self, name):
+        rho1s, rho2s = frame_cases()[name]
+        if name == "reconstructed":  # repaired pure estimates among them
+            assert np.any(np.abs(np.linalg.det(rho1s)) < 1e-15)
+        grid = default_alpha_grid()
+        q = (1.0 - grid) / grid
+        frames, eigh = fidelity._qubit_frames(rho1s, rho2s), eigh_qubit_frames(rho1s, rho2s)
+        # every input agrees to within 4 eps, apart from bitwise-equal pairs, which by design
+        # take the frames of a pure state against itself, and a multiple of I as rho2, whose
+        # eigenbasis is any basis (eigh's and the z basis may order rho1's populations apart)
+        flat = (rho2s[:, 0, 1] == 0.0) & (rho2s[:, 0, 0] == rho2s[:, 1, 1])
+        kept = ~(rho1s == rho2s).all(axis=(1, 2)) & ~flat
+        diff = np.abs(linear_inputs(frames) - linear_inputs(eigh))[:, kept]
+        assert np.max(diff) <= 4.0 * np.finfo(float).eps
+        got = np.minimum(fidelity._qubit_fidelity_sums(frames, q, grid), 1.0)
+        if name != "near-pure":
+            want = np.minimum(fidelity._qubit_fidelity_sums(eigh, q, grid), 1.0)
+            assert np.max(np.abs(got - want)) <= 1e-12
+        else:
+            # F magnifies the absolute rounding of rho2's small eigenvalue by about 1 / l1;
+            # eigh's rounding puts its F up to about 1e-9 off here, the closed form's l1
+            # keeps its relative precision: the closed form against the 50-digit value
+            grid = TestQubitClosedForm.NEAR_PURE_GRID
+            q = (1.0 - grid) / grid
+            got = np.minimum(fidelity._qubit_fidelity_sums(frames[:, :60], q, grid), 1.0)
+            want = [[mp_qubit_alpha_fidelity(r1, r2, a) for a in grid]
+                    for r1, r2 in zip(rho1s[:60], rho2s[:60])]
+            assert np.max(np.abs(got - np.array(want))) <= 1e-12
+
+    def test_maximally_mixed_state_against_either_argument(self):
+        # I / 2 has no eigenbasis of its own; it takes the z basis. With the spectrum w
+        # of rho, F(rho, I / 2) = 2^-(1 - a) sum w^a and F(I / 2, rho) = 2^-a sum w^(1 - a)
+        rng = np.random.default_rng(149)
+        grid = default_alpha_grid()
+        states = [rand_state(rng, 2) for _ in range(20)] + [pure_qubit(rng) for _ in range(5)]
+        for rho in states + [KET0, KET1, HALF]:
+            w = np.linalg.eigvalsh(rho)
+            w = np.where(w < EIG_FLOOR, 0.0, w)[:, None]
+            assert not np.isnan(fidelity._qubit_frames(rho[None], HALF[None])).any()
+            np.testing.assert_allclose(alpha_fidelity_curve(rho, HALF, grid),
+                                       2.0 ** (grid - 1.0) * np.sum(w**grid, axis=0),
+                                       rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(alpha_fidelity_curve(HALF, rho, grid),
+                                       2.0 ** -grid * np.sum(w ** (1.0 - grid), axis=0),
+                                       rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("x", [1e-60, 1e-100, 1e-150, 1e-200, 1e-300, 5e-324])
+    def test_nearly_flat_rho2(self, x):
+        # rho2 = I / 2 + x (cos t sigma_x - sin t sigma_y): d = 0, and |b|^2 or its square
+        # leaves the float range, where d and b over a power of two near the larger do not
+        rng = np.random.default_rng(167)
+        grid = default_alpha_grid()
+        q = (1.0 - grid) / grid
+        states = [rand_state(rng, 2) for _ in range(12)] + [pure_qubit(rng) for _ in range(3)]
+        rho1s = check_density_matrices(np.array(states + [KET0, KET1, HALF]))
+        b = x * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, len(rho1s)))
+        rho2s = check_density_matrices(np.array([[[0.5, v], [np.conj(v), 0.5]] for v in b]))
+        for first, second in ((rho1s, rho2s), (rho2s, rho1s)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                frames = fidelity._qubit_frames(first, second)
+            assert not np.isnan(frames).any()
+            if second is rho2s:  # l1 = l2 = 1/2 to within x
+                assert np.max(np.abs(frames[:2].T - (0.0, -math.log(2.0)))) <= 1e-15
+            # F does not depend on the eigenbasis of a multiple of I to within x
+            got = fidelity._qubit_fidelity_sums(frames, q, grid)
+            want = fidelity._qubit_fidelity_sums(eigh_qubit_frames(first, second), q, grid)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_determinant_rounds_about_once(self):
+        # det(rho2) = a c - |b|^2 of near-pure rho2, where the plain products cancel to
+        # nothing, against exact rational arithmetic on the same float entries
+        rng = np.random.default_rng(163)
+        worst = 0.0
+        for _ in range(300):
+            rho = qubit_with_small_eigenvalue(rng, 10.0 ** rng.uniform(-16.0, -1.0))
+            a, c, b = rho[0, 0].real, rho[1, 1].real, rho[0, 1]
+            exact = Fraction(a) * Fraction(c) - Fraction(b.real) ** 2 - Fraction(b.imag) ** 2
+            got = fidelity._qubit_det(np.array([a]), np.array([c]), np.array([b]))[0]
+            worst = max(worst, abs(Fraction(got) - exact) / abs(exact))
+        assert worst <= 2.0 * np.finfo(float).eps
+
+    def test_no_eigensolver_is_called(self, monkeypatch):
+        rho1s, rho2s = frame_cases()["random"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed-form frames called numpy.linalg")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert fidelity._qubit_frames(rho1s, rho2s).shape == (6, len(rho1s))
 
 
 class TestRenyiDivergence:

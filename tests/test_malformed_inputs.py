@@ -385,8 +385,9 @@ def test_huge_record_shift_is_never_squared(tmp_path, capsys, delta_mu, code, in
     results = json.loads((out / "summary.json").read_text(encoding="utf-8"))["results"]
     assert results["no_information"] is not informative
     if informative:
-        assert results["b_inf_hz"] == pytest.approx(1.301097318584e160, rel=1e-12)
-        assert "b_inf = 1.301097318584e+160 Hz" in capsys.readouterr().out
+        # the 50-digit value of the grid optimum (alpha = 0.9999, B2)
+        assert results["b_inf_hz"] == pytest.approx(1.301097318588e160, rel=1e-12)
+        assert "b_inf = 1.301097318589e+160 Hz" in capsys.readouterr().out
 
 
 # one representative of each value class, set at every field of a document in turn

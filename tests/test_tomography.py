@@ -697,6 +697,26 @@ class TestMonteCarlo:
         # fourteen passes a run (13 x 256 + 6); repaired pure estimates, at 10 s
         assert len(seen) == 42 and sum(seen[:14]) > 200
 
+    def test_maximally_mixed_estimates_match_the_full_grid(self, monkeypatch):
+        # evolved probes at I / 2 and 6 expected pairs per basis: about 0.45% of their
+        # estimates are exactly I / 2 (every basis split evenly), a rho2 with no eigenbasis
+        # of its own, on either side of a pair; each pass's certified search against the
+        # full-grid route, bit for bit, where about three in four replicas are informative
+        search, mixed = tomography._search_optima, []
+
+        def checked(states, alphas, delta_mu):
+            got = search(states, alphas, delta_mu)
+            np.testing.assert_array_equal(got, full_grid_optima(states, alphas, delta_mu))
+            mixed.append(int(np.sum((states == np.eye(2) / 2).all(axis=(-2, -1)))))
+            return got
+
+        monkeypatch.setattr(tomography, "_search_optima", checked)
+        truth = replace(reference_record(), phi1_rho1=DensityMatrix(MIXED),
+                        phi2_rho2=DensityMatrix(MIXED))
+        report = monte_carlo_bounds(truth, settings(time=0.03, rate=200.0, seed=2050), 1000)
+        assert len(mixed) == 4 and sum(mixed) >= 10
+        assert report.no_info_fraction < 0.5
+
     @pytest.mark.parametrize("time, replicas, pass_size", [
         (10.0, 300, None), (60.0, 300, None), (360.0, 300, None), (60.0, 70, 16),
     ])
