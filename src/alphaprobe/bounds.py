@@ -93,8 +93,8 @@ def fraction_curve(record: ProbingRecord, alphas, order: str = "forward") -> np.
     """
     if order not in BOUND_ORDERS:
         raise ValueError(f"order must be one of {BOUND_ORDERS}, got {order!r}")
-    fractions, _ = _record_bounds(np.array(record.states), _check_alpha_grid(alphas), 1.0)
-    return fractions[BOUND_ORDERS.index(order)]
+    curve = _bound_curve(np.array(record.states), _check_alpha_grid(alphas), 1.0)
+    return curve.fractions[BOUND_ORDERS.index(order)]
 
 
 def fraction(record: ProbingRecord, alpha: float, order: str = "forward") -> float:
@@ -183,19 +183,11 @@ def _optimum(bounds: np.ndarray, alphas: np.ndarray) -> BoundOptimum | None:
                         BOUND_FAMILIES[k // alphas.size])
 
 
-def _record_bounds(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> tuple:
-    """Fractions and bounds (2, A) of one record's states (4, d, d), in BOUND_ORDERS order.
-
-    One fidelity call covers both orders; a zero denominator gives a fraction of +inf.
-    """
+def _bound_curve(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> BoundCurve:
+    """The full-grid BoundCurve of one record's states (4, d, d): one F call for both orders."""
     f = _fidelity_rows(states[_PAIR_FIRST], states[_PAIR_SECOND], alphas)
     fractions = _ratio(f.reshape(2, 2, alphas.size))
-    return fractions, _bounds_from_fractions(fractions, alphas, delta_mu)
-
-
-def _bound_curve(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> BoundCurve:
-    """The full-grid BoundCurve of one record's states (4, d, d)."""
-    fractions, bounds = _record_bounds(states, alphas, delta_mu)
+    bounds = _bounds_from_fractions(fractions, alphas, delta_mu)
     return BoundCurve(alphas, bounds[0], bounds[1], _optimum(bounds, alphas),
                       fractions=tuple(fractions))
 
@@ -303,6 +295,8 @@ def width_ratio(bound: float, sigma: float) -> float:
 def bound_summary(curve: BoundCurve, sigma_reference: float | None = None) -> dict:
     """JSON-ready summary of a bound curve's optimum; see width_ratio for its ValueError."""
     best = curve.optimum
+    if sigma_reference is not None:
+        check_positive(sigma_reference, "reference width")
     summary = dict(no_information=best is None, b_inf_hz=None, alpha_star=None, family=None)
     if best is not None:
         summary.update(b_inf_hz=best.value, alpha_star=best.alpha, family=best.family)

@@ -5,19 +5,18 @@ integrated for a fixed time at a fixed pair-detection rate; the two outcome
 counts are independent Poisson draws with means rate * time * p_outcome.
 The bases are the Pauli triple H/V, D/A and R/L, so everything is in closed
 Bloch form: a qubit state (I + r.sigma) / 2 has r = (z, x, y) = (a00 - a11,
-2 Re a01, -2 Im a01), basis k has outcome probabilities (1 +/- r_k) / 2, and
-linear inversion of the count asymmetries gives r back, repaired into a
-physical state as r / max(1, |r|). Monte-Carlo replicas repeat the full
-four-state tomography and propagate each replica through the bound pipeline.
+2 Re a01, -2 Im a01), basis k has outcome probabilities (1 +/- r_k) / 2 (one
+kernel, _outcome_probabilities), and linear inversion of the count asymmetries
+gives r back, repaired into a physical state as r / max(1, |r|). Monte-Carlo
+replicas repeat the four-state tomography of a single record step for step.
 Each truth state has one counter-derived stream, which the replicas read in
-index order, six draws each, so replica 0 draws what one tomography run of
-that stream draws. Passes of replicas are sampled with one array draw per
-state, then inverted as arrays into states that are valid by construction; a
-replica with an empty basis gets no estimate. Each pass finds the least bound
-of every estimate by one certified coarse-then-fill alpha search
-(bounds._search_optima), whose coarse kernel call covers the whole pass, and
-replica 0's curve comes from the full-grid route (bounds._bound_curve), as
-tightest_bound builds it.
+index order, one draw of six means each, as sample_counts draws, so replica 0
+draws what one tomography run of that stream draws. A pass of replicas is
+inverted as an array into states valid by construction; a replica with an
+empty basis gets no estimate. Each pass finds the least bound of every
+estimate by one certified coarse-then-fill alpha search (bounds._search_optima),
+and replica 0's curve comes from the one full-grid route (bounds._bound_curve),
+which tightest_bound takes.
 """
 from __future__ import annotations
 
@@ -57,11 +56,7 @@ class MeasurementBasis:
     name: str
 
 
-HV_BASIS = MeasurementBasis("hv")
-DIAG_BASIS = MeasurementBasis("diag")
-CIRC_BASIS = MeasurementBasis("circ")
-
-MUB_BASES = (HV_BASIS, DIAG_BASIS, CIRC_BASIS)
+MUB_BASES = tuple(map(MeasurementBasis, ("hv", "diag", "circ")))
 
 
 @dataclass(frozen=True)
@@ -104,10 +99,10 @@ class CountRecord:
         for name, pair in self.counts.items():
             if not isinstance(name, str):
                 raise ValueError(f"basis names must be strings, got {name!r}")
-            n_plus, n_minus = pair
             try:
+                n_plus, n_minus = pair
                 clean[name] = tuple(check_integer(n, "count", 0) for n in (n_plus, n_minus))
-            except ValueError:
+            except (TypeError, ValueError):
                 raise ValueError(
                     f"counts must be nonnegative integers, got {pair} in {name!r}"
                 ) from None
@@ -117,19 +112,20 @@ class CountRecord:
         return {name: list(pair) for name, pair in self.counts.items()}
 
 
-def _bloch(a: np.ndarray) -> tuple[float, float, float]:
-    """Bloch components (z, x, y) of a qubit matrix, the Pauli expectations in MUB_BASES order."""
-    off = complex(a[0, 1])
-    return (float((a[0, 0] - a[1, 1]).real), 2.0 * off.real, -2.0 * off.imag)
+def _outcome_probabilities(a: np.ndarray) -> np.ndarray:
+    """(1 + r_k) / 2, (1 - r_k) / 2 (..., 6) of qubit matrices (..., 2, 2), in MUB_BASES order."""
+    off = a[..., 0, 1]
+    r = np.stack(((a[..., 0, 0] - a[..., 1, 1]).real, 2.0 * off.real, -2.0 * off.imag), -1)
+    p = np.stack(((1.0 + r) / 2.0, (1.0 - r) / 2.0), -1).reshape(r.shape[:-1] + (6,))
+    return np.clip(p, 0.0, 1.0, out=p)  # floating-point residue; each pair sums to 1
 
 
 def born_probabilities(rho, basis: MeasurementBasis) -> tuple[float, float]:
     """Outcome probabilities (p_plus, p_minus) = ((1 + r_k) / 2, (1 - r_k) / 2) of basis k."""
     if basis not in MUB_BASES:
         raise ValueError(f"basis must be one of MUB_BASES, got {basis!r}")
-    r_k = _bloch(check_qubit(state_matrix(rho)))[MUB_BASES.index(basis)]
-    # clip floating-point residue; the pair sums to 1
-    return (min(max((1.0 + r_k) / 2.0, 0.0), 1.0), min(max((1.0 - r_k) / 2.0, 0.0), 1.0))
+    k = 2 * MUB_BASES.index(basis)
+    return tuple(_outcome_probabilities(check_qubit(state_matrix(rho)))[k:k + 2].tolist())
 
 
 def rng_stream(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
@@ -153,9 +149,8 @@ def sample_counts(
     stream: np.random.Generator,
 ) -> CountRecord:
     """Poisson-sample counts for precomputed per-basis outcome probabilities."""
-    pairs = settings.expected_pairs
-    # scalar draws in order, each a Python int for a Python float mean
-    n = [stream.poisson(pairs * p) for b in settings.bases for p in probabilities[b.name]]
+    means = np.array([p for b in settings.bases for p in probabilities[b.name]])
+    n = stream.poisson(settings.expected_pairs * means).tolist()  # one draw, as a replica's
     return CountRecord({b.name: (n[2 * i], n[2 * i + 1]) for i, b in enumerate(settings.bases)})
 
 
@@ -245,25 +240,23 @@ def monte_carlo_bounds(
     """Propagate tomography shot noise through the bound pipeline.
 
     Each replica redoes the four-state tomography and reports the tightest
-    bound of the reconstructed record; the truth states' Born probabilities are
-    computed once for all replicas. Truth state k draws the counts of every
-    replica from one stream, rng_stream(seed, (0, k)): replica r takes its
-    draws 6r to 6r + 5, in MUB_BASES order with n_plus before n_minus, so
-    replica 0 draws what sample_counts draws from that stream. Replicas run in
-    index order, in passes of up to SAMPLE_REPLICAS, and each state's stream
-    carries on from one pass to the next, so the report does not depend on
-    how the run is split into passes. A replica with an empty basis gets no
+    bound of the reconstructed record; the truth states' Poisson means come from
+    one _outcome_probabilities call for all replicas. Truth state k draws the
+    counts of every replica from one stream, rng_stream(seed, (0, k)): replica r
+    takes its draws 6r to 6r + 5, in MUB_BASES order with n_plus before n_minus,
+    so replica 0 draws what sample_counts's one draw takes from that stream, and
+    its curve comes from bounds._bound_curve, as tightest_bound's does. Replicas
+    run in index order, in passes of up to SAMPLE_REPLICAS, and each state's
+    stream carries on from one pass to the next, so the report does not depend
+    on how the run is split into passes. A replica with an empty basis gets no
     estimate (its value is None); an empty basis of replica 0, the experiment a
     run reports, raises ZeroCountsError.
     """
     replicas = check_integer(replicas, "replicas", 1, MAX_REPLICAS)
     alphas = _bound_grid(alpha_grid)
-    # the Poisson means of each state's six counts, computed once for all replicas
-    pairs = settings.expected_pairs
-    means = [
-        [pairs * p for b in settings.bases for p in born_probabilities(state, b)]
-        for state in truth.states
-    ]
+    # the Poisson means (4, 6) of each state's six counts, computed once for all replicas
+    truth_states = np.array([check_qubit(state) for state in truth.states])
+    means = settings.expected_pairs * _outcome_probabilities(truth_states)
     streams = [rng_stream(settings.seed, (0, k)) for k in range(len(means))]
     b_inf = np.full(replicas, math.inf)  # by replica index; inf where a replica has no bound
     empty_count = 0

@@ -24,7 +24,6 @@ from alphaprobe.bounds import (
     _bound_curve,
     _bounds_from_fractions,
     _optimum,
-    _record_bounds,
     _search_optima,
 )
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
@@ -692,7 +691,8 @@ class TestCertifiedSearch:
             assert_search_matches_full_grid(states, alphas, 1.3)
         # the full-grid route decides alpha*: the first copy of the least bound's alpha,
         # whose grid index _optimum reports in place of alpha on a grid of indices
-        _, bounds = _record_bounds(states[0], repeated, 1.0)
+        curve = _bound_curve(states[0], repeated, 1.0)
+        bounds = np.stack((curve.b1, curve.b2))
         assert _optimum(bounds, np.arange(repeated.size, dtype=float)).alpha % 3 == 0
         calls = record_kernel_halves(monkeypatch)
         for alphas in (shuffled, shuffled[:17]):
@@ -771,9 +771,8 @@ class TestDualBounds:
         for rec in records:
             for a in (0.5, float(rng.uniform(0.5, 0.9999)), 0.9999):
                 grid = np.array([a])
-                fractions, _ = _record_bounds(np.array(rec.states), grid, 1.0)
-                unit = _bounds_from_fractions(fractions, grid, 1.0)
-                best = float(np.fmin(*unit)[0])
+                unit = _bound_curve(np.array(rec.states), grid, 1.0)
+                best = float(np.fmin(unit.b1, unit.b2)[0])
                 want = None if math.isnan(best) else math.inf if best == 0.0 else 1.0 / best
                 assert ratio_lower_bound(rec, a) == want
 
@@ -843,6 +842,13 @@ class TestSummaryAndCsv:
         assert s["alpha_star"] is None
         assert s["family"] is None
         assert "b_inf_over_sigma" not in s
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_summary_rejects_a_reference_width_that_is_not_positive_and_finite(self, sigma):
+        # with or without an optimum: 0 would divide by zero, -1 and inf give a wrong ratio
+        for record in (reference_record(), no_information_record()):
+            with pytest.raises(ValueError, match="reference width"):
+                bound_summary(tightest_bound(record), sigma_reference=sigma)
 
     def test_csv_round_trip(self, tmp_path):
         curve = tightest_bound(reference_record(), alpha_grid=np.linspace(0.5, 0.9999, 40))

@@ -239,8 +239,10 @@ class TestAlphaFidelity:
 
 
 def qubit_with_small_eigenvalue(rng: np.random.Generator, small: float) -> np.ndarray:
+    """Exactly Hermitian, the matrix the package keeps and the 50-digit reference reads."""
     u = rand_unitary(rng, 2)
-    return (u * np.array([1.0 - small, small])) @ u.conj().T
+    m = (u * np.array([1.0 - small, small])) @ u.conj().T
+    return (m + m.conj().T) / 2
 
 
 class TestQubitClosedForm:
@@ -288,6 +290,7 @@ class TestQubitClosedForm:
                     if s1 == s2 == 1e-6:
                         for route in both_mixed:
                             both_mixed[route] += errors[route][-1]
+        assert max(errors["closed"]) <= 1e-12  # the tolerance of a kernel rewrite
         for other in ("eigh", "eigvalsh"):
             assert max(errors["closed"]) <= max(errors[other]), other
             assert sum(errors["closed"]) <= sum(errors[other]), other

@@ -27,9 +27,6 @@ from alphaprobe.reference import (
 from alphaprobe.scenario import SCHEMA_VERSION, parse_scenario, run_scenario
 from alphaprobe.spectra import GaussianSpectrum, discretize_pair
 from alphaprobe.tomography import (
-    CIRC_BASIS,
-    DIAG_BASIS,
-    HV_BASIS,
     MAX_REPLICAS,
     MUB_BASES,
     SAMPLE_REPLICAS,
@@ -59,6 +56,8 @@ from support import (
     record_kernel_halves,
     trace_distance,
 )
+
+HV_BASIS, DIAG_BASIS, CIRC_BASIS = MUB_BASES
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -173,6 +172,9 @@ class TestBornProbabilities:
     def test_non_qubit_rejected(self):
         with pytest.raises(ValueError, match="qubit"):
             born_probabilities(np.eye(3) / 3, HV_BASIS)
+        qutrits = [DensityMatrix(np.diag(d)) for d in ([0.5, 0.3, 0.2], [0.2, 0.3, 0.5])] * 2
+        with pytest.raises(ValueError, match="qubit"):
+            monte_carlo_bounds(ProbingRecord(*qutrits, delta_mu=1.0), settings(), 2, SMALL_GRID)
 
     @pytest.mark.parametrize("rho", [
         np.diag([1.1, -0.1]), np.diag([2.0, -1.0]),  # a negative eigenvalue
@@ -260,8 +262,13 @@ class TestCounts:
             ({"hv": (3, np.bool_(False))}, "nonnegative integers"),
             ({5: (1, 2)}, "strings"),
             ({b"hv": (1, 2)}, "strings"),
+            ({"hv": 5}, r"got 5 in 'hv'"),
+            ({"hv": None}, r"got None in 'hv'"),
+            ({"hv": (1,)}, r"got \(1,\) in 'hv'"),
+            ({"hv": (1, 2, 3)}, r"got \(1, 2, 3\) in 'hv'"),
         ],
-        ids=["float", "numpy-float", "bool", "numpy-bool", "int-name", "bytes-name"],
+        ids=["float", "numpy-float", "bool", "numpy-bool", "int-name", "bytes-name",
+             "int-pair", "none-pair", "short-pair", "long-pair"],
     )
     def test_count_record_converts_nothing(self, counts, match):
         with pytest.raises(ValueError, match=match):
