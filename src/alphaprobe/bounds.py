@@ -37,10 +37,10 @@ BOUND_FAMILIES = ("B1", "B2")  # the bound of each order, in BOUND_ORDERS order
 # ProbingRecord.states: forward numerator and denominator, then reversed ones
 _PAIR_FIRST, _PAIR_SECOND = [2, 0, 3, 1], [3, 1, 2, 0]
 # a fill call of _search_optima takes BLOCK_ALPHA_POINTS // (gap width) gaps, two pairs a
-# gap: 273 gaps of 15 points at A = 500. A Monte-Carlo run of 100 replicas at A = 500, one
-# coarse call, its fills and replica 0's curve, traces a 1.22 MiB peak (tracemalloc; 2-vCPU
-# Xeon, Python 3.11, numpy 2.4), 0.75 MiB when coarse calls ran in blocks of 2 x 4096
-# points; the mc-tomography benchmark allows about 2.2 MiB (5%) of growth
+# gap: 273 gaps of 15 points at A = 500, so the constant bounds a fill call's memory. A
+# Monte-Carlo run of 100 replicas at A = 500 traces a 1.23 MiB peak (tracemalloc; 2-vCPU
+# Xeon, Python 3.11, numpy 2.4); the mc-tomography benchmark allows about 2.2 MiB (5%) of
+# growth
 BLOCK_ALPHA_POINTS = 4096
 # _search_optima's one float allowance: its widening of each computed ln F_alpha, which covers
 # an error of a third of it at a gap's end and at a point inside (the kernel's is a few ulp),

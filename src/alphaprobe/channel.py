@@ -28,7 +28,7 @@ from .spectra import LIGHT_SPEED, FrequencyGrid, GaussianSpectrum, kappa
 
 QUARTZ_BIREFRINGENCE = 0.00925  # quartz near 810 nm
 
-# the closed form sums 4^k terms; beyond 8 plates it is slower than quadrature
+# the closed form's kappa sum has 4^k terms for k plates; the cap bounds its cost
 MAX_PLATES = 8
 
 

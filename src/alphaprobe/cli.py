@@ -28,6 +28,7 @@ from .scenario import (
     ConfigError,
     GoldenCheckError,
     OutputError,
+    RunReport,
     bound_record,
     field_errors,
     load_json,
@@ -77,7 +78,7 @@ def _add_alpha_args(parser: argparse.ArgumentParser, single: bool = False) -> No
     parser.add_argument("--alpha-count", type=int)
 
 
-def cmd_afid(args) -> int:
+def cmd_afid(args) -> None:
     rho1 = _load_state(args.rho1, "--rho1")
     rho2 = _load_state(args.rho2, "--rho2")
     grid = _alpha_grid(args, lower=0.0)
@@ -88,7 +89,6 @@ def cmd_afid(args) -> int:
         write(sys.stdout)
     else:
         print(f"wrote {write_output(args.csv, write, '--csv')}")
-    return EXIT_OK
 
 
 def _print_report(report) -> None:
@@ -107,20 +107,19 @@ def _print_report(report) -> None:
         print(f"wrote {path}")
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> RunReport:
     grid = _alpha_grid(args, lower=DPI_ALPHA_MIN)
-    _print_report(bound_record(args.record, grid, args.out, args.require_bound))
-    return EXIT_OK
+    return bound_record(args.record, grid, args.out, args.require_bound)
 
 
-def cmd_simulate(args) -> int:
+def cmd_config(args) -> RunReport:
+    """simulate and sweep: args.run (run_scenario or sweep_thickness) on the --config file."""
     with field_errors("--config"):
         config = load_scenario(args.config)
-    _print_report(run_scenario(config, out_dir=args.out))
-    return EXIT_OK
+    return args.run(config, out_dir=args.out)
 
 
-def cmd_tomography(args) -> int:
+def cmd_tomography(args) -> None:
     from .tomography import (
         TomographySettings, ZeroCountsError, reconstruct, rng_stream, simulate_counts,
     )
@@ -140,10 +139,9 @@ def cmd_tomography(args) -> int:
     writers = {name: partial(write_json, payload=p.to_json()) for name, p in payloads.items()}
     for path in write_run_dir(args.out, writers):
         print(f"wrote {path}")
-    return EXIT_OK
 
 
-def cmd_reproduce_fig4(args) -> int:
+def cmd_reproduce_fig4(args) -> RunReport:
     report = reproduce_fig4(out_dir=args.out)
     results = report.summary["results"]
     print(
@@ -154,15 +152,7 @@ def cmd_reproduce_fig4(args) -> int:
         f"b2 at alpha 0.9999: {results['b2_top_over_sigma']:.4f} sigma "
         f"(published {results['published_b2_top_over_sigma']})"
     )
-    _print_report(report)
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    with field_errors("--config"):
-        config = load_scenario(args.config)
-    _print_report(sweep_thickness(config, out_dir=args.out))
-    return EXIT_OK
+    return report
 
 
 @cache
@@ -195,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a scenario config end to end")
     p.add_argument("--config", required=True, help="scenario JSON")
     p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_config, run=run_scenario)
 
     p = sub.add_parser("tomography", help="simulate counts and reconstruct a state")
     p.add_argument("--state", required=True, help="true state (matrix JSON)")
@@ -215,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="bound optimum per plate thickness")
     p.add_argument("--config", required=True, help="scenario JSON with a sweep section")
     p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_config, run=sweep_thickness)
 
     return parser
 
@@ -229,7 +219,10 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning  # one stable line, no source path
-            return args.func(args)
+            report = args.func(args)
+        if report is not None:  # afid and tomography print their own lines
+            _print_report(report)
+        return EXIT_OK
     except ConfigError as exc:  # a run directory's output error is one of --out
         flag = "--out: " if isinstance(exc, OutputError) and "out" in args else ""
         print(f"config error: {flag}{exc}", file=sys.stderr)

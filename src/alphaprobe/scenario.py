@@ -4,8 +4,10 @@ A scenario JSON describes the physics (two environment lines, two probe
 preparations, a wave-plate stack) and the readout (exact states or
 shot-noise tomography with replicas). Running it produces a bound curve CSV
 and a summary JSON; every number printed to the console also appears in one
-of those artifacts. Reruns with identical config and seeds are byte-identical
-except for the generated_at timestamp.
+of those artifacts. Reruns with identical config and seeds on one machine and one
+numpy SIMD dispatch path are byte-identical except for the generated_at
+timestamp; another path may move last digits (fig4_bounds.csv's B2 at alpha =
+0.9999 reads 1.034372368278e+12 with AVX-512 dispatch, 1.034372368280e+12 with AVX2).
 """
 from __future__ import annotations
 
@@ -64,6 +66,10 @@ RECORD_STATES = ("rho1", "rho2", "phi1_rho1", "phi2_rho2")
 
 PLUS_STATE = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
+# the deepest input the schema defines has 5 levels (root, probes, rho1, re, a row); a deeper
+# one is rejected when read, before the summary's echo of it could run out of recursion
+MAX_JSON_DEPTH = 64
+
 
 class ConfigError(ValueError):
     """Scenario config is malformed; the message names the offending field."""
@@ -78,14 +84,21 @@ class GoldenCheckError(RuntimeError):
 
 
 def load_json(path, what: str):
-    """Read a JSON document; unreadable or malformed files are ConfigErrors."""
+    """Read a JSON document; unreadable, malformed or too deeply nested files are ConfigErrors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            document = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:  # also bad UTF-8 and over-long integer literals
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, long integers, deep nesting
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    level, depth = [document], 0  # one container level at a time: no recursion
+    while level := [v for v in level if isinstance(v, (dict, list))]:
+        depth += 1
+        if depth > MAX_JSON_DEPTH:
+            raise ConfigError(f"{what} {path} is nested deeper than {MAX_JSON_DEPTH} levels")
+        level = [c for v in level for c in (v.values() if isinstance(v, dict) else v)]
+    return document
 
 
 @contextmanager

@@ -11,12 +11,12 @@ gives r back, repaired into a physical state as r / max(1, |r|). Monte-Carlo
 replicas repeat the four-state tomography of a single record step for step.
 Each truth state has one counter-derived stream, which the replicas read in
 index order, one draw of six means each, as sample_counts draws, so replica 0
-draws what one tomography run of that stream draws. A pass of replicas is
-inverted as an array into states valid by construction; a replica with an
-empty basis gets no estimate. Each pass finds the least bound of every
-estimate by one certified coarse-then-fill alpha search (bounds._search_optima),
-and replica 0's curve comes from the one full-grid route (bounds._bound_curve),
-which tightest_bound takes.
+draws what one tomography run of that stream draws. Replica 0, the experiment a
+run reports, is drawn, inverted and bounded once, by the one full-grid route
+(bounds._bound_curve), which tightest_bound takes. The other replicas follow in
+passes, each inverted as an array into states valid by construction (a replica
+with an empty basis gets no estimate) and bounded by one certified
+coarse-then-fill alpha search (bounds._search_optima).
 """
 from __future__ import annotations
 
@@ -39,10 +39,10 @@ MAX_REPLICAS = 100_000
 # expected pairs per basis (rate x time) at most: each count's mean then lies where
 # floats hold every integer, as reconstruct assumes, far inside numpy's Poisson limit
 MAX_EXPECTED_PAIRS = 2**53
-# replicas are sampled, inverted and bounded in passes of up to SAMPLE_REPLICAS in index
-# order; _search_optima bounds a pass with one frames and one coarse kernel call, so the pass
-# size bounds that call's memory: 1,100 replicas of the reference record trace 2.25 MiB at
-# A = 500 and 24.0 MiB at A = 100,000 in passes of 256, 7.06 and 76.5 MiB in passes of 1024
+# replicas after replica 0 are sampled, inverted and bounded in passes of up to
+# SAMPLE_REPLICAS in index order; _search_optima bounds a pass with one frames and one coarse
+# kernel call, so the pass size bounds that call's memory: 1,100 replicas of the reference
+# record trace 2.25 MiB at A = 500 and 24.0 MiB at A = 100,000
 SAMPLE_REPLICAS = 256
 
 class ZeroCountsError(ValueError):
@@ -243,14 +243,14 @@ def monte_carlo_bounds(
     bound of the reconstructed record; the truth states' Poisson means come from
     one _outcome_probabilities call for all replicas. Truth state k draws the
     counts of every replica from one stream, rng_stream(seed, (0, k)): replica r
-    takes its draws 6r to 6r + 5, in MUB_BASES order with n_plus before n_minus,
-    so replica 0 draws what sample_counts's one draw takes from that stream, and
-    its curve comes from bounds._bound_curve, as tightest_bound's does. Replicas
-    run in index order, in passes of up to SAMPLE_REPLICAS, and each state's
-    stream carries on from one pass to the next, so the report does not depend
-    on how the run is split into passes. A replica with an empty basis gets no
-    estimate (its value is None); an empty basis of replica 0, the experiment a
-    run reports, raises ZeroCountsError.
+    takes its draws 6r to 6r + 5, in MUB_BASES order with n_plus before n_minus.
+    Replica 0, the experiment a run reports, takes sample_counts's one draw and is
+    bounded once, by bounds._bound_curve as tightest_bound's curve is; its empty
+    basis raises ZeroCountsError. The other replicas run in index order, in passes
+    of up to SAMPLE_REPLICAS bounded by bounds._search_optima, and each state's
+    stream carries on from one draw to the next, so the report does not depend on
+    how the run is split into passes. Another replica with an empty basis gets no
+    estimate (its value is None).
     """
     replicas = check_integer(replicas, "replicas", 1, MAX_REPLICAS)
     alphas = _bound_grid(alpha_grid)
@@ -258,23 +258,21 @@ def monte_carlo_bounds(
     truth_states = np.array([check_qubit(state) for state in truth.states])
     means = settings.expected_pairs * _outcome_probabilities(truth_states)
     streams = [rng_stream(settings.seed, (0, k)) for k in range(len(means))]
+    # replica 0, the experiment a run reports: sample_counts's one draw per state, (1, 4, 6)
+    first = np.stack([g.poisson(m) for g, m in zip(streams, means)])[None]
+    curve0 = _bound_curve(_invert(first)[0], alphas, truth.delta_mu)
     b_inf = np.full(replicas, math.inf)  # by replica index; inf where a replica has no bound
+    b_inf[0] = math.inf if curve0.no_information else curve0.optimum.value
     empty_count = 0
-    for start in range(0, replicas, SAMPLE_REPLICAS):
+    for start in range(1, replicas, SAMPLE_REPLICAS):
         rows = np.arange(start, min(start + SAMPLE_REPLICAS, replicas))
         # counts (rows, state, 6): one array draw per state, a row per replica
         counts = np.stack([g.poisson(m, size=(len(rows), len(m)))
                            for g, m in zip(streams, means)], axis=1)
-        # a replica with an empty basis has no estimate, except replica 0, the reported
-        # experiment, which _invert rejects
-        empty = (counts[..., 0::2] + counts[..., 1::2] == 0).any(axis=(1, 2))
-        empty[0] &= start > 0
+        empty = (counts[..., 0::2] + counts[..., 1::2] == 0).any(axis=(1, 2))  # no estimate
         empty_count += int(empty.sum())
-        states = _invert(counts[~empty])
-        if len(states):
-            b_inf[rows[~empty]] = _search_optima(states, alphas, truth.delta_mu)
-        if start == 0:  # the one curve a run reports, from replica 0's own states
-            curve0 = _bound_curve(states[0], alphas, truth.delta_mu)
+        if not empty.all():
+            b_inf[rows[~empty]] = _search_optima(_invert(counts[~empty]), alphas, truth.delta_mu)
 
     # aggregation in replica index order, compensated sums
     values = tuple(None if math.isinf(v) else v for v in b_inf.tolist())

@@ -19,7 +19,7 @@ from alphaprobe.reference import (
     REFERENCE_SIGMA_HZ,
     reference_record,
 )
-from alphaprobe.scenario import SCHEMA_VERSION
+from alphaprobe.scenario import MAX_JSON_DEPTH, SCHEMA_VERSION
 from alphaprobe.tomography import MAX_REPLICAS
 
 
@@ -371,6 +371,57 @@ def test_artifact_path_that_is_a_directory_exits_2_naming_it(
     captured = capsys.readouterr()
     assert f"output file {out / artifact} cannot be written" in captured.err
     assert "wrote" not in captured.out
+
+
+def nested(depth):
+    """JSON text of `depth` nested empty arrays."""
+    return "[" * depth + "]" * depth
+
+
+# (subcommand, the flag given a document 200,000 arrays deep, its other arguments): so deep a
+# document makes the decoder itself run out of recursion
+DEEP_FLAGS = [
+    ("simulate", "--config", []),
+    ("sweep", "--config", []),
+    ("bound", "--record", []),
+    ("afid", "--rho1", ["--rho2", "{qubit}"]),
+    ("afid", "--rho2", ["--rho1", "{qubit}"]),
+    ("tomography", "--state", ["--time", "60", "--rate", "200", "--seed", "7"]),
+]
+
+
+@pytest.mark.parametrize("subcommand, flag, rest", DEEP_FLAGS,
+                         ids=[f"{c[0]}{c[1]}" for c in DEEP_FLAGS])
+def test_too_deep_to_decode_exits_2_naming_its_flag(tmp_path, capsys, subcommand, flag, rest):
+    deep, qubit, out = tmp_path / "deep.json", tmp_path / "qubit.json", tmp_path / "out"
+    deep.write_text(nested(200_000), encoding="utf-8")
+    qubit.write_text(json.dumps(matrix_to_json(REFERENCE_EVOLVED_1)), encoding="utf-8")
+    argv = [subcommand, flag, str(deep), *(a.format(qubit=qubit) for a in rest)]
+    assert main(argv + ([] if subcommand == "afid" else ["--out", str(out)])) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"{flag}" in captured.err and f"{deep} is not valid JSON" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("depth", [MAX_JSON_DEPTH, MAX_JSON_DEPTH + 1, 983])
+def test_config_nested_beyond_the_limit_exits_2_before_any_file(tmp_path, capsys, depth):
+    # nested lists under a key the schema does not read: at the limit the run writes its
+    # files; beyond it the config is rejected when read, where at 983 levels its echo in
+    # summary.json once ran out of recursion after bound_curve.csv was written (on a deep
+    # call stack the decoder may run out first, which is rejected as invalid JSON)
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    text = json.dumps({**base_config(), "extra": 0}).replace('"extra": 0',
+                                                             f'"extra": {nested(depth - 1)}')
+    config.write_text(text, encoding="utf-8")
+    code = main(["simulate", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    if depth == MAX_JSON_DEPTH:
+        assert code == EXIT_OK and (out / "summary.json").exists()
+    else:
+        assert code == EXIT_CONFIG and not out.exists()
+        assert f"--config: config {config} is " in err
+        if depth == MAX_JSON_DEPTH + 1:
+            assert f"is nested deeper than {MAX_JSON_DEPTH} levels" in err
 
 
 @pytest.mark.parametrize("delta_mu, code, informative", [

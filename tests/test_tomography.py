@@ -545,14 +545,19 @@ class TestMonteCarlo:
     def test_replica_zero_draws_what_one_tomography_run_draws(self, monkeypatch, tmp_path):
         # replica 0 takes the first six draws of each state's stream: a 100-replica
         # run, a one-replica run and the tomography subcommand at the same seed read
-        # the same counts
+        # the same counts. Each run inverts replica 0's own draw first, and the
+        # 100-replica run then one pass of the other 99
         drawn = record_counts(monkeypatch)
         truth, cfg = reference_record(), settings(time=60.0, rate=200.0, seed=9)
+        shapes, firsts = {}, []
         for replicas in (100, 1):
+            drawn.clear()
             monte_carlo_bounds(truth, cfg, replicas, SMALL_GRID)
-        many, one = drawn
-        assert many.shape == (100, 4, 6) and one.shape == (1, 4, 6)
-        np.testing.assert_array_equal(many[0], one[0])
+            shapes[replicas] = [d.shape for d in drawn]
+            firsts.append(drawn[0])
+        assert shapes == {100: [(1, 4, 6), (99, 4, 6)], 1: [(1, 4, 6)]}
+        many, one = firsts
+        np.testing.assert_array_equal(many, one)
         state = tmp_path / "rho1.json"
         write_json(state, truth.rho1.to_json())
         args = ["--time", "60", "--rate", "200", "--seed", "9", "--out", str(tmp_path / "out")]
@@ -582,25 +587,24 @@ class TestMonteCarlo:
         assert np.all(np.abs(lag1) < 4.0 / math.sqrt(n))
 
     def test_alpha_free_half_runs_once_per_sampling_pass(self, monkeypatch):
-        # rho2's eigendecomposition and rho1's rotation run once over a pass's
-        # 4 x replicas fidelity pairs; the per-alpha half then runs the certified
-        # search, one coarse call over the pass's records and fill calls of at most
-        # BLOCK_ALPHA_POINTS points, and after the first pass's search replica 0's
-        # full grid, with its own frames
+        # replica 0's full grid runs first, with its own frames; then rho2's
+        # eigendecomposition and rho1's rotation run once over a pass's 4 x replicas
+        # fidelity pairs, and the per-alpha half runs the certified search, one coarse
+        # call over the pass's records and fill calls of at most BLOCK_ALPHA_POINTS points
         calls = record_kernel_halves(monkeypatch)
         truth, cfg = reference_record(), settings(time=60.0, rate=200.0, seed=3)
         monte_carlo_bounds(truth, cfg, 100)
-        # 33 coarse points; a fill call holds two pairs per gap it fills, here 377 gaps
-        # of 15 points in calls of 4096 // 15 = 273 gaps and 104
-        assert calls == [("frames", 400), ("sums", 400), ("sums", 546, 15), ("sums", 208, 15),
-                         ("frames", 4), ("sums", 4)]
+        # one pass of replicas 1 to 99 and 33 coarse points; a fill call holds two pairs
+        # per gap it fills, here 373 gaps of 15 points in calls of 4096 // 15 = 273 gaps and 100
+        assert calls == [("frames", 4), ("sums", 4), ("frames", 396), ("sums", 396),
+                         ("sums", 546, 15), ("sums", 200, 15)]
         calls.clear()
-        # passes of 256, 256, 256, 256 and 3 replicas at A = 5: 3 coarse points and
+        # passes of 256, 256, 256, 256 and 2 replicas at A = 5: 3 coarse points and
         # 2 gaps of one point, every gap filled, the 1,024 gaps of a pass in one call
         monte_carlo_bounds(truth, cfg, 1027, np.linspace(0.5, 0.9999, 5))
         full_pass = [("frames", 1024), ("sums", 1024), ("sums", 2048, 1)]
-        assert calls == [*full_pass, ("frames", 4), ("sums", 4), *full_pass * 3,
-                         ("frames", 12), ("sums", 12), ("sums", 24, 1)]
+        assert calls == [("frames", 4), ("sums", 4), *full_pass * 4,
+                         ("frames", 8), ("sums", 8), ("sums", 16, 1)]
 
     def test_a_pass_bounds_its_memory(self):
         # a pass is one coarse kernel call over its records, so SAMPLE_REPLICAS bounds that
@@ -771,6 +775,30 @@ class TestMonteCarlo:
         assert one.mean_b_inf == one.values[0] and one.std_b_inf == 0.0
         assert one.curve0.optimum == three.curve0.optimum
 
+    def test_one_replica_runs_no_certified_search(self, monkeypatch):
+        # replica 0 is bounded by its own full-grid curve alone, so a one-replica run, what
+        # simulate runs when a config gives no replica count, never calls the search
+        searched = []
+        monkeypatch.setattr(tomography, "_search_optima",
+                            lambda *args: searched.append(args) or np.array([]))
+        for truth in (reference_record(), erased_record()):
+            report = monte_carlo_bounds(truth, settings(time=60.0, rate=200.0, seed=3), 1)
+            assert report.replicas == len(report.values) == 1
+        assert searched == []
+
+    @pytest.mark.parametrize("time", [10.0, 60.0, 360.0])
+    def test_replica_zero_value_is_its_curves_optimum(self, time):
+        # values[0] is curve0's least bound, bit for bit, or None where the curve has none:
+        # the erased-probe truth has none
+        informative = []
+        for truth in (reference_record(), erased_record()):
+            for seed in range(5):
+                report = monte_carlo_bounds(truth, settings(time=time, rate=200.0, seed=seed), 3)
+                best, got = report.curve0.optimum, report.values[0]
+                assert (got and got.hex()) == (best and best.value.hex())
+                informative.append(best is not None)
+        assert informative == [True] * 5 + [False] * 5
+
     def test_replica_count_validated(self):
         truth = exact_truth_record()
         with pytest.raises(ValueError, match="at least 1"):
@@ -828,7 +856,7 @@ class TestMonteCarlo:
             "pow": (pow_qubit_frames, pow_qubit_fidelity_sums),
         }
         for name, (frames, sums) in halves.items():
-            passes = []
+            passes, curves = [], []
 
             def recording(states, alphas, delta_mu, passes=passes):
                 passes.append((states, alphas, delta_mu, search(states, alphas, delta_mu)))
@@ -837,22 +865,26 @@ class TestMonteCarlo:
             # both halves substituted and every call recorded: the kernel under test runs
             recorded = record_kernel_halves(monkeypatch, frames, sums)
             monkeypatch.setattr(tomography, "_search_optima", recording)
+            monkeypatch.setattr(tomography, "_bound_curve", lambda *args, curves=curves:
+                                curves.append(_bound_curve(*args)) or curves[-1])
             run_scenario(parse_scenario(config), str(tmp_path / name))
             calls[name] = recorded[:]
-            # the full-grid route, where a tie still decides alpha*, gives each alpha and family
-            optima[name] = [(b and (b.alpha, b.family), v)
-                            for states, alphas, delta_mu, value in passes
-                            for b, v in zip((_bound_curve(record, alphas, delta_mu).optimum
-                                             for record in states), value.tolist())]
-        # sampling passes of 256 and 244 records: the alpha-free half over a pass's
-        # records, one coarse call and fill calls of at most 2 x 4096 // 15 = 546 pairs,
-        # and after the first pass's search replica 0's own frames and full grid; both
-        # kernels prune alike
+            # replica 0's optimum from its own curve; for the other replicas the full-grid
+            # route, where a tie still decides alpha*, gives each alpha and family
+            zero = curves[0].optimum
+            optima[name] = [(zero and (zero.alpha, zero.family), zero.value if zero else math.inf)]
+            optima[name] += [(b and (b.alpha, b.family), v)
+                             for states, alphas, delta_mu, value in passes
+                             for b, v in zip((_bound_curve(record, alphas, delta_mu).optimum
+                                              for record in states), value.tolist())]
+        # replica 0's own frames and full grid, then sampling passes of 256 and 243 records:
+        # the alpha-free half over a pass's records, one coarse call and fill calls of at
+        # most 2 x 4096 // 15 = 546 pairs; both kernels prune alike
         got = calls["log"]
         assert got == calls["pow"]
-        assert [c for c in got if len(c) == 2] == [("frames", 1024), ("sums", 1024),
-                                                   ("frames", 4), ("sums", 4),
-                                                   ("frames", 976), ("sums", 976)]
+        assert [c for c in got if len(c) == 2] == [("frames", 4), ("sums", 4),
+                                                   ("frames", 1024), ("sums", 1024),
+                                                   ("frames", 972), ("sums", 972)]
         assert all(c[1] <= 546 and c[1] % 2 == 0 and c[2] == 15 for c in got if len(c) == 3)
         assert len(optima["log"]) == len(optima["pow"]) == 500
         for (k, got), (j, want) in zip(optima["log"], optima["pow"]):
