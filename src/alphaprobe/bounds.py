@@ -36,11 +36,9 @@ BOUND_FAMILIES = ("B1", "B2")  # the bound of each order, in BOUND_ORDERS order
 # the fidelity pairs (first, second) behind the fractions, as indices into
 # ProbingRecord.states: forward numerator and denominator, then reversed ones
 _PAIR_FIRST, _PAIR_SECOND = [2, 0, 3, 1], [3, 1, 2, 0]
-# a fill call of _search_optima takes BLOCK_ALPHA_POINTS // (gap width) gaps, two pairs a
-# gap: 273 gaps of 15 points at A = 500, so the constant bounds a fill call's memory. A
-# Monte-Carlo run of 100 replicas at A = 500 traces a 1.23 MiB peak (tracemalloc; 2-vCPU
-# Xeon, Python 3.11, numpy 2.4); the mc-tomography benchmark allows about 2.2 MiB (5%) of
-# growth
+# a fill call of _search_optima takes BLOCK_ALPHA_POINTS // (gap width) gaps, two pairs a gap
+# (273 gaps of 15 points at A = 500), so the constant bounds a fill call's memory: a Monte-Carlo
+# run of 100 replicas at A = 500 traces a 0.80 MiB peak (tracemalloc; 2-vCPU Xeon, numpy 2.4)
 BLOCK_ALPHA_POINTS = 4096
 # _search_optima's one float allowance: its widening of each computed ln F_alpha, which covers
 # an error of a third of it at a gap's end and at a point inside (the kernel's is a few ulp),
@@ -93,8 +91,9 @@ def fraction_curve(record: ProbingRecord, alphas, order: str = "forward") -> np.
     """
     if order not in BOUND_ORDERS:
         raise ValueError(f"order must be one of {BOUND_ORDERS}, got {order!r}")
-    curve = _bound_curve(np.array(record.states), _check_alpha_grid(alphas), 1.0)
-    return curve.fractions[BOUND_ORDERS.index(order)]
+    states, alphas = np.array(record.states), _check_alpha_grid(alphas)
+    f = _fidelity_rows(states[_PAIR_FIRST], states[_PAIR_SECOND], alphas)
+    return _ratio(f.reshape(2, 2, alphas.size))[BOUND_ORDERS.index(order)]
 
 
 def fraction(record: ProbingRecord, alpha: float, order: str = "forward") -> float:
@@ -183,17 +182,22 @@ def _optimum(bounds: np.ndarray, alphas: np.ndarray) -> BoundOptimum | None:
                         BOUND_FAMILIES[k // alphas.size])
 
 
-def _bound_curve(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> BoundCurve:
-    """The full-grid BoundCurve of one record's states (4, d, d): one F call for both orders."""
-    f = _fidelity_rows(states[_PAIR_FIRST], states[_PAIR_SECOND], alphas)
+def _bound_curve(f: np.ndarray, alphas: np.ndarray, delta_mu: float) -> BoundCurve:
+    """The full-grid BoundCurve of one record's clamped F_alpha (4, A) in _PAIR_FIRST order."""
     fractions = _ratio(f.reshape(2, 2, alphas.size))
     bounds = _bounds_from_fractions(fractions, alphas, delta_mu)
     return BoundCurve(alphas, bounds[0], bounds[1], _optimum(bounds, alphas),
                       fractions=tuple(fractions))
 
 
-def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> np.ndarray:
-    """Each least bound, inf for none, of qubit records (n, 4, 2, 2) on a checked grid.
+def _record_frames(states: np.ndarray) -> np.ndarray:
+    """The qubit frames (6, 4n) of records (n, 4, 2, 2), a record's pairs in _PAIR_FIRST order."""
+    return fidelity._qubit_frames(states[:, _PAIR_FIRST].reshape(-1, 2, 2),
+                                  states[:, _PAIR_SECOND].reshape(-1, 2, 2))
+
+
+def _search_optima(frames: np.ndarray, alphas: np.ndarray, delta_mu: float) -> np.ndarray:
+    """Each least bound, inf for none, of qubit records' _record_frames (6, 4n) on a checked grid.
 
     The values of _optimum on the full grid, bit for bit, from a certified part of its
     sorted copy (a least value ignores order). The sandwiched S_a = ln F_a / (a - 1) is
@@ -205,18 +209,15 @@ def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> n
     family that may hold a bound at or below the record's least coarse bound, each fill
     folding into the record's least value. Each ln F is widened by SEARCH_ALLOWANCE, a bound
     for the rounding at a gap's end and at a point inside it. The kernel floors only
-    alpha-free inputs, which keeps S_a monotone (see the README). Both halves of the kernel
-    run through the fidelity module; a call warns of clamping once, for the points it
-    evaluated.
+    alpha-free inputs, which keeps S_a monotone (see the README). The per-alpha half runs
+    through the fidelity module; a call warns of clamping once, for the points it evaluated.
     """
     alphas = np.sort(alphas)
-    n, count = len(states), alphas.size
+    n, count = frames.shape[1] // 4, alphas.size
     step = max(2, 1 << (math.isqrt(count).bit_length() - 1))  # about sqrt(A): 16 at A = 500
     cols = np.minimum(np.arange(0, count + step - 1, step), count - 1)  # and the last point
     gaps = np.minimum(cols[:-1, None] + np.arange(1, step), cols[1:, None])  # end-padded interiors
     q = (1.0 - alphas) / alphas
-    frames = fidelity._qubit_frames(states[:, _PAIR_FIRST].reshape(-1, 2, 2),
-                                    states[:, _PAIR_SECOND].reshape(-1, 2, 2))
     peak = -math.inf
 
     def bound_rows(pairs, index):
@@ -239,6 +240,7 @@ def _search_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> n
         lower = delta_mu * root_half_a / np.sqrt(spread)  # inf only beyond the float range
     pruned = (spread <= 0.0) | (lower > value[:, None, None])
     rec, family, gap = np.nonzero(~pruned)
+    del f, log_f  # views of the coarse call's work array: the fills may reuse its memory
     per_call = BLOCK_ALPHA_POINTS // gaps.shape[1]
     for s in range(0, len(rec), per_call):
         part = slice(s, s + per_call)
@@ -258,7 +260,9 @@ def _bound_grid(alpha_grid) -> np.ndarray:
 
 def tightest_bound(record: ProbingRecord, alpha_grid=None) -> BoundCurve:
     """Evaluate both families over the grid and locate the minimum bound."""
-    return _bound_curve(np.array(record.states), _bound_grid(alpha_grid), record.delta_mu)
+    states, alphas = np.array(record.states), _bound_grid(alpha_grid)
+    f = _fidelity_rows(states[_PAIR_FIRST], states[_PAIR_SECOND], alphas)  # one F call
+    return _bound_curve(f, alphas, record.delta_mu)
 
 
 def ratio_lower_bound(record: ProbingRecord, alpha: float) -> float | None:

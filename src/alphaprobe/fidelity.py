@@ -206,25 +206,30 @@ def _warn_clamped(excess: float) -> None:
 def _fidelity_rows(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Clamped F_alpha (n, A) of validated stacks (n, d, d) of pairs over a checked grid.
 
-    Qubits run both halves of the kernel once; higher dimensions cost a Hermitian
-    eigenvalue solve of the sandwich per alpha. A call warns of clamping once at most.
+    Qubits run both halves of the kernel once (_qubit_rows); higher dimensions cost a
+    Hermitian eigenvalue solve of the sandwich per alpha. A call warns of clamping once at most.
     """
-    q = (1.0 - grid) / grid
     if rho1s.shape[-1] == 2:
-        frames = _qubit_frames(rho1s, rho2s)
-        raw = _qubit_fidelity_sums(frames, q, grid)
-    else:
-        w2, v2 = np.linalg.eigh(rho2s)
-        # rho2^((1-alpha)/(2 alpha)) for every alpha at once; 0^p = 0 on the null space
-        wp = _floor_spectrum(w2)[:, None, :] ** (q / 2.0)[:, None]
-        half = np.einsum("nab,nmb,ncb->nmac", v2, wp, v2.conj())
-        sandwich = half @ rho1s[:, None] @ half
-        sandwich = (sandwich + np.conj(np.swapaxes(sandwich, -1, -2))) / 2
-        # eigvalsh's error is absolute, so unlike the qubit roots its eigenvalues keep the floor
-        ws = _floor_spectrum(np.linalg.eigvalsh(sandwich))
-        raw = np.sum(ws ** grid[:, None], axis=-1)
+        return _qubit_rows(_qubit_frames(rho1s, rho2s), grid)
+    q = (1.0 - grid) / grid
+    w2, v2 = np.linalg.eigh(rho2s)
+    # rho2^((1-alpha)/(2 alpha)) for every alpha at once; 0^p = 0 on the null space
+    wp = _floor_spectrum(w2)[:, None, :] ** (q / 2.0)[:, None]
+    half = np.einsum("nab,nmb,ncb->nmac", v2, wp, v2.conj())
+    sandwich = half @ rho1s[:, None] @ half
+    sandwich = (sandwich + np.conj(np.swapaxes(sandwich, -1, -2))) / 2
+    # eigvalsh's error is absolute, so unlike the qubit roots its eigenvalues keep the floor
+    ws = _floor_spectrum(np.linalg.eigvalsh(sandwich))
+    raw = np.sum(ws ** grid[:, None], axis=-1)
     _warn_clamped(raw.max() - 1.0)
     # F is a sum of exponentials or of floored eigenvalue powers: never negative
+    return np.minimum(raw, 1.0, out=raw)
+
+
+def _qubit_rows(frames: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Clamped F_alpha (m, A) of qubit pairs' frames (6, m) over a checked grid; warns once."""
+    raw = _qubit_fidelity_sums(frames, (1.0 - grid) / grid, grid)
+    _warn_clamped(raw.max() - 1.0)
     return np.minimum(raw, 1.0, out=raw)
 
 

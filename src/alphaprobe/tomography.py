@@ -8,15 +8,13 @@ Bloch form: a qubit state (I + r.sigma) / 2 has r = (z, x, y) = (a00 - a11,
 2 Re a01, -2 Im a01), basis k has outcome probabilities (1 +/- r_k) / 2 (one
 kernel, _outcome_probabilities), and linear inversion of the count asymmetries
 gives r back, repaired into a physical state as r / max(1, |r|). Monte-Carlo
-replicas repeat the four-state tomography of a single record step for step.
-Each truth state has one counter-derived stream, which the replicas read in
-index order, one draw of six means each, as sample_counts draws, so replica 0
-draws what one tomography run of that stream draws. Replica 0, the experiment a
-run reports, is drawn, inverted and bounded once, by the one full-grid route
-(bounds._bound_curve), which tightest_bound takes. The other replicas follow in
-passes, each inverted as an array into states valid by construction (a replica
-with an empty basis gets no estimate) and bounded by one certified
-coarse-then-fill alpha search (bounds._search_optima).
+replicas repeat the four-state tomography of a single record step for step, in
+passes: each truth state has one counter-derived stream, read six draws a replica
+in index order, so replica 0 draws what one tomography run of that stream draws.
+A pass is drawn, inverted into states valid by construction (a replica with an
+empty basis gets no estimate) and turned into qubit frames once. Replica 0, the
+experiment a run reports, takes the full-grid route of tightest_bound
+(bounds._bound_curve); the others one certified alpha search (bounds._search_optima).
 """
 from __future__ import annotations
 
@@ -25,12 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundCurve, ProbingRecord, _bound_curve, _bound_grid, _search_optima
+from .bounds import (
+    BoundCurve, ProbingRecord, _bound_curve, _bound_grid, _record_frames, _search_optima,
+)
+from .fidelity import _qubit_rows
 from .linalg import (
     DensityMatrix,
     check_integer,
     check_positive,
     check_qubit,
+    check_real,
     state_matrix,
 )
 
@@ -39,10 +41,9 @@ MAX_REPLICAS = 100_000
 # expected pairs per basis (rate x time) at most: each count's mean then lies where
 # floats hold every integer, as reconstruct assumes, far inside numpy's Poisson limit
 MAX_EXPECTED_PAIRS = 2**53
-# replicas after replica 0 are sampled, inverted and bounded in passes of up to
-# SAMPLE_REPLICAS in index order; _search_optima bounds a pass with one frames and one coarse
-# kernel call, so the pass size bounds that call's memory: 1,100 replicas of the reference
-# record trace 2.25 MiB at A = 500 and 24.0 MiB at A = 100,000
+# replicas are sampled, inverted and bounded in index order in passes of up to SAMPLE_REPLICAS,
+# with one frames and one coarse kernel call a pass, so the pass size bounds their memory:
+# 1,100 replicas of the reference record trace 1.75 MiB at A = 500 and 23.9 MiB at A = 100,000
 SAMPLE_REPLICAS = 256
 
 class ZeroCountsError(ValueError):
@@ -148,9 +149,26 @@ def sample_counts(
     settings: TomographySettings,
     stream: np.random.Generator,
 ) -> CountRecord:
-    """Poisson-sample counts for precomputed per-basis outcome probabilities."""
-    means = np.array([p for b in settings.bases for p in probabilities[b.name]])
-    n = stream.poisson(settings.expected_pairs * means).tolist()  # one draw, as a replica's
+    """Poisson-sample counts for precomputed per-basis outcome probabilities.
+
+    Each basis of settings.bases must map to a pair (p_plus, p_minus) of real numbers in
+    [0, 1] (NumPy reals included, booleans not); nothing else is converted.
+    """
+    means = []
+    for name in (b.name for b in settings.bases):
+        if name not in probabilities:
+            raise ValueError(f"probabilities are missing basis {name!r}")
+        pair = probabilities[name]
+        try:
+            p_plus, p_minus = (check_real(p, "probability") for p in pair)
+            if not (0.0 <= p_plus <= 1.0 and 0.0 <= p_minus <= 1.0):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"probabilities must be two numbers in [0, 1], got {pair!r} in {name!r}"
+            ) from None
+        means += (p_plus, p_minus)
+    n = stream.poisson(settings.expected_pairs * np.array(means)).tolist()  # a replica's row
     return CountRecord({b.name: (n[2 * i], n[2 * i + 1]) for i, b in enumerate(settings.bases)})
 
 
@@ -244,13 +262,12 @@ def monte_carlo_bounds(
     one _outcome_probabilities call for all replicas. Truth state k draws the
     counts of every replica from one stream, rng_stream(seed, (0, k)): replica r
     takes its draws 6r to 6r + 5, in MUB_BASES order with n_plus before n_minus.
-    Replica 0, the experiment a run reports, takes sample_counts's one draw and is
-    bounded once, by bounds._bound_curve as tightest_bound's curve is; its empty
-    basis raises ZeroCountsError. The other replicas run in index order, in passes
-    of up to SAMPLE_REPLICAS bounded by bounds._search_optima, and each state's
-    stream carries on from one draw to the next, so the report does not depend on
-    how the run is split into passes. Another replica with an empty basis gets no
-    estimate (its value is None).
+    Replicas run in index order, in passes of up to SAMPLE_REPLICAS, and each
+    stream carries on from pass to pass, so the report does not depend on how the
+    run is split. Replica 0, the experiment a run reports and the first row of the
+    first pass, is bounded by bounds._bound_curve as tightest_bound's curve is, and
+    its empty basis raises ZeroCountsError; the other rows by bounds._search_optima,
+    and one with an empty basis gets no estimate (its value is None).
     """
     replicas = check_integer(replicas, "replicas", 1, MAX_REPLICAS)
     alphas = _bound_grid(alpha_grid)
@@ -258,21 +275,23 @@ def monte_carlo_bounds(
     truth_states = np.array([check_qubit(state) for state in truth.states])
     means = settings.expected_pairs * _outcome_probabilities(truth_states)
     streams = [rng_stream(settings.seed, (0, k)) for k in range(len(means))]
-    # replica 0, the experiment a run reports: sample_counts's one draw per state, (1, 4, 6)
-    first = np.stack([g.poisson(m) for g, m in zip(streams, means)])[None]
-    curve0 = _bound_curve(_invert(first)[0], alphas, truth.delta_mu)
     b_inf = np.full(replicas, math.inf)  # by replica index; inf where a replica has no bound
-    b_inf[0] = math.inf if curve0.no_information else curve0.optimum.value
     empty_count = 0
-    for start in range(1, replicas, SAMPLE_REPLICAS):
+    for start in range(0, replicas, SAMPLE_REPLICAS):
         rows = np.arange(start, min(start + SAMPLE_REPLICAS, replicas))
         # counts (rows, state, 6): one array draw per state, a row per replica
         counts = np.stack([g.poisson(m, size=(len(rows), len(m)))
                            for g, m in zip(streams, means)], axis=1)
         empty = (counts[..., 0::2] + counts[..., 1::2] == 0).any(axis=(1, 2))  # no estimate
         empty_count += int(empty.sum())
-        if not empty.all():
-            b_inf[rows[~empty]] = _search_optima(_invert(counts[~empty]), alphas, truth.delta_mu)
+        kept = rows[~empty | (rows == 0)]  # replica 0's first empty basis raises in _invert
+        frames = _record_frames(_invert(counts[kept - start]))
+        if start == 0:  # replica 0, the experiment a run reports, by the full-grid route
+            curve0 = _bound_curve(_qubit_rows(frames[:, :4], alphas), alphas, truth.delta_mu)
+            b_inf[0] = math.inf if curve0.no_information else curve0.optimum.value
+            kept, frames = kept[1:], frames[:, 4:]
+        if kept.size:
+            b_inf[kept] = _search_optima(frames, alphas, truth.delta_mu)
 
     # aggregation in replica index order, compensated sums
     values = tuple(None if math.isinf(v) else v for v in b_inf.tolist())

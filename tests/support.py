@@ -263,12 +263,24 @@ def oracle_bound_rows(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -
     return rows
 
 
-def full_grid_optima(states: np.ndarray, alphas: np.ndarray, delta_mu: float) -> np.ndarray:
+def record_curve(states: np.ndarray, alphas: np.ndarray, delta_mu: float):
+    """The full-grid `BoundCurve` of one record's states (4, d, d), by `tightest_bound`'s route."""
+    f = fidelity._fidelity_rows(states[_PAIR_FIRST], states[_PAIR_SECOND], alphas)
+    return _bound_curve(f, alphas, delta_mu)
+
+
+def frame_curves(frames: np.ndarray, alphas: np.ndarray, delta_mu: float) -> list:
+    """The full-grid `BoundCurve` of each record of qubit frames (6, 4n), by replica 0's route."""
+    return [_bound_curve(fidelity._qubit_rows(frames[:, k:k + 4], alphas), alphas, delta_mu)
+            for k in range(0, frames.shape[1], 4)]
+
+
+def full_grid_optima(frames: np.ndarray, alphas: np.ndarray, delta_mu: float) -> np.ndarray:
     """`bounds._search_optima` by the full-grid route, its oracle.
 
-    Each record's least bound, inf for none: the optimum of its `_bound_curve`.
+    Each record's least bound, inf for none: the optimum of its `frame_curves` curve.
     """
-    optima = [_bound_curve(record, alphas, delta_mu).optimum for record in states]
+    optima = [curve.optimum for curve in frame_curves(frames, alphas, delta_mu)]
     return np.array([math.inf if best is None else best.value for best in optima])
 
 

@@ -21,9 +21,9 @@ from alphaprobe.bounds import (
     tightest_bound,
     write_bound_curve_csv,
     write_csv,
-    _bound_curve,
     _bounds_from_fractions,
     _optimum,
+    _record_frames,
     _search_optima,
 )
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
@@ -39,7 +39,6 @@ from alphaprobe.spectra import GaussianSpectrum, discretize_pair
 from alphaprobe.tomography import TomographySettings, reconstruct, rng_stream, simulate_counts
 from support import (
     eigvalsh_alpha_fidelity_curve,
-    full_grid_optima,
     mp_qubit_alpha_fidelity,
     near_pure_stack,
     oracle_alpha_fidelity,
@@ -47,6 +46,7 @@ from support import (
     oracle_percent_write_csv,
     oracle_write_csv,
     rand_state,
+    record_curve,
     record_kernel_halves,
 )
 
@@ -131,7 +131,8 @@ class TestFraction:
             curve = tightest_bound(record, alphas)
             assert np.all(curve.fractions[0] == 1.0) and np.all(curve.fractions[1] == 1.0)
             assert curve.optimum is None
-            assert _search_optima(record_stack([record]), alphas, 1.0).tolist() == [math.inf]
+            frames = _record_frames(record_stack([record]))
+            assert _search_optima(frames, alphas, 1.0).tolist() == [math.inf]
 
     def test_zero_denominator_gives_infinity(self):
         rec = ProbingRecord(
@@ -496,7 +497,7 @@ class TestBlockedBoundLoop:
         alphas = np.linspace(0.5, 0.9999, count)
         delta_mu = float(rng.uniform(0.3, 3.0))
         calls = record_kernel_halves(monkeypatch)
-        curves = [_bound_curve(record, alphas, delta_mu) for record in states]
+        curves = [record_curve(record, alphas, delta_mu) for record in states]
         # each record runs both halves of the kernel once, on its four pairs
         assert calls == [("frames", 4), ("sums", 4)] * n
         want = oracle_bound_rows(states, alphas, delta_mu)
@@ -635,8 +636,10 @@ def search_records(rng) -> list:
 
 
 def assert_search_matches_full_grid(states, alphas, delta_mu) -> None:
-    np.testing.assert_array_equal(_search_optima(states, alphas, delta_mu),
-                                  full_grid_optima(states, alphas, delta_mu))
+    """The search on the records' frames against each record's full-grid curve from its states."""
+    optima = [record_curve(record, alphas, delta_mu).optimum for record in states]
+    np.testing.assert_array_equal(_search_optima(_record_frames(states), alphas, delta_mu),
+                                  [math.inf if b is None else b.value for b in optima])
 
 
 class TestCertifiedSearch:
@@ -691,7 +694,7 @@ class TestCertifiedSearch:
             assert_search_matches_full_grid(states, alphas, 1.3)
         # the full-grid route decides alpha*: the first copy of the least bound's alpha,
         # whose grid index _optimum reports in place of alpha on a grid of indices
-        curve = _bound_curve(states[0], repeated, 1.0)
+        curve = record_curve(states[0], repeated, 1.0)
         bounds = np.stack((curve.b1, curve.b2))
         assert _optimum(bounds, np.arange(repeated.size, dtype=float)).alpha % 3 == 0
         calls = record_kernel_halves(monkeypatch)
@@ -699,7 +702,7 @@ class TestCertifiedSearch:
             made = []
             for grid in (alphas, np.sort(alphas)):
                 calls.clear()
-                _search_optima(states, grid, 1.3)
+                _search_optima(_record_frames(states), grid, 1.3)
                 made.append(list(calls))
             assert made[0] == made[1]
 
@@ -710,11 +713,11 @@ class TestCertifiedSearch:
         states = np.array([[1.5 * KET0.matrix, KET0.matrix, PLUS.matrix, MIXED.matrix]] * 130)
         alphas = default_alpha_grid()
         with pytest.warns(UserWarning, match="clamping") as record:
-            value = _search_optima(states, alphas, 1.0)
+            value = _search_optima(_record_frames(states), alphas, 1.0)
         assert len(record) == 1
         assert f"{1.5 ** 0.9999 - 1.0:.3e}" in str(record[0].message)
         with pytest.warns(UserWarning, match="clamping") as record:
-            want = [_bound_curve(s, alphas, 1.0) for s in states]
+            want = [record_curve(s, alphas, 1.0) for s in states]
         assert len(record) == 130
         assert value.tolist() == [
             math.inf if c.optimum is None else c.optimum.value for c in want]
@@ -771,7 +774,7 @@ class TestDualBounds:
         for rec in records:
             for a in (0.5, float(rng.uniform(0.5, 0.9999)), 0.9999):
                 grid = np.array([a])
-                unit = _bound_curve(np.array(rec.states), grid, 1.0)
+                unit = record_curve(np.array(rec.states), grid, 1.0)
                 best = float(np.fmin(unit.b1, unit.b2)[0])
                 want = None if math.isnan(best) else math.inf if best == 0.0 else 1.0 / best
                 assert ratio_lower_bound(rec, a) == want

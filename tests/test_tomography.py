@@ -45,6 +45,7 @@ from alphaprobe.tomography import (
 from support import (
     MUB_KETS,
     expected_counts,
+    frame_curves,
     full_grid_optima,
     ket_born_probabilities,
     ket_observable,
@@ -240,6 +241,33 @@ class TestCounts:
         for n_plus, n_minus in record.counts.values():
             for n in (n_plus, n_minus):
                 assert abs(n - 5000.0) <= 4.0 * math.sqrt(5000.0)
+
+    @pytest.mark.parametrize("basis, pair", [
+        ("hv", (0.1, 0.2, 0.7)),  # a third value would shift every later basis's means
+        ("diag", (0.5,)),
+        ("circ", 0.5),
+        ("hv", (2.0, 0.5)),
+        ("diag", (0.5, -0.25)),
+        ("circ", (True, False)),
+        ("hv", (math.nan, 0.5)),
+        ("diag", (0.5, math.inf)),
+        ("circ", ("0.5", "0.5")),
+        ("hv", (0.5 + 0j, 0.5)),
+    ])
+    def test_sample_counts_rejects_a_malformed_pair_naming_its_basis(self, basis, pair):
+        probabilities = {"hv": (0.9, 0.1), "diag": (0.9, 0.1), "circ": (0.5, 0.5)}
+        probabilities[basis] = pair
+        with pytest.raises(ValueError, match=rf"two numbers in \[0, 1\], got .* in '{basis}'"):
+            sample_counts(probabilities, settings(), rng_stream(7, (0,)))
+
+    def test_sample_counts_needs_every_basis_and_takes_numpy_reals(self):
+        with pytest.raises(ValueError, match="missing basis 'circ'"):
+            sample_counts({"hv": (0.9, 0.1), "diag": (0.9, 0.1)}, settings(), rng_stream(7, (0,)))
+        plain = {"hv": (0.9, 0.1), "diag": (0.0, 1.0), "circ": (0.5, 0.5)}
+        numpy = {"hv": np.array([0.9, 0.1]), "diag": [np.float64(0.0), 1],
+                 "circ": (np.float32(0.5), 0.5)}
+        assert (sample_counts(numpy, settings(), rng_stream(7, (0,)))
+                == sample_counts(plain, settings(), rng_stream(7, (0,))))
 
     def test_expected_counts_are_deterministic_means(self):
         record = expected_counts(REFERENCE_EVOLVED_1, settings(rate=1e6))
@@ -485,6 +513,23 @@ class TestMonteCarlo:
                 assert report == reports[0]
                 assert_same_curve(report.curve0, reports[0].curve0)
 
+    @pytest.mark.parametrize("pass_size", [1, 3, 256])
+    def test_replica_zero_curve_is_its_records_tightest_bound(self, monkeypatch, pass_size):
+        # replica 0 is the first row of the first pass, whose frames come from one call over
+        # the pass; its curve is still the tightest_bound curve of the record reconstructed
+        # from each stream's first sample_counts draw, bit for bit, whether the first pass
+        # holds 1, 3 or 256 replicas
+        monkeypatch.setattr(tomography, "SAMPLE_REPLICAS", pass_size)
+        truth = reference_record()
+        for time in (10.0, 60.0, 360.0):
+            cfg = settings(time=time, rate=200.0, seed=2052)
+            report = monte_carlo_bounds(truth, cfg, 300)
+            estimates = [reconstruct(simulate_counts(state, cfg, rng_stream(cfg.seed, (0, k))))
+                         for k, state in enumerate(truth.states)]
+            want = tightest_bound(ProbingRecord(*estimates, delta_mu=truth.delta_mu))
+            assert_same_curve(report.curve0, want)
+            assert report.values[0] == want.optimum.value
+
     def test_reasonable_statistics_near_truth(self):
         truth = exact_truth_record()
         report = monte_carlo_bounds(truth, settings(time=60.0, rate=200.0, seed=1), 20, SMALL_GRID)
@@ -512,7 +557,7 @@ class TestMonteCarlo:
         cases += [(17, 7, np.linspace(0.5, 0.9999, 600))]  # 39 coarse points
         cases += [(17, 7, np.linspace(0.5, 0.9999, 1100))]  # 36, gaps of 31 points
         cases += [(17, 5, np.linspace(0.5, 0.9999, 2049))]  # 65, the last gap full
-        cases += [(17, 70, None)]  # 33 coarse points, fill calls of 273 gaps and fewer
+        cases += [(17, 150, None)]  # 33 coarse points, fill calls of 273 gaps and fewer
         # five sampling passes (4 x 256 + 3), each in one coarse call
         cases += [(17, 1027, np.linspace(0.5, 0.9999, 5))]
         for seed, replicas, grid in cases:
@@ -545,8 +590,8 @@ class TestMonteCarlo:
     def test_replica_zero_draws_what_one_tomography_run_draws(self, monkeypatch, tmp_path):
         # replica 0 takes the first six draws of each state's stream: a 100-replica
         # run, a one-replica run and the tomography subcommand at the same seed read
-        # the same counts. Each run inverts replica 0's own draw first, and the
-        # 100-replica run then one pass of the other 99
+        # the same counts. Replica 0 is the first row of the first pass, which each run
+        # inverts in one call: all 100 replicas, or replica 0 alone
         drawn = record_counts(monkeypatch)
         truth, cfg = reference_record(), settings(time=60.0, rate=200.0, seed=9)
         shapes, firsts = {}, []
@@ -555,9 +600,9 @@ class TestMonteCarlo:
             monte_carlo_bounds(truth, cfg, replicas, SMALL_GRID)
             shapes[replicas] = [d.shape for d in drawn]
             firsts.append(drawn[0])
-        assert shapes == {100: [(1, 4, 6), (99, 4, 6)], 1: [(1, 4, 6)]}
+        assert shapes == {100: [(100, 4, 6)], 1: [(1, 4, 6)]}
         many, one = firsts
-        np.testing.assert_array_equal(many, one)
+        np.testing.assert_array_equal(many[:1], one)
         state = tmp_path / "rho1.json"
         write_json(state, truth.rho1.to_json())
         args = ["--time", "60", "--rate", "200", "--seed", "9", "--out", str(tmp_path / "out")]
@@ -587,24 +632,25 @@ class TestMonteCarlo:
         assert np.all(np.abs(lag1) < 4.0 / math.sqrt(n))
 
     def test_alpha_free_half_runs_once_per_sampling_pass(self, monkeypatch):
-        # replica 0's full grid runs first, with its own frames; then rho2's
-        # eigendecomposition and rho1's rotation run once over a pass's 4 x replicas
-        # fidelity pairs, and the per-alpha half runs the certified search, one coarse
-        # call over the pass's records and fill calls of at most BLOCK_ALPHA_POINTS points
+        # the frames of a pass's 4 x replicas fidelity pairs come from one call, replica
+        # 0's included; in the first pass replica 0's full grid runs on its four frame
+        # columns, then the per-alpha half runs the certified search on the others, one
+        # coarse call over their records and fill calls of at most BLOCK_ALPHA_POINTS points
         calls = record_kernel_halves(monkeypatch)
         truth, cfg = reference_record(), settings(time=60.0, rate=200.0, seed=3)
         monte_carlo_bounds(truth, cfg, 100)
-        # one pass of replicas 1 to 99 and 33 coarse points; a fill call holds two pairs
-        # per gap it fills, here 373 gaps of 15 points in calls of 4096 // 15 = 273 gaps and 100
-        assert calls == [("frames", 4), ("sums", 4), ("frames", 396), ("sums", 396),
+        # one pass of 100 replicas, the search's 99 records on 33 coarse points; a fill call
+        # holds two pairs per gap it fills, here 373 gaps of 15 points in calls of
+        # 4096 // 15 = 273 gaps and 100
+        assert calls == [("frames", 400), ("sums", 4), ("sums", 396),
                          ("sums", 546, 15), ("sums", 200, 15)]
         calls.clear()
-        # passes of 256, 256, 256, 256 and 2 replicas at A = 5: 3 coarse points and
+        # passes of 256, 256, 256, 256 and 3 replicas at A = 5: 3 coarse points and
         # 2 gaps of one point, every gap filled, the 1,024 gaps of a pass in one call
         monte_carlo_bounds(truth, cfg, 1027, np.linspace(0.5, 0.9999, 5))
         full_pass = [("frames", 1024), ("sums", 1024), ("sums", 2048, 1)]
-        assert calls == [("frames", 4), ("sums", 4), *full_pass * 4,
-                         ("frames", 8), ("sums", 8), ("sums", 16, 1)]
+        assert calls == [("frames", 1024), ("sums", 4), ("sums", 1020), ("sums", 2040, 1),
+                         *full_pass * 3, ("frames", 12), ("sums", 12), ("sums", 24, 1)]
 
     def test_a_pass_bounds_its_memory(self):
         # a pass is one coarse kernel call over its records, so SAMPLE_REPLICAS bounds that
@@ -694,18 +740,18 @@ class TestMonteCarlo:
         # pass's certified search against the full-grid route, each least bound bit for bit
         search, seen = tomography._search_optima, []
 
-        def checked(states, alphas, delta_mu):
-            got = search(states, alphas, delta_mu)
-            np.testing.assert_array_equal(got, full_grid_optima(states, alphas, delta_mu))
-            dets = states[..., 0, 0].real * states[..., 1, 1].real - np.abs(states[..., 0, 1]) ** 2
-            seen.append(int(np.sum(np.abs(dets) < 1e-15)))
+        def checked(frames, alphas, delta_mu):
+            got = search(frames, alphas, delta_mu)
+            np.testing.assert_array_equal(got, full_grid_optima(frames, alphas, delta_mu))
+            # each state is the first of one pair, whose log det(rho1) is -inf where it is 0
+            seen.append(int(np.sum(frames[2] == -math.inf)))
             return got
 
         monkeypatch.setattr(tomography, "_search_optima", checked)
         truth = reference_record()
         for time in (10.0, 60.0, 360.0):
             monte_carlo_bounds(truth, settings(time=time, rate=200.0, seed=2047), 3334)
-        # fourteen passes a run (13 x 256 + 6); repaired pure estimates, at 10 s
+        # fourteen passes a run (13 x 256 + 6, replica 0 aside); repaired pure estimates, at 10 s
         assert len(seen) == 42 and sum(seen[:14]) > 200
 
     def test_maximally_mixed_estimates_match_the_full_grid(self, monkeypatch):
@@ -715,10 +761,11 @@ class TestMonteCarlo:
         # full-grid route, bit for bit, where about three in four replicas are informative
         search, mixed = tomography._search_optima, []
 
-        def checked(states, alphas, delta_mu):
-            got = search(states, alphas, delta_mu)
-            np.testing.assert_array_equal(got, full_grid_optima(states, alphas, delta_mu))
-            mixed.append(int(np.sum((states == np.eye(2) / 2).all(axis=(-2, -1)))))
+        def checked(frames, alphas, delta_mu):
+            got = search(frames, alphas, delta_mu)
+            np.testing.assert_array_equal(got, full_grid_optima(frames, alphas, delta_mu))
+            # each state is the second of one pair, whose log(l1 / l2) is 0 only at I / 2
+            mixed.append(int(np.sum(frames[0] == 0.0)))
             return got
 
         monkeypatch.setattr(tomography, "_search_optima", checked)
@@ -858,8 +905,8 @@ class TestMonteCarlo:
         for name, (frames, sums) in halves.items():
             passes, curves = [], []
 
-            def recording(states, alphas, delta_mu, passes=passes):
-                passes.append((states, alphas, delta_mu, search(states, alphas, delta_mu)))
+            def recording(frames, alphas, delta_mu, passes=passes):
+                passes.append((frames, alphas, delta_mu, search(frames, alphas, delta_mu)))
                 return passes[-1][-1]
 
             # both halves substituted and every call recorded: the kernel under test runs
@@ -873,18 +920,19 @@ class TestMonteCarlo:
             # route, where a tie still decides alpha*, gives each alpha and family
             zero = curves[0].optimum
             optima[name] = [(zero and (zero.alpha, zero.family), zero.value if zero else math.inf)]
-            optima[name] += [(b and (b.alpha, b.family), v)
-                             for states, alphas, delta_mu, value in passes
-                             for b, v in zip((_bound_curve(record, alphas, delta_mu).optimum
-                                              for record in states), value.tolist())]
-        # replica 0's own frames and full grid, then sampling passes of 256 and 243 records:
-        # the alpha-free half over a pass's records, one coarse call and fill calls of at
-        # most 2 x 4096 // 15 = 546 pairs; both kernels prune alike
+            optima[name] += [(c.optimum and (c.optimum.alpha, c.optimum.family), v)
+                             for frames, alphas, delta_mu, value in passes
+                             for c, v in zip(frame_curves(frames, alphas, delta_mu),
+                                             value.tolist())]
+        # sampling passes of 256 and 244 records, the alpha-free half over each pass's
+        # records; replica 0's full grid on its four frame columns, then the search: one
+        # coarse call and fill calls of at most 2 x 4096 // 15 = 546 pairs; both kernels
+        # prune alike
         got = calls["log"]
         assert got == calls["pow"]
-        assert [c for c in got if len(c) == 2] == [("frames", 4), ("sums", 4),
-                                                   ("frames", 1024), ("sums", 1024),
-                                                   ("frames", 972), ("sums", 972)]
+        assert [c for c in got if len(c) == 2] == [("frames", 1024), ("sums", 4),
+                                                   ("sums", 1020), ("frames", 976),
+                                                   ("sums", 976)]
         assert all(c[1] <= 546 and c[1] % 2 == 0 and c[2] == 15 for c in got if len(c) == 3)
         assert len(optima["log"]) == len(optima["pow"]) == 500
         for (k, got), (j, want) in zip(optima["log"], optima["pow"]):
