@@ -27,8 +27,7 @@ _EXPORTS = {
     "reference": "REFERENCE_DELTA_MU_HZ REFERENCE_SIGMA_HZ reference_record",
     "scenario": "ConfigError GoldenCheckError RunReport ScenarioConfig load_scenario "
                 "parse_scenario reproduce_fig4 run_scenario sweep_thickness",
-    "spectra": "LIGHT_SPEED FrequencyGrid GaussianSpectrum discretize_pair "
-               "gaussian_alpha_fidelity kappa",
+    "spectra": "LIGHT_SPEED GaussianSpectrum discretize_pair gaussian_alpha_fidelity kappa",
     "tomography": "MUB_BASES CountRecord MeasurementBasis MonteCarloReport TomographySettings "
                   "born_probabilities monte_carlo_bounds reconstruct rng_stream sample_counts "
                   "simulate_counts",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DensityMatrix, check_positive, check_qubit, check_real, state_matrix
-from .spectra import LIGHT_SPEED, FrequencyGrid, GaussianSpectrum, kappa
+from .spectra import LIGHT_SPEED, GaussianSpectrum, kappa
 
 QUARTZ_BIREFRINGENCE = 0.00925  # quartz near 810 nm
 
@@ -119,15 +119,16 @@ def apply_channel(
     stack: WavePlateStack,
     spectrum: GaussianSpectrum,
     rho,
-    grid: FrequencyGrid | None = None,
+    grid=None,
 ) -> DensityMatrix:
     """Frequency-averaged action of the stack on a polarization qubit.
 
     Without a grid the average is exact: the module docstring's kappa sum
     over the stack's 2^k delay terms (at most MAX_PLATES plates). A grid
-    gives the quadrature sum_k w_k V(omega_k) rho V(omega_k)^dagger instead,
-    the reference the exact channel is tested against. rho must be a qubit
-    density matrix, as a DensityMatrix or a raw array that passes its checks.
+    (points, weights), as discretize_pair returns, gives the quadrature
+    sum_k w_k V(omega_k) rho V(omega_k)^dagger instead, the reference the
+    exact channel is tested against. rho must be a qubit density matrix, as
+    a DensityMatrix or a raw array that passes its checks.
     """
     a = check_qubit(state_matrix(rho))
     if grid is None:

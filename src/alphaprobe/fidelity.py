@@ -267,7 +267,8 @@ def renyi_divergence(rho1, rho2, alpha: float) -> float:
     f = alpha_fidelity(rho1, rho2, alpha)
     if f == 0.0:
         return math.inf
-    return math.log(f) / (float(alpha) - 1.0)
+    # + 0.0 turns log 1 / (alpha - 1) = -0.0 into +0.0 and changes no other value
+    return math.log(f) / (float(alpha) - 1.0) + 0.0
 
 
 def dpi_margin(

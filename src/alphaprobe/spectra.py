@@ -7,13 +7,13 @@ alpha-fidelity has the closed form
     F_alpha(xi1, xi2) = exp(-(1 - alpha) * alpha * dmu^2 / (2 sigma^2)),
 
 which is what the analytic width bounds invert; gaussian_alpha_fidelity gives
-it for any two widths. The shared frequency grid of two lines remains as the
-quadrature reference for the exact channel.
+it for any two widths. Two lines' shared grid is the exact channel's quadrature reference.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,12 +52,6 @@ class GaussianSpectrum:
                 "positive line in Hz"
             ) from None
 
-    def density(self, omega) -> np.ndarray:
-        """Normalized probability density |g(omega)|^2."""
-        w = np.asarray(omega, dtype=float)
-        z = (w - self.mu) / self.sigma
-        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
-
 
 def gaussian_alpha_fidelity(
     s1: GaussianSpectrum, s2: GaussianSpectrum, alpha: float
@@ -89,7 +83,10 @@ def kappa(spectrum: GaussianSpectrum, tau):
     underflows to 0, kappa is exactly 0, its limit, even if the phase overflows;
     a phase that overflows where the damping does not raises ValueError.
     """
-    t = np.asarray(tau, dtype=float)
+    t = np.asarray(tau)
+    if t.dtype.kind not in "iuf":  # bools, strings, bytes and objects are not converted
+        raise ValueError(f"tau must hold real delays, got dtype {t.dtype}")
+    t = t.astype(float, copy=False)
     with np.errstate(over="ignore"):
         damp = np.exp(-((2.0 * math.pi * t * spectrum.sigma) ** 2) / 2.0)
         phase = np.where(damp == 0.0, 0.0, 2.0 * math.pi * t * spectrum.mu)
@@ -100,37 +97,11 @@ def kappa(spectrum: GaussianSpectrum, tau):
     return damp * (np.cos(phase) + 1j * np.sin(phase))
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Discrete frequency support: ascending points with probability weights."""
+class _Grid(NamedTuple):
+    """One line's quadrature grid: the pair's shared points and weights that sum to 1."""
 
     points: np.ndarray
     weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
-        if pts.ndim != 1 or pts.size < 1 or pts.shape != wts.shape:
-            raise ValueError(
-                f"grid needs matching 1-d points/weights, got {pts.shape} and {wts.shape}"
-            )
-        if pts.size > 1 and not np.all(np.diff(pts) > 0.0):
-            raise ValueError("grid points must be strictly ascending")
-        if wts.min() < 0.0:
-            raise ValueError(f"grid weights must be nonnegative, min is {wts.min()}")
-        total = float(wts.sum())
-        if total <= 0.0:
-            raise ValueError("grid weights sum to zero; nothing to normalize")
-        pts = pts.copy()
-        wts = wts / total
-        pts.setflags(write=False)
-        wts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-
-    @property
-    def size(self) -> int:
-        return int(self.points.size)
 
 
 def _check_grid_shape(span_sigmas: float, n: int) -> None:
@@ -144,20 +115,25 @@ def discretize_pair(
     s2: GaussianSpectrum,
     span_sigmas: float = 8.0,
     n: int = 3001,
-) -> tuple[FrequencyGrid, FrequencyGrid]:
-    """Discretize two lines on one shared grid of points.
+) -> tuple[_Grid, _Grid]:
+    """Discretize two lines on one shared grid of points, as two (points, weights) grids.
 
-    The span covers [min mu - span * sigma_max, max mu + span * sigma_max], so
-    both discretizations live on identical support. Channels built from a
-    shared grid are induced by the same joint unitary, which keeps the
-    data-processing inequality exact in the discretized world.
+    The span covers [min mu - span * sigma_max, max mu + span * sigma_max], and
+    both grids hold one read-only points array; a line's weights are its density
+    there over their sum. Channels built from a shared grid are induced by the
+    same joint unitary, which keeps the data-processing inequality exact.
     """
     _check_grid_shape(span_sigmas, n)
     sig = max(s1.sigma, s2.sigma)
     lo = min(s1.mu, s2.mu) - span_sigmas * sig
     hi = max(s1.mu, s2.mu) + span_sigmas * sig
     pts = np.linspace(lo, hi, n)
-    return (
-        FrequencyGrid(points=pts, weights=s1.density(pts)),
-        FrequencyGrid(points=pts, weights=s2.density(pts)),
-    )
+    pts.setflags(write=False)
+    grids = []
+    for s in (s1, s2):
+        z = (pts - s.mu) / s.sigma
+        w = np.exp(-0.5 * z * z) / (s.sigma * math.sqrt(2.0 * math.pi))
+        if (total := float(w.sum())) <= 0.0:
+            raise ValueError("grid weights sum to zero; nothing to normalize")
+        grids.append(_Grid(pts, w / total))
+    return tuple(grids)

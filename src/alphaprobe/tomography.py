@@ -138,8 +138,8 @@ def rng_stream(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
     state k of every replica from the one stream with spawn key (0, k).
     """
     ss = np.random.SeedSequence(
-        entropy=check_integer(seed, "seed"),
-        spawn_key=tuple(check_integer(k, "spawn key entry") for k in spawn_key),
+        entropy=check_integer(seed, "seed", minimum=0),
+        spawn_key=tuple(check_integer(k, "spawn key entry", minimum=0) for k in spawn_key),
     )
     return np.random.Generator(np.random.Philox(ss))
 

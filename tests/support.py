@@ -52,7 +52,7 @@ from alphaprobe.channel import WavePlateStack, apply_channel, jones_at_frequenci
 from alphaprobe.fidelity import _floor_spectrum, check_alpha
 from alphaprobe.linalg import EIG_FLOOR, DensityMatrix, check_density_matrices, check_qubit
 from alphaprobe.scenario import _truth_sigma
-from alphaprobe.spectra import FrequencyGrid, GaussianSpectrum, _check_grid_shape
+from alphaprobe.spectra import GaussianSpectrum, discretize_pair
 from alphaprobe.tomography import CountRecord, TomographySettings, born_probabilities
 
 ORACLE_MAX_ENV = 256
@@ -454,27 +454,19 @@ def jones_at_frequency(stack: WavePlateStack, omega: float) -> np.ndarray:
     return jones_at_frequencies(stack, [float(omega)])[0]
 
 
-def discretize(
-    spectrum: GaussianSpectrum, span_sigmas: float = 6.0, n: int = 2001
-) -> FrequencyGrid:
-    """Sample the line on a symmetric grid of n points within +/- span_sigmas."""
-    _check_grid_shape(span_sigmas, n)
-    pts = np.linspace(
-        spectrum.mu - span_sigmas * spectrum.sigma,
-        spectrum.mu + span_sigmas * spectrum.sigma,
-        n,
-    )
-    return FrequencyGrid(points=pts, weights=spectrum.density(pts))
+def discretize(spectrum: GaussianSpectrum, span_sigmas: float = 6.0, n: int = 2001):
+    """The line's (points, weights) grid of n points within +/- span_sigmas."""
+    return discretize_pair(spectrum, spectrum, span_sigmas, n)[0]
 
 
-def classical_alpha_fidelity(g1: FrequencyGrid, g2: FrequencyGrid, alpha: float) -> float:
+def classical_alpha_fidelity(g1, g2, alpha: float) -> float:
     """Discretized classical alpha-fidelity sum_k w1_k^alpha * w2_k^(1-alpha).
 
     Both grids must share identical points: matching sizes with different
     supports would silently compare unrelated frequency bins.
     """
     a = check_alpha(alpha)
-    if g1.size != g2.size or not np.array_equal(g1.points, g2.points):
+    if not np.array_equal(g1.points, g2.points):
         raise ValueError("grids must share identical frequency points")
     return float(np.sum(g1.weights**a * g2.weights ** (1.0 - a)))
 
@@ -499,7 +491,7 @@ def apply_channel_oracle(
     a = check_qubit(rho)
     grid = discretize(spectrum, n=n_env)
     v = jones_at_frequencies(stack, grid.points)
-    n = grid.size
+    n = grid.points.size
     u = np.zeros((2 * n, 2 * n), dtype=complex)
     for k in range(n):
         rows = np.ix_((k, n + k), (k, n + k))

@@ -797,7 +797,7 @@ class TestDualBounds:
         s1 = GaussianSpectrum(mu=10.0, sigma=sigma)
         s2 = GaussianSpectrum(mu=10.0 + dmu, sigma=sigma)
         g1, g2 = discretize_pair(s1, s2, span_sigmas=6.0, n=201)
-        dim = g1.size
+        dim = g1.points.size
         uniform = DensityMatrix(np.eye(dim) / dim)
         rec = ProbingRecord(
             rho1=uniform,

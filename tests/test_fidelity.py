@@ -573,7 +573,10 @@ class TestRenyiDivergence:
     def test_zero_for_identical_states(self):
         rng = np.random.default_rng(67)
         rho = rand_state(rng, 2)
-        assert renyi_divergence(rho, rho, 0.7) == pytest.approx(0.0, abs=1e-9)
+        # F(rho, rho) = 1 exactly for qubits, and log 1 / (alpha - 1) alone is -0.0
+        for a in (0.5, 0.7, 0.9999):
+            s = renyi_divergence(rho, rho, a)
+            assert s == 0.0 and math.copysign(1.0, s) == 1.0
 
     def test_infinite_for_orthogonal_states(self):
         assert renyi_divergence(KET0, KET1, 0.7) == math.inf

@@ -8,7 +8,6 @@ import pytest
 from alphaprobe.reference import REFERENCE_DELTA_MU_HZ, REFERENCE_SIGMA_HZ
 from alphaprobe.spectra import (
     LIGHT_SPEED,
-    FrequencyGrid,
     GaussianSpectrum,
     discretize_pair,
     gaussian_alpha_fidelity,
@@ -54,13 +53,6 @@ class TestGaussianSpectrum:
         for center in (5e-324, 1e300):  # the line underflows or overflows in Hz
             with pytest.raises(ValueError, match=re.escape(f"center wavelength {center} nm")):
                 GaussianSpectrum.from_wavelength(center, 1.0)
-
-    def test_density_normalized_and_centered(self):
-        s = GaussianSpectrum(mu=MU0, sigma=REFERENCE_SIGMA_HZ)
-        pts = np.linspace(s.mu - 8 * s.sigma, s.mu + 8 * s.sigma, 20001)
-        total = np.trapezoid(s.density(pts), pts)
-        assert total == pytest.approx(1.0, abs=1e-9)
-        assert pts[np.argmax(s.density(pts))] == pytest.approx(s.mu, abs=pts[1] - pts[0])
 
 
 class TestGaussianAlphaFidelity:
@@ -162,6 +154,17 @@ class TestKappa:
         s1, _ = reference_pair()
         assert kappa(s1, 0.0) == 1.0 + 0.0j
 
+    @pytest.mark.parametrize("tau", ["1e-13", b"1", True, [True, False]])
+    def test_rejects_delays_that_are_not_real_numbers(self, tau):
+        s1, _ = reference_pair()
+        with pytest.raises(ValueError, match="tau must hold real delays, got dtype"):
+            kappa(s1, tau)
+
+    def test_integer_and_float32_delays_are_read_as_float64(self):
+        s1, _ = reference_pair()
+        assert kappa(s1, np.array([0, 2])).tolist() == kappa(s1, [0.0, 2.0]).tolist()
+        assert kappa(s1, np.float32(1e-13)) == kappa(s1, float(np.float32(1e-13)))
+
     def test_damping_scale(self):
         s1, _ = reference_pair()
         tau = 1.0 / (2.0 * math.pi * s1.sigma)
@@ -206,29 +209,6 @@ class TestKappa:
         assert np.array_equal(kappa(s1, tau), want)
 
 
-class TestFrequencyGrid:
-    def test_weights_renormalized(self):
-        g = FrequencyGrid(points=np.array([1.0, 2.0]), weights=np.array([1.0, 3.0]))
-        assert g.weights.sum() == pytest.approx(1.0, abs=1e-15)
-        assert g.weights[1] == pytest.approx(0.75)
-
-    def test_rejects_descending_points(self):
-        with pytest.raises(ValueError, match="ascending"):
-            FrequencyGrid(points=np.array([2.0, 1.0]), weights=np.array([0.5, 0.5]))
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            FrequencyGrid(points=np.array([1.0, 2.0]), weights=np.array([1.5, -0.5]))
-
-    def test_rejects_zero_total_weight(self):
-        with pytest.raises(ValueError, match="zero"):
-            FrequencyGrid(points=np.array([1.0, 2.0]), weights=np.array([0.0, 0.0]))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="matching"):
-            FrequencyGrid(points=np.array([1.0, 2.0]), weights=np.array([1.0]))
-
-
 class TestDiscretize:
     def test_moments(self):
         s1, _ = reference_pair()
@@ -252,11 +232,16 @@ class TestDiscretize:
     def test_pair_shares_points(self):
         s1, s2 = reference_pair()
         g1, g2 = discretize_pair(s1, s2)
-        assert np.array_equal(g1.points, g2.points)
+        assert g1.points is g2.points and not g1.points.flags.writeable
         assert g1.points[0] <= s1.mu - 7.9 * s1.sigma
         assert g1.points[-1] >= s2.mu + 7.9 * s2.sigma
         assert g1.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert g2.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_line_whose_weights_all_underflow_raises(self):
+        narrow = (GaussianSpectrum(mu=1.0, sigma=1e-3), GaussianSpectrum(mu=2.0, sigma=1e-3))
+        with pytest.raises(ValueError, match="grid weights sum to zero; nothing to normalize"):
+            discretize_pair(*narrow, span_sigmas=40.0, n=3)
 
 
 class TestClassicalAlphaFidelity:

@@ -228,6 +228,10 @@ class TestCounts:
         for seed, key in ((7.9, (3, 1)), (True, (3, 1)), (7, (3.0, 1))):
             with pytest.raises(ValueError, match="must be an integer"):
                 rng_stream(seed, key)
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            rng_stream(-1, (0,))
+        with pytest.raises(ValueError, match="spawn key entry must be at least 0, got -2"):
+            rng_stream(1, (0, -2))
 
     def test_distinct_spawn_keys_decorrelate(self):
         a = simulate_counts(PLUS, settings(), rng_stream(7, (0, 0)))
