@@ -15,6 +15,7 @@ reported as absent rather than as huge bounds.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -383,36 +384,41 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     return cells.T
 
 
+@functools.lru_cache(maxsize=4)
+def _key_cells(dtype: np.dtype, data: bytes) -> np.ndarray:
+    """The _float_cells bytes of a column by its dtype and bytes, read-only, in row order."""
+    return np.frombuffer(_float_cells(np.frombuffer(data, dtype).astype(float)).tobytes(), np.uint8)
+
+
 def write_csv(target, header, columns) -> None:
     """Write a header and equal-length columns, formatted in full, to a path or a text stream.
 
     Cells: float arrays as %.12e with NaN empty, bool arrays as true/false, string
     sequences as they are. CRLF rows and minimal quoting (a cell holding a comma,
-    a quote, CR or LF) give the csv module's bytes for two or more columns. The rows
-    are laid out as one byte table: every float of the file is formatted in one call.
+    a quote, CR or LF) give the csv module's bytes for two or more columns. One byte table
+    holds the rows, binary to a path; the first float column's cells (mostly one alpha grid)
+    come from a memo of 4, and every other float of the file is formatted in one call.
     """
     n = len(columns[0]) if columns else 0
     floats = [c for c in columns if isinstance(c, np.ndarray) and c.dtype != bool]
     # zeros(0) makes the concatenation a float array even when no column is float
-    float_cells = _float_cells(np.concatenate([np.zeros(0), *floats]))
-    float_blocks = iter(float_cells.reshape(len(floats), n, _FLOAT_WIDTH))
-    parts = []
-    for column in columns:
-        if not isinstance(column, np.ndarray):
-            parts.append(_byte_cells(_quoted(column)))
-        elif column.dtype == bool:
-            parts.append(_BOOL_CELLS[column.astype(np.intp)])
-        else:
-            parts.append(next(float_blocks))
-        parts.append(np.full((n, 1), ord(","), np.uint8))
-    parts[-1:] = [np.tile(np.frombuffer(b"\r\n", np.uint8), (n, 1))]
-    body = np.concatenate(parts, axis=1).tobytes().translate(None, bytes([_PAD]))
-    text = ",".join(_quoted(header)) + "\r\n" + body.decode()
+    float_cells = _float_cells(np.concatenate([np.zeros(0), *floats[1:]]))
+    blocks = iter([*(_key_cells(c.dtype, c.tobytes()).reshape(n, _FLOAT_WIDTH) for c in floats[:1]),
+                   *float_cells.reshape(len(floats[1:]), n, _FLOAT_WIDTH)])
+    cells = [_byte_cells(_quoted(c)) if not isinstance(c, np.ndarray) else next(blocks)
+             if c.dtype != bool else _BOOL_CELLS[c.astype(np.intp)] for c in columns]
+    starts = np.cumsum([0] + [c.shape[1] + 1 for c in cells])  # each cell's, then the row end
+    table = np.full((n, starts[-1] + 1), ord(","), np.uint8)
+    for c, start in zip(cells, starts):
+        table[:, start:start + c.shape[1]] = c
+    table[:, [starts[-1] - 1, starts[-1]]] = (ord("\r"), ord("\n"))  # over the last comma
+    head = (",".join(_quoted(header)) + "\r\n").encode()
+    body = head + table.tobytes().translate(None, bytes([_PAD]))
     if isinstance(target, (str, os.PathLike)):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(target, "wb") as fh:
+            fh.write(body)
     else:
-        target.write(text)
+        target.write(body.decode())
 
 
 def write_bound_curve_csv(curve: BoundCurve, path) -> None:

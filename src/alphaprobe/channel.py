@@ -107,12 +107,13 @@ def _delay_expansion(stack: WavePlateStack) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exact_channel(stack: WavePlateStack, spectra, states) -> list[np.ndarray]:
-    """The exact channel's output for each (spectrum, qubit array) pair, from one expansion."""
+    """The exact channel's output for each (spectrum, qubit array) pair: tensordot's dot calls."""
     terms, delays = _delay_expansion(stack)
-    lags, conj = delays[:, None] - delays[None, :], terms.conj()
-    # right_s = sum_t kappa_st conj(A_t); Phi = sum_s A_s rho right_s^T
-    rights = [np.tensordot(kappa(spectrum, lags), conj, axes=(1, 0)) for spectrum in spectra]
-    return [np.tensordot(terms @ a, r, axes=([0, 2], [0, 2])) for a, r in zip(states, rights)]
+    lags, conj = delays[:, None] - delays[None, :], terms.conj().reshape(-1, 4)
+    # right_s = sum_t kappa_st conj(A_t); Phi = sum_s A_s rho right_s^T, on tensordot's operands
+    rights = [np.dot(kappa(s, lags), conj).reshape(-1, 2, 2).swapaxes(1, 2).reshape(-1, 2)
+              for s in spectra]
+    return [np.dot((terms @ a).swapaxes(0, 1).reshape(2, -1), r) for a, r in zip(states, rights)]
 
 
 def apply_channel(

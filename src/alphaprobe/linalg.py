@@ -8,9 +8,9 @@ when taking fractional matrix powers.
 """
 from __future__ import annotations
 
-import json
 import numbers
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -18,6 +18,7 @@ HERMITICITY_ATOL = 1e-9
 PSD_ATOL = 1e-9
 TRACE_ATOL = 1e-9
 EIG_FLOOR = 1e-12
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 class NotHermitianError(ValueError):
@@ -190,13 +191,31 @@ def matrix_from_json(payload: dict) -> np.ndarray:
     return _json_rows(re, "re", dim) + 1j * _json_rows(im, "im", dim)
 
 
-def write_json(path, payload) -> None:
-    """Write a JSON artifact: indent 2, sorted keys, final newline.
+def _json_text(value, indent: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False) at indent, "\\n" and spaces."""
+    if isinstance(value, (str, bool)) or value is None:
+        return _json_str(value) if isinstance(value, str) else _JSON_CONSTANTS[value]
+    if isinstance(value, float) and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    if isinstance(value, (int, float)):  # a subclass, such as np.float64, as its base
+        return (int if isinstance(value, int) else float).__repr__(value)
+    if isinstance(value, dict):  # a key that is not a str fails in sorted or _json_str
+        items = [f"{_json_str(k)}: {_json_text(value[k], indent + '  ')}" for k in sorted(value)]
+    elif isinstance(value, (list, tuple)):
+        items = [_json_text(v, indent + "  ") for v in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    ends = "{}" if isinstance(value, dict) else "[]"
+    return f"{ends[0]}{indent}  " + f",{indent}  ".join(items) + indent + ends[1] if items else ends
 
-    A NaN or infinite float raises ValueError before the file is opened, so no
-    file is left that matrix_from_json (or any strict JSON reader) rejects.
+
+def write_json(path, payload) -> None:
+    """Write json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) and a newline.
+
+    Built by _json_text (json is pure Python with an indent before 3.13); keys must be str.
+    A NaN or inf is a ValueError, any other value json rejects a TypeError, before opening.
     """
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    text = _json_text(payload, "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 

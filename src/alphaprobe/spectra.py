@@ -80,8 +80,8 @@ def kappa(spectrum: GaussianSpectrum, tau):
 
     kappa(tau) = exp(2 pi i tau mu - (2 pi tau sigma)^2 / 2). A delay channel
     multiplies the probe's upper off-diagonal by conj(kappa). Where the damping
-    underflows to 0, kappa is exactly 0, its limit, even if the phase overflows;
-    a phase that overflows where the damping does not raises ValueError.
+    underflows to 0, at an infinite delay too, kappa is exactly 0, its limit, even if
+    the phase overflows; elsewhere that overflow raises ValueError, as a NaN delay does.
     """
     t = np.asarray(tau)
     if t.dtype.kind not in "iuf":  # bools, strings, bytes and objects are not converted
@@ -91,6 +91,8 @@ def kappa(spectrum: GaussianSpectrum, tau):
         damp = np.exp(-((2.0 * math.pi * t * spectrum.sigma) ** 2) / 2.0)
         phase = np.where(damp == 0.0, 0.0, 2.0 * math.pi * t * spectrum.mu)
     if not np.isfinite(phase).all():
+        if np.isnan(t).any():  # a NaN delay's damping is NaN, never 0
+            raise ValueError("tau holds a NaN, which is not a delay")
         tau_max = np.abs(t[~np.isfinite(phase)]).max()
         raise ValueError(f"the line phase 2 pi tau mu overflows a float at tau = {tau_max} s, "
                          f"mu = {spectrum.mu} Hz, where the damping is nonzero")

@@ -137,6 +137,8 @@ def rng_stream(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
     definition of every stream in the package: monte_carlo_bounds draws truth
     state k of every replica from the one stream with spawn key (0, k).
     """
+    if not np.iterable(spawn_key):  # a bare integer is not a key
+        raise ValueError(f"spawn key must be a sequence of integers, got {spawn_key!r}")
     ss = np.random.SeedSequence(
         entropy=check_integer(seed, "seed", minimum=0),
         spawn_key=tuple(check_integer(k, "spawn key entry", minimum=0) for k in spawn_key),

@@ -48,11 +48,16 @@ from alphaprobe.bounds import (
     bound_summary,
     tightest_bound,
 )
-from alphaprobe.channel import WavePlateStack, apply_channel, jones_at_frequencies
+from alphaprobe.channel import (
+    WavePlateStack,
+    _delay_expansion,
+    apply_channel,
+    jones_at_frequencies,
+)
 from alphaprobe.fidelity import _floor_spectrum, check_alpha
 from alphaprobe.linalg import EIG_FLOOR, DensityMatrix, check_density_matrices, check_qubit
 from alphaprobe.scenario import _truth_sigma
-from alphaprobe.spectra import GaussianSpectrum, discretize_pair
+from alphaprobe.spectra import GaussianSpectrum, discretize_pair, kappa
 from alphaprobe.tomography import CountRecord, TomographySettings, born_probabilities
 
 ORACLE_MAX_ENV = 256
@@ -469,6 +474,15 @@ def classical_alpha_fidelity(g1, g2, alpha: float) -> float:
     if not np.array_equal(g1.points, g2.points):
         raise ValueError("grids must share identical frequency points")
     return float(np.sum(g1.weights**a * g2.weights ** (1.0 - a)))
+
+
+def tensordot_exact_channel(stack: WavePlateStack, spectra, states) -> list[np.ndarray]:
+    """The exact channel through np.tensordot, the formula `channel._exact_channel` unrolled."""
+    terms, delays = _delay_expansion(stack)
+    lags, conj = delays[:, None] - delays[None, :], terms.conj()
+    # right_s = sum_t kappa_st conj(A_t); Phi = sum_s A_s rho right_s^T
+    rights = [np.tensordot(kappa(spectrum, lags), conj, axes=(1, 0)) for spectrum in spectra]
+    return [np.tensordot(terms @ a, r, axes=([0, 2], [0, 2])) for a, r in zip(states, rights)]
 
 
 def apply_channel_oracle(

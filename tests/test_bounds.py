@@ -22,6 +22,8 @@ from alphaprobe.bounds import (
     write_bound_curve_csv,
     write_csv,
     _bounds_from_fractions,
+    _float_cells,
+    _key_cells,
     _optimum,
     _record_frames,
     _search_optima,
@@ -937,6 +939,19 @@ class TestSummaryAndCsv:
     ])
     def test_write_csv_matches_the_percent_writer(self, columns):
         self.assert_percent_writer_bytes([f"h{k},\x00" for k in range(len(columns))], columns)
+
+    def test_key_column_cells_are_a_read_only_memo(self):
+        grid = default_alpha_grid()
+        cells = _key_cells(grid.dtype, grid.tobytes())
+        assert not cells.flags.writeable
+        assert _key_cells(grid.dtype, grid.tobytes()) is cells
+        # a changed grid, or the same bytes read as another dtype, gets fresh cells
+        moved = _key_cells(grid.dtype, (grid * 0.5).tobytes())
+        swapped = _key_cells(np.dtype(">f8"), grid.tobytes())
+        assert moved is not cells and swapped is not cells and moved is not swapped
+        assert not np.array_equal(moved, cells) and not np.array_equal(swapped, cells)
+        for got, column in ((cells, grid), (moved, grid * 0.5)):
+            assert got.tobytes() == _float_cells(column).tobytes()
 
     def test_csv_marks_uninformative_rows_empty(self, tmp_path):
         curve = tightest_bound(no_information_record(), alpha_grid=[0.5, 0.7])

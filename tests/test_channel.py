@@ -9,6 +9,7 @@ from alphaprobe.channel import (
     QUARTZ_BIREFRINGENCE,
     WavePlate,
     WavePlateStack,
+    _exact_channel,
     apply_channel,
     jones_at_frequencies,
 )
@@ -28,6 +29,7 @@ from support import (
     discretize,
     jones_at_frequency,
     rand_state,
+    tensordot_exact_channel,
 )
 
 SPECTRUM = GaussianSpectrum(mu=3.7e14, sigma=5.68e11)
@@ -309,3 +311,18 @@ class TestClosedForm:
         assert np.abs(exact.matrix - quad.matrix).max() <= 1e-12
         with pytest.raises(ValueError, match=f"at most {MAX_PLATES} plates"):
             apply_channel(rand_stack(rng, MAX_PLATES + 1), SPECTRUM, PLUS)
+
+
+@pytest.mark.parametrize("n_plates", [1, 2, 3, 4, 5])
+def test_exact_channel_is_the_tensordot_formula_to_the_bit(n_plates):
+    # seeded: both spectra of a pair, plus probes and random full-rank probes
+    rng = np.random.default_rng(3900 + n_plates)
+    for _ in range(20):
+        stack = rand_stack(rng, n_plates)
+        sigma = float(rng.uniform(2e11, 1e12))
+        spectra = [GaussianSpectrum(3.7e14, sigma),
+                   GaussianSpectrum(3.7e14 + sigma * float(rng.uniform(0.3, 3.0)), sigma)]
+        for states in ([PLUS, PLUS], [rand_state(rng, 2), rand_state(rng, 2)]):
+            got = _exact_channel(stack, spectra, states)
+            want = tensordot_exact_channel(stack, spectra, states)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -193,6 +193,14 @@ class TestKappa:
         assert got[0] == 1.0 and np.array_equal(got[1:], np.zeros(4))
         assert not np.signbit(got[1:].real).any() and not np.signbit(got[1:].imag).any()
 
+    def test_nan_delay_raises_and_infinite_delay_gives_zero(self):
+        s1, _ = reference_pair()
+        for tau in (math.nan, np.array([0.0, math.nan]), np.array([math.inf, math.nan])):
+            with pytest.raises(ValueError, match="tau holds a NaN"):
+                kappa(s1, tau)
+        got = kappa(s1, np.array([math.inf, -math.inf]))
+        assert np.array_equal(got, np.zeros(2))
+
     def test_overflowing_phase_under_nonzero_damping_raises_without_warnings(self):
         # sigma = 1e-300 Hz leaves the damping at 1 while 2 pi tau mu overflows
         narrow = GaussianSpectrum(3.7e14, 1e-300)

@@ -232,6 +232,9 @@ class TestCounts:
             rng_stream(-1, (0,))
         with pytest.raises(ValueError, match="spawn key entry must be at least 0, got -2"):
             rng_stream(1, (0, -2))
+        for key in (0, np.int64(3), 2.5, None):  # a key that is not a sequence
+            with pytest.raises(ValueError, match="spawn key must be a sequence of integers"):
+                rng_stream(1, key)
 
     def test_distinct_spawn_keys_decorrelate(self):
         a = simulate_counts(PLUS, settings(), rng_stream(7, (0, 0)))
