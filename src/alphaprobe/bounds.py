@@ -30,7 +30,7 @@ from .fidelity import (
     _warn_clamped,
     default_alpha_grid,
 )
-from .linalg import DensityMatrix, check_positive
+from .linalg import DensityMatrix, check_positive, write_bytes
 
 BOUND_ORDERS = ("forward", "reversed")
 BOUND_FAMILIES = ("B1", "B2")  # the bound of each order, in BOUND_ORDERS order
@@ -327,41 +327,49 @@ def _byte_cells(cells) -> np.ndarray:
     return np.frombuffer(padded, np.uint8).reshape(len(data), width)
 
 
-def _digit_rows(numbers: np.ndarray, count: int) -> np.ndarray:
-    """ASCII codes of the count digits of integer-valued floats x < 10^count, a row each.
-
-    Rows start at the most significant digit; x < 10^(count + 1) keeps every code a byte.
-    """
-    q = np.floor(numbers / 10.0 ** np.arange(count - 1, -1, -1)[:, None])
-    q[1:] -= 10.0 * q[:-1]
-    return q + ord("0")
-
-
 _BOOL_CELLS = np.frombuffer(b"falsetrue" + bytes([_PAD]), np.uint8).reshape(2, 5)
 _FLOAT_WIDTH = 20  # the widest '%.12e' cell, "-d.dddddddddddde-ddd"
-# decimal exponents e from _E_MIN keep |v| 10^(12 - e) normal: their scales and their
-# cells' last five bytes "e+ddd", one row per byte, _PAD for absent hundreds
+# a float cell of _float_cells is 24 bytes: a lead word (_PAD, "-" or _PAD, the leading digit,
+# "."), three 4-digit words and an 8-byte exponent tail word; bytes 1 to 20 hold its text.
+# _WORDS holds the 4-digit word "%04d" % i at row i < 10^4, then at row _LEAD_ROW + d the
+# lead word of the signed leading digit d, |d| <= 10 (10, a round-up to the next decade,
+# is never kept, nor is 0)
+_LEAD_ROW = 10**4 + 10
+_LEADS = np.full((21, 4), _PAD, np.uint8)
+_LEADS[:10, 1] = ord("-")
+_LEADS[:, 2] = ord("0") + np.abs(np.arange(-10, 11))
+_LEADS[:, 3] = ord(".")
+_WORDS = np.concatenate((
+    np.indices((10,) * 4, np.uint8).reshape(4, 10**4).T + np.uint8(ord("0")),  # i's digits
+    _LEADS,
+)).view(np.uint32).ravel()
+_WORD_SCALES = np.array([[1e12], [1e8], [1e4], [1.0]])
+# decimal exponents e from _E_MIN keep |v| 10^(12 - e) normal: their scales and their tail
+# words "e%+03d" % e padded with _PAD, the digits of |e| from its 4-digit word (two of them
+# from e = -99 to 99)
 _E_MIN = -296
 _EXPONENTS = np.arange(_E_MIN, 309)
 _SCALES = 10.0 ** (12 - _EXPONENTS)
-_EXPONENT_TAILS = np.vstack((
-    np.full(_EXPONENTS.size, ord("e")), np.where(_EXPONENTS < 0, ord("-"), ord("+")),
-    _digit_rows(np.abs(_EXPONENTS), 3),
-)).astype(np.uint8)
-_EXPONENT_TAILS[2, np.abs(_EXPONENTS) < 100] = _PAD
+_TAIL_WORDS = np.full((_EXPONENTS.size, 8), _PAD, np.uint8)
+_TAIL_WORDS[:, 0], _TAIL_WORDS[:, 1] = ord("e"), np.where(_EXPONENTS < 0, ord("-"), ord("+"))
+_TAIL_WORDS[:, 2:5] = _WORDS[np.abs(_EXPONENTS)].view(np.uint8).reshape(-1, 4)[:, 1:]
+_TAIL_WORDS[-99 - _E_MIN:100 - _E_MIN, 2:5] = _TAIL_WORDS[-99 - _E_MIN:100 - _E_MIN, 3:6]
+_TAIL_WORDS = _TAIL_WORDS.view(np.uint64).ravel()
 
 
 def _float_cells(values: np.ndarray) -> np.ndarray:
-    """Each float's '%.12e' % v bytes, NaN empty, as an (n, 20) uint8 table padded with _PAD.
+    """Each float's '%.12e' % v bytes, NaN empty, as an (n, 20) uint8 view padded with _PAD.
 
     With e = floor(log10 |v|) the mantissa is s = |v| 10^(12 - e) rounded to an integer.
     The computed s' carries two roundings, the table's (at most 1 ulp) and the product's,
     so |s' - s| < 3 2^-53 s < 3.4e-3 for s < 10^13: where s' lies more than 1/128 from a
     rounding boundary, s rounds to the same integer, and s' >= 10^12 pins the exponent.
-    Its digits come from the exact quotients floor(m / 10^k): a rounded m / 10^k reaches
-    the next integer only from within half an ulp, far below the gap 10^-k. Every other
-    value (0, inf, a subnormal or tiny exponent, a round-up to the next decade, a
-    near-tie) is formatted by '%' one cell at a time.
+    Its leading digit and three 4-digit words come from the exact quotients
+    floor(s / 10^k): a rounded s / 10^k reaches the next integer only from within half an
+    ulp, far below the gap 10^-k. Each is a row of _WORDS, and e a row of _TAIL_WORDS, in
+    row-major 24-byte cells whose bytes 1 to 20 the view shows. Every other value present
+    (0, inf, a subnormal or tiny exponent, a round-up to the next decade, a near-tie) is
+    formatted by '%' one cell at a time.
     """
     a = np.abs(values)
     regular = np.isfinite(a) & (a > 0.0)
@@ -372,16 +380,22 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     half = scaled - mantissa - 0.5
     mantissa += half > 0.0
     regular &= (np.abs(half) > 1 / 128) & (scaled >= 1e12) & (mantissa < 1e13)
-    digits = _digit_rows(mantissa, 13)
-    cells = np.empty((_FLOAT_WIDTH, values.size), np.uint8)  # column-major: a row per byte
-    cells[0] = np.where(values < 0.0, ord("-"), _PAD)
-    cells[1], cells[2], cells[3:15] = digits[0], ord("."), digits[1:]
-    cells[15:] = _EXPONENT_TAILS[:, row]
-    cells[:, np.flatnonzero(~regular)] = _PAD  # NaN stays empty
-    fallback = np.flatnonzero(~regular & ~np.isnan(values))
-    block = _byte_cells(["%.12e" % v for v in values[fallback].tolist()])
-    cells[: block.shape[1], fallback] = block.T
-    return cells.T
+    words = np.floor(mantissa / _WORD_SCALES)  # the leading digit, then each 4-digit word,
+    words[1:] -= 1e4 * words[:-1]  # in exact integers
+    np.copysign(words[0], values, out=words[0])
+    words[0] += _LEAD_ROW
+    cells = np.empty((values.size, 6), np.uint32)  # a row per cell
+    cells[:, :4] = _WORDS[words.T.astype(np.intp)]
+    cells.view(np.uint64)[:, 2] = _TAIL_WORDS[row]
+    text = cells.view(np.uint8)[:, 1:1 + _FLOAT_WIDTH]
+    empty = np.isnan(values)
+    text[empty] = _PAD
+    fallback = np.flatnonzero(~(regular | empty))
+    if fallback.size:
+        block = b"".join((b"%.12e" % v).ljust(_FLOAT_WIDTH, bytes([_PAD]))
+                         for v in values[fallback].tolist())
+        text[fallback] = np.frombuffer(block, np.uint8).reshape(-1, _FLOAT_WIDTH)
+    return text
 
 
 @functools.lru_cache(maxsize=4)
@@ -396,8 +410,10 @@ def write_csv(target, header, columns) -> None:
     Cells: float arrays as %.12e with NaN empty, bool arrays as true/false, string
     sequences as they are. CRLF rows and minimal quoting (a cell holding a comma,
     a quote, CR or LF) give the csv module's bytes for two or more columns. One byte table
-    holds the rows, binary to a path; the first float column's cells (mostly one alpha grid)
-    come from a memo of 4, and every other float of the file is formatted in one call.
+    holds the rows, each float cell the 20 text bytes of its _float_cells cell; a path gets
+    the bytes through write_bytes, a stream their text. The first float column's cells
+    (mostly one alpha grid) come from a memo of 4, and every other float of the file is
+    formatted in one call.
     """
     n = len(columns[0]) if columns else 0
     floats = [c for c in columns if isinstance(c, np.ndarray) and c.dtype != bool]
@@ -406,7 +422,7 @@ def write_csv(target, header, columns) -> None:
     blocks = iter([*(_key_cells(c.dtype, c.tobytes()).reshape(n, _FLOAT_WIDTH) for c in floats[:1]),
                    *float_cells.reshape(len(floats[1:]), n, _FLOAT_WIDTH)])
     cells = [_byte_cells(_quoted(c)) if not isinstance(c, np.ndarray) else next(blocks)
-             if c.dtype != bool else _BOOL_CELLS[c.astype(np.intp)] for c in columns]
+             if c.dtype != bool else _BOOL_CELLS.take(c.view(np.uint8), axis=0) for c in columns]
     starts = np.cumsum([0] + [c.shape[1] + 1 for c in cells])  # each cell's, then the row end
     table = np.full((n, starts[-1] + 1), ord(","), np.uint8)
     for c, start in zip(cells, starts):
@@ -415,8 +431,7 @@ def write_csv(target, header, columns) -> None:
     head = (",".join(_quoted(header)) + "\r\n").encode()
     body = head + table.tobytes().translate(None, bytes([_PAD]))
     if isinstance(target, (str, os.PathLike)):
-        with open(target, "wb") as fh:
-            fh.write(body)
+        write_bytes(target, body)
     else:
         target.write(body.decode())
 

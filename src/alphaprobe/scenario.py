@@ -120,9 +120,15 @@ def write_output(path, write, what: str = "output file") -> str:
 
 
 def write_run_dir(out_dir, writers: dict) -> tuple[str, ...]:
-    """Make out_dir and its parents, then write each file (name -> writer of its path) in order."""
+    """Make out_dir and its parents, then write each file (name -> writer of its path) in order.
+
+    One mkdir makes a new directory under an existing one; makedirs decides every other case.
+    """
     try:
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.mkdir(out_dir)
+        except (FileNotFoundError, FileExistsError):  # a parent missing, or out_dir there
+            os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise OutputError(f"output directory {out_dir} cannot be created: {exc.strerror}") from exc
     return tuple(write_output(os.path.join(out_dir, n), w) for n, w in writers.items())

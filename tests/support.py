@@ -524,6 +524,12 @@ def _oracle_cell(value):
     return "" if value is None else value
 
 
+def short_os_writes(monkeypatch, limit: int = 7) -> None:
+    """Make os.write write at most limit bytes a call, as a pipe or an interrupted call may."""
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:limit]))
+
+
 def oracle_write_csv(target, header, columns) -> None:
     """The row writer `bounds.write_csv` replaced: the csv module, one cell at a time.
 

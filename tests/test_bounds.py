@@ -22,6 +22,10 @@ from alphaprobe.bounds import (
     write_bound_curve_csv,
     write_csv,
     _bounds_from_fractions,
+    _EXPONENTS,
+    _LEAD_ROW,
+    _TAIL_WORDS,
+    _WORDS,
     _float_cells,
     _key_cells,
     _optimum,
@@ -50,6 +54,7 @@ from support import (
     rand_state,
     record_curve,
     record_kernel_halves,
+    short_os_writes,
 )
 
 KET0 = DensityMatrix(np.diag([1.0, 0.0]))
@@ -868,7 +873,7 @@ class TestSummaryAndCsv:
             assert float(row["b2_hz"]) == pytest.approx(curve.b2[i], rel=1e-10)
             assert row["valid1"] == "true" and row["valid2"] == "true"
 
-    def test_write_csv_cell_rule(self, tmp_path):
+    def test_write_csv_cell_rule(self, tmp_path, monkeypatch):
         columns = [np.array([0.25]), np.array([math.nan]), [""], np.array([True]),
                    np.array([False]), ["B2"]]
         stream = io.StringIO(newline="")
@@ -877,6 +882,16 @@ class TestSummaryAndCsv:
         assert stream.getvalue() == want
         write_csv(tmp_path / "out.csv", ["a", "b", "c", "d", "e", "f"], columns)
         assert (tmp_path / "out.csv").read_bytes() == want.encode()
+        # a write of at most 7 bytes a call leaves the same bytes, over a longer file too
+        short_os_writes(monkeypatch)
+        write_csv(tmp_path / "out.csv", ["a", "b", "c", "d", "e", "f"], columns)
+        assert (tmp_path / "out.csv").read_bytes() == want.encode()
+        curve = tightest_bound(reference_record())
+        write_bound_curve_csv(curve, tmp_path / "curve.csv")
+        want = io.StringIO(newline="")
+        oracle_write_csv(want, ["alpha", "b1_hz", "b2_hz", "valid1", "valid2"],
+                         (curve.alphas, curve.b1, curve.b2, curve.valid1, curve.valid2))
+        assert (tmp_path / "curve.csv").read_bytes() == want.getvalue().encode()
 
     def test_write_csv_matches_the_row_writer_oracle(self):
         # seeded tables of float, bool and string columns, written by both writers
@@ -921,14 +936,25 @@ class TestSummaryAndCsv:
             rng.integers(10**12, 10**15, 10_000) * 10.0 + 5.0,  # ties: ...5 at 14+ digits
             edges, np.nextafter(edges, 0.0), np.nextafter(edges, math.inf), -edges,
             rng.random(5_000) * 2.2250738585072014e-308,  # subnormals
-            [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7976931348623157e308],
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7976931348623157e308,
+             1e-310, 9.9999999999995e5, 9.99999999999949e99, 1e308],
         ))
         assert values.size >= 10**5
         singles = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-45.0, 38.0, 20_000)
-        singles = np.append(singles, [math.nan, -math.inf, 1e-45]).astype(np.float32)
+        singles = np.append(singles, [math.nan, -math.inf, math.inf, -0.0, 1e-45,
+                                      9.9999999999995e5]).astype(np.float32)
         for column in (values, singles, rng.integers(-2**63, 2**63, 5_000),
                        np.arange(-1000, 1000)):
             self.assert_percent_writer_bytes(["x"], [column])
+
+    def test_float_cell_word_tables(self):
+        # every 4-digit word, lead word and exponent tail word against '%'
+        assert [w.tobytes() for w in _WORDS[:10**4]] == [b"%04d" % i for i in range(10**4)]
+        for d in range(1, 10):
+            assert _WORDS[_LEAD_ROW + d].tobytes() == b"\xff\xff%d." % d
+            assert _WORDS[_LEAD_ROW - d].tobytes() == b"\xff-%d." % d
+        tails = [(b"e%+03d" % e).ljust(8, b"\xff") for e in _EXPONENTS.tolist()]
+        assert [w.tobytes() for w in _TAIL_WORDS] == tails
 
     @pytest.mark.parametrize("columns", [
         [np.zeros(0), np.zeros(0, dtype=bool), []],  # zero rows
@@ -936,6 +962,7 @@ class TestSummaryAndCsv:
         [["a\x00b", "x,y", 'say "hi"', "cr\rhere", "two\nlines", "é ∞ 😀", ""]],
         [["\x00", "\xff", ",\x00"], np.array([math.nan, 1e-300, 5e-324]),
          np.array([True, False, True])],
+        [],  # no column: the header's empty row alone
     ])
     def test_write_csv_matches_the_percent_writer(self, columns):
         self.assert_percent_writer_bytes([f"h{k},\x00" for k in range(len(columns))], columns)

@@ -17,7 +17,13 @@ from alphaprobe.linalg import (
     matrix_to_json,
     write_json,
 )
-from support import partial_trace_env, project_to_state, rand_state, rand_unitary
+from support import (
+    partial_trace_env,
+    project_to_state,
+    rand_state,
+    rand_unitary,
+    short_os_writes,
+)
 
 
 def rand_hermitian(rng, dim):
@@ -215,7 +221,7 @@ def nested_payload(rng, depth: int):
 class TestWriteJson:
     """write_json's bytes are json.dumps(indent=2, sort_keys=True, allow_nan=False)'s."""
 
-    def test_package_payloads(self, tmp_path):
+    def test_package_payloads(self, tmp_path, monkeypatch):
         from alphaprobe.bounds import bound_summary, tightest_bound
         from alphaprobe.reference import reference_record
         from alphaprobe.scenario import reproduce_fig4
@@ -229,7 +235,12 @@ class TestWriteJson:
                     matrix_to_json(np.diag([0.5, 0.3, 0.2]))]
         for k, payload in enumerate(payloads):
             write_json(tmp_path / f"{k}.json", payload)
-            assert (tmp_path / f"{k}.json").read_text(encoding="utf-8") == dumps(payload)
+            assert (tmp_path / f"{k}.json").read_bytes() == dumps(payload).encode()
+        # a write of at most 7 bytes a call leaves the same bytes
+        short_os_writes(monkeypatch)
+        for k, payload in enumerate(payloads):
+            write_json(tmp_path / f"{k}.json", payload)
+            assert (tmp_path / f"{k}.json").read_bytes() == dumps(payload).encode()
 
     def test_generated_nested_payloads(self, tmp_path):
         rng = np.random.default_rng(3901)

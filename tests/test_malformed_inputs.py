@@ -5,7 +5,9 @@ temporary directory), and the field path the error message must contain.
 Malformed state and record files have their own table, keyed by the flag,
 file or field the message must name; a record error must name its file too.
 """
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -204,6 +206,8 @@ CASES = [
     # "{tmp}" is the test's temporary directory, which holds config.json and state.json
     ("out-is-a-file", "simulate", base_config(), ["--out", "{tmp}/config.json"],
      "output directory"),
+    ("out-empty-path", "simulate", base_config(), ["--out", ""],
+     "output directory  cannot be created: No such file or directory"),
     ("out-under-a-file", "tomography", None,
      ["--time", "60", "--rate", "200", "--seed", "7", "--out", "{tmp}/state.json/run"],
      "output directory"),
@@ -370,6 +374,22 @@ def test_artifact_path_that_is_a_directory_exits_2_naming_it(
     assert main([subcommand, *argv, "--out", str(out)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert f"output file {out / artifact} cannot be written" in captured.err
+    assert "wrote" not in captured.out
+
+
+def test_full_disk_exits_2_naming_the_file(tmp_path, capsys, monkeypatch):
+    inputs = tmp_path / "config.json"
+    inputs.write_text(json.dumps(base_config()), encoding="utf-8")
+
+    def full_disk(fd, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", full_disk)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(inputs), "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (f"output file {out / 'bound_curve.csv'} cannot be written: No space left on device"
+            in captured.err)
     assert "wrote" not in captured.out
 
 
