@@ -27,6 +27,7 @@ from .fidelity import (
     DPI_ALPHA_MIN,
     _check_alpha_grid,
     _fidelity_rows,
+    _grid_terms,
     _warn_clamped,
     default_alpha_grid,
 )
@@ -84,21 +85,28 @@ def _ratio(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def fraction_curve(record: ProbingRecord, alphas, order: str = "forward") -> np.ndarray:
-    """Evolved-to-initial fidelity fraction over an alpha grid.
-
-    forward: F_alpha(Phi1 rho1, Phi2 rho2) / F_alpha(rho1, rho2); reversed
-    swaps both argument pairs. A zero denominator yields +inf.
-    """
+def _fraction_row(record: ProbingRecord, alphas, order: str) -> np.ndarray:
+    """fraction_curve, warning below 1/2 at the caller of its caller."""
     if order not in BOUND_ORDERS:
         raise ValueError(f"order must be one of {BOUND_ORDERS}, got {order!r}")
-    states, alphas = np.array(record.states), _check_alpha_grid(alphas)
+    states, alphas = np.array(record.states), _check_alpha_grid(alphas, stacklevel=4)
     f = _fidelity_rows(states[_PAIR_FIRST], states[_PAIR_SECOND], alphas)
     return _ratio(f.reshape(2, 2, alphas.size))[BOUND_ORDERS.index(order)]
 
 
+def fraction_curve(record: ProbingRecord, alphas, order: str = "forward") -> np.ndarray:
+    """Evolved-to-initial fidelity fraction over an alpha grid.
+
+    forward: F_alpha(Phi1 rho1, Phi2 rho2) / F_alpha(rho1, rho2); reversed
+    swaps both argument pairs. A zero denominator yields +inf. A grid reaching
+    below 1/2 warns once, at the caller.
+    """
+    return _fraction_row(record, alphas, order)
+
+
 def fraction(record: ProbingRecord, alpha: float, order: str = "forward") -> float:
-    return float(fraction_curve(record, [alpha], order)[0])
+    """fraction_curve at one alpha; one below 1/2 warns once, at the caller."""
+    return float(_fraction_row(record, [alpha], order)[0])
 
 
 def _bounds_from_fractions(
@@ -110,9 +118,10 @@ def _bounds_from_fractions(
     above 1: those come from channels that cannot separate the probes, not
     from a near-infinite width.
     """
+    terms = _grid_terms(alphas)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.log(fractions)
-        np.divide(alphas * (alphas - 1.0) / 2.0, out, out=out)
+        np.divide(alphas * (alphas - 1.0) / 2.0 if terms is None else terms[1], out, out=out)
         np.multiply(np.sqrt(out, out=out), delta_mu, out=out)  # dmu unsquared: no overflow
     # a fraction of exactly 0 gives log -inf and a bound of 0, which is the
     # correct limit; a fraction >= 1 (+inf included, whose root is -0.0) and
@@ -253,7 +262,12 @@ def _search_optima(frames: np.ndarray, alphas: np.ndarray, delta_mu: float) -> n
 
 
 def _bound_grid(alpha_grid) -> np.ndarray:
-    """A bound run's checked grid: the default for None, every alpha in [1/2, 1)."""
+    """A bound run's checked grid: the default for None, every alpha in [1/2, 1).
+
+    An alpha_range grid that starts at 1/2 or above is checked already and is returned as is.
+    """
+    if _grid_terms(alpha_grid) is not None and alpha_grid[0] >= DPI_ALPHA_MIN:
+        return alpha_grid
     return _check_alpha_grid(
         default_alpha_grid() if alpha_grid is None else alpha_grid, DPI_ALPHA_MIN
     )
@@ -369,8 +383,14 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     ulp, far below the gap 10^-k. Each is a row of _WORDS, and e a row of _TAIL_WORDS, in
     row-major 24-byte cells whose bytes 1 to 20 the view shows. Every other value present
     (0, inf, a subnormal or tiny exponent, a round-up to the next decade, a near-tie) is
-    formatted by '%' one cell at a time.
+    formatted by '%' one cell at a time. A column holding NaN formats only its other values,
+    into a table of _PAD.
     """
+    empty = np.isnan(values)
+    if empty.any():
+        text = np.full((values.size, _FLOAT_WIDTH), _PAD, np.uint8)
+        text[~empty] = _float_cells(values[~empty])
+        return text
     a = np.abs(values)
     regular = np.isfinite(a) & (a > 0.0)
     a[~regular] = 1.0
@@ -388,9 +408,7 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     cells[:, :4] = _WORDS[words.T.astype(np.intp)]
     cells.view(np.uint64)[:, 2] = _TAIL_WORDS[row]
     text = cells.view(np.uint8)[:, 1:1 + _FLOAT_WIDTH]
-    empty = np.isnan(values)
-    text[empty] = _PAD
-    fallback = np.flatnonzero(~(regular | empty))
+    fallback = np.flatnonzero(~regular)
     if fallback.size:
         block = b"".join((b"%.12e" % v).ljust(_FLOAT_WIDTH, bytes([_PAD]))
                          for v in values[fallback].tolist())
@@ -423,11 +441,14 @@ def write_csv(target, header, columns) -> None:
                    *float_cells.reshape(len(floats[1:]), n, _FLOAT_WIDTH)])
     cells = [_byte_cells(_quoted(c)) if not isinstance(c, np.ndarray) else next(blocks)
              if c.dtype != bool else _BOOL_CELLS.take(c.view(np.uint8), axis=0) for c in columns]
-    starts = np.cumsum([0] + [c.shape[1] + 1 for c in cells])  # each cell's, then the row end
-    table = np.full((n, starts[-1] + 1), ord(","), np.uint8)
-    for c, start in zip(cells, starts):
+    end = sum(c.shape[1] + 1 for c in cells)  # each cell and its comma: the row end
+    table = np.full((n, end + 1), ord(","), np.uint8)
+    start = 0
+    for c in cells:
         table[:, start:start + c.shape[1]] = c
-    table[:, [starts[-1] - 1, starts[-1]]] = (ord("\r"), ord("\n"))  # over the last comma
+        start += c.shape[1] + 1
+    table[:, end - 1] = ord("\r")  # over the last comma
+    table[:, end] = ord("\n")
     head = (",".join(_quoted(header)) + "\r\n").encode()
     body = head + table.tobytes().translate(None, bytes([_PAD]))
     if isinstance(target, (str, os.PathLike)):

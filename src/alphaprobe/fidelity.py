@@ -40,12 +40,14 @@ def default_alpha_grid() -> np.ndarray:
     return np.linspace(ALPHA_START, ALPHA_STOP, ALPHA_COUNT)
 
 
-def _check_alpha_grid(alphas, lower: float = 0.0) -> np.ndarray:
+def _check_alpha_grid(alphas, lower: float = 0.0, stacklevel: int | None = 3) -> np.ndarray:
     """Validate a grid of order parameters; the one home of the alpha rules.
 
     Every alpha must lie in [ALPHA_MIN, 1) and at or above `lower`: 0 for
     fidelities, where values below 1/2 are accepted but flagged, and 1/2 for
-    width bounds, which need the data-processing inequality.
+    width bounds, which need the data-processing inequality. The flag is a
+    warning at `stacklevel` as warnings.warn counts it from here (3, the caller of
+    this function's caller), or none for None, where an entry point has warned already.
     """
     a = np.asarray(alphas)
     if a.dtype.kind not in "iuf":  # bools, strings, bytes and objects are not converted
@@ -57,28 +59,59 @@ def _check_alpha_grid(alphas, lower: float = 0.0) -> np.ndarray:
     if not (a.min() >= least and a.max() < 1.0):
         got = a[0] if a.size == 1 else f"[{a.min()}, {a.max()}]"
         raise ValueError(f"alpha must lie in [{least}, 1), got {got}")
-    if a.min() < DPI_ALPHA_MIN:
+    if stacklevel is not None and a.min() < DPI_ALPHA_MIN:
         warnings.warn(
             f"alpha = {a.min()} is below 0.5: the data-processing inequality is "
             "not guaranteed in this range",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return a
 
 
-def check_alpha(alpha: float) -> float:
-    """Validate a single order parameter: must lie in [ALPHA_MIN, 1)."""
-    return float(_check_alpha_grid([alpha])[0])
+def check_alpha(alpha: float, stacklevel: int = 2) -> float:
+    """Validate a single order parameter: must lie in [ALPHA_MIN, 1).
+
+    One below 1/2 warns at `stacklevel` as warnings.warn counts it here: the caller for 2.
+    """
+    return float(_check_alpha_grid([alpha], stacklevel=stacklevel + 1)[0])
+
+
+# alpha_range's memo: at most MEMO_GRIDS entries (grid, q = (1 - alpha) / alpha,
+# alpha (alpha - 1) / 2) of read-only arrays by (start, stop, count), the oldest dropped first
+MEMO_GRIDS = 4
+_GRIDS: dict = {}
 
 
 def alpha_range(start: float, stop: float, count: int, lower: float = 0.0) -> np.ndarray:
-    """`count` evenly spaced orders from start to stop, validated like any grid."""
-    check_integer(count, "count", 2, MAX_ALPHA_COUNT)
+    """`count` evenly spaced orders from start to stop, validated like any grid.
+
+    Validated, and warned about below 1/2, on every call; the array is np.linspace's,
+    read-only and shared by every call with equal start, stop and count while the memo
+    holds it.
+    """
+    count = check_integer(count, "count", 2, MAX_ALPHA_COUNT)
     start, stop = check_real(start, "start"), check_real(stop, "stop")
     if not start < stop:
         raise ValueError(f"start must lie below stop, got [{start}, {stop}]")
     _check_alpha_grid(np.array([start, stop]), lower)  # the ends first: stop - start may overflow
-    return np.linspace(start, stop, count)
+    entry = _GRIDS.get((start, stop, count))
+    if entry is None:
+        grid = np.linspace(start, stop, count)
+        entry = (grid, (1.0 - grid) / grid, grid * (grid - 1.0) / 2.0)
+        for a in entry:
+            a.setflags(write=False)
+        if len(_GRIDS) >= MEMO_GRIDS:
+            del _GRIDS[next(iter(_GRIDS))]
+        _GRIDS[start, stop, count] = entry
+    return entry[0]
+
+
+def _grid_terms(grid: np.ndarray) -> tuple | None:
+    """(q, alpha (alpha - 1) / 2) of a grid alpha_range's memo holds, None for any other array."""
+    for entry in _GRIDS.values():
+        if entry[0] is grid:
+            return entry[1:]
+    return None
 
 
 # Veltkamp's splitter: x = hi + lo in halves of 26 bits, whose products are exact floats
@@ -228,9 +261,20 @@ def _fidelity_rows(rho1s: np.ndarray, rho2s: np.ndarray, grid: np.ndarray) -> np
 
 def _qubit_rows(frames: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Clamped F_alpha (m, A) of qubit pairs' frames (6, m) over a checked grid; warns once."""
-    raw = _qubit_fidelity_sums(frames, (1.0 - grid) / grid, grid)
+    terms = _grid_terms(grid)
+    raw = _qubit_fidelity_sums(frames, (1.0 - grid) / grid if terms is None else terms[0], grid)
     _warn_clamped(raw.max() - 1.0)
     return np.minimum(raw, 1.0, out=raw)
+
+
+def _fidelity_curve(rho1, rho2, alphas, stacklevel: int | None) -> np.ndarray:
+    """alpha_fidelity_curve, the below-1/2 warning at `stacklevel` of _check_alpha_grid."""
+    a1, a2 = state_matrix(rho1), state_matrix(rho2)
+    if a1.shape != a2.shape:
+        raise ValueError(
+            f"density matrices have mismatched shapes {a1.shape} vs {a2.shape}"
+        )
+    return _fidelity_rows(a1[None], a2[None], _check_alpha_grid(alphas, stacklevel=stacklevel))[0]
 
 
 def alpha_fidelity(rho1, rho2, alpha: float) -> float:
@@ -239,9 +283,9 @@ def alpha_fidelity(rho1, rho2, alpha: float) -> float:
     Both arguments must be density matrices of equal dimension: DensityMatrix
     instances, or raw arrays that pass its checks. Null-space
     eigenvalues of rho2 are handled as exact zeros, so pure rho2 reduces to
-    <phi|rho1|phi>^alpha.
+    <phi|rho1|phi>^alpha. An alpha below 1/2 warns once, at the caller.
     """
-    return float(alpha_fidelity_curve(rho1, rho2, [alpha])[0])
+    return float(_fidelity_curve(rho1, rho2, [alpha], 4)[0])
 
 
 def alpha_fidelity_curve(rho1, rho2, alphas) -> np.ndarray:
@@ -249,22 +293,19 @@ def alpha_fidelity_curve(rho1, rho2, alphas) -> np.ndarray:
 
     Qubits take rho2's eigensystem in closed form once for the grid, then cost a few
     elementwise operations per alpha; higher dimensions share one eigh of rho2.
+    A grid reaching below 1/2 warns once, at the caller.
     """
-    a1, a2 = state_matrix(rho1), state_matrix(rho2)
-    if a1.shape != a2.shape:
-        raise ValueError(
-            f"density matrices have mismatched shapes {a1.shape} vs {a2.shape}"
-        )
-    return _fidelity_rows(a1[None], a2[None], _check_alpha_grid(alphas))[0]
+    return _fidelity_curve(rho1, rho2, alphas, 4)
 
 
 def renyi_divergence(rho1, rho2, alpha: float) -> float:
     """Sandwiched Renyi divergence S_alpha = log F_alpha / (alpha - 1).
 
     Returns +inf for orthogonal states (F_alpha = 0). Satisfies
-    exp((alpha - 1) * S_alpha) = F_alpha by construction.
+    exp((alpha - 1) * S_alpha) = F_alpha by construction. An alpha below 1/2 warns once,
+    at the caller.
     """
-    f = alpha_fidelity(rho1, rho2, alpha)
+    f = float(_fidelity_curve(rho1, rho2, [alpha], 4)[0])
     if f == 0.0:
         return math.inf
     # + 0.0 turns log 1 / (alpha - 1) = -0.0 into +0.0 and changes no other value
@@ -279,9 +320,10 @@ def dpi_margin(
     margin = F_alpha(Phi1 rho1, Phi2 rho2) - F_alpha(rho1, rho2) * xi_fid,
     where xi_fid is the alpha-fidelity of the two environment states. The
     inequality holds (margin >= 0) for alpha in [1/2, 1) whenever both
-    channels are induced by a common unitary.
+    channels are induced by a common unitary. An alpha below 1/2 warns once, at the caller.
     """
-    a = check_alpha(alpha)
+    a = check_alpha(alpha, stacklevel=3)
     if not 0.0 <= check_real(xi_fid, "environment fidelity") <= 1.0:
         raise ValueError(f"environment fidelity must lie in [0, 1], got {xi_fid}")
-    return alpha_fidelity(phi1_rho1, phi2_rho2, a) - alpha_fidelity(rho1, rho2, a) * xi_fid
+    evolved = float(_fidelity_curve(phi1_rho1, phi2_rho2, [a], None)[0])
+    return evolved - float(_fidelity_curve(rho1, rho2, [a], None)[0]) * xi_fid

@@ -19,6 +19,7 @@ HERMITICITY_ATOL = 1e-9
 PSD_ATOL = 1e-9
 TRACE_ATOL = 1e-9
 EIG_FLOOR = 1e-12
+_FLOAT_MAX = sys.float_info.max
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
@@ -114,6 +115,22 @@ class DensityMatrix:
         return matrix_to_json(self._mat)
 
 
+def density_matrices(stack) -> tuple[DensityMatrix, ...]:
+    """One DensityMatrix per matrix of a stack (n, d, d), all checked in one validator call.
+
+    Each state wraps a read-only slice of the stack's Hermitian parts, bit-equal to its own
+    DensityMatrix; a bad matrix raises the exception DensityMatrix would.
+    """
+    a = check_density_matrices(stack)
+    a.setflags(write=False)
+    states = []
+    for matrix in a:
+        state = DensityMatrix.__new__(DensityMatrix)
+        state._mat = matrix
+        states.append(state)
+    return tuple(states)
+
+
 def state_matrix(m) -> np.ndarray:
     """The validated array of a state: a DensityMatrix's own, a raw array's via DensityMatrix."""
     return (m if isinstance(m, DensityMatrix) else DensityMatrix(m)).matrix
@@ -138,8 +155,12 @@ def matrix_to_json(m) -> dict:
 
 
 def check_integer(value, what: str, minimum: int | None = None, maximum: int | None = None) -> int:
-    """value as an int: an integral number (NumPy integers included, bools not) in bounds."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    """value as an int: an integral number (NumPy integers included, bools not) in bounds.
+
+    An exact int skips the ABC check.
+    """
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{what} must be at least {minimum}, got {value}")
@@ -149,23 +170,29 @@ def check_integer(value, what: str, minimum: int | None = None, maximum: int | N
 
 
 def check_real(value, what: str) -> float:
-    """value as a float: a finite real number (NumPy reals included; bools, strings, bytes not)."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    try:
-        # float() first: compared as itself, a float32 inf would pass the max cast to float32
-        finite = real and abs(float(value)) <= sys.float_info.max
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    """value as a float: a finite real number (NumPy reals included; bools, strings, bytes not).
+
+    An exact float is returned as it is, and an exact int skips the ABC check.
+    """
+    kind = type(value)
+    if kind is float:
+        if abs(value) <= _FLOAT_MAX:
+            return value
+    elif kind is int or (kind is not bool and isinstance(value, numbers.Real)):
+        try:
+            # float() first: compared as itself, a float32 inf would pass the max cast to float32
+            if abs(real := float(value)) <= _FLOAT_MAX:
+                return real
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
 def check_positive(value, what: str) -> float:
     """value as a float: a number that passes check_real and lies above 0."""
     try:
-        if check_real(value, what) > 0.0:
-            return float(value)
+        if (real := check_real(value, what)) > 0.0:
+            return real
     except ValueError:
         pass  # reported below, in this rule's words
     raise ValueError(f"{what} must be positive, got {value!r}")
@@ -193,7 +220,7 @@ def matrix_from_json(payload: dict) -> np.ndarray:
 
 
 def _json_float(x: float) -> str:
-    if not abs(x) <= sys.float_info.max:
+    if not abs(x) <= _FLOAT_MAX:
         raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
     return float.__repr__(x)
 

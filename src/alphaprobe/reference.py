@@ -14,7 +14,7 @@ import functools
 import numpy as np
 
 from .bounds import ProbingRecord
-from .linalg import DensityMatrix
+from .linalg import density_matrices
 
 # control shift between the two pump settings and the independently
 # characterized line width of the source, both in Hz
@@ -38,10 +38,5 @@ REFERENCE_EVOLVED_2 = np.array(
 @functools.cache
 def reference_record() -> ProbingRecord:
     """The demonstration measurement as a probing record, built once: it is immutable."""
-    return ProbingRecord(
-        rho1=DensityMatrix(REFERENCE_RHO_1),
-        rho2=DensityMatrix(REFERENCE_RHO_2),
-        phi1_rho1=DensityMatrix(REFERENCE_EVOLVED_1),
-        phi2_rho2=DensityMatrix(REFERENCE_EVOLVED_2),
-        delta_mu=REFERENCE_DELTA_MU_HZ,
-    )
+    states = (REFERENCE_RHO_1, REFERENCE_RHO_2, REFERENCE_EVOLVED_1, REFERENCE_EVOLVED_2)
+    return ProbingRecord(*density_matrices(states), delta_mu=REFERENCE_DELTA_MU_HZ)

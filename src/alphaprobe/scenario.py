@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cache, partial
@@ -42,6 +41,7 @@ from .fidelity import (
 from .linalg import (
     DensityMatrix,
     check_integer,
+    density_matrices,
     check_positive,
     check_qubit,
     check_real,
@@ -101,13 +101,20 @@ def load_json(path, what: str):
     return document
 
 
-@contextmanager
-def field_errors(path: str):
+class field_errors:
     """Re-raise a domain ValueError from the block as a ConfigError naming path."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+
+    __slots__ = ("path",)
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if kind is not None and issubclass(kind, ValueError):
+            raise ConfigError(f"{self.path}: {exc}") from exc
 
 
 def write_output(path, write, what: str = "output file") -> str:
@@ -448,7 +455,7 @@ def _evolve(config: ScenarioConfig, stack: WavePlateStack) -> ProbingRecord:
     rho1, rho2 = config.probes
     with field_errors("coupling simulation stage"):
         evolved = _exact_channel(stack, config.spectra, [rho1.matrix, rho2.matrix])
-        return ProbingRecord(rho1, rho2, *map(DensityMatrix, evolved), abs(s1.mu - s2.mu))
+        return ProbingRecord(rho1, rho2, *density_matrices(evolved), abs(s1.mu - s2.mu))
 
 
 def _truth_sigma(config: ScenarioConfig) -> float | None:

@@ -61,9 +61,10 @@ def gaussian_alpha_fidelity(
     With r = sigma2 / sigma1 and v = 1 + alpha (r^2 - 1) it is
     r^alpha / sqrt(v) exp(-alpha (1 - alpha) dmu^2 / (2 sigma1^2 v)) (Gil, Alajaji and
     Linder, Information Sciences 249, 124 (2013)). It is evaluated through ln r and
-    ln v, so no square leaves the float range at any finite widths and shift.
+    ln v, so no square leaves the float range at any finite widths and shift. An alpha
+    below 1/2 warns once, at the caller.
     """
-    a = check_alpha(alpha)
+    a = check_alpha(alpha, stacklevel=3)
     log_r = math.log(s2.sigma) - math.log(s1.sigma)
     # ln v from r^2 - 1 where r <= 1 and from 1 / r^2 where r > 1: neither overflows
     if log_r <= 0.0:

@@ -943,9 +943,18 @@ class TestSummaryAndCsv:
         singles = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-45.0, 38.0, 20_000)
         singles = np.append(singles, [math.nan, -math.inf, math.inf, -0.0, 1e-45,
                                       9.9999999999995e5]).astype(np.float32)
+        # NaN columns as an uninformative or partly informative bound curve holds them
+        lone = np.full(500, math.nan)
+        lone[250] = 1.5e11
+        alternating = values[:1000].copy()
+        alternating[::2] = math.nan
+        nan_columns = (np.full(500, math.nan), lone, alternating)
         for column in (values, singles, rng.integers(-2**63, 2**63, 5_000),
-                       np.arange(-1000, 1000)):
+                       np.arange(-1000, 1000), *nan_columns):
             self.assert_percent_writer_bytes(["x"], [column])
+        for column in nan_columns:  # also in the one call that formats every later column
+            grid = np.linspace(0.5, 0.9999, column.size)
+            self.assert_percent_writer_bytes(["alpha", "b1", "b2"], [grid, column, column[::-1]])
 
     def test_float_cell_word_tables(self):
         # every 4-digit word, lead word and exponent tail word against '%'

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from alphaprobe import fidelity
+from alphaprobe.bounds import fraction, fraction_curve
 from alphaprobe.fidelity import (
     ALPHA_MIN,
+    MEMO_GRIDS,
     alpha_fidelity,
     alpha_fidelity_curve,
     alpha_range,
+    check_alpha,
     default_alpha_grid,
     dpi_margin,
     renyi_divergence,
@@ -631,3 +634,82 @@ class TestDpiMargin:
         for bad in (-0.1, 1.1, True, "0.5"):
             with pytest.raises(ValueError, match="environment fidelity"):
                 dpi_margin(r1, r2, r1, r2, bad, 0.7)
+
+
+class TestAlphaRangeMemo:
+    def test_equal_arguments_share_one_read_only_linspace(self):
+        grid = alpha_range(0.5, 0.9999, 500)
+        assert alpha_range(np.float64(0.5), 0.9999, np.int64(500)) is grid
+        assert grid.tobytes() == np.linspace(0.5, 0.9999, 500).tobytes()
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 0.6
+
+    def test_other_arguments_give_other_arrays(self):
+        grid = alpha_range(0.5, 0.9999, 500)
+        for other in ((0.5, 0.9999, 5), (0.6, 0.9999, 500), (0.5, 0.999, 500)):
+            got = alpha_range(*other)
+            assert got is not grid
+            assert got.tobytes() == np.linspace(*other).tobytes()
+
+    def test_memo_holds_at_most_memo_grids(self):
+        for count in range(2, 2 + 3 * MEMO_GRIDS):
+            alpha_range(0.5, 0.9, count)
+            assert len(fidelity._GRIDS) <= MEMO_GRIDS
+        # the newest grids stay; an evicted one comes back equal, as a new array
+        newest = 1 + 3 * MEMO_GRIDS
+        assert alpha_range(0.5, 0.9, newest) is alpha_range(0.5, 0.9, newest)
+        assert alpha_range(0.5, 0.9, 2).tobytes() == np.linspace(0.5, 0.9, 2).tobytes()
+
+    def test_every_call_is_validated_and_warned_about(self):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            first, second = alpha_range(0.3, 0.9, 7), alpha_range(0.3, 0.9, 7)
+        assert first is second
+        assert [str(w.message)[:30] for w in record] == ["alpha = 0.3 is below 0.5: the "] * 2
+        with pytest.raises(ValueError, match=r"must lie in \[0.5, 1\)"):
+            alpha_range(0.3, 0.9, 7, lower=0.5)
+
+    def test_bound_grid_rechecks_a_memo_grid_below_half(self):
+        from alphaprobe.bounds import tightest_bound
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            grid = alpha_range(0.3, 0.9, 7)
+        with pytest.raises(ValueError, match=r"must lie in \[0.5, 1\)"):
+            tightest_bound(reference_record(), grid)
+
+    def test_memo_terms_are_the_grid_expressions(self):
+        grid = alpha_range(0.5, 0.9999, 500)
+        q, half = fidelity._grid_terms(grid)
+        assert q.tobytes() == ((1.0 - grid) / grid).tobytes()
+        assert half.tobytes() == (grid * (grid - 1.0) / 2.0).tobytes()
+        assert not q.flags.writeable and not half.flags.writeable
+        assert fidelity._grid_terms(grid.copy()) is None
+
+
+S1, S2 = GaussianSpectrum(3.7e14, 5e11), GaussianSpectrum(3.708e14, 5e11)
+# each entry point that takes an order below 1/2, called on its own line
+BELOW_HALF_CALLS = {
+    "alpha_fidelity": lambda: alpha_fidelity(REFERENCE_RHO_1, REFERENCE_RHO_2, 0.3),
+    "alpha_fidelity_curve": lambda: alpha_fidelity_curve(REFERENCE_RHO_1, HALF, [0.3, 0.6]),
+    "renyi_divergence": lambda: renyi_divergence(REFERENCE_RHO_1, REFERENCE_RHO_2, 0.3),
+    "dpi_margin": lambda: dpi_margin(KET0, HALF, KET0, HALF, 0.5, 0.3),
+    "check_alpha": lambda: check_alpha(0.3),
+    "alpha_range": lambda: alpha_range(0.3, 0.9, 5),
+    "gaussian_alpha_fidelity": lambda: gaussian_alpha_fidelity(S1, S2, 0.3),
+    "fraction": lambda: fraction(reference_record(), 0.3),
+    "fraction_curve": lambda: fraction_curve(reference_record(), [0.3, 0.6], "reversed"),
+}
+
+
+@pytest.mark.parametrize("name", BELOW_HALF_CALLS)
+def test_below_half_warns_once_at_the_caller(name):
+    call = BELOW_HALF_CALLS[name]
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        call()
+    assert [(w.category, w.filename, w.lineno) for w in record] == [
+        (UserWarning, __file__, call.__code__.co_firstlineno)]
+    assert str(record[0].message) == ("alpha = 0.3 is below 0.5: the data-processing "
+                                      "inequality is not guaranteed in this range")

@@ -11,8 +11,10 @@ from alphaprobe.linalg import (
     NotHermitianError,
     NotPositiveError,
     check_density_matrices,
+    check_integer,
     check_positive,
     check_real,
+    density_matrices,
     matrix_from_json,
     matrix_to_json,
     write_json,
@@ -309,6 +311,38 @@ class TestScalarRules:
         got = check_real(good, "x")
         assert type(got) is float and got == want
 
+    @pytest.mark.parametrize("zero", [-0.0, np.float64(-0.0), np.float32(-0.0)])
+    def test_check_real_keeps_the_sign_of_zero(self, zero):
+        got = check_real(zero, "x")
+        assert type(got) is float and got == 0.0 and math.copysign(1.0, got) == -1.0
+
+    @pytest.mark.parametrize("good, want", [(np.float64(2.5), 2.5), (np.int64(7), 7.0),
+                                            (2.5, 2.5), (7, 7.0)])
+    def test_check_positive_accepts_exact_and_numpy_numbers(self, good, want):
+        got = check_positive(good, "x")
+        assert type(got) is float and got == want
+
+    @pytest.mark.parametrize("bad", [True, math.inf, -math.inf, math.nan, 10**400, -10**400])
+    def test_exact_types_are_rejected_with_the_same_messages(self, bad):
+        with pytest.raises(ValueError) as error:
+            check_real(bad, "x")
+        assert str(error.value) == f"x must be a finite number, got {bad!r}"
+        with pytest.raises(ValueError) as error:
+            check_positive(bad, "x")
+        assert str(error.value) == f"x must be positive, got {bad!r}"
+
+    def test_check_integer_takes_exact_and_numpy_integers_only(self):
+        for good in (7, np.int64(7), np.uint8(7)):
+            got = check_integer(good, "n", 0, 10)
+            assert type(got) is int and got == 7
+        for bad in (True, np.True_, 7.0, np.float64(7.0), "7"):
+            with pytest.raises(ValueError) as error:
+                check_integer(bad, "n")
+            assert str(error.value) == f"n must be an integer, got {bad!r}"
+        for bad, rule in ((-1, "at least 0"), (11, "at most 10")):
+            with pytest.raises(ValueError, match=f"^n must be {rule}, got {bad}$"):
+                check_integer(bad, "n", 0, 10)
+
 
 GOOD_QUBITS = [
     np.eye(2) / 2,
@@ -351,6 +385,42 @@ class TestStackedCheck:
     def test_non_square_stack_rejected(self):
         with pytest.raises(ValueError, match="square"):
             check_density_matrices(np.zeros((3, 2, 3)))
+
+
+class TestDensityMatrices:
+    """density_matrices: one check of a stack, one read-only DensityMatrix per slice."""
+
+    def test_states_are_read_only_and_bit_equal_to_density_matrix(self):
+        rng = np.random.default_rng(43)
+        for dim in (2, 3):
+            stack = np.array([rand_state(rng, dim) for _ in range(3)])
+            stack[0, 0, 1] += 1e-10  # a defect within tolerance, removed by both
+            states = density_matrices(stack)
+            assert len(states) == 3
+            for state, m in zip(states, stack):
+                assert type(state) is DensityMatrix and state.dim == dim
+                assert not state.matrix.flags.writeable
+                with pytest.raises(ValueError):
+                    state.matrix[0, 0] = 1.0
+                assert state.matrix.tobytes() == DensityMatrix(m).matrix.tobytes()
+
+    def test_takes_a_list_of_arrays(self):
+        rng = np.random.default_rng(44)
+        pair = [rand_state(rng, 2), rand_state(rng, 2)]
+        for state, m in zip(density_matrices(pair), pair):
+            assert state.matrix.tobytes() == DensityMatrix(m).matrix.tobytes()
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("bad", BAD_QUBITS.values(), ids=BAD_QUBITS.keys())
+    def test_a_bad_slice_raises_as_density_matrix(self, bad, position):
+        pair = [GOOD_QUBITS[1], GOOD_QUBITS[1]]
+        pair[position] = bad
+        with pytest.raises(ValueError) as want:
+            DensityMatrix(bad)
+        with pytest.raises(ValueError) as got:
+            density_matrices(pair)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 def near_boundary_qubits(n=10_000):

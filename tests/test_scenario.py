@@ -11,13 +11,15 @@ import alphaprobe.scenario as scenario
 from alphaprobe.bounds import NoInformationError
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
 from alphaprobe.cli import EXIT_GOLDEN, main
-from alphaprobe.linalg import DensityMatrix
+import alphaprobe.linalg as linalg
+from alphaprobe.linalg import DensityMatrix, NotPositiveError
 from alphaprobe.reference import REFERENCE_DELTA_MU_HZ, REFERENCE_SIGMA_HZ, reference_record
 from alphaprobe.scenario import (
     REFERENCE_LITERAL,
     SCHEMA_VERSION,
     ConfigError,
     GoldenCheckError,
+    field_errors,
     load_scenario,
     parse_scenario,
     reproduce_fig4,
@@ -233,7 +235,55 @@ class TestParse:
             load_scenario(bad)
 
 
+class TestFieldErrors:
+    def test_a_value_error_becomes_a_config_error_naming_the_path(self):
+        cause = NotPositiveError("density matrix has negative eigenvalue -1.000e-03")
+        with pytest.raises(ConfigError) as error:
+            with field_errors("probes.rho1"):
+                raise cause
+        assert str(error.value) == "probes.rho1: density matrix has negative eigenvalue -1.000e-03"
+        assert error.value.__cause__ is cause and error.value.__suppress_context__
+
+    def test_nested_guards_name_both_paths(self):
+        with pytest.raises(ConfigError) as error:
+            with field_errors("outer"):
+                with field_errors("inner"):
+                    raise ValueError("msg")
+        assert str(error.value) == "outer: inner: msg"
+        assert type(error.value.__cause__) is ConfigError
+        assert str(error.value.__cause__) == "inner: msg"
+        assert type(error.value.__cause__.__cause__) is ValueError
+
+    def test_other_errors_and_a_clean_block_pass_through(self):
+        for other in (TypeError("t"), KeyError("k"), RuntimeError("r")):
+            with pytest.raises(type(other)) as error:
+                with field_errors("x"):
+                    raise other
+            assert error.value is other and error.value.__cause__ is None
+        with field_errors("x") as entered:
+            value = 1
+        assert entered is None and value == 1
+
+    def test_a_return_inside_the_block_returns(self):
+        def guarded():
+            with field_errors("x"):
+                return 7
+        assert guarded() == 7
+
+
 class TestEvolve:
+    def test_both_evolved_states_take_one_validator_call(self, monkeypatch):
+        calls = []
+        check = linalg.check_density_matrices
+        monkeypatch.setattr(linalg, "check_density_matrices",
+                            lambda m: calls.append(np.shape(m)) or check(m))
+        config = parse_scenario(sim_config())
+        calls.clear()
+        record = scenario._evolve(config, config.stack)
+        assert calls == [(2, 2, 2)]
+        for state in (record.phi1_rho1, record.phi2_rho2):
+            assert type(state) is DensityMatrix and not state.matrix.flags.writeable
+
     def test_one_expansion_gives_both_lines_channel_outputs(self, monkeypatch):
         # _evolve expands the stack once for both lines; each evolved probe must equal
         # its own apply_channel call bit for bit, over 1 to 8 plates, plus and mixed probes
