@@ -18,15 +18,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bounds": "BoundCurve BoundOptimum NoInformationError ProbingRecord bound_b1 bound_b2 "
               "bound_summary fraction fraction_curve lower_bound_delta_mu ratio_lower_bound "
-              "tightest_bound write_bound_curve_csv",
+              "tightest_bound",
     "channel": "QUARTZ_BIREFRINGENCE WavePlate WavePlateStack apply_channel "
                "jones_at_frequencies",
     "fidelity": "alpha_fidelity alpha_fidelity_curve default_alpha_grid dpi_margin "
                 "renyi_divergence",
     "linalg": "DensityMatrix NotHermitianError NotPositiveError matrix_from_json matrix_to_json",
     "reference": "REFERENCE_DELTA_MU_HZ REFERENCE_SIGMA_HZ reference_record",
-    "scenario": "ConfigError GoldenCheckError RunReport ScenarioConfig load_scenario "
-                "parse_scenario reproduce_fig4 run_scenario sweep_thickness",
+    "scenario": "ConfigError GoldenCheckError RunReport ScenarioConfig bound_curve_csv "
+                "load_scenario parse_scenario reproduce_fig4 run_scenario sweep_thickness",
     "spectra": "LIGHT_SPEED GaussianSpectrum discretize_pair gaussian_alpha_fidelity kappa",
     "tomography": "MUB_BASES CountRecord MeasurementBasis MonteCarloReport TomographySettings "
                   "born_probabilities monte_carlo_bounds reconstruct rng_stream sample_counts "

@@ -15,23 +15,24 @@ reported as absent rather than as huge bounds.
 """
 from __future__ import annotations
 
-import functools
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import fidelity
 from .fidelity import (
+    ALPHA_COUNT,
+    ALPHA_START,
+    ALPHA_STOP,
     DPI_ALPHA_MIN,
     _check_alpha_grid,
     _fidelity_rows,
     _grid_terms,
     _warn_clamped,
-    default_alpha_grid,
+    alpha_range,
 )
-from .linalg import DensityMatrix, check_positive, write_bytes
+from .linalg import DensityMatrix, check_positive
 
 BOUND_ORDERS = ("forward", "reversed")
 BOUND_FAMILIES = ("B1", "B2")  # the bound of each order, in BOUND_ORDERS order
@@ -158,7 +159,7 @@ class BoundOptimum:
 class BoundCurve:
     """Both bound families over an alpha grid; NaN entries are uninformative."""
 
-    alphas: np.ndarray
+    alphas: np.ndarray  # alpha_range's read-only default grid when tightest_bound had none
     b1: np.ndarray
     b2: np.ndarray
     optimum: BoundOptimum | None
@@ -262,19 +263,19 @@ def _search_optima(frames: np.ndarray, alphas: np.ndarray, delta_mu: float) -> n
 
 
 def _bound_grid(alpha_grid) -> np.ndarray:
-    """A bound run's checked grid: the default for None, every alpha in [1/2, 1).
+    """A bound run's checked grid, every alpha in [1/2, 1); for None alpha_range's default.
 
     An alpha_range grid that starts at 1/2 or above is checked already and is returned as is.
     """
+    if alpha_grid is None:
+        return alpha_range(ALPHA_START, ALPHA_STOP, ALPHA_COUNT, DPI_ALPHA_MIN)
     if _grid_terms(alpha_grid) is not None and alpha_grid[0] >= DPI_ALPHA_MIN:
         return alpha_grid
-    return _check_alpha_grid(
-        default_alpha_grid() if alpha_grid is None else alpha_grid, DPI_ALPHA_MIN
-    )
+    return _check_alpha_grid(alpha_grid, DPI_ALPHA_MIN)
 
 
 def tightest_bound(record: ProbingRecord, alpha_grid=None) -> BoundCurve:
-    """Evaluate both families over the grid and locate the minimum bound."""
+    """Evaluate both families over the grid (None: the default) and locate the minimum bound."""
     states, alphas = np.array(record.states), _bound_grid(alpha_grid)
     f = _fidelity_rows(states[_PAIR_FIRST], states[_PAIR_SECOND], alphas)  # one F call
     return _bound_curve(f, alphas, record.delta_mu)
@@ -322,142 +323,3 @@ def bound_summary(curve: BoundCurve, sigma_reference: float | None = None) -> di
         if sigma_reference is not None:
             summary["b_inf_over_sigma"] = width_ratio(best.value, sigma_reference)
     return summary
-
-
-def _quoted(cells) -> list[str]:
-    """String cells as they are, quoted like the csv module where one holds , " CR or LF."""
-    return ['"' + c.replace('"', '""') + '"' if any(q in c for q in ',"\r\n') else c
-            for c in cells]
-
-
-_PAD = 0xFF  # pads the byte tables; no UTF-8 text holds it, so a cell may hold any other byte
-
-
-def _byte_cells(cells) -> np.ndarray:
-    """Text cells as a (len(cells), width) uint8 table of their UTF-8 bytes, padded with _PAD."""
-    data = [c.encode() for c in cells]
-    width = max(map(len, data), default=0)
-    padded = b"".join(b.ljust(width, bytes([_PAD])) for b in data)
-    return np.frombuffer(padded, np.uint8).reshape(len(data), width)
-
-
-_BOOL_CELLS = np.frombuffer(b"falsetrue" + bytes([_PAD]), np.uint8).reshape(2, 5)
-_FLOAT_WIDTH = 20  # the widest '%.12e' cell, "-d.dddddddddddde-ddd"
-# a float cell of _float_cells is 24 bytes: a lead word (_PAD, "-" or _PAD, the leading digit,
-# "."), three 4-digit words and an 8-byte exponent tail word; bytes 1 to 20 hold its text.
-# _WORDS holds the 4-digit word "%04d" % i at row i < 10^4, then at row _LEAD_ROW + d the
-# lead word of the signed leading digit d, |d| <= 10 (10, a round-up to the next decade,
-# is never kept, nor is 0)
-_LEAD_ROW = 10**4 + 10
-_LEADS = np.full((21, 4), _PAD, np.uint8)
-_LEADS[:10, 1] = ord("-")
-_LEADS[:, 2] = ord("0") + np.abs(np.arange(-10, 11))
-_LEADS[:, 3] = ord(".")
-_WORDS = np.concatenate((
-    np.indices((10,) * 4, np.uint8).reshape(4, 10**4).T + np.uint8(ord("0")),  # i's digits
-    _LEADS,
-)).view(np.uint32).ravel()
-_WORD_SCALES = np.array([[1e12], [1e8], [1e4], [1.0]])
-# decimal exponents e from _E_MIN keep |v| 10^(12 - e) normal: their scales and their tail
-# words "e%+03d" % e padded with _PAD, the digits of |e| from its 4-digit word (two of them
-# from e = -99 to 99)
-_E_MIN = -296
-_EXPONENTS = np.arange(_E_MIN, 309)
-_SCALES = 10.0 ** (12 - _EXPONENTS)
-_TAIL_WORDS = np.full((_EXPONENTS.size, 8), _PAD, np.uint8)
-_TAIL_WORDS[:, 0], _TAIL_WORDS[:, 1] = ord("e"), np.where(_EXPONENTS < 0, ord("-"), ord("+"))
-_TAIL_WORDS[:, 2:5] = _WORDS[np.abs(_EXPONENTS)].view(np.uint8).reshape(-1, 4)[:, 1:]
-_TAIL_WORDS[-99 - _E_MIN:100 - _E_MIN, 2:5] = _TAIL_WORDS[-99 - _E_MIN:100 - _E_MIN, 3:6]
-_TAIL_WORDS = _TAIL_WORDS.view(np.uint64).ravel()
-
-
-def _float_cells(values: np.ndarray) -> np.ndarray:
-    """Each float's '%.12e' % v bytes, NaN empty, as an (n, 20) uint8 view padded with _PAD.
-
-    With e = floor(log10 |v|) the mantissa is s = |v| 10^(12 - e) rounded to an integer.
-    The computed s' carries two roundings, the table's (at most 1 ulp) and the product's,
-    so |s' - s| < 3 2^-53 s < 3.4e-3 for s < 10^13: where s' lies more than 1/128 from a
-    rounding boundary, s rounds to the same integer, and s' >= 10^12 pins the exponent.
-    Its leading digit and three 4-digit words come from the exact quotients
-    floor(s / 10^k): a rounded s / 10^k reaches the next integer only from within half an
-    ulp, far below the gap 10^-k. Each is a row of _WORDS, and e a row of _TAIL_WORDS, in
-    row-major 24-byte cells whose bytes 1 to 20 the view shows. Every other value present
-    (0, inf, a subnormal or tiny exponent, a round-up to the next decade, a near-tie) is
-    formatted by '%' one cell at a time. A column holding NaN formats only its other values,
-    into a table of _PAD.
-    """
-    empty = np.isnan(values)
-    if empty.any():
-        text = np.full((values.size, _FLOAT_WIDTH), _PAD, np.uint8)
-        text[~empty] = _float_cells(values[~empty])
-        return text
-    a = np.abs(values)
-    regular = np.isfinite(a) & (a > 0.0)
-    a[~regular] = 1.0
-    row = np.maximum(np.floor(np.log10(a)), _E_MIN).astype(np.intp) - _E_MIN  # e's table row
-    scaled = a * _SCALES[row]
-    mantissa = np.floor(scaled)
-    half = scaled - mantissa - 0.5
-    mantissa += half > 0.0
-    regular &= (np.abs(half) > 1 / 128) & (scaled >= 1e12) & (mantissa < 1e13)
-    words = np.floor(mantissa / _WORD_SCALES)  # the leading digit, then each 4-digit word,
-    words[1:] -= 1e4 * words[:-1]  # in exact integers
-    np.copysign(words[0], values, out=words[0])
-    words[0] += _LEAD_ROW
-    cells = np.empty((values.size, 6), np.uint32)  # a row per cell
-    cells[:, :4] = _WORDS[words.T.astype(np.intp)]
-    cells.view(np.uint64)[:, 2] = _TAIL_WORDS[row]
-    text = cells.view(np.uint8)[:, 1:1 + _FLOAT_WIDTH]
-    fallback = np.flatnonzero(~regular)
-    if fallback.size:
-        block = b"".join((b"%.12e" % v).ljust(_FLOAT_WIDTH, bytes([_PAD]))
-                         for v in values[fallback].tolist())
-        text[fallback] = np.frombuffer(block, np.uint8).reshape(-1, _FLOAT_WIDTH)
-    return text
-
-
-@functools.lru_cache(maxsize=4)
-def _key_cells(dtype: np.dtype, data: bytes) -> np.ndarray:
-    """The _float_cells bytes of a column by its dtype and bytes, read-only, in row order."""
-    return np.frombuffer(_float_cells(np.frombuffer(data, dtype).astype(float)).tobytes(), np.uint8)
-
-
-def write_csv(target, header, columns) -> None:
-    """Write a header and equal-length columns, formatted in full, to a path or a text stream.
-
-    Cells: float arrays as %.12e with NaN empty, bool arrays as true/false, string
-    sequences as they are. CRLF rows and minimal quoting (a cell holding a comma,
-    a quote, CR or LF) give the csv module's bytes for two or more columns. One byte table
-    holds the rows, each float cell the 20 text bytes of its _float_cells cell; a path gets
-    the bytes through write_bytes, a stream their text. The first float column's cells
-    (mostly one alpha grid) come from a memo of 4, and every other float of the file is
-    formatted in one call.
-    """
-    n = len(columns[0]) if columns else 0
-    floats = [c for c in columns if isinstance(c, np.ndarray) and c.dtype != bool]
-    # zeros(0) makes the concatenation a float array even when no column is float
-    float_cells = _float_cells(np.concatenate([np.zeros(0), *floats[1:]]))
-    blocks = iter([*(_key_cells(c.dtype, c.tobytes()).reshape(n, _FLOAT_WIDTH) for c in floats[:1]),
-                   *float_cells.reshape(len(floats[1:]), n, _FLOAT_WIDTH)])
-    cells = [_byte_cells(_quoted(c)) if not isinstance(c, np.ndarray) else next(blocks)
-             if c.dtype != bool else _BOOL_CELLS.take(c.view(np.uint8), axis=0) for c in columns]
-    end = sum(c.shape[1] + 1 for c in cells)  # each cell and its comma: the row end
-    table = np.full((n, end + 1), ord(","), np.uint8)
-    start = 0
-    for c in cells:
-        table[:, start:start + c.shape[1]] = c
-        start += c.shape[1] + 1
-    table[:, end - 1] = ord("\r")  # over the last comma
-    table[:, end] = ord("\n")
-    head = (",".join(_quoted(header)) + "\r\n").encode()
-    body = head + table.tobytes().translate(None, bytes([_PAD]))
-    if isinstance(target, (str, os.PathLike)):
-        write_bytes(target, body)
-    else:
-        target.write(body.decode())
-
-
-def write_bound_curve_csv(curve: BoundCurve, path) -> None:
-    """CSV export: alpha,b1_hz,b2_hz,valid1,valid2 (empty cells where invalid)."""
-    header = ["alpha", "b1_hz", "b2_hz", "valid1", "valid2"]
-    write_csv(path, header, (curve.alphas, curve.b1, curve.b2, curve.valid1, curve.valid2))

@@ -9,11 +9,11 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
-from .bounds import NoInformationError, write_csv
+from .bounds import NoInformationError
 from .fidelity import (
     ALPHA_COUNT,
     ALPHA_START,
@@ -23,14 +23,16 @@ from .fidelity import (
     alpha_range,
     check_alpha,
 )
-from .linalg import DensityMatrix, write_json
+from .linalg import DensityMatrix
 from .scenario import (
     ConfigError,
     GoldenCheckError,
     OutputError,
     RunReport,
     bound_record,
+    csv_bytes,
     field_errors,
+    json_bytes,
     load_json,
     load_scenario,
     read_state,
@@ -84,11 +86,11 @@ def cmd_afid(args) -> None:
     grid = _alpha_grid(args, lower=0.0)
     with field_errors("--rho1/--rho2"):
         curve = alpha_fidelity_curve(rho1, rho2, grid)
-    write = partial(write_csv, header=["alpha", "fidelity"], columns=(grid, curve))
-    if args.csv is None:
-        write(sys.stdout)
+    data = csv_bytes(["alpha", "fidelity"], (grid, curve))
+    if args.csv is None:  # the same bytes as the file: a text stream would translate CRLF
+        sys.stdout.buffer.write(data)
     else:
-        print(f"wrote {write_output(args.csv, write, '--csv')}")
+        print(f"wrote {write_output(args.csv, data, '--csv')}")
 
 
 def _print_report(report) -> None:
@@ -135,9 +137,9 @@ def cmd_tomography(args) -> None:
         estimate = reconstruct(counts, settings.bases)
     except ZeroCountsError as exc:
         raise ConfigError(f"--time is too short for --rate: {exc}") from exc
-    payloads = {"counts.json": counts, "reconstructed.json": estimate}
-    writers = {name: partial(write_json, payload=p.to_json()) for name, p in payloads.items()}
-    for path in write_run_dir(args.out, writers):
+    files = {"counts.json": json_bytes(counts.to_json()),
+             "reconstructed.json": json_bytes(estimate.to_json())}
+    for path in write_run_dir(args.out, files):
         print(f"wrote {path}")
 
 

@@ -9,9 +9,7 @@ when taking fractional matrix powers.
 from __future__ import annotations
 
 import numbers
-import os
 import sys
-from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -20,7 +18,6 @@ PSD_ATOL = 1e-9
 TRACE_ATOL = 1e-9
 EIG_FLOOR = 1e-12
 _FLOAT_MAX = sys.float_info.max
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 class NotHermitianError(ValueError):
@@ -217,67 +214,3 @@ def matrix_from_json(payload: dict) -> np.ndarray:
         raise ValueError(f"matrix payload missing field: {exc}") from exc
     dim = check_integer(dim, "matrix dim", minimum=1)
     return _json_rows(re, "re", dim) + 1j * _json_rows(im, "im", dim)
-
-
-def _json_float(x: float) -> str:
-    if not abs(x) <= _FLOAT_MAX:
-        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-    return float.__repr__(x)
-
-
-# the text of a JSON leaf by its type; a subclass of str, float or int (np.float64) as its base
-_JSON_LEAVES = {str: _json_str, float: _json_float, int: int.__repr__,
-                bool: _JSON_CONSTANTS.__getitem__, type(None): _JSON_CONSTANTS.__getitem__}
-
-
-def _json_text(value, indent: str) -> str:
-    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False) at indent, "\\n" and spaces.
-
-    A container formats its items of the types in _JSON_LEAVES inline and recurses only
-    into the others: containers, and leaves of other types.
-    """
-    deeper = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # a key that is not a str fails in sorted or _json_str
-        items = [_json_str(k) + ": " + (leaf(v) if (leaf := _JSON_LEAVES.get(type(v)))
-                                        else _json_text(v, deeper))
-                 for k, v in sorted(value.items())]
-        return "{" + deeper + ("," + deeper).join(items) + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [leaf(v) if (leaf := _JSON_LEAVES.get(type(v))) else _json_text(v, deeper)
-                 for v in value]
-        return "[" + deeper + ("," + deeper).join(items) + indent + "]"
-    leaf = _JSON_LEAVES.get(type(value)) or next(
-        (_JSON_LEAVES[t] for t in (str, float, int) if isinstance(value, t)), None)
-    if leaf is None:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return leaf(value)
-
-
-def write_bytes(path, data: bytes) -> None:
-    """Create or truncate the file at path and write data to it through os.write.
-
-    One call writes it all, short of a full disk or a signal; the loop writes on after a
-    short write. An OSError of the open, a write or the close propagates.
-    """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0), 0o666)
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-    finally:
-        os.close(fd)
-
-
-def write_json(path, payload) -> None:
-    """Write json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) and a newline.
-
-    Built by _json_text (json is pure Python with an indent before 3.13); keys must be str.
-    A NaN or inf is a ValueError, any other value json rejects a TypeError, before opening.
-    The file holds the text's UTF-8 bytes, "\\n" line ends on every platform.
-    """
-    write_bytes(path, (_json_text(payload, "\n") + "\n").encode())

@@ -4,10 +4,12 @@ A scenario JSON describes the physics (two environment lines, two probe
 preparations, a wave-plate stack) and the readout (exact states or
 shot-noise tomography with replicas). Running it produces a bound curve CSV
 and a summary JSON; every number printed to the console also appears in one
-of those artifacts. Reruns with identical config and seeds on one machine and one
-numpy SIMD dispatch path are byte-identical except for the generated_at
-timestamp; another path may move last digits (fig4_bounds.csv's B2 at alpha =
-0.9999 reads 1.034372368278e+12 with AVX-512 dispatch, 1.034372368280e+12 with AVX2).
+of those artifacts. Every artifact is built here, as bytes, before its run directory is
+made, so a run writes all its files or none, short of an OS error. Reruns with identical
+config and seeds on one machine and one numpy SIMD dispatch path are byte-identical
+except for the generated_at timestamp; another path may move last digits
+(fig4_bounds.csv's B2 at alpha = 0.9999 reads 1.034372368278e+12 with AVX-512 dispatch,
+1.034372368280e+12 with AVX2).
 """
 from __future__ import annotations
 
@@ -16,28 +18,21 @@ import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cache, partial
+from functools import cache, lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
 from . import __version__
 from .bounds import (
+    BoundCurve,
     NoInformationError,
     ProbingRecord,
     bound_summary,
     tightest_bound,
     width_ratio,
-    write_bound_curve_csv,
-    write_csv,
 )
-from .fidelity import (
-    ALPHA_COUNT,
-    ALPHA_START,
-    ALPHA_STOP,
-    DPI_ALPHA_MIN,
-    alpha_range,
-    default_alpha_grid,
-)
+from .fidelity import ALPHA_COUNT, ALPHA_START, ALPHA_STOP, DPI_ALPHA_MIN, alpha_range
 from .linalg import (
     DensityMatrix,
     check_integer,
@@ -46,7 +41,6 @@ from .linalg import (
     check_qubit,
     check_real,
     matrix_from_json,
-    write_json,
 )
 from .reference import REFERENCE_SIGMA_HZ, reference_record
 
@@ -84,7 +78,10 @@ class GoldenCheckError(RuntimeError):
 
 
 def load_json(path, what: str):
-    """Read a JSON document; unreadable, malformed or too deeply nested files are ConfigErrors."""
+    """Read a JSON document; unreadable, malformed, too deeply nested or non-finite, a ConfigError.
+
+    json reads NaN, Infinity and 1e400 (as inf) by default; each is rejected naming its field.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
@@ -92,12 +89,19 @@ def load_json(path, what: str):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, long integers, deep nesting
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
-    level, depth = [document], 0  # one container level at a time: no recursion
-    while level := [v for v in level if isinstance(v, (dict, list))]:
-        depth += 1
-        if depth > MAX_JSON_DEPTH:
-            raise ConfigError(f"{what} {path} is nested deeper than {MAX_JSON_DEPTH} levels")
-        level = [c for v in level for c in (v.values() if isinstance(v, dict) else v)]
+    level, depth = [("", document)], 0  # (field path, value), a level at a time: no recursion
+    while level:
+        for where, v in level:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{what} {path}: {where or 'document root'} must be a finite "
+                                  f"number, got {v}")
+        if level := [(where, v) for where, v in level if isinstance(v, (dict, list))]:
+            depth += 1
+            if depth > MAX_JSON_DEPTH:
+                raise ConfigError(f"{what} {path} is nested deeper than {MAX_JSON_DEPTH} levels")
+        level = [(f"{where}[{k}]" if isinstance(v, list) else f"{where}.{k}" if where else k, c)
+                 for where, v in level
+                 for k, c in (enumerate(v) if isinstance(v, list) else v.items())]
     return document
 
 
@@ -117,17 +121,212 @@ class field_errors:
             raise ConfigError(f"{self.path}: {exc}") from exc
 
 
-def write_output(path, write, what: str = "output file") -> str:
-    """Call write(path), creating no directory, and return path; an OSError is a ConfigError."""
+def _quoted(cells) -> list[str]:
+    """String cells as they are, quoted like the csv module where one holds , " CR or LF."""
+    return ['"' + c.replace('"', '""') + '"' if any(q in c for q in ',"\r\n') else c
+            for c in cells]
+
+
+_PAD = 0xFF  # pads the byte tables; no UTF-8 text holds it, so a cell may hold any other byte
+
+
+def _byte_cells(cells) -> np.ndarray:
+    """Text cells as a (len(cells), width) uint8 table of their UTF-8 bytes, padded with _PAD."""
+    data = [c.encode() for c in cells]
+    width = max(map(len, data), default=0)
+    padded = b"".join(b.ljust(width, bytes([_PAD])) for b in data)
+    return np.frombuffer(padded, np.uint8).reshape(len(data), width)
+
+
+_BOOL_CELLS = np.frombuffer(b"falsetrue" + bytes([_PAD]), np.uint8).reshape(2, 5)
+_FLOAT_WIDTH = 20  # the widest '%.12e' cell, "-d.dddddddddddde-ddd"
+# a float cell of _float_cells is 24 bytes: a lead word (_PAD, "-" or _PAD, the leading digit,
+# "."), three 4-digit words and an 8-byte exponent tail word; bytes 1 to 20 hold its text.
+# _WORDS holds the 4-digit word "%04d" % i at row i < 10^4, then at row _LEAD_ROW + d the
+# lead word of the signed leading digit d, |d| <= 10 (10, a round-up to the next decade,
+# is never kept, nor is 0)
+_LEAD_ROW = 10**4 + 10
+_LEADS = np.full((21, 4), _PAD, np.uint8)
+_LEADS[:10, 1] = ord("-")
+_LEADS[:, 2] = ord("0") + np.abs(np.arange(-10, 11))
+_LEADS[:, 3] = ord(".")
+_WORDS = np.concatenate((
+    np.indices((10,) * 4, np.uint8).reshape(4, 10**4).T + np.uint8(ord("0")),  # i's digits
+    _LEADS,
+)).view(np.uint32).ravel()
+_WORD_SCALES = np.array([[1e12], [1e8], [1e4], [1.0]])
+# decimal exponents e from _E_MIN keep |v| 10^(12 - e) normal: their scales and their tail
+# words "e%+03d" % e padded with _PAD, the digits of |e| from its 4-digit word (two of them
+# from e = -99 to 99)
+_E_MIN = -296
+_EXPONENTS = np.arange(_E_MIN, 309)
+_SCALES = 10.0 ** (12 - _EXPONENTS)
+_TAIL_WORDS = np.full((_EXPONENTS.size, 8), _PAD, np.uint8)
+_TAIL_WORDS[:, 0], _TAIL_WORDS[:, 1] = ord("e"), np.where(_EXPONENTS < 0, ord("-"), ord("+"))
+_TAIL_WORDS[:, 2:5] = _WORDS[np.abs(_EXPONENTS)].view(np.uint8).reshape(-1, 4)[:, 1:]
+_TAIL_WORDS[-99 - _E_MIN:100 - _E_MIN, 2:5] = _TAIL_WORDS[-99 - _E_MIN:100 - _E_MIN, 3:6]
+_TAIL_WORDS = _TAIL_WORDS.view(np.uint64).ravel()
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """Each float's '%.12e' % v bytes, NaN empty, as an (n, 20) uint8 view padded with _PAD.
+
+    With e = floor(log10 |v|) the mantissa is s = |v| 10^(12 - e) rounded to an integer.
+    The computed s' carries two roundings, the table's (at most 1 ulp) and the product's,
+    so |s' - s| < 3 2^-53 s < 3.4e-3 for s < 10^13: where s' lies more than 1/128 from a
+    rounding boundary, s rounds to the same integer, and s' >= 10^12 pins the exponent.
+    Its leading digit and three 4-digit words come from the exact quotients
+    floor(s / 10^k): a rounded s / 10^k reaches the next integer only from within half an
+    ulp, far below the gap 10^-k. Each is a row of _WORDS, and e a row of _TAIL_WORDS, in
+    row-major 24-byte cells whose bytes 1 to 20 the view shows. Every other value present
+    (0, inf, a subnormal or tiny exponent, a round-up to the next decade, a near-tie) is
+    formatted by '%' one cell at a time. A column holding NaN formats only its other values,
+    into a table of _PAD.
+    """
+    empty = np.isnan(values)
+    if empty.any():
+        text = np.full((values.size, _FLOAT_WIDTH), _PAD, np.uint8)
+        text[~empty] = _float_cells(values[~empty])
+        return text
+    a = np.abs(values)
+    regular = np.isfinite(a) & (a > 0.0)
+    a[~regular] = 1.0
+    row = np.maximum(np.floor(np.log10(a)), _E_MIN).astype(np.intp) - _E_MIN  # e's table row
+    scaled = a * _SCALES[row]
+    mantissa = np.floor(scaled)
+    half = scaled - mantissa - 0.5
+    mantissa += half > 0.0
+    regular &= (np.abs(half) > 1 / 128) & (scaled >= 1e12) & (mantissa < 1e13)
+    words = np.floor(mantissa / _WORD_SCALES)  # the leading digit, then each 4-digit word,
+    words[1:] -= 1e4 * words[:-1]  # in exact integers
+    np.copysign(words[0], values, out=words[0])
+    words[0] += _LEAD_ROW
+    cells = np.empty((values.size, 6), np.uint32)  # a row per cell
+    cells[:, :4] = _WORDS[words.T.astype(np.intp)]
+    cells.view(np.uint64)[:, 2] = _TAIL_WORDS[row]
+    text = cells.view(np.uint8)[:, 1:1 + _FLOAT_WIDTH]
+    fallback = np.flatnonzero(~regular)
+    if fallback.size:
+        block = b"".join((b"%.12e" % v).ljust(_FLOAT_WIDTH, bytes([_PAD]))
+                         for v in values[fallback].tolist())
+        text[fallback] = np.frombuffer(block, np.uint8).reshape(-1, _FLOAT_WIDTH)
+    return text
+
+
+@lru_cache(maxsize=4)
+def _key_cells(dtype: np.dtype, data: bytes) -> np.ndarray:
+    """The _float_cells bytes of a column by its dtype and bytes, read-only, in row order."""
+    return np.frombuffer(_float_cells(np.frombuffer(data, dtype).astype(float)).tobytes(), np.uint8)
+
+
+def csv_bytes(header, columns) -> bytes:
+    """The bytes of a CSV file: a header and equal-length columns, formatted in full.
+
+    Cells: float arrays as %.12e with NaN empty, bool arrays as true/false, string
+    sequences as they are. CRLF rows and minimal quoting (a cell holding a comma,
+    a quote, CR or LF) give the csv module's bytes for two or more columns. One byte table
+    holds the rows, each float cell the 20 text bytes of its _float_cells cell. The first
+    float column's cells (mostly one alpha grid) come from a memo of 4, and every other
+    float of the file is formatted in one call.
+    """
+    n = len(columns[0]) if columns else 0
+    floats = [c for c in columns if isinstance(c, np.ndarray) and c.dtype != bool]
+    # zeros(0) makes the concatenation a float array even when no column is float
+    float_cells = _float_cells(np.concatenate([np.zeros(0), *floats[1:]]))
+    blocks = iter([*(_key_cells(c.dtype, c.tobytes()).reshape(n, _FLOAT_WIDTH) for c in floats[:1]),
+                   *float_cells.reshape(len(floats[1:]), n, _FLOAT_WIDTH)])
+    cells = [_byte_cells(_quoted(c)) if not isinstance(c, np.ndarray) else next(blocks)
+             if c.dtype != bool else _BOOL_CELLS.take(c.view(np.uint8), axis=0) for c in columns]
+    end = sum(c.shape[1] + 1 for c in cells)  # each cell and its comma: the row end
+    table = np.full((n, end + 1), ord(","), np.uint8)
+    start = 0
+    for c in cells:
+        table[:, start:start + c.shape[1]] = c
+        start += c.shape[1] + 1
+    table[:, end - 1] = ord("\r")  # over the last comma
+    table[:, end] = ord("\n")
+    head = (",".join(_quoted(header)) + "\r\n").encode()
+    return head + table.tobytes().translate(None, bytes([_PAD]))
+
+
+def bound_curve_csv(curve: BoundCurve) -> bytes:
+    """bound_curve.csv's bytes: alpha,b1_hz,b2_hz,valid1,valid2 (empty cells where invalid)."""
+    header = ["alpha", "b1_hz", "b2_hz", "valid1", "valid2"]
+    return csv_bytes(header, (curve.alphas, curve.b1, curve.b2, curve.valid1, curve.valid2))
+
+
+def _json_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+# the text of a JSON leaf by its type; a subclass of str, float or int (np.float64) as its base
+_JSON_LEAVES = {str: _json_str, float: _json_float, int: int.__repr__,
+                bool: _JSON_CONSTANTS.__getitem__, type(None): _JSON_CONSTANTS.__getitem__}
+
+
+def _json_text(value, indent: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False) at indent, "\\n" and spaces.
+
+    A container formats its items of the types in _JSON_LEAVES inline and recurses only
+    into the others: containers, and leaves of other types.
+    """
+    deeper = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # a key that is not a str fails in sorted or _json_str
+        items = [_json_str(k) + ": " + (leaf(v) if (leaf := _JSON_LEAVES.get(type(v)))
+                                        else _json_text(v, deeper))
+                 for k, v in sorted(value.items())]
+        return "{" + deeper + ("," + deeper).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [leaf(v) if (leaf := _JSON_LEAVES.get(type(v))) else _json_text(v, deeper)
+                 for v in value]
+        return "[" + deeper + ("," + deeper).join(items) + indent + "]"
+    leaf = _JSON_LEAVES.get(type(value)) or next(
+        (_JSON_LEAVES[t] for t in (str, float, int) if isinstance(value, t)), None)
+    if leaf is None:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return leaf(value)
+
+
+def json_bytes(payload) -> bytes:
+    """json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) and a newline, in UTF-8.
+
+    Built by _json_text (json is pure Python with an indent before 3.13); keys must be str.
+    A NaN or inf is a ValueError, any other value json rejects a TypeError. Line ends are
+    "\\n" on every platform.
+    """
+    return (_json_text(payload, "\n") + "\n").encode()
+
+
+def write_output(path, data: bytes, what: str = "output file") -> str:
+    """Create or truncate the file at path, write data to it and return path; no directory.
+
+    One os.write call writes it all, short of a full disk or a signal; the loop writes on after
+    a short write. An OSError of the open, a write or the close is an OutputError naming path.
+    """
     try:
-        write(path)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0),
+                     0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise OutputError(f"{what} {path} cannot be written: {exc.strerror}") from exc
     return path
 
 
-def write_run_dir(out_dir, writers: dict) -> tuple[str, ...]:
-    """Make out_dir and its parents, then write each file (name -> writer of its path) in order.
+def write_run_dir(out_dir, files: dict) -> tuple[str, ...]:
+    """Make out_dir and its parents, then write each file (name -> its bytes) in order.
 
     One mkdir makes a new directory under an existing one; makedirs decides every other case.
     """
@@ -138,7 +337,7 @@ def write_run_dir(out_dir, writers: dict) -> tuple[str, ...]:
             os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise OutputError(f"output directory {out_dir} cannot be created: {exc.strerror}") from exc
-    return tuple(write_output(os.path.join(out_dir, n), w) for n, w in writers.items())
+    return tuple(write_output(os.path.join(out_dir, n), data) for n, data in files.items())
 
 
 _REQUIRED = object()
@@ -421,13 +620,13 @@ class RunReport:
 
 
 def _write_report(
-    out: str, config, resolved: dict, results: dict, seed: int | None, writers: dict,
+    out: str, config, resolved: dict, results: dict, seed: int | None, artifacts: dict,
     uninformative: str | None = None,
 ) -> RunReport:
-    """Write the run directory out: each artifact (name -> writer of its path), then summary.json.
+    """Write the run directory out: each artifact (name -> its bytes), then summary.json.
 
-    The one exit-4 rule: a message in uninformative raises NoInformationError
-    only after every file is written.
+    Every file is built before the directory is made. The one exit-4 rule: a message in
+    uninformative raises NoInformationError only after every file is written.
     """
     summary = {
         "schema": SCHEMA_VERSION,
@@ -440,9 +639,9 @@ def _write_report(
             "seed": seed,
             "generated_at": datetime.now(timezone.utc).isoformat(),
         },
-        "files": [*writers, "summary.json"],
+        "files": [*artifacts, "summary.json"],
     }
-    files = write_run_dir(out, {**writers, "summary.json": partial(write_json, payload=summary)})
+    files = write_run_dir(out, {**artifacts, "summary.json": json_bytes(summary)})
     if uninformative is not None:
         raise NoInformationError(uninformative)
     return RunReport(summary=summary, files=files)
@@ -513,7 +712,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     demanded = config.require_bound and curve.no_information
     return _write_report(
         out_dir, config.echo, {**config.resolved, "delta_mu_hz": truth.delta_mu}, results, seed,
-        {"bound_curve.csv": partial(write_bound_curve_csv, curve)},
+        {"bound_curve.csv": bound_curve_csv(curve)},
         "scenario demanded a bound but every grid point is uninformative" if demanded else None,
     )
 
@@ -530,7 +729,7 @@ def bound_record(
     demanded = require_bound and curve.no_information
     return _write_report(
         out_dir, {"record": os.path.abspath(record_path)}, {"delta_mu_hz": record.delta_mu},
-        bound_summary(curve), None, {"bound_curve.csv": partial(write_bound_curve_csv, curve)},
+        bound_summary(curve), None, {"bound_curve.csv": bound_curve_csv(curve)},
         "bound demanded but the record is uninformative" if demanded else None,
     )
 
@@ -544,7 +743,7 @@ def reproduce_fig4(out_dir: str = ".") -> RunReport:
     stay below 1.
     """
     record = reference_record()
-    curve = tightest_bound(record, default_alpha_grid())
+    curve = tightest_bound(record)
     alphas, (f_fwd, f_rev) = curve.alphas, curve.fractions
 
     checks = []
@@ -572,12 +771,12 @@ def reproduce_fig4(out_dir: str = ".") -> RunReport:
     results["published_b2_top_over_sigma"] = GOLDEN_B2_TOP_OVER_SIGMA
     results["sigma_truth_hz"] = REFERENCE_SIGMA_HZ
     header = ["alpha", "fraction_forward", "fraction_reversed"]
-    writers = {
-        "fig4_bounds.csv": partial(write_bound_curve_csv, curve),
-        "fig4_fractions.csv": partial(write_csv, header=header, columns=(alphas, f_fwd, f_rev)),
+    artifacts = {
+        "fig4_bounds.csv": bound_curve_csv(curve),
+        "fig4_fractions.csv": csv_bytes(header, (alphas, f_fwd, f_rev)),
     }
     config, resolved = {"coupling": REFERENCE_LITERAL}, {"delta_mu_hz": record.delta_mu}
-    return _write_report(out_dir, config, resolved, results, None, writers)
+    return _write_report(out_dir, config, resolved, results, None, artifacts)
 
 
 def sweep_thickness(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
@@ -609,6 +808,6 @@ def sweep_thickness(config: ScenarioConfig, out_dir: str = ".") -> RunReport:
     demanded = config.require_bound and all(r["no_information"] for r in rows)
     return _write_report(
         out_dir, config.echo, config.resolved, results, None,
-        {"sweep.csv": partial(write_csv, header=header, columns=columns)},
+        {"sweep.csv": csv_bytes(header, columns)},
         "sweep demanded a bound but every thickness is uninformative" if demanded else None,
     )

@@ -21,15 +21,17 @@ per-alpha steps in one call, is the bit-exact reference for that split, and
 bound rows built from it are the reference for the full-grid bound route,
 and that route for the certified coarse-then-fill search of each record's
 least bound. The row CSV writer, `csv.writer` over a per-cell rule, is the
-reference for the columnar `bounds.write_csv`, and so is
+reference for the columnar `scenario.csv_bytes`, and so is
 the columnar writer that formats each float by Python's '%.12e' % v, the
-reference for the byte-table writer's vectorised float cells. The per-thickness sweep
+reference for the byte-table writer's vectorised float cells; each oracle returns the
+file's bytes, as `csv_bytes` does. The per-thickness sweep
 (two channel calls, `tightest_bound` and `bound_summary` for each thickness in turn) is
 the reference for `sweep_thickness`, which evolves every thickness before it bounds any.
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 
@@ -530,21 +532,19 @@ def short_os_writes(monkeypatch, limit: int = 7) -> None:
     monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:limit]))
 
 
-def oracle_write_csv(target, header, columns) -> None:
-    """The row writer `bounds.write_csv` replaced: the csv module, one cell at a time.
+def oracle_csv_bytes(header, columns) -> bytes:
+    """The row writer `scenario.csv_bytes` replaced: the csv module, one cell at a time.
 
-    Takes the columnar writer's arguments; array columns become their `.tolist()`
-    values. Cells: floats as .12e, None and NaN empty, bools as true/false,
-    strings unchanged (the csv module quotes them where needed).
+    Takes the columnar writer's arguments and returns the file's UTF-8 bytes; array columns
+    become their `.tolist()` values. Cells: floats as .12e, None and NaN empty, bools as
+    true/false, strings unchanged (the csv module quotes them where needed).
     """
-    if isinstance(target, (str, os.PathLike)):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            oracle_write_csv(fh, header, columns)
-        return
     rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    target = io.StringIO(newline="")
     writer = csv.writer(target)
     writer.writerow(header)
     writer.writerows([_oracle_cell(v) for v in row] for row in rows)
+    return target.getvalue().encode()
 
 
 def _oracle_percent_cells(column) -> list[str]:
@@ -559,13 +559,13 @@ def _oracle_percent_cells(column) -> list[str]:
     return ("%.12e\n" * len(values) % tuple(values)).replace("nan", "").split("\n")[:-1]
 
 
-def oracle_percent_write_csv(target, header, columns) -> None:
-    """The columnar `bounds.write_csv` before its byte table: '%' formats every float.
+def oracle_percent_csv_bytes(header, columns) -> bytes:
+    """The columnar CSV writer before its byte table: '%' formats every float.
 
-    Takes the writer's arguments and writes the same bytes, also for one column.
+    Takes `scenario.csv_bytes`'s arguments and returns the same bytes, also for one column.
     """
     rows = [_oracle_percent_cells(header), *zip(*map(_oracle_percent_cells, columns))]
-    target.write("\r\n".join(map(",".join, rows)) + "\r\n")
+    return ("\r\n".join(map(",".join, rows)) + "\r\n").encode()
 
 
 def oracle_sweep_rows(config) -> list[dict]:
@@ -584,10 +584,10 @@ def oracle_sweep_rows(config) -> list[dict]:
     return rows
 
 
-def oracle_sweep_csv(target, config) -> None:
-    """sweep.csv of a sweep config, from oracle_sweep_rows through the row writer."""
+def oracle_sweep_csv(config) -> bytes:
+    """sweep.csv's bytes of a sweep config, from oracle_sweep_rows through the row writer."""
     rows = oracle_sweep_rows(config)
     numbers = ["thickness_mm", "b_inf_hz", "b_inf_over_sigma", "alpha_star"]
     columns = [[r.get(c) for r in rows] for c in numbers]  # None: an empty cell
     columns += [[r["family"] or "" for r in rows], [r["no_information"] for r in rows]]
-    oracle_write_csv(target, [*numbers, "family", "no_information"], columns)
+    return oracle_csv_bytes([*numbers, "family", "no_information"], columns)

@@ -1,5 +1,3 @@
-import csv
-import io
 import math
 
 import numpy as np
@@ -19,21 +17,21 @@ from alphaprobe.bounds import (
     lower_bound_delta_mu,
     ratio_lower_bound,
     tightest_bound,
-    write_bound_curve_csv,
-    write_csv,
     _bounds_from_fractions,
-    _EXPONENTS,
-    _LEAD_ROW,
-    _TAIL_WORDS,
-    _WORDS,
-    _float_cells,
-    _key_cells,
     _optimum,
     _record_frames,
     _search_optima,
 )
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
-from alphaprobe.fidelity import alpha_fidelity, alpha_fidelity_curve, default_alpha_grid
+from alphaprobe.fidelity import (
+    ALPHA_COUNT,
+    ALPHA_START,
+    ALPHA_STOP,
+    alpha_fidelity,
+    alpha_fidelity_curve,
+    alpha_range,
+    default_alpha_grid,
+)
 from alphaprobe.linalg import EIG_FLOOR, DensityMatrix, check_density_matrices
 from alphaprobe.reference import (
     REFERENCE_RHO_1,
@@ -49,12 +47,9 @@ from support import (
     near_pure_stack,
     oracle_alpha_fidelity,
     oracle_bound_rows,
-    oracle_percent_write_csv,
-    oracle_write_csv,
     rand_state,
     record_curve,
     record_kernel_halves,
-    short_os_writes,
 )
 
 KET0 = DensityMatrix(np.diag([1.0, 0.0]))
@@ -292,6 +287,20 @@ class TestTightestBound:
         assert curve.optimum is None
         assert not curve.valid1.any()
         assert not curve.valid2.any()
+
+    def test_no_grid_is_the_shared_read_only_default(self):
+        # with no grid the curve takes alpha_range's memo grid, bitwise the default grid;
+        # default_alpha_grid stays a fresh writable array
+        curve = tightest_bound(reference_record())
+        assert curve.alphas is alpha_range(ALPHA_START, ALPHA_STOP, ALPHA_COUNT)
+        assert not curve.alphas.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            curve.alphas[0] = 0.6
+        fresh = default_alpha_grid()
+        assert fresh.flags.writeable and fresh is not default_alpha_grid()
+        assert curve.alphas.tobytes() == fresh.tobytes()
+        given = tightest_bound(reference_record(), fresh)
+        assert given.b2.tobytes() == curve.b2.tobytes() and given.optimum == curve.optimum
 
     def test_grid_validation(self):
         rec = reference_record()
@@ -833,7 +842,7 @@ class TestDualBounds:
             lower_bound_delta_mu(reference_record(), True, 0.5)
 
 
-class TestSummaryAndCsv:
+class TestSummary:
     def test_summary_with_reference(self):
         curve = tightest_bound(reference_record())
         s = bound_summary(curve, sigma_reference=REFERENCE_SIGMA_HZ)
@@ -859,142 +868,3 @@ class TestSummaryAndCsv:
         for record in (reference_record(), no_information_record()):
             with pytest.raises(ValueError, match="reference width"):
                 bound_summary(tightest_bound(record), sigma_reference=sigma)
-
-    def test_csv_round_trip(self, tmp_path):
-        curve = tightest_bound(reference_record(), alpha_grid=np.linspace(0.5, 0.9999, 40))
-        path = tmp_path / "curve.csv"
-        write_bound_curve_csv(curve, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 40
-        for i, row in enumerate(rows):
-            assert float(row["alpha"]) == pytest.approx(curve.alphas[i], rel=1e-10)
-            assert float(row["b1_hz"]) == pytest.approx(curve.b1[i], rel=1e-10)
-            assert float(row["b2_hz"]) == pytest.approx(curve.b2[i], rel=1e-10)
-            assert row["valid1"] == "true" and row["valid2"] == "true"
-
-    def test_write_csv_cell_rule(self, tmp_path, monkeypatch):
-        columns = [np.array([0.25]), np.array([math.nan]), [""], np.array([True]),
-                   np.array([False]), ["B2"]]
-        stream = io.StringIO(newline="")
-        write_csv(stream, ["a", "b", "c", "d", "e", "f"], columns)
-        want = "a,b,c,d,e,f\r\n2.500000000000e-01,,,true,false,B2\r\n"
-        assert stream.getvalue() == want
-        write_csv(tmp_path / "out.csv", ["a", "b", "c", "d", "e", "f"], columns)
-        assert (tmp_path / "out.csv").read_bytes() == want.encode()
-        # a write of at most 7 bytes a call leaves the same bytes, over a longer file too
-        short_os_writes(monkeypatch)
-        write_csv(tmp_path / "out.csv", ["a", "b", "c", "d", "e", "f"], columns)
-        assert (tmp_path / "out.csv").read_bytes() == want.encode()
-        curve = tightest_bound(reference_record())
-        write_bound_curve_csv(curve, tmp_path / "curve.csv")
-        want = io.StringIO(newline="")
-        oracle_write_csv(want, ["alpha", "b1_hz", "b2_hz", "valid1", "valid2"],
-                         (curve.alphas, curve.b1, curve.b2, curve.valid1, curve.valid2))
-        assert (tmp_path / "curve.csv").read_bytes() == want.getvalue().encode()
-
-    def test_write_csv_matches_the_row_writer_oracle(self):
-        # seeded tables of float, bool and string columns, written by both writers
-        rng = np.random.default_rng(20261018)
-        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]
-        words = ["", "B1", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\n", '"', ",", "é"]
-        for _ in range(60):
-            n = int(rng.integers(0, 40))
-            columns = []
-            for kind in rng.integers(3, size=int(rng.integers(2, 7))):
-                if kind == 0:
-                    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-                    special = rng.random(n) < 0.3
-                    values[special] = rng.choice(specials, int(special.sum()))
-                    columns.append(values)
-                elif kind == 1:
-                    columns.append(rng.random(n) < 0.5)
-                else:
-                    columns.append([words[i] for i in rng.integers(len(words), size=n)])
-            header = [words[i] for i in rng.integers(len(words), size=len(columns))]
-            got, want = io.StringIO(newline=""), io.StringIO(newline="")
-            write_csv(got, header, columns)
-            oracle_write_csv(want, header, columns)
-            assert got.getvalue() == want.getvalue()
-
-    @staticmethod
-    def assert_percent_writer_bytes(header, columns):
-        got, want = io.StringIO(newline=""), io.StringIO(newline="")
-        write_csv(got, header, columns)
-        oracle_percent_write_csv(want, header, columns)
-        assert got.getvalue() == want.getvalue()
-
-    def test_float_cells_match_percent_formatting(self):
-        # seeded: every cell against '%.12e' % v, in one column of each dtype
-        rng = np.random.default_rng(20261019)
-        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
-        round_ups = np.array([float(f"9.9999999999995e{k}") for k in range(-310, 308)])
-        edges = np.concatenate((powers, round_ups))
-        values = np.concatenate((
-            rng.choice([-1.0, 1.0], 60_000) * 10.0 ** rng.uniform(-320.0, 308.25, 60_000),
-            (2.0 * rng.integers(0, 2**45, 20_000) + 1.0) * 2.0**-20,  # odd multiples of 2^-20
-            rng.integers(10**12, 10**15, 10_000) * 10.0 + 5.0,  # ties: ...5 at 14+ digits
-            edges, np.nextafter(edges, 0.0), np.nextafter(edges, math.inf), -edges,
-            rng.random(5_000) * 2.2250738585072014e-308,  # subnormals
-            [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7976931348623157e308,
-             1e-310, 9.9999999999995e5, 9.99999999999949e99, 1e308],
-        ))
-        assert values.size >= 10**5
-        singles = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-45.0, 38.0, 20_000)
-        singles = np.append(singles, [math.nan, -math.inf, math.inf, -0.0, 1e-45,
-                                      9.9999999999995e5]).astype(np.float32)
-        # NaN columns as an uninformative or partly informative bound curve holds them
-        lone = np.full(500, math.nan)
-        lone[250] = 1.5e11
-        alternating = values[:1000].copy()
-        alternating[::2] = math.nan
-        nan_columns = (np.full(500, math.nan), lone, alternating)
-        for column in (values, singles, rng.integers(-2**63, 2**63, 5_000),
-                       np.arange(-1000, 1000), *nan_columns):
-            self.assert_percent_writer_bytes(["x"], [column])
-        for column in nan_columns:  # also in the one call that formats every later column
-            grid = np.linspace(0.5, 0.9999, column.size)
-            self.assert_percent_writer_bytes(["alpha", "b1", "b2"], [grid, column, column[::-1]])
-
-    def test_float_cell_word_tables(self):
-        # every 4-digit word, lead word and exponent tail word against '%'
-        assert [w.tobytes() for w in _WORDS[:10**4]] == [b"%04d" % i for i in range(10**4)]
-        for d in range(1, 10):
-            assert _WORDS[_LEAD_ROW + d].tobytes() == b"\xff\xff%d." % d
-            assert _WORDS[_LEAD_ROW - d].tobytes() == b"\xff-%d." % d
-        tails = [(b"e%+03d" % e).ljust(8, b"\xff") for e in _EXPONENTS.tolist()]
-        assert [w.tobytes() for w in _TAIL_WORDS] == tails
-
-    @pytest.mark.parametrize("columns", [
-        [np.zeros(0), np.zeros(0, dtype=bool), []],  # zero rows
-        [np.array([1.5, math.nan, -0.0])],  # one column: a NaN row is an empty line
-        [["a\x00b", "x,y", 'say "hi"', "cr\rhere", "two\nlines", "é ∞ 😀", ""]],
-        [["\x00", "\xff", ",\x00"], np.array([math.nan, 1e-300, 5e-324]),
-         np.array([True, False, True])],
-        [],  # no column: the header's empty row alone
-    ])
-    def test_write_csv_matches_the_percent_writer(self, columns):
-        self.assert_percent_writer_bytes([f"h{k},\x00" for k in range(len(columns))], columns)
-
-    def test_key_column_cells_are_a_read_only_memo(self):
-        grid = default_alpha_grid()
-        cells = _key_cells(grid.dtype, grid.tobytes())
-        assert not cells.flags.writeable
-        assert _key_cells(grid.dtype, grid.tobytes()) is cells
-        # a changed grid, or the same bytes read as another dtype, gets fresh cells
-        moved = _key_cells(grid.dtype, (grid * 0.5).tobytes())
-        swapped = _key_cells(np.dtype(">f8"), grid.tobytes())
-        assert moved is not cells and swapped is not cells and moved is not swapped
-        assert not np.array_equal(moved, cells) and not np.array_equal(swapped, cells)
-        for got, column in ((cells, grid), (moved, grid * 0.5)):
-            assert got.tobytes() == _float_cells(column).tobytes()
-
-    def test_csv_marks_uninformative_rows_empty(self, tmp_path):
-        curve = tightest_bound(no_information_record(), alpha_grid=[0.5, 0.7])
-        path = tmp_path / "curve.csv"
-        write_bound_curve_csv(curve, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        for row in rows:
-            assert row["b1_hz"] == "" and row["b2_hz"] == ""
-            assert row["valid1"] == "false" and row["valid2"] == "false"

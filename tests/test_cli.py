@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import alphaprobe.bounds as bounds
 import alphaprobe.cli as cli
 import alphaprobe.scenario as scenario
 from alphaprobe.channel import apply_channel
@@ -25,7 +24,7 @@ from alphaprobe.reference import (
     REFERENCE_SIGMA_HZ,
 )
 from alphaprobe.scenario import SCHEMA_VERSION
-from support import oracle_write_csv
+from support import oracle_csv_bytes
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -83,6 +82,17 @@ class TestAfid:
         alpha, fid = (float(x) for x in lines[1].split(","))
         assert alpha == 0.5
         assert fid == pytest.approx(np.sqrt(0.5), rel=1e-12)
+
+    def test_stdout_bytes_equal_the_csv_file_bytes(self, tmp_path, capsysbinary):
+        # stdout gets the file's bytes, CRLF rows untranslated, through its binary buffer
+        argv = ["afid", "--rho1", write_state(tmp_path / "a.json", PLUS),
+                "--rho2", write_state(tmp_path / "b.json", MIXED), "--alpha-count", "7"]
+        assert main(argv) == EXIT_OK
+        stdout = capsysbinary.readouterr().out
+        assert main(argv + ["--csv", str(tmp_path / "afid.csv")]) == EXIT_OK
+        assert capsysbinary.readouterr().out == f"wrote {tmp_path / 'afid.csv'}\n".encode()
+        assert stdout == (tmp_path / "afid.csv").read_bytes()
+        assert stdout.startswith(b"alpha,fidelity\r\n") and stdout.count(b"\r\n") == 8
 
     def test_curve_to_csv_file(self, tmp_path, capsys):
         rho1 = write_state(tmp_path / "a.json", PLUS)
@@ -557,8 +567,8 @@ def test_csv_artifacts_match_the_row_writer_oracle(tmp_path, capsys, monkeypatch
     outputs = {}
     for writer in ("columnar", "oracle"):
         if writer == "oracle":
-            for module in (bounds, scenario, cli):
-                monkeypatch.setattr(module, "write_csv", oracle_write_csv)
+            for module in (scenario, cli):
+                monkeypatch.setattr(module, "csv_bytes", oracle_csv_bytes)
         out = tmp_path / writer
         if command == "afid":
             assert main(argv) == EXIT_OK

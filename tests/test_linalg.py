@@ -1,4 +1,3 @@
-import json
 import math
 import re
 
@@ -17,14 +16,13 @@ from alphaprobe.linalg import (
     density_matrices,
     matrix_from_json,
     matrix_to_json,
-    write_json,
 )
+from alphaprobe.scenario import json_bytes
 from support import (
     partial_trace_env,
     project_to_state,
     rand_state,
     rand_unitary,
-    short_os_writes,
 )
 
 
@@ -192,91 +190,10 @@ class TestDensityMatrix:
             with pytest.raises(ValueError, match=f"^matrix payload must be a JSON object, got {kind}$"):
                 matrix_from_json(payload)
 
-    def test_save_matrix_refuses_non_finite_entries(self, tmp_path):
+    def test_save_matrix_refuses_non_finite_entries(self):
         # NaN would be written as a token that matrix_from_json cannot read back
-        path = tmp_path / "m.json"
         with pytest.raises(ValueError):
-            write_json(path, matrix_to_json(np.array([[np.nan, 0.0], [0.0, 1.0]])))
-        assert not path.exists()
-
-
-def dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def nested_payload(rng, depth: int):
-    """A seeded JSON value of every kind write_json takes, nested at most depth levels."""
-    scalars = ["", "é ∞ 😀", 'say "hi"\\', "tab\there\x00\x1f\u2028", True, False, None, 0,
-               -7, 2**70, -(2**1100), 0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308,
-               0.1, np.float64(2.5e-300), float(rng.standard_normal())]
-    kind = int(rng.integers(4 if depth else 1))
-    if kind == 0:
-        return scalars[int(rng.integers(len(scalars)))]
-    items = [nested_payload(rng, depth - 1) for _ in range(int(rng.integers(4)))]
-    if kind == 1:
-        return items
-    if kind == 2:
-        return tuple(items)
-    return {scalars[int(rng.integers(3))] + str(k): v for k, v in enumerate(items)}
-
-
-class TestWriteJson:
-    """write_json's bytes are json.dumps(indent=2, sort_keys=True, allow_nan=False)'s."""
-
-    def test_package_payloads(self, tmp_path, monkeypatch):
-        from alphaprobe.bounds import bound_summary, tightest_bound
-        from alphaprobe.reference import reference_record
-        from alphaprobe.scenario import reproduce_fig4
-        from alphaprobe.tomography import TomographySettings, reconstruct, rng_stream, simulate_counts
-
-        record = reference_record()
-        counts = simulate_counts(record.rho1, TomographySettings(60.0, 200.0, 7), rng_stream(7, (0,)))
-        payloads = [reproduce_fig4(str(tmp_path / "fig4")).summary,
-                    bound_summary(tightest_bound(record), 5.68e11), counts.to_json(),
-                    reconstruct(counts).to_json(), record.phi1_rho1.to_json(),
-                    matrix_to_json(np.diag([0.5, 0.3, 0.2]))]
-        for k, payload in enumerate(payloads):
-            write_json(tmp_path / f"{k}.json", payload)
-            assert (tmp_path / f"{k}.json").read_bytes() == dumps(payload).encode()
-        # a write of at most 7 bytes a call leaves the same bytes
-        short_os_writes(monkeypatch)
-        for k, payload in enumerate(payloads):
-            write_json(tmp_path / f"{k}.json", payload)
-            assert (tmp_path / f"{k}.json").read_bytes() == dumps(payload).encode()
-
-    def test_generated_nested_payloads(self, tmp_path):
-        rng = np.random.default_rng(3901)
-        for k in range(300):
-            payload = nested_payload(rng, 6)
-            write_json(tmp_path / "p.json", payload)
-            assert (tmp_path / "p.json").read_bytes() == dumps(payload).encode()
-
-    def test_nesting_at_max_json_depth(self, tmp_path):
-        from alphaprobe.scenario import MAX_JSON_DEPTH
-
-        payload = [1.5]
-        for k in range(MAX_JSON_DEPTH):
-            payload = {"k": payload} if k % 2 else [payload, {}]
-        write_json(tmp_path / "deep.json", {"config": payload})
-        assert (tmp_path / "deep.json").read_text() == dumps({"config": payload})
-
-    @pytest.mark.parametrize("payload, error", [
-        ({"x": math.nan}, ValueError),
-        ([1.0, [math.inf]], ValueError),
-        ({"a": {"b": -math.inf}}, ValueError),
-        (np.float64(math.nan), ValueError),
-        ({1: "one"}, TypeError),
-        ({"a": 1, None: 2}, TypeError),
-        ({"a": np.int64(3)}, TypeError),
-        ([b"bytes"], TypeError),
-        ({"s": {1, 2}}, TypeError),
-        (np.array([1.0]), TypeError),
-    ])
-    def test_rejects_before_opening_the_file(self, tmp_path, payload, error):
-        path = tmp_path / "bad.json"
-        with pytest.raises(error):
-            write_json(path, payload)
-        assert not path.exists()
+            json_bytes(matrix_to_json(np.array([[np.nan, 0.0], [0.0, 1.0]])))
 
 
 NOT_FINITE_REALS = {

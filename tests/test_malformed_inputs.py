@@ -444,6 +444,49 @@ def test_config_nested_beyond_the_limit_exits_2_before_any_file(tmp_path, capsys
             assert f"is nested deeper than {MAX_JSON_DEPTH} levels" in err
 
 
+# (subcommand, the flag given a document holding a non-finite literal, the document, where the
+# literal goes in it, its other arguments)
+NON_FINITE_FLAGS = [
+    ("simulate", "--config", base_config(), ("note",), []),
+    ("sweep", "--config", sweep_config(), ("spectra", "first", "mu_hz"), []),
+    ("bound", "--record", reference_record_json(), ("phi1_rho1", "re", 0, 1), []),
+    ("afid", "--rho1", matrix_to_json(REFERENCE_EVOLVED_1), ("im", 1, 0), ["--rho2", "{qubit}"]),
+    ("tomography", "--state", matrix_to_json(REFERENCE_EVOLVED_1), ("re", 0),
+     ["--time", "60", "--rate", "200", "--seed", "7"]),
+]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+@pytest.mark.parametrize("nested", [False, True], ids=["root", "nested"])
+@pytest.mark.parametrize("subcommand, flag, document, where, rest", NON_FINITE_FLAGS,
+                         ids=[f"{c[0]}{c[1]}" for c in NON_FINITE_FLAGS])
+def test_non_finite_literal_exits_2_naming_the_file_before_any_file(
+    tmp_path, capsys, subcommand, flag, document, where, rest, nested, literal
+):
+    # json reads these literals by default; a config's echo of one once failed after
+    # bound_curve.csv was written, and a field that checks its number names it as inf or nan
+    bad, qubit, out = tmp_path / "bad.json", tmp_path / "qubit.json", tmp_path / "out"
+    qubit.write_text(json.dumps(matrix_to_json(REFERENCE_EVOLVED_1)), encoding="utf-8")
+    if nested:
+        document = json.loads(json.dumps(document))
+        node = document
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = "LITERAL"
+        text = json.dumps(document).replace('"LITERAL"', literal)
+        named = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in where).lstrip(".")
+    else:
+        text, named = literal, "document root"
+    bad.write_text(text, encoding="utf-8")
+    argv = [subcommand, flag, str(bad), *(a.format(qubit=qubit) for a in rest)]
+    assert main(argv + ([] if subcommand == "afid" else ["--out", str(out)])) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    value = "nan" if literal == "NaN" else "-inf" if literal.startswith("-") else "inf"
+    assert f"{flag}" in captured.err and f"{bad}: {named} must be a finite number, got {value}" \
+        in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("delta_mu, code, informative", [
     (1e160, EXIT_OK, True),  # Δμ² overflows a float, Δμ · B(1 Hz) does not
     (1.7e308, EXIT_NO_INFORMATION, False),  # every bound itself overflows, so none is informative

@@ -9,7 +9,7 @@ EXPORTS = {
     "bounds": [
         "BoundCurve", "BoundOptimum", "NoInformationError", "ProbingRecord", "bound_b1",
         "bound_b2", "bound_summary", "fraction", "fraction_curve", "lower_bound_delta_mu",
-        "ratio_lower_bound", "tightest_bound", "write_bound_curve_csv",
+        "ratio_lower_bound", "tightest_bound",
     ],
     "channel": [
         "QUARTZ_BIREFRINGENCE", "WavePlate", "WavePlateStack", "apply_channel",
@@ -25,8 +25,8 @@ EXPORTS = {
     ],
     "reference": ["REFERENCE_DELTA_MU_HZ", "REFERENCE_SIGMA_HZ", "reference_record"],
     "scenario": [
-        "ConfigError", "GoldenCheckError", "RunReport", "ScenarioConfig", "load_scenario",
-        "parse_scenario", "reproduce_fig4", "run_scenario", "sweep_thickness",
+        "ConfigError", "GoldenCheckError", "RunReport", "ScenarioConfig", "bound_curve_csv",
+        "load_scenario", "parse_scenario", "reproduce_fig4", "run_scenario", "sweep_thickness",
     ],
     "spectra": [
         "LIGHT_SPEED", "GaussianSpectrum", "discretize_pair", "gaussian_alpha_fidelity",

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 from dataclasses import replace
@@ -8,27 +9,47 @@ import pytest
 
 import alphaprobe.channel as channel
 import alphaprobe.scenario as scenario
-from alphaprobe.bounds import NoInformationError
+from alphaprobe.bounds import NoInformationError, ProbingRecord, bound_summary, tightest_bound
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
 from alphaprobe.cli import EXIT_GOLDEN, main
 import alphaprobe.linalg as linalg
-from alphaprobe.linalg import DensityMatrix, NotPositiveError
+from alphaprobe.fidelity import default_alpha_grid
+from alphaprobe.linalg import DensityMatrix, NotPositiveError, matrix_to_json
 from alphaprobe.reference import REFERENCE_DELTA_MU_HZ, REFERENCE_SIGMA_HZ, reference_record
 from alphaprobe.scenario import (
+    _EXPONENTS,
+    _LEAD_ROW,
+    _TAIL_WORDS,
+    _WORDS,
+    MAX_JSON_DEPTH,
     REFERENCE_LITERAL,
     SCHEMA_VERSION,
     ConfigError,
     GoldenCheckError,
+    _float_cells,
+    _key_cells,
+    bound_curve_csv,
+    csv_bytes,
     field_errors,
+    json_bytes,
     load_scenario,
     parse_scenario,
     reproduce_fig4,
     run_scenario,
     sweep_thickness,
+    write_output,
 )
 from alphaprobe.spectra import LIGHT_SPEED, GaussianSpectrum
-from alphaprobe.tomography import monte_carlo_bounds
-from support import oracle_sweep_csv, oracle_sweep_rows, rand_state, record_kernel_halves
+from alphaprobe.tomography import monte_carlo_bounds, rng_stream
+from support import (
+    oracle_csv_bytes,
+    oracle_percent_csv_bytes,
+    oracle_sweep_csv,
+    oracle_sweep_rows,
+    rand_state,
+    record_kernel_halves,
+    short_os_writes,
+)
 
 MU0 = 3.7e14
 
@@ -342,6 +363,19 @@ class TestRunScenario:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 500
         assert all(r["valid1"] == "true" and r["valid2"] == "true" for r in rows)
+
+    @pytest.mark.parametrize("tomography", ["exact-states", {
+        "integration_time_s": 60.0, "count_rate_hz": 200.0, "seed": 3, "replicas": 3}])
+    def test_an_echo_json_cannot_hold_raises_before_the_directory_exists(self, tmp_path,
+                                                                         tomography):
+        # the parser reads no "note"; every artifact is built before the directory is made,
+        # so the summary's echo of a NaN leaves neither bound_curve.csv nor the directory
+        config = parse_scenario(sim_config(note={"values": [1.0, math.nan]},
+                                           tomography=tomography))
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="not JSON compliant: nan"):
+            run_scenario(config, out_dir=str(out))
+        assert not out.exists()
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: the equal-width inversion bounds "
                        "a record of lines of unequal widths below both widths")
@@ -669,12 +703,10 @@ class TestSweep:
             payload["spectra"]["second"]["sigma_hz"] = second_sigma
         cfg = parse_scenario(payload)
         want = oracle_sweep_rows(cfg)
-        oracle_sweep_csv(tmp_path / "oracle.csv", cfg)
         report = sweep_thickness(cfg, out_dir=str(tmp_path / "run"))
         results = report.summary["results"]
         assert results["thicknesses"] == want
-        assert (tmp_path / "run" / "sweep.csv").read_bytes() == (
-            tmp_path / "oracle.csv").read_bytes()
+        assert (tmp_path / "run" / "sweep.csv").read_bytes() == oracle_sweep_csv(cfg)
         assert (results["sigma_truth_hz"] is None) == (second_sigma is not None)
         assert any(r["no_information"] for r in want)
         assert any(not r["no_information"] for r in want)
@@ -683,3 +715,204 @@ class TestSweep:
         cfg = parse_scenario(self.sweep_config([22.0, 25.0], require_bound=True))
         with pytest.raises(NoInformationError, match="every thickness"):
             sweep_thickness(cfg, out_dir=str(tmp_path))
+
+
+def curve_rows(curve) -> list[dict]:
+    return list(csv.DictReader(io.StringIO(bound_curve_csv(curve).decode(), newline="")))
+
+
+class TestCsvBytes:
+    def test_csv_round_trip(self):
+        curve = tightest_bound(reference_record(), alpha_grid=np.linspace(0.5, 0.9999, 40))
+        rows = curve_rows(curve)
+        assert len(rows) == 40
+        for i, row in enumerate(rows):
+            assert float(row["alpha"]) == pytest.approx(curve.alphas[i], rel=1e-10)
+            assert float(row["b1_hz"]) == pytest.approx(curve.b1[i], rel=1e-10)
+            assert float(row["b2_hz"]) == pytest.approx(curve.b2[i], rel=1e-10)
+            assert row["valid1"] == "true" and row["valid2"] == "true"
+
+    def test_csv_bytes_cell_rule(self, tmp_path, monkeypatch):
+        columns = [np.array([0.25]), np.array([math.nan]), [""], np.array([True]),
+                   np.array([False]), ["B2"]]
+        want = b"a,b,c,d,e,f\r\n2.500000000000e-01,,,true,false,B2\r\n"
+        assert csv_bytes(["a", "b", "c", "d", "e", "f"], columns) == want
+        path = tmp_path / "out.csv"
+        assert write_output(path, csv_bytes(["a", "b", "c", "d", "e", "f"], columns)) == path
+        assert path.read_bytes() == want
+        # a write of at most 7 bytes a call leaves the same bytes, over a longer file too
+        short_os_writes(monkeypatch)
+        write_output(path, csv_bytes(["a", "b", "c", "d", "e", "f"], columns))
+        assert path.read_bytes() == want
+        curve = tightest_bound(reference_record())
+        assert bound_curve_csv(curve) == oracle_csv_bytes(
+            ["alpha", "b1_hz", "b2_hz", "valid1", "valid2"],
+            (curve.alphas, curve.b1, curve.b2, curve.valid1, curve.valid2))
+
+    def test_csv_bytes_match_the_row_writer_oracle(self):
+        # seeded tables of float, bool and string columns, built by both writers
+        rng = np.random.default_rng(20261018)
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]
+        words = ["", "B1", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\n", '"', ",", "é"]
+        for _ in range(60):
+            n = int(rng.integers(0, 40))
+            columns = []
+            for kind in rng.integers(3, size=int(rng.integers(2, 7))):
+                if kind == 0:
+                    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+                    special = rng.random(n) < 0.3
+                    values[special] = rng.choice(specials, int(special.sum()))
+                    columns.append(values)
+                elif kind == 1:
+                    columns.append(rng.random(n) < 0.5)
+                else:
+                    columns.append([words[i] for i in rng.integers(len(words), size=n)])
+            header = [words[i] for i in rng.integers(len(words), size=len(columns))]
+            assert csv_bytes(header, columns) == oracle_csv_bytes(header, columns)
+
+    @staticmethod
+    def assert_percent_writer_bytes(header, columns):
+        assert csv_bytes(header, columns) == oracle_percent_csv_bytes(header, columns)
+
+    def test_float_cells_match_percent_formatting(self):
+        # seeded: every cell against '%.12e' % v, in one column of each dtype
+        rng = np.random.default_rng(20261019)
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        round_ups = np.array([float(f"9.9999999999995e{k}") for k in range(-310, 308)])
+        edges = np.concatenate((powers, round_ups))
+        values = np.concatenate((
+            rng.choice([-1.0, 1.0], 60_000) * 10.0 ** rng.uniform(-320.0, 308.25, 60_000),
+            (2.0 * rng.integers(0, 2**45, 20_000) + 1.0) * 2.0**-20,  # odd multiples of 2^-20
+            rng.integers(10**12, 10**15, 10_000) * 10.0 + 5.0,  # ties: ...5 at 14+ digits
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, math.inf), -edges,
+            rng.random(5_000) * 2.2250738585072014e-308,  # subnormals
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7976931348623157e308,
+             1e-310, 9.9999999999995e5, 9.99999999999949e99, 1e308],
+        ))
+        assert values.size >= 10**5
+        singles = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-45.0, 38.0, 20_000)
+        singles = np.append(singles, [math.nan, -math.inf, math.inf, -0.0, 1e-45,
+                                      9.9999999999995e5]).astype(np.float32)
+        # NaN columns as an uninformative or partly informative bound curve holds them
+        lone = np.full(500, math.nan)
+        lone[250] = 1.5e11
+        alternating = values[:1000].copy()
+        alternating[::2] = math.nan
+        nan_columns = (np.full(500, math.nan), lone, alternating)
+        for column in (values, singles, rng.integers(-2**63, 2**63, 5_000),
+                       np.arange(-1000, 1000), *nan_columns):
+            self.assert_percent_writer_bytes(["x"], [column])
+        for column in nan_columns:  # also in the one call that formats every later column
+            grid = np.linspace(0.5, 0.9999, column.size)
+            self.assert_percent_writer_bytes(["alpha", "b1", "b2"], [grid, column, column[::-1]])
+
+    def test_float_cell_word_tables(self):
+        # every 4-digit word, lead word and exponent tail word against '%'
+        assert [w.tobytes() for w in _WORDS[:10**4]] == [b"%04d" % i for i in range(10**4)]
+        for d in range(1, 10):
+            assert _WORDS[_LEAD_ROW + d].tobytes() == b"\xff\xff%d." % d
+            assert _WORDS[_LEAD_ROW - d].tobytes() == b"\xff-%d." % d
+        tails = [(b"e%+03d" % e).ljust(8, b"\xff") for e in _EXPONENTS.tolist()]
+        assert [w.tobytes() for w in _TAIL_WORDS] == tails
+
+    @pytest.mark.parametrize("columns", [
+        [np.zeros(0), np.zeros(0, dtype=bool), []],  # zero rows
+        [np.array([1.5, math.nan, -0.0])],  # one column: a NaN row is an empty line
+        [["a\x00b", "x,y", 'say "hi"', "cr\rhere", "two\nlines", "é ∞ 😀", ""]],
+        [["\x00", "\xff", ",\x00"], np.array([math.nan, 1e-300, 5e-324]),
+         np.array([True, False, True])],
+        [],  # no column: the header's empty row alone
+    ])
+    def test_csv_bytes_match_the_percent_writer(self, columns):
+        self.assert_percent_writer_bytes([f"h{k},\x00" for k in range(len(columns))], columns)
+
+    def test_key_column_cells_are_a_read_only_memo(self):
+        grid = default_alpha_grid()
+        cells = _key_cells(grid.dtype, grid.tobytes())
+        assert not cells.flags.writeable
+        assert _key_cells(grid.dtype, grid.tobytes()) is cells
+        # a changed grid, or the same bytes read as another dtype, gets fresh cells
+        moved = _key_cells(grid.dtype, (grid * 0.5).tobytes())
+        swapped = _key_cells(np.dtype(">f8"), grid.tobytes())
+        assert moved is not cells and swapped is not cells and moved is not swapped
+        assert not np.array_equal(moved, cells) and not np.array_equal(swapped, cells)
+        for got, column in ((cells, grid), (moved, grid * 0.5)):
+            assert got.tobytes() == _float_cells(column).tobytes()
+
+    def test_csv_marks_uninformative_rows_empty(self):
+        # evolution erased the preparations entirely: both fractions exceed one
+        mixed = DensityMatrix(np.eye(2) / 2)
+        record = ProbingRecord(DensityMatrix(np.diag([1.0, 0.0])),
+                               DensityMatrix(np.diag([0.9, 0.1])), mixed, mixed, 1.0)
+        for row in curve_rows(tightest_bound(record, alpha_grid=[0.5, 0.7])):
+            assert row["b1_hz"] == "" and row["b2_hz"] == ""
+            assert row["valid1"] == "false" and row["valid2"] == "false"
+
+
+def dumps(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def nested_payload(rng, depth: int):
+    """A seeded JSON value of every kind json_bytes takes, nested at most depth levels."""
+    scalars = ["", "é ∞ 😀", 'say "hi"\\', "tab\there\x00\x1f\u2028", True, False, None, 0,
+               -7, 2**70, -(2**1100), 0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308,
+               0.1, np.float64(2.5e-300), float(rng.standard_normal())]
+    kind = int(rng.integers(4 if depth else 1))
+    if kind == 0:
+        return scalars[int(rng.integers(len(scalars)))]
+    items = [nested_payload(rng, depth - 1) for _ in range(int(rng.integers(4)))]
+    if kind == 1:
+        return items
+    if kind == 2:
+        return tuple(items)
+    return {scalars[int(rng.integers(3))] + str(k): v for k, v in enumerate(items)}
+
+
+class TestJsonBytes:
+    """json_bytes is json.dumps(indent=2, sort_keys=True, allow_nan=False)'s UTF-8 bytes."""
+
+    def test_package_payloads(self, tmp_path, monkeypatch):
+        from alphaprobe.tomography import TomographySettings, reconstruct, simulate_counts
+
+        record = reference_record()
+        counts = simulate_counts(record.rho1, TomographySettings(60.0, 200.0, 7), rng_stream(7, (0,)))
+        payloads = [reproduce_fig4(str(tmp_path / "fig4")).summary,
+                    bound_summary(tightest_bound(record), 5.68e11), counts.to_json(),
+                    reconstruct(counts).to_json(), record.phi1_rho1.to_json(),
+                    matrix_to_json(np.diag([0.5, 0.3, 0.2]))]
+        for payload in payloads:
+            assert json_bytes(payload) == dumps(payload).encode()
+        # a write of at most 7 bytes a call leaves the same bytes
+        short_os_writes(monkeypatch)
+        for k, payload in enumerate(payloads):
+            write_output(tmp_path / f"{k}.json", json_bytes(payload))
+            assert (tmp_path / f"{k}.json").read_bytes() == dumps(payload).encode()
+
+    def test_generated_nested_payloads(self):
+        rng = np.random.default_rng(3901)
+        for k in range(300):
+            payload = nested_payload(rng, 6)
+            assert json_bytes(payload) == dumps(payload).encode()
+
+    def test_nesting_at_max_json_depth(self):
+        payload = [1.5]
+        for k in range(MAX_JSON_DEPTH):
+            payload = {"k": payload} if k % 2 else [payload, {}]
+        assert json_bytes({"config": payload}).decode() == dumps({"config": payload})
+
+    @pytest.mark.parametrize("payload, error", [
+        ({"x": math.nan}, ValueError),
+        ([1.0, [math.inf]], ValueError),
+        ({"a": {"b": -math.inf}}, ValueError),
+        (np.float64(math.nan), ValueError),
+        ({1: "one"}, TypeError),
+        ({"a": 1, None: 2}, TypeError),
+        ({"a": np.int64(3)}, TypeError),
+        ([b"bytes"], TypeError),
+        ({"s": {1, 2}}, TypeError),
+        (np.array([1.0]), TypeError),
+    ])
+    def test_rejects_what_json_rejects(self, payload, error):
+        with pytest.raises(error):
+            json_bytes(payload)

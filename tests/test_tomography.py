@@ -17,7 +17,8 @@ from alphaprobe.bounds import (
 )
 from alphaprobe.channel import WavePlate, WavePlateStack, apply_channel
 from alphaprobe.cli import main
-from alphaprobe.linalg import DensityMatrix, check_density_matrices, write_json
+from alphaprobe.linalg import DensityMatrix, check_density_matrices
+from alphaprobe.scenario import json_bytes
 from alphaprobe.reference import (
     REFERENCE_DELTA_MU_HZ,
     REFERENCE_EVOLVED_1,
@@ -108,7 +109,7 @@ class TestBases:
 
 
 class TestSettings:
-    def test_parameter_validation(self, tmp_path):
+    def test_parameter_validation(self):
         with pytest.raises(ValueError, match="time"):
             TomographySettings(integration_time=0.0, count_rate=1.0, seed=0)
         with pytest.raises(ValueError, match="rate"):
@@ -126,8 +127,7 @@ class TestSettings:
         cfg = TomographySettings(integration_time=60.0, count_rate=200.0, seed=np.int64(7))
         assert type(cfg.seed) is int and cfg.seed == 7
         report = monte_carlo_bounds(exact_truth_record(), cfg, 2, SMALL_GRID)
-        write_json(tmp_path / "report.json", report.to_json())
-        assert json.loads((tmp_path / "report.json").read_text())["seed"] == 7
+        assert json.loads(json_bytes(report.to_json()))["seed"] == 7
 
     def test_basis_triple_validation(self):
         # the triple is the fixed Pauli triple, not a setting a caller can replace
@@ -611,7 +611,7 @@ class TestMonteCarlo:
         many, one = firsts
         np.testing.assert_array_equal(many[:1], one)
         state = tmp_path / "rho1.json"
-        write_json(state, truth.rho1.to_json())
+        state.write_bytes(json_bytes(truth.rho1.to_json()))
         args = ["--time", "60", "--rate", "200", "--seed", "9", "--out", str(tmp_path / "out")]
         assert main(["tomography", "--state", str(state), *args]) == 0
         counts = json.loads((tmp_path / "out" / "counts.json").read_text())
